@@ -1,6 +1,6 @@
 """Wall-time guard for the static-analysis gate.
 
-The ``repro.analyze`` pass stack runs strict on every ``compile_model`` /
+The ``repro.analyze`` pass stack runs strict on every ``compile_graph`` /
 ``lower_segment`` call, so it must stay cheap relative to compilation
 itself.  This benchmark holds the *full* analyzer stack — GIR rules plus
 every segment's loadable and instruction-program rules — for the largest
@@ -13,10 +13,10 @@ Run:  python -m pytest benchmarks/bench_lint.py -q
 import time
 
 from repro.analyze import analyze_model
+from repro.compiler import compile_graph
 from repro.graph.passes import default_pipeline
 from repro.models import PAPER_CHARACTERISTICS
 from repro.quantize import calibrate, quantize_graph
-from repro.runtime import compile_model
 
 MODEL_KEY = "resnet50_v15"
 ANALYSIS_BUDGET_SECONDS = 5.0
@@ -30,7 +30,9 @@ def _compiled_resnet():
     default_pipeline().run(graph)
     quantized = quantize_graph(graph, calibrate(graph, [info.sample_input(graph, seed=0)]))
     start = time.perf_counter()
-    compiled = compile_model(quantized, optimize=False, name=MODEL_KEY, verify=False)
+    compiled = compile_graph(
+        quantized, pipeline="O0", name=MODEL_KEY, verify=False
+    ).model
     return compiled, time.perf_counter() - start
 
 

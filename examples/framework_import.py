@@ -109,10 +109,10 @@ def main() -> None:
         b = list(execute_quantized(loaded, batches[0]).values())[0]
         print(f"   reload exact: {np.array_equal(a, b)}")
 
-    print("\n== compile the import through the delegate ==")
-    from repro.runtime import compile_model
+    print("\n== compile the import ==")
+    from repro.compiler import compile_graph
 
-    compiled = compile_model(quantized, optimize=False, name="from_tf")
+    compiled = compile_graph(quantized, pipeline="O0", name="from_tf").model
     print(compiled.summary())
 
 

@@ -4,7 +4,7 @@ The full pipeline in one page:
 
 1. build a float model (conv -> pool -> dense, with batch-norm),
 2. run the GCL optimization pipeline and post-training quantization,
-3. compile through the delegate (Ncore subgraphs + x86 fallback),
+3. compile with ``repro.compiler`` (Ncore subgraphs + x86 fallback),
 4. run an inference with the timing breakdown the paper reports.
 
 Run:  python examples/quickstart.py
@@ -12,9 +12,10 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
+from repro.compiler import compile_graph
 from repro.graph import Graph, Node, Tensor, TensorType, execute_float
 from repro.quantize import calibrate, quantize_graph
-from repro.runtime import InferenceSession, compile_model
+from repro.runtime import NcoreExecutor
 
 
 def build_model() -> Graph:
@@ -71,13 +72,13 @@ def main() -> None:
     quantized = quantize_graph(graph, calibrate(graph, batches))
     print(f"   quantized graph: {len(quantized.nodes)} nodes")
 
-    print("\n== 3. compile through the delegate ==")
-    compiled = compile_model(quantized, optimize=False, name="quickstart")
+    print("\n== 3. compile (partition + lower the Ncore segments) ==")
+    compiled = compile_graph(quantized, pipeline="O0", name="quickstart").model
     print(compiled.summary())
 
     print("\n== 4. run on the CHA system model ==")
-    session = InferenceSession(compiled)
-    result = session.run(batches[0])
+    executor = NcoreExecutor(compiled)
+    result = executor.execute(batches[0])
     quant_out = result.outputs[compiled.graph.outputs[0]]
     print(f"   float argmax={float_out.argmax()}  quantized argmax={quant_out.argmax()}")
     print(f"   max |float - quantized| = {np.abs(quant_out - float_out).max():.4f}")
@@ -86,7 +87,7 @@ def main() -> None:
           f"({timing.ncore_fraction:.0%})")
     print(f"   x86 portion:   {timing.x86_seconds * 1e6:8.2f} us")
     print(f"   total latency: {timing.total_seconds * 1e6:8.2f} us")
-    session.close()
+    executor.close()
 
 
 if __name__ == "__main__":

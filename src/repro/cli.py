@@ -31,10 +31,10 @@ import numpy as np
 # Mirrors ``repro.runtime.TIER_CHOICES``; kept as a literal so building the
 # argument parser (``repro --help``) never imports the runtime stack.  A
 # test asserts the two stay in sync.
-_TIER_CHOICES = ("auto", "interpreter", "fastpath", "replay", "codegen")
+_TIER_CHOICES = ("auto", "interpreter", "replay", "codegen")
 _TIER_HELP = (
-    "execution tier: auto (replay + Tier-3 codegen when compiled at O2), "
-    "interpreter, fastpath, replay, or codegen"
+    "graph mode: auto (replay + Tier-3 codegen when compiled at O2), "
+    "interpreter (per-node walk), replay, or codegen"
 )
 
 
@@ -91,7 +91,6 @@ def _cmd_models(args) -> int:
 
 def _cmd_bench(args) -> int:
     from repro.models import PAPER_CHARACTERISTICS
-    from repro.ncore.fastpath import set_fastpath_default
     from repro.perf.simbench import measure_inner_loop
     from repro.perf.system import get_system
 
@@ -99,7 +98,6 @@ def _cmd_bench(args) -> int:
         print(f"unknown model {args.model!r}; try one of "
               f"{sorted(PAPER_CHARACTERISTICS)}", file=sys.stderr)
         return 2
-    set_fastpath_default(args.fastpath and args.tier != "interpreter")
     system = get_system(args.model)
     split = system.workload_split()
     print(f"{system.info.display} on one CHA socket")
@@ -109,11 +107,10 @@ def _cmd_bench(args) -> int:
     print(f"  SingleStream latency: {system.single_stream_latency_seconds() * 1e3:8.3f} ms")
     print(f"  Offline throughput:   {system.offline_throughput_ips(cores=args.cores):8.1f} IPS "
           f"({args.cores} cores)")
-    use_fastpath = args.fastpath and args.tier != "interpreter"
-    inner = measure_inner_loop(fastpath=use_fastpath)
-    tier = "fastpath" if use_fastpath else "interpreter"
+    inner = measure_inner_loop(fastpath=args.fastpath)
+    machine_mode = "fastpath" if args.fastpath else "interpreter"
     print(f"  Simulator inner loop: {inner['cycles_per_second']:8.0f} cycles/s "
-          f"({tier})")
+          f"({machine_mode})")
     if args.tier != "auto":
         from repro.perf.simbench import measure_zoo_end_to_end
 
@@ -393,12 +390,12 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-def _sanitize_session(session, compiled, result, feeds, seed: int) -> int:
+def _sanitize_run(executor, compiled, result, feeds) -> int:
     """The ``repro run --sanitize`` verification pass; returns an exit code.
 
     Composes all four nsan oracles into one shared-model report: the
     static hazard rules over the compiled loadables, a two-run output
-    determinism check, a shadow-SRAM microkernel on the session's machine,
+    determinism check, a shadow-SRAM microkernel on the executor's machine,
     and the fastpath-vs-interpreter equivalence oracle.
     """
     from repro.analyze import AnalysisReport, analyze_model, render_text
@@ -415,7 +412,7 @@ def _sanitize_session(session, compiled, result, feeds, seed: int) -> int:
         d for d in static.diagnostics if d.rule.startswith("hazard.")
     )
     # 2. Determinism: the same feeds must produce byte-identical outputs.
-    rerun = session.run(feeds)
+    rerun = executor.execute(feeds)
     for name, value in result.outputs.items():
         if np.asarray(value).tobytes() != np.asarray(rerun.outputs[name]).tobytes():
             report.extend([diag(
@@ -424,12 +421,12 @@ def _sanitize_session(session, compiled, result, feeds, seed: int) -> int:
                 artifact=compiled.name, element=name,
             )])
     # 3. Shadow-SRAM sanitizer: a DMA + MAC-loop microkernel on the
-    # session's machine with every access checked.
-    machine = session.mapping.machine()
+    # executor's machine with every access checked.
+    machine = executor.mapping.machine()
     sanitizer = machine.arm_sanitizer(True)
     try:
         payload = np.tile(np.arange(64, dtype=np.uint8), 64).tobytes()
-        machine.memory.write(session.driver.dma_address_for(0), payload)
+        machine.memory.write(executor.driver.dma_address_for(0), payload)
         machine.set_dma_descriptor(
             0,
             DmaDescriptor(False, True, ram_row=0, rows=1, dram_addr=0, through_l3=True),
@@ -473,7 +470,8 @@ def _sanitize_session(session, compiled, result, feeds, seed: int) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.runtime import InferenceSession, compile_model
+    from repro.compiler import compile_graph
+    from repro.runtime import NcoreExecutor
 
     try:
         name, graph = _lint_target_graph(args.path, args.seed)
@@ -483,8 +481,9 @@ def _cmd_run(args) -> int:
         print(f"unknown model or graph path {args.path!r}; zoo keys: "
               f"{sorted(PAPER_CHARACTERISTICS)}", file=sys.stderr)
         return 2
-    compiled = compile_model(graph, optimize=not args.no_optimize, name=name)
-    session = InferenceSession(compiled, policy=args.tier)
+    pipeline = "O0" if args.no_optimize else "O2"
+    compiled = compile_graph(graph, pipeline=pipeline, name=name).model
+    executor = NcoreExecutor(compiled, verify=False, policy=args.tier)
     key = _resolve_model_key(args.path)
     if key is not None:
         from repro.models import PAPER_CHARACTERISTICS
@@ -502,7 +501,7 @@ def _cmd_run(args) -> int:
                 if tensor.type.dtype == "int32"
                 else rng.uniform(-1, 1, size=tensor.shape).astype(np.float32)
             )
-    result = session.run(feeds)
+    result = executor.execute(feeds)
     for name, value in result.outputs.items():
         value = np.asarray(value)
         print(f"  output {name}: shape {value.shape}, "
@@ -510,11 +509,11 @@ def _cmd_run(args) -> int:
     timing = result.timing
     print(f"  latency: {timing.total_seconds * 1e6:.1f} us "
           f"(Ncore {timing.ncore_fraction:.0%}, "
-          f"tier {session.executor.last_tier})")
+          f"tier {executor.last_tier})")
     exit_code = 0
     if args.sanitize:
-        exit_code = _sanitize_session(session, compiled, result, feeds, args.seed)
-    session.close()
+        exit_code = _sanitize_run(executor, compiled, result, feeds)
+    executor.close()
     return exit_code
 
 
@@ -553,7 +552,7 @@ def _cmd_lint(args) -> int:
         render_json,
         render_text,
     )
-    from repro.runtime import compile_model
+    from repro.compiler import compile_graph
 
     try:
         name, graph = _lint_target_graph(args.target, args.seed)
@@ -573,7 +572,7 @@ def _cmd_lint(args) -> int:
     else:
         # Lint the full artifact stack: compile without the strict gate so
         # every finding is reported here instead of raised mid-lowering.
-        compiled = compile_model(graph, optimize=False, name=name, verify=False)
+        compiled = compile_graph(graph, pipeline="O0", name=name, verify=False).model
         report = analyze_model(compiled, suppress=suppress)
         if args.dot:
             graphs = [
@@ -608,8 +607,8 @@ def _resolve_model_key(name: str) -> str | None:
     return matches[0] if len(matches) == 1 else None
 
 
-def _trace_microkernel(session, tracer) -> None:
-    """Run a real instrumented program on the session's Ncore machine.
+def _trace_microkernel(executor) -> None:
+    """Run a real instrumented program on the executor's Ncore machine.
 
     Stages one weight row through DMA (via the coherent L3 path) and runs
     a short MAC loop bracketed with event markers, so the trace carries
@@ -620,9 +619,9 @@ def _trace_microkernel(session, tracer) -> None:
     from repro.ncore import DmaDescriptor
     from repro.runtime.profiler import Profiler
 
-    machine = session.mapping.machine()
+    machine = executor.mapping.machine()
     payload = np.tile(np.arange(64, dtype=np.uint8), 64).tobytes()
-    machine.memory.write(session.driver.dma_address_for(0), payload)
+    machine.memory.write(executor.driver.dma_address_for(0), payload)
     machine.set_dma_descriptor(
         0, DmaDescriptor(False, True, ram_row=0, rows=1, dram_addr=0, through_l3=True)
     )
@@ -650,7 +649,7 @@ def _cmd_trace(args) -> int:
     from repro.models import PAPER_CHARACTERISTICS
     from repro.perf.mlperf import run_single_stream
     from repro.perf.system import BenchmarkSystem
-    from repro.runtime import InferenceSession
+    from repro.runtime import NcoreExecutor
 
     key = _resolve_model_key(args.model)
     if key is None:
@@ -665,13 +664,13 @@ def _cmd_trace(args) -> int:
         system = BenchmarkSystem(key)
         tracer.clock_hz = system.config.clock_hz
         # Open the device through the kernel driver and run one inference.
-        session = InferenceSession(system.compiled, owner="repro-trace")
-        session.soc.ncore.bind_metrics(metrics)
+        executor = NcoreExecutor(system.compiled, owner="repro-trace", verify=False)
+        executor.soc.ncore.bind_metrics(metrics)
         feeds = system.info.sample_input(system.compiled.graph, seed=args.seed)
-        session.run(feeds)
+        executor.execute(feeds)
         # Exercise the simulator's own event streams (event log, DMA, L3).
-        _trace_microkernel(session, tracer)
-        session.close()
+        _trace_microkernel(executor)
+        executor.close()
         # The MLPerf harness view: a short SingleStream run.
         result = run_single_stream(system, queries=args.queries, seed=args.seed)
     output = args.output or f"{key}.trace.json"
@@ -740,13 +739,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--cores", type=int, default=8)
     bench.add_argument(
         "--fastpath", action=argparse.BooleanOptionalAction, default=True,
-        help="use the trace-fused simulator tier (--no-fastpath for the "
-             "pure interpreter)",
+        help="machine mode of the Fig. 6 inner-loop line: trace-fused "
+             "(--no-fastpath for the pure instruction interpreter)",
     )
     bench.add_argument(
         "--tier", choices=_TIER_CHOICES, default="auto",
-        help=_TIER_HELP + "; naming a tier also benchmarks the zoo "
-             "end-to-end path at that tier",
+        help=_TIER_HELP + "; naming one also benchmarks the zoo "
+             "end-to-end path at that graph mode",
     )
     serve = sub.add_parser(
         "serve", help="run the MLPerf Server scenario on the event engine"

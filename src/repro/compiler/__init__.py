@@ -16,8 +16,8 @@ package is that compiler's driver:
   structure, weights digest, :class:`~repro.ncore.config.NcoreConfig`
   and pipeline id, so repeat compiles of a zoo model are near-free.
 
-``repro.runtime.compile_model`` remains the thin facade over
-:func:`compile_graph`.  See ``docs/compiler.md``.
+:func:`compile_graph` is the one entry point; its ``.model`` is what
+:class:`repro.runtime.NcoreExecutor` loads.  See ``docs/compiler.md``.
 """
 
 from repro.compiler.cache import (

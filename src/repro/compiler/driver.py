@@ -12,9 +12,6 @@ analyze-verify -> NKL lowering -> memory plan -> CompiledModel*:
 - every stage runs under a ``repro.obs`` span with change-stats recorded
   on the returned context, and ``collect_ir`` captures per-stage textual
   IR snapshots for ``repro compile --dump-ir``.
-
-``repro.runtime.compile_model`` is the thin backwards-compatible facade
-over this function.
 """
 
 from __future__ import annotations
@@ -90,8 +87,7 @@ def compile_graph(
     ``cache`` defaults to the process-wide compile cache; pass ``None``
     to force a full compile.  ``collect_ir`` bypasses the cache (its
     point is to watch the stages run) and fills per-stage snapshots.
-    ``in_place`` opts back into optimizing the caller's graph object
-    directly (the historical ``compile_model`` behaviour).
+    ``in_place`` opts into optimizing the caller's graph object directly.
     """
     pipeline_obj = get_pipeline(pipeline)
     config = config if config is not None else NcoreConfig()

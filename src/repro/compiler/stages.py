@@ -140,7 +140,7 @@ def _run_verify(ctx: CompilerContext) -> dict[str, Any]:
     """Inter-stage gate: the ``repro.analyze`` GIR verifier.
 
     Honors ``ctx.verify`` — a pipeline may carry the gate while a caller
-    opts out, mirroring ``compile_model(verify=False)``.
+    opts out with ``compile_graph(verify=False)``.
     """
     if not ctx.verify:
         return {"skipped": True}

@@ -1,7 +1,7 @@
 """``repro.engine``: the resumable discrete-event execution engine.
 
 Everything that used to be a private blocking loop — ``Ncore.run()``, one
-``InferenceSession`` per query, analytic MLPerf scenarios — now runs as
+blocking executor per query, analytic MLPerf scenarios — runs as
 cooperative tasks on one simulated clock:
 
 - :mod:`repro.engine.core`       -- event queue, simulated time, tasks;

@@ -635,6 +635,12 @@ class Ncore:
                 description=f"Ncore hardware performance counter {name!r}",
             )
 
+    # The datapath never traps: on bf16 lanes a signalling NaN, Inf - Inf,
+    # Inf * 0 or an overflow yields a quiet NaN / Inf that propagates
+    # (through data_shift, the NPU op, the accumulator and the OUT unit),
+    # bit-identically on the interpreter and the trace-fused path — so
+    # numpy must not warn about them either.
+    @np.errstate(invalid="ignore", over="ignore")
     def step(self, budget_cycles: int = 100_000_000) -> MachineRunResult:
         """Execute from the current pc for at most ``budget_cycles``.
 

@@ -4,15 +4,16 @@ The paper debugs MLPerf bring-up by reading performance counters against
 the known kernel schedule (Fig. 10).  This module systematises that: it
 maps retired cycles and DMA bytes back through the compiled artifact —
 GIR segment -> op -> lowered kernel — and stamps each execution with the
-tier that actually ran it (``interpreter`` / ``fastpath`` trace fusion /
-``replay`` cache hit / the serving harness's analytic ``timing-model``).
+graph mode that actually ran it (``interpreter`` per-node walk /
+``codegen`` macro-kernels / ``replay`` cache hit / the serving harness's
+analytic ``timing-model``).
 
 Two outputs:
 
 - **Segment feature records** (JSONL): per-segment op mix, output
   shapes, streamed DMA bytes, loop trip counts, MACs and cycles — the
-  exact training schema the learned cycle-predictor tier (ROADMAP item
-  3, NeuroScalar/SimNet in PAPERS.md) consumes.  Harvest with
+  training schema a learned cycle predictor (NeuroScalar/SimNet in
+  PAPERS.md; parked in ROADMAP.md) would consume.  Harvest with
   ``repro serve <model> --harvest run.jsonl``.
 - **Collapsed stacks** for flamegraph tooling
   (``model;segment[i];tier;op;kernel cycles`` — feed straight into
@@ -30,9 +31,8 @@ from typing import TYPE_CHECKING, Any, Iterator
 if TYPE_CHECKING:
     from repro.graph.loadable import CompiledModel
 
-#: Execution tiers a record can be attributed to.
+#: Graph modes a record can be attributed to.
 TIER_INTERPRETER = "interpreter"
-TIER_FASTPATH = "fastpath"
 TIER_REPLAY = "replay"
 TIER_CODEGEN = "codegen"
 TIER_TIMING_MODEL = "timing-model"

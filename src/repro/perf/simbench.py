@@ -1,10 +1,13 @@
 """Simulator throughput measurement: how fast the golden model replays.
 
-The paper's golden model existed to replay full workloads quickly; this
-module measures how close the instruction-level simulator gets, with and
-without the :mod:`repro.ncore.fastpath` tiers.  It owns the Fig. 6 fused
-convolution inner loop used by ``benchmarks/bench_simulator.py`` and the
-fastpath CI guard, and records the ``BENCH_simulator.json`` baseline.
+Two independent measurements, one per execution axis.  The *machine*
+axis: the Fig. 6 fused convolution inner loop on the instruction-level
+simulator, with and without :mod:`repro.ncore.fastpath` trace fusion
+(used by ``benchmarks/bench_simulator.py`` and the fastpath CI guard).
+The *graph* axis: zoo models end to end through
+:class:`~repro.runtime.executor.NcoreExecutor` at a named graph mode —
+no zoo query touches the instruction machine.  Both land in the
+``BENCH_simulator.json`` baseline.
 
 Wall-clock numbers here describe the *simulator*, not the modelled
 hardware — simulated cycle counts are identical either way (the fastpath
@@ -91,12 +94,12 @@ def compile_zoo_model(model_key: str = "mobilenet_v1"):
     GNMT takes the bf16 path (it has no int8 recipe); everything else is
     int8-quantized off a single calibration batch.  Compiling at O2 means
     the Tier-3 ``codegen`` stage runs and the macro-kernel artifact lands
-    in the compile cache, so sessions opened on the result can use any
-    tier.
+    in the compile cache, so executors opened on the result can use any
+    graph mode.
     """
+    from repro.compiler import compile_graph
     from repro.models import PAPER_CHARACTERISTICS
     from repro.quantize import calibrate, convert_to_bf16, quantize_graph
-    from repro.runtime.delegate import compile_model
 
     info = PAPER_CHARACTERISTICS[model_key]
     if model_key == "gnmt":
@@ -125,38 +128,31 @@ def compile_zoo_model(model_key: str = "mobilenet_v1"):
         converted = convert_to_bf16(graph)
     else:
         converted = quantize_graph(graph, calibrate(graph, [feeds]))
-    return compile_model(converted, name=model_key), feeds
+    return compile_graph(converted, name=model_key).model, feeds
 
 
 def measure_zoo_end_to_end(
     model_key: str = "mobilenet_v1",
     queries: int = 3,
-    replay: bool = True,
-    tier: str | None = None,
+    tier: str = "auto",
     warmup: int = 0,
 ) -> dict[str, float]:
     """Wall time for repeated end-to-end quantized inference of one zoo
-    model.
+    model at one graph mode (``auto`` / ``interpreter`` / ``replay`` /
+    ``codegen``).
 
-    With ``tier=None`` (the legacy spelling) the session runs with the
-    default policy minus/plus the tier-2 replay cache, per ``replay``.
-    Naming a ``tier`` pins the session to that rung of the ladder
-    (``interpreter`` / ``fastpath`` / ``replay`` / ``codegen``); pass
-    ``warmup`` > 0 to exclude the first-dispatch variant benchmarking and
-    oracle cross-check from the measured window.
+    Pass ``warmup`` > 0 to exclude the first-dispatch variant
+    benchmarking and oracle cross-check from the measured window.
     """
-    from repro.runtime.delegate import InferenceSession
+    from repro.runtime.executor import NcoreExecutor
 
     model, feeds = compile_zoo_model(model_key)
-    if tier is None:
-        session = InferenceSession(model, replay=replay)
-    else:
-        session = InferenceSession(model, policy=tier)
+    executor = NcoreExecutor(model, verify=False, policy=tier)
     for _ in range(max(0, warmup)):
-        session.run(feeds)
+        executor.execute(feeds)
     start = time.perf_counter()
     for _ in range(max(1, queries)):
-        session.run(feeds)
+        executor.execute(feeds)
     elapsed = time.perf_counter() - start
     result = {
         "seconds": elapsed,
@@ -164,19 +160,19 @@ def measure_zoo_end_to_end(
         "queries_per_second": queries / elapsed,
     }
     if tier == "codegen":
-        kset = session.executor.macro_kernels
+        kset = executor.macro_kernels
         total = len(model.segments)
         result["coverage"] = (
             kset.coverage_fraction(total) if kset is not None else 0.0
         )
-    session.close()
+    executor.close()
     return result
 
 
-#: Tier ladder rungs compared by :func:`measure_zoo_tiers` — the ones with
-#: distinct end-to-end execution paths (tier-2 replay memoizes whole
-#: queries, which would measure the cache, not the simulator).
-ZOO_TIERS = ("interpreter", "fastpath", "codegen")
+#: Graph modes compared by :func:`measure_zoo_tiers` — the two that
+#: execute (replay memoizes whole queries, which would measure the cache,
+#: not the simulator).
+ZOO_TIERS = ("interpreter", "codegen")
 
 
 def measure_zoo_tiers(
@@ -184,7 +180,7 @@ def measure_zoo_tiers(
     queries: int = 3,
     tiers: tuple[str, ...] = ZOO_TIERS,
 ) -> dict[str, Any]:
-    """Steady-state zoo end-to-end throughput at each execution tier.
+    """Steady-state zoo end-to-end throughput at each graph mode.
 
     One warm-up query per tier (Tier 3 benchmarks its kernel variants and
     runs the interpreter oracle on first dispatch), then ``queries`` timed

@@ -19,18 +19,14 @@ import functools
 
 import numpy as np
 
-from repro.compiler import optimize_graph
+from repro.compiler import compile_graph, optimize_graph
 from repro.graph.loadable import CompiledModel
 from repro.models import PAPER_CHARACTERISTICS, ModelInfo
 from repro.ncore.config import NcoreConfig
 from repro.perf.scaling import expected_throughput, observed_throughput
 from repro.perf.workloads import X86Portion, x86_portion_seconds
 from repro.quantize import calibrate, convert_to_bf16, quantize_graph
-from repro.runtime.delegate import (
-    DELEGATE_TRANSITION_SECONDS,
-    _x86_node_cost,
-    compile_model,
-)
+from repro.runtime.delegate import DELEGATE_TRANSITION_SECONDS, _x86_node_cost
 from repro.soc.config import SocConfig
 from repro.soc.x86 import X86Core
 
@@ -72,9 +68,9 @@ class BenchmarkSystem:
                 for i in range(calibration_batches)
             ]
             converted = quantize_graph(graph, calibrate(graph, batches))
-        self.compiled: CompiledModel = compile_model(
-            converted, config=self.config, optimize=False, name=model_key
-        )
+        self.compiled: CompiledModel = compile_graph(
+            converted, config=self.config, pipeline="O0", name=model_key
+        ).model
 
     # ------------------------------------------------------------------
     # Ncore side (simulated)

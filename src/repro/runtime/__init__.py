@@ -6,7 +6,6 @@ interface to run mixed Ncore/x86 graphs, and talks to a kernel-mode driver
 that owns the protected settings (DMA windows, power).
 """
 
-from repro.runtime.delegate import InferenceSession, compile_model
 from repro.runtime.driver import DriverError, NcoreKernelDriver
 from repro.runtime.executor import (
     TIER_CHOICES,
@@ -27,7 +26,6 @@ __all__ = [
     "DriverError",
     "EngineExecutor",
     "EventLogOverflowError",
-    "InferenceSession",
     "NcoreExecutor",
     "NcoreKernelDriver",
     "Profiler",
@@ -40,7 +38,6 @@ __all__ = [
     "get_default_tier_policy",
     "set_default_tier_policy",
     "build_activation_lut",
-    "compile_model",
     "execute_quantized",
     "power_on_self_test",
     "sigmoid_lut",

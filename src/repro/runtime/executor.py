@@ -1,22 +1,20 @@
 """Engine-owned execution: device executor, async sessions, batching.
 
-The original runtime bound everything to one synchronous object — an
-``InferenceSession`` owned the device *and* ran exactly one query at a
-time.  This module splits that into the pieces a serving system needs:
+The pieces a serving system needs:
 
 - :class:`NcoreExecutor` owns the device (driver probe/open, the memory
-  mapping, the timing model) and executes one batch at a time.  It
-  refuses to load a model whose Loadables fail the ``repro.analyze``
-  static verifiers unless constructed with ``verify=False`` — the same
-  gate the compiler applies, re-checked at load time because a Loadable
-  can reach the runtime without passing through ``compile_model``.
+  mapping, the timing model) and executes one query (``execute``) or one
+  batch (``execute_batch``) at a time.  It refuses to load a model whose
+  Loadables fail the ``repro.analyze`` static verifiers unless
+  constructed with ``verify=False`` — the same gate the compiler
+  applies, re-checked at load time because a Loadable can reach the
+  runtime without passing through ``compile_graph``.
 - :class:`EngineExecutor` mounts an executor on a discrete-event engine:
   a dynamic-batching queue (max batch / max wait) feeds the Ncore
   executor while modelled x86 workers handle per-query pre/post work.
 - :class:`SessionHandle` is the lightweight client object: ``submit()``
   enqueues a query and returns a ticket, ``poll()`` reports completion.
-  Many handles can share one executor — the multi-query serving shape
-  the blocking session could not express.
+  Many handles can share one executor.
 
 Simulated time throughout: latencies come from the engine clock, never
 the wall clock, so every schedule is deterministic.
@@ -25,11 +23,8 @@ the wall clock, so every schedule is deterministic.
 from __future__ import annotations
 
 import hashlib
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from dataclasses import replace as dataclass_replace
-from typing import Any
 
 import numpy as np
 
@@ -44,59 +39,48 @@ from repro.ncore.codegen import (
     MacroKernelSet,
     MultiKernelDispatcher,
 )
-from repro.obs.attrib import (
-    TIER_CODEGEN,
-    TIER_FASTPATH,
-    TIER_INTERPRETER,
-    TIER_REPLAY,
-    get_attrib,
-)
+from repro.obs.attrib import TIER_CODEGEN, TIER_INTERPRETER, TIER_REPLAY, get_attrib
 from repro.obs.context import TraceContext, mint_trace
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
+from repro.runtime.delegate import (
+    DELEGATE_TRANSITION_SECONDS,
+    RunResult,
+    RunTiming,
+    _x86_node_cost,
+)
 from repro.runtime.driver import NcoreKernelDriver
-from repro.runtime.qkernels import _execute_quantized_node, execute_quantized
+from repro.runtime.qkernels import run_nodes, seed_values
 from repro.soc.cha import ChaSoc
 
 #: ``--tier`` spellings accepted by :meth:`TierPolicy.for_tier` and the CLI.
-TIER_CHOICES = ("auto", "interpreter", "fastpath", "replay", "codegen")
+TIER_CHOICES = ("auto", "interpreter", "replay", "codegen")
 
 _ORACLE_MODES = ("off", "first", "always")
 
 
 @dataclass(frozen=True)
 class TierPolicy:
-    """Which execution tiers one executor may use.
+    """The graph mode of one executor: how it walks a model's segments.
 
-    Replaces the old ad-hoc ``replay``/``replay_capacity`` (and machine
-    ``fastpath``/``sanitize``) flag sprawl with one value describing the
-    tier ladder in precedence order::
+    (The *machine* mode — interpreter vs trace-fused instruction
+    execution — is a property of :class:`repro.ncore.Ncore`, not of this
+    policy; no zoo query runs the instruction machine.)
 
-        predict -> replay -> codegen -> fastpath -> interpreter
-
-    - ``predict``: the learned cycle-prediction tier (ROADMAP item 3).
-      Reserved; constructing a policy with it raises until it lands.
-    - ``replay``: Tier 2 — byte-identical feeds replay cached outputs.
-    - ``codegen``: Tier 3 — AOT macro-kernels from the compile cache
-      (:mod:`repro.ncore.codegen`); falls back per segment when a
-      segment has no macro-kernel form.
-    - ``fastpath``: Tier 1 — machine-level trace fusion.  ``None``
-      defers to the process-wide default
-      (:func:`repro.ncore.fastpath.set_fastpath_default`).
-    - ``sanitize``: arm the shadow-SRAM sanitizer on the executor's
-      machine (orthogonal to tier choice; costs when armed only).
-    - ``oracle``: Tier-3 differential checking against the per-node
-      interpreter — ``"first"`` verifies each (segment, shape) once on
+    - ``replay``: byte-identical feeds replay cached outputs, ahead of
+      any execution; ``replay_capacity`` bounds that LRU.
+    - ``codegen``: segments with an AOT macro-kernel in the compile cache
+      (:mod:`repro.ncore.codegen`) go through the dispatcher; segments
+      without one run the per-node walk.  Off, every segment does.
+    - ``oracle``: differential check of each macro-kernel against the
+      per-node walk — ``"first"`` verifies each (segment, shape) once on
       its benchmark dispatch (the default), ``"always"`` on every
       dispatch, ``"off"`` never.
     """
 
-    predict: bool = False
     replay: bool = True
     replay_capacity: int = 128
     codegen: bool = True
-    fastpath: bool | None = None
-    sanitize: bool = False
     oracle: str = "first"
 
     def __post_init__(self) -> None:
@@ -106,21 +90,14 @@ class TierPolicy:
             )
         if self.replay_capacity < 1:
             raise ValueError("replay_capacity must be at least 1")
-        if self.predict:
-            raise NotImplementedError(
-                "the 'predict' tier is reserved for the learned "
-                "cycle-prediction backend (ROADMAP item 3)"
-            )
 
     @classmethod
     def for_tier(cls, tier: str) -> "TierPolicy":
-        """The policy that forces one named tier (the ``--tier`` flag)."""
+        """The policy that forces one named graph mode (the ``--tier`` flag)."""
         if tier == "auto":
             return cls()
         if tier == "interpreter":
-            return cls(replay=False, codegen=False, fastpath=False)
-        if tier == "fastpath":
-            return cls(replay=False, codegen=False, fastpath=True)
+            return cls(replay=False, codegen=False)
         if tier == "replay":
             return cls(replay=True, codegen=False)
         if tier == "codegen":
@@ -146,24 +123,6 @@ def set_default_tier_policy(policy: TierPolicy) -> TierPolicy:
     return previous
 
 
-#: Sentinel distinguishing 'legacy kwarg not passed' from any real value.
-_UNSET: Any = object()
-
-_legacy_warned: set[str] = set()
-
-
-def _warn_legacy_kwarg(name: str, replacement: str) -> None:
-    if name in _legacy_warned:
-        return
-    _legacy_warned.add(name)
-    warnings.warn(
-        f"NcoreExecutor({name}=...) is deprecated; pass "
-        f"policy=TierPolicy({replacement}) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 class NcoreExecutor:
     """Owns one socket's Ncore through the kernel driver; runs batches.
 
@@ -181,18 +140,12 @@ class NcoreExecutor:
         verify: bool = True,
         policy: TierPolicy | str | None = None,
         macro_kernels: MacroKernelSet | None = None,
-        *,
-        replay: Any = _UNSET,
-        replay_capacity: Any = _UNSET,
-        fastpath: Any = _UNSET,
-        sanitize: Any = _UNSET,
     ) -> None:
         self.model = model
         self.soc = soc or ChaSoc()
-        self.policy = self._resolve_policy(
-            policy, replay=replay, replay_capacity=replay_capacity,
-            fastpath=fastpath, sanitize=sanitize,
-        )
+        if isinstance(policy, str):
+            policy = TierPolicy.for_tier(policy)
+        self.policy = policy if policy is not None else get_default_tier_policy()
         if verify:
             from repro.analyze import analyze_model, enforce
 
@@ -219,48 +172,17 @@ class NcoreExecutor:
         # from the compile cache under the model's content key.  The
         # dispatcher benchmarks each kernel's variants once per input
         # shape and pins the winner; ``policy.oracle`` controls the
-        # per-node-interpreter differential check.
+        # per-node differential check.  Without them (policy or pipeline)
+        # the same segment walk runs every segment per node.
         self._macro_kernels = (
             self._load_macro_kernels(macro_kernels) if self.policy.codegen else None
         )
+        self._walk_tier = (
+            TIER_INTERPRETER if self._macro_kernels is None else TIER_CODEGEN
+        )
         self.dispatcher = MultiKernelDispatcher(oracle=self.policy.oracle)
-        #: Tier that served the most recent query (attribution label).
+        #: Graph mode that served the most recent query (attribution label).
         self.last_tier: str | None = None
-        if self.policy.sanitize:
-            self.mapping.machine().arm_sanitizer(True)
-
-    @staticmethod
-    def _resolve_policy(
-        policy: TierPolicy | str | None,
-        *,
-        replay: Any,
-        replay_capacity: Any,
-        fastpath: Any,
-        sanitize: Any,
-    ) -> TierPolicy:
-        """One policy from the new argument plus any legacy kwargs."""
-        if isinstance(policy, str):
-            resolved = TierPolicy.for_tier(policy)
-        elif policy is None:
-            resolved = get_default_tier_policy()
-        else:
-            resolved = policy
-        overrides: dict[str, Any] = {}
-        if replay is not _UNSET:
-            _warn_legacy_kwarg("replay", f"replay={bool(replay)}")
-            overrides["replay"] = bool(replay)
-        if replay_capacity is not _UNSET:
-            _warn_legacy_kwarg(
-                "replay_capacity", f"replay_capacity={int(replay_capacity)}"
-            )
-            overrides["replay_capacity"] = max(1, int(replay_capacity))
-        if fastpath is not _UNSET:
-            _warn_legacy_kwarg("fastpath", f"fastpath={bool(fastpath)}")
-            overrides["fastpath"] = bool(fastpath)
-        if sanitize is not _UNSET:
-            _warn_legacy_kwarg("sanitize", f"sanitize={bool(sanitize)}")
-            overrides["sanitize"] = bool(sanitize)
-        return dataclass_replace(resolved, **overrides) if overrides else resolved
 
     def _load_macro_kernels(
         self, macro_kernels: MacroKernelSet | None
@@ -281,17 +203,8 @@ class NcoreExecutor:
         return artifact if isinstance(artifact, MacroKernelSet) else None
 
     @property
-    def replay(self) -> bool:
-        """Whether the Tier-2 replay cache is enabled (policy view)."""
-        return self.policy.replay
-
-    @property
     def macro_kernels(self) -> MacroKernelSet | None:
         return self._macro_kernels
-
-    @property
-    def _replay_capacity(self) -> int:
-        return self.policy.replay_capacity
 
     def close(self) -> None:
         self.driver.close(self.mapping)
@@ -335,59 +248,42 @@ class NcoreExecutor:
     def _replay_store(self, key: str, outputs: dict[str, np.ndarray]) -> None:
         self._replay_cache[key] = {name: value.copy() for name, value in outputs.items()}
         self._replay_cache.move_to_end(key)
-        while len(self._replay_cache) > self._replay_capacity:
+        while len(self._replay_cache) > self.policy.replay_capacity:
             self._replay_cache.popitem(last=False)
 
     # ------------------------------------------------------------------
-    # Tier-3 AOT macro-kernel execution
+    # The segment walk (per-node, or Tier-3 macro-kernels where compiled)
     # ------------------------------------------------------------------
 
     def _segment_oracle(self, segment: Segment, kernel: MacroKernel):
         """A closure computing the segment's outputs with the per-node
-        interpreter from a read-only environment (the Tier-3 oracle)."""
+        walk from a read-only environment (the Tier-3 oracle)."""
         graph = self.model.graph
 
         def oracle(env: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
             scratch = dict(env)
-            for node in segment.nodes:
-                ins = [scratch[name] for name in node.inputs]
-                outs = _execute_quantized_node(graph, node, ins)
-                for name, value in zip(node.outputs, outs, strict=False):
-                    scratch[name] = value
+            run_nodes(graph, segment.nodes, scratch)
             return {name: scratch[name] for name in kernel.outputs}
 
         return oracle
 
-    def _run_codegen(self, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """One query through the macro-kernel dispatcher.
+    def _walk_segments(self, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """One query, segment by segment in execution order.
 
-        Walks the partitioned segments in execution order — segments are
-        maximal contiguous runs covering every node, so this is the same
-        walk ``execute_quantized`` does, chunked.  Covered segments go
-        through the dispatcher; uncovered ones run per node, keeping the
-        whole graph bit-exact regardless of coverage.
+        Segments are maximal contiguous runs covering every node, so this
+        is the walk ``execute_quantized`` does, chunked.  A segment with a
+        macro-kernel goes through the dispatcher; one without runs per
+        node — every segment when the policy disables codegen — keeping
+        the whole graph bit-exact regardless of coverage.
         """
-        assert self._macro_kernels is not None
         graph = self.model.graph
-        values: dict[str, np.ndarray] = {}
-        for name, tensor in graph.tensors.items():
-            if tensor.is_constant:
-                values[name] = tensor.data
-        for name in graph.inputs:
-            if name not in feeds:
-                from repro.graph.gir import GraphError
-
-                raise GraphError(f"missing feed for graph input {name!r}")
-            values[name] = np.asarray(feeds[name])
+        kset = self._macro_kernels
+        values = seed_values(graph, feeds)
         check_oracle = self.policy.oracle != "off"
         for index, segment in enumerate(self.model.segments):
-            kernel = self._macro_kernels.get(index)
+            kernel = kset.get(index) if kset is not None else None
             if kernel is None:
-                for node in segment.nodes:
-                    ins = [values[name] for name in node.inputs]
-                    outs = _execute_quantized_node(graph, node, ins)
-                    for name, value in zip(node.outputs, outs, strict=False):
-                        values[name] = value
+                run_nodes(graph, segment.nodes, values)
                 continue
             oracle = (
                 self._segment_oracle(segment, kernel) if check_oracle else None
@@ -396,51 +292,36 @@ class NcoreExecutor:
         return {name: values[name] for name in graph.outputs}
 
     # ------------------------------------------------------------------
-    # The tier ladder
+    # Graph mode: replay ahead of the segment walk
     # ------------------------------------------------------------------
-
-    def _fastpath_enabled(self) -> bool:
-        if self.policy.fastpath is not None:
-            return self.policy.fastpath
-        from repro.ncore.fastpath import get_fastpath_default
-
-        return get_fastpath_default()
 
     def _run_quantized(
         self, feeds: dict[str, np.ndarray]
     ) -> tuple[dict[str, np.ndarray], str]:
-        """Run one query down the tier ladder; returns (outputs, tier).
+        """Run one query; returns (outputs, graph mode that served it).
 
-        Precedence follows :class:`TierPolicy`: replay (Tier 2) short-
-        circuits everything, Tier-3 macro-kernels run when compiled
-        artifacts exist, and the trace-fused / interpreter walk is the
-        floor.  The tier label is what actually served the query.
+        A replay hit short-circuits execution; otherwise the segment walk
+        runs and is labelled by whether this executor holds macro-kernels.
         """
-        policy = self.policy
         key: str | None = None
-        if policy.replay:
+        if self.policy.replay:
             key = self._replay_key(feeds)
             cached = self._replay_lookup(key)
             if cached is not None:
                 self.last_tier = TIER_REPLAY
                 return cached, TIER_REPLAY
-        if self._macro_kernels is not None:
-            outputs = self._run_codegen(feeds)
-            tier = TIER_CODEGEN
-        else:
-            outputs = execute_quantized(self.model.graph, feeds)
-            tier = TIER_FASTPATH if self._fastpath_enabled() else TIER_INTERPRETER
+        outputs = self._walk_segments(feeds)
         if key is not None:
             self._replay_store(key, outputs)
-        self.last_tier = tier
-        return outputs, tier
+        self.last_tier = self._walk_tier
+        return outputs, self._walk_tier
 
     def _attribute(self, tiers: dict[str, int], batch: int) -> None:
         """Feed the cycle-attribution collector, tier-labelled.
 
         ``tiers`` maps the tier that served each query to its count —
-        executed queries land on the tier that ran them (codegen,
-        fastpath or interpreter); replay hits are labelled ``replay`` so
+        executed queries land on the tier that ran them (codegen or
+        interpreter); replay hits are labelled ``replay`` so
         a harvest shows the cycles *avoided*.
         """
         attrib = get_attrib()
@@ -483,8 +364,6 @@ class NcoreExecutor:
 
     def x86_graph_seconds(self) -> float:
         """x86 portion attributable to non-delegated graph segments."""
-        from repro.runtime.delegate import DELEGATE_TRANSITION_SECONDS, _x86_node_cost
-
         core = self.soc.cores[0]
         metrics = get_metrics()
         total = 0.0
@@ -508,22 +387,38 @@ class NcoreExecutor:
     # Execution
     # ------------------------------------------------------------------
 
-    def execute(self, feeds: dict[str, np.ndarray]):
-        """Run one query: functional outputs plus the timing split."""
-        from repro.runtime.delegate import RunResult, RunTiming
+    def execute(self, feeds: dict[str, np.ndarray]) -> RunResult:
+        """Run one query: functional outputs plus the timing split.
 
-        outputs, tier = self._run_quantized(feeds)
-        self._attribute({tier: 1}, batch=1)
-        timing = RunTiming(
-            ncore_seconds=self.ncore_seconds(),
-            x86_seconds=self.x86_graph_seconds(),
-        )
+        Under an installed tracer / metrics registry this is also the
+        ``delegate.run`` span, the ``delegate.schedule`` timeline and the
+        ``delegate.inferences`` / ``delegate.latency_seconds`` metrics.
+        """
+        tracer = get_tracer()
+        with tracer.span("delegate.run", track="delegate", model=self.model.name) as span:
+            outputs, tier = self._run_quantized(feeds)
+            self._attribute({tier: 1}, batch=1)
+            timing = RunTiming(
+                ncore_seconds=self.ncore_seconds(),
+                x86_seconds=self.x86_graph_seconds(),
+            )
+            span.set(
+                ncore_seconds=timing.ncore_seconds,
+                x86_seconds=timing.x86_seconds,
+                ncore_fraction=timing.ncore_fraction,
+            )
+        if tracer.enabled:
+            self.trace_schedule(tracer)
+        metrics = get_metrics()
+        if metrics.enabled:
+            metrics.counter("delegate.inferences").inc()
+            metrics.histogram(
+                "delegate.latency_seconds", unit="s"
+            ).observe(timing.total_seconds)
         return RunResult(outputs=outputs, timing=timing)
 
-    def execute_batch(self, batch_feeds: list[dict[str, np.ndarray]]):
+    def execute_batch(self, batch_feeds: list[dict[str, np.ndarray]]) -> list[RunResult]:
         """Run a batch: per-query outputs, batched Ncore amortization."""
-        from repro.runtime.delegate import RunResult, RunTiming
-
         size = len(batch_feeds)
         per_item_ncore = self.ncore_seconds_batched(size)
         x86 = self.x86_graph_seconds()
@@ -538,6 +433,52 @@ class NcoreExecutor:
             ))
         self._attribute(tiers, batch=size)
         return results
+
+    def trace_schedule(self, tracer) -> None:
+        """Emit the modelled execution timeline as simulated-time spans.
+
+        One span per segment in execution order — the Fig. 8/9 view of the
+        delegate's Ncore/x86 interleaving, with per-kernel child spans for
+        the Ncore segments (the NKL cycle schedule).
+        """
+        clock = self._clock
+        core = self.soc.cores[0]
+        cursor = 0.0  # modelled seconds since inference start
+        for index, segment in enumerate(self.model.segments):
+            if segment.target == "ncore" and index in self.model.loadables:
+                loadable = self.model.loadables[index]
+                seconds = loadable.total_cycles(self._dma_bpc) / clock
+                tracer.add_span(
+                    f"ncore.segment[{index}]", "delegate.schedule",
+                    start_us=cursor * 1e6, duration_us=seconds * 1e6,
+                    args={"nodes": len(segment.nodes),
+                          "cycles": loadable.total_cycles(self._dma_bpc),
+                          "weights": "pinned" if loadable.memory_plan.weights_pinned
+                          else "streamed"},
+                )
+                kernel_cursor = cursor
+                for kernel in loadable.kernels:
+                    kernel_seconds = kernel.cycles / clock
+                    tracer.add_span(
+                        kernel.kernel, "ncore.kernels",
+                        start_us=kernel_cursor * 1e6,
+                        duration_us=kernel_seconds * 1e6,
+                        args={"node": kernel.node_name, "op": kernel.op,
+                              "cycles": kernel.cycles, "macs": kernel.macs},
+                    )
+                    kernel_cursor += kernel_seconds
+                cursor += seconds
+            else:
+                seconds = DELEGATE_TRANSITION_SECONDS
+                for node in segment.nodes:
+                    seconds += core.task_seconds(**_x86_node_cost(self.model.graph, node))
+                tracer.add_span(
+                    f"x86.segment[{index}]", "delegate.schedule",
+                    start_us=cursor * 1e6, duration_us=seconds * 1e6,
+                    args={"nodes": len(segment.nodes),
+                          "ops": sorted({n.op for n in segment.nodes})},
+                )
+                cursor += seconds
 
 
 @dataclass
@@ -577,8 +518,7 @@ class QueryTicket:
 class SessionHandle:
     """A lightweight client of one :class:`EngineExecutor`.
 
-    Replaces the device-owning ``InferenceSession`` for concurrent use:
-    holding a handle grants nothing exclusive — submission order across
+    Holding a handle grants nothing exclusive — submission order across
     all handles decides batching.
     """
 
@@ -616,8 +556,6 @@ class EngineExecutor:
         workers: int = 7,
         pre_seconds: float | None = None,
     ) -> None:
-        from repro.runtime.delegate import DELEGATE_TRANSITION_SECONDS
-
         self.engine = engine
         self.executor = executor
         self.queue = BatchQueue(engine, max_batch=max_batch, max_wait=max_wait,

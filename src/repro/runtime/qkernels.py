@@ -10,6 +10,8 @@ x86 reference kernels the instruction-level simulator is validated against
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from repro.dtypes import (
@@ -234,13 +236,8 @@ def qmax_pool(x: np.ndarray, ksize, stride, padding=((0, 0), (0, 0))) -> np.ndar
     return out
 
 
-def execute_quantized(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Execute a (possibly mixed) quantized graph.
-
-    Quantized ops run through the integer kernels above; float ops fall
-    back to the reference float semantics.  This is the functional model
-    of what the CompiledModel computes across Ncore and x86 segments.
-    """
+def seed_values(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The environment a graph walk starts from: constants plus feeds."""
     values: dict[str, np.ndarray] = {}
     for name, tensor in graph.tensors.items():
         if tensor.is_constant:
@@ -249,11 +246,31 @@ def execute_quantized(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, n
         if name not in feeds:
             raise GraphError(f"missing feed for graph input {name!r}")
         values[name] = np.asarray(feeds[name])
-    for node in graph.nodes:
+    return values
+
+
+def run_nodes(graph: Graph, nodes: Iterable[Node], values: dict[str, np.ndarray]) -> None:
+    """Run ``nodes`` in order against ``values``, in place.
+
+    The one per-node walk: the whole graph for :func:`execute_quantized`,
+    one segment at a time for the executor and its Tier-3 oracle.
+    """
+    for node in nodes:
         ins = [values[name] for name in node.inputs]
         outs = _execute_quantized_node(graph, node, ins)
         for name, value in zip(node.outputs, outs, strict=False):
             values[name] = value
+
+
+def execute_quantized(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Execute a (possibly mixed) quantized graph.
+
+    Quantized ops run through the integer kernels above; float ops fall
+    back to the reference float semantics.  This is the functional model
+    of what the CompiledModel computes across Ncore and x86 segments.
+    """
+    values = seed_values(graph, feeds)
+    run_nodes(graph, graph.nodes, values)
     return {name: values[name] for name in graph.outputs}
 
 

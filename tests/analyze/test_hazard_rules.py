@@ -17,6 +17,7 @@ from repro.analyze import (
     build_program_hazard_graph,
     render_dot,
 )
+from repro.compiler import compile_graph
 from repro.dtypes import NcoreDType, QuantParams
 from repro.graph.gir import Graph, Node, Tensor, TensorType
 from repro.graph.partitioner import partition
@@ -25,7 +26,6 @@ from repro.isa import assemble
 from repro.isa.instruction import DMAOp
 from repro.models import MODEL_BUILDERS
 from repro.nkl.lower import lower_segment
-from repro.runtime.delegate import compile_model
 
 UINT8 = NcoreDType.UINT8
 QP = QuantParams(scale=0.05, zero_point=128)
@@ -77,7 +77,7 @@ class TestLoadableClean:
         assert not any(d.rule.startswith("hazard.") for d in report)
 
     def test_mobilenet_has_no_hazards(self):
-        compiled = compile_model(MODEL_BUILDERS["mobilenet_v1"]())
+        compiled = compile_graph(MODEL_BUILDERS["mobilenet_v1"]()).model
         report = analyze_model(compiled)
         hazards = [d for d in report if d.rule.startswith("hazard.")]
         assert not hazards, [d.message for d in hazards]
@@ -277,6 +277,6 @@ class TestCompileGate:
     def test_compile_model_runs_the_hazard_pass(self):
         # The hazard pass rides the same strict compile gate as the
         # pairwise loadable checks — a clean model must stay clean.
-        compiled = compile_model(_fc_chain())
+        compiled = compile_graph(_fc_chain()).model
         report = analyze_model(compiled)
         assert report.ok

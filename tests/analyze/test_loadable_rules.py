@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from repro.analyze import AnalysisError, analyze_loadable, analyze_model
+from repro.compiler import compile_graph
 from repro.dtypes import NcoreDType, QuantParams
 from repro.graph.gir import Graph, Node, Tensor, TensorType
 from repro.graph.partitioner import Segment, partition
 from repro.graph.planner import Prefetch, RowRange
 from repro.ncore.config import NcoreConfig
 from repro.nkl.lower import lower_segment
-from repro.runtime.delegate import compile_model
 
 UINT8 = NcoreDType.UINT8
 QP = QuantParams(scale=0.05, zero_point=128)
@@ -202,7 +202,7 @@ class TestPipelineGate:
         # declare a wrong output shape after construction
         graph.tensors["z"] = Tensor("z", TensorType((1, 4, 4, 8), UINT8), quant=QP)
         with pytest.raises(AnalysisError) as exc_info:
-            compile_model(graph, optimize=False)
+            compile_graph(graph, pipeline="O0")
         assert "gir.shape-mismatch" in str(exc_info.value)
 
     def test_verify_opt_out_skips_the_gate(self):
@@ -215,6 +215,6 @@ class TestPipelineGate:
 
     def test_compile_model_clean_path(self):
         graph = _relu_chain()
-        model = compile_model(graph, optimize=False)  # strict gate passes
+        model = compile_graph(graph, pipeline="O0").model  # strict gate passes
         report = analyze_model(model)
         assert report.ok

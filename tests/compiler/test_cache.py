@@ -120,25 +120,25 @@ class TestDefaultCacheAndFacade:
 
     def test_compile_model_facade_is_served_from_cache(self):
         from repro.quantize import calibrate, quantize_graph
-        from repro.runtime import compile_model
         from tests.quantize.test_convert import calibration_batches
 
         g = small_cnn()
         qg = quantize_graph(g, calibrate(g, calibration_batches()))
         with install_cache(CompileCache()) as scoped:
-            first = compile_model(qg, optimize=False, name="facade")
-            second = compile_model(qg, optimize=False, name="facade")
+            first = compile_graph(qg, pipeline="O0", name="facade").model
+            second = compile_graph(qg, pipeline="O0", name="facade").model
             assert second is first
             assert scoped.stats.hits == 1
 
     def test_facade_records_compile_info(self):
         from repro.quantize import calibrate, quantize_graph
-        from repro.runtime import compile_model
         from tests.quantize.test_convert import calibration_batches
 
         g = small_cnn()
         qg = quantize_graph(g, calibrate(g, calibration_batches()))
-        model = compile_model(qg, optimize=False, name="provenance", cache=None)
+        model = compile_graph(
+            qg, pipeline="O0", name="provenance", cache=None
+        ).model
         assert model.compile_info["pipeline"] == "O0"
         assert model.compile_info["verified"] is True
         assert "lower" in model.compile_info["stages"]

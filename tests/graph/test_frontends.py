@@ -77,13 +77,13 @@ class TestTfFrontend:
             import_tf_like(model)
 
     def test_compiles_through_the_stack(self):
+        from repro.compiler import compile_graph
         from repro.quantize import calibrate, quantize_graph
-        from repro.runtime import compile_model
 
         g = import_tf_like(tf_model())
         batch = {"x": RNG.normal(size=(1, 9, 9, 3)).astype(np.float32)}
         qg = quantize_graph(g, calibrate(g, [batch]))
-        compiled = compile_model(qg, optimize=False)
+        compiled = compile_graph(qg, pipeline="O0").model
         assert compiled.ncore_segments
 
 

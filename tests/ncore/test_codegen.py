@@ -22,7 +22,8 @@ from repro.ncore.codegen import (
     codegen_model,
 )
 from repro.quantize import calibrate, quantize_graph
-from repro.runtime import InferenceSession, compile_model, execute_quantized
+from repro.runtime import NcoreExecutor, execute_quantized
+from repro.runtime.qkernels import run_nodes, seed_values
 
 from tests.quantize.test_convert import calibration_batches, small_cnn
 
@@ -70,7 +71,7 @@ class TestCodegenModel:
 
     def test_codegen_model_reports_uncovered_reasons(self):
         graph = quantized_cnn()
-        model = compile_model(graph, optimize=False, cache=None)
+        model = compile_graph(graph, pipeline="O0", cache=None).model
         stats: dict[str, int] = {}
         kernels = codegen_model(
             model.graph, model.segments, model.loadables, "cnn", stats=stats
@@ -89,25 +90,12 @@ class TestBitExactness:
         for index, kernel in compiled.macro_kernels.kernels.items():
             segment = compiled.model.segments[index]
             for variant in kernel.variants:
-                env = {
-                    t.name: np.asarray(t.data)
-                    for t in graph.tensors.values() if t.is_constant
-                }
-                env.update(feeds)
                 # Seed the env with everything upstream of this segment.
-                from repro.runtime.qkernels import _execute_quantized_node
-
-                interp = dict(env)
+                interp = seed_values(graph, feeds)
                 for seg in compiled.model.segments:
                     if seg is segment:
                         break
-                    for node in seg.nodes:
-                        ins = [interp[n] for n in node.inputs]
-                        outs = _execute_quantized_node(graph, node, ins)
-                        for name, value in zip(
-                            node.outputs, outs, strict=False
-                        ):
-                            interp[name] = np.asarray(value)
+                    run_nodes(graph, seg.nodes, interp)
                 variant.run(interp)
                 for name in kernel.outputs:
                     want = expected.get(name)
@@ -121,16 +109,16 @@ class TestBitExactness:
 
     def test_session_outputs_are_byte_identical(self):
         # The default process-wide compile cache holds the codegen
-        # artifact, which is how sessions discover the macro-kernels.
-        model = compile_model(quantized_cnn(), name="codegen-bitexact")
+        # artifact, which is how executors discover the macro-kernels.
+        model = compile_graph(quantized_cnn(), name="codegen-bitexact").model
         feeds = sample_feeds()
-        interp = InferenceSession(model, policy="interpreter")
-        tier3 = InferenceSession(model, policy="codegen")
+        interp = NcoreExecutor(model, verify=False, policy="interpreter")
+        tier3 = NcoreExecutor(model, verify=False, policy="codegen")
         try:
-            want = interp.run(feeds).outputs
-            got = tier3.run(feeds).outputs
-            again = tier3.run(feeds).outputs  # steady state (pinned winner)
-            assert tier3.executor.last_tier == "codegen"
+            want = interp.execute(feeds).outputs
+            got = tier3.execute(feeds).outputs
+            again = tier3.execute(feeds).outputs  # steady state (pinned winner)
+            assert tier3.last_tier == "codegen"
             for name in want:
                 w = np.asarray(want[name])
                 assert np.asarray(got[name]).tobytes() == w.tobytes()

@@ -249,6 +249,36 @@ class TestFig6Loop:
         assert Ncore().fastpath is True
 
 
+class TestBf16NonFinite:
+    def test_nan_and_inf_lanes_propagate_quietly_through_data_shift(self):
+        # The datapath never traps: NaN stays NaN and Inf stays Inf through
+        # ``data >> shift`` and the MAC, identically fused and interpreted,
+        # and numpy raises no "invalid value" warning (suite-wide
+        # ``filterwarnings = error`` would turn one into a failure).
+        def emit(machine):
+            row = machine.config.row_bytes
+            data = np.full(row, 0x3FC0, dtype=np.uint16)  # bf16 1.5
+            data[:4] = (0x7F81, 0x7FC0, 0x7F80, 0xFF80)  # sNaN, qNaN, +Inf, -Inf
+            ones = np.full(row, 0x3F80, dtype=np.uint16)
+            for write, bits in (
+                (machine.write_data_ram, data), (machine.write_weight_ram, ones)
+            ):
+                low, high = (bits & 0xFF).astype(np.uint8), (bits >> 8).astype(np.uint8)
+                write(0, low.tobytes() + high.tobytes())
+            return assemble(
+                "setaddr a0, 0\nsetaddr a3, 0\n"
+                "loop 4 {\n  mac.bf16 dram[a0]>>1, wtram[a3]\n}\nhalt"
+            )
+
+        fast, interp = _differential(emit)
+        assert fast.fastpath_stats["hits"] > 0
+        assert fast.acc_float.tobytes() == interp.acc_float.tobytes()
+        acc = interp.acc_float
+        assert np.isnan(acc[0]) and np.isnan(acc[1])
+        assert acc[2] == np.inf and acc[3] == -np.inf
+        assert (acc[4:] == 3.0).all()  # 4 trips of (1.5 >> 1) * 1.0
+
+
 class TestMidTraceStops:
     """Debug stops must land on the same cycle, in the same state, on
     both tiers — including stops *inside* a fused repeat block."""

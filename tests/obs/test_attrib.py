@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from repro.compiler import compile_graph
 from repro.obs.attrib import (
-    TIER_FASTPATH,
+    TIER_CODEGEN,
     TIER_REPLAY,
     AttributionCollector,
     get_attrib,
@@ -13,7 +14,6 @@ from repro.obs.attrib import (
     segment_features,
     set_attrib,
 )
-from repro.runtime import compile_model
 from tests.quantize.test_convert import calibration_batches, small_cnn
 
 
@@ -23,7 +23,7 @@ def compiled():
 
     g = small_cnn()
     qg = quantize_graph(g, calibrate(g, calibration_batches()))
-    return compile_model(qg, name="smallcnn")
+    return compile_graph(qg, name="smallcnn").model
 
 
 class TestSegmentFeatures:
@@ -56,16 +56,16 @@ class TestSegmentFeatures:
 class TestCollector:
     def test_record_model_run_stamps_tier_and_count(self, compiled):
         collector = AttributionCollector()
-        collector.record_model_run(compiled, TIER_FASTPATH, batch=4, count=3)
+        collector.record_model_run(compiled, TIER_CODEGEN, batch=4, count=3)
         collector.record_model_run(compiled, TIER_REPLAY, count=2)
         per_run = len(compiled.segments)
         assert len(collector.records) == 2 * per_run
-        fast = [r for r in collector.records if r["tier"] == TIER_FASTPATH]
-        assert all(r["count"] == 3 and r["batch"] == 4 for r in fast)
+        executed = [r for r in collector.records if r["tier"] == TIER_CODEGEN]
+        assert all(r["count"] == 3 and r["batch"] == 4 for r in executed)
 
     def test_zero_count_records_nothing(self, compiled):
         collector = AttributionCollector()
-        collector.record_model_run(compiled, TIER_FASTPATH, count=0)
+        collector.record_model_run(compiled, TIER_CODEGEN, count=0)
         assert len(collector) == 0
 
     def test_features_are_cached_per_model(self, compiled):
@@ -75,7 +75,7 @@ class TestCollector:
 
     def test_jsonl_harvest_roundtrips(self, compiled, tmp_path):
         collector = AttributionCollector()
-        collector.record_model_run(compiled, TIER_FASTPATH)
+        collector.record_model_run(compiled, TIER_CODEGEN)
         path = tmp_path / "harvest.jsonl"
         count = collector.write_jsonl(str(path))
         lines = path.read_text().strip().splitlines()
@@ -88,7 +88,7 @@ class TestCollector:
 
     def test_collapsed_stacks_weight_by_cycles(self, compiled):
         collector = AttributionCollector()
-        collector.record_model_run(compiled, TIER_FASTPATH, count=2)
+        collector.record_model_run(compiled, TIER_CODEGEN, count=2)
         stacks = collector.collapsed_stacks()
         assert stacks
         for line in stacks.splitlines():
@@ -106,7 +106,7 @@ class TestInstallation:
     def test_install_and_restore(self, compiled):
         with install_attrib() as collector:
             assert get_attrib() is collector
-            get_attrib().record_model_run(compiled, TIER_FASTPATH)
+            get_attrib().record_model_run(compiled, TIER_CODEGEN)
             assert len(collector) == len(compiled.segments)
         assert not get_attrib().enabled
 

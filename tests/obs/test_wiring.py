@@ -81,7 +81,6 @@ class TestRuntimeWiring:
     @pytest.fixture(scope="class")
     def compiled(self):
         from repro.quantize import calibrate, quantize_graph
-        from repro.runtime import compile_model
         from tests.quantize.test_convert import small_cnn
 
         graph = small_cnn()
@@ -94,16 +93,19 @@ class TestRuntimeWiring:
         return quantize_graph, quantized, feeds
 
     def test_compile_and_session_spans(self, compiled):
-        from repro.runtime import InferenceSession, compile_model
+        from repro.compiler import compile_graph
+        from repro.runtime import NcoreExecutor
 
         _, quantized, feeds = compiled
         with obs.observe() as (tracer, metrics):
-            model = compile_model(quantized, optimize=False, name="small")
-            session = InferenceSession(model)
-            session.run(feeds)
-            session.close()
+            # cache=None: a cache hit runs no stages, so emits no span.
+            model = compile_graph(
+                quantized, pipeline="O0", name="small", cache=None
+            ).model
+            executor = NcoreExecutor(model)
+            executor.execute(feeds)
+            executor.close()
         delegate_names = {s.name for s in tracer.spans_on("delegate")}
-        assert "delegate.compile" in delegate_names
         assert "delegate.run" in delegate_names
         driver_names = {s.name for s in tracer.spans_on("driver")}
         assert {"driver.probe", "driver.open", "driver.close"} <= driver_names
@@ -112,7 +114,7 @@ class TestRuntimeWiring:
         assert schedule, "expected the Fig. 8/9 schedule spans"
         assert metrics.get("delegate.inferences").value == 1
         compile_span = next(
-            s for s in tracer.spans_on("delegate") if s.name == "delegate.compile"
+            s for s in tracer.spans_on("compiler") if s.name == "compiler.compile"
         )
         assert compile_span.args["segments"] == len(model.segments)
 

@@ -168,8 +168,8 @@ class TestInt16Conversion:
         # Section IV-D.4: int16 NPU ops take four clocks (the conv body
         # reaches the full 4x; whole small graphs are diluted by
         # row-streaming ops).
+        from repro.compiler import compile_graph
         from repro.nkl.schedule import conv2d_schedule
-        from repro.runtime import compile_model
 
         conv8 = conv2d_schedule(64, 64, 8, 8, 3, 3, NcoreDType.INT8)
         conv16 = conv2d_schedule(64, 64, 8, 8, 3, 3, NcoreDType.INT16)
@@ -178,6 +178,6 @@ class TestInt16Conversion:
         g16 = quantize_graph(
             small_cnn(), calibrate(small_cnn(), calibration_batches()), NcoreDType.INT16
         )
-        c8 = compile_model(g8, optimize=False, name="int8").ncore_cycles()
-        c16 = compile_model(g16, optimize=False, name="int16").ncore_cycles()
+        c8 = compile_graph(g8, pipeline="O0", name="int8").model.ncore_cycles()
+        c16 = compile_graph(g16, pipeline="O0", name="int16").model.ncore_cycles()
         assert c16 > 2.0 * c8

@@ -1,15 +1,17 @@
 """The executor split: device ownership, the verify gate, async serving."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.analyze import AnalysisError
+from repro.compiler import compile_graph
 from repro.engine import Engine
 from repro.ncore.config import NcoreConfig
 from repro.graph.planner import RowRange
-from repro.runtime import EngineExecutor, NcoreExecutor, compile_model, execute_quantized
+from repro.runtime import EngineExecutor, NcoreExecutor, execute_quantized
 from tests.quantize.test_convert import calibration_batches, small_cnn
 
 
@@ -19,7 +21,7 @@ def compiled():
 
     g = small_cnn()
     qg = quantize_graph(g, calibrate(g, calibration_batches()))
-    return compile_model(qg, name="smallcnn")
+    return compile_graph(qg, name="smallcnn").model
 
 
 def corrupt(model):
@@ -67,6 +69,75 @@ class TestNcoreExecutor:
         with pytest.raises(ValueError):
             executor.ncore_seconds_batched(0)
         executor.close()
+
+
+def _walk_case(kind):
+    """A small (graph, feeds) pair: the int8 CNN or a tiny bf16 GNMT."""
+    from repro.quantize import calibrate, convert_to_bf16, quantize_graph
+
+    if kind == "int8":
+        g = small_cnn()
+        feeds = calibration_batches(count=1, seed=17)[0]
+        return quantize_graph(g, calibrate(g, calibration_batches())), feeds
+    from repro.compiler import optimize_graph
+    from repro.models import build_gnmt
+
+    g = build_gnmt(seq_len=4, hidden=32, layers=2, vocab=100)
+    optimize_graph(g, in_place=True)
+    rng = np.random.default_rng(7)
+    feeds = {
+        name: rng.integers(0, 90, size=g.tensor(name).shape).astype(np.int32)
+        for name in g.inputs
+    }
+    return convert_to_bf16(g), feeds
+
+
+class TestSegmentWalk:
+    """Every graph mode is the same segment walk: byte-equal to
+    ``execute_quantized``, whichever segments have macro-kernels."""
+
+    @pytest.mark.parametrize("kind", ["int8", "bf16"])
+    @pytest.mark.parametrize(
+        "mode, policy, tiers",
+        [
+            ("interpreter", "interpreter", ["interpreter", "interpreter"]),
+            ("codegen", "codegen", ["codegen", "codegen"]),
+            ("auto", "auto", ["codegen", "replay"]),
+            # Codegen with one segment's macro-kernel deliberately dropped.
+            ("uncovered", "codegen", ["codegen", "codegen"]),
+        ],
+    )
+    def test_every_mode_matches_execute_quantized(self, kind, mode, policy, tiers):
+        graph, feeds = _walk_case(kind)
+        result = compile_graph(graph, name=f"walk-{kind}")
+        kset = result.macro_kernels
+        assert kset is not None and kset.kernels
+        if mode == "uncovered":
+            dropped = min(kset.kernels)
+            kset = dataclasses.replace(
+                kset,
+                kernels={i: k for i, k in kset.kernels.items() if i != dropped},
+                uncovered={**kset.uncovered, dropped: "dropped by the test"},
+            )
+        want = execute_quantized(result.model.graph, feeds)
+        executor = NcoreExecutor(
+            result.model, verify=False, policy=policy, macro_kernels=kset
+        )
+        try:
+            for tier in tiers:
+                got = executor.execute(feeds).outputs
+                assert executor.last_tier == tier
+                assert got.keys() == want.keys()
+                for name, value in want.items():
+                    assert got[name].dtype == np.asarray(value).dtype
+                    assert got[name].tobytes() == np.asarray(value).tobytes()
+            dispatched = executor.dispatcher.stats.get("dispatches", 0)
+            if mode == "interpreter":
+                assert dispatched == 0
+            elif mode == "uncovered":
+                assert dispatched == 2 * len(kset.kernels)
+        finally:
+            executor.close()
 
 
 class TestEngineExecutor:

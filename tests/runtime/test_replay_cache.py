@@ -8,11 +8,11 @@ eviction bounded by ``replay_capacity`` and a clean opt-out.
 import numpy as np
 import pytest
 
+from repro.compiler import compile_graph
 from repro.models import PAPER_CHARACTERISTICS
 from repro.models.mobilenet import build_mobilenet_v1
 from repro.quantize import calibrate, quantize_graph
-from repro.runtime import NcoreExecutor, compile_model, execute_quantized
-from repro.runtime.delegate import InferenceSession
+from repro.runtime import NcoreExecutor, TierPolicy, execute_quantized
 
 from tests.quantize.test_convert import calibration_batches, small_cnn
 
@@ -21,7 +21,7 @@ from tests.quantize.test_convert import calibration_batches, small_cnn
 def compiled():
     g = small_cnn()
     qg = quantize_graph(g, calibrate(g, calibration_batches()))
-    return compile_model(qg, name="smallcnn-replay")
+    return compile_graph(qg, name="smallcnn-replay").model
 
 
 class TestReplayCache:
@@ -60,7 +60,9 @@ class TestReplayCache:
         executor.close()
 
     def test_lru_eviction_respects_capacity(self, compiled):
-        executor = NcoreExecutor(compiled, verify=False, replay_capacity=2)
+        executor = NcoreExecutor(
+            compiled, verify=False, policy=TierPolicy(replay_capacity=2)
+        )
         batches = calibration_batches(count=3, seed=30)
         for feeds in batches:
             executor.execute(feeds)
@@ -74,7 +76,9 @@ class TestReplayCache:
         executor.close()
 
     def test_opt_out_disables_caching(self, compiled):
-        executor = NcoreExecutor(compiled, verify=False, replay=False)
+        executor = NcoreExecutor(
+            compiled, verify=False, policy=TierPolicy(replay=False)
+        )
         feeds = calibration_batches(count=1, seed=2)[0]
         executor.execute(feeds)
         executor.execute(feeds)
@@ -99,15 +103,19 @@ class TestReplayOnZooModel:
         graph = build_mobilenet_v1(resolution=64)
         info = PAPER_CHARACTERISTICS["mobilenet_v1"]
         feeds = info.sample_input(graph, seed=7)
-        model = compile_model(quantize_graph(graph, calibrate(graph, [feeds])))
-        with_replay = InferenceSession(model, replay=True)
-        without = InferenceSession(model, replay=False)
+        model = compile_graph(
+            quantize_graph(graph, calibrate(graph, [feeds]))
+        ).model
+        with_replay = NcoreExecutor(model, verify=False, policy=TierPolicy())
+        without = NcoreExecutor(
+            model, verify=False, policy=TierPolicy(replay=False)
+        )
         try:
-            warm = with_replay.run(feeds).outputs
-            hit = with_replay.run(feeds).outputs
-            plain = without.run(feeds).outputs
-            assert with_replay.executor.replay_stats == {"hits": 1, "misses": 1}
-            assert without.executor.replay_stats == {"hits": 0, "misses": 0}
+            warm = with_replay.execute(feeds).outputs
+            hit = with_replay.execute(feeds).outputs
+            plain = without.execute(feeds).outputs
+            assert with_replay.replay_stats == {"hits": 1, "misses": 1}
+            assert without.replay_stats == {"hits": 0, "misses": 0}
             for name in plain:
                 np.testing.assert_array_equal(warm[name], plain[name])
                 np.testing.assert_array_equal(hit[name], plain[name])

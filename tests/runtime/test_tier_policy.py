@@ -1,21 +1,17 @@
-"""TierPolicy: the unified tier ladder and its back-compat surface."""
-
-import warnings
+"""TierPolicy: the graph mode of one executor (replay / codegen / oracle)."""
 
 import numpy as np
 import pytest
 
-import repro.runtime.executor as executor_module
+from repro.compiler import compile_graph
+from repro.quantize import calibrate, quantize_graph
 from repro.runtime import (
     TIER_CHOICES,
-    InferenceSession,
     NcoreExecutor,
     TierPolicy,
-    compile_model,
     get_default_tier_policy,
     set_default_tier_policy,
 )
-from repro.quantize import calibrate, quantize_graph
 
 from tests.quantize.test_convert import calibration_batches, small_cnn
 
@@ -23,7 +19,7 @@ from tests.quantize.test_convert import calibration_batches, small_cnn
 def quantized_model(name="tier-policy-cnn"):
     g = small_cnn()
     qg = quantize_graph(g, calibrate(g, calibration_batches()))
-    return compile_model(qg, name=name)
+    return compile_graph(qg, name=name).model
 
 
 def sample_feeds(seed=3):
@@ -37,12 +33,6 @@ class TestForTier:
 
     def test_interpreter_disables_everything(self):
         policy = TierPolicy.for_tier("interpreter")
-        assert not policy.replay and not policy.codegen
-        assert policy.fastpath is False
-
-    def test_fastpath_forces_tier1(self):
-        policy = TierPolicy.for_tier("fastpath")
-        assert policy.fastpath is True
         assert not policy.replay and not policy.codegen
 
     def test_replay_disables_codegen(self):
@@ -65,10 +55,6 @@ class TestForTier:
         from repro.cli import _TIER_CHOICES
 
         assert _TIER_CHOICES == TIER_CHOICES
-
-    def test_predict_tier_is_reserved(self):
-        with pytest.raises(NotImplementedError, match="predict"):
-            TierPolicy(predict=True)
 
     def test_invalid_oracle_mode_rejected(self):
         with pytest.raises(ValueError, match="oracle"):
@@ -94,90 +80,46 @@ class TestDefaultPolicy:
         original = get_default_tier_policy()
         set_default_tier_policy(TierPolicy.for_tier("interpreter"))
         try:
-            session = InferenceSession(model)
-            assert session.executor.policy.codegen is False
-            session.close()
+            executor = NcoreExecutor(model, verify=False)
+            assert executor.policy.codegen is False
+            executor.close()
         finally:
             set_default_tier_policy(original)
-
-
-class TestLegacyKwargs:
-    """Each pre-TierPolicy kwarg folds into the policy and warns once."""
-
-    @pytest.fixture(autouse=True)
-    def reset_warn_once(self):
-        executor_module._legacy_warned.clear()
-        yield
-        executor_module._legacy_warned.clear()
-
-    def _warns_once(self, model, name, value):
-        with pytest.warns(DeprecationWarning, match=name):
-            ex = NcoreExecutor(model, verify=False, **{name: value})
-        assert getattr(ex.policy, name) == value
-        ex.close()
-        # Second use of the same spelling is silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ex = NcoreExecutor(model, verify=False, **{name: value})
-        assert getattr(ex.policy, name) == value
-        ex.close()
-
-    def test_replay_kwarg(self):
-        self._warns_once(quantized_model(), "replay", False)
-
-    def test_replay_capacity_kwarg(self):
-        self._warns_once(quantized_model(), "replay_capacity", 7)
-
-    def test_fastpath_kwarg(self):
-        self._warns_once(quantized_model(), "fastpath", False)
-
-    def test_sanitize_kwarg(self):
-        self._warns_once(quantized_model(), "sanitize", True)
-
-    def test_policy_spelling_never_warns(self):
-        model = quantized_model()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ex = NcoreExecutor(
-                model, verify=False, policy=TierPolicy(replay=False)
-            )
-        assert ex.policy.replay is False
-        ex.close()
 
 
 class TestTierSelection:
     def test_last_tier_reflects_the_ladder(self):
         model = quantized_model()
         feeds = sample_feeds()
-        session = InferenceSession(model, policy="auto")
+        executor = NcoreExecutor(model, verify=False, policy="auto")
         try:
             # auto: replay wins ahead of codegen on a repeat query.
-            session.run(feeds)
-            first = session.executor.last_tier
-            session.run(feeds)
+            executor.execute(feeds)
+            first = executor.last_tier
+            executor.execute(feeds)
             assert first == "codegen"
-            assert session.executor.last_tier == "replay"
+            assert executor.last_tier == "replay"
         finally:
-            session.close()
+            executor.close()
 
     def test_interpreter_tier_never_uses_codegen(self):
         model = quantized_model()
-        session = InferenceSession(model, policy="interpreter")
+        executor = NcoreExecutor(model, verify=False, policy="interpreter")
         try:
-            session.run(sample_feeds())
-            assert session.executor.last_tier == "interpreter"
-            assert session.executor.macro_kernels is None
+            executor.execute(sample_feeds())
+            assert executor.last_tier == "interpreter"
+            assert executor.macro_kernels is None
         finally:
-            session.close()
+            executor.close()
 
     def test_codegen_tier_reports_codegen(self):
         model = quantized_model()
-        session = InferenceSession(model, policy="codegen")
+        executor = NcoreExecutor(model, verify=False, policy="codegen")
         try:
-            session.run(sample_feeds())
-            assert session.executor.last_tier == "codegen"
+            executor.execute(sample_feeds())
+            assert executor.last_tier == "codegen"
         finally:
-            session.close()
+            executor.close()
 
     def test_string_policy_equals_explicit_policy(self):
         model = quantized_model()

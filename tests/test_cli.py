@@ -41,6 +41,27 @@ class TestBench:
         assert main(["bench", "alexnet"]) == 2
         assert "unknown model" in capsys.readouterr().err
 
+    def test_no_fastpath_does_not_leak_machine_mode(self, capsys):
+        # --no-fastpath picks the machine mode of the Fig. 6 line only; it
+        # must not rewrite the process default every later Ncore() reads.
+        from repro.ncore.fastpath import get_fastpath_default
+
+        before = get_fastpath_default()
+        assert main(["bench", "mobilenet_v1", "--no-fastpath"]) == 0
+        assert "(interpreter)" in capsys.readouterr().out
+        assert get_fastpath_default() == before
+
+
+class TestTierFlag:
+    @pytest.mark.parametrize("command", ["run", "serve", "bench"])
+    def test_fastpath_is_not_a_graph_mode(self, command, capsys):
+        # Trace fusion is a machine mode (``Ncore(fastpath=)``); as a zoo
+        # ``--tier`` it only ever changed a label, so the spelling is gone.
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "mobilenet_v1", "--tier", "fastpath"])
+        assert exc_info.value.code == 2
+        assert "invalid choice: 'fastpath'" in capsys.readouterr().err
+
 
 class TestServe:
     def test_runs_the_server_scenario(self, capsys):

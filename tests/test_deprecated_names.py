@@ -1,15 +1,21 @@
 """No source module references the removed pre-rename spellings.
 
 PR 3 renamed the machine-level ``RunResult`` to ``MachineRunResult`` and
-left a warn-once module alias behind; the alias is now gone.  This test
-greps the source tree so a stray reference (or a reintroduced alias)
-fails loudly rather than resurrecting the old name.
+left a warn-once module alias behind; the alias is now gone.  The
+``InferenceSession`` / ``compile_model`` facades, the no-op ``fastpath``
+graph tier, the reserved ``predict`` slot and the legacy executor kwargs
+followed.  These tests grep the tree so a stray reference (or a
+reintroduced alias) fails loudly rather than resurrecting an old name.
 """
 
+import dataclasses
 import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 
 #: Modules allowed to say ``RunResult`` because they define or consume the
 #: *runtime-level* result type (``repro.runtime.delegate.RunResult``),
@@ -52,3 +58,38 @@ def test_machine_module_has_no_alias_attribute():
 
     assert not hasattr(machine_module, "RunResult")
     assert hasattr(machine_module, "MachineRunResult")
+
+
+def test_removed_facade_and_tier_names_are_gone():
+    pattern = re.compile(
+        r"InferenceSession|compile_model|TIER_FASTPATH|\bpredict\b|_warn_legacy_kwarg"
+    )
+    files = [ROOT / "README.md"]
+    for folder, glob in (("src", "*.py"), ("examples", "*.py"), ("docs", "*.md")):
+        files += sorted((ROOT / folder).rglob(glob))
+    offenders = [
+        f"{path.relative_to(ROOT)}:{lineno}: {line.strip()}"
+        for path in files
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if pattern.search(line)
+    ]
+    assert not offenders, "removed name resurfaced:\n" + "\n".join(offenders)
+
+
+def test_tier_policy_is_exactly_the_graph_mode():
+    from repro.runtime import TIER_CHOICES, TierPolicy
+
+    fields = tuple(f.name for f in dataclasses.fields(TierPolicy))
+    assert fields == ("replay", "replay_capacity", "codegen", "oracle")
+    assert TIER_CHOICES == ("auto", "interpreter", "replay", "codegen")
+
+
+@pytest.mark.parametrize(
+    "kwarg", ["replay", "replay_capacity", "fastpath", "sanitize"]
+)
+def test_legacy_executor_kwargs_are_rejected(kwarg):
+    from repro.runtime import NcoreExecutor
+
+    # Rejected at the call boundary, before the model is even looked at.
+    with pytest.raises(TypeError, match=kwarg):
+        NcoreExecutor(None, **{kwarg: False})

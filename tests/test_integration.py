@@ -8,11 +8,12 @@ artifacts, the way a downstream user exercises the library.
 import numpy as np
 import pytest
 
+from repro.compiler import compile_graph
 from repro.graph import execute_float
 from repro.graph.passes import default_pipeline
 from repro.models import PAPER_CHARACTERISTICS, build_mobilenet_v1
 from repro.quantize import calibrate, quantize_graph
-from repro.runtime import InferenceSession, compile_model
+from repro.runtime import NcoreExecutor
 
 
 @pytest.fixture(scope="module")
@@ -24,22 +25,22 @@ def mobilenet_pipeline():
     batches = [info.sample_input(float_graph, seed=s) for s in (0, 1)]
     default_pipeline().run(float_graph)
     quantized = quantize_graph(float_graph, calibrate(float_graph, batches))
-    compiled = compile_model(quantized, optimize=False, name="mobilenet64")
+    compiled = compile_graph(quantized, pipeline="O0", name="mobilenet64").model
     return reference_graph, compiled, batches
 
 
 class TestMobileNetPipeline:
     def test_quantized_top1_matches_float(self, mobilenet_pipeline):
         reference_graph, compiled, batches = mobilenet_pipeline
-        session = InferenceSession(compiled)
+        executor = NcoreExecutor(compiled, verify=False)
         agreements = 0
         for seed in range(5):
             info = PAPER_CHARACTERISTICS["mobilenet_v1"]
             feeds = info.sample_input(reference_graph, seed=100 + seed)
             float_probs = list(execute_float(reference_graph, feeds).values())[0]
-            quant_probs = list(session.run(feeds).outputs.values())[0]
+            quant_probs = list(executor.execute(feeds).outputs.values())[0]
             agreements += int(np.argmax(float_probs) == np.argmax(quant_probs))
-        session.close()
+        executor.close()
         assert agreements >= 4  # top-1 agreement on >= 4/5 random inputs
 
     def test_most_work_lands_on_ncore(self, mobilenet_pipeline):
@@ -71,7 +72,7 @@ class TestMobileNetPipeline:
             g = build_mobilenet_v1(resolution=resolution)
             default_pipeline().run(g)
             qg = quantize_graph(g, calibrate(g, [info.sample_input(g)]))
-            return compile_model(qg, optimize=False).ncore_cycles()
+            return compile_graph(qg, pipeline="O0").model.ncore_cycles()
 
         # 2x the resolution ~= 4x the pixels; the cycle count must track
         # it within the tiling slack.  (At tiny resolutions the late
@@ -107,8 +108,8 @@ class TestDriverLifecycleWithInference:
         driver = NcoreKernelDriver(soc)
         driver.probe()
         assert driver.self_test().passed
-        session = InferenceSession(compiled, soc=soc)
-        result = session.run(batches[0])
+        executor = NcoreExecutor(compiled, soc=soc, verify=False)
+        result = executor.execute(batches[0])
         assert result.timing.total_seconds > 0
-        session.close()
-        session.driver.power_down()
+        executor.close()
+        executor.driver.power_down()
