@@ -57,7 +57,7 @@ class CompileResult:
     cache_hit: bool = False
     context: CompilerContext | None = None
     #: Tier-3 macro-kernel sidecar (None when the pipeline has no codegen
-    #: stage, e.g. O0/O1, or when a cache hit found no stored sidecar).
+    #: stage, e.g. O0/O1).
     macro_kernels: "MacroKernelSet | None" = None
 
     @property
@@ -105,6 +105,16 @@ def compile_graph(
     metrics = get_metrics()
     if resolved_cache is not None and not collect_ir:
         cached = resolved_cache.lookup(key)
+        sidecar = (
+            resolved_cache.lookup_artifact(key, _CODEGEN_KIND)
+            if cached is not None else None
+        )
+        # A pipeline with a codegen stage whose sidecar is lost (deleted,
+        # or corrupt and unlinked by the lookup) is a miss: serving the
+        # model alone would pin every query of this key to the per-node
+        # walk, and nothing else re-runs the stage.
+        if sidecar is None and "codegen" in pipeline_obj.stage_names():
+            cached = None
         if cached is not None:
             if tracer.enabled:
                 tracer.instant(
@@ -112,7 +122,6 @@ def compile_graph(
                     model=effective_name, pipeline=pipeline_obj.id,
                     key=key[:16],
                 )
-            sidecar = resolved_cache.lookup_artifact(key, _CODEGEN_KIND)
             return CompileResult(
                 model=cached, key=key, pipeline_id=pipeline_obj.id, cache_hit=True,
                 macro_kernels=sidecar,  # type: ignore[arg-type]

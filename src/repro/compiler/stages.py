@@ -229,7 +229,7 @@ def _run_codegen(ctx: CompilerContext) -> dict[str, Any]:
         raise CompilerError("codegen stage needs partitioned segments; run 'partition' first")
     # Imported lazily: repro.ncore.codegen pulls in the runtime kernels,
     # which import back into repro.compiler during package init.
-    from repro.ncore.codegen import codegen_model
+    from repro.ncore.codegen import NodeStep, codegen_model
 
     stats: dict[str, Any] = {}
     kset = codegen_model(
@@ -239,12 +239,17 @@ def _run_codegen(ctx: CompilerContext) -> dict[str, Any]:
     stats.setdefault("kernels", 0)
     stats.setdefault("uncovered_segments", 0)
     # Float-region coverage: how much of the graph's float family (bf16
-    # LSTM region, x86 float tails) the Tier-3 artifacts actually cover.
+    # LSTM region, x86 float tails) the Tier-3 artifacts actually cover —
+    # fused LSTM chains and float-region bound nodes, not counting the
+    # dequantize that ends a quantized segment.
     stats["coverage"] = round(kset.coverage_fraction(len(ctx.segments)), 4)
     float_steps = sum(
-        sum(1 for step in variant.steps if _is_float_step(step))
+        1
         for kernel in kset.kernels.values()
         for variant in kernel.variants
+        for step in variant.steps
+        if not isinstance(step, NodeStep)
+        or (step.bound.is_float and step.op != "dequantize")
     )
     if float_steps:
         stats["float_steps"] = float_steps
@@ -257,12 +262,6 @@ def _run_codegen(ctx: CompilerContext) -> dict[str, Any]:
     if seqfuse:
         stats["seqfuse_variants"] = seqfuse
     return stats
-
-
-def _is_float_step(step: Any) -> bool:
-    from repro.ncore.codegen import CellFuseStep, FloatStep, SeqFuseStep
-
-    return isinstance(step, (FloatStep, SeqFuseStep, CellFuseStep))
 
 
 def _run_finalize(ctx: CompilerContext) -> dict[str, Any]:

@@ -13,6 +13,8 @@ Activations are NHWC; convolution weights HWIO; depthwise weights HWC.
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
 from repro.dtypes import quantize as quantize_array
@@ -345,8 +347,22 @@ def execute_float(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, np.nd
 
 def execute_node(graph: Graph, node: Node, ins: list[np.ndarray]) -> list[np.ndarray]:
     """Execute a single node given its input arrays (reference semantics)."""
-    op = node.op
-    attrs = node.attrs
+    if node.op == "quantize":
+        qp = graph.tensor(node.outputs[0]).quant
+        if qp is None:
+            raise GraphError(f"quantize node {node.name!r} output lacks quant params")
+        return [quantize_array(ins[0], qp)]
+    if node.op == "dequantize":
+        qp = graph.tensor(node.inputs[0]).quant
+        if qp is None:
+            raise GraphError(f"dequantize node {node.name!r} input lacks quant params")
+        return [dequantize_array(ins[0], qp)]
+    return execute_op(node.op, node.attrs, ins)
+
+
+def execute_op(op: str, attrs: dict[str, Any], ins: list[np.ndarray]) -> list[np.ndarray]:
+    """Reference semantics of every op that reads nothing from a ``Graph``
+    (all but quantize / dequantize, whose quant params live on tensors)."""
     act = attrs.get("activation", "none")
     if op == "conv2d":
         bias = ins[2] if len(ins) > 2 else None
@@ -409,16 +425,6 @@ def execute_node(graph: Graph, node: Node, ins: list[np.ndarray]) -> list[np.nda
         if attrs.get("squeeze", False):
             out = np.squeeze(out, axis=axis)
         return [out]
-    if op == "quantize":
-        qp = graph.tensor(node.outputs[0]).quant
-        if qp is None:
-            raise GraphError(f"quantize node {node.name!r} output lacks quant params")
-        return [quantize_array(ins[0], qp)]
-    if op == "dequantize":
-        qp = graph.tensor(node.inputs[0]).quant
-        if qp is None:
-            raise GraphError(f"dequantize node {node.name!r} input lacks quant params")
-        return [dequantize_array(ins[0], qp)]
     if op == "embedding":
         table, ids = ins[0], ins[1]
         return [table[ids.astype(np.int64)]]

@@ -11,7 +11,7 @@ kind ``codegen``).
 
 Bit-exactness is the contract: a macro-kernel computes byte-for-byte what
 :func:`repro.runtime.qkernels.execute_quantized` computes.  Two levers
-make that fast without breaking it:
+make the quantized matmuls fast without breaking it:
 
 - **Exact float64 accumulation.**  Quantized conv/FC accumulators are
   bounded by ``max|x - zp| * sum|w - zp|`` which is far below ``2**53``
@@ -30,46 +30,47 @@ The per-node interpreter stays on as the oracle: the executor verifies a
 macro-kernel's outputs against it on first dispatch (``oracle="first"``,
 the default policy), or on every dispatch (``oracle="always"``).
 
-The same contract extends to the **bf16 float region** (GNMT's LSTM /
-attention graph and the x86-resident float tails): float-region nodes
-lower to :class:`FloatStep` programs that call the reference kernels
-themselves and then apply the interpreter's bf16 write-back rounding
-(:func:`repro.runtime.qkernels.round_float_outputs`), so float
-macro-kernels are byte-identical to the per-node walk too.  LSTM-bearing
-segments additionally grow a ``seqfuse`` variant: chains of ``lstm_step``
-(or same-weight ``lstm_cell``) nodes threading h/c state collapse into
-:class:`SeqFuseStep` / :class:`CellFuseStep`, which compute each chain's
-whole-sequence input projection once instead of once per timestep —
-identical reference calls over identical arrays, so still bit-exact.
-Float steps bake no weights; they read constants from the
-executor-seeded environment, keeping the pickled artifact small.
+Only what is genuinely a second implementation lives here as its own
+step class — the checks the oracle and the variant cross-check really
+make: :class:`ConvStep` (f64-BLAS ``nest`` / ``rowsweep`` accumulation vs
+the int64 ``qconv2d`` / ``qdepthwise`` / ``qfully_connected``) and
+:class:`SeqFuseStep` / :class:`CellFuseStep` (chains of ``lstm_step`` or
+same-weight ``lstm_cell`` nodes threading h/c state, computing each
+chain's whole-sequence input projection once instead of once per
+timestep, vs node-by-node LSTM).  Every other node — the rest of the
+quantized family and the whole **bf16 float region** (GNMT's LSTM /
+attention graph and the x86-resident float tails) — lowers to the generic
+:class:`NodeStep`: a :class:`repro.runtime.qkernels.BoundNode` run through
+the same op table, with the same bf16 write-back rounding, as the per-node
+walk — the same function by construction, not an independent check
+(``docs/simulator-performance.md`` has the table).  Bound nodes bake no
+weights; they read constants from the executor-seeded environment, keeping
+the pickled artifact small.  Only :class:`ConvStep` bakes zero-offset
+weights.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.dtypes import (
-    ChannelQuantParams,
-    NcoreDType,
-    QuantParams,
-    dequantize,
-    dtype_info,
-    quantize,
-    quantize_multiplier,
-    requantize,
-    saturate,
-    to_bfloat16,
-)
+from repro.dtypes import QuantParams, dtype_info
 from repro.graph.gir import Graph, Node
 from repro.graph.loadable import NcoreLoadable
 from repro.graph.partitioner import Segment
+from repro.graph.reference import lstm_cell, lstm_step_combine, lstm_step_project
+from repro.ncore.out import RequantSpec
 from repro.obs.metrics import get_metrics
+
+# repro.runtime's package init imports the executor, which imports this
+# module: the kernel library is reached through the bound nodes at run
+# time and imported inside the lowering functions at codegen time.
+if TYPE_CHECKING:
+    from repro.runtime.qkernels import BoundNode
 
 Array = npt.NDArray[Any]
 Env = dict[str, Array]
@@ -79,9 +80,6 @@ CODEGEN_ARTIFACT_KIND = "codegen"
 
 #: Largest integer magnitude float64 represents exactly.
 _F64_EXACT_BOUND = 2**53
-
-#: The int32 accumulator clamp the OUT unit applies (qkernels semantics).
-_ACC_LO, _ACC_HI = -(2**31), 2**31 - 1
 
 #: Variant strategy names (the lowering families emitted today).
 STRATEGY_NEST = "nest"        # whole-loop-nest einsum/tensordot form
@@ -113,160 +111,72 @@ class CodegenDivergence(AssertionError):
 
 
 # ----------------------------------------------------------------------
-# Requantization spec: the OUT-unit datapath with precomputed constants
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RequantSpec:
-    """Precomputed requantization of an int accumulator whose last axis is
-    the output channel — per-tensor (one mult/shift) or per-channel
-    (per-lane arrays), mirroring :func:`qkernels._requant_output`."""
-
-    zero_point: int
-    dtype: NcoreDType
-    mult: int = 0
-    shift: int = 0
-    lane_mults: Array | None = None
-    lane_shifts: Array | None = None
-
-    @classmethod
-    def build(cls, x_scale: float, w_qp: QuantParams | ChannelQuantParams,
-              out_qp: QuantParams) -> "RequantSpec":
-        if isinstance(w_qp, ChannelQuantParams):
-            pairs = [
-                quantize_multiplier(x_scale * scale / out_qp.scale)
-                for scale in w_qp.scales
-            ]
-            return cls(
-                zero_point=out_qp.zero_point, dtype=out_qp.dtype,
-                lane_mults=np.array([p[0] for p in pairs], dtype=np.int64),
-                lane_shifts=np.array([p[1] for p in pairs], dtype=np.int64),
-            )
-        mult, shift = quantize_multiplier(x_scale * w_qp.scale / out_qp.scale)
-        return cls(
-            zero_point=out_qp.zero_point, dtype=out_qp.dtype,
-            mult=mult, shift=shift,
-        )
-
-    def apply(self, acc: Array) -> Array:
-        """Requantize a clipped int64 accumulator to the narrow type."""
-        acc = np.clip(acc, _ACC_LO, _ACC_HI)
-        if self.lane_mults is None or self.lane_shifts is None:
-            return requantize(
-                acc.astype(np.int32), self.mult, self.shift,
-                self.zero_point, self.dtype,
-            )
-        from repro.ncore.out import requantize_lanes
-
-        channels = acc.shape[-1]
-        flat = acc.astype(np.int32).reshape(-1, channels)
-        values = requantize_lanes(
-            flat,
-            np.broadcast_to(self.lane_mults, flat.shape),
-            np.broadcast_to(self.lane_shifts, flat.shape),
-            np.full(flat.shape, self.zero_point, dtype=np.int64),
-            self.dtype,
-        )
-        return saturate(values.reshape(acc.shape), self.dtype)
-
-
-def _clamp(values: Array, activation: str, out_qp: QuantParams) -> Array:
-    from repro.runtime.qkernels import _activation_clamp
-
-    return np.asarray(
-        _activation_clamp(values, activation, out_qp).astype(values.dtype)
-    )
-
-
-def _input_magnitude(qp: QuantParams) -> int:
-    """Largest ``|code - zero_point|`` the input dtype can represent."""
-    info = dtype_info(qp.dtype)
-    return max(
-        abs(int(info.min_value) - qp.zero_point),
-        abs(int(info.max_value) - qp.zero_point),
-    )
-
-
-def _offset_weights(weights: Array, w_qp: QuantParams | ChannelQuantParams) -> Array:
-    from repro.runtime.qkernels import _weight_offsets
-
-    return np.asarray(_weight_offsets(weights, w_qp))
-
-
-# ----------------------------------------------------------------------
-# Steps: one macro-op per graph node, parameters precomputed at codegen
+# Steps: what a variant's program is made of
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class KernelStep:
-    """One lowered node: reads input names from the environment, writes
-    its output name.  Subclasses hold everything precomputable."""
+    """One step of a variant's program: reads names from the environment,
+    writes names back.  ``node`` / ``op`` label it (IR dumps, stats)."""
 
     node: str
     op: str
-    inputs: tuple[str, ...]
-    output: str
 
     def run(self, env: Env) -> None:
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
-class QuantizeStep(KernelStep):
-    out_qp: QuantParams = field(default_factory=lambda: QuantParams(1.0, 0))
+class NodeStep(KernelStep):
+    """The generic step: one bound node, run through the op table the
+    per-node walk runs it through (:meth:`BoundNode.run`)."""
+
+    bound: BoundNode
 
     def run(self, env: Env) -> None:
-        env[self.output] = quantize(env[self.inputs[0]], self.out_qp)
+        self.bound.run(env)
 
 
 @dataclass(frozen=True)
-class DequantizeStep(KernelStep):
-    in_qp: QuantParams = field(default_factory=lambda: QuantParams(1.0, 0))
-
-    def run(self, env: Env) -> None:
-        env[self.output] = dequantize(env[self.inputs[0]], self.in_qp)
-
-
-@dataclass(frozen=True)
-class ConvStep(KernelStep):
-    """conv2d / depthwise_conv2d / fully_connected with baked weights.
+class ConvStep(NodeStep):
+    """Quantized conv2d / depthwise_conv2d / fully_connected with baked
+    zero-offset weights: an accumulation independent of the table's int64
+    kernels, which the oracle checks it against.
 
     ``strategy`` picks the loop-nest collapse; ``exact_f64`` records the
     codegen-time proof that every f64 partial sum stays below 2**53 (the
     int64 path is kept otherwise, still one whole-nest matmul).
     """
 
-    kind: str = "conv2d"
-    strategy: str = STRATEGY_NEST
-    weights: Array = field(default_factory=lambda: np.zeros(0))
-    bias: Array | None = None
-    x_zp: int = 0
-    stride: tuple[int, int] = (1, 1)
-    padding: tuple[tuple[int, int], tuple[int, int]] = ((0, 0), (0, 0))
-    activation: str = "none"
-    out_qp: QuantParams = field(default_factory=lambda: QuantParams(1.0, 0))
-    requant: RequantSpec = field(
-        default_factory=lambda: RequantSpec(0, NcoreDType.UINT8, 1 << 30, 0)
-    )
-    exact_f64: bool = True
+    strategy: str
+    weights: Array
+    bias: Array | None
+    requant: RequantSpec
+    exact_f64: bool
 
     # -- accumulation cores -------------------------------------------
 
     def _acc_dtype(self) -> type[np.floating[Any]] | type[np.signedinteger[Any]]:
         return np.float64 if self.exact_f64 else np.int64
 
+    def _x_zp(self) -> int:
+        return self.bound.in_qp(0).zero_point
+
+    def _stride(self) -> tuple[int, int]:
+        sh, sw = self.bound.attrs.get("stride", (1, 1))
+        return sh, sw
+
     def _pad_input(self, x: Array) -> Array:
-        (pt, pb), (pl, pr) = self.padding
+        (pt, pb), (pl, pr) = self.bound.attrs.get("padding", ((0, 0), (0, 0)))
         return np.asarray(np.pad(
-            x.astype(self._acc_dtype()) - self.x_zp,
+            x.astype(self._acc_dtype()) - self._x_zp(),
             ((0, 0), (pt, pb), (pl, pr), (0, 0)),
         ))
 
     def _conv_nest(self, xq: Array) -> Array:
         kh, kw, _, _ = self.weights.shape
-        sh, sw = self.stride
+        sh, sw = self._stride()
         view = np.lib.stride_tricks.sliding_window_view(xq, (kh, kw), axis=(1, 2))
         view = view[:, ::sh, ::sw]
         # view: (n, oh, ow, cin, kh, kw) x weights (kh, kw, cin, cout)
@@ -275,7 +185,7 @@ class ConvStep(KernelStep):
     def _conv_rowsweep(self, xq: Array) -> Array:
         kh, kw, cin, cout = self.weights.shape
         n, h, w, _ = xq.shape
-        sh, sw = self.stride
+        sh, sw = self._stride()
         oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
         acc = np.zeros((n * oh * ow, cout), dtype=xq.dtype)
         for i in range(kh):
@@ -286,7 +196,7 @@ class ConvStep(KernelStep):
 
     def _depthwise_nest(self, xq: Array) -> Array:
         kh, kw, _ = self.weights.shape
-        sh, sw = self.stride
+        sh, sw = self._stride()
         view = np.lib.stride_tricks.sliding_window_view(xq, (kh, kw), axis=(1, 2))
         view = view[:, ::sh, ::sw]
         # view: (n, oh, ow, c, kh, kw) x weights (kh, kw, c)
@@ -295,7 +205,7 @@ class ConvStep(KernelStep):
     def _depthwise_rowsweep(self, xq: Array) -> Array:
         kh, kw, c = self.weights.shape
         n, h, w, _ = xq.shape
-        sh, sw = self.stride
+        sh, sw = self._stride()
         oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
         acc = np.zeros((n, oh, ow, c), dtype=xq.dtype)
         for i in range(kh):
@@ -304,15 +214,15 @@ class ConvStep(KernelStep):
         return acc
 
     def _accumulate(self, x: Array) -> Array:
-        if self.kind == "fully_connected":
+        if self.op == "fully_connected":
             # nest: one f64 BLAS matmul; rowsweep: the int64 reference form.
             if self.strategy == STRATEGY_NEST and self.exact_f64:
-                acc = (x.astype(np.float64) - self.x_zp) @ self.weights
+                acc = (x.astype(np.float64) - self._x_zp()) @ self.weights
             else:
-                acc = (x.astype(np.int64) - self.x_zp) @ self.weights.astype(np.int64)
+                acc = (x.astype(np.int64) - self._x_zp()) @ self.weights.astype(np.int64)
             return np.asarray(acc)
         xq = self._pad_input(x)
-        if self.kind == "depthwise_conv2d":
+        if self.op == "depthwise_conv2d":
             if self.strategy == STRATEGY_NEST:
                 return self._depthwise_nest(xq)
             return self._depthwise_rowsweep(xq)
@@ -321,254 +231,12 @@ class ConvStep(KernelStep):
         return self._conv_rowsweep(xq)
 
     def run(self, env: Env) -> None:
-        acc = self._accumulate(env[self.inputs[0]]).astype(np.int64)
+        bound = self.bound
+        acc = self._accumulate(env[bound.inputs[0]]).astype(np.int64)
         if self.bias is not None:
             acc = acc + self.bias
-        out = self.requant.apply(acc)
-        env[self.output] = _clamp(out, self.activation, self.out_qp)
-
-
-@dataclass(frozen=True)
-class AddStep(KernelStep):
-    a_qp: QuantParams = field(default_factory=lambda: QuantParams(1.0, 0))
-    b_qp: QuantParams = field(default_factory=lambda: QuantParams(1.0, 0))
-    out_qp: QuantParams = field(default_factory=lambda: QuantParams(1.0, 0))
-    activation: str = "none"
-
-    def run(self, env: Env) -> None:
-        from repro.runtime.qkernels import qadd
-
-        env[self.output] = qadd(
-            env[self.inputs[0]], self.a_qp, env[self.inputs[1]], self.b_qp,
-            self.out_qp, self.activation,
-        )
-
-
-@dataclass(frozen=True)
-class PoolStep(KernelStep):
-    ksize: tuple[int, int] = (1, 1)
-    stride: tuple[int, int] = (1, 1)
-    padding: tuple[tuple[int, int], tuple[int, int]] = ((0, 0), (0, 0))
-
-    def run(self, env: Env) -> None:
-        from repro.runtime.qkernels import qavg_pool, qmax_pool
-
-        fn = qmax_pool if self.op == "max_pool" else qavg_pool
-        env[self.output] = fn(env[self.inputs[0]], self.ksize, self.stride, self.padding)
-
-
-@dataclass(frozen=True)
-class MeanStep(KernelStep):
-    axis: tuple[int, ...] = (1, 2)
-    count: int = 1
-    in_qp: QuantParams = field(default_factory=lambda: QuantParams(1.0, 0))
-    out_qp: QuantParams = field(default_factory=lambda: QuantParams(1.0, 0))
-
-    def run(self, env: Env) -> None:
-        from repro.runtime.qkernels import qrequant
-
-        acc = np.sum(env[self.inputs[0]].astype(np.int64), axis=self.axis)
-        mean_q = (acc + self.count // 2) // self.count
-        if self.in_qp == self.out_qp:
-            env[self.output] = saturate(mean_q, self.out_qp.dtype)
-        else:
-            env[self.output] = qrequant(
-                saturate(mean_q, self.in_qp.dtype), self.in_qp, self.out_qp
-            )
-
-
-@dataclass(frozen=True)
-class ConcatStep(KernelStep):
-    in_qps: tuple[QuantParams, ...] = ()
-    out_qp: QuantParams = field(default_factory=lambda: QuantParams(1.0, 0))
-    axis: int = -1
-
-    def run(self, env: Env) -> None:
-        from repro.runtime.qkernels import qrequant
-
-        parts = [
-            qrequant(env[name], qp, self.out_qp)
-            for name, qp in zip(self.inputs, self.in_qps, strict=True)
-        ]
-        env[self.output] = np.concatenate(parts, axis=self.axis)
-
-
-@dataclass(frozen=True)
-class ActivationStep(KernelStep):
-    out_qp: QuantParams = field(default_factory=lambda: QuantParams(1.0, 0))
-
-    def run(self, env: Env) -> None:
-        env[self.output] = _clamp(env[self.inputs[0]], self.op, self.out_qp)
-
-
-@dataclass(frozen=True)
-class ReshapeStep(KernelStep):
-    shape: tuple[int, ...] = ()
-
-    def run(self, env: Env) -> None:
-        env[self.output] = env[self.inputs[0]].reshape(self.shape)
-
-
-@dataclass(frozen=True)
-class IdentityStep(KernelStep):
-    def run(self, env: Env) -> None:
-        env[self.output] = env[self.inputs[0]]
-
-
-# ----------------------------------------------------------------------
-# Float-region steps (the bf16 lowering family, GNMT + x86 float tails)
-# ----------------------------------------------------------------------
-
-#: Placeholder graph for reference-eval steps.  ``execute_node`` only
-#: consults the graph for quantize/dequantize (which never take this
-#: path), so float-region nodes evaluate without the real graph — which
-#: keeps the pickled artifacts small: float steps bake no weights, they
-#: read constants from the environment the executor seeds.
-_FLOAT_EVAL_GRAPH = Graph("codegen-float-eval")
-
-
-def _round_bf16(value: Array, flag: bool) -> Array:
-    """The float-region write-back rounding, per output.
-
-    ``flag`` is precomputed at codegen time from the output tensor's
-    dtype — exactly the per-name test
-    :func:`repro.runtime.qkernels.round_float_outputs` applies, so a float
-    step's stored value is byte-identical to the interpreter's.
-    """
-    if not flag:
-        return value
-    return np.asarray(to_bfloat16(np.asarray(value, dtype=np.float32)))
-
-
-@dataclass(frozen=True)
-class FloatStep(KernelStep):
-    """Base for float-region steps.
-
-    ``outs`` lists every node output (``output`` is the first — LSTM
-    steps have two); ``rounds`` records, per output, whether the
-    interpreter rounds it to bf16 on write-back."""
-
-    outs: tuple[str, ...] = ()
-    rounds: tuple[bool, ...] = ()
-
-    def _store(self, env: Env, values: Sequence[Array]) -> None:
-        for name, value, flag in zip(self.outs, values, self.rounds, strict=True):
-            env[name] = _round_bf16(np.asarray(value), flag)
-
-
-@dataclass(frozen=True)
-class FloatEvalStep(FloatStep):
-    """Fallback float step: the node's reference semantics verbatim (the
-    same code path the interpreter's float region runs), plus rounding.
-    Covers the x86-resident tails — batch_norm, softmax, mean, attention,
-    elementwise — without a per-op lowering."""
-
-    gnode: Node | None = None
-
-    def run(self, env: Env) -> None:
-        from repro.graph.reference import execute_node
-
-        assert self.gnode is not None
-        outs = execute_node(
-            _FLOAT_EVAL_GRAPH, self.gnode, [env[name] for name in self.inputs]
-        )
-        self._store(env, outs)
-
-
-@dataclass(frozen=True)
-class FloatMatmulStep(FloatStep):
-    """Float fully_connected / matmul with optional bias and fused
-    activation, via the reference kernel (bit-identical by shared code)."""
-
-    activation: str = "none"
-
-    def run(self, env: Env) -> None:
-        from repro.graph.reference import fully_connected
-
-        bias = env[self.inputs[2]] if len(self.inputs) > 2 else None
-        out = fully_connected(
-            env[self.inputs[0]], env[self.inputs[1]], bias, self.activation
-        )
-        self._store(env, (out,))
-
-
-@dataclass(frozen=True)
-class EmbeddingStep(FloatStep):
-    """Embedding gather: one fancy-index into the (env-resident) table."""
-
-    def run(self, env: Env) -> None:
-        table, ids = env[self.inputs[0]], env[self.inputs[1]]
-        self._store(env, (table[ids.astype(np.int64)],))
-
-
-@dataclass(frozen=True)
-class FloatSliceStep(FloatStep):
-    """Timestep slice with attributes resolved at codegen time."""
-
-    axis: int = 0
-    begin: int = 0
-    size: int = 1
-    squeeze: bool = False
-
-    def run(self, env: Env) -> None:
-        x = env[self.inputs[0]]
-        index: list[slice] = [slice(None)] * x.ndim
-        index[self.axis] = slice(self.begin, self.begin + self.size)
-        out = x[tuple(index)]
-        if self.squeeze:
-            out = np.squeeze(out, axis=self.axis)
-        self._store(env, (out,))
-
-
-@dataclass(frozen=True)
-class FloatConcatStep(FloatStep):
-    axis: int = -1
-
-    def run(self, env: Env) -> None:
-        parts = [env[name] for name in self.inputs]
-        self._store(env, (np.concatenate(parts, axis=self.axis),))
-
-
-@dataclass(frozen=True)
-class FloatReshapeStep(FloatStep):
-    shape: tuple[int, ...] = ()
-
-    def run(self, env: Env) -> None:
-        self._store(env, (env[self.inputs[0]].reshape(self.shape),))
-
-
-@dataclass(frozen=True)
-class LstmCellStep(FloatStep):
-    """One lstm_cell: fused gate matmul + sigmoid/tanh over the whole
-    batch, via the reference kernel."""
-
-    def run(self, env: Env) -> None:
-        from repro.graph.reference import lstm_cell
-
-        h, c = lstm_cell(
-            env[self.inputs[0]], env[self.inputs[1]], env[self.inputs[2]],
-            env[self.inputs[3]], env[self.inputs[4]],
-        )
-        self._store(env, (h, c))
-
-
-@dataclass(frozen=True)
-class LstmSeqStep(FloatStep):
-    """One lstm_step node: whole-sequence input projection + recurrent
-    combine.  The seqfuse variant replaces chains of these with a single
-    :class:`SeqFuseStep` that amortizes the projection."""
-
-    t: int = 0
-
-    def run(self, env: Env) -> None:
-        from repro.graph.reference import lstm_step
-
-        h, c = lstm_step(
-            env[self.inputs[0]], env[self.inputs[1]], env[self.inputs[2]],
-            env[self.inputs[3]], env[self.inputs[4]], env[self.inputs[5]],
-            self.t,
-        )
-        self._store(env, (h, c))
+        out = bound.clamp(self.requant.apply(acc), bound.attrs.get("activation"))
+        env[bound.outputs[0]] = out
 
 
 @dataclass(frozen=True)
@@ -585,27 +253,15 @@ class SeqFuseStep(KernelStep):
     and dispatching ``len(chain)`` steps.
     """
 
-    x_seq: str = ""
-    wx: str = ""
-    wh: str = ""
-    bias: str = ""
-    h_in: str = ""
-    c_in: str = ""
-    #: (t, h_out, c_out, round_h, round_c) per fused node, in chain order.
-    chain: tuple[tuple[int, str, str, bool, bool], ...] = ()
+    #: The fused nodes, in chain order.
+    chain: tuple[BoundNode, ...]
 
     def run(self, env: Env) -> None:
-        from repro.graph.reference import lstm_step_combine, lstm_step_project
-
-        xp = lstm_step_project(env[self.x_seq], env[self.wx])
-        wh, bias = env[self.wh], env[self.bias]
-        h, c = env[self.h_in], env[self.c_in]
-        for t, h_out, c_out, round_h, round_c in self.chain:
-            h, c = lstm_step_combine(xp[..., t, :], wh, bias, h, c)
-            h = _round_bf16(h, round_h)
-            c = _round_bf16(c, round_c)
-            env[h_out] = h
-            env[c_out] = c
+        x_seq, wx, wh, bias, h, c = (env[name] for name in self.chain[0].inputs)
+        xp = lstm_step_project(x_seq, wx)
+        for bound in self.chain:
+            t = int(bound.attrs["t"])
+            h, c = bound.store(env, lstm_step_combine(xp[..., t, :], wh, bias, h, c))
 
 
 @dataclass(frozen=True)
@@ -613,24 +269,13 @@ class CellFuseStep(KernelStep):
     """A fused chain of same-weight ``lstm_cell`` nodes threading h/c
     state: one step object per chain instead of one per timestep."""
 
-    weights: str = ""
-    bias: str = ""
-    h_in: str = ""
-    c_in: str = ""
-    #: (x_in, h_out, c_out, round_h, round_c) per fused node.
-    chain: tuple[tuple[str, str, str, bool, bool], ...] = ()
+    #: The fused nodes, in chain order.
+    chain: tuple[BoundNode, ...]
 
     def run(self, env: Env) -> None:
-        from repro.graph.reference import lstm_cell
-
-        weights, bias = env[self.weights], env[self.bias]
-        h, c = env[self.h_in], env[self.c_in]
-        for x_in, h_out, c_out, round_h, round_c in self.chain:
-            h, c = lstm_cell(env[x_in], weights, bias, h, c)
-            h = _round_bf16(h, round_h)
-            c = _round_bf16(c, round_c)
-            env[h_out] = h
-            env[c_out] = c
+        _, weights, bias, h, c = (env[name] for name in self.chain[0].inputs)
+        for bound in self.chain:
+            h, c = bound.store(env, lstm_cell(env[bound.inputs[0]], weights, bias, h, c))
 
 
 # ----------------------------------------------------------------------
@@ -720,8 +365,16 @@ class MacroKernelSet:
 # ----------------------------------------------------------------------
 
 
-def _qp(graph: Graph, name: str) -> QuantParams:
-    qp = graph.tensor(name).quant
+def _input_magnitude(qp: QuantParams) -> int:
+    """Largest ``|code - zero_point|`` the input dtype can represent."""
+    info = dtype_info(qp.dtype)
+    return max(
+        abs(int(info.min_value) - qp.zero_point),
+        abs(int(info.max_value) - qp.zero_point),
+    )
+
+
+def _tensor_qp(name: str, qp: QuantParams | None) -> QuantParams:
     if not isinstance(qp, QuantParams):
         raise UnsupportedSegment(f"tensor {name!r} lacks tensor quant params")
     return qp
@@ -734,249 +387,122 @@ def _constant(graph: Graph, name: str) -> Array:
     return np.asarray(tensor.data)
 
 
-def _matmul_steps(graph: Graph, node: Node) -> tuple[ConvStep, ConvStep]:
+#: The quantized ops with per-strategy :class:`ConvStep` forms -> the
+#: weight axes one output channel accumulates over (the f64 proof's sum).
+_TAP_AXES: dict[str, tuple[int, ...]] = {
+    "conv2d": (0, 1, 2), "depthwise_conv2d": (0, 1), "fully_connected": (0,),
+}
+
+
+def _matmul_steps(graph: Graph, node: Node, bound: BoundNode) -> tuple[ConvStep, ConvStep]:
     """Both variants of a conv2d / depthwise_conv2d / fully_connected."""
-    x_qp = _qp(graph, node.inputs[0])
-    w_tensor = graph.tensor(node.inputs[1])
-    w_qp = w_tensor.quant
+    from repro.runtime.qkernels import _weight_offsets
+
+    x_qp = _tensor_qp(node.inputs[0], bound.in_qps[0])
+    w_qp = bound.in_qps[1]
     if w_qp is None:
         raise UnsupportedSegment(f"weights {node.inputs[1]!r} lack quant params")
-    out_qp = _qp(graph, node.outputs[0])
+    out_qp = _tensor_qp(node.outputs[0], bound.out_qps[0])
     weights = _constant(graph, node.inputs[1])
     bias: Array | None = None
     if len(node.inputs) > 2:
         bias = _constant(graph, node.inputs[2]).astype(np.int64)
-    wq = _offset_weights(weights, w_qp)
+    wq = np.asarray(_weight_offsets(weights, w_qp))
     # f64 exactness proof: the largest |partial sum| any accumulation
     # order can produce is max|x - zp| * sum|w - zp| per output channel.
-    magnitude = _input_magnitude(x_qp)
-    if node.op == "depthwise_conv2d":
-        tap_sum = np.abs(wq).sum(axis=(0, 1)).max() if wq.size else 0
-    elif node.op == "fully_connected":
-        tap_sum = np.abs(wq).sum(axis=0).max() if wq.size else 0
-    else:
-        tap_sum = np.abs(wq).sum(axis=(0, 1, 2)).max() if wq.size else 0
-    exact = magnitude * int(tap_sum) < _F64_EXACT_BOUND
-    common = dict(
-        node=node.name, op=node.op, inputs=(node.inputs[0],),
-        output=node.outputs[0], kind=node.op,
-        weights=wq.astype(np.float64) if exact else wq,
-        bias=bias, x_zp=x_qp.zero_point,
-        stride=tuple(node.attrs.get("stride", (1, 1))),
-        padding=_pad_attr(node),
-        activation=node.attrs.get("activation") or "none",
-        out_qp=out_qp,
-        requant=RequantSpec.build(x_qp.scale, w_qp, out_qp),
-        exact_f64=exact,
+    tap_sum = np.abs(wq).sum(axis=_TAP_AXES[node.op]).max() if wq.size else 0
+    exact = _input_magnitude(x_qp) * int(tap_sum) < _F64_EXACT_BOUND
+    if exact:
+        wq = wq.astype(np.float64)
+    requant = RequantSpec.build(x_qp.scale, w_qp, out_qp)
+    nest, sweep = (
+        ConvStep(node.name, node.op, bound, strategy, wq, bias, requant, exact)
+        for strategy in (STRATEGY_NEST, STRATEGY_ROWSWEEP)
     )
-    return (
-        ConvStep(strategy=STRATEGY_NEST, **common),      # type: ignore[arg-type]
-        ConvStep(strategy=STRATEGY_ROWSWEEP, **common),  # type: ignore[arg-type]
-    )
+    return nest, sweep
 
 
-def _pad_attr(node: Node) -> tuple[tuple[int, int], tuple[int, int]]:
-    (pt, pb), (pl, pr) = node.attrs.get("padding", ((0, 0), (0, 0)))
-    return ((int(pt), int(pb)), (int(pl), int(pr)))
+def _lower(graph: Graph, node: Node) -> tuple[NodeStep, NodeStep]:
+    """The ``(nest, rowsweep)`` steps of one node: per-strategy
+    :class:`ConvStep` forms for the quantized matmul ops, one shared
+    :class:`NodeStep` for everything else the op tables cover.
 
+    Coverage is the tables' data: a float node lowers iff its op is in
+    ``FLOAT_KERNELS`` and not in ``WALK_ONLY_OPS`` (and a ``dequantize``
+    only when its output is not bf16-rounded); a quantized node iff it has
+    one output, its op is in ``INT8_KERNELS`` and every quant param it
+    carries is tensor-level.
+    """
+    from repro.runtime.qkernels import FLOAT_KERNELS, INT8_KERNELS, WALK_ONLY_OPS, bind
 
-#: Float-region ops with a reference-eval (FloatEvalStep) lowering: the
-#: x86-resident float tails and the attention composite.  NMS stays
-#: uncovered — its sort-driven control flow is the one op the paper kept
-#: on x86 outright, and the interpreter fallback covers it bit-exactly.
-_FLOAT_EVAL_OPS = frozenset(
-    {
-        "batch_norm", "softmax", "mean", "add", "mul", "relu", "relu6",
-        "tanh", "sigmoid", "attention", "identity", "pad", "bias_add",
-    }
-)
-
-
-def _float_rounds(graph: Graph, node: Node) -> tuple[bool, ...]:
-    """Which outputs the interpreter rounds to bf16 on write-back."""
-    return tuple(
-        graph.tensor(name).type.dtype is NcoreDType.BF16 for name in node.outputs
-    )
-
-
-def _lower_float_node(graph: Graph, node: Node) -> tuple[KernelStep, ...]:
-    """Steps for a float-region node (output quant is ``None``).
-
-    Specialized macro-steps cover the hot GNMT ops (LSTM steps/cells,
-    embedding gather, slice/concat/reshape, float fc); the reference-eval
-    fallback covers the float tails.  Every step applies the
-    ``round_float_outputs`` bf16 write-back rounding, so the program is
-    byte-identical to the interpreter walk."""
-    attrs = node.attrs
-    base = dict(
-        node=node.name, op=node.op, inputs=tuple(node.inputs),
-        output=node.outputs[0], outs=tuple(node.outputs),
-        rounds=_float_rounds(graph, node),
-    )
-    if node.op == "lstm_step":
-        return (LstmSeqStep(t=int(attrs["t"]), **base),)  # type: ignore[arg-type]
-    if node.op == "lstm_cell":
-        return (LstmCellStep(**base),)  # type: ignore[arg-type]
-    if node.op == "embedding":
-        return (EmbeddingStep(**base),)  # type: ignore[arg-type]
-    if node.op == "fully_connected":
-        return (FloatMatmulStep(
-            activation=attrs.get("activation") or "none", **base,  # type: ignore[arg-type]
-        ),)
-    if node.op == "slice":
-        return (FloatSliceStep(
-            axis=int(attrs["axis"]), begin=int(attrs["begin"]),
-            size=int(attrs["size"]),
-            squeeze=bool(attrs.get("squeeze", False)), **base,  # type: ignore[arg-type]
-        ),)
-    if node.op == "concat":
-        return (FloatConcatStep(axis=int(attrs.get("axis", -1)), **base),)  # type: ignore[arg-type]
-    if node.op == "reshape":
-        return (FloatReshapeStep(shape=tuple(attrs["shape"]), **base),)  # type: ignore[arg-type]
-    if node.op in _FLOAT_EVAL_OPS:
-        return (FloatEvalStep(gnode=node, **base),)  # type: ignore[arg-type]
-    raise UnsupportedSegment(f"float op {node.op!r} has no macro-kernel form")
-
-
-def _lower_node(graph: Graph, node: Node) -> tuple[KernelStep, ...] | None:
-    """The shared (strategy-independent) step for one node, or ``None``
-    when the node is a matmul op with per-strategy forms."""
-    out_name = node.outputs[0]
-    out_tensor = graph.tensor(out_name)
-    if out_tensor.quant is None and node.op != "quantize":
-        if node.op == "dequantize" and out_tensor.type.dtype is not NcoreDType.BF16:
-            return (DequantizeStep(
-                in_qp=_qp(graph, node.inputs[0]), node=node.name, op=node.op,
-                inputs=tuple(node.inputs), output=out_name,
-            ),)
-        return _lower_float_node(graph, node)
-    if len(node.outputs) != 1:
+    bound = bind(graph, node)
+    if bound.is_float:
+        if (
+            node.op not in FLOAT_KERNELS
+            or node.op in WALK_ONLY_OPS
+            or (node.op == "dequantize" and bound.bf16_outputs)
+        ):
+            raise UnsupportedSegment(f"float op {node.op!r} has no macro-kernel form")
+    elif len(node.outputs) != 1:
         raise UnsupportedSegment(f"node {node.name!r} has multiple outputs")
-    base = dict(node=node.name, op=node.op, inputs=tuple(node.inputs), output=out_name)
-    if node.op == "quantize":
-        return (QuantizeStep(out_qp=_qp(graph, out_name), **base),)  # type: ignore[arg-type]
-    attrs = node.attrs
-    if node.op in ("conv2d", "depthwise_conv2d", "fully_connected"):
-        return None  # per-strategy, handled by _matmul_steps
-    if node.op == "add":
-        return (AddStep(
-            a_qp=_qp(graph, node.inputs[0]), b_qp=_qp(graph, node.inputs[1]),
-            out_qp=_qp(graph, out_name),
-            activation=attrs.get("activation") or "none", **base,  # type: ignore[arg-type]
-        ),)
-    if node.op in ("max_pool", "avg_pool"):
-        return (PoolStep(
-            ksize=tuple(attrs["ksize"]), stride=tuple(attrs["stride"]),
-            padding=_pad_attr(node), **base,  # type: ignore[arg-type]
-        ),)
-    if node.op == "mean":
-        axis = tuple(attrs.get("axis", (1, 2)))
-        shape = graph.tensor(node.inputs[0]).shape
-        count = int(np.prod([shape[a] for a in axis]))
-        return (MeanStep(
-            axis=axis, count=count, in_qp=_qp(graph, node.inputs[0]),
-            out_qp=_qp(graph, out_name), **base,  # type: ignore[arg-type]
-        ),)
-    if node.op == "concat":
-        return (ConcatStep(
-            in_qps=tuple(_qp(graph, name) for name in node.inputs),
-            out_qp=_qp(graph, out_name),
-            axis=int(attrs.get("axis", -1)), **base,  # type: ignore[arg-type]
-        ),)
-    if node.op in ("relu", "relu6"):
-        return (ActivationStep(out_qp=_qp(graph, out_name), **base),)  # type: ignore[arg-type]
-    if node.op == "reshape":
-        return (ReshapeStep(shape=tuple(attrs["shape"]), **base),)  # type: ignore[arg-type]
-    if node.op == "identity":
-        return (IdentityStep(**base),)  # type: ignore[arg-type]
-    raise UnsupportedSegment(f"op {node.op!r} has no macro-kernel form")
+    elif node.op in _TAP_AXES:
+        return _matmul_steps(graph, node, bound)
+    elif node.op not in INT8_KERNELS:
+        raise UnsupportedSegment(f"op {node.op!r} has no macro-kernel form")
+    else:
+        names = (*node.inputs, *node.outputs)
+        for name, qp in zip(names, (*bound.in_qps, *bound.out_qps), strict=True):
+            if qp is not None:
+                _tensor_qp(name, qp)
+    step = NodeStep(node.name, node.op, bound)
+    return step, step
 
 
-def _seq_chains(prev: LstmSeqStep, step: LstmSeqStep) -> bool:
-    """Whether ``step`` continues a seqfuse chain: same (x_seq, wx, wh,
-    bias) and its h/c inputs are the previous step's outputs."""
-    return (
-        prev.inputs[:4] == step.inputs[:4]
-        and step.inputs[4] == prev.outs[0]
-        and step.inputs[5] == prev.outs[1]
-    )
+#: The fusable LSTM ops -> (fused step class, the input positions every
+#: node of a chain shares, the position of the h-state input; c follows h).
+_LSTM_CHAINS: dict[str, tuple[type[SeqFuseStep] | type[CellFuseStep], slice, int]] = {
+    "lstm_step": (SeqFuseStep, slice(0, 4), 4),  # (x_seq, wx, wh, bias), h, c
+    "lstm_cell": (CellFuseStep, slice(1, 3), 3),  # x, (weights, bias), h, c
+}
 
 
-def _cell_chains(prev: LstmCellStep, step: LstmCellStep) -> bool:
-    """Whether ``step`` continues a cell chain: same (weights, bias) and
-    threaded h/c state."""
-    return (
-        prev.inputs[1:3] == step.inputs[1:3]
-        and step.inputs[3] == prev.outs[0]
-        and step.inputs[4] == prev.outs[1]
-    )
+def _chain_run(steps: Sequence[NodeStep], start: int) -> list[NodeStep]:
+    """The maximal run of steps from ``start`` that one fused step can
+    replace: the same LSTM op over the same shared operands, each node's
+    h/c inputs being the previous node's outputs."""
+    run = [steps[start]]
+    if run[0].op in _LSTM_CHAINS:
+        _, shared, h = _LSTM_CHAINS[run[0].op]
+        for step in steps[start + 1:]:
+            prev, bound = run[-1].bound, step.bound
+            if not (
+                bound.op == prev.op
+                and bound.inputs[shared] == prev.inputs[shared]
+                and bound.inputs[h:h + 2] == prev.outputs[:2]
+            ):
+                break
+            run.append(step)
+    return run
 
 
-def _fuse_seq_run(run: list[LstmSeqStep]) -> SeqFuseStep:
-    first, last = run[0], run[-1]
-    return SeqFuseStep(
-        node=f"{first.node}..{last.node}", op="lstm_step",
-        inputs=first.inputs, output=last.outs[0],
-        x_seq=first.inputs[0], wx=first.inputs[1], wh=first.inputs[2],
-        bias=first.inputs[3], h_in=first.inputs[4], c_in=first.inputs[5],
-        chain=tuple(
-            (s.t, s.outs[0], s.outs[1], s.rounds[0], s.rounds[1]) for s in run
-        ),
-    )
-
-
-def _fuse_cell_run(run: list[LstmCellStep]) -> CellFuseStep:
-    first, last = run[0], run[-1]
-    return CellFuseStep(
-        node=f"{first.node}..{last.node}", op="lstm_cell",
-        inputs=first.inputs, output=last.outs[0],
-        weights=first.inputs[1], bias=first.inputs[2],
-        h_in=first.inputs[3], c_in=first.inputs[4],
-        chain=tuple(
-            (s.inputs[0], s.outs[0], s.outs[1], s.rounds[0], s.rounds[1])
-            for s in run
-        ),
-    )
-
-
-def _fuse_lstm_chains(steps: list[KernelStep]) -> list[KernelStep] | None:
+def _fuse_lstm_chains(steps: Sequence[NodeStep]) -> list[KernelStep] | None:
     """The seqfuse transform: collapse maximal consecutive runs of
     same-weight LSTM steps with threaded h/c state into single fused
     steps.  Returns ``None`` when no chain of length >= 2 exists (no
     seqfuse variant is emitted then)."""
     fused: list[KernelStep] = []
-    changed = False
     i = 0
     while i < len(steps):
-        step = steps[i]
-        run: list[Any] = [step]
-        if isinstance(step, LstmSeqStep):
-            while (
-                i + len(run) < len(steps)
-                and isinstance(steps[i + len(run)], LstmSeqStep)
-                and _seq_chains(run[-1], steps[i + len(run)])  # type: ignore[arg-type]
-            ):
-                run.append(steps[i + len(run)])
-            if len(run) >= 2:
-                fused.append(_fuse_seq_run(run))
-                changed = True
-                i += len(run)
-                continue
-        elif isinstance(step, LstmCellStep):
-            while (
-                i + len(run) < len(steps)
-                and isinstance(steps[i + len(run)], LstmCellStep)
-                and _cell_chains(run[-1], steps[i + len(run)])  # type: ignore[arg-type]
-            ):
-                run.append(steps[i + len(run)])
-            if len(run) >= 2:
-                fused.append(_fuse_cell_run(run))
-                changed = True
-                i += len(run)
-                continue
-        fused.append(step)
-        i += 1
-    return fused if changed else None
+        run = _chain_run(steps, i)
+        if len(run) >= 2:
+            fused.append(_LSTM_CHAINS[run[0].op][0](
+                f"{run[0].node}..{run[-1].node}", run[0].op,
+                tuple(step.bound for step in run),
+            ))
+        else:
+            fused.append(run[0])
+        i += len(run)
+    return fused if len(fused) < len(steps) else None
 
 
 def compile_segment(
@@ -994,19 +520,13 @@ def compile_segment(
     """
     if not segment.nodes:
         raise UnsupportedSegment("empty segment")
-    nest_steps: list[KernelStep] = []
-    sweep_steps: list[KernelStep] = []
-    multi_variant = False
+    nest_steps: list[NodeStep] = []
+    sweep_steps: list[NodeStep] = []
     for node in segment.nodes:
-        shared = _lower_node(graph, node)
-        if shared is None:
-            nest, sweep = _matmul_steps(graph, node)
-            nest_steps.append(nest)
-            sweep_steps.append(sweep)
-            multi_variant = True
-        else:
-            nest_steps.extend(shared)
-            sweep_steps.extend(shared)
+        nest, sweep = _lower(graph, node)
+        nest_steps.append(nest)
+        sweep_steps.append(sweep)
+    multi_variant = any(a is not b for a, b in zip(nest_steps, sweep_steps, strict=True))
     variants = [KernelVariant(STRATEGY_NEST, tuple(nest_steps))]
     if multi_variant:
         variants.append(KernelVariant(STRATEGY_ROWSWEEP, tuple(sweep_steps)))
@@ -1179,15 +699,13 @@ __all__ = [
     "CODEGEN_ARTIFACT_KIND",
     "CellFuseStep",
     "CodegenDivergence",
-    "FloatEvalStep",
-    "FloatStep",
+    "ConvStep",
     "KernelStep",
     "KernelVariant",
-    "LstmCellStep",
-    "LstmSeqStep",
     "MacroKernel",
     "MacroKernelSet",
     "MultiKernelDispatcher",
+    "NodeStep",
     "RequantSpec",
     "STRATEGY_NEST",
     "STRATEGY_ROWSWEEP",

@@ -13,9 +13,22 @@ pass (channels are laid out across lanes by the NKL).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.dtypes import ACC_MAX, ACC_MIN, NcoreDType, dtype_info, to_bfloat16
+from repro.dtypes import (
+    ACC_MAX,
+    ACC_MIN,
+    ChannelQuantParams,
+    NcoreDType,
+    QuantParams,
+    dtype_info,
+    quantize_multiplier,
+    requantize,
+    saturate,
+    to_bfloat16,
+)
 from repro.isa.instruction import Activation
 from repro.ncore.errors import ExecutionError
 
@@ -51,6 +64,63 @@ def requantize_lanes(
     info = dtype_info(dtype)
     result = np.clip(shifted + offset.astype(np.int64), info.min_value, info.max_value)
     return result.astype(np.int32)
+
+
+@dataclass(frozen=True)
+class RequantSpec:
+    """Requantization of an int accumulator whose last axis is the output
+    channel, with the multipliers precomputed: per-tensor weights use one
+    mult/shift, per-channel weights one per output channel — exactly what
+    the per-lane range/scale registers above implement.  The one
+    graph-level requantize: the int64 reference kernels
+    (:mod:`repro.runtime.qkernels`) build and apply it per call, the
+    macro-kernels (:mod:`repro.ncore.codegen`) build it once at codegen."""
+
+    zero_point: int
+    dtype: NcoreDType
+    mult: int = 0
+    shift: int = 0
+    lane_mults: np.ndarray | None = None
+    lane_shifts: np.ndarray | None = None
+
+    @classmethod
+    def build(cls, x_scale: float, w_qp: QuantParams | ChannelQuantParams,
+              out_qp: QuantParams) -> "RequantSpec":
+        if isinstance(w_qp, ChannelQuantParams):
+            pairs = [
+                quantize_multiplier(x_scale * scale / out_qp.scale)
+                for scale in w_qp.scales
+            ]
+            return cls(
+                zero_point=out_qp.zero_point, dtype=out_qp.dtype,
+                lane_mults=np.array([p[0] for p in pairs], dtype=np.int64),
+                lane_shifts=np.array([p[1] for p in pairs], dtype=np.int64),
+            )
+        mult, shift = quantize_multiplier(x_scale * w_qp.scale / out_qp.scale)
+        return cls(
+            zero_point=out_qp.zero_point, dtype=out_qp.dtype,
+            mult=mult, shift=shift,
+        )
+
+    def apply(self, acc: np.ndarray) -> np.ndarray:
+        """Requantize an int64 accumulator (clipped to the int32
+        accumulator range first) to the narrow type."""
+        acc = np.clip(acc, ACC_MIN, ACC_MAX)
+        if self.lane_mults is None or self.lane_shifts is None:
+            return requantize(
+                acc.astype(np.int32), self.mult, self.shift,
+                self.zero_point, self.dtype,
+            )
+        channels = acc.shape[-1]
+        flat = acc.astype(np.int32).reshape(-1, channels)
+        values = requantize_lanes(
+            flat,
+            np.broadcast_to(self.lane_mults, flat.shape),
+            np.broadcast_to(self.lane_shifts, flat.shape),
+            np.full(flat.shape, self.zero_point, dtype=np.int64),
+            self.dtype,
+        )
+        return saturate(values.reshape(acc.shape), self.dtype)
 
 
 def apply_integer_activation(

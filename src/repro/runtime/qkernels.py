@@ -6,32 +6,40 @@ activation clamps in the quantized domain — vectorised with numpy.  They
 serve as (a) the fast-model execution path for full networks and (b) the
 x86 reference kernels the instruction-level simulator is validated against
 (tests cross-check the two on small shapes).
+
+This module is also the **one op table** of the graph-level model: a
+:class:`BoundNode` (a node plus the quant params, attrs and bf16
+write-back flags the kernels read from its ``Graph``) runs through
+:data:`INT8_KERNELS` or :data:`FLOAT_KERNELS`, keyed by op name.  The
+per-node walk (:func:`run_nodes`) binds and runs one node at a time; the
+Tier-3 macro-kernels (:mod:`repro.ncore.codegen`) keep the bound nodes in
+their artifacts and run them through the same tables, so the walk is the
+one-node-segment, no-dispatcher case of the macro-kernel path.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
 from repro.dtypes import (
     ChannelQuantParams,
+    NcoreDType,
     QuantParams,
+    dequantize,
     quantize,
-    quantize_multiplier,
-    requantize,
     rounding_right_shift,
     saturate,
+    to_bfloat16,
 )
 from repro.graph.gir import Graph, GraphError, Node
-from repro.graph.reference import execute_node as execute_float_node
+from repro.graph.reference import execute_op
+from repro.ncore.out import RequantSpec
 
 _ADD_SHIFT = 20  # fixed-point headroom for elementwise rescaling
-
-
-def _requant_acc(acc: np.ndarray, real_multiplier: float, out_qp: QuantParams) -> np.ndarray:
-    mult, shift = quantize_multiplier(real_multiplier)
-    return requantize(acc.astype(np.int32), mult, shift, out_qp.zero_point, out_qp.dtype)
 
 
 def _weight_offsets(weights: np.ndarray, w_qp) -> np.ndarray:
@@ -42,34 +50,6 @@ def _weight_offsets(weights: np.ndarray, w_qp) -> np.ndarray:
         shape[w_qp.axis] = w_qp.num_channels
         return w - np.asarray(w_qp.zero_points, dtype=np.int64).reshape(shape)
     return w - w_qp.zero_point
-
-
-def _requant_output(acc: np.ndarray, x_scale: float, w_qp, out_qp: QuantParams) -> np.ndarray:
-    """Requantize an accumulator whose last axis is the output channel.
-
-    Per-tensor weights use one multiplier; per-channel weights use one per
-    output channel — exactly what the OUT unit's per-lane range/scale
-    registers implement (repro.ncore.out.requantize_lanes).
-    """
-    if not isinstance(w_qp, ChannelQuantParams):
-        return _requant_acc(acc, x_scale * w_qp.scale / out_qp.scale, out_qp)
-    from repro.ncore.out import requantize_lanes
-
-    channels = acc.shape[-1]
-    pairs = [
-        quantize_multiplier(x_scale * scale / out_qp.scale) for scale in w_qp.scales
-    ]
-    mults = np.array([p[0] for p in pairs], dtype=np.int64)
-    shifts = np.array([p[1] for p in pairs], dtype=np.int64)
-    flat = np.clip(acc, -(2**31), 2**31 - 1).astype(np.int32).reshape(-1, channels)
-    values = requantize_lanes(
-        flat,
-        np.broadcast_to(mults, flat.shape),
-        np.broadcast_to(shifts, flat.shape),
-        np.full(flat.shape, out_qp.zero_point, dtype=np.int64),
-        out_qp.dtype,
-    )
-    return saturate(values.reshape(acc.shape), out_qp.dtype)
 
 
 def _activation_clamp(values: np.ndarray, activation: str, out_qp: QuantParams) -> np.ndarray:
@@ -115,8 +95,8 @@ def qconv2d(
     acc = acc.reshape(n, oh, ow, cout)
     if bias is not None:
         acc = acc + bias.astype(np.int64)
-    acc = np.clip(acc, -(2**31), 2**31 - 1)
-    out = _requant_output(acc, x_qp.scale, w_qp, out_qp)
+    # apply() clamps to the int32 accumulator range before requantizing.
+    out = RequantSpec.build(x_qp.scale, w_qp, out_qp).apply(acc)
     return _activation_clamp(out, activation, out_qp).astype(out.dtype)
 
 
@@ -147,8 +127,7 @@ def qdepthwise(
             acc += xq[:, i : i + oh * sh : sh, j : j + ow * sw : sw, :] * wq[i, j]
     if bias is not None:
         acc = acc + bias.astype(np.int64)
-    acc = np.clip(acc, -(2**31), 2**31 - 1)
-    out = _requant_output(acc, x_qp.scale, w_qp, out_qp)
+    out = RequantSpec.build(x_qp.scale, w_qp, out_qp).apply(acc)
     return _activation_clamp(out, activation, out_qp).astype(out.dtype)
 
 
@@ -164,8 +143,7 @@ def qfully_connected(
     acc = (x.astype(np.int64) - x_qp.zero_point) @ _weight_offsets(weights, w_qp)
     if bias is not None:
         acc = acc + bias.astype(np.int64)
-    acc = np.clip(acc, -(2**31), 2**31 - 1)
-    out = _requant_output(acc, x_qp.scale, w_qp, out_qp)
+    out = RequantSpec.build(x_qp.scale, w_qp, out_qp).apply(acc)
     return _activation_clamp(out, activation, out_qp).astype(out.dtype)
 
 
@@ -236,6 +214,200 @@ def qmax_pool(x: np.ndarray, ksize, stride, padding=((0, 0), (0, 0))) -> np.ndar
     return out
 
 
+# ----------------------------------------------------------------------
+# The bound node and the op tables
+# ----------------------------------------------------------------------
+
+_NO_PADDING = ((0, 0), (0, 0))
+
+
+@dataclass(frozen=True)
+class BoundNode:
+    """A node plus the only things the kernels ever read from its
+    ``Graph``: its inputs' and outputs' quant params, its attrs, and which
+    outputs are typed bf16 (rounded on write-back, as the OUT unit does
+    when storing to the RAMs; float32 passes through untouched).
+
+    Graph-free and picklable.  It bakes no weights: constants are read
+    from the environment like any other input."""
+
+    op: str
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    attrs: dict[str, Any] = field(default_factory=dict)
+    in_qps: tuple[QuantParams | None, ...] = ()
+    out_qps: tuple[QuantParams | None, ...] = ()
+    bf16_outputs: tuple[str, ...] = ()
+    #: Float region (first output carries no quant params): the node runs
+    #: through FLOAT_KERNELS; otherwise through INT8_KERNELS.
+    is_float: bool = False
+
+    def in_qp(self, index: int) -> QuantParams:
+        return _require_qp(self.in_qps[index], self.inputs[index])
+
+    def out_qp(self) -> QuantParams:
+        return _require_qp(self.out_qps[0], self.outputs[0])
+
+    def clamp(self, values: np.ndarray, activation: str | None) -> np.ndarray:
+        """The quantized-domain activation clamp against the output params."""
+        return _activation_clamp(values, activation, self.out_qp()).astype(values.dtype)
+
+    def store(self, env: dict[str, np.ndarray], outs: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Write ``outs`` back under the output names (bf16-typed ones
+        rounded) and return what was stored."""
+        stored = [
+            to_bfloat16(np.asarray(value, dtype=np.float32))
+            if name in self.bf16_outputs else value
+            for name, value in zip(self.outputs, outs, strict=False)
+        ]
+        env.update(zip(self.outputs, stored, strict=False))
+        return stored
+
+    def run(self, env: dict[str, np.ndarray]) -> None:
+        """Look the op up in its table and run it against ``env`` in place."""
+        kernel = (FLOAT_KERNELS if self.is_float else INT8_KERNELS).get(self.op)
+        if kernel is None:
+            family = "float" if self.is_float else "quantized"
+            raise GraphError(f"op {self.op!r} has no {family} kernel")
+        self.store(env, kernel(self, [env[name] for name in self.inputs]))
+
+
+def _require_qp(qp: QuantParams | None, name: str) -> QuantParams:
+    if qp is None:
+        raise GraphError(f"tensor {name!r} lacks quantization parameters")
+    return qp
+
+
+def bind(graph: Graph, node: Node) -> BoundNode:
+    """Bind ``node`` to what the kernels read from ``graph``."""
+    ins = [graph.tensor(name) for name in node.inputs]
+    outs = [graph.tensor(name) for name in node.outputs]
+    return BoundNode(
+        op=node.op,
+        inputs=tuple(node.inputs),
+        outputs=tuple(node.outputs),
+        attrs=node.attrs,
+        in_qps=tuple(tensor.quant for tensor in ins),
+        out_qps=tuple(tensor.quant for tensor in outs),
+        bf16_outputs=tuple(
+            tensor.name for tensor in outs if tensor.type.dtype is NcoreDType.BF16
+        ),
+        is_float=outs[0].quant is None and node.op != "quantize",
+    )
+
+
+#: ``kernel(bound, input arrays) -> output arrays``.
+Kernel = Callable[[BoundNode, list[np.ndarray]], Sequence[np.ndarray]]
+
+
+def _matmul_args(b: BoundNode, ins: list[np.ndarray]) -> tuple[Any, ...]:
+    bias = ins[2] if len(ins) > 2 else None
+    return ins[0], ins[1], bias, b.in_qp(0), b.in_qp(1), b.out_qp()
+
+
+def _conv_kernel(conv: Callable[..., np.ndarray]) -> Kernel:
+    def kernel(b: BoundNode, ins: list[np.ndarray]) -> list[np.ndarray]:
+        attrs = b.attrs
+        return [conv(
+            *_matmul_args(b, ins), attrs.get("stride", (1, 1)),
+            attrs.get("padding", _NO_PADDING), attrs.get("activation", "none"),
+        )]
+
+    return kernel
+
+
+def _pool_kernel(pool: Callable[..., np.ndarray]) -> Kernel:
+    def kernel(b: BoundNode, ins: list[np.ndarray]) -> list[np.ndarray]:
+        attrs = b.attrs
+        return [pool(
+            ins[0], attrs["ksize"], attrs["stride"], attrs.get("padding", _NO_PADDING)
+        )]
+
+    return kernel
+
+
+def _qmean(b: BoundNode, ins: list[np.ndarray]) -> list[np.ndarray]:
+    axis = b.attrs.get("axis", (1, 2))
+    acc = np.sum(ins[0].astype(np.int64), axis=axis)
+    count = int(np.prod([ins[0].shape[a] for a in axis]))
+    in_qp, out_qp = b.in_qp(0), b.out_qp()
+    mean_q = (acc + count // 2) // count
+    if in_qp == out_qp:
+        return [saturate(mean_q, out_qp.dtype)]
+    return [qrequant(saturate(mean_q, in_qp.dtype), in_qp, out_qp)]
+
+
+def _qconcat(b: BoundNode, ins: list[np.ndarray]) -> list[np.ndarray]:
+    out_qp = b.out_qp()
+    parts = [qrequant(value, b.in_qp(i), out_qp) for i, value in enumerate(ins)]
+    return [np.concatenate(parts, axis=b.attrs.get("axis", -1))]
+
+
+def _qclamp(b: BoundNode, ins: list[np.ndarray]) -> list[np.ndarray]:
+    return [b.clamp(ins[0], b.op)]
+
+
+#: The quantized family: every op the converter quantizes, plus the
+#: ``quantize`` entry into it.  ``tests/runtime/test_op_table.py`` pins the
+#: key set to ``QUANTIZABLE_OPS | {"quantize"}``.
+INT8_KERNELS: dict[str, Kernel] = {
+    "quantize": lambda b, ins: [quantize(ins[0], b.out_qp())],
+    "conv2d": _conv_kernel(qconv2d),
+    "depthwise_conv2d": _conv_kernel(qdepthwise),
+    "fully_connected": lambda b, ins: [
+        qfully_connected(*_matmul_args(b, ins), b.attrs.get("activation", "none"))
+    ],
+    "add": lambda b, ins: [
+        qadd(ins[0], b.in_qp(0), ins[1], b.in_qp(1), b.out_qp(),
+             b.attrs.get("activation", "none"))
+    ],
+    "max_pool": _pool_kernel(qmax_pool),
+    "avg_pool": _pool_kernel(qavg_pool),
+    "mean": _qmean,
+    "concat": _qconcat,
+    "relu": _qclamp,
+    "relu6": _qclamp,
+    "reshape": lambda b, ins: [ins[0].reshape(b.attrs["shape"])],
+    "identity": lambda b, ins: [ins[0]],
+}
+
+
+def _reference(b: BoundNode, ins: list[np.ndarray]) -> list[np.ndarray]:
+    return execute_op(b.op, b.attrs, ins)
+
+
+#: Float forms only the per-node walk runs: Tier-3 codegen records a
+#: segment holding one as uncovered and the executor walks it.  NMS's
+#: sort-driven control flow is the one op the paper kept on x86 outright;
+#: float conv / pool never reach Ncore segments in the zoo.
+WALK_ONLY_OPS = frozenset(
+    {"conv2d", "depthwise_conv2d", "max_pool", "avg_pool", "nms"}
+)
+
+#: The float region (bf16 / float32): ``dequantize`` out of the quantized
+#: family, and the float reference semantics verbatim for everything else
+#: — GNMT's hot ops first, then the x86-resident tails and the attention
+#: composite, then the walk-only forms above.
+FLOAT_KERNELS: dict[str, Kernel] = {
+    "dequantize": lambda b, ins: [dequantize(ins[0], b.in_qp(0))],
+    **dict.fromkeys(
+        (
+            "lstm_step", "lstm_cell", "embedding", "fully_connected",
+            "slice", "concat", "reshape",
+            "batch_norm", "softmax", "mean", "add", "mul", "relu", "relu6",
+            "tanh", "sigmoid", "attention", "identity", "pad", "bias_add",
+            *sorted(WALK_ONLY_OPS),
+        ),
+        _reference,
+    ),
+}
+
+
+# ----------------------------------------------------------------------
+# The per-node walk
+# ----------------------------------------------------------------------
+
+
 def seed_values(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """The environment a graph walk starts from: constants plus feeds."""
     values: dict[str, np.ndarray] = {}
@@ -252,14 +424,12 @@ def seed_values(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, np.ndar
 def run_nodes(graph: Graph, nodes: Iterable[Node], values: dict[str, np.ndarray]) -> None:
     """Run ``nodes`` in order against ``values``, in place.
 
-    The one per-node walk: the whole graph for :func:`execute_quantized`,
-    one segment at a time for the executor and its Tier-3 oracle.
+    The one per-node walk — bind, look up, call: the whole graph for
+    :func:`execute_quantized`, one segment at a time for the executor and
+    its Tier-3 oracle.
     """
     for node in nodes:
-        ins = [values[name] for name in node.inputs]
-        outs = _execute_quantized_node(graph, node, ins)
-        for name, value in zip(node.outputs, outs, strict=False):
-            values[name] = value
+        bind(graph, node).run(values)
 
 
 def execute_quantized(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -272,111 +442,3 @@ def execute_quantized(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, n
     values = seed_values(graph, feeds)
     run_nodes(graph, graph.nodes, values)
     return {name: values[name] for name in graph.outputs}
-
-
-def _qp(graph: Graph, name: str) -> QuantParams:
-    qp = graph.tensor(name).quant
-    if qp is None:
-        raise GraphError(f"tensor {name!r} lacks quantization parameters")
-    return qp
-
-
-def round_float_outputs(
-    graph: Graph, node: Node, outs: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Apply the float-region write-back rounding to a node's outputs.
-
-    bf16 graphs round every intermediate to bfloat16 precision, as the OUT
-    unit does when writing results back to the RAMs; float32 tensors pass
-    through untouched.  This is the bit-exactness contract for the float
-    region — the Tier-3 float macro-kernels (:mod:`repro.ncore.codegen`)
-    replicate exactly this rounding per node output.
-    """
-    from repro.dtypes import NcoreDType, to_bfloat16
-
-    rounded = []
-    for name, value in zip(node.outputs, outs, strict=False):
-        if graph.tensor(name).type.dtype is NcoreDType.BF16:
-            rounded.append(to_bfloat16(np.asarray(value, dtype=np.float32)))
-        else:
-            rounded.append(value)
-    return rounded
-
-
-def _execute_quantized_node(graph: Graph, node: Node, ins: list[np.ndarray]):
-    out_name = node.outputs[0]
-    out_tensor = graph.tensor(out_name)
-    if out_tensor.quant is None and node.op not in ("quantize",):
-        # Float region: use the reference semantics (incl. dequantize).
-        outs = execute_float_node(graph, node, ins)
-        return round_float_outputs(graph, node, outs)
-    attrs = node.attrs
-    act = attrs.get("activation", "none")
-    if node.op == "quantize":
-        return execute_float_node(graph, node, ins)
-    if node.op == "conv2d":
-        bias = ins[2] if len(ins) > 2 else None
-        return [
-            qconv2d(
-                ins[0], ins[1], bias,
-                _qp(graph, node.inputs[0]), _qp(graph, node.inputs[1]), _qp(graph, out_name),
-                attrs.get("stride", (1, 1)), attrs.get("padding", ((0, 0), (0, 0))), act,
-            )
-        ]
-    if node.op == "depthwise_conv2d":
-        bias = ins[2] if len(ins) > 2 else None
-        return [
-            qdepthwise(
-                ins[0], ins[1], bias,
-                _qp(graph, node.inputs[0]), _qp(graph, node.inputs[1]), _qp(graph, out_name),
-                attrs.get("stride", (1, 1)), attrs.get("padding", ((0, 0), (0, 0))), act,
-            )
-        ]
-    if node.op == "fully_connected":
-        bias = ins[2] if len(ins) > 2 else None
-        return [
-            qfully_connected(
-                ins[0], ins[1], bias,
-                _qp(graph, node.inputs[0]), _qp(graph, node.inputs[1]), _qp(graph, out_name),
-                act,
-            )
-        ]
-    if node.op == "add":
-        return [
-            qadd(
-                ins[0], _qp(graph, node.inputs[0]),
-                ins[1], _qp(graph, node.inputs[1]),
-                _qp(graph, out_name), act,
-            )
-        ]
-    if node.op == "max_pool":
-        return [
-            qmax_pool(ins[0], attrs["ksize"], attrs["stride"], attrs.get("padding", ((0, 0), (0, 0))))
-        ]
-    if node.op == "avg_pool":
-        return [
-            qavg_pool(ins[0], attrs["ksize"], attrs["stride"], attrs.get("padding", ((0, 0), (0, 0))))
-        ]
-    if node.op == "mean":
-        axis = attrs.get("axis", (1, 2))
-        acc = np.sum(ins[0].astype(np.int64), axis=axis)
-        count = int(np.prod([ins[0].shape[a] for a in axis]))
-        in_qp, out_qp = _qp(graph, node.inputs[0]), _qp(graph, out_name)
-        mean_q = (acc + count // 2) // count
-        if in_qp == out_qp:
-            return [saturate(mean_q, out_qp.dtype)]
-        return [qrequant(saturate(mean_q, in_qp.dtype), in_qp, out_qp)]
-    if node.op == "concat":
-        out_qp = _qp(graph, out_name)
-        parts = [
-            qrequant(value, _qp(graph, name), out_qp)
-            for value, name in zip(ins, node.inputs, strict=True)
-        ]
-        return [np.concatenate(parts, axis=attrs.get("axis", -1))]
-    if node.op in ("relu", "relu6"):
-        return [_activation_clamp(ins[0], node.op, _qp(graph, out_name)).astype(ins[0].dtype)]
-    if node.op == "reshape":
-        return [ins[0].reshape(node.attrs["shape"])]
-    if node.op == "identity":
-        return [ins[0]]
-    raise GraphError(f"op {node.op!r} has no quantized kernel")

@@ -140,3 +140,44 @@ class TestSidecarArtifact:
         fresh = CompileCache(directory=tmp_path)
         assert fresh.lookup_artifact(key, _CODEGEN_KIND) is None
         assert not path.exists()  # corrupt file unlinked
+
+    def test_lost_sidecar_is_a_compile_miss(self, tmp_path):
+        """A model hit whose sidecar is gone recompiles and re-stores both;
+        it must not hand back a model pinned to the per-node walk."""
+        import numpy as np
+
+        from repro.runtime import NcoreExecutor
+
+        first = compile_graph(
+            quantized_cnn(), cache=CompileCache(directory=tmp_path), pipeline="O2"
+        )
+        path = tmp_path / f"{first.key}.{_CODEGEN_KIND}.pkl"
+        path.write_bytes(path.read_bytes()[:64])
+        again = compile_graph(
+            quantized_cnn(), cache=CompileCache(directory=tmp_path), pipeline="O2"
+        )
+        assert not again.cache_hit
+        assert isinstance(again.macro_kernels, MacroKernelSet)
+        assert again.macro_kernels.covered_segments == \
+            first.macro_kernels.covered_segments
+        assert path.exists()
+        executor = NcoreExecutor(
+            again.model, verify=False, macro_kernels=again.macro_kernels
+        )
+        try:
+            rng = np.random.default_rng(3)
+            executor.execute(
+                {"x": rng.uniform(-1, 1, size=(1, 8, 8, 3)).astype(np.float32)}
+            )
+            assert executor.last_tier == "codegen"
+        finally:
+            executor.close()
+
+    def test_o0_hit_needs_no_sidecar(self, tmp_path):
+        compile_graph(
+            quantized_cnn(), cache=CompileCache(directory=tmp_path), pipeline="O0"
+        )
+        hit = compile_graph(
+            quantized_cnn(), cache=CompileCache(directory=tmp_path), pipeline="O0"
+        )
+        assert hit.cache_hit and hit.macro_kernels is None

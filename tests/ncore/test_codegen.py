@@ -14,16 +14,16 @@ from repro.compiler import compile_graph
 from repro.ncore.codegen import (
     CodegenDivergence,
     ConvStep,
-    IdentityStep,
     KernelVariant,
     MacroKernel,
     MacroKernelSet,
     MultiKernelDispatcher,
+    NodeStep,
     codegen_model,
 )
 from repro.quantize import calibrate, quantize_graph
 from repro.runtime import NcoreExecutor, execute_quantized
-from repro.runtime.qkernels import run_nodes, seed_values
+from repro.runtime.qkernels import BoundNode, run_nodes, seed_values
 
 from tests.quantize.test_convert import calibration_batches, small_cnn
 
@@ -131,11 +131,11 @@ class TestBitExactness:
 
 def _toy_kernel(two_inputs: bool = False) -> MacroKernel:
     """A two-variant identity kernel; variant disagreement is optional."""
-    a = KernelVariant("nest", (IdentityStep("n", "identity", ("x",), "y"),))
-    source = "x2" if two_inputs else "x"
-    b = KernelVariant(
-        "rowsweep", (IdentityStep("n", "identity", (source,), "y"),)
-    )
+    def identity(source):
+        return NodeStep("n", "identity", BoundNode("identity", (source,), ("y",)))
+
+    a = KernelVariant("nest", (identity("x"),))
+    b = KernelVariant("rowsweep", (identity("x2" if two_inputs else "x"),))
     return MacroKernel(
         name="toy", segment_index=0, inputs=("x",), outputs=("y",),
         variants=(a, b),

@@ -18,14 +18,7 @@ from repro.compiler import compile_graph, optimize_graph
 from repro.graph.gir import Node
 from repro.models.common import GraphBuilder
 from repro.models.gnmt import build_gnmt
-from repro.ncore.codegen import (
-    EmbeddingStep,
-    FloatStep,
-    LstmCellStep,
-    LstmSeqStep,
-    SeqFuseStep,
-    STRATEGY_SEQFUSE,
-)
+from repro.ncore.codegen import NodeStep, SeqFuseStep, STRATEGY_SEQFUSE
 from repro.quantize import convert_to_bf16
 from repro.runtime import NcoreExecutor, execute_quantized
 
@@ -75,8 +68,10 @@ class TestFloatCoverage:
             # Fusion collapses chains of lstm_step into single steps.
             assert len(seq.steps) < len(nest.steps)
             assert any(isinstance(s, SeqFuseStep) for s in seq.steps)
-            assert any(isinstance(s, LstmSeqStep) for s in nest.steps)
-            assert any(isinstance(s, LstmCellStep) for s in nest.steps)
+            # The unfused variant runs the same nodes one bound node each.
+            assert all(isinstance(s, NodeStep) for s in nest.steps)
+            assert any(s.op == "lstm_step" for s in nest.steps)
+            assert any(s.op == "lstm_cell" for s in nest.steps)
 
     def test_x86_embedding_segment_is_covered(self, compiled):
         steps = [
@@ -85,7 +80,7 @@ class TestFloatCoverage:
             for variant in kernel.variants
             for step in variant.steps
         ]
-        assert any(isinstance(step, EmbeddingStep) for step in steps)
+        assert any(step.op == "embedding" for step in steps)
 
     def test_unsupported_float_op_reports_a_reason(self):
         b = GraphBuilder("floatpool")
@@ -182,21 +177,26 @@ class TestFloatObservability:
 
     def test_float_step_rounding_matches_contract(self):
         from repro.dtypes.bfloat16 import to_bfloat16
-        from repro.ncore.codegen import _round_bf16
+        from repro.runtime.qkernels import BoundNode
 
         rng = np.random.default_rng(0)
         x = rng.standard_normal(64).astype(np.float32)
-        assert np.array_equal(_round_bf16(x, True), to_bfloat16(x))
-        assert np.array_equal(_round_bf16(x, False), x)
+        env = {"x": x}
+        BoundNode("identity", ("x",), ("y",), bf16_outputs=("y",), is_float=True).run(env)
+        BoundNode("identity", ("x",), ("z",), is_float=True).run(env)
+        assert np.array_equal(env["y"], to_bfloat16(x))
+        assert np.array_equal(env["z"], x)
 
 
 class TestFloatStepExports:
     def test_float_family_is_public(self):
         from repro.ncore import codegen
 
-        for name in (
-            "FloatStep", "FloatEvalStep", "LstmCellStep", "LstmSeqStep",
-            "SeqFuseStep", "CellFuseStep", "STRATEGY_SEQFUSE",
-        ):
+        for name in ("NodeStep", "SeqFuseStep", "CellFuseStep", "STRATEGY_SEQFUSE"):
             assert name in codegen.__all__
-        assert issubclass(codegen.LstmCellStep, FloatStep)
+        # The float family has no step classes of its own: bound nodes plus
+        # the two chain fusions.
+        assert sorted(n for n in codegen.__all__ if n.endswith("Step")) == [
+            "CellFuseStep", "ConvStep", "KernelStep", "NodeStep", "SeqFuseStep",
+        ]
+        assert issubclass(codegen.ConvStep, NodeStep)

@@ -4,8 +4,9 @@ PR 3 renamed the machine-level ``RunResult`` to ``MachineRunResult`` and
 left a warn-once module alias behind; the alias is now gone.  The
 ``InferenceSession`` / ``compile_model`` facades, the no-op ``fastpath``
 graph tier, the reserved ``predict`` slot and the legacy executor kwargs
-followed.  These tests grep the tree so a stray reference (or a
-reintroduced alias) fails loudly rather than resurrecting an old name.
+followed, then the pass-through ``*Step`` classes of the Tier-3 codegen.
+These tests grep the tree so a stray reference (or a reintroduced alias)
+fails loudly rather than resurrecting an old name.
 """
 
 import dataclasses
@@ -63,6 +64,12 @@ def test_machine_module_has_no_alias_attribute():
 def test_removed_facade_and_tier_names_are_gone():
     pattern = re.compile(
         r"InferenceSession|compile_model|TIER_FASTPATH|\bpredict\b|_warn_legacy_kwarg"
+        # The pass-through macro-kernel step classes and the op if-chains
+        # the one op table (qkernels.INT8_KERNELS / FLOAT_KERNELS) replaced.
+        r"|\b(Quantize|Dequantize|Add|Pool|Mean|Concat|Activation|Reshape|Identity"
+        r"|Float|FloatEval|FloatMatmul|Embedding|FloatSlice|FloatConcat|FloatReshape"
+        r"|LstmCell|LstmSeq)Step\b"
+        r"|_execute_quantized_node|_lower_node|_lower_float_node|_is_float_step"
     )
     files = [ROOT / "README.md"]
     for folder, glob in (("src", "*.py"), ("examples", "*.py"), ("docs", "*.md")):
