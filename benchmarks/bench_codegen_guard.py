@@ -9,7 +9,7 @@ artifact missing from the cache) still fails loudly.  The digest check
 keeps the guard honest: the speed-up only counts if the bytes match.
 
 GNMT guards the bf16 float region the same way: the measured
-steady-state advantage is ~5x (the seqfuse variant computes each encoder
+steady-state advantage is ~5x (chain fusion computes each encoder
 layer's sequence projection once instead of once per step), guarded at
 the same conservative 3x and only after the outputs digest-match the
 interpreter bit for bit.
@@ -54,5 +54,5 @@ def test_codegen_speedup_guard(model_key):
     assert speedup >= GUARD_SPEEDUP, (
         f"Tier-3 codegen only {speedup:.1f}x over the interpreter walk "
         f"on {model_key} (guard {GUARD_SPEEDUP}x) — did macro-kernel "
-        "coverage (or, for gnmt, the seqfuse variant) regress?"
+        "coverage (or, for gnmt, LSTM chain fusion) regress?"
     )

@@ -17,12 +17,25 @@ from repro.graph.gir import Graph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.compiler.stages import CompilerContext
+    from repro.ncore.codegen import KernelStep
 
 
 def _format_attr(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
+
+
+def _step_label(step: KernelStep) -> str:
+    """A macro-kernel step in the codegen section: its op — a ``conv2d``
+    with the form codegen chose, a fused LSTM chain with its length."""
+    from repro.ncore.codegen import CellFuseStep, ConvStep, SeqFuseStep
+
+    if isinstance(step, ConvStep) and step.op == "conv2d":
+        return f"conv2d:{'per-tap' if step.per_tap else 'im2col'}"
+    if isinstance(step, (SeqFuseStep, CellFuseStep)):
+        return f"{step.op} x{len(step.chain)}"
+    return step.op
 
 
 def dump_graph(graph: Graph) -> str:
@@ -93,18 +106,16 @@ def dump_context(ctx: "CompilerContext") -> str:
         kset = ctx.macro_kernels
         lines = [
             f"macro-kernels: {kset.covered_segments} kernels, "
-            f"{kset.variant_count} variants, {len(kset.uncovered)} uncovered, "
+            f"{len(kset.uncovered)} uncovered, "
             f"coverage {kset.coverage_fraction():.2f}"
         ]
         for index in sorted(kset.kernels):
             kernel = kset.kernels[index]
-            for variant in kernel.variants:
-                steps = ", ".join(step.op for step in variant.steps)
-                lines.append(
-                    f"  [{index}] {kernel.name} variant {variant.strategy:<8}"
-                    f" {len(variant.steps):>3} steps"
-                    f"  {kernel.compute_cycles} compute cycles  [{steps}]"
-                )
+            steps = ", ".join(_step_label(step) for step in kernel.steps)
+            lines.append(
+                f"  [{index}] {kernel.name} {len(kernel.steps):>3} steps"
+                f"  {kernel.compute_cycles} compute cycles  [{steps}]"
+            )
         for index in sorted(kset.uncovered):
             lines.append(f"  [{index}] uncovered: {kset.uncovered[index]}")
         for reason, count in sorted(kset.uncovered_reason_counts().items()):

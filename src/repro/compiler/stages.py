@@ -217,7 +217,7 @@ def _run_lower(ctx: CompilerContext) -> dict[str, Any]:
 
 
 def _run_codegen(ctx: CompilerContext) -> dict[str, Any]:
-    """Tier-3 AOT codegen: lower segments to macro-kernel variants.
+    """Tier-3 AOT codegen: lower each segment to its macro-kernel.
 
     Produces the :class:`repro.ncore.codegen.MacroKernelSet` sidecar the
     driver stores in the compile cache next to the model.  Segments with
@@ -243,24 +243,16 @@ def _run_codegen(ctx: CompilerContext) -> dict[str, Any]:
     # fused LSTM chains and float-region bound nodes, not counting the
     # dequantize that ends a quantized segment.
     stats["coverage"] = round(kset.coverage_fraction(len(ctx.segments)), 4)
-    float_steps = sum(
-        1
-        for kernel in kset.kernels.values()
-        for variant in kernel.variants
-        for step in variant.steps
-        if not isinstance(step, NodeStep)
-        or (step.bound.is_float and step.op != "dequantize")
+    steps = [step for kernel in kset.kernels.values() for step in kernel.steps]
+    fused_chains = sum(not isinstance(step, NodeStep) for step in steps)
+    float_steps = fused_chains + sum(
+        isinstance(step, NodeStep) and step.bound.is_float and step.op != "dequantize"
+        for step in steps
     )
     if float_steps:
         stats["float_steps"] = float_steps
-    seqfuse = sum(
-        1
-        for kernel in kset.kernels.values()
-        for variant in kernel.variants
-        if variant.strategy == "seqfuse"
-    )
-    if seqfuse:
-        stats["seqfuse_variants"] = seqfuse
+    if fused_chains:
+        stats["fused_chains"] = fused_chains
     return stats
 
 

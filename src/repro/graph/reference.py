@@ -211,8 +211,8 @@ def lstm_step_project(x_seq: np.ndarray, wx: np.ndarray) -> np.ndarray:
     contribution from the (shared) input sequence, ``x_seq @ wx``.
 
     Part of the op's *reference semantics*: each ``lstm_step`` node projects
-    the full sequence and uses only its own row.  A fused kernel (the
-    ``seqfuse`` codegen variant) may compute this once per chain and slice —
+    the full sequence and uses only its own row.  A fused kernel (codegen's
+    ``SeqFuseStep``) may compute this once per chain and slice —
     the arrays and the matmul call are identical, so the result is
     bit-identical to the per-node reference.
     """

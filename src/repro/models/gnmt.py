@@ -146,7 +146,7 @@ def build_gnmt(
     # ---- encoder: `layers` stacked LSTMs over the source sequence ----
     # Each layer runs `lstm_step` over the whole (batch, time, hidden) input
     # sequence: the input-side gate projection is shared per layer, which is
-    # what the seqfuse codegen variant amortizes across the timestep chain.
+    # what codegen's chain fusion amortizes across the timestep chain.
     enc_weights = [lstm_seq_weights(f"enc{l}", hidden) for l in range(layers)]
     x_seq = src_embedded
     for l in range(layers):

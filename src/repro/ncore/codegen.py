@@ -1,13 +1,15 @@
-"""Tier-3 fastpath: ahead-of-time segment codegen with multi-variant dispatch.
+"""Tier-3 fastpath: ahead-of-time segment codegen, one program per segment.
 
 Tier 1 (:mod:`repro.ncore.fastpath`) fuses hardware loops at *load* time;
 the replay cache (Tier 2) skips byte-identical queries.  This module is
 the *compile*-time tier: each kernel segment of a quantized graph is
-lowered to one or more vectorized-numpy **macro-kernels** — whole
-loop-nests collapsed into a handful of BLAS-backed array operations —
-emitted as picklable :class:`MacroKernel` artifacts that the compile
-cache stores alongside the Loadable (``repro.compiler.cache`` artifact
-kind ``codegen``).
+lowered to one vectorized-numpy **macro-kernel** — whole loop-nests
+collapsed into a handful of BLAS-backed array operations — emitted as a
+picklable :class:`MacroKernel` artifact that the compile cache stores
+alongside the Loadable (``repro.compiler.cache`` artifact kind
+``codegen``).  Like the Loadable, the artifact holds exactly one step
+program per segment, chosen here from the op and the baked weights'
+shape: the program that runs is a function of the compile key.
 
 Bit-exactness is the contract: a macro-kernel computes byte-for-byte what
 :func:`repro.runtime.qkernels.execute_quantized` computes.  Two levers
@@ -19,21 +21,20 @@ make the quantized matmuls fast without breaking it:
   zero-offset operands is *exactly* the int64 matmul — 10-20x faster.
   The bound is checked per kernel at codegen time; kernels that could
   exceed it keep the int64 path.
-- **Multi-variant dispatch** (the PyTorch-Inductor multi-kernel
-  pattern): where several lowering strategies exist — a whole-loop-nest
-  einsum/tensordot form vs. a fused per-tap row-sweep form — every
-  variant is emitted, the :class:`MultiKernelDispatcher` benchmarks them
-  once per (segment, input shapes), cross-checks their outputs
-  byte-for-byte, and pins the winner; losers never run again.
+- **One collapse per op.**  Depthwise is one einsum over a sliding
+  window, fully-connected one matmul; ``conv2d`` has two forms — im2col
+  (one tensordot) and per-tap (``kh * kw`` matmuls) — selected per node
+  by :data:`_PER_TAP_MIN_CIN`.  LSTM timestep chains are always fused.
 
-The per-node interpreter stays on as the oracle: the executor verifies a
-macro-kernel's outputs against it on first dispatch (``oracle="first"``,
+The per-node interpreter stays on as the oracle: the
+:class:`KernelDispatcher` verifies a macro-kernel's outputs against it on
+the first dispatch of each (kernel, input shapes) (``oracle="first"``,
 the default policy), or on every dispatch (``oracle="always"``).
 
 Only what is genuinely a second implementation lives here as its own
-step class — the checks the oracle and the variant cross-check really
-make: :class:`ConvStep` (f64-BLAS ``nest`` / ``rowsweep`` accumulation vs
-the int64 ``qconv2d`` / ``qdepthwise`` / ``qfully_connected``) and
+step class — the checks the oracle really makes: :class:`ConvStep`
+(f64-BLAS accumulation vs the int64 ``qconv2d`` / ``qdepthwise`` /
+``qfully_connected``) and
 :class:`SeqFuseStep` / :class:`CellFuseStep` (chains of ``lstm_step`` or
 same-weight ``lstm_cell`` nodes threading h/c state, computing each
 chain's whole-sequence input projection once instead of once per
@@ -51,7 +52,6 @@ weights.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
@@ -81,10 +81,18 @@ CODEGEN_ARTIFACT_KIND = "codegen"
 #: Largest integer magnitude float64 represents exactly.
 _F64_EXACT_BOUND = 2**53
 
-#: Variant strategy names (the lowering families emitted today).
-STRATEGY_NEST = "nest"        # whole-loop-nest einsum/tensordot form
-STRATEGY_ROWSWEEP = "rowsweep"  # fused per-tap row-sweep accumulation
-STRATEGY_SEQFUSE = "seqfuse"  # fused LSTM timestep chains (float region)
+#: The differential check of a macro-kernel against the per-node walk:
+#: never, once per (kernel, input shapes), or on every dispatch.
+ORACLE_MODES = ("off", "first", "always")
+
+#: A ``conv2d`` with a real window (``kh * kw > 1``) accumulates per tap
+#: when ``cin`` reaches this, as one im2col tensordot below it.  Timed per
+#: step over the four zoo models: im2col wins every cin-3 stem (4 of 4,
+#: 1.16-3.0x), per-tap every cin >= 64 conv (20 of 20, 1.03-2.07x); the
+#: zoo has no windowed conv with 3 < cin < 64, so any cut in (3, 64]
+#: reproduces every measurement.  1x1 convs are one matmul either way
+#: and keep the loop-free form.
+_PER_TAP_MIN_CIN = 32
 
 
 def note_stat(stats: dict[str, int], key: str, amount: int = 1) -> None:
@@ -106,18 +114,18 @@ class UnsupportedSegment(Exception):
 
 
 class CodegenDivergence(AssertionError):
-    """A macro-kernel variant disagreed with its oracle (or a sibling
-    variant) byte-for-byte — never expected; always a bug."""
+    """A macro-kernel disagreed with its oracle byte-for-byte — never
+    expected; always a bug."""
 
 
 # ----------------------------------------------------------------------
-# Steps: what a variant's program is made of
+# Steps: what a macro-kernel's program is made of
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class KernelStep:
-    """One step of a variant's program: reads names from the environment,
+    """One step of a macro-kernel's program: reads names from the environment,
     writes names back.  ``node`` / ``op`` label it (IR dumps, stats)."""
 
     node: str
@@ -144,16 +152,17 @@ class ConvStep(NodeStep):
     zero-offset weights: an accumulation independent of the table's int64
     kernels, which the oracle checks it against.
 
-    ``strategy`` picks the loop-nest collapse; ``exact_f64`` records the
-    codegen-time proof that every f64 partial sum stays below 2**53 (the
-    int64 path is kept otherwise, still one whole-nest matmul).
+    ``exact_f64`` records the codegen-time proof that every f64 partial
+    sum stays below 2**53 (the weights are baked as int64 otherwise and
+    the same code accumulates in int64).  ``per_tap`` selects between the
+    two ``conv2d`` forms (:data:`_PER_TAP_MIN_CIN`); no other op reads it.
     """
 
-    strategy: str
     weights: Array
     bias: Array | None
     requant: RequantSpec
     exact_f64: bool
+    per_tap: bool
 
     # -- accumulation cores -------------------------------------------
 
@@ -202,33 +211,13 @@ class ConvStep(NodeStep):
         # view: (n, oh, ow, c, kh, kw) x weights (kh, kw, c)
         return np.asarray(np.einsum("nhwcij,ijc->nhwc", view, self.weights))
 
-    def _depthwise_rowsweep(self, xq: Array) -> Array:
-        kh, kw, c = self.weights.shape
-        n, h, w, _ = xq.shape
-        sh, sw = self._stride()
-        oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
-        acc = np.zeros((n, oh, ow, c), dtype=xq.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                acc += xq[:, i: i + oh * sh: sh, j: j + ow * sw: sw, :] * self.weights[i, j]
-        return acc
-
     def _accumulate(self, x: Array) -> Array:
         if self.op == "fully_connected":
-            # nest: one f64 BLAS matmul; rowsweep: the int64 reference form.
-            if self.strategy == STRATEGY_NEST and self.exact_f64:
-                acc = (x.astype(np.float64) - self._x_zp()) @ self.weights
-            else:
-                acc = (x.astype(np.int64) - self._x_zp()) @ self.weights.astype(np.int64)
-            return np.asarray(acc)
+            return np.asarray((x.astype(self._acc_dtype()) - self._x_zp()) @ self.weights)
         xq = self._pad_input(x)
         if self.op == "depthwise_conv2d":
-            if self.strategy == STRATEGY_NEST:
-                return self._depthwise_nest(xq)
-            return self._depthwise_rowsweep(xq)
-        if self.strategy == STRATEGY_NEST:
-            return self._conv_nest(xq)
-        return self._conv_rowsweep(xq)
+            return self._depthwise_nest(xq)
+        return self._conv_rowsweep(xq) if self.per_tap else self._conv_nest(xq)
 
     def run(self, env: Env) -> None:
         bound = self.bound
@@ -284,23 +273,12 @@ class CellFuseStep(KernelStep):
 
 
 @dataclass(frozen=True)
-class KernelVariant:
-    """One lowering of a segment: an ordered step program."""
-
-    strategy: str
-    steps: tuple[KernelStep, ...]
-
-    def run(self, env: Env) -> None:
-        for step in self.steps:
-            step.run(env)
-
-
-@dataclass(frozen=True)
 class MacroKernel:
-    """The AOT-compiled form of one kernel segment.
+    """The AOT-compiled form of one kernel segment: one ordered step
+    program.
 
-    ``compute_cycles``/``macs`` are the cycle-exact counts recorded from
-    the segment's Loadable at codegen time — the executor's timing model
+    ``compute_cycles`` is the cycle-exact count recorded from the
+    segment's Loadable at codegen time — the executor's timing model
     keeps using the Loadable schedules, so perf reports are byte-identical
     whichever tier executes.
     """
@@ -309,13 +287,12 @@ class MacroKernel:
     segment_index: int
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    variants: tuple[KernelVariant, ...]
+    steps: tuple[KernelStep, ...]
     compute_cycles: int = 0
-    macs: int = 0
-    node_count: int = 0
 
-    def strategies(self) -> list[str]:
-        return [variant.strategy for variant in self.variants]
+    def run(self, env: Env) -> None:
+        for step in self.steps:
+            step.run(env)
 
 
 @dataclass
@@ -332,10 +309,6 @@ class MacroKernelSet:
     @property
     def covered_segments(self) -> int:
         return len(self.kernels)
-
-    @property
-    def variant_count(self) -> int:
-        return sum(len(k.variants) for k in self.kernels.values())
 
     def get(self, index: int) -> MacroKernel | None:
         return self.kernels.get(index)
@@ -361,7 +334,7 @@ class MacroKernelSet:
 
 
 # ----------------------------------------------------------------------
-# Codegen: lower one segment's nodes into step programs
+# Codegen: lower one segment's nodes into its step program
 # ----------------------------------------------------------------------
 
 
@@ -387,15 +360,15 @@ def _constant(graph: Graph, name: str) -> Array:
     return np.asarray(tensor.data)
 
 
-#: The quantized ops with per-strategy :class:`ConvStep` forms -> the
-#: weight axes one output channel accumulates over (the f64 proof's sum).
+#: The quantized ops with a :class:`ConvStep` form -> the weight axes one
+#: output channel accumulates over (the f64 proof's sum).
 _TAP_AXES: dict[str, tuple[int, ...]] = {
     "conv2d": (0, 1, 2), "depthwise_conv2d": (0, 1), "fully_connected": (0,),
 }
 
 
-def _matmul_steps(graph: Graph, node: Node, bound: BoundNode) -> tuple[ConvStep, ConvStep]:
-    """Both variants of a conv2d / depthwise_conv2d / fully_connected."""
+def _matmul_steps(graph: Graph, node: Node, bound: BoundNode) -> ConvStep:
+    """The step of a conv2d / depthwise_conv2d / fully_connected."""
     from repro.runtime.qkernels import _weight_offsets
 
     x_qp = _tensor_qp(node.inputs[0], bound.in_qps[0])
@@ -415,17 +388,16 @@ def _matmul_steps(graph: Graph, node: Node, bound: BoundNode) -> tuple[ConvStep,
     if exact:
         wq = wq.astype(np.float64)
     requant = RequantSpec.build(x_qp.scale, w_qp, out_qp)
-    nest, sweep = (
-        ConvStep(node.name, node.op, bound, strategy, wq, bias, requant, exact)
-        for strategy in (STRATEGY_NEST, STRATEGY_ROWSWEEP)
-    )
-    return nest, sweep
+    per_tap = False
+    if node.op == "conv2d":
+        kh, kw, cin, _ = wq.shape
+        per_tap = kh * kw > 1 and cin >= _PER_TAP_MIN_CIN
+    return ConvStep(node.name, node.op, bound, wq, bias, requant, exact, per_tap)
 
 
-def _lower(graph: Graph, node: Node) -> tuple[NodeStep, NodeStep]:
-    """The ``(nest, rowsweep)`` steps of one node: per-strategy
-    :class:`ConvStep` forms for the quantized matmul ops, one shared
-    :class:`NodeStep` for everything else the op tables cover.
+def _lower(graph: Graph, node: Node) -> NodeStep:
+    """The step of one node: a :class:`ConvStep` for the quantized matmul
+    ops, a :class:`NodeStep` for everything else the op tables cover.
 
     Coverage is the tables' data: a float node lowers iff its op is in
     ``FLOAT_KERNELS`` and not in ``WALK_ONLY_OPS`` (and a ``dequantize``
@@ -454,8 +426,7 @@ def _lower(graph: Graph, node: Node) -> tuple[NodeStep, NodeStep]:
         for name, qp in zip(names, (*bound.in_qps, *bound.out_qps), strict=True):
             if qp is not None:
                 _tensor_qp(name, qp)
-    step = NodeStep(node.name, node.op, bound)
-    return step, step
+    return NodeStep(node.name, node.op, bound)
 
 
 #: The fusable LSTM ops -> (fused step class, the input positions every
@@ -485,11 +456,10 @@ def _chain_run(steps: Sequence[NodeStep], start: int) -> list[NodeStep]:
     return run
 
 
-def _fuse_lstm_chains(steps: Sequence[NodeStep]) -> list[KernelStep] | None:
-    """The seqfuse transform: collapse maximal consecutive runs of
-    same-weight LSTM steps with threaded h/c state into single fused
-    steps.  Returns ``None`` when no chain of length >= 2 exists (no
-    seqfuse variant is emitted then)."""
+def _fuse_lstm_chains(steps: Sequence[NodeStep]) -> list[KernelStep]:
+    """The program with every maximal consecutive run (length >= 2) of
+    same-weight LSTM steps with threaded h/c state collapsed into one
+    fused step; everything else unchanged."""
     fused: list[KernelStep] = []
     i = 0
     while i < len(steps):
@@ -502,7 +472,7 @@ def _fuse_lstm_chains(steps: Sequence[NodeStep]) -> list[KernelStep] | None:
         else:
             fused.append(run[0])
         i += len(run)
-    return fused if len(fused) < len(steps) else None
+    return fused
 
 
 def compile_segment(
@@ -512,7 +482,7 @@ def compile_segment(
     name: str,
     loadable: NcoreLoadable | None = None,
 ) -> MacroKernel:
-    """Lower one segment to a :class:`MacroKernel` (all variants).
+    """Lower one segment to a :class:`MacroKernel`.
 
     Raises :class:`UnsupportedSegment` when any node falls outside the
     quantized-kernel op set — the executor keeps the per-node interpreter
@@ -520,28 +490,14 @@ def compile_segment(
     """
     if not segment.nodes:
         raise UnsupportedSegment("empty segment")
-    nest_steps: list[NodeStep] = []
-    sweep_steps: list[NodeStep] = []
-    for node in segment.nodes:
-        nest, sweep = _lower(graph, node)
-        nest_steps.append(nest)
-        sweep_steps.append(sweep)
-    multi_variant = any(a is not b for a, b in zip(nest_steps, sweep_steps, strict=True))
-    variants = [KernelVariant(STRATEGY_NEST, tuple(nest_steps))]
-    if multi_variant:
-        variants.append(KernelVariant(STRATEGY_ROWSWEEP, tuple(sweep_steps)))
-    seqfuse_steps = _fuse_lstm_chains(nest_steps)
-    if seqfuse_steps is not None:
-        variants.append(KernelVariant(STRATEGY_SEQFUSE, tuple(seqfuse_steps)))
+    steps = _fuse_lstm_chains([_lower(graph, node) for node in segment.nodes])
     return MacroKernel(
         name=name,
         segment_index=index,
         inputs=tuple(segment.input_tensors(graph)),
         outputs=tuple(segment.output_tensors(graph)),
-        variants=tuple(variants),
+        steps=tuple(steps),
         compute_cycles=loadable.compute_cycles if loadable is not None else 0,
-        macs=sum(k.macs for k in loadable.kernels) if loadable is not None else 0,
-        node_count=len(segment.nodes),
     )
 
 
@@ -572,13 +528,12 @@ def codegen_model(
             continue
         kset.kernels[index] = kernel
         note_stat(stats, "kernels")
-        note_stat(stats, "variants", len(kernel.variants))
-        note_stat(stats, "steps", sum(len(v.steps) for v in kernel.variants))
+        note_stat(stats, "steps", len(kernel.steps))
     return kset
 
 
 # ----------------------------------------------------------------------
-# Runtime: benchmark-and-pin multi-kernel dispatch
+# Runtime: run the program, check it against the per-node walk
 # ----------------------------------------------------------------------
 
 #: Computes a segment's reference outputs from a (read-only) environment.
@@ -597,102 +552,45 @@ def _outputs_equal(a: dict[str, Array], b: dict[str, Array]) -> bool:
     return True
 
 
-class MultiKernelDispatcher:
-    """Benchmark a macro-kernel's variants once, pin the winner.
+class KernelDispatcher:
+    """Run a macro-kernel's program, checked against the per-node walk.
 
-    The PyTorch-Inductor multi-kernel pattern: on the first dispatch of a
-    (kernel, input-shapes) pair every variant runs on the same inputs,
-    their outputs are cross-checked byte-for-byte, wall time picks the
-    winner, and only the winner ever runs again.  ``oracle`` controls the
-    interpreter differential: ``"first"`` verifies on the benchmark
-    dispatch, ``"always"`` on every dispatch, ``"off"`` never.
+    ``oracle`` (one of :data:`ORACLE_MODES`) is the interpreter
+    differential: ``"first"`` verifies each (kernel, input shapes) once,
+    on its first dispatch; ``"always"`` every dispatch; ``"off"`` never.
     """
 
     def __init__(self, oracle: str = "first") -> None:
-        if oracle not in ("off", "first", "always"):
-            raise ValueError(f"unknown oracle mode {oracle!r}")
+        if oracle not in ORACLE_MODES:
+            raise ValueError(f"oracle must be one of {ORACLE_MODES}, got {oracle!r}")
         self.oracle = oracle
         self.stats: dict[str, int] = {}
-        #: (kernel name, shape key) -> winning variant index.
-        self._winners: dict[tuple[str, tuple[tuple[int, ...], ...]], int] = {}
-        #: (kernel name, strategy) -> times that variant actually ran.
-        self.variant_runs: dict[tuple[str, str], int] = {}
+        #: (kernel name, input shapes) already verified under ``"first"``.
+        self._checked: set[tuple[str, tuple[tuple[int, ...], ...]]] = set()
 
-    # ------------------------------------------------------------------
+    def _due(self, kernel: MacroKernel, env: Env) -> bool:
+        """Whether this dispatch owes an oracle check."""
+        if self.oracle != "first":
+            return self.oracle == "always"
+        key = (kernel.name, tuple(tuple(env[name].shape) for name in kernel.inputs))
+        if key in self._checked:
+            return False
+        self._checked.add(key)
+        return True
 
-    def _shape_key(self, kernel: MacroKernel, env: Env) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(env[name].shape) for name in kernel.inputs)
-
-    def winner_for(self, kernel: MacroKernel, env: Env) -> str | None:
-        """The pinned strategy for these input shapes (None = not yet)."""
-        index = self._winners.get((kernel.name, self._shape_key(kernel, env)))
-        return kernel.variants[index].strategy if index is not None else None
-
-    def _note_run(self, kernel: MacroKernel, variant: KernelVariant) -> None:
-        key = (kernel.name, variant.strategy)
-        self.variant_runs[key] = self.variant_runs.get(key, 0) + 1
-
-    def _check_oracle(
-        self, kernel: MacroKernel, env: Env, outputs: dict[str, Array],
-        oracle_fn: OracleFn | None,
-    ) -> None:
-        if oracle_fn is None:
+    def dispatch(self, kernel: MacroKernel, env: Env, oracle_fn: OracleFn) -> None:
+        """Run ``kernel`` against ``env`` in place."""
+        note_stat(self.stats, "dispatches")
+        kernel.run(env)
+        if not self._due(kernel, env):
             return
         note_stat(self.stats, "oracle_checks")
-        expected = oracle_fn(env)
-        if not _outputs_equal(outputs, expected):
+        outputs = {name: env[name] for name in kernel.outputs}
+        if not _outputs_equal(outputs, oracle_fn(env)):
             raise CodegenDivergence(
                 f"macro-kernel {kernel.name!r} diverged from the "
                 "interpreter oracle"
             )
-
-    # ------------------------------------------------------------------
-
-    def dispatch(
-        self, kernel: MacroKernel, env: Env, oracle_fn: OracleFn | None = None
-    ) -> None:
-        """Run ``kernel`` against ``env`` in place (winner or benchmark)."""
-        note_stat(self.stats, "dispatches")
-        key = (kernel.name, self._shape_key(kernel, env))
-        pinned = self._winners.get(key)
-        if pinned is not None:
-            variant = kernel.variants[pinned]
-            self._note_run(kernel, variant)
-            variant.run(env)
-            if self.oracle == "always":
-                outputs = {name: env[name] for name in kernel.outputs}
-                self._check_oracle(kernel, env, outputs, oracle_fn)
-            return
-        self._winners[key] = self._benchmark(
-            kernel, env, oracle_fn if self.oracle != "off" else None
-        )
-
-    def _benchmark(
-        self, kernel: MacroKernel, env: Env, oracle_fn: OracleFn | None
-    ) -> int:
-        """First dispatch: time every variant, cross-check, commit winner."""
-        note_stat(self.stats, "benchmarks")
-        runs: list[tuple[float, Env]] = []
-        for variant in kernel.variants:
-            scratch = dict(env)
-            start = time.perf_counter()
-            variant.run(scratch)
-            runs.append((time.perf_counter() - start, scratch))
-            self._note_run(kernel, variant)
-        first = {name: runs[0][1][name] for name in kernel.outputs}
-        for seconds, scratch in runs[1:]:
-            outputs = {name: scratch[name] for name in kernel.outputs}
-            if not _outputs_equal(first, outputs):
-                raise CodegenDivergence(
-                    f"macro-kernel {kernel.name!r} variants disagree "
-                    f"byte-for-byte ({kernel.strategies()})"
-                )
-        self._check_oracle(kernel, env, first, oracle_fn)
-        winner = min(range(len(runs)), key=lambda i: runs[i][0])
-        strategy = kernel.variants[winner].strategy
-        note_stat(self.stats, f"wins.{strategy}")
-        env.update(runs[winner][1])
-        return winner
 
 
 __all__ = [
@@ -700,16 +598,13 @@ __all__ = [
     "CellFuseStep",
     "CodegenDivergence",
     "ConvStep",
+    "KernelDispatcher",
     "KernelStep",
-    "KernelVariant",
     "MacroKernel",
     "MacroKernelSet",
-    "MultiKernelDispatcher",
     "NodeStep",
+    "ORACLE_MODES",
     "RequantSpec",
-    "STRATEGY_NEST",
-    "STRATEGY_ROWSWEEP",
-    "STRATEGY_SEQFUSE",
     "SeqFuseStep",
     "UnsupportedSegment",
     "codegen_model",

@@ -108,8 +108,8 @@ def compile_zoo_model(model_key: str = "mobilenet_v1"):
         # weights, far too slow to walk per-node in CI.  This keeps the
         # real topology — unrolled lstm_step encoder, attention decoder,
         # embeddings and the softmax/mean float tails — at a scale where
-        # the encoder's redundant per-step sequence projection (what the
-        # Tier-3 seqfuse variant eliminates) dominates the interpreter
+        # the encoder's redundant per-step sequence projection (what
+        # Tier-3 chain fusion eliminates) dominates the interpreter
         # walk, as it does at the paper's 1024-wide full size.  The wide
         # hidden matters: the projection is BLAS-bound (grows with h**2)
         # while the per-step costs both tiers share are numpy-call-
@@ -132,17 +132,18 @@ def compile_zoo_model(model_key: str = "mobilenet_v1"):
 
 
 def measure_zoo_end_to_end(
-    model_key: str = "mobilenet_v1",
+    model_key: str,
+    tier: str,
     queries: int = 3,
-    tier: str = "auto",
     warmup: int = 0,
 ) -> dict[str, float]:
     """Wall time for repeated end-to-end quantized inference of one zoo
     model at one graph mode (``auto`` / ``interpreter`` / ``replay`` /
-    ``codegen``).
+    ``codegen``).  The same feed every query: under a replaying mode only
+    the first one executes.
 
-    Pass ``warmup`` > 0 to exclude the first-dispatch variant
-    benchmarking and oracle cross-check from the measured window.
+    Pass ``warmup`` > 0 to exclude the first-dispatch oracle check from
+    the measured window.
     """
     from repro.runtime.executor import NcoreExecutor
 
@@ -182,15 +183,14 @@ def measure_zoo_tiers(
 ) -> dict[str, Any]:
     """Steady-state zoo end-to-end throughput at each graph mode.
 
-    One warm-up query per tier (Tier 3 benchmarks its kernel variants and
-    runs the interpreter oracle on first dispatch), then ``queries`` timed
-    queries.  Returns per-tier timings plus each tier's speedup over the
-    interpreter walk.
+    One warm-up query per tier (Tier 3 runs the interpreter oracle on
+    first dispatch), then ``queries`` timed queries.  Returns per-tier
+    timings plus each tier's speedup over the interpreter walk.
     """
     per_tier: dict[str, Any] = {}
     for tier in tiers:
         per_tier[tier] = measure_zoo_end_to_end(
-            model_key, queries=queries, tier=tier, warmup=1
+            model_key, tier, queries=queries, warmup=1
         )
     result: dict[str, Any] = {"model": model_key, "tiers": per_tier}
     interp = per_tier.get("interpreter")
@@ -206,11 +206,10 @@ def measure_zoo_tiers(
 ZOO_MODELS = ("mobilenet_v1", "resnet50_v15", "ssd_mobilenet_v1", "gnmt")
 
 
-def record_baseline(path: str, zoo_model: str = "mobilenet_v1") -> dict[str, Any]:
+def record_baseline(path: str) -> dict[str, Any]:
     """Measure and write the ``BENCH_simulator.json`` baseline."""
     inner_fast = measure_inner_loop(fastpath=True)
     inner_interp = measure_inner_loop(fastpath=False)
-    zoo = measure_zoo_end_to_end(zoo_model)
     baseline: dict[str, Any] = {
         "inner_loop": {
             "iterations": FIG6_ITERATIONS,
@@ -218,7 +217,6 @@ def record_baseline(path: str, zoo_model: str = "mobilenet_v1") -> dict[str, Any
             "interpreter": inner_interp,
             "speedup": inner_interp["seconds"] / inner_fast["seconds"],
         },
-        "zoo_end_to_end": {"model": zoo_model, **zoo},
         "zoo_tiers": {key: measure_zoo_tiers(key) for key in ZOO_MODELS},
     }
     with open(path, "w") as handle:

@@ -35,9 +35,10 @@ from repro.graph.loadable import CompiledModel
 from repro.graph.partitioner import Segment
 from repro.ncore.codegen import (
     CODEGEN_ARTIFACT_KIND,
+    ORACLE_MODES,
+    KernelDispatcher,
     MacroKernel,
     MacroKernelSet,
-    MultiKernelDispatcher,
 )
 from repro.obs.attrib import TIER_CODEGEN, TIER_INTERPRETER, TIER_REPLAY, get_attrib
 from repro.obs.context import TraceContext, mint_trace
@@ -56,8 +57,6 @@ from repro.soc.cha import ChaSoc
 #: ``--tier`` spellings accepted by :meth:`TierPolicy.for_tier` and the CLI.
 TIER_CHOICES = ("auto", "interpreter", "replay", "codegen")
 
-_ORACLE_MODES = ("off", "first", "always")
-
 
 @dataclass(frozen=True)
 class TierPolicy:
@@ -74,8 +73,8 @@ class TierPolicy:
       without one run the per-node walk.  Off, every segment does.
     - ``oracle``: differential check of each macro-kernel against the
       per-node walk — ``"first"`` verifies each (segment, shape) once on
-      its benchmark dispatch (the default), ``"always"`` on every
-      dispatch, ``"off"`` never.
+      its first dispatch (the default), ``"always"`` on every dispatch,
+      ``"off"`` never.
     """
 
     replay: bool = True
@@ -84,9 +83,9 @@ class TierPolicy:
     oracle: str = "first"
 
     def __post_init__(self) -> None:
-        if self.oracle not in _ORACLE_MODES:
+        if self.oracle not in ORACLE_MODES:
             raise ValueError(
-                f"oracle must be one of {_ORACLE_MODES}, got {self.oracle!r}"
+                f"oracle must be one of {ORACLE_MODES}, got {self.oracle!r}"
             )
         if self.replay_capacity < 1:
             raise ValueError("replay_capacity must be at least 1")
@@ -170,17 +169,16 @@ class NcoreExecutor:
         self.replay_stats = {"hits": 0, "misses": 0}
         # Tier 3: AOT macro-kernels — passed in explicitly, or recovered
         # from the compile cache under the model's content key.  The
-        # dispatcher benchmarks each kernel's variants once per input
-        # shape and pins the winner; ``policy.oracle`` controls the
-        # per-node differential check.  Without them (policy or pipeline)
-        # the same segment walk runs every segment per node.
+        # dispatcher runs each kernel's one program; ``policy.oracle``
+        # controls its per-node differential check.  Without them (policy
+        # or pipeline) the same segment walk runs every segment per node.
         self._macro_kernels = (
             self._load_macro_kernels(macro_kernels) if self.policy.codegen else None
         )
         self._walk_tier = (
             TIER_INTERPRETER if self._macro_kernels is None else TIER_CODEGEN
         )
-        self.dispatcher = MultiKernelDispatcher(oracle=self.policy.oracle)
+        self.dispatcher = KernelDispatcher(oracle=self.policy.oracle)
         #: Graph mode that served the most recent query (attribution label).
         self.last_tier: str | None = None
 
@@ -279,16 +277,14 @@ class NcoreExecutor:
         graph = self.model.graph
         kset = self._macro_kernels
         values = seed_values(graph, feeds)
-        check_oracle = self.policy.oracle != "off"
         for index, segment in enumerate(self.model.segments):
             kernel = kset.get(index) if kset is not None else None
             if kernel is None:
                 run_nodes(graph, segment.nodes, values)
                 continue
-            oracle = (
-                self._segment_oracle(segment, kernel) if check_oracle else None
+            self.dispatcher.dispatch(
+                kernel, values, self._segment_oracle(segment, kernel)
             )
-            self.dispatcher.dispatch(kernel, values, oracle)
         return {name: values[name] for name in graph.outputs}
 
     # ------------------------------------------------------------------

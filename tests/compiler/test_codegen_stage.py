@@ -43,7 +43,7 @@ class TestStageRegistration:
             quantized_cnn(), cache=None, pipeline="O2", collect_ir=True
         )
         assert "macro-kernels:" in result.snapshots["codegen"]
-        assert "variant" in result.snapshots["codegen"]
+        assert "compute cycles  [quantize, conv2d:" in result.snapshots["codegen"]
 
 
 class TestSidecarArtifact:

@@ -1,11 +1,13 @@
 """Golden-IR snapshots: stage-by-stage counts pinned for the model zoo.
 
-Two layers of pinning:
+Three layers of pinning:
 
 - the float-graph optimize stage (GCL folding/fusion) per model — cheap,
   graphs are built fresh;
 - the backend stages (partition/plan/lower) over the converted benchmark
-  graphs, reusing the ``get_system`` cache the perf tests already warm.
+  graphs, reusing the ``get_system`` cache the perf tests already warm;
+- the form the O2 ``codegen`` stage picks for every matmul step and LSTM
+  chain — the rule ``docs/simulator-performance.md`` measured, restated.
 
 If a pass, the partitioner or the lowering changes what it produces for
 the paper's four models, these numbers move and the change has to be
@@ -16,6 +18,7 @@ import pytest
 
 from repro.compiler import compile_graph, optimize_graph
 from repro.models import PAPER_CHARACTERISTICS
+from repro.ncore.codegen import _LSTM_CHAINS, ConvStep, NodeStep
 from repro.perf.system import get_system
 
 # model -> (float nodes, optimized nodes)
@@ -76,3 +79,47 @@ def test_staged_compile_matches_benchmark_artifact(key):
     assert result.model.ncore_cycles(system._dma_bytes_per_cycle) == (
         system.compiled.ncore_cycles(system._dma_bytes_per_cycle)
     )
+
+
+@pytest.mark.parametrize("key", sorted(BACKEND_GOLDEN))
+def test_codegen_form_rule_is_pinned(key):
+    """One program per segment, its forms a function of op and weight
+    shape: im2col for the cin-3 stems, per-tap for every windowed conv2d
+    with cin >= 64 (the zoo has none in between), never per-tap for
+    depthwise / FC, and no fusable LSTM chain left unfused."""
+    system = get_system(key)
+    kset = compile_graph(
+        system.compiled.graph, config=system.config, pipeline="O2",
+        name=key, cache=None,
+    ).macro_kernels
+    for kernel in kset.kernels.values():
+        for step in kernel.steps:
+            if not isinstance(step, ConvStep):
+                continue
+            if step.op != "conv2d" or step.weights.shape[:2] == (1, 1):
+                assert not step.per_tap, step.node
+                continue
+            cin = step.weights.shape[2]
+            assert cin == 3 or cin >= 64, step.node
+            assert step.per_tap == (cin >= 64), step.node
+        # Two adjacent bare LSTM nodes may not be a chain codegen could
+        # have fused: shared operands equal and h/c threaded through.
+        for prev, step in zip(kernel.steps, kernel.steps[1:], strict=False):
+            if not (isinstance(prev, NodeStep) and isinstance(step, NodeStep)):
+                continue
+            if prev.op != step.op or step.op not in _LSTM_CHAINS:
+                continue
+            _, shared, h = _LSTM_CHAINS[step.op]
+            a, b = prev.bound, step.bound
+            assert not (
+                b.inputs[shared] == a.inputs[shared] and b.inputs[h:h + 2] == a.outputs[:2]
+            ), (prev.node, step.node)
+    if key == "gnmt":
+        lstm_steps = sum(node.op == "lstm_step" for node in system.compiled.graph.nodes)
+        fused = sum(
+            len(step.chain)
+            for kernel in kset.kernels.values()
+            for step in kernel.steps
+            if not isinstance(step, NodeStep)
+        )
+        assert fused == lstm_steps > 0

@@ -2,9 +2,9 @@
 
 The quantized zoo gets its bit-exactness contract from
 ``test_codegen.py``; this file pins the same contract for the float
-lowering family — ``lstm_cell`` / ``lstm_step`` macro-steps, the
-``seqfuse`` variant that computes each encoder layer's sequence
-projection once per chain, embedding gathers, slice/concat/reshape
+lowering family — ``lstm_cell`` / ``lstm_step`` macro-steps, the chain
+fusion that computes each encoder layer's sequence projection once per
+chain, embedding gathers, slice/concat/reshape
 plumbing and the x86-resident float tails (batch_norm, softmax, mean).
 Float outputs follow the interpreter's write-back semantics exactly:
 anything typed bfloat16 is rounded through ``to_bfloat16`` after every
@@ -18,7 +18,7 @@ from repro.compiler import compile_graph, optimize_graph
 from repro.graph.gir import Node
 from repro.models.common import GraphBuilder
 from repro.models.gnmt import build_gnmt
-from repro.ncore.codegen import NodeStep, SeqFuseStep, STRATEGY_SEQFUSE
+from repro.ncore.codegen import NodeStep, SeqFuseStep
 from repro.quantize import convert_to_bf16
 from repro.runtime import NcoreExecutor, execute_quantized
 
@@ -53,32 +53,36 @@ class TestFloatCoverage:
         stats = compiled.context.stage_stats("codegen").changes
         assert stats["coverage"] == 1.0
         assert stats["float_steps"] > 0
-        assert stats["seqfuse_variants"] >= 1
+        assert stats["fused_chains"] >= 1
 
     def test_encoder_kernel_grows_a_seqfuse_variant(self, compiled):
+        # Fusion is a lowering step of the one program, not a variant.
+        segments = compiled.model.segments
         fused = [
-            kernel
-            for kernel in compiled.macro_kernels.kernels.values()
-            if STRATEGY_SEQFUSE in kernel.strategies()
+            (index, kernel)
+            for index, kernel in compiled.macro_kernels.kernels.items()
+            if any(isinstance(s, SeqFuseStep) for s in kernel.steps)
         ]
-        assert fused, "expected the LSTM-bearing segment to offer seqfuse"
-        for kernel in fused:
-            by_strategy = {v.strategy: v for v in kernel.variants}
-            nest, seq = by_strategy["nest"], by_strategy[STRATEGY_SEQFUSE]
-            # Fusion collapses chains of lstm_step into single steps.
-            assert len(seq.steps) < len(nest.steps)
-            assert any(isinstance(s, SeqFuseStep) for s in seq.steps)
-            # The unfused variant runs the same nodes one bound node each.
-            assert all(isinstance(s, NodeStep) for s in nest.steps)
-            assert any(s.op == "lstm_step" for s in nest.steps)
-            assert any(s.op == "lstm_cell" for s in nest.steps)
+        assert fused, "expected the LSTM-bearing segment to fuse its chains"
+        for index, kernel in fused:
+            # Fusion collapses chains into single steps; every node of the
+            # segment is still run exactly once.
+            assert len(kernel.steps) < len(segments[index].nodes)
+            # The decoder's cells are not consecutive (attention sits
+            # between them): they stay one bound node each.
+            assert any(s.op == "lstm_cell" and isinstance(s, NodeStep) for s in kernel.steps)
+            ran = [
+                bound.outputs
+                for s in kernel.steps
+                for bound in (s.chain if not isinstance(s, NodeStep) else (s.bound,))
+            ]
+            assert ran == [tuple(n.outputs) for n in segments[index].nodes]
 
     def test_x86_embedding_segment_is_covered(self, compiled):
         steps = [
             step
             for kernel in compiled.macro_kernels.kernels.values()
-            for variant in kernel.variants
-            for step in variant.steps
+            for step in kernel.steps
         ]
         assert any(step.op == "embedding" for step in steps)
 
@@ -192,7 +196,7 @@ class TestFloatStepExports:
     def test_float_family_is_public(self):
         from repro.ncore import codegen
 
-        for name in ("NodeStep", "SeqFuseStep", "CellFuseStep", "STRATEGY_SEQFUSE"):
+        for name in ("NodeStep", "SeqFuseStep", "CellFuseStep"):
             assert name in codegen.__all__
         # The float family has no step classes of its own: bound nodes plus
         # the two chain fusions.

@@ -6,8 +6,8 @@ but legal — quantized graphs built from the quantizable op vocabulary
 biases, pools, residual adds, channel concats, spatial means, reshapes),
 each compiled at O2 and executed on both the per-node interpreter and
 the Tier-3 macro-kernel dispatcher.  Every output must match
-byte-for-byte, on the benchmarking dispatch and on the pinned-winner
-steady state.
+byte-for-byte, on the oracle-checked first dispatch and in the steady
+state.
 """
 
 import numpy as np

@@ -5,8 +5,8 @@ the graph-level model: the per-node walk looks each bound node up there,
 and a macro-kernel's generic ``NodeStep`` holds the same bound node.  So
 (i) every op of the vocabulary must have an entry — a new op without a
 kernel fails here, not in a query — and (ii) a one-node segment lowered by
-``compile_segment`` must be byte-equal to ``run_nodes`` on every variant,
-before and after the pickle round-trip the compile cache puts it through.
+``compile_segment`` must be byte-equal to ``run_nodes``, before and after
+the pickle round-trip the compile cache puts it through.
 """
 
 import pickle
@@ -206,18 +206,16 @@ def test_one_node_segment_equals_the_walk(family, op, build):
     want = {name: np.asarray(walked[name]) for name in graph.outputs}
 
     kernel = compile_segment(graph, segment, 0, f"one_{op}")
-    for step in kernel.variants[0].steps:
-        assert isinstance(step, NodeStep)
-        assert step.bound.is_float == (family == "float")
+    (step,) = kernel.steps
+    assert isinstance(step, NodeStep)
+    assert step.bound.is_float == (family == "float")
     matmul = family == "int8" and op in ("conv2d", "depthwise_conv2d", "fully_connected")
-    assert kernel.strategies() == (["nest", "rowsweep"] if matmul else ["nest"])
-    assert isinstance(kernel.variants[0].steps[0], ConvStep) == matmul
+    assert isinstance(step, ConvStep) == matmul
 
     for candidate in (kernel, pickle.loads(pickle.dumps(kernel))):
-        for variant in candidate.variants:
-            env = seed_values(graph, case.feeds)
-            variant.run(env)
-            _assert_same({name: np.asarray(env[name]) for name in graph.outputs}, want)
+        env = seed_values(graph, case.feeds)
+        candidate.run(env)
+        _assert_same({name: np.asarray(env[name]) for name in graph.outputs}, want)
 
 
 @pytest.mark.parametrize("op", sorted(WALK_ONLY_OPS))

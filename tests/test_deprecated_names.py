@@ -4,7 +4,8 @@ PR 3 renamed the machine-level ``RunResult`` to ``MachineRunResult`` and
 left a warn-once module alias behind; the alias is now gone.  The
 ``InferenceSession`` / ``compile_model`` facades, the no-op ``fastpath``
 graph tier, the reserved ``predict`` slot and the legacy executor kwargs
-followed, then the pass-through ``*Step`` classes of the Tier-3 codegen.
+followed, then the pass-through ``*Step`` classes of the Tier-3 codegen
+and its run-time variant race.
 These tests grep the tree so a stray reference (or a reintroduced alias)
 fails loudly rather than resurrecting an old name.
 """
@@ -70,6 +71,9 @@ def test_removed_facade_and_tier_names_are_gone():
         r"|Float|FloatEval|FloatMatmul|Embedding|FloatSlice|FloatConcat|FloatReshape"
         r"|LstmCell|LstmSeq)Step\b"
         r"|_execute_quantized_node|_lower_node|_lower_float_node|_is_float_step"
+        # The run-time variant race: one step program per segment now.
+        r"|KernelVariant|MultiKernelDispatcher|STRATEGY_|winner_for|variant_runs"
+        r"|_depthwise_rowsweep"
     )
     files = [ROOT / "README.md"]
     for folder, glob in (("src", "*.py"), ("examples", "*.py"), ("docs", "*.md")):
