@@ -10,7 +10,8 @@ The OUT unit requantizes the 32-bit accumulator "by multiplying the
 accumulator with a range value, shifting the result left or right based on a
 scale value, and adding an offset value" (section IV-D.5).  That is exactly
 the fixed-point multiplier + shift + output-zero-point pipeline of
-gemmlowp/TensorFlow-Lite, which this module implements bit-exactly.
+gemmlowp/TensorFlow-Lite, which this module implements bit-exactly — in
+one place, :func:`requantize`, which every other requantizer calls.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.dtypes.fixedpoint import ACC_MAX, ACC_MIN, NcoreDType, dtype_info, saturate
 
@@ -77,15 +79,21 @@ def choose_quant_params(
 
 def quantize(x: np.ndarray, params: QuantParams) -> np.ndarray:
     """Quantize real values to integers: ``q = round(x / scale) + zp``."""
-    q = np.round(np.asarray(x, dtype=np.float64) / params.scale) + params.zero_point
-    return saturate(q, params.dtype)
+    info = dtype_info(params.dtype)
+    q = np.array(x, dtype=np.float64)  # the one full-size temporary
+    q /= params.scale
+    np.round(q, out=q)
+    q += params.zero_point
+    np.clip(q, info.min_value, info.max_value, out=q)
+    return q.astype(info.numpy_dtype)
 
 
 def dequantize(q: np.ndarray, params: QuantParams) -> np.ndarray:
     """Recover real values: ``x = scale * (q - zp)``, as float32."""
-    return (params.scale * (np.asarray(q, dtype=np.float64) - params.zero_point)).astype(
-        np.float32
-    )
+    x = np.array(q, dtype=np.float64)
+    x -= params.zero_point
+    np.multiply(params.scale, x, out=x)
+    return x.astype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -173,55 +181,111 @@ def quantize_multiplier(real_multiplier: float) -> tuple[int, int]:
     return m, shift
 
 
+def _rounding_shift(
+    x: np.ndarray, sign: np.ndarray, shift: npt.ArrayLike, half: npt.ArrayLike,
+    mask: np.ndarray | None = None,
+) -> None:
+    """In place on int64 ``x``: ``x = (x + half + (x >> 63)) >> shift``.
+
+    With ``half = 2**(shift - 1)`` this is gemmlowp's ``RoundingDivideByPOT``
+    (round half away from zero): the sign word (-1 on negative lanes) makes
+    the flooring shift break ties downward there.  A lane with ``shift ==
+    0`` must not see it (it would come out one low): ``mask`` (0 / -1 per
+    lane) clears it; ``None`` means every lane shifts.  ``sign`` is scratch.
+    """
+    np.right_shift(x, 63, out=sign)
+    if mask is not None:
+        sign &= mask
+    x += sign
+    x += half
+    x >>= shift
+
+
 def rounding_right_shift(x: np.ndarray, shift: int) -> np.ndarray:
-    """Arithmetic right shift with round-half-away-from-zero.
+    """Arithmetic right shift with round-half-away-from-zero, as int64.
 
     This is gemmlowp's ``RoundingDivideByPOT``: the rounding used by the OUT
     unit when discarding low accumulator bits.  ``shift`` must be >= 0.
     """
     if shift < 0:
         raise ValueError("shift must be non-negative")
-    if shift == 0:
-        return np.asarray(x).copy()
-    x = np.asarray(x, dtype=np.int64)
-    mask = np.int64((1 << shift) - 1)
-    remainder = x & mask
-    threshold = np.int64(mask >> 1) + (x < 0).astype(np.int64)
-    return (x >> np.int64(shift)) + (remainder > threshold).astype(np.int64)
+    out = np.array(x, dtype=np.int64)
+    if shift:
+        _rounding_shift(out, np.empty_like(out), shift, 1 << (shift - 1))
+    return out
 
 
-def _saturating_rounding_doubling_high_mul(a: np.ndarray, m: int) -> np.ndarray:
-    """gemmlowp's SaturatingRoundingDoublingHighMul on int32 lanes."""
-    a = np.asarray(a, dtype=np.int64)
-    prod = a * np.int64(m)
-    nudge = np.where(prod >= 0, np.int64(1 << 30), np.int64(1 - (1 << 30)))
-    total = prod + nudge
-    # C++ integer division truncates toward zero; emulate it exactly.
-    magnitude = np.abs(total) >> np.int64(31)
-    result = np.where(total >= 0, magnitude, -magnitude)
-    # The only overflow case is INT32_MIN * INT32_MIN; saturate regardless.
-    return np.clip(result, ACC_MIN, ACC_MAX)
+#: Elements the OUT-unit epilogue holds at a time: two int64 scratch blocks
+#: (2 x 256 KiB) stay cache-resident across its 12 in-place passes.  Per
+#: element on 56x56x64 and 112x112x64 accumulators, quiet host: 4 K 6.4-8.4,
+#: 8 K 5.8, 16 K 4.7, 32 K 4.2, 64 K 4.4, 128 K 4.7, 256 K 5.4, one
+#: whole-array block 5.0-5.4 ns (8-11 with the other core busy).
+_EPILOGUE_BLOCK = 1 << 15
 
 
 def requantize(
     acc: np.ndarray,
-    multiplier: int,
-    shift: int,
-    offset: int,
+    multiplier: npt.ArrayLike,
+    shift: npt.ArrayLike,
+    offset: npt.ArrayLike,
     dtype: NcoreDType | str = NcoreDType.UINT8,
+    *,
+    bias: np.ndarray | None = None,
+    out_dtype: npt.DTypeLike | None = None,
 ) -> np.ndarray:
     """Requantize 32-bit accumulators to a narrow integer type.
 
     Implements the OUT unit datapath: multiply by the *range* value
     (``multiplier``, an int32 fixed-point mantissa), shift by the *scale*
     value (``shift``; positive = right, negative = left), then add the
-    *offset* (the output zero point) and saturate to *dtype*.
+    *offset* (the output zero point) and saturate to *dtype*.  Each of the
+    three is a scalar or one value per lane of ``acc``'s last axis (the
+    per-lane range / scale / offset registers).
+
+    The one expression of the gemmlowp arithmetic in the repo: the
+    quantized kernels, the macro-kernels and the instruction machine reach
+    it through :mod:`repro.ncore.out`.  ``acc`` is any integer or
+    integer-valued float64 array and is never written; ``bias`` is added
+    first and the sum saturated to the 32-bit accumulator range.  The
+    high-mul is the closed form ``(a * m + 2**30) >> 31`` (gemmlowp's
+    sign-dependent nudge and truncating division, for every product), the
+    right shift :func:`_rounding_shift` with the offset folded into its
+    constant (proofs: docs/simulator-performance.md).  Work runs in place
+    over row blocks of :data:`_EPILOGUE_BLOCK` elements in scratch owned by
+    the call, written straight into the result (``out_dtype``, default
+    *dtype*'s own numpy type).
     """
-    acc = np.asarray(acc, dtype=np.int64)
-    if shift < 0:  # left shift applied before the high-mul, as in gemmlowp
-        acc = np.clip(acc << np.int64(-shift), ACC_MIN, ACC_MAX)
-        scaled = _saturating_rounding_doubling_high_mul(acc, multiplier)
-    else:
-        scaled = _saturating_rounding_doubling_high_mul(acc, multiplier)
-        scaled = rounding_right_shift(scaled, shift)
-    return saturate(scaled + np.int64(offset), dtype)
+    info = dtype_info(dtype)
+    acc = np.asarray(acc)
+    multiplier = np.asarray(multiplier, dtype=np.int64)
+    shift = np.asarray(shift, dtype=np.int64)
+    lanes = np.broadcast(multiplier, shift, offset, 0 if bias is None else bias).size
+    if lanes != 1 and lanes != acc.shape[-1]:
+        raise ValueError(f"{lanes} requantization lanes for accumulator shape {acc.shape}")
+    left, right = np.maximum(-shift, 0), np.maximum(shift, 0)
+    mask = None if right.all() else -(right > 0).astype(np.int64)
+    nudge = ((np.int64(1) << right) >> 1) + (np.asarray(offset, dtype=np.int64) << right)
+    flat = acc.reshape(-1, lanes)
+    out = np.empty(flat.shape, info.numpy_dtype if out_dtype is None else out_dtype)
+    step = max(1, _EPILOGUE_BLOCK // lanes)
+    scratch = np.empty((2, min(step, len(flat)), lanes), dtype=np.int64)
+    for start in range(0, len(flat), step):
+        rows = flat[start : start + step]
+        x, sign = scratch[:, : len(rows)]
+        np.copyto(x, rows, casting="unsafe")
+        if bias is not None:
+            x += bias
+        np.clip(x, ACC_MIN, ACC_MAX, out=x)
+        if left.any():  # left shift applied before the high-mul, as in gemmlowp
+            x <<= left
+            np.clip(x, ACC_MIN, ACC_MAX, out=x)
+        x *= multiplier
+        x += 1 << 30
+        x >>= 31
+        # The only overflow case is INT32_MIN * INT32_MIN; saturate regardless.
+        np.minimum(x, ACC_MAX, out=x)
+        _rounding_shift(x, sign, right, nudge, mask)
+        np.clip(
+            x, info.min_value, info.max_value, out=out[start : start + step], casting="unsafe"
+        )
+    return out.reshape(acc.shape)

@@ -178,14 +178,18 @@ class ConvStep(NodeStep):
 
     def _pad_input(self, x: Array) -> Array:
         (pt, pb), (pl, pr) = self.bound.attrs.get("padding", ((0, 0), (0, 0)))
-        return np.asarray(np.pad(
-            x.astype(self._acc_dtype()) - self._x_zp(),
-            ((0, 0), (pt, pb), (pl, pr), (0, 0)),
-        ))
+        xq = x.astype(self._acc_dtype()) - self._x_zp()
+        if not (pt or pb or pl or pr):
+            return xq
+        return np.asarray(np.pad(xq, ((0, 0), (pt, pb), (pl, pr), (0, 0))))
 
     def _conv_nest(self, xq: Array) -> Array:
-        kh, kw, _, _ = self.weights.shape
+        kh, kw, cin, cout = self.weights.shape
         sh, sw = self._stride()
+        if kh * kw == 1:  # a matmul over the pixels: no window to gather
+            xq = xq[:, ::sh, ::sw]
+            acc = xq.reshape(-1, cin) @ self.weights.reshape(cin, cout)
+            return np.asarray(acc.reshape(*xq.shape[:3], cout))
         view = np.lib.stride_tricks.sliding_window_view(xq, (kh, kw), axis=(1, 2))
         view = view[:, ::sh, ::sw]
         # view: (n, oh, ow, cin, kh, kw) x weights (kh, kw, cin, cout)
@@ -221,11 +225,10 @@ class ConvStep(NodeStep):
 
     def run(self, env: Env) -> None:
         bound = self.bound
-        acc = self._accumulate(env[bound.inputs[0]]).astype(np.int64)
-        if self.bias is not None:
-            acc = acc + self.bias
-        out = bound.clamp(self.requant.apply(acc), bound.attrs.get("activation"))
-        env[bound.outputs[0]] = out
+        # The f64 -> int64 cast, bias add and ACC clip happen block by
+        # block inside the OUT-unit epilogue.
+        out = self.requant.apply(self._accumulate(env[bound.inputs[0]]), self.bias)
+        env[bound.outputs[0]] = bound.clamp(out, bound.attrs.get("activation"))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ the accumulator.
 
 The range/scale/offset values are *per-lane* configuration registers so
 that per-output-channel quantization parameters can be applied in one
-pass (channels are laid out across lanes by the NKL).
+pass (channels are laid out across lanes by the NKL).  The arithmetic is
+:func:`repro.dtypes.requantize`, which takes them per lane.
 """
 
 from __future__ import annotations
@@ -18,15 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dtypes import (
-    ACC_MAX,
-    ACC_MIN,
     ChannelQuantParams,
     NcoreDType,
     QuantParams,
     dtype_info,
     quantize_multiplier,
     requantize,
-    saturate,
     to_bfloat16,
 )
 from repro.isa.instruction import Activation
@@ -42,28 +40,11 @@ def requantize_lanes(
 ) -> np.ndarray:
     """Vectorised per-lane requantization (gemmlowp-compatible).
 
-    Behaves exactly like :func:`repro.dtypes.requantize` but with per-lane
-    multiplier / shift / offset arrays.  Returns int32 lanes saturated to
+    :func:`repro.dtypes.requantize` — the one kernel — with per-lane
+    multiplier / shift / offset arrays, returning int32 lanes saturated to
     the target type's range (not yet narrowed to bytes).
     """
-    acc = acc.astype(np.int64)
-    left = np.maximum(-shift, 0).astype(np.int64)
-    right = np.maximum(shift, 0).astype(np.int64)
-    acc = np.clip(acc << left, ACC_MIN, ACC_MAX)
-    # SaturatingRoundingDoublingHighMul with truncation toward zero.
-    prod = acc * multiplier.astype(np.int64)
-    nudge = np.where(prod >= 0, np.int64(1 << 30), np.int64(1 - (1 << 30)))
-    total = prod + nudge
-    magnitude = np.abs(total) >> np.int64(31)
-    scaled = np.clip(np.where(total >= 0, magnitude, -magnitude), ACC_MIN, ACC_MAX)
-    # RoundingDivideByPOT (round half away from zero) by per-lane shift.
-    mask = (np.int64(1) << right) - 1
-    remainder = scaled & mask
-    threshold = (mask >> 1) + (scaled < 0).astype(np.int64)
-    shifted = (scaled >> right) + (remainder > threshold).astype(np.int64)
-    info = dtype_info(dtype)
-    result = np.clip(shifted + offset.astype(np.int64), info.min_value, info.max_value)
-    return result.astype(np.int32)
+    return requantize(acc, multiplier, shift, offset, dtype, out_dtype=np.int32)
 
 
 @dataclass(frozen=True)
@@ -102,25 +83,15 @@ class RequantSpec:
             mult=mult, shift=shift,
         )
 
-    def apply(self, acc: np.ndarray) -> np.ndarray:
-        """Requantize an int64 accumulator (clipped to the int32
-        accumulator range first) to the narrow type."""
-        acc = np.clip(acc, ACC_MIN, ACC_MAX)
+    def apply(self, acc: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+        """Requantize an integer (or integer-valued f64) accumulator plus
+        ``bias``, clipped to the int32 accumulator range first, to the
+        narrow type."""
         if self.lane_mults is None or self.lane_shifts is None:
-            return requantize(
-                acc.astype(np.int32), self.mult, self.shift,
-                self.zero_point, self.dtype,
-            )
-        channels = acc.shape[-1]
-        flat = acc.astype(np.int32).reshape(-1, channels)
-        values = requantize_lanes(
-            flat,
-            np.broadcast_to(self.lane_mults, flat.shape),
-            np.broadcast_to(self.lane_shifts, flat.shape),
-            np.full(flat.shape, self.zero_point, dtype=np.int64),
-            self.dtype,
-        )
-        return saturate(values.reshape(acc.shape), self.dtype)
+            mult, shift = self.mult, self.shift
+        else:
+            mult, shift = self.lane_mults, self.lane_shifts
+        return requantize(acc, mult, shift, self.zero_point, self.dtype, bias=bias)
 
 
 def apply_integer_activation(

@@ -19,6 +19,7 @@ one-node-segment, no-dispatcher case of the macro-kernel path.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -52,14 +53,19 @@ def _weight_offsets(weights: np.ndarray, w_qp) -> np.ndarray:
     return w - w_qp.zero_point
 
 
+@functools.lru_cache(maxsize=256)
+def _quantized_six(out_qp: QuantParams) -> int:
+    """ReLU6's upper clamp: the code of real 6.0 under ``out_qp``."""
+    return int(quantize(np.array(6.0), out_qp))
+
+
 def _activation_clamp(values: np.ndarray, activation: str, out_qp: QuantParams) -> np.ndarray:
     if activation in ("none", None):
         return values
     if activation == "relu":
         return np.maximum(values, out_qp.zero_point)
     if activation == "relu6":
-        six = int(quantize(np.array(6.0), out_qp))
-        return np.clip(values, out_qp.zero_point, six)
+        return np.clip(values, out_qp.zero_point, _quantized_six(out_qp))
     raise GraphError(f"activation {activation!r} has no quantized form")
 
 

@@ -10,11 +10,13 @@ from repro.dtypes import (
     QuantParams,
     choose_quant_params,
     dequantize,
+    dtype_info,
     quantize,
     quantize_multiplier,
     requantize,
     rounding_right_shift,
 )
+from repro.ncore.out import RequantSpec, requantize_lanes
 
 
 class TestQuantParams:
@@ -91,6 +93,16 @@ class TestRoundingRightShift:
         x = np.array([1, -7, 100])
         np.testing.assert_array_equal(rounding_right_shift(x, 0), x)
 
+    @pytest.mark.parametrize("shift", [0, 1, 20])
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64])
+    def test_result_is_a_fresh_int64_array_for_every_shift(self, dtype, shift):
+        # A zero shift used to hand back a copy in the *input's* dtype.
+        x = np.array([1, -7, 100], dtype=dtype)
+        out = rounding_right_shift(x, shift)
+        assert out.dtype == np.int64
+        assert not np.shares_memory(out, x)
+        np.testing.assert_array_equal(x, [1, -7, 100])
+
     def test_rounds_half_away_from_zero(self):
         # 3 >> 1 = 1.5 -> 2 ; -3 >> 1 = -1.5 -> -2
         assert rounding_right_shift(np.array([3]), 1)[0] == 2
@@ -158,3 +170,182 @@ class TestRequantize:
         out = requantize(acc, m, shift, offset=0, dtype=NcoreDType.INT8)
         real = float(acc[0]) * s_in * s_w / s_out
         assert abs(float(out[0]) - np.clip(round(real), -128, 127)) <= 1
+
+
+# ----------------------------------------------------------------------
+# The independent check: gemmlowp's C++ in Python ints
+# ----------------------------------------------------------------------
+#
+# The per-node walk and the macro-kernels share ``RequantSpec`` (and through
+# it ``requantize``), so neither checks the other's requantization.  This
+# is a line-by-line transliteration of gemmlowp's fixedpoint.h on
+# arbitrary-precision Python ints — sign-dependent nudge, division that
+# truncates toward zero, mask / remainder / threshold — which shares no
+# expression with the closed forms the kernel uses.
+
+INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1
+
+
+def _saturate(value: int, lo: int, hi: int) -> int:
+    return max(lo, min(hi, value))
+
+
+def gemmlowp_srdhm(a: int, b: int) -> int:
+    """``SaturatingRoundingDoublingHighMul(std::int32_t a, std::int32_t b)``."""
+    overflow = a == b and a == INT32_MIN
+    ab_64 = a * b
+    nudge = (1 << 30) if ab_64 >= 0 else 1 - (1 << 30)
+    total = ab_64 + nudge
+    # C++ integer division truncates toward zero; Python's floors.
+    ab_x2_high32 = abs(total) // (1 << 31) * (1 if total >= 0 else -1)
+    return INT32_MAX if overflow else ab_x2_high32
+
+
+def gemmlowp_rounding_divide_by_pot(x: int, exponent: int) -> int:
+    """``RoundingDivideByPOT(x, exponent)``: round half away from zero."""
+    mask = (1 << exponent) - 1
+    remainder = x & mask
+    threshold = (mask >> 1) + (1 if x < 0 else 0)
+    return (x >> exponent) + (1 if remainder > threshold else 0)
+
+
+def gemmlowp_requantize(acc: int, multiplier: int, shift: int, offset: int, dtype) -> int:
+    """The OUT-unit datapath on one lane.  The NPU accumulator saturates at
+    32 bits, and so does the left shift (where C++ would overflow)."""
+    info = dtype_info(dtype)
+    a = _saturate(acc, INT32_MIN, INT32_MAX)
+    a = _saturate(a << max(-shift, 0), INT32_MIN, INT32_MAX)
+    scaled = gemmlowp_rounding_divide_by_pot(gemmlowp_srdhm(a, multiplier), max(shift, 0))
+    return _saturate(scaled + offset, int(info.min_value), int(info.max_value))
+
+
+def oracle_lanes(acc: np.ndarray, mults, shifts, offsets, dtype) -> np.ndarray:
+    """``gemmlowp_requantize`` over a (rows, lanes) accumulator, as int64."""
+    return np.array([
+        [gemmlowp_requantize(int(a), int(m), int(s), int(z), dtype)
+         for a, m, s, z in zip(row, mults, shifts, offsets, strict=True)]
+        for row in acc
+    ], dtype=np.int64).reshape(acc.shape)
+
+
+SHIFTS = range(-4, 32)
+MULTIPLIERS = (1 << 30, (1 << 31) - 1, 1518500250, 1234567891)
+INT_DTYPES = (NcoreDType.UINT8, NcoreDType.INT8, NcoreDType.INT16)
+
+
+def boundary_accumulators(multiplier: int, shift: int) -> list[int]:
+    """Accumulators where an off-by-one shows: the ends of the int32 range
+    and beyond it, zero, and -1 / 0 / +1 around half-way points of the
+    rounding shift (both signs) and of the high-mul."""
+    accs = [0, 1, -1, INT32_MIN, INT32_MIN + 1, INT32_MAX, INT32_MAX - 1,
+            1 << 31, -(1 << 31) - 1, (1 << 33) + 12345, -(1 << 33) - 12345]
+    left, right = max(-shift, 0), max(shift, 0)
+    for odd in (1, 3, 5, 255, 257):
+        half = odd << right >> 1  # y with y / 2**right exactly on .5
+        for y in (half, -half):
+            a = round(y * (1 << 31) / multiplier) >> left
+            accs += [a - 1, a, a + 1]
+    return accs
+
+
+def assert_all_three_match_gemmlowp(acc, mults, shifts, offset, dtype):
+    """``requantize``, ``requantize_lanes`` and ``RequantSpec.apply`` on a
+    (rows, lanes) accumulator against the oracle, bytes and dtype."""
+    lanes = acc.shape[-1]
+    want = oracle_lanes(acc, mults, shifts, [offset] * lanes, dtype)
+    narrow = dtype_info(dtype).numpy_dtype
+    got = requantize(acc, mults, shifts, offset, dtype)
+    assert got.dtype == narrow
+    np.testing.assert_array_equal(got, want)
+    got = requantize_lanes(acc, mults, shifts, np.full(lanes, offset, np.int64), dtype)
+    assert got.dtype == np.int32
+    np.testing.assert_array_equal(got, want)
+    spec = RequantSpec(zero_point=offset, dtype=dtype, lane_mults=mults, lane_shifts=shifts)
+    got = spec.apply(acc)
+    assert got.dtype == narrow
+    np.testing.assert_array_equal(got, want)
+
+
+class TestAgainstGemmlowp:
+    def test_the_oracle_is_gemmlowp(self):
+        # Hand-checked values of the two primitives: the one overflow and
+        # both signs of a tie.
+        assert gemmlowp_srdhm(INT32_MIN, INT32_MIN) == INT32_MAX
+        # The high-mul breaks ties upward (its negative nudge is one short
+        # of a half): (-3 * 2**30 + 1 - 2**30) / 2**31 truncates to -1.
+        assert gemmlowp_srdhm(3, 1 << 30) == 2  # 1.5
+        assert gemmlowp_srdhm(-3, 1 << 30) == -1  # -1.5
+        assert gemmlowp_srdhm(1, 1 << 30) == 1  # 0.5
+        assert gemmlowp_srdhm(-1, 1 << 30) == 0  # -0.5
+        # The rounding shift breaks them away from zero.
+        assert gemmlowp_rounding_divide_by_pot(3, 1) == 2
+        assert gemmlowp_rounding_divide_by_pot(-3, 1) == -2
+        assert gemmlowp_rounding_divide_by_pot(-5, 0) == -5
+
+    @pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: d.value)
+    def test_boundary_sweep_per_tensor(self, dtype):
+        offset = {NcoreDType.UINT8: 5, NcoreDType.INT8: -3, NcoreDType.INT16: 1000}[dtype]
+        for shift in SHIFTS:
+            for multiplier in MULTIPLIERS:
+                acc = np.array(boundary_accumulators(multiplier, shift), dtype=np.int64)
+                want = oracle_lanes(
+                    acc[:, None], [multiplier], [shift], [offset], dtype
+                ).ravel()
+                where = f"shift={shift} multiplier={multiplier}"
+                np.testing.assert_array_equal(
+                    requantize(acc, multiplier, shift, offset, dtype), want, where
+                )
+                spec = RequantSpec(zero_point=offset, dtype=dtype, mult=multiplier, shift=shift)
+                np.testing.assert_array_equal(spec.apply(acc), want, where)
+                full = np.full(acc.size, 1, np.int64)
+                np.testing.assert_array_equal(
+                    requantize_lanes(
+                        acc, multiplier * full, shift * full, offset * full, dtype
+                    ), want, where,
+                )
+
+    @pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: d.value)
+    def test_boundary_sweep_per_channel(self, dtype):
+        # One lane per (multiplier, shift): left, zero and right shifts
+        # side by side in every row, each lane with its own boundaries.
+        pairs = [(m, s) for s in SHIFTS for m in MULTIPLIERS]
+        mults = np.array([m for m, _ in pairs], dtype=np.int64)
+        shifts = np.array([s for _, s in pairs], dtype=np.int64)
+        acc = np.array([boundary_accumulators(m, s) for m, s in pairs], dtype=np.int64).T
+        assert_all_three_match_gemmlowp(np.ascontiguousarray(acc), mults, shifts, 7, dtype)
+
+    def test_int32_min_multiplier_saturates(self):
+        # The machine's range register is any int32, not only a mantissa
+        # in [2**30, 2**31): the one overflowing product must saturate.
+        acc = np.array([INT32_MIN, INT32_MIN + 1, -1, 0, 1, INT32_MAX], dtype=np.int64)
+        for shift in (0, 1, 7):
+            want = oracle_lanes(acc[:, None], [INT32_MIN], [shift], [0], NcoreDType.INT16)
+            np.testing.assert_array_equal(
+                requantize(acc, INT32_MIN, shift, 0, NcoreDType.INT16), want.ravel()
+            )
+
+    @given(
+        st.lists(st.integers(-(1 << 34), 1 << 34), min_size=1, max_size=12),
+        st.lists(
+            st.tuples(st.integers(INT32_MIN, INT32_MAX), st.integers(-4, 31)),
+            min_size=1, max_size=6,
+        ),
+        st.integers(-128, 127),
+        st.sampled_from(INT_DTYPES),
+    )
+    def test_random_lanes(self, values, pairs, offset, dtype):
+        # Any int32 multiplier (either sign), any mix of shifts per row.
+        if dtype is NcoreDType.UINT8:
+            offset += 128
+        lanes = len(pairs)
+        acc = np.resize(np.array(values, dtype=np.int64), (len(values), lanes))
+        acc = acc + np.arange(lanes)  # lanes differ
+        mults = np.array([m for m, _ in pairs], dtype=np.int64)
+        shifts = np.array([s for _, s in pairs], dtype=np.int64)
+        assert_all_three_match_gemmlowp(acc, mults, shifts, offset, dtype)
+
+    @given(st.integers(-(1 << 62), 1 << 62), st.integers(0, 40))
+    def test_rounding_right_shift_is_rounding_divide_by_pot(self, value, shift):
+        # qadd / qrequant shift 2**-20-unit totals far wider than int32.
+        out = rounding_right_shift(np.array([value], dtype=np.int64), shift)
+        assert int(out[0]) == gemmlowp_rounding_divide_by_pot(value, shift)

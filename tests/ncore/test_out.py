@@ -6,9 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from repro.dtypes import NcoreDType, bf16_from_bits, quantize_multiplier, requantize
+from repro.dtypes import NcoreDType, bf16_from_bits, quantization, quantize_multiplier, requantize
 from repro.isa.instruction import Activation
 from repro.ncore import out as out_unit
+
+from tests.dtypes.test_quantization import oracle_lanes
 
 
 class TestRequantizeLanes:
@@ -57,6 +59,137 @@ class TestRequantizeLanes:
         )
         expected = requantize(acc, m, s, offset, NcoreDType.INT16)
         np.testing.assert_array_equal(vals, expected.astype(np.int32))
+
+
+def _lane_params(lanes, seed=0):
+    """Per-lane multipliers and a mix of left, zero and right shifts."""
+    rng = np.random.default_rng(seed)
+    mults = rng.integers(1 << 30, 1 << 31, lanes)
+    shifts = np.resize(np.array([-2, 0, 3, 0, 1, 11, -1, 0]), lanes)
+    return mults, shifts
+
+
+class TestEpilogueRegressions:
+    """Named regressions of the blocked, in-place epilogue
+    (:func:`repro.dtypes.requantize`, reached through ``requantize_lanes``
+    and ``RequantSpec.apply``)."""
+
+    def test_zero_shift_lane_gets_no_sign_correction(self):
+        # Round-half-away adds the sign word before the shift; on a lane
+        # that does not shift, that is an off-by-one on every negative
+        # accumulator.  One row with left, zero and right shifts together.
+        mults, shifts = _lane_params(8)
+        acc = np.array([[-1, -1, -5, -7, -3, -(1 << 20), -9, -(1 << 31)],
+                        [-2, -100, -4, -1, -1, -1025, -1, -3]], dtype=np.int32)
+        offsets = np.zeros(8, np.int64)
+        want = oracle_lanes(acc, mults, shifts, offsets, NcoreDType.INT16)
+        got = out_unit.requantize_lanes(acc, mults, shifts, offsets, NcoreDType.INT16)
+        np.testing.assert_array_equal(got, want)
+        spec = out_unit.RequantSpec(0, NcoreDType.INT16, lane_mults=mults, lane_shifts=shifts)
+        np.testing.assert_array_equal(spec.apply(acc), want)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(7, 10), (64, 1), (13, 5), (3, 100), (1, 9), (1, 64), (1, 65), (0, 5), (2, 3, 4, 6)],
+        ids=str,
+    )
+    def test_shapes_that_straddle_the_block(self, shape, monkeypatch):
+        # Rows not a multiple of the block, lanes > block, one row, no rows.
+        monkeypatch.setattr(quantization, "_EPILOGUE_BLOCK", 64)
+        rng = np.random.default_rng(1)
+        acc = rng.integers(-(1 << 31), 1 << 31, shape)
+        lanes = shape[-1]
+        mults, shifts = _lane_params(lanes)
+        spec = out_unit.RequantSpec(3, NcoreDType.INT8, lane_mults=mults, lane_shifts=shifts)
+        want = oracle_lanes(acc.reshape(-1, lanes), mults, shifts, [3] * lanes, NcoreDType.INT8)
+        got = spec.apply(acc)
+        assert got.shape == shape and got.dtype == np.int8
+        np.testing.assert_array_equal(got.reshape(-1, lanes), want)
+        # Per-tensor parameters flatten the accumulator: blocks cut rows.
+        flat = out_unit.RequantSpec(3, NcoreDType.INT8, mult=int(mults[0]), shift=4).apply(acc)
+        want = oracle_lanes(acc.reshape(-1, 1), mults[:1], [4], [3], NcoreDType.INT8)
+        np.testing.assert_array_equal(flat.reshape(-1, 1), want)
+
+    def test_the_real_block_is_straddled_too(self):
+        block = quantization._EPILOGUE_BLOCK
+        rng = np.random.default_rng(2)
+        for shape in [(3, block + 7), (block // 4 + 3, 5)]:
+            acc = rng.integers(-(1 << 24), 1 << 24, shape)
+            mults, shifts = _lane_params(shape[-1])
+            spec = out_unit.RequantSpec(9, NcoreDType.UINT8, lane_mults=mults, lane_shifts=shifts)
+            want = oracle_lanes(acc, mults, shifts, [9] * shape[-1], NcoreDType.UINT8)
+            np.testing.assert_array_equal(spec.apply(acc), want)
+
+    def test_f64_int32_and_noncontiguous_accumulators(self):
+        # The macro-kernels hand over f64 BLAS sums, the machine int32
+        # lanes; a strided view must read like its contiguous copy.
+        rng = np.random.default_rng(3)
+        wide = rng.integers(-(1 << 31), 1 << 31, (12, 20))
+        mults, shifts = _lane_params(10)
+        spec = out_unit.RequantSpec(128, NcoreDType.UINT8, lane_mults=mults, lane_shifts=shifts)
+        acc = np.ascontiguousarray(wide[:, ::2])
+        want = oracle_lanes(acc, mults, shifts, [128] * 10, NcoreDType.UINT8)
+        for form in (
+            acc, acc.astype(np.float64), acc.astype(np.int32), wide[:, ::2],
+            np.asfortranarray(acc), wide.astype(np.float64)[:, ::2],
+        ):
+            np.testing.assert_array_equal(spec.apply(form), want)
+
+    @pytest.mark.parametrize("per_channel", [True, False], ids=["channel", "tensor"])
+    def test_bias_is_added_before_the_accumulator_saturates(self, per_channel):
+        # A per-tensor spec still takes a per-channel bias.
+        rng = np.random.default_rng(4)
+        acc = rng.integers(-(1 << 31), 1 << 31, (9, 6))
+        bias = rng.integers(-(1 << 30), 1 << 30, 6)
+        mults, shifts = _lane_params(6)
+        if per_channel:
+            spec = out_unit.RequantSpec(1, NcoreDType.INT8, lane_mults=mults, lane_shifts=shifts)
+        else:
+            mults, shifts = mults[:1].repeat(6), np.full(6, 2)
+            spec = out_unit.RequantSpec(1, NcoreDType.INT8, mult=int(mults[0]), shift=2)
+        want = oracle_lanes(acc + bias, mults, shifts, [1] * 6, NcoreDType.INT8)
+        np.testing.assert_array_equal(spec.apply(acc, bias), want)
+        np.testing.assert_array_equal(spec.apply(acc.astype(np.float64), bias), want)
+
+    def test_the_callers_accumulator_is_never_written(self):
+        rng = np.random.default_rng(5)
+        mults, shifts = _lane_params(7)
+        bias = rng.integers(-1000, 1000, 7)
+        spec = out_unit.RequantSpec(0, NcoreDType.INT8, lane_mults=mults, lane_shifts=shifts)
+        for dtype in (np.int64, np.int32, np.float64):  # int64 is the scratch's own type
+            acc = rng.integers(-(1 << 31), 1 << 31, (5, 7)).astype(dtype)
+            before = acc.copy()
+            out = spec.apply(acc, bias)
+            np.testing.assert_array_equal(acc, before)
+            assert not np.shares_memory(out, acc)
+            lanes_out = out_unit.requantize_lanes(
+                acc[0], mults, shifts, np.zeros(7, np.int64), NcoreDType.INT8
+            )
+            np.testing.assert_array_equal(acc, before)
+            assert not np.shares_memory(lanes_out, acc)
+
+    def test_two_calls_share_no_state(self):
+        # The scratch blocks belong to the call: no module-level array, and
+        # a result is not overwritten by a later call of any shape.
+        assert not [
+            name for name, value in vars(quantization).items() if isinstance(value, np.ndarray)
+        ]
+        rng = np.random.default_rng(6)
+        a = rng.integers(-(1 << 31), 1 << 31, (40, 8))
+        b = rng.integers(-(1 << 31), 1 << 31, (3, 8))
+        mults, shifts = _lane_params(8)
+        spec = out_unit.RequantSpec(0, NcoreDType.INT16, lane_mults=mults, lane_shifts=shifts)
+        first = spec.apply(a)
+        kept = first.copy()
+        second = spec.apply(b)
+        again = spec.apply(a)
+        np.testing.assert_array_equal(first, kept)
+        np.testing.assert_array_equal(again, kept)
+        assert not np.shares_memory(first, second) and not np.shares_memory(first, again)
+
+    def test_lane_count_must_match_the_last_axis(self):
+        with pytest.raises(ValueError, match="lanes"):
+            requantize(np.zeros((4, 6), np.int32), np.full(3, 1 << 30), np.zeros(3, np.int64), 0)
 
 
 class TestIntegerActivation:
