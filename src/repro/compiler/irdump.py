@@ -11,7 +11,10 @@ how ``repro compile --dump-ir`` shows what each stage changed.
 from __future__ import annotations
 
 import difflib
+import math
 from typing import TYPE_CHECKING, Any
+
+import numpy as np
 
 from repro.graph.gir import Graph
 
@@ -28,11 +31,19 @@ def _format_attr(value: Any) -> str:
 
 def _step_label(step: KernelStep) -> str:
     """A macro-kernel step in the codegen section: its op — a ``conv2d``
-    with the form codegen chose, a fused LSTM chain with its length."""
-    from repro.ncore.codegen import CellFuseStep, ConvStep, SeqFuseStep
+    with the form codegen chose, every :class:`ConvStep` with the dtype it
+    accumulates in (``f32/f64``: per-tap blocks / their sum) and the static
+    bound that proves it exact; a fused LSTM chain with its length."""
+    from repro.ncore.codegen import CellFuseStep, ConvStep, SeqFuseStep, exact_dtype
 
-    if isinstance(step, ConvStep) and step.op == "conv2d":
-        return f"conv2d:{'per-tap' if step.per_tap else 'im2col'}"
+    if isinstance(step, ConvStep):
+        form = f":{'per-tap' if step.per_tap else 'im2col'}" if step.op == "conv2d" else ""
+        dtypes = dict.fromkeys(
+            f"{dtype.kind}{dtype.itemsize * 8}"
+            for dtype in (step.weights.dtype, np.dtype(exact_dtype(step.acc_bound)))
+        )
+        bound = math.log2(max(step.acc_bound, 1))
+        return f"{step.op}{form} {'/'.join(dtypes)} bound=2^{bound:.1f}"
     if isinstance(step, (SeqFuseStep, CellFuseStep)):
         return f"{step.op} x{len(step.chain)}"
     return step.op

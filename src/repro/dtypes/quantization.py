@@ -232,6 +232,8 @@ def requantize(
     *,
     bias: np.ndarray | None = None,
     out_dtype: npt.DTypeLike | None = None,
+    clamp: tuple[int, int] | None = None,
+    bound: int | None = None,
 ) -> np.ndarray:
     """Requantize 32-bit accumulators to a narrow integer type.
 
@@ -254,6 +256,15 @@ def requantize(
     over row blocks of :data:`_EPILOGUE_BLOCK` elements in scratch owned by
     the call, written straight into the result (``out_dtype``, default
     *dtype*'s own numpy type).
+
+    ``clamp`` is the final saturation range when it is narrower than
+    *dtype*'s own (a fused ReLU / ReLU6 in the quantized domain).
+    ``bound`` is a proof obligation the caller discharges statically:
+    ``|acc| <= bound`` for every element.  When ``bound + max|bias|`` stays
+    below ``2**31`` and no lane shifts left, the accumulator can never
+    saturate, so the three 32-bit saturation passes are skipped and the
+    bias rides in the high-mul's rounding constant:
+    ``(a + b) * m + 2**30 == a * m + (b * m + 2**30)``.
     """
     info = dtype_info(dtype)
     acc = np.asarray(acc)
@@ -265,6 +276,13 @@ def requantize(
     left, right = np.maximum(-shift, 0), np.maximum(shift, 0)
     mask = None if right.all() else -(right > 0).astype(np.int64)
     nudge = ((np.int64(1) << right) >> 1) + (np.asarray(offset, dtype=np.int64) << right)
+    proved = bound is not None and not left.any()
+    if proved and bias is not None:
+        bound += int(np.abs(bias, dtype=np.int64).max(initial=0))
+    proved = proved and bound < -ACC_MIN
+    # |a + b| < 2**31 and m < 2**31: neither side of the identity leaves int64.
+    half = bias * multiplier + (1 << 30) if proved and bias is not None else 1 << 30
+    low, high = (info.min_value, info.max_value) if clamp is None else clamp
     flat = acc.reshape(-1, lanes)
     out = np.empty(flat.shape, info.numpy_dtype if out_dtype is None else out_dtype)
     step = max(1, _EPILOGUE_BLOCK // lanes)
@@ -273,19 +291,19 @@ def requantize(
         rows = flat[start : start + step]
         x, sign = scratch[:, : len(rows)]
         np.copyto(x, rows, casting="unsafe")
-        if bias is not None:
-            x += bias
-        np.clip(x, ACC_MIN, ACC_MAX, out=x)
-        if left.any():  # left shift applied before the high-mul, as in gemmlowp
-            x <<= left
+        if not proved:
+            if bias is not None:
+                x += bias
             np.clip(x, ACC_MIN, ACC_MAX, out=x)
+            if left.any():  # left shift applied before the high-mul, as in gemmlowp
+                x <<= left
+                np.clip(x, ACC_MIN, ACC_MAX, out=x)
         x *= multiplier
-        x += 1 << 30
+        x += half
         x >>= 31
-        # The only overflow case is INT32_MIN * INT32_MIN; saturate regardless.
-        np.minimum(x, ACC_MAX, out=x)
+        if not proved:
+            # The only overflow case is INT32_MIN * INT32_MIN; saturate regardless.
+            np.minimum(x, ACC_MAX, out=x)
         _rounding_shift(x, sign, right, nudge, mask)
-        np.clip(
-            x, info.min_value, info.max_value, out=out[start : start + step], casting="unsafe"
-        )
+        np.clip(x, low, high, out=out[start : start + step], casting="unsafe")
     return out.reshape(acc.shape)

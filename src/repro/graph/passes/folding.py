@@ -21,8 +21,10 @@ def fold_batch_norm(graph: Graph) -> bool:
         producer = graph.producer(bn.inputs[0])
         if producer is None or producer.op not in _FOLDABLE_PRODUCERS:
             continue
-        if len(graph.consumers(producer.outputs[0])) != 1:
+        if len(graph.consumers(bn.inputs[0])) != 1 or bn.inputs[0] in graph.outputs:
             continue  # conv output used elsewhere: folding would change it
+        if producer.attr("activation", "none") != "none":
+            continue  # bn(act(conv)) is not act(conv'): nothing to fold into
         mean = graph.tensor(bn.inputs[1]).data
         variance = graph.tensor(bn.inputs[2]).data
         gamma = graph.tensor(bn.inputs[3]).data

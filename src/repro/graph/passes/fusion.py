@@ -47,7 +47,9 @@ def fuse_bias_add(graph: Graph) -> bool:
             continue
         if len(producer.inputs) > 2:
             continue  # already carries a bias
-        if len(graph.consumers(producer.outputs[0])) != 1:
+        if producer.attr("activation", "none") != "none":
+            continue  # the bias would move inside the activation
+        if len(graph.consumers(bias_add.inputs[0])) != 1 or bias_add.inputs[0] in graph.outputs:
             continue
         if not graph.tensor(bias_add.inputs[1]).is_constant:
             continue

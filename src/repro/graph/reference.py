@@ -287,8 +287,8 @@ def nms(
     picked: list[tuple[float, int, int]] = []  # (score, anchor, class)
     for cls in range(num_classes):
         cls_scores = scores[:, cls]
-        candidates = np.argsort(-cls_scores)
-        candidates = [a for a in candidates if cls_scores[a] >= score_threshold]
+        order = np.argsort(-cls_scores)
+        candidates = order[cls_scores[order] >= score_threshold]
         kept: list[int] = []
         for anchor in candidates:
             if all(_iou(boxes[anchor], boxes[k]) <= iou_threshold for k in kept):

@@ -15,12 +15,15 @@ Bit-exactness is the contract: a macro-kernel computes byte-for-byte what
 :func:`repro.runtime.qkernels.execute_quantized` computes.  Two levers
 make the quantized matmuls fast without breaking it:
 
-- **Exact float64 accumulation.**  Quantized conv/FC accumulators are
-  bounded by ``max|x - zp| * sum|w - zp|`` which is far below ``2**53``
-  for every representable uint8/int16 operand, so an f64 BLAS matmul over
-  zero-offset operands is *exactly* the int64 matmul — 10-20x faster.
-  The bound is checked per kernel at codegen time; kernels that could
-  exceed it keep the int64 path.
+- **Exact float accumulation, as narrow as provable.**  Every partial sum
+  of a quantized conv/FC accumulator, in any order, is an integer no
+  larger than ``max|x - zp| * sum|w - zp|``.  That bound is computed per
+  kernel at codegen time from the baked weights: below ``2**24`` a float32
+  BLAS matmul over zero-offset operands *is* the int64 matmul (every zoo
+  conv; two of ResNet-50's only tap by tap), below ``2**53`` a float64 one
+  is; kernels that could exceed both keep int64.  The same bound lets the
+  OUT-unit epilogue skip its 32-bit saturation
+  (:func:`repro.dtypes.requantize`).
 - **One collapse per op.**  Depthwise is one einsum over a sliding
   window, fully-connected one matmul; ``conv2d`` has two forms — im2col
   (one tensordot) and per-tap (``kh * kw`` matmuls) — selected per node
@@ -33,8 +36,8 @@ the default policy), or on every dispatch (``oracle="always"``).
 
 Only what is genuinely a second implementation lives here as its own
 step class — the checks the oracle really makes: :class:`ConvStep`
-(f64-BLAS accumulation vs the int64 ``qconv2d`` / ``qdepthwise`` /
-``qfully_connected``) and
+(float-BLAS accumulation and the range-proved epilogue vs the int64,
+fully saturating ``qconv2d`` / ``qdepthwise`` / ``qfully_connected``) and
 :class:`SeqFuseStep` / :class:`CellFuseStep` (chains of ``lstm_step`` or
 same-weight ``lstm_cell`` nodes threading h/c state, computing each
 chain's whole-sequence input projection once instead of once per
@@ -78,9 +81,6 @@ Env = dict[str, Array]
 #: Artifact kind under which macro-kernel sets live in the compile cache.
 CODEGEN_ARTIFACT_KIND = "codegen"
 
-#: Largest integer magnitude float64 represents exactly.
-_F64_EXACT_BOUND = 2**53
-
 #: The differential check of a macro-kernel against the per-node walk:
 #: never, once per (kernel, input shapes), or on every dispatch.
 ORACLE_MODES = ("off", "first", "always")
@@ -93,6 +93,14 @@ ORACLE_MODES = ("off", "first", "always")
 #: reproduces every measurement.  1x1 convs are one matmul either way
 #: and keep the loop-free form.
 _PER_TAP_MIN_CIN = 32
+
+
+def exact_dtype(bound: int) -> type[np.floating[Any]] | type[np.signedinteger[Any]]:
+    """The narrowest dtype in which every integer of magnitude ``<= bound``
+    — so every partial sum of an accumulation bounded by it — is exact."""
+    if bound < 2**24:
+        return np.float32
+    return np.float64 if bound < 2**53 else np.int64
 
 
 def note_stat(stats: dict[str, int], key: str, amount: int = 1) -> None:
@@ -152,22 +160,22 @@ class ConvStep(NodeStep):
     zero-offset weights: an accumulation independent of the table's int64
     kernels, which the oracle checks it against.
 
-    ``exact_f64`` records the codegen-time proof that every f64 partial
-    sum stays below 2**53 (the weights are baked as int64 otherwise and
-    the same code accumulates in int64).  ``per_tap`` selects between the
-    two ``conv2d`` forms (:data:`_PER_TAP_MIN_CIN`); no other op reads it.
+    ``acc_bound`` is the codegen-time proof: no partial sum of this step's
+    accumulation, in any order, exceeds it.  The weights are baked in
+    :func:`exact_dtype` of it and accumulate in their own dtype; the
+    epilogue takes it as its range proof.  ``per_tap`` selects between the
+    two ``conv2d`` forms (:data:`_PER_TAP_MIN_CIN`; no other op reads it):
+    there the weights' dtype is proved per tap block (a ``cin``-long sum)
+    and the taps are summed in ``exact_dtype(acc_bound)``.
     """
 
     weights: Array
     bias: Array | None
     requant: RequantSpec
-    exact_f64: bool
+    acc_bound: int
     per_tap: bool
 
     # -- accumulation cores -------------------------------------------
-
-    def _acc_dtype(self) -> type[np.floating[Any]] | type[np.signedinteger[Any]]:
-        return np.float64 if self.exact_f64 else np.int64
 
     def _x_zp(self) -> int:
         return self.bound.in_qp(0).zero_point
@@ -178,7 +186,7 @@ class ConvStep(NodeStep):
 
     def _pad_input(self, x: Array) -> Array:
         (pt, pb), (pl, pr) = self.bound.attrs.get("padding", ((0, 0), (0, 0)))
-        xq = x.astype(self._acc_dtype()) - self._x_zp()
+        xq = x.astype(self.weights.dtype) - self._x_zp()
         if not (pt or pb or pl or pr):
             return xq
         return np.asarray(np.pad(xq, ((0, 0), (pt, pb), (pl, pr), (0, 0))))
@@ -200,7 +208,7 @@ class ConvStep(NodeStep):
         n, h, w, _ = xq.shape
         sh, sw = self._stride()
         oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
-        acc = np.zeros((n * oh * ow, cout), dtype=xq.dtype)
+        acc = np.zeros((n * oh * ow, cout), dtype=exact_dtype(self.acc_bound))
         for i in range(kh):
             for j in range(kw):
                 patch = xq[:, i: i + oh * sh: sh, j: j + ow * sw: sw, :]
@@ -217,18 +225,17 @@ class ConvStep(NodeStep):
 
     def _accumulate(self, x: Array) -> Array:
         if self.op == "fully_connected":
-            return np.asarray((x.astype(self._acc_dtype()) - self._x_zp()) @ self.weights)
+            return np.asarray((x.astype(self.weights.dtype) - self._x_zp()) @ self.weights)
         xq = self._pad_input(x)
         if self.op == "depthwise_conv2d":
             return self._depthwise_nest(xq)
         return self._conv_rowsweep(xq) if self.per_tap else self._conv_nest(xq)
 
     def run(self, env: Env) -> None:
-        bound = self.bound
-        # The f64 -> int64 cast, bias add and ACC clip happen block by
-        # block inside the OUT-unit epilogue.
-        out = self.requant.apply(self._accumulate(env[bound.inputs[0]]), self.bias)
-        env[bound.outputs[0]] = bound.clamp(out, bound.attrs.get("activation"))
+        # The float -> int64 cast, the bias and the activation clamp happen
+        # block by block inside the OUT-unit epilogue.
+        acc = self._accumulate(env[self.bound.inputs[0]])
+        env[self.bound.outputs[0]] = self.requant.apply(acc, self.bias, self.acc_bound)
 
 
 @dataclass(frozen=True)
@@ -364,7 +371,7 @@ def _constant(graph: Graph, name: str) -> Array:
 
 
 #: The quantized ops with a :class:`ConvStep` form -> the weight axes one
-#: output channel accumulates over (the f64 proof's sum).
+#: output channel accumulates over (the exactness proof's sum).
 _TAP_AXES: dict[str, tuple[int, ...]] = {
     "conv2d": (0, 1, 2), "depthwise_conv2d": (0, 1), "fully_connected": (0,),
 }
@@ -372,7 +379,7 @@ _TAP_AXES: dict[str, tuple[int, ...]] = {
 
 def _matmul_steps(graph: Graph, node: Node, bound: BoundNode) -> ConvStep:
     """The step of a conv2d / depthwise_conv2d / fully_connected."""
-    from repro.runtime.qkernels import _weight_offsets
+    from repro.runtime.qkernels import _activation_range, _weight_offsets
 
     x_qp = _tensor_qp(node.inputs[0], bound.in_qps[0])
     w_qp = bound.in_qps[1]
@@ -384,18 +391,22 @@ def _matmul_steps(graph: Graph, node: Node, bound: BoundNode) -> ConvStep:
     if len(node.inputs) > 2:
         bias = _constant(graph, node.inputs[2]).astype(np.int64)
     wq = np.asarray(_weight_offsets(weights, w_qp))
-    # f64 exactness proof: the largest |partial sum| any accumulation
-    # order can produce is max|x - zp| * sum|w - zp| per output channel.
-    tap_sum = np.abs(wq).sum(axis=_TAP_AXES[node.op]).max() if wq.size else 0
-    exact = _input_magnitude(x_qp) * int(tap_sum) < _F64_EXACT_BOUND
-    if exact:
-        wq = wq.astype(np.float64)
-    requant = RequantSpec.build(x_qp.scale, w_qp, out_qp)
     per_tap = False
     if node.op == "conv2d":
         kh, kw, cin, _ = wq.shape
         per_tap = kh * kw > 1 and cin >= _PER_TAP_MIN_CIN
-    return ConvStep(node.name, node.op, bound, wq, bias, requant, exact, per_tap)
+    # Exactness proof: the largest |partial sum| any accumulation order can
+    # produce is max|x - zp| * sum|w - zp| per output channel — over the
+    # whole window for the step, over one tap's cin for a per-tap block.
+    reach = _input_magnitude(x_qp)
+    acc_bound = reach * int(np.abs(wq).sum(axis=_TAP_AXES[node.op]).max(initial=0))
+    block_bound = reach * int(np.abs(wq).sum(axis=2).max(initial=0)) if per_tap else acc_bound
+    clamp = _activation_range(bound.attrs.get("activation"), out_qp)
+    requant = RequantSpec.build(x_qp.scale, w_qp, out_qp, clamp)
+    return ConvStep(
+        node.name, node.op, bound, wq.astype(exact_dtype(block_bound)), bias,
+        requant, acc_bound, per_tap,
+    )
 
 
 def _lower(graph: Graph, node: Node) -> NodeStep:
@@ -612,5 +623,6 @@ __all__ = [
     "UnsupportedSegment",
     "codegen_model",
     "compile_segment",
+    "exact_dtype",
     "note_stat",
 ]

@@ -63,35 +63,44 @@ class RequantSpec:
     shift: int = 0
     lane_mults: np.ndarray | None = None
     lane_shifts: np.ndarray | None = None
+    #: Code range of a fused activation (``None``: the dtype's own): the
+    #: epilogue's final saturation, so ReLU / ReLU6 cost no pass of their own.
+    clamp: tuple[int, int] | None = None
 
     @classmethod
     def build(cls, x_scale: float, w_qp: QuantParams | ChannelQuantParams,
-              out_qp: QuantParams) -> "RequantSpec":
+              out_qp: QuantParams, clamp: tuple[int, int] | None = None) -> "RequantSpec":
         if isinstance(w_qp, ChannelQuantParams):
             pairs = [
                 quantize_multiplier(x_scale * scale / out_qp.scale)
                 for scale in w_qp.scales
             ]
             return cls(
-                zero_point=out_qp.zero_point, dtype=out_qp.dtype,
+                zero_point=out_qp.zero_point, dtype=out_qp.dtype, clamp=clamp,
                 lane_mults=np.array([p[0] for p in pairs], dtype=np.int64),
                 lane_shifts=np.array([p[1] for p in pairs], dtype=np.int64),
             )
         mult, shift = quantize_multiplier(x_scale * w_qp.scale / out_qp.scale)
         return cls(
-            zero_point=out_qp.zero_point, dtype=out_qp.dtype,
+            zero_point=out_qp.zero_point, dtype=out_qp.dtype, clamp=clamp,
             mult=mult, shift=shift,
         )
 
-    def apply(self, acc: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-        """Requantize an integer (or integer-valued f64) accumulator plus
-        ``bias``, clipped to the int32 accumulator range first, to the
-        narrow type."""
+    def apply(self, acc: np.ndarray, bias: np.ndarray | None = None,
+              bound: int | None = None) -> np.ndarray:
+        """Requantize an integer (or integer-valued float) accumulator plus
+        ``bias`` to the narrow type, saturating to ``clamp``.  ``bound`` is
+        the caller's static proof that ``|acc| <= bound`` (see
+        :func:`repro.dtypes.requantize`); without it the sum is clipped to
+        the int32 accumulator range first."""
         if self.lane_mults is None or self.lane_shifts is None:
             mult, shift = self.mult, self.shift
         else:
             mult, shift = self.lane_mults, self.lane_shifts
-        return requantize(acc, mult, shift, self.zero_point, self.dtype, bias=bias)
+        return requantize(
+            acc, mult, shift, self.zero_point, self.dtype,
+            bias=bias, clamp=self.clamp, bound=bound,
+        )
 
 
 def apply_integer_activation(

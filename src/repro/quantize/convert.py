@@ -24,6 +24,7 @@ from repro.dtypes import (
     to_bfloat16,
 )
 from repro.graph.gir import Graph, GraphError, Node, Tensor, TensorType
+from repro.graph.passes import PassManager, fold_batch_norm, fuse_bias_add, fuse_pad
 from repro.quantize.calibrate import CalibrationResult
 
 # Ops rewritten to integer arithmetic.
@@ -236,6 +237,29 @@ class _Converter:
         self.out.add_node(Node(node.name, node.op, op_inputs, list(node.outputs), dict(node.attrs)))
 
 
+def _fold_into_convs(
+    graph: Graph, calibration: CalibrationResult
+) -> tuple[Graph, CalibrationResult]:
+    """The graph the GCL hands the Delegate (section V-B): a copy of
+    ``graph`` with every explicit ``pad``, ``batch_norm`` and ``bias_add``
+    a convolution can absorb folded into it, and the ranges to quantize it
+    with.  An absorbing conv's output *is* the tensor the absorbed node
+    produced, so it takes that tensor's observed range."""
+    folded = graph.copy()
+    PassManager([fuse_pad, fold_batch_norm, fuse_bias_add]).run(folded)
+    kept = {node.name for node in folded.nodes}
+    ranges = dict(calibration.ranges)
+    stands_for: dict[str, str] = {}
+    for node in graph.nodes:  # topological: the last absorbed node wins
+        if node.name in kept or node.op == "pad":
+            continue
+        absorbed, conv_out = node.outputs[0], node.inputs[0]
+        stands_for[absorbed] = conv_out = stands_for.get(conv_out, conv_out)
+        if absorbed in ranges:
+            ranges[conv_out] = ranges[absorbed]
+    return folded, CalibrationResult(ranges)
+
+
 def quantize_graph(
     graph: Graph,
     calibration: CalibrationResult,
@@ -250,9 +274,20 @@ def quantize_graph(
     maintain precision" (section II-A.6) at 4x the NPU issue latency.
     ``per_channel_weights`` quantizes conv/dense weights per output
     channel, using the OUT unit's per-lane requantization registers.
+
+    ``graph`` is left untouched: conversion works on a copy on which the
+    conv-absorbing float passes (``fuse_pad``, ``fold_batch_norm``,
+    ``fuse_bias_add``) have run first, as the GCL runs them before the
+    Delegate partitions, so *quantize -> compile* and *optimize -> quantize
+    -> compile* produce the same segments.  ``calibration`` is the
+    un-optimised graph's: each absorbing conv's output is quantized with
+    the range of the tensor it replaced.  A ``batch_norm`` / ``pad`` no
+    conv can absorb (two consumers, non-conv producer) stays a float
+    island between ``dequantize`` / ``quantize``.
     """
     if dtype not in (NcoreDType.UINT8, NcoreDType.INT8, NcoreDType.INT16):
         raise ValueError("post-training quantization targets integer dtypes")
+    graph, calibration = _fold_into_convs(graph, calibration)
     return _Converter(graph, calibration, dtype, per_channel_weights).convert(
         dequantize_outputs
     )

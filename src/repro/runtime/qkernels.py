@@ -31,6 +31,7 @@ from repro.dtypes import (
     NcoreDType,
     QuantParams,
     dequantize,
+    dtype_info,
     quantize,
     rounding_right_shift,
     saturate,
@@ -59,14 +60,29 @@ def _quantized_six(out_qp: QuantParams) -> int:
     return int(quantize(np.array(6.0), out_qp))
 
 
-def _activation_clamp(values: np.ndarray, activation: str, out_qp: QuantParams) -> np.ndarray:
+def _activation_range(activation: str | None, out_qp: QuantParams) -> tuple[int, int] | None:
+    """The code range a fused activation saturates to (``None``: the
+    dtype's own): ReLU floors at the zero point, ReLU6 also caps at 6.0."""
     if activation in ("none", None):
-        return values
+        return None
     if activation == "relu":
-        return np.maximum(values, out_qp.zero_point)
+        return out_qp.zero_point, int(dtype_info(out_qp.dtype).max_value)
     if activation == "relu6":
-        return np.clip(values, out_qp.zero_point, _quantized_six(out_qp))
+        return out_qp.zero_point, _quantized_six(out_qp)
     raise GraphError(f"activation {activation!r} has no quantized form")
+
+
+def _activation_clamp(values: np.ndarray, activation: str, out_qp: QuantParams) -> np.ndarray:
+    clamp = _activation_range(activation, out_qp)
+    return values if clamp is None else np.clip(values, *clamp)
+
+
+def _requantize(acc, bias, x_qp, w_qp, out_qp, activation) -> np.ndarray:
+    """The OUT-unit tail of the three matmul kernels: add the bias, clamp
+    to the int32 accumulator range, requantize, saturate to the activation's
+    code range.  No static bound is passed, so the full epilogue runs."""
+    clamp = _activation_range(activation, out_qp)
+    return RequantSpec.build(x_qp.scale, w_qp, out_qp, clamp).apply(acc, bias)
 
 
 def qconv2d(
@@ -99,11 +115,7 @@ def qconv2d(
             cols[..., (i * kw + j) * cin : (i * kw + j + 1) * cin] = patch
     acc = cols.reshape(-1, kh * kw * cin) @ wq.reshape(kh * kw * cin, cout)
     acc = acc.reshape(n, oh, ow, cout)
-    if bias is not None:
-        acc = acc + bias.astype(np.int64)
-    # apply() clamps to the int32 accumulator range before requantizing.
-    out = RequantSpec.build(x_qp.scale, w_qp, out_qp).apply(acc)
-    return _activation_clamp(out, activation, out_qp).astype(out.dtype)
+    return _requantize(acc, bias, x_qp, w_qp, out_qp, activation)
 
 
 def qdepthwise(
@@ -131,10 +143,7 @@ def qdepthwise(
     for i in range(kh):
         for j in range(kw):
             acc += xq[:, i : i + oh * sh : sh, j : j + ow * sw : sw, :] * wq[i, j]
-    if bias is not None:
-        acc = acc + bias.astype(np.int64)
-    out = RequantSpec.build(x_qp.scale, w_qp, out_qp).apply(acc)
-    return _activation_clamp(out, activation, out_qp).astype(out.dtype)
+    return _requantize(acc, bias, x_qp, w_qp, out_qp, activation)
 
 
 def qfully_connected(
@@ -147,10 +156,7 @@ def qfully_connected(
     activation: str = "none",
 ) -> np.ndarray:
     acc = (x.astype(np.int64) - x_qp.zero_point) @ _weight_offsets(weights, w_qp)
-    if bias is not None:
-        acc = acc + bias.astype(np.int64)
-    out = RequantSpec.build(x_qp.scale, w_qp, out_qp).apply(acc)
-    return _activation_clamp(out, activation, out_qp).astype(out.dtype)
+    return _requantize(acc, bias, x_qp, w_qp, out_qp, activation)
 
 
 def _rescale_to(values: np.ndarray, qp: QuantParams, out_qp: QuantParams) -> np.ndarray:
@@ -254,10 +260,6 @@ class BoundNode:
     def out_qp(self) -> QuantParams:
         return _require_qp(self.out_qps[0], self.outputs[0])
 
-    def clamp(self, values: np.ndarray, activation: str | None) -> np.ndarray:
-        """The quantized-domain activation clamp against the output params."""
-        return _activation_clamp(values, activation, self.out_qp()).astype(values.dtype)
-
     def store(self, env: dict[str, np.ndarray], outs: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Write ``outs`` back under the output names (bf16-typed ones
         rounded) and return what was stored."""
@@ -350,7 +352,7 @@ def _qconcat(b: BoundNode, ins: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _qclamp(b: BoundNode, ins: list[np.ndarray]) -> list[np.ndarray]:
-    return [b.clamp(ins[0], b.op)]
+    return [_activation_clamp(ins[0], b.op, b.out_qp()).astype(ins[0].dtype)]
 
 
 #: The quantized family: every op the converter quantizes, plus the

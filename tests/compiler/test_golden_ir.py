@@ -6,20 +6,25 @@ Three layers of pinning:
   graphs are built fresh;
 - the backend stages (partition/plan/lower) over the converted benchmark
   graphs, reusing the ``get_system`` cache the perf tests already warm;
-- the form the O2 ``codegen`` stage picks for every matmul step and LSTM
-  chain — the rule ``docs/simulator-performance.md`` measured, restated.
+- the form and accumulation dtype the O2 ``codegen`` stage picks for every
+  matmul step and LSTM chain — the rules ``docs/simulator-performance.md``
+  measured, restated.
 
 If a pass, the partitioner or the lowering changes what it produces for
 the paper's four models, these numbers move and the change has to be
 acknowledged here.
 """
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from repro.compiler import compile_graph, optimize_graph
 from repro.models import PAPER_CHARACTERISTICS
 from repro.ncore.codegen import _LSTM_CHAINS, ConvStep, NodeStep
 from repro.perf.system import get_system
+from repro.quantize import calibrate, quantize_graph
 
 # model -> (float nodes, optimized nodes)
 OPTIMIZE_GOLDEN = {
@@ -68,6 +73,24 @@ def test_backend_stage_counts(key):
     assert list(result.snapshots) == STAGE_ORDER
 
 
+@pytest.mark.parametrize("key", sorted(set(BACKEND_GOLDEN) - {"gnmt"}))
+def test_quantize_without_optimize_reaches_the_same_backend_counts(key):
+    """The ledger-order recipe (calibrate -> quantize_graph -> O2, no prior
+    ``optimize``): PTQ folds pad / batch_norm / bias_add into the convs
+    itself, so the counts are the benchmark path's."""
+    nodes, segments, ncore, _ = BACKEND_GOLDEN[key]
+    info = PAPER_CHARACTERISTICS[key]
+    graph = info.build()
+    ranges = calibrate(graph, [info.sample_input(graph, seed=0)])
+    result = compile_graph(quantize_graph(graph, ranges), pipeline="O2", name=key, cache=None)
+    assert len(result.model.graph.nodes) == nodes
+    part = result.context.stage_stats("partition").changes
+    assert (part["segments"], part["ncore_segments"]) == (segments, ncore)
+    assert Counter(node.op for node in result.model.graph.nodes) == Counter(
+        node.op for node in get_system(key).compiled.graph.nodes
+    )
+
+
 @pytest.mark.parametrize("key", sorted(BACKEND_GOLDEN))
 def test_staged_compile_matches_benchmark_artifact(key):
     """The staged O0 pipeline reproduces the benchmark path's cycles."""
@@ -96,6 +119,8 @@ def test_codegen_form_rule_is_pinned(key):
         for step in kernel.steps:
             if not isinstance(step, ConvStep):
                 continue
+            # Every zoo matmul is exact in float32 (its blocks, per tap).
+            assert step.weights.dtype == np.float32, step.node
             if step.op != "conv2d" or step.weights.shape[:2] == (1, 1):
                 assert not step.per_tap, step.node
                 continue

@@ -248,22 +248,35 @@ def boundary_accumulators(multiplier: int, shift: int) -> list[int]:
     return accs
 
 
-def assert_all_three_match_gemmlowp(acc, mults, shifts, offset, dtype):
+def assert_all_three_match_gemmlowp(acc, mults, shifts, offset, dtype, bias=None, clamp=None):
     """``requantize``, ``requantize_lanes`` and ``RequantSpec.apply`` on a
-    (rows, lanes) accumulator against the oracle, bytes and dtype."""
+    (rows, lanes) accumulator against the oracle, bytes and dtype.
+
+    The two that take a range proof run twice: without one (the full,
+    saturating epilogue) and with the honest ``bound = max|acc|`` — the
+    range-proved path wherever the proof holds (no left shift,
+    ``bound + max|bias| < 2**31``), the full one again wherever it does not.
+    ``bias`` is added and ``clamp`` applied by the oracle in Python ints."""
     lanes = acc.shape[-1]
-    want = oracle_lanes(acc, mults, shifts, [offset] * lanes, dtype)
+    total = acc if bias is None else acc + bias
+    want = oracle_lanes(total, mults, shifts, [offset] * lanes, dtype)
+    if clamp is not None:
+        want = np.clip(want, *clamp)
     narrow = dtype_info(dtype).numpy_dtype
-    got = requantize(acc, mults, shifts, offset, dtype)
-    assert got.dtype == narrow
-    np.testing.assert_array_equal(got, want)
-    got = requantize_lanes(acc, mults, shifts, np.full(lanes, offset, np.int64), dtype)
-    assert got.dtype == np.int32
-    np.testing.assert_array_equal(got, want)
-    spec = RequantSpec(zero_point=offset, dtype=dtype, lane_mults=mults, lane_shifts=shifts)
-    got = spec.apply(acc)
-    assert got.dtype == narrow
-    np.testing.assert_array_equal(got, want)
+    spec = RequantSpec(
+        zero_point=offset, dtype=dtype, lane_mults=mults, lane_shifts=shifts, clamp=clamp
+    )
+    for bound in (None, int(np.abs(acc).max(initial=0))):
+        got = requantize(acc, mults, shifts, offset, dtype, bias=bias, clamp=clamp, bound=bound)
+        assert got.dtype == narrow
+        np.testing.assert_array_equal(got, want, f"requantize bound={bound}")
+        got = spec.apply(acc, bias, bound)
+        assert got.dtype == narrow
+        np.testing.assert_array_equal(got, want, f"RequantSpec.apply bound={bound}")
+    if bias is None and clamp is None:
+        got = requantize_lanes(acc, mults, shifts, np.full(lanes, offset, np.int64), dtype)
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(got, want)
 
 
 class TestAgainstGemmlowp:
@@ -297,6 +310,10 @@ class TestAgainstGemmlowp:
                 )
                 spec = RequantSpec(zero_point=offset, dtype=dtype, mult=multiplier, shift=shift)
                 np.testing.assert_array_equal(spec.apply(acc), want, where)
+                # The range-proved path needs every accumulator inside int32.
+                inside = acc[np.abs(acc) < (1 << 31)]
+                proved = spec.apply(inside, bound=int(np.abs(inside).max()))
+                np.testing.assert_array_equal(proved, want[np.abs(acc) < (1 << 31)], where)
                 full = np.full(acc.size, 1, np.int64)
                 np.testing.assert_array_equal(
                     requantize_lanes(
@@ -343,6 +360,93 @@ class TestAgainstGemmlowp:
         mults = np.array([m for m, _ in pairs], dtype=np.int64)
         shifts = np.array([s for _, s in pairs], dtype=np.int64)
         assert_all_three_match_gemmlowp(acc, mults, shifts, offset, dtype)
+
+    @given(
+        st.lists(st.integers(-(1 << 31) + 1, (1 << 31) - 1), min_size=1, max_size=12),
+        st.lists(
+            st.tuples(st.integers(INT32_MIN, INT32_MAX), st.integers(0, 31)),
+            min_size=1, max_size=6,
+        ),
+        st.one_of(st.none(), st.integers(0, 1 << 31)),
+        st.sampled_from([None, "relu", "relu6"]),
+        st.integers(-128, 127),
+        st.sampled_from(INT_DTYPES),
+    )
+    def test_random_lanes_range_proved(self, values, pairs, bias_reach, activation, offset, dtype):
+        # Right and zero shifts only, accumulators inside int32: the proof
+        # holds unless the bias breaks it (then the full path must saturate).
+        if dtype is NcoreDType.UINT8:
+            offset += 128
+        lanes = len(pairs)
+        acc = np.resize(np.array(values, dtype=np.int64), (len(values), lanes))
+        mults = np.array([m for m, _ in pairs], dtype=np.int64)
+        shifts = np.array([s for _, s in pairs], dtype=np.int64)
+        bias = None
+        if bias_reach is not None:
+            bias = (np.arange(lanes) % 3 - 1) * bias_reach  # -b, 0, +b, ...
+        info = dtype_info(dtype)
+        clamp = {
+            None: None,
+            "relu": (offset, int(info.max_value)),
+            "relu6": (offset, min(offset + 40, int(info.max_value))),
+        }[activation]
+        assert_all_three_match_gemmlowp(acc, mults, shifts, offset, dtype, bias, clamp)
+
+    @pytest.mark.parametrize("activation", ["none", "relu", "relu6"])
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["nobias", "bias"])
+    @pytest.mark.parametrize("per_lane", [False, True], ids=["tensor", "lane"])
+    def test_range_proved_boundaries(self, per_lane, with_bias, activation):
+        # shift == 0 lanes next to shifting ones, every boundary accumulator
+        # float32 holds exactly; float32 / float64 / int32 accumulators alike.
+        pairs = [(m, s) for s in (0, 1, 7, 0, 31) for m in MULTIPLIERS]
+        if not per_lane:
+            pairs = [pairs[5]] * 4
+        mults = np.array([m for m, _ in pairs], dtype=np.int64)
+        shifts = np.array([s for _, s in pairs], dtype=np.int64)
+        acc = np.array([
+            [a if abs(a) < (1 << 24) else 0 for a in boundary_accumulators(m, s)]
+            for m, s in pairs
+        ], dtype=np.int64).T
+        bias = np.arange(len(pairs)) * 1_000_003 - (1 << 21) if with_bias else None
+        clamp = {"none": None, "relu": (7, 255), "relu6": (7, 93)}[activation]
+        for form in (acc, acc.astype(np.float32), acc.astype(np.float64), acc.astype(np.int32)):
+            assert_all_three_match_gemmlowp(
+                np.ascontiguousarray(form), mults, shifts, 7, NcoreDType.UINT8, bias, clamp
+            )
+
+    def test_left_shift_lanes_fall_back_to_the_full_path(self):
+        # 2**29 << 4 saturates: skipping the saturation would read 2**33.
+        mults = np.array([1 << 30, (1 << 31) - 1], dtype=np.int64)
+        shifts = np.array([-4, 3], dtype=np.int64)
+        acc = np.array([[1 << 29, 1 << 29], [-(1 << 29), 12345]], dtype=np.int64)
+        assert_all_three_match_gemmlowp(acc, mults, shifts, 0, NcoreDType.INT16)
+        got = requantize(acc, mults, shifts, 0, NcoreDType.INT16, bound=1 << 29)
+        assert got[0, 0] == 32767 and got[1, 0] == -32768
+
+    @pytest.mark.parametrize("bias", [None, 100], ids=["acc", "acc+bias"])
+    def test_a_bound_of_2_31_takes_the_full_path_and_still_saturates(self, bias):
+        # With m = 2**31 - 1 and shift 0 the scaled value is the saturated
+        # accumulator itself, so a skipped saturation shows in the output.
+        reach = (1 << 31) - (0 if bias is None else bias)
+        acc = np.array([[reach, -reach - 1, reach - 1, 5]], dtype=np.int64).T
+        lane_bias = None if bias is None else np.array([bias], dtype=np.int64)
+        want = oracle_lanes(
+            acc if bias is None else acc + bias, [(1 << 31) - 1], [16], [0], NcoreDType.INT16
+        )
+        assert want[0, 0] == 32767 and want[1, 0] == -32768
+        for dtype in (np.int64, np.float64):
+            got = requantize(
+                acc.astype(dtype), (1 << 31) - 1, 16, 0, NcoreDType.INT16,
+                bias=lane_bias, bound=int(np.abs(acc).max()),
+            )
+            np.testing.assert_array_equal(got, want)
+        # One below the limit the proof holds, and agrees with the oracle.
+        inside = acc[2:]
+        got = requantize(
+            inside, (1 << 31) - 1, 16, 0, NcoreDType.INT16,
+            bias=lane_bias, bound=int(np.abs(inside).max()),
+        )
+        np.testing.assert_array_equal(got, want[2:])
 
     @given(st.integers(-(1 << 62), 1 << 62), st.integers(0, 40))
     def test_rounding_right_shift_is_rounding_divide_by_pot(self, value, shift):

@@ -80,6 +80,16 @@ class TestFoldBatchNorm:
         g.mark_output("side")
         assert fold_batch_norm(g) is False
 
+    def test_not_folded_when_conv_output_is_a_graph_output(self):
+        g = conv_bn_relu_graph()
+        g.mark_output("c")  # folding would change what the graph returns as "c"
+        assert fold_batch_norm(g) is False
+
+    def test_not_folded_into_a_conv_that_already_activates(self):
+        g = conv_bn_relu_graph()
+        g.node("conv").attrs["activation"] = "relu"  # bn(relu(conv)) != relu(conv')
+        assert fold_batch_norm(g) is False
+
     def test_bn_without_conv_producer_untouched(self):
         g = Graph()
         g.add_input("x", TensorType((1, 4, 4, 2)))
@@ -151,6 +161,14 @@ class TestFuseBiasAndActivation:
         np.testing.assert_allclose(
             list(actual.values())[0], list(expected.values())[0], rtol=1e-5
         )
+
+    def test_bias_not_fused_past_an_activation_or_a_graph_output(self):
+        g = self._graph()
+        g.node("fc").attrs["activation"] = "relu"  # relu(fc) + b != relu(fc + b)
+        assert fuse_bias_add(g) is False
+        g = self._graph()
+        g.mark_output("m")
+        assert fuse_bias_add(g) is False
 
     def test_nonconstant_bias_not_fused(self):
         g = self._graph()

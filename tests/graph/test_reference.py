@@ -146,6 +146,59 @@ class TestNms:
         assert sorted(out_classes[:2].tolist()) == [0, 1]
 
 
+    def test_tied_scores_and_a_class_below_threshold(self):
+        # Five disjoint boxes, so every candidate above the threshold is
+        # kept and the (score, anchor, class) sort decides the order.
+        boxes = np.array([[i * 10, 0, i * 10 + 5, 5] for i in range(5)], dtype=np.float32)
+        scores = np.zeros((5, 3), dtype=np.float32)
+        scores[:, 0] = [0.5, 0.9, 0.5, 0.2, 0.5]  # three tied, one below
+        scores[:, 1] = 0.1  # the whole class below the threshold
+        scores[0, 2] = 0.5  # tied with class 0's
+        out_boxes, out_scores, out_classes = ref.nms(
+            boxes, scores, score_threshold=0.3, max_detections=6
+        )
+        np.testing.assert_array_equal(out_scores, np.float32([0.9, 0.5, 0.5, 0.5, 0.5, 0.0]))
+        np.testing.assert_array_equal(out_classes, [0, 0, 0, 2, 0, -1])
+        np.testing.assert_array_equal(out_boxes[:5], boxes[[1, 4, 2, 0, 0]])
+        np.testing.assert_array_equal(out_boxes[5], 0.0)
+        # Nothing anywhere above the threshold: all padding.
+        _, none_scores, none_classes = ref.nms(boxes, scores, score_threshold=0.95)
+        assert not none_scores.any() and (none_classes == -1).all()
+
+
+    def test_matches_the_python_candidate_filter(self):
+        # The loop the vectorised filter replaced, kept as the reference:
+        # overlapping boxes and scores on a 0.1 grid, so ties decide which
+        # box of an overlapping pair survives.
+        def loop_filter_nms(boxes, scores, iou_threshold, score_threshold, max_detections):
+            picked = []
+            for cls in range(scores.shape[1]):
+                cls_scores = scores[:, cls]
+                candidates = [
+                    a for a in np.argsort(-cls_scores) if cls_scores[a] >= score_threshold
+                ]
+                kept = []
+                for anchor in candidates:
+                    if all(ref._iou(boxes[anchor], boxes[k]) <= iou_threshold for k in kept):
+                        kept.append(anchor)
+                picked.extend((float(cls_scores[a]), a, cls) for a in kept)
+            picked.sort(reverse=True)
+            return picked[:max_detections]
+
+        rng = np.random.default_rng(17)
+        corners = rng.uniform(0, 20, size=(60, 2))
+        boxes = np.concatenate([corners, corners + rng.uniform(4, 12, size=(60, 2))], axis=1)
+        boxes = boxes.astype(np.float32)
+        scores = (rng.integers(0, 11, size=(60, 4)) / 10).astype(np.float32)
+        scores[:, 3] = 0.2  # one class entirely below the threshold
+        want = loop_filter_nms(boxes, scores, 0.4, 0.3, 25)
+        out_boxes, out_scores, out_classes = ref.nms(boxes, scores, 0.4, 0.3, 25)
+        assert 5 < len(want) <= 25
+        np.testing.assert_array_equal(out_scores[: len(want)], [s for s, _, _ in want])
+        np.testing.assert_array_equal(out_classes[: len(want)], [c for _, _, c in want])
+        np.testing.assert_array_equal(out_boxes[: len(want)], boxes[[a for _, a, _ in want]])
+
+
 class TestGraphExecution:
     def test_executes_pipeline(self):
         from tests.graph.test_gir import simple_conv_graph

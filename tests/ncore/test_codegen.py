@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.compiler import compile_graph
-from repro.dtypes import ChannelQuantParams
+from repro.dtypes import ChannelQuantParams, NcoreDType, QuantParams, dtype_info
 from repro.graph.gir import TensorType
 from repro.graph.partitioner import Segment
 from repro.ncore.codegen import (
@@ -28,6 +28,7 @@ from repro.ncore.codegen import (
     NodeStep,
     codegen_model,
     compile_segment,
+    exact_dtype,
 )
 from repro.quantize import calibrate, quantize_graph
 from repro.runtime import NcoreExecutor, execute_quantized
@@ -192,15 +193,120 @@ class TestMultiKernelDispatcher:  # the dispatcher's old name: test ids are kept
             KernelDispatcher(oracle="sometimes")
 
 
-class TestExactF64Bound:
-    def test_large_accumulators_fall_back_to_int64(self, compiled):
-        # The small CNN is comfortably inside the 2**53 bound, so every
-        # conv/fc step should take the f64 BLAS path.
-        for kernel in compiled.macro_kernels.kernels.values():
-            for step in kernel.steps:
-                if isinstance(step, ConvStep):
-                    assert step.exact_f64
-                    assert step.weights.dtype == np.float64
+def _extreme_step(op, x_dtype, x_code, tap_sum, seed=0):
+    """A one-node conv2d / depthwise_conv2d / fully_connected whose input is
+    all ``x_code`` (zero point 0) and whose channel-0 weights (zero point 0,
+    seeded) sum to ``tap_sum`` over the accumulated axes: the channel-0
+    accumulator *is* ``x_code * tap_sum`` and no other channel's is larger."""
+    rng = np.random.default_rng(seed)
+    x_shape, w_shape, out_shape, taps = {
+        # 5x5x24 (im2col: cin below the per-tap cut) = 600 taps, 23x23 = 529
+        # taps, 600 taps: enough for a column of 2**17.
+        "conv2d": ((1, 5, 5, 24), (5, 5, 24, 4), (1, 1, 1, 4), 600),
+        "depthwise_conv2d": ((1, 23, 23, 4), (23, 23, 4), (1, 1, 1, 4), 529),
+        "fully_connected": ((2, 600), (600, 4), (2, 4), 600),
+    }[op]
+    column = np.zeros(taps, dtype=np.int64)
+    column[: tap_sum // 255] = 255
+    column[tap_sum // 255] = tap_sum % 255
+    channels = rng.integers(0, 200, size=(taps, 4))  # sums well below tap_sum
+    channels[:, 0] = rng.permutation(column)
+    assert channels.sum(axis=0).argmax() == 0 and channels[:, 0].sum() == tap_sum
+    weights = channels.astype(np.uint8).reshape(w_shape)
+    zero = QuantParams(scale=0.02, zero_point=0, dtype=x_dtype)
+    info = dtype_info(x_dtype)
+    case = OneNode(op)
+    case._feed(TensorType(x_shape, x_dtype), np.full(x_shape, x_code, info.numpy_dtype), zero)
+    case.const(weights, QuantParams(scale=0.01, zero_point=0, dtype=U8))
+    case.bias(4)
+    case.out(TensorType(out_shape, U8), quant=QuantParams(scale=17.0, zero_point=3, dtype=U8),
+             activation="relu")
+    kernel = compile_segment(case.graph, Segment("ncore", list(case.graph.nodes)), 0, "k")
+    (step,) = kernel.steps
+    assert isinstance(step, ConvStep)
+    return case, step
+
+
+def _assert_equal_to_the_walk(case, step):
+    """``step`` against the table's int64 kernel for its op."""
+    walked = seed_values(case.graph, case.feeds)
+    run_nodes(case.graph, case.graph.nodes, walked)
+    env = seed_values(case.graph, case.feeds)
+    step.run(env)
+    assert env["out0"].dtype == walked["out0"].dtype
+    assert env["out0"].tobytes() == np.asarray(walked["out0"]).tobytes()
+    return np.asarray(walked["out0"])
+
+
+MATMUL_OPS = ("conv2d", "depthwise_conv2d", "fully_connected")
+
+
+class TestExactDtypeBound:
+    """f32 below 2**24, f64 below 2**53, int64 beyond: the rule, on both
+    sides of each cut, with the largest partial sum really reached."""
+
+    def test_the_rule(self):
+        assert exact_dtype(0) is np.float32
+        assert exact_dtype(2**24 - 1) is np.float32
+        assert exact_dtype(2**24) is np.float64
+        assert exact_dtype(2**53 - 1) is np.float64
+        assert exact_dtype(2**53) is np.int64
+
+    @pytest.mark.parametrize("op", MATMUL_OPS)
+    def test_a_partial_sum_of_2_24_minus_1_accumulates_in_f32(self, op):
+        # 2**24 - 1 == 255 * 65793: uint8 inputs all 255.
+        case, step = _extreme_step(op, U8, 255, 65793)
+        assert step.acc_bound == 2**24 - 1
+        assert step.weights.dtype == np.float32
+        out = _assert_equal_to_the_walk(case, step)
+        assert 3 < out.ravel()[0] < 255  # channel 0 reached it, unsaturated
+
+    @pytest.mark.parametrize("op", MATMUL_OPS)
+    def test_a_partial_sum_of_2_24_accumulates_in_f64(self, op):
+        # 2**24 == 128 * 2**17: int8 inputs all -128.
+        case, step = _extreme_step(op, NcoreDType.INT8, -128, 2**17)
+        assert step.acc_bound == 2**24
+        assert step.weights.dtype == np.float64
+        _assert_equal_to_the_walk(case, step)
+        # One unit less and the same step is f32 again.
+        case, step = _extreme_step(op, NcoreDType.INT8, -128, 2**17 - 1)
+        assert step.weights.dtype == np.float32
+        _assert_equal_to_the_walk(case, step)
+
+    @pytest.mark.parametrize("op", MATMUL_OPS)
+    def test_the_f32_sum_would_be_wrong_one_past_the_bound(self, op):
+        # The rule is tight: force f32 weights on the 2**24 case and an odd
+        # partial sum above 2**24 is no longer representable.
+        case, step = _extreme_step(op, U8, 255, 65793 + 2)
+        assert step.weights.dtype == np.float64
+        forced = dataclasses.replace(step, weights=step.weights.astype(np.float32))
+        exact = step._accumulate(case.feeds["in0"])
+        assert exact.max() == 255 * (65793 + 2) and exact.max() % 2 == 1
+        assert forced._accumulate(case.feeds["in0"]).max() != exact.max()
+
+    def test_the_small_cnn_bakes_float32(self, compiled):
+        steps = [
+            step for kernel in compiled.macro_kernels.kernels.values()
+            for step in kernel.steps if isinstance(step, ConvStep)
+        ]
+        assert steps and all(step.weights.dtype == np.float32 for step in steps)
+
+    @pytest.mark.parametrize("op", MATMUL_OPS)
+    def test_beyond_2_53_accumulates_in_int64(self, op):
+        axis = {"conv2d": 3, "depthwise_conv2d": 2, "fully_connected": 1}[op]
+        w_qp = ChannelQuantParams(scales=(0.01,) * 4, zero_points=(-(2**45),) * 4, axis=axis)
+        case = {
+            "conv2d": lambda c: c.u8((1, 4, 4, 3), X_QP).weights((3, 3, 3, 4), w_qp).out(
+                TensorType((1, 2, 2, 4), U8), quant=OUT_QP),
+            "depthwise_conv2d": lambda c: c.u8((1, 4, 4, 4), X_QP).weights((3, 3, 4), w_qp).out(
+                TensorType((1, 2, 2, 4), U8), quant=OUT_QP),
+            "fully_connected": lambda c: c.u8((2, 6), X_QP).weights((6, 4), w_qp).out(
+                TensorType((2, 4), U8), quant=OUT_QP),
+        }[op](OneNode(op))
+        kernel = compile_segment(case.graph, Segment("ncore", list(case.graph.nodes)), 0, "k")
+        (step,) = kernel.steps
+        assert step.acc_bound >= 2**53 and step.weights.dtype == np.int64
+        _assert_equal_to_the_walk(case, step)
 
 
 # (input h/w, kernel, cin, stride): both sides of the conv-form cut and on it.
@@ -235,14 +341,8 @@ def _conv_step(size, k, cin, stride, padded, w_qp, cout=5):
 
 def _assert_both_forms_equal_qconv2d(case, step):
     # The table's int64 conv2d kernel is ``qconv2d``.
-    walked = seed_values(case.graph, case.feeds)
-    run_nodes(case.graph, case.graph.nodes, walked)
-    want = np.asarray(walked["out0"])
     for form in (step, dataclasses.replace(step, per_tap=not step.per_tap)):
-        env = seed_values(case.graph, case.feeds)
-        form.run(env)
-        assert env["out0"].dtype == want.dtype
-        assert env["out0"].tobytes() == want.tobytes(), f"per_tap={form.per_tap}"
+        want = _assert_equal_to_the_walk(case, form)
     return want
 
 
@@ -261,7 +361,7 @@ class TestConvForms:
                 scales=(0.01, 0.02, 0.005, 0.03, 0.015), zero_points=(99, 3, 250, 128, 0), axis=3,
             )
         case, step = _conv_step(size, k, cin, stride, padded, w_qp)
-        assert step.exact_f64
+        assert step.weights.dtype == np.float32
         assert step.per_tap == (k > 1 and cin >= _PER_TAP_MIN_CIN)
         _assert_both_forms_equal_qconv2d(case, step)
 
@@ -272,10 +372,31 @@ class TestConvForms:
             scales=(0.01,) * 5, zero_points=(-(2**45),) * 5, axis=3,
         )
         case, step = _conv_step(9, 3, 3, 2, True, w_qp)
-        assert not step.exact_f64
         assert step.weights.dtype == np.int64
         want = _assert_both_forms_equal_qconv2d(case, step)
         assert len(np.unique(want)) > 1  # not one saturated constant
+
+
+    def test_per_tap_proves_each_block_and_sums_taps_wider(self):
+        # ResNet-50's 3x3x512x512 shape: the whole window's bound is past
+        # 2**24 (the zoo's own sit at 2**23.97 / 2**24.04) but one tap's
+        # 512-long block is not, so the blocks are sgemm and only their sum
+        # is float64.
+        case, step = _conv_step(4, 3, 512, 1, True, W_QP, cout=512)
+        assert step.per_tap
+        assert 2**24 <= step.acc_bound < 2**53
+        assert step.weights.dtype == np.float32
+        block = np.abs(step.weights).sum(axis=2).max() * 128  # max|x - 128|
+        assert block < 2**24
+        assert step._accumulate(case.feeds["in0"]).dtype == np.float64
+        want = _assert_equal_to_the_walk(case, step)
+        assert len(np.unique(want)) > 1
+        # im2col has no blocks to prove: the same node bakes float64 there.
+        whole = dataclasses.replace(
+            step, per_tap=False, weights=step.weights.astype(exact_dtype(step.acc_bound))
+        )
+        assert whole.weights.dtype == np.float64
+        _assert_equal_to_the_walk(case, whole)
 
 
 def _masked(dump: str) -> str:

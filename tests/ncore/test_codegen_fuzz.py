@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.compiler import compile_graph
+from repro.dtypes import quantize
 from repro.graph import Graph, Node, Tensor, TensorType
 from repro.quantize import calibrate, quantize_graph
 from repro.runtime import NcoreExecutor, execute_quantized
@@ -181,6 +182,34 @@ def test_tier3_matches_the_interpreter(seed):
                 assert out.tobytes() == expected.tobytes(), (seed, name)
     finally:
         executor.close()
+
+
+@pytest.mark.parametrize("zero_point", [0, 255])
+@pytest.mark.parametrize("seed", range(0, GRAPHS, 5))
+def test_extreme_codes_match_the_interpreter(seed, zero_point):
+    """Every input code 0 or 255 under an input zero point of 0 or 255:
+    ``|x - zp|`` sits at the magnitude the exactness proof assumes."""
+    graph = random_float_graph(seed)
+    ranges = calibrate(graph, [_feeds(graph, seed + i) for i in range(2)])
+    ranges.ranges["x"] = (0.0, 1.0) if zero_point == 0 else (-1.0, 0.0)
+    quantized = quantize_graph(graph, ranges)
+    entry = next(node for node in quantized.nodes if node.op == "quantize")
+    x_qp = quantized.tensor(entry.outputs[0]).quant
+    assert x_qp.zero_point == zero_point
+    result = compile_graph(quantized, cache=None, pipeline="O2")
+    rng = np.random.default_rng(seed)
+    feeds = {"x": rng.choice(np.float32([-1e6, 1e6]), size=graph.tensor("x").shape)}
+    assert set(np.unique(quantize(feeds["x"], x_qp))) <= {0, 255}
+    want = execute_quantized(result.model.graph, feeds)
+    executor = NcoreExecutor(
+        result.model, verify=False, policy="codegen", macro_kernels=result.macro_kernels,
+    )
+    try:
+        got = executor.execute(feeds).outputs
+    finally:
+        executor.close()
+    for name, value in want.items():
+        assert np.asarray(got[name]).tobytes() == np.asarray(value).tobytes(), (seed, name)
 
 
 def test_fuzz_population_exercises_codegen():

@@ -59,6 +59,11 @@ class TestRequantizeLanes:
         )
         expected = requantize(acc, m, s, offset, NcoreDType.INT16)
         np.testing.assert_array_equal(vals, expected.astype(np.int32))
+        # ... and so must the range-proved epilogue the macro-kernels take
+        # (the full one again when ``s`` is a left shift).
+        spec = out_unit.RequantSpec(offset, NcoreDType.INT16, mult=m, shift=s)
+        for form in (acc, acc.astype(np.float32)):
+            np.testing.assert_array_equal(spec.apply(form, bound=2**24), expected)
 
 
 def _lane_params(lanes, seed=0):
@@ -109,6 +114,33 @@ class TestEpilogueRegressions:
         flat = out_unit.RequantSpec(3, NcoreDType.INT8, mult=int(mults[0]), shift=4).apply(acc)
         want = oracle_lanes(acc.reshape(-1, 1), mults[:1], [4], [3], NcoreDType.INT8)
         np.testing.assert_array_equal(flat.reshape(-1, 1), want)
+
+    @pytest.mark.parametrize("shape", [(7, 10), (64, 1), (1, 65), (0, 5), (2, 3, 4, 6)], ids=str)
+    def test_range_proved_path_straddles_the_block_too(self, shape, monkeypatch):
+        # Right / zero shifts, a bias and a ReLU6 range: the proved path,
+        # on float32 accumulators as ``ConvStep`` hands them over.
+        monkeypatch.setattr(quantization, "_EPILOGUE_BLOCK", 64)
+        rng = np.random.default_rng(7)
+        acc = rng.integers(-(1 << 24) + 1, 1 << 24, shape)
+        lanes = shape[-1]
+        mults = rng.integers(1 << 30, 1 << 31, lanes)
+        shifts = np.resize(np.array([0, 3, 12, 0, 16]), lanes)
+        bias = rng.integers(-(1 << 28), 1 << 28, lanes)
+        spec = out_unit.RequantSpec(
+            3, NcoreDType.INT8, lane_mults=mults, lane_shifts=shifts, clamp=(3, 77)
+        )
+        want = np.clip(
+            oracle_lanes((acc + bias).reshape(-1, lanes), mults, shifts, [3] * lanes,
+                         NcoreDType.INT8),
+            3, 77,
+        )
+        for form in (acc, acc.astype(np.float32)):
+            before = form.copy()
+            got = spec.apply(form, bias, bound=1 << 24)
+            assert got.shape == shape and got.dtype == np.int8
+            np.testing.assert_array_equal(got.reshape(-1, lanes), want)
+            np.testing.assert_array_equal(form, before)  # never written
+            np.testing.assert_array_equal(spec.apply(form, bias), got)  # full path agrees
 
     def test_the_real_block_is_straddled_too(self):
         block = quantization._EPILOGUE_BLOCK
