@@ -13,7 +13,6 @@ from repro.graph import partition
 from repro.graph.passes import default_pipeline
 from repro.models import PAPER_CHARACTERISTICS, build_resnet50_v15
 from repro.nkl.lower import compressed_weight_bytes, lower_segment
-from repro.quantize import calibrate, quantize_graph
 
 from tableutil import render_table
 
@@ -38,7 +37,7 @@ def _pruned_resnet(sparsity: float):
                     np.abs(tensor.data) < cut, 0.0, tensor.data
                 ).astype(np.float32)
     info = PAPER_CHARACTERISTICS["resnet50_v15"]
-    return quantize_graph(graph, calibrate(graph, [info.sample_input(graph)]))
+    return info.convert(graph, seed=0)
 
 
 def compute_sparsity_ablation():

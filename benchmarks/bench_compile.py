@@ -15,7 +15,6 @@ import time
 
 from repro.compiler import CompileCache, compile_graph, optimize_graph
 from repro.models import PAPER_CHARACTERISTICS
-from repro.quantize import calibrate, quantize_graph
 
 MODEL_KEY = "resnet50_v15"
 MIN_SPEEDUP = 10.0
@@ -26,7 +25,7 @@ def _quantized_resnet():
     info = PAPER_CHARACTERISTICS[MODEL_KEY]
     graph = info.build()
     optimize_graph(graph, in_place=True)
-    return quantize_graph(graph, calibrate(graph, [info.sample_input(graph, seed=0)]))
+    return info.convert(graph, seed=0)
 
 
 def _cold_and_cached_seconds(graph):

@@ -16,7 +16,6 @@ from repro.analyze import analyze_model
 from repro.compiler import compile_graph
 from repro.graph.passes import default_pipeline
 from repro.models import PAPER_CHARACTERISTICS
-from repro.quantize import calibrate, quantize_graph
 
 MODEL_KEY = "resnet50_v15"
 ANALYSIS_BUDGET_SECONDS = 5.0
@@ -28,7 +27,7 @@ def _compiled_resnet():
     info = PAPER_CHARACTERISTICS[MODEL_KEY]
     graph = info.build()
     default_pipeline().run(graph)
-    quantized = quantize_graph(graph, calibrate(graph, [info.sample_input(graph, seed=0)]))
+    quantized = info.convert(graph, seed=0)
     start = time.perf_counter()
     compiled = compile_graph(
         quantized, pipeline="O0", name=MODEL_KEY, verify=False

@@ -151,16 +151,6 @@ def _cmd_serve(args) -> int:
     slo_seconds = args.slo_ms * 1e-3 if args.slo_ms is not None else None
     telemetry_interval = args.interval if args.telemetry else None
     with contextlib.ExitStack() as stack:
-        if args.tier != "auto":
-            from repro.runtime import (
-                TierPolicy,
-                get_default_tier_policy,
-                set_default_tier_policy,
-            )
-
-            previous_policy = get_default_tier_policy()
-            set_default_tier_policy(TierPolicy.for_tier(args.tier))
-            stack.callback(set_default_tier_policy, previous_policy)
         registry = None
         if args.telemetry or args.prometheus:
             registry = stack.enter_context(install_metrics(MetricsRegistry()))
@@ -282,7 +272,7 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
-def _zoo_pipeline(key: str, info, opt_level: str, seed: int):
+def _zoo_pipeline(info, opt_level: str, seed: int):
     """Compose the zoo compile pipeline: optimize -> quantize -> backend.
 
     Zoo models follow the benchmark path — GCL optimization on the float
@@ -296,17 +286,9 @@ def _zoo_pipeline(key: str, info, opt_level: str, seed: int):
     from repro.compiler import Pipeline, Stage, get_pipeline
 
     def quantize(ctx):
-        from repro.quantize import calibrate, convert_to_bf16, quantize_graph
-
         nodes_before = len(ctx.graph.nodes)
-        if key == "gnmt":
-            ctx.graph = convert_to_bf16(ctx.graph)
-            mode = "bf16"
-        else:
-            batches = [info.sample_input(ctx.graph, seed=seed)]
-            ctx.graph = quantize_graph(ctx.graph, calibrate(ctx.graph, batches))
-            mode = "uint8"
-        return {"mode": mode, "nodes_before": nodes_before,
+        ctx.graph = info.convert(ctx.graph, seed=seed)
+        return {"mode": info.precision, "nodes_before": nodes_before,
                 "nodes_after": len(ctx.graph.nodes)}
 
     preset = get_pipeline(opt_level)
@@ -354,7 +336,7 @@ def _cmd_compile(args) -> int:
         name = key
         info = PAPER_CHARACTERISTICS[key]
         graph = info.build()
-        pipeline = _zoo_pipeline(key, info, pipeline_id, args.seed)
+        pipeline = _zoo_pipeline(info, pipeline_id, args.seed)
     else:
         from repro.graph.frontends import load_graph
 
@@ -526,17 +508,13 @@ def _lint_target_graph(target: str, seed: int):
     """
     from repro.compiler import optimize_graph
     from repro.models import PAPER_CHARACTERISTICS
-    from repro.quantize import calibrate, convert_to_bf16, quantize_graph
 
     key = _resolve_model_key(target)
     if key is not None:
         info = PAPER_CHARACTERISTICS[key]
         graph = info.build()
         optimize_graph(graph, in_place=True)
-        if key == "gnmt":
-            return key, convert_to_bf16(graph)
-        batches = [info.sample_input(graph, seed=seed)]
-        return key, quantize_graph(graph, calibrate(graph, batches))
+        return key, info.convert(graph, seed=seed)
     from repro.graph.frontends import load_graph
 
     return target, load_graph(target)
@@ -760,9 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dynamic batching: seal after this many microseconds")
     serve.add_argument("--cores", type=int, default=8, help="x86 cores per socket")
     serve.add_argument("--sockets", type=int, default=1)
-    serve.add_argument("--tier", choices=_TIER_CHOICES, default="auto",
-                       help=_TIER_HELP + " (installed as the default tier "
-                            "policy for every serving executor)")
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--slo-ms", type=float, default=None,
                        help="arm the SLO monitor with this latency target "

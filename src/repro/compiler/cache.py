@@ -10,14 +10,12 @@ The memory tier returns the *same* :class:`CompiledModel` object to every
 hit; compiled models are treated as immutable artifacts (nothing in the
 runtime mutates one after compilation).  The disk tier pickles artifacts
 under ``<directory>/<key>.pkl`` and re-populates the memory tier on load,
-so a fresh process skips optimize/partition/lower entirely.
+so a fresh process skips optimize/partition/lower/codegen entirely.
 
-Beyond the model itself, a compilation can produce *sidecar artifacts*
-keyed by the same content key — today the Tier-3 ``codegen`` macro-kernel
-set (:mod:`repro.ncore.codegen`).  Sidecars live in their own LRU with
-disk entries at ``<directory>/<key>.<kind>.pkl``; because the key already
-digests graph + weights + ``NcoreConfig`` + pipeline, a sidecar hit is
-exactly as safe as a model hit.
+The model is the whole artifact: its Tier-3 step programs
+(``CompiledModel.macro_kernels``, :mod:`repro.ncore.codegen`) pickle
+with it, so one key is one LRU entry and one file, and a hit can never
+return a model without the kernels it was compiled with.
 """
 
 from __future__ import annotations
@@ -43,9 +41,6 @@ class CacheStats:
     disk_hits: int = 0
     stores: int = 0
     evictions: int = 0
-    artifact_hits: int = 0
-    artifact_misses: int = 0
-    artifact_stores: int = 0
 
     @property
     def lookups(self) -> int:
@@ -73,7 +68,6 @@ class CompileCache:
         self.directory = Path(directory) if directory is not None else None
         self.stats = CacheStats()
         self._entries: OrderedDict[str, CompiledModel] = OrderedDict()
-        self._artifacts: OrderedDict[tuple[str, str], object] = OrderedDict()
         self._lock = threading.Lock()
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -128,63 +122,6 @@ class CompileCache:
                 pickle.dump(model, handle, protocol=pickle.HIGHEST_PROTOCOL)
             tmp.replace(path)
 
-    # -- sidecar artifacts (same content key, second kind) --------------
-
-    def _artifact_path(self, key: str, kind: str) -> Path | None:
-        if self.directory is None:
-            return None
-        return self.directory / f"{key}.{kind}.pkl"
-
-    def lookup_artifact(self, key: str, kind: str) -> object | None:
-        """The sidecar artifact of ``kind`` for ``key``, or None."""
-        with self._lock:
-            artifact = self._artifacts.get((key, kind))
-            if artifact is not None:
-                self._artifacts.move_to_end((key, kind))
-                self.stats.artifact_hits += 1
-                self._count("compiler.cache.artifact_hits")
-                return artifact
-        path = self._artifact_path(key, kind)
-        if path is not None and path.exists():
-            try:
-                with path.open("rb") as handle:
-                    loaded = pickle.load(handle)
-            except Exception:  # corrupt entry: drop it, treat as a miss
-                path.unlink(missing_ok=True)
-            else:
-                with self._lock:
-                    self._remember_artifact(key, kind, loaded)
-                    self.stats.artifact_hits += 1
-                    self.stats.disk_hits += 1
-                self._count("compiler.cache.artifact_hits")
-                self._count("compiler.cache.disk_hits")
-                return loaded
-        with self._lock:
-            self.stats.artifact_misses += 1
-        self._count("compiler.cache.artifact_misses")
-        return None
-
-    def store_artifact(self, key: str, kind: str, artifact: object) -> None:
-        """Insert a sidecar artifact under (content key, kind)."""
-        with self._lock:
-            self._remember_artifact(key, kind, artifact)
-            self.stats.artifact_stores += 1
-        self._count("compiler.cache.artifact_stores")
-        path = self._artifact_path(key, kind)
-        if path is not None:
-            tmp = path.with_suffix(".tmp")
-            with tmp.open("wb") as handle:
-                pickle.dump(artifact, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            tmp.replace(path)
-
-    def _remember_artifact(self, key: str, kind: str, artifact: object) -> None:
-        # Caller holds the lock.
-        self._artifacts[(key, kind)] = artifact
-        self._artifacts.move_to_end((key, kind))
-        while len(self._artifacts) > self.capacity:
-            self._artifacts.popitem(last=False)
-            self.stats.evictions += 1
-
     def _remember(self, key: str, model: CompiledModel) -> None:
         # Caller holds the lock.
         self._entries[key] = model
@@ -204,7 +141,6 @@ class CompileCache:
         """Drop the memory tier (and, with ``disk=True``, disk entries)."""
         with self._lock:
             self._entries.clear()
-            self._artifacts.clear()
         if disk and self.directory is not None:
             for path in self.directory.glob("*.pkl"):
                 path.unlink(missing_ok=True)

@@ -33,12 +33,6 @@ from repro.compiler.stages import CompilerContext, CompilerError, StageStats
 if TYPE_CHECKING:
     from repro.ncore.codegen import MacroKernelSet
 
-#: Compile-cache sidecar kind for Tier-3 macro-kernel sets (kept in sync
-#: with repro.ncore.codegen.CODEGEN_ARTIFACT_KIND without importing it —
-#: the codegen module pulls in the runtime kernels, which import back
-#: into this package during init).
-_CODEGEN_KIND = "codegen"
-
 
 class _UseDefaultCache:
     """Sentinel: 'use the process-wide cache' (distinct from None = off)."""
@@ -56,9 +50,11 @@ class CompileResult:
     pipeline_id: str
     cache_hit: bool = False
     context: CompilerContext | None = None
-    #: Tier-3 macro-kernel sidecar (None when the pipeline has no codegen
-    #: stage, e.g. O0/O1).
-    macro_kernels: "MacroKernelSet | None" = None
+
+    @property
+    def macro_kernels(self) -> "MacroKernelSet | None":
+        """The model's Tier-3 step programs (None without a codegen stage)."""
+        return self.model.macro_kernels
 
     @property
     def stats(self) -> list[StageStats]:
@@ -105,16 +101,6 @@ def compile_graph(
     metrics = get_metrics()
     if resolved_cache is not None and not collect_ir:
         cached = resolved_cache.lookup(key)
-        sidecar = (
-            resolved_cache.lookup_artifact(key, _CODEGEN_KIND)
-            if cached is not None else None
-        )
-        # A pipeline with a codegen stage whose sidecar is lost (deleted,
-        # or corrupt and unlinked by the lookup) is a miss: serving the
-        # model alone would pin every query of this key to the per-node
-        # walk, and nothing else re-runs the stage.
-        if sidecar is None and "codegen" in pipeline_obj.stage_names():
-            cached = None
         if cached is not None:
             if tracer.enabled:
                 tracer.instant(
@@ -124,7 +110,6 @@ def compile_graph(
                 )
             return CompileResult(
                 model=cached, key=key, pipeline_id=pipeline_obj.id, cache_hit=True,
-                macro_kernels=sidecar,  # type: ignore[arg-type]
             )
 
     working = graph
@@ -166,11 +151,9 @@ def compile_graph(
         metrics.counter("compiler.compiles").inc()
     if resolved_cache is not None:
         resolved_cache.store(key, model)
-        if ctx.macro_kernels is not None:
-            resolved_cache.store_artifact(key, _CODEGEN_KIND, ctx.macro_kernels)
     return CompileResult(
         model=model, key=key, pipeline_id=pipeline_obj.id,
-        cache_hit=False, context=ctx, macro_kernels=ctx.macro_kernels,
+        cache_hit=False, context=ctx,
     )
 
 

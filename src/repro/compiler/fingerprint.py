@@ -28,7 +28,7 @@ from repro.graph.gir import Graph
 from repro.ncore.config import NcoreConfig
 
 #: Bump to invalidate every existing cache entry (artifact layout change).
-CACHE_FORMAT_VERSION = 4
+CACHE_FORMAT_VERSION = 5
 
 
 def _canonical(value: Any) -> Any:

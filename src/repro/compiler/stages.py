@@ -219,11 +219,11 @@ def _run_lower(ctx: CompilerContext) -> dict[str, Any]:
 def _run_codegen(ctx: CompilerContext) -> dict[str, Any]:
     """Tier-3 AOT codegen: lower each segment to its macro-kernel.
 
-    Produces the :class:`repro.ncore.codegen.MacroKernelSet` sidecar the
-    driver stores in the compile cache next to the model.  Segments with
-    no macro-kernel form (float regions, x86-only ops) are recorded with
-    a reason and keep the per-node interpreter at runtime — coverage is
-    best-effort, bit-exactness is not.
+    Produces the :class:`repro.ncore.codegen.MacroKernelSet` that
+    ``finalize`` stores on the model (``CompiledModel.macro_kernels``).
+    Segments with no macro-kernel form (float regions, x86-only ops) are
+    recorded with a reason and keep the per-node interpreter at runtime —
+    coverage is best-effort, bit-exactness is not.
     """
     if not ctx.segments:
         raise CompilerError("codegen stage needs partitioned segments; run 'partition' first")
@@ -260,7 +260,10 @@ def _run_finalize(ctx: CompilerContext) -> dict[str, Any]:
     """Assemble the :class:`CompiledModel` from the staged artifacts."""
     if not ctx.segments:
         raise CompilerError("finalize stage needs partitioned segments")
-    model = CompiledModel(name=ctx.name, graph=ctx.graph, segments=ctx.segments)
+    model = CompiledModel(
+        name=ctx.name, graph=ctx.graph, segments=ctx.segments,
+        macro_kernels=ctx.macro_kernels,
+    )
     model.loadables.update(ctx.loadables)
     ctx.model = model
     return {

@@ -35,7 +35,6 @@ from repro.graph.gir import Graph
 from repro.graph.planner import PlanningError
 from repro.models import PAPER_CHARACTERISTICS
 from repro.perf.report import render_table
-from repro.quantize import calibrate, convert_to_bf16, quantize_graph
 
 DEFAULT_MODELS: tuple[str, ...] = ("mobilenet_v1",)
 
@@ -185,12 +184,7 @@ def _prepare_model(key: str) -> tuple[Graph, int, int]:
     info = PAPER_CHARACTERISTICS[key]
     graph = info.build()
     optimize_graph(graph, in_place=True)
-    if key == "gnmt":
-        converted = convert_to_bf16(graph)
-    else:
-        converted = quantize_graph(
-            graph, calibrate(graph, [info.sample_input(graph, seed=100)])
-        )
+    converted = info.convert(graph, seed=100)
     macs = int(graph.count_macs())
     io_bytes = 0
     for name in list(converted.inputs) + list(converted.outputs):
@@ -205,7 +199,7 @@ def _score_point(
 ) -> PointResult:
     config = point.ncore_config()
     soc = point.soc_config()
-    dma_bpc = min(soc.ring_bandwidth_per_direction, soc.ddr_bandwidth) / config.clock_hz
+    dma_bpc = soc.ncore_dma_bandwidth / config.clock_hz
     area = area_model(config, soc)
     metrics: dict[str, ModelMetrics] = {}
     energies: list[float] = []
@@ -224,12 +218,7 @@ def _score_point(
             )
         cycles = int(result.model.ncore_cycles(dma_bpc))
         seconds = cycles / config.clock_hz
-        streamed = sum(
-            loadable.weight_image_bytes
-            for index in result.model.ncore_segments
-            if (loadable := result.model.loadables.get(index)) is not None
-            and not loadable.memory_plan.weights_pinned
-        )
+        streamed = result.model.streamed_weight_bytes
         energy = energy_model(
             config, soc, macs=macs, cycles=cycles, dram_bytes=streamed + io_bytes
         )
@@ -296,9 +285,10 @@ def _check_execution(
 ) -> None:
     """Run a few queries at the best feasible point through the executor.
 
-    Exercises the full runtime stack (verify gate, kernel driver, replay
-    cache — repeated feeds hit the replay tier) and asserts bit-equality
-    against the reference quantized executor at a *non-default* config.
+    Exercises the full runtime stack (verify gate, kernel driver, Tier-3
+    macro-kernels under the oracle on the first query, replay cache on
+    the repeats) and asserts bit-equality against the reference quantized
+    executor at a *non-default* config.
     """
     from repro.runtime import NcoreExecutor, execute_quantized
     from repro.soc.cha import ChaSoc
@@ -311,7 +301,6 @@ def _check_execution(
     graph, _, _ = prepared[name]
     config = best.point.ncore_config()
     compiled = compile_graph(graph, config=config, name=name, cache=None).model
-    executor = NcoreExecutor(compiled, soc=ChaSoc(ncore_config=config))
     rng = np.random.default_rng(seed)
     feeds = {
         input_name: rng.uniform(-1.0, 1.0, compiled.graph.tensor(input_name).shape).astype(
@@ -320,10 +309,19 @@ def _check_execution(
         for input_name in compiled.graph.inputs
     }
     reference = execute_quantized(compiled.graph, feeds)
-    for _ in range(queries):  # repeats exercise the replay tier
-        outputs = executor.execute(feeds).outputs
-        for tensor_name, expected in reference.items():
-            np.testing.assert_array_equal(outputs[tensor_name], expected)
+    executor = NcoreExecutor(compiled, soc=ChaSoc(ncore_config=config))
+    try:
+        for query in range(queries):  # repeats exercise the replay tier
+            outputs = executor.execute(feeds).outputs
+            tier = "replay" if query else "codegen"
+            if executor.last_tier != tier:
+                raise AssertionError(
+                    f"query {query} ran on tier {executor.last_tier!r}, not {tier!r}"
+                )
+            for tensor_name, expected in reference.items():
+                np.testing.assert_array_equal(outputs[tensor_name], expected)
+    finally:
+        executor.close()
 
 
 def run_sweep(

@@ -10,7 +10,7 @@ execution order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -18,6 +18,9 @@ from repro.graph.gir import Graph
 from repro.graph.partitioner import Segment
 from repro.graph.planner import MemoryPlan
 from repro.ncore.config import CHA_NCORE
+
+if TYPE_CHECKING:
+    from repro.ncore.codegen import MacroKernelSet
 
 
 @dataclass
@@ -92,9 +95,12 @@ class CompiledModel:
     ``compile_info`` carries the compiler driver's provenance — the
     content-address key, pipeline id and per-stage change stats — when
     the model came through ``repro.compiler``; it stays empty for
-    hand-assembled models.  Compiled models are treated as immutable
-    artifacts once built (the compile cache hands the same object to
-    every hit).
+    hand-assembled models.  ``macro_kernels`` is the Tier-3 step program
+    of every covered segment (the ``codegen`` stage's output; ``None``
+    for pipelines without one, e.g. O0/O1): the model is the whole
+    artifact the runtime executes, so it travels, caches and pickles as
+    one object.  Compiled models are treated as immutable artifacts once
+    built (the compile cache hands the same object to every hit).
     """
 
     name: str
@@ -102,6 +108,9 @@ class CompiledModel:
     segments: list[Segment]
     loadables: dict[int, NcoreLoadable] = field(default_factory=dict)  # by segment idx
     compile_info: dict[str, Any] = field(default_factory=dict)
+    macro_kernels: "MacroKernelSet | None" = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def ncore_segments(self) -> list[int]:
@@ -117,6 +126,36 @@ class CompiledModel:
             for i in self.ncore_segments
             if i in self.loadables
         )
+
+    @property
+    def streamed_weight_bytes(self) -> int:
+        """Weight bytes DMA-streamed per inference (pinned images excluded)."""
+        return sum(
+            loadable.weight_image_bytes
+            for i in self.ncore_segments
+            if (loadable := self.loadables.get(i)) is not None
+            and not loadable.memory_plan.weights_pinned
+        )
+
+    def ncore_cycles_batched(
+        self, batch: int, dma_bytes_per_cycle: float = 40.96
+    ) -> float:
+        """Per-item Ncore cycles with a batch amortizing streamed weights.
+
+        Streamed weights are fetched once per batch while compute scales
+        with the batch — "a batch size of 64 to increase the arithmetic
+        intensity" (section VI-A) is exactly this amortization.  Pinned
+        weights never stream, so batching changes nothing for them.
+        """
+        if batch < 1:
+            raise ValueError("batch must be at least 1")
+        compute = sum(
+            self.loadables[i].compute_cycles
+            for i in self.ncore_segments
+            if i in self.loadables
+        )
+        dma = self.streamed_weight_bytes / dma_bytes_per_cycle
+        return (max(compute * batch, dma) + min(compute, dma)) / batch
 
     def summary(self) -> str:
         """Human-readable compilation report (utilization, DMA, placement)."""

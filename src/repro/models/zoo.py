@@ -12,6 +12,7 @@ from repro.models.gnmt import build_gnmt
 from repro.models.mobilenet import build_mobilenet_v1
 from repro.models.resnet import build_resnet50_v15
 from repro.models.ssd import build_ssd_mobilenet_v1
+from repro.quantize import calibrate, convert_to_bf16, quantize_graph
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,7 @@ class ModelInfo:
     paper_macs: float          # Table V
     paper_weights: float       # Table V
     paper_macs_per_weight: int
+    precision: str = "uint8"   # submission datatype: "uint8" | "bf16"
 
     def build(self, **kwargs) -> Graph:
         return self.builder(**kwargs)
@@ -46,6 +48,14 @@ class ModelInfo:
                 else rng.uniform(-1, 1, size=tensor.shape).astype(np.float32)
             )
         return feeds
+
+    def convert(self, graph: Graph, seed: int = 0, batches: int = 1) -> Graph:
+        """The submission-precision graph: uint8 PTQ calibrated on
+        ``sample_input(graph, seed + i)`` for each batch, or bfloat16."""
+        if self.precision == "bf16":
+            return convert_to_bf16(graph)
+        feeds = [self.sample_input(graph, seed + i) for i in range(batches)]
+        return quantize_graph(graph, calibrate(graph, feeds))
 
 
 PAPER_CHARACTERISTICS: dict[str, ModelInfo] = {
@@ -84,6 +94,7 @@ PAPER_CHARACTERISTICS: dict[str, ModelInfo] = {
         paper_macs=3.9e9,
         paper_weights=131e6,
         paper_macs_per_weight=30,
+        precision="bf16",
     ),
 }
 

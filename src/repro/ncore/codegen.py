@@ -5,9 +5,9 @@ the replay cache (Tier 2) skips byte-identical queries.  This module is
 the *compile*-time tier: each kernel segment of a quantized graph is
 lowered to one vectorized-numpy **macro-kernel** — whole loop-nests
 collapsed into a handful of BLAS-backed array operations — emitted as a
-picklable :class:`MacroKernel` artifact that the compile cache stores
-alongside the Loadable (``repro.compiler.cache`` artifact kind
-``codegen``).  Like the Loadable, the artifact holds exactly one step
+picklable :class:`MacroKernel` artifact that the compiled model carries
+next to its Loadables (``CompiledModel.macro_kernels``) and the compile
+cache stores with it.  Like the Loadable, the artifact holds exactly one step
 program per segment, chosen here from the op and the baked weights'
 shape: the program that runs is a function of the compile key.
 
@@ -77,9 +77,6 @@ if TYPE_CHECKING:
 
 Array = npt.NDArray[Any]
 Env = dict[str, Array]
-
-#: Artifact kind under which macro-kernel sets live in the compile cache.
-CODEGEN_ARTIFACT_KIND = "codegen"
 
 #: The differential check of a macro-kernel against the per-node walk:
 #: never, once per (kernel, input shapes), or on every dispatch.
@@ -308,9 +305,8 @@ class MacroKernel:
 @dataclass
 class MacroKernelSet:
     """Every macro-kernel of one compiled model, by segment index —
-    the ``codegen`` artifact the compile cache stores under the model's
-    content key (same fingerprint: graph + weights + NcoreConfig +
-    pipeline)."""
+    the ``codegen`` stage's output, carried by the model itself
+    (``CompiledModel.macro_kernels``)."""
 
     model_name: str
     kernels: dict[int, MacroKernel] = field(default_factory=dict)
@@ -608,7 +604,6 @@ class KernelDispatcher:
 
 
 __all__ = [
-    "CODEGEN_ARTIFACT_KIND",
     "CellFuseStep",
     "CodegenDivergence",
     "ConvStep",

@@ -93,13 +93,11 @@ def compile_zoo_model(model_key: str = "mobilenet_v1"):
     baseline stays cheap enough for CI while still walking every layer.
     GNMT takes the bf16 path (it has no int8 recipe); everything else is
     int8-quantized off a single calibration batch.  Compiling at O2 means
-    the Tier-3 ``codegen`` stage runs and the macro-kernel artifact lands
-    in the compile cache, so executors opened on the result can use any
-    graph mode.
+    the Tier-3 ``codegen`` stage runs and the returned model carries its
+    macro-kernels, so executors opened on it can use any graph mode.
     """
     from repro.compiler import compile_graph
     from repro.models import PAPER_CHARACTERISTICS
-    from repro.quantize import calibrate, convert_to_bf16, quantize_graph
 
     info = PAPER_CHARACTERISTICS[model_key]
     if model_key == "gnmt":
@@ -123,12 +121,8 @@ def compile_zoo_model(model_key: str = "mobilenet_v1"):
             graph = info.build(resolution=64)
         except TypeError:
             graph = info.build()
-    feeds = info.sample_input(graph, seed=0)
-    if model_key == "gnmt":
-        converted = convert_to_bf16(graph)
-    else:
-        converted = quantize_graph(graph, calibrate(graph, [feeds]))
-    return compile_graph(converted, name=model_key).model, feeds
+    converted = info.convert(graph, seed=0)
+    return compile_graph(converted, name=model_key).model, info.sample_input(graph, seed=0)
 
 
 def measure_zoo_end_to_end(

@@ -25,8 +25,7 @@ from repro.models import PAPER_CHARACTERISTICS, ModelInfo
 from repro.ncore.config import NcoreConfig
 from repro.perf.scaling import expected_throughput, observed_throughput
 from repro.perf.workloads import X86Portion, x86_portion_seconds
-from repro.quantize import calibrate, convert_to_bf16, quantize_graph
-from repro.runtime.delegate import DELEGATE_TRANSITION_SECONDS, _x86_node_cost
+from repro.runtime.delegate import x86_graph_seconds
 from repro.soc.config import SocConfig
 from repro.soc.x86 import X86Core
 
@@ -60,14 +59,7 @@ class BenchmarkSystem:
         graph = self.info.build(**(build_kwargs or {}))
         self.float_graph_nodes = len(graph.nodes)
         optimize_graph(graph, in_place=True)
-        if model_key == "gnmt":
-            converted = convert_to_bf16(graph)
-        else:
-            batches = [
-                self.info.sample_input(graph, seed=100 + i)
-                for i in range(calibration_batches)
-            ]
-            converted = quantize_graph(graph, calibrate(graph, batches))
+        converted = self.info.convert(graph, seed=100, batches=calibration_batches)
         self.compiled: CompiledModel = compile_graph(
             converted, config=self.config, pipeline="O0", name=model_key
         ).model
@@ -78,13 +70,9 @@ class BenchmarkSystem:
 
     @property
     def _dma_bytes_per_cycle(self) -> float:
-        # DMA is bottlenecked by the slower of ring and DDR; Ncore consumes
-        # the stream at its own clock (which may differ from the SoC's).
-        bandwidth = min(
-            self.soc_config.ring_bandwidth_per_direction,
-            self.soc_config.ddr_bandwidth,
-        )
-        return bandwidth / self.config.clock_hz
+        # Ncore consumes the DMA stream at its own clock (which may
+        # differ from the SoC's).
+        return self.soc_config.ncore_dma_bandwidth / self.config.clock_hz
 
     def ncore_seconds(self) -> float:
         """Simulated Ncore portion of one single-batch inference."""
@@ -92,27 +80,9 @@ class BenchmarkSystem:
         return cycles / self.config.clock_hz
 
     def ncore_seconds_batched(self, batch: int) -> float:
-        """Per-item Ncore time with a batch amortizing the weight traffic.
-
-        Streamed weights are fetched once per batch while compute scales
-        with the batch — "a batch size of 64 to increase the arithmetic
-        intensity" (section VI-A) is exactly this amortization.  Pinned
-        weights never stream, so batching changes nothing for them.
-        """
-        if batch < 1:
-            raise ValueError("batch must be at least 1")
-        compute_cycles = 0
-        streamed_bytes = 0
-        for index in self.compiled.ncore_segments:
-            loadable = self.compiled.loadables[index]
-            compute_cycles += loadable.compute_cycles
-            if not loadable.memory_plan.weights_pinned:
-                streamed_bytes += loadable.weight_image_bytes
-        dma_cycles = streamed_bytes / self._dma_bytes_per_cycle
-        total = max(compute_cycles * batch, dma_cycles) + min(
-            compute_cycles, dma_cycles
-        )
-        return total / batch / self.config.clock_hz
+        """Per-item Ncore time with a batch amortizing the weight traffic."""
+        cycles = self.compiled.ncore_cycles_batched(batch, self._dma_bytes_per_cycle)
+        return cycles / self.config.clock_hz
 
     def offload_count(self) -> int:
         """Number of kernel offloads (per-op for the immature GNMT path).
@@ -139,26 +109,8 @@ class BenchmarkSystem:
             total += int(np.prod(shape))
         return total
 
-    def _graph_x86_seconds(self) -> tuple[float, float]:
-        """(all x86-segment seconds, the non-batchable NMS share)."""
-        total = 0.0
-        nonbatchable = 0.0
-        for index in self.compiled.x86_segments:
-            segment = self.compiled.segments[index]
-            total += DELEGATE_TRANSITION_SECONDS
-            for node in segment.nodes:
-                seconds = self.core.task_seconds(
-                    **_x86_node_cost(self.compiled.graph, node)
-                )
-                total += seconds
-                if node.op == "nms":
-                    # "TensorFlow-Lite's implementation of the NMS operation
-                    # does not support batching" (section VI-C).
-                    nonbatchable += seconds
-        return total, nonbatchable
-
     def x86_portion(self) -> X86Portion:
-        graph_seconds, nonbatchable = self._graph_x86_seconds()
+        graph_seconds, nonbatchable = x86_graph_seconds(self.compiled, self.core)
         return x86_portion_seconds(
             self.compiled,
             self.info.input_type,

@@ -14,8 +14,6 @@ from repro.runtime.executor import (
     QueryTicket,
     SessionHandle,
     TierPolicy,
-    get_default_tier_policy,
-    set_default_tier_policy,
 )
 from repro.runtime.luts import build_activation_lut, sigmoid_lut, tanh_lut
 from repro.runtime.profiler import EventLogOverflowError, Profiler, Trace
@@ -35,8 +33,6 @@ __all__ = [
     "TIER_CHOICES",
     "TierPolicy",
     "Trace",
-    "get_default_tier_policy",
-    "set_default_tier_policy",
     "build_activation_lut",
     "execute_quantized",
     "power_on_self_test",

@@ -16,6 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.gir import Graph
+from repro.graph.loadable import CompiledModel
+from repro.obs.metrics import get_metrics
+from repro.soc.x86 import X86Core
 
 # Fixed software cost of one delegate transition (framework callback,
 # buffer handoff): tens of microseconds of interpreter work.
@@ -66,3 +69,32 @@ def _x86_node_cost(graph: Graph, node) -> dict:
     # Generic fallback: stream the data once.
     return {"ops": 2.0 * graph.tensor(node.outputs[0]).type.num_elements,
             "bytes_moved": in_bytes + out_bytes}
+
+
+def x86_graph_seconds(model: CompiledModel, core: X86Core) -> tuple[float, float]:
+    """x86 time of the non-delegated segments: (total, non-batchable NMS share).
+
+    Each x86 segment pays one delegate transition plus the roofline cost
+    of its nodes on ``core``; under an installed metrics registry the
+    Table IX attribution (where the fallback time goes) is counted too.
+    """
+    metrics = get_metrics()
+    total = 0.0
+    nonbatchable = 0.0
+    for index in model.x86_segments:
+        total += DELEGATE_TRANSITION_SECONDS
+        if metrics.enabled:
+            metrics.counter("delegate.transitions").inc()
+        for node in model.segments[index].nodes:
+            seconds = core.task_seconds(**_x86_node_cost(model.graph, node))
+            total += seconds
+            if node.op == "nms":
+                # "TensorFlow-Lite's implementation of the NMS operation
+                # does not support batching" (section VI-C).
+                nonbatchable += seconds
+            if metrics.enabled:
+                metrics.counter(
+                    f"x86.fallback.{node.op}.cycles", unit="cycles"
+                ).inc(seconds * core.clock_hz)
+                metrics.counter("x86.fallback.seconds", unit="s").inc(seconds)
+    return total, nonbatchable

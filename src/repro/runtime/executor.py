@@ -34,7 +34,6 @@ from repro.engine.resources import Resource
 from repro.graph.loadable import CompiledModel
 from repro.graph.partitioner import Segment
 from repro.ncore.codegen import (
-    CODEGEN_ARTIFACT_KIND,
     ORACLE_MODES,
     KernelDispatcher,
     MacroKernel,
@@ -49,6 +48,7 @@ from repro.runtime.delegate import (
     RunResult,
     RunTiming,
     _x86_node_cost,
+    x86_graph_seconds,
 )
 from repro.runtime.driver import NcoreKernelDriver
 from repro.runtime.qkernels import run_nodes, seed_values
@@ -68,9 +68,10 @@ class TierPolicy:
 
     - ``replay``: byte-identical feeds replay cached outputs, ahead of
       any execution; ``replay_capacity`` bounds that LRU.
-    - ``codegen``: segments with an AOT macro-kernel in the compile cache
-      (:mod:`repro.ncore.codegen`) go through the dispatcher; segments
-      without one run the per-node walk.  Off, every segment does.
+    - ``codegen``: segments the model carries an AOT macro-kernel for
+      (``CompiledModel.macro_kernels``, :mod:`repro.ncore.codegen`) go
+      through the dispatcher; segments without one run the per-node
+      walk.  Off, every segment does.
     - ``oracle``: differential check of each macro-kernel against the
       per-node walk — ``"first"`` verifies each (segment, shape) once on
       its first dispatch (the default), ``"always"`` on every dispatch,
@@ -106,22 +107,6 @@ class TierPolicy:
         )
 
 
-_default_policy = TierPolicy()
-
-
-def get_default_tier_policy() -> TierPolicy:
-    """The process-wide policy used when an executor is given none."""
-    return _default_policy
-
-
-def set_default_tier_policy(policy: TierPolicy) -> TierPolicy:
-    """Replace the process-wide default policy; returns the previous one."""
-    global _default_policy
-    previous = _default_policy
-    _default_policy = policy
-    return previous
-
-
 class NcoreExecutor:
     """Owns one socket's Ncore through the kernel driver; runs batches.
 
@@ -138,13 +123,12 @@ class NcoreExecutor:
         owner: str = "ncore-executor",
         verify: bool = True,
         policy: TierPolicy | str | None = None,
-        macro_kernels: MacroKernelSet | None = None,
     ) -> None:
         self.model = model
         self.soc = soc or ChaSoc()
         if isinstance(policy, str):
             policy = TierPolicy.for_tier(policy)
-        self.policy = policy if policy is not None else get_default_tier_policy()
+        self.policy = policy if policy is not None else TierPolicy()
         if verify:
             from repro.analyze import analyze_model, enforce
 
@@ -167,42 +151,19 @@ class NcoreExecutor:
         self._replay_cache: OrderedDict[str, dict[str, np.ndarray]] = OrderedDict()
         self._replay_prefix: str | None = None
         self.replay_stats = {"hits": 0, "misses": 0}
-        # Tier 3: AOT macro-kernels — passed in explicitly, or recovered
-        # from the compile cache under the model's content key.  The
+        # Tier 3: the AOT macro-kernels the model carries.  The
         # dispatcher runs each kernel's one program; ``policy.oracle``
         # controls its per-node differential check.  Without them (policy
         # or pipeline) the same segment walk runs every segment per node.
-        self._macro_kernels = (
-            self._load_macro_kernels(macro_kernels) if self.policy.codegen else None
+        self.macro_kernels: MacroKernelSet | None = (
+            model.macro_kernels if self.policy.codegen else None
         )
         self._walk_tier = (
-            TIER_INTERPRETER if self._macro_kernels is None else TIER_CODEGEN
+            TIER_INTERPRETER if self.macro_kernels is None else TIER_CODEGEN
         )
         self.dispatcher = KernelDispatcher(oracle=self.policy.oracle)
         #: Graph mode that served the most recent query (attribution label).
         self.last_tier: str | None = None
-
-    def _load_macro_kernels(
-        self, macro_kernels: MacroKernelSet | None
-    ) -> MacroKernelSet | None:
-        """The Tier-3 artifact: explicit argument, else the compile cache."""
-        if macro_kernels is not None:
-            return macro_kernels
-        info = getattr(self.model, "compile_info", None) or {}
-        key = info.get("key")
-        if not key:
-            return None
-        from repro.compiler.cache import get_compile_cache
-
-        cache = get_compile_cache()
-        if cache is None:
-            return None
-        artifact = cache.lookup_artifact(key, CODEGEN_ARTIFACT_KIND)
-        return artifact if isinstance(artifact, MacroKernelSet) else None
-
-    @property
-    def macro_kernels(self) -> MacroKernelSet | None:
-        return self._macro_kernels
 
     def close(self) -> None:
         self.driver.close(self.mapping)
@@ -275,7 +236,7 @@ class NcoreExecutor:
         the whole graph bit-exact regardless of coverage.
         """
         graph = self.model.graph
-        kset = self._macro_kernels
+        kset = self.macro_kernels
         values = seed_values(graph, feeds)
         for index, segment in enumerate(self.model.segments):
             kernel = kset.get(index) if kset is not None else None
@@ -339,45 +300,12 @@ class NcoreExecutor:
         return self.model.ncore_cycles(self._dma_bpc) / self._clock
 
     def ncore_seconds_batched(self, batch: int) -> float:
-        """Per-item Ncore time with a batch amortizing streamed weights.
-
-        Pinned weights never stream so batching changes nothing for them;
-        streamed weights are fetched once per batch while compute scales
-        with the batch (the section VI-A arithmetic-intensity argument).
-        """
-        if batch < 1:
-            raise ValueError("batch must be at least 1")
-        compute_cycles = 0
-        streamed_bytes = 0
-        for index in self.model.ncore_segments:
-            loadable = self.model.loadables[index]
-            compute_cycles += loadable.compute_cycles
-            if not loadable.memory_plan.weights_pinned:
-                streamed_bytes += loadable.weight_image_bytes
-        dma_cycles = streamed_bytes / self._dma_bpc
-        total = max(compute_cycles * batch, dma_cycles) + min(compute_cycles, dma_cycles)
-        return total / batch / self._clock
+        """Per-item Ncore time with a batch amortizing streamed weights."""
+        return self.model.ncore_cycles_batched(batch, self._dma_bpc) / self._clock
 
     def x86_graph_seconds(self) -> float:
         """x86 portion attributable to non-delegated graph segments."""
-        core = self.soc.cores[0]
-        metrics = get_metrics()
-        total = 0.0
-        for index in self.model.x86_segments:
-            segment = self.model.segments[index]
-            total += DELEGATE_TRANSITION_SECONDS
-            if metrics.enabled:
-                metrics.counter("delegate.transitions").inc()
-            for node in segment.nodes:
-                seconds = core.task_seconds(**_x86_node_cost(self.model.graph, node))
-                total += seconds
-                if metrics.enabled:
-                    # Table IX attribution: where the x86 fallback time goes.
-                    metrics.counter(
-                        f"x86.fallback.{node.op}.cycles", unit="cycles"
-                    ).inc(seconds * core.clock_hz)
-                    metrics.counter("x86.fallback.seconds", unit="s").inc(seconds)
-        return total
+        return x86_graph_seconds(self.model, self.soc.cores[0])[0]
 
     # ------------------------------------------------------------------
     # Execution

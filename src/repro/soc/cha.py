@@ -101,4 +101,4 @@ class ChaSoc:
 
     def ncore_to_dram_bandwidth(self) -> float:
         """Sustained Ncore DMA bandwidth: min of ring direction and DRAM."""
-        return min(self.ring.bandwidth_per_direction, self.dram.peak_bandwidth)
+        return self.soc_config.ncore_dma_bandwidth

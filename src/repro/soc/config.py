@@ -67,10 +67,12 @@ class SocConfig:
         return self.ddr_channels * self.ddr_transfer_rate * BYTES_PER_DDR_TRANSFER
 
     @property
-    def dma_bytes_per_cycle(self) -> float:
-        """Sustained Ncore DMA rate: the min of one ring direction and the
-        DRAM controller, expressed per SoC clock (40.96 B/cycle in CHA)."""
-        return min(self.ring_bandwidth_per_direction, self.ddr_bandwidth) / self.clock_hz
+    def ncore_dma_bandwidth(self) -> float:
+        """Sustained Ncore DMA bytes/second: the slower of one ring
+        direction and the DRAM controller (102.4 GB/s in CHA).  Ncore
+        consumes the stream at its own clock, so the per-cycle rate is
+        this over ``NcoreConfig.clock_hz`` (40.96 B/cycle at 2.5 GHz)."""
+        return min(self.ring_bandwidth_per_direction, self.ddr_bandwidth)
 
 
 # The shipped CHA configuration.

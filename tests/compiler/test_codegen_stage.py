@@ -1,13 +1,15 @@
-"""The ``codegen`` compiler stage and its sidecar cache artifact."""
+"""The ``codegen`` compiler stage; the compiled model carries its kernels."""
 
 import subprocess
 import sys
 import textwrap
 
+import numpy as np
+
 from repro.compiler import CompileCache, compile_graph, get_pipeline
-from repro.compiler.driver import _CODEGEN_KIND
 from repro.ncore.codegen import MacroKernelSet
 from repro.quantize import calibrate, quantize_graph
+from repro.runtime import NcoreExecutor
 
 from tests.quantize.test_convert import calibration_batches, small_cnn
 
@@ -15,6 +17,19 @@ from tests.quantize.test_convert import calibration_batches, small_cnn
 def quantized_cnn(seed=11):
     g = small_cnn(seed=seed)
     return quantize_graph(g, calibrate(g, calibration_batches()))
+
+
+def served_tier(model):
+    """Open an executor on ``model`` alone, run one query; (tier, stats)."""
+    executor = NcoreExecutor(model, verify=False)
+    try:
+        rng = np.random.default_rng(3)
+        executor.execute(
+            {"x": rng.uniform(-1, 1, size=(1, 8, 8, 3)).astype(np.float32)}
+        )
+        return executor.last_tier, executor.dispatcher.stats
+    finally:
+        executor.close()
 
 
 class TestStageRegistration:
@@ -46,52 +61,69 @@ class TestStageRegistration:
         assert "compute cycles  [quantize, conv2d:" in result.snapshots["codegen"]
 
 
+class TestModelCarriesKernels:
+    def test_uncached_compile_runs_tier3(self):
+        """``cache=None`` used to lose the kernels in transit: the executor
+        looked them up in a process-wide cache that never saw them."""
+        model = compile_graph(quantized_cnn(), cache=None).model
+        tier, stats = served_tier(model)
+        assert tier == "codegen"
+        assert stats["oracle_checks"] >= 1
+
+    def test_disk_directory_holds_one_file_per_key(self, tmp_path):
+        result = compile_graph(quantized_cnn(), cache=CompileCache(directory=tmp_path))
+        assert [p.name for p in tmp_path.iterdir()] == [f"{result.key}.pkl"]
+
+    def test_o0_model_has_no_kernels_and_walks_per_node(self):
+        model = compile_graph(quantized_cnn(), cache=None, pipeline="O0").model
+        assert model.macro_kernels is None
+        assert served_tier(model) == ("interpreter", {})
+
+    def test_truncated_pickle_is_recompiled_with_kernels(self, tmp_path):
+        first = compile_graph(quantized_cnn(), cache=CompileCache(directory=tmp_path))
+        path = tmp_path / f"{first.key}.pkl"
+        path.write_bytes(path.read_bytes()[:64])
+        fresh = CompileCache(directory=tmp_path)
+        assert fresh.lookup(first.key) is None
+        assert not path.exists()  # corrupt file unlinked
+        again = compile_graph(quantized_cnn(), cache=fresh)
+        assert not again.cache_hit and path.exists()
+        assert again.macro_kernels.covered_segments == \
+            first.macro_kernels.covered_segments
+        assert served_tier(again.model)[0] == "codegen"
+
+
 class TestSidecarArtifact:
+    """Same subject as :class:`TestModelCarriesKernels`; the class keeps its
+    pre-PR-20 name only because these five test ids are pinned."""
+
     def test_memory_cache_hit_restores_macro_kernels(self):
         cache = CompileCache()
         first = compile_graph(quantized_cnn(), cache=cache)
         hit = compile_graph(quantized_cnn(), cache=cache)
-        assert hit.cache_hit
-        assert isinstance(hit.macro_kernels, MacroKernelSet)
-        assert hit.macro_kernels.covered_segments == \
-            first.macro_kernels.covered_segments
-
-    def test_sidecar_lands_on_disk_next_to_the_model(self, tmp_path):
-        cache = CompileCache(directory=tmp_path)
-        result = compile_graph(quantized_cnn(), cache=cache)
-        key = result.model.compile_info["key"]
-        assert (tmp_path / f"{key}.pkl").exists()
-        assert (tmp_path / f"{key}.{_CODEGEN_KIND}.pkl").exists()
+        assert hit.cache_hit and hit.model is first.model
+        assert isinstance(hit.model.macro_kernels, MacroKernelSet)
 
     def test_fresh_cache_instance_reloads_from_disk(self, tmp_path):
-        cache = CompileCache(directory=tmp_path)
-        first = compile_graph(quantized_cnn(), cache=cache)
-        key = first.model.compile_info["key"]
+        first = compile_graph(quantized_cnn(), cache=CompileCache(directory=tmp_path))
         reloaded = CompileCache(directory=tmp_path)
-        artifact = reloaded.lookup_artifact(key, _CODEGEN_KIND)
-        assert isinstance(artifact, MacroKernelSet)
-        assert artifact.covered_segments == \
+        model = reloaded.lookup(first.key)
+        assert reloaded.stats.disk_hits == 1
+        assert model.compile_info == first.model.compile_info
+        assert model.macro_kernels.covered_segments == \
             first.macro_kernels.covered_segments
-        assert reloaded.stats.artifact_hits == 1
-
-    def test_o0_compile_stores_no_sidecar(self, tmp_path):
-        cache = CompileCache(directory=tmp_path)
-        result = compile_graph(quantized_cnn(), cache=cache, pipeline="O0")
-        key = result.model.compile_info["key"]
-        assert not (tmp_path / f"{key}.{_CODEGEN_KIND}.pkl").exists()
 
     def test_clear_drops_sidecar_files_too(self, tmp_path):
         cache = CompileCache(directory=tmp_path)
         result = compile_graph(quantized_cnn(), cache=cache)
-        key = result.model.compile_info["key"]
         cache.clear(disk=True)
-        assert not (tmp_path / f"{key}.{_CODEGEN_KIND}.pkl").exists()
-        assert cache.lookup_artifact(key, _CODEGEN_KIND) is None
+        assert not list(tmp_path.iterdir())
+        assert cache.lookup(result.key) is None
 
     def test_round_trip_across_processes(self, tmp_path):
-        """A second process picks the MacroKernels up from disk and runs
-        them bit-identically to the interpreter — the pickled artifact is
-        self-contained."""
+        """A second process picks the model up from disk and runs its
+        MacroKernels bit-identically to the interpreter — the pickled
+        artifact is self-contained."""
         cache = CompileCache(directory=tmp_path)
         result = compile_graph(quantized_cnn(), cache=cache)
         covered = result.macro_kernels.covered_segments
@@ -104,14 +136,9 @@ class TestSidecarArtifact:
             cache = CompileCache(directory={str(tmp_path)!r})
             result = compile_graph(quantized_cnn(), cache=cache)
             assert result.cache_hit, "expected a disk cache hit"
-            kernels = result.macro_kernels
-            assert kernels is not None
-            assert kernels.covered_segments == {covered}
+            assert result.macro_kernels.covered_segments == {covered}
 
-            executor = NcoreExecutor(
-                result.model, verify=False, policy="codegen",
-                macro_kernels=kernels,
-            )
+            executor = NcoreExecutor(result.model, verify=False, policy="codegen")
             rng = np.random.default_rng(3)
             feeds = {{"x": rng.uniform(
                 -1, 1, size=(1, 8, 8, 3)).astype(np.float32)}}
@@ -130,48 +157,6 @@ class TestSidecarArtifact:
         )
         assert proc.returncode == 0, proc.stderr
         assert "ROUNDTRIP-OK" in proc.stdout
-
-    def test_corrupt_sidecar_is_a_miss(self, tmp_path):
-        cache = CompileCache(directory=tmp_path)
-        result = compile_graph(quantized_cnn(), cache=cache)
-        key = result.model.compile_info["key"]
-        path = tmp_path / f"{key}.{_CODEGEN_KIND}.pkl"
-        path.write_bytes(b"not a pickle")
-        fresh = CompileCache(directory=tmp_path)
-        assert fresh.lookup_artifact(key, _CODEGEN_KIND) is None
-        assert not path.exists()  # corrupt file unlinked
-
-    def test_lost_sidecar_is_a_compile_miss(self, tmp_path):
-        """A model hit whose sidecar is gone recompiles and re-stores both;
-        it must not hand back a model pinned to the per-node walk."""
-        import numpy as np
-
-        from repro.runtime import NcoreExecutor
-
-        first = compile_graph(
-            quantized_cnn(), cache=CompileCache(directory=tmp_path), pipeline="O2"
-        )
-        path = tmp_path / f"{first.key}.{_CODEGEN_KIND}.pkl"
-        path.write_bytes(path.read_bytes()[:64])
-        again = compile_graph(
-            quantized_cnn(), cache=CompileCache(directory=tmp_path), pipeline="O2"
-        )
-        assert not again.cache_hit
-        assert isinstance(again.macro_kernels, MacroKernelSet)
-        assert again.macro_kernels.covered_segments == \
-            first.macro_kernels.covered_segments
-        assert path.exists()
-        executor = NcoreExecutor(
-            again.model, verify=False, macro_kernels=again.macro_kernels
-        )
-        try:
-            rng = np.random.default_rng(3)
-            executor.execute(
-                {"x": rng.uniform(-1, 1, size=(1, 8, 8, 3)).astype(np.float32)}
-            )
-            assert executor.last_tier == "codegen"
-        finally:
-            executor.close()
 
     def test_o0_hit_needs_no_sidecar(self, tmp_path):
         compile_graph(

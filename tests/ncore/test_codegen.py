@@ -427,10 +427,7 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
     def test_queries_never_change_the_program(self, compiled):
-        executor = NcoreExecutor(
-            compiled.model, verify=False, policy="codegen",
-            macro_kernels=compiled.macro_kernels,
-        )
+        executor = NcoreExecutor(compiled.model, verify=False, policy="codegen")
         kset = executor.macro_kernels
         programs = {index: kernel.steps for index, kernel in kset.kernels.items()}
         try:

@@ -102,10 +102,7 @@ class TestFloatBitExactness:
         graph = compiled.model.graph
         feeds = gnmt_feeds(graph)
         want = execute_quantized(graph, feeds)
-        executor = NcoreExecutor(
-            compiled.model, verify=False, policy="codegen",
-            macro_kernels=compiled.macro_kernels,
-        )
+        executor = NcoreExecutor(compiled.model, verify=False, policy="codegen")
         try:
             first = executor.execute(feeds).outputs
             steady = executor.execute(feeds).outputs
@@ -132,10 +129,7 @@ class TestFloatBitExactness:
         rng = np.random.default_rng(2)
         feeds = {"x": rng.uniform(-1, 1, size=(1, 6, 6, 3)).astype(np.float32)}
         want = execute_quantized(result.model.graph, feeds)
-        executor = NcoreExecutor(
-            result.model, verify=False, policy="codegen",
-            macro_kernels=result.macro_kernels,
-        )
+        executor = NcoreExecutor(result.model, verify=False, policy="codegen")
         try:
             got = executor.execute(feeds).outputs
             for name, value in want.items():
@@ -151,10 +145,7 @@ class TestFloatObservability:
 
         feeds = gnmt_feeds(compiled.model.graph)
         with install_attrib() as collector:
-            executor = NcoreExecutor(
-                compiled.model, verify=False, policy="codegen",
-                macro_kernels=compiled.macro_kernels,
-            )
+            executor = NcoreExecutor(compiled.model, verify=False, policy="codegen")
             try:
                 executor.execute(feeds)
             finally:

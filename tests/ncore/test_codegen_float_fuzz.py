@@ -150,10 +150,7 @@ def test_float_tier3_matches_the_interpreter(seed):
     assert result.macro_kernels.covered_segments >= 1
 
     want = execute_quantized(result.model.graph, feeds)
-    executor = NcoreExecutor(
-        result.model, verify=False, policy="codegen",
-        macro_kernels=result.macro_kernels,
-    )
+    executor = NcoreExecutor(result.model, verify=False, policy="codegen")
     try:
         first = executor.execute(feeds).outputs
         steady = executor.execute(feeds).outputs

@@ -166,10 +166,7 @@ def test_tier3_matches_the_interpreter(seed):
     assert result.macro_kernels is not None
 
     want = execute_quantized(result.model.graph, feeds)
-    executor = NcoreExecutor(
-        result.model, verify=False, policy="codegen",
-        macro_kernels=result.macro_kernels,
-    )
+    executor = NcoreExecutor(result.model, verify=False, policy="codegen")
     try:
         first = executor.execute(feeds).outputs
         steady = executor.execute(feeds).outputs
@@ -201,9 +198,7 @@ def test_extreme_codes_match_the_interpreter(seed, zero_point):
     feeds = {"x": rng.choice(np.float32([-1e6, 1e6]), size=graph.tensor("x").shape)}
     assert set(np.unique(quantize(feeds["x"], x_qp))) <= {0, 255}
     want = execute_quantized(result.model.graph, feeds)
-    executor = NcoreExecutor(
-        result.model, verify=False, policy="codegen", macro_kernels=result.macro_kernels,
-    )
+    executor = NcoreExecutor(result.model, verify=False, policy="codegen")
     try:
         got = executor.execute(feeds).outputs
     finally:

@@ -129,6 +129,29 @@ class TestWorkloadSplit:
         assert portion.graph_seconds > portion.preprocess_seconds
 
 
+class TestOneTimingModel:
+    """``BenchmarkSystem`` and ``NcoreExecutor`` read one clock off the
+    compiled model — the guard against a second copy of the formulas."""
+
+    @pytest.mark.parametrize("model", (*CNN_MODELS, "gnmt"))
+    def test_system_and_executor_agree_exactly(self, model):
+        from repro.runtime import NcoreExecutor
+        from repro.soc.cha import ChaSoc
+
+        system = get_system(model)
+        executor = NcoreExecutor(
+            system.compiled, soc=ChaSoc(ncore_config=system.config), verify=False
+        )
+        try:
+            for batch in (1, 8, 64):
+                assert executor.ncore_seconds_batched(batch) == \
+                    system.ncore_seconds_batched(batch)
+            assert executor.ncore_seconds() == system.ncore_seconds()
+            assert executor.x86_graph_seconds() == system.x86_portion().graph_seconds
+        finally:
+            executor.close()
+
+
 class TestMlperfHarness:
     def test_single_stream_p90_above_mean(self):
         result = run_single_stream(get_system("mobilenet_v1"), queries=512)

@@ -120,9 +120,8 @@ class TestSegmentWalk:
                 uncovered={**kset.uncovered, dropped: "dropped by the test"},
             )
         want = execute_quantized(result.model.graph, feeds)
-        executor = NcoreExecutor(
-            result.model, verify=False, policy=policy, macro_kernels=kset
-        )
+        model = dataclasses.replace(result.model, macro_kernels=kset)
+        executor = NcoreExecutor(model, verify=False, policy=policy)
         try:
             for tier in tiers:
                 got = executor.execute(feeds).outputs

@@ -5,13 +5,7 @@ import pytest
 
 from repro.compiler import compile_graph
 from repro.quantize import calibrate, quantize_graph
-from repro.runtime import (
-    TIER_CHOICES,
-    NcoreExecutor,
-    TierPolicy,
-    get_default_tier_policy,
-    set_default_tier_policy,
-)
+from repro.runtime import TIER_CHOICES, NcoreExecutor, TierPolicy
 
 from tests.quantize.test_convert import calibration_batches, small_cnn
 
@@ -63,28 +57,6 @@ class TestForTier:
     def test_invalid_replay_capacity_rejected(self):
         with pytest.raises(ValueError, match="replay_capacity"):
             TierPolicy(replay_capacity=0)
-
-
-class TestDefaultPolicy:
-    def test_set_returns_the_previous_policy(self):
-        original = get_default_tier_policy()
-        try:
-            previous = set_default_tier_policy(TierPolicy.for_tier("replay"))
-            assert previous == original
-            assert get_default_tier_policy() == TierPolicy.for_tier("replay")
-        finally:
-            set_default_tier_policy(original)
-
-    def test_sessions_pick_up_the_default(self):
-        model = quantized_model()
-        original = get_default_tier_policy()
-        set_default_tier_policy(TierPolicy.for_tier("interpreter"))
-        try:
-            executor = NcoreExecutor(model, verify=False)
-            assert executor.policy.codegen is False
-            executor.close()
-        finally:
-            set_default_tier_policy(original)
 
 
 class TestTierSelection:

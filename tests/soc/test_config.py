@@ -16,7 +16,7 @@ class TestShippedPoint:
         assert CHA_SOC.ddr_bandwidth == 102.4e9
 
     def test_dma_rate_is_40_96_bytes_per_cycle(self):
-        assert CHA_SOC.dma_bytes_per_cycle == pytest.approx(40.96)
+        assert CHA_SOC.ncore_dma_bandwidth / 2.5e9 == pytest.approx(40.96)
 
     def test_twelve_ring_stops(self):
         assert CHA_SOC.ring_stops == 12
