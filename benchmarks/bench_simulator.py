@@ -14,7 +14,7 @@ from repro.perf.simbench import FIG6_ITERATIONS, fig6_machine
 ITERATIONS = FIG6_ITERATIONS
 
 
-def build_machine(fastpath=None):
+def build_machine(fastpath=True):
     return fig6_machine(fastpath=fastpath)
 
 

@@ -280,22 +280,20 @@ class Instruction:
         {NDUOpcode.BYPASS, NDUOpcode.ROTATE, NDUOpcode.BROADCAST64}
     )
 
-    # Sequencer ops a fused trace can absorb: NOP costs nothing, ADD_ADDR
-    # is a statically known address-register stride.  Everything else
-    # either transfers control, talks to DMA/debug hardware, or (SET_ADDR)
-    # makes the address recurrence non-affine.
-    TRACE_SEQ_OPCODES = frozenset({SeqOpcode.NOP, SeqOpcode.ADD_ADDR})
+    # A trace is one hardware-repeated instruction, and a repeat count
+    # cannot combine with an active sequencer op (the machine raises).
+    TRACE_SEQ_OPCODES = frozenset({SeqOpcode.NOP})
 
     def fusion_blockers(self) -> tuple[str, ...]:
-        """Why this instruction cannot join a statically fused trace.
+        """Why this instruction's hardware repeat cannot be fused.
 
         Trace-legality metadata for ``repro.ncore.fastpath``: an empty
         tuple means every unit op of this instruction is analyzable as a
         pure function of (RAM rows, NDU registers, address-register
-        strides) — the precondition for executing all hardware-repeated
-        iterations as one vectorized macro-op.  Each entry names the
-        blocking unit/op so diagnostics can say *why* a loop fell back to
-        the interpreter.
+        strides) and its sequencer field is ``NOP`` — the precondition
+        for executing all hardware-repeated iterations as one vectorized
+        macro-op.  Each entry names the blocking unit/op so diagnostics
+        can say *why* a repeat stays on the interpreter.
         """
         reasons: list[str] = []
         for op in self.ndu_ops:

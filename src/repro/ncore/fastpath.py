@@ -1,16 +1,19 @@
-"""Fast-path execution tier for the Ncore simulator: trace-fused loops.
+"""Fast-path execution tier for the Ncore simulator: trace-fused repeats.
 
 The interpreter in :mod:`repro.ncore.machine` pays one Python dispatch per
 hardware-loop iteration — the dominant cost of every simulated workload.
-This module compiles side-effect-analyzable loops (``repeat > 1``
-instructions and ``LOOP_BEGIN``…``LOOP_END`` regions) into *fused traces*:
-closed-form recurrences over (RAM rows, NDU registers, address-register
-strides) that execute all N iterations as a handful of vectorized numpy
-calls while producing **bit-identical, cycle-exact** machine state.
+This module compiles the one loop form the NKL emits — a single
+side-effect-analyzable instruction under a hardware repeat count of at
+least :data:`MIN_FUSED_TRIPS` — into a *fused trace*: a closed-form
+recurrence over (RAM rows, NDU registers, address-register strides) that
+executes all N iterations as a handful of vectorized numpy calls while
+producing **bit-identical, cycle-exact** machine state.  Shorter repeats
+and multi-instruction ``LOOP_BEGIN``…``LOOP_END`` loops are interpreted
+(a repeated instruction inside such a loop still fuses).
 
 Legality (see :meth:`repro.isa.Instruction.fusion_blockers`): only BYPASS /
-ROTATE / BROADCAST64 NDU ops, non-CMPGT NPU ops, no OUT ops, and NOP /
-ADD_ADDR sequencer ops.  Every register recurrence must classify as one of:
+ROTATE / BROADCAST64 NDU ops, non-CMPGT NPU ops and no OUT ops.  Every
+register recurrence must classify as one of:
 
 - *invariant* — never written in the trip;
 - *self-rotation* — ``r <- rot(r, s)``, closed form ``rot(r0, s*t)``;
@@ -37,14 +40,12 @@ from repro.isa.instruction import (
     NDUOpcode,
     NPUOp,
     NPUOpcode,
-    OutOpcode,
     RotateDirection,
-    SeqOpcode,
 )
 from repro.isa.operands import NUM_ADDR_REGS, Operand, OperandKind
 from repro.ncore.config import CHA_NCORE
 from repro.ncore.ndu import BROADCAST_GROUP
-from repro.ncore.npu import SLICE_LANES
+from repro.ncore.npu import COMBINE, FLOAT_OPCODES, SLICE_LANES, fold_class
 from repro.obs.metrics import get_metrics
 
 if TYPE_CHECKING:
@@ -58,27 +59,18 @@ Array = npt.NDArray[Any]
 #: dlast's slot in the 5-element state vector (after NDU registers n0..n3).
 _DLAST = 4
 
-#: Flat bytes of issue state per execution block: bounds peak matrix memory
+#: Flat bytes of trip state per execution block: bounds peak matrix memory
 #: while keeping the vectorization factor high enough that numpy dominates
-#: dispatch cost.  Equals 1024 issues at the CHA row width; wider configs
-#: get proportionally fewer issues per block so memory stays bounded.
+#: dispatch cost.  Equals 1024 trips at the CHA row width; wider configs
+#: get proportionally fewer trips per block so memory stays bounded.
 _BLOCK_TARGET_BYTES = 1024 * CHA_NCORE.row_bytes
 
-#: Compile-time cap on issues per trip (keeps trace compilation O(small)).
-_MAX_TRIP_ISSUES = 256
-
-_FASTPATH_DEFAULT = True
-
-
-def set_fastpath_default(enabled: bool) -> None:
-    """Set the process-wide default for ``Ncore(fastpath=None)``."""
-    global _FASTPATH_DEFAULT
-    _FASTPATH_DEFAULT = bool(enabled)
-
-
-def get_fastpath_default() -> bool:
-    """The process-wide default used when ``Ncore(fastpath=None)``."""
-    return _FASTPATH_DEFAULT
+#: Fewest trips worth fusing.  A fused repeat costs a flat ~170 us (trace
+#: compile at load, preflight, evaluator) against ~44 us per interpreted
+#: trip: measured on the Fig. 6 body, 0.85x at 3 trips, break-even at 4
+#: (sweep in docs/simulator-performance.md).  Read where a trip count is
+#: known: ``compile_program`` and ``Ncore._execute_instruction``.
+MIN_FUSED_TRIPS = 4
 
 
 def note_stat(stats: dict[str, int], key: str, amount: int = 1) -> None:
@@ -139,12 +131,11 @@ class _Rot:
 
 @dataclass(frozen=True)
 class _Bcast:
-    """broadcast64 of ``src`` with byte index ``addr[reg] + offset +
-    stride[reg] * t`` (mod 64) at trip ``t``."""
+    """broadcast64 of ``src`` with byte index ``addr[reg] + stride[reg] * t``
+    (mod 64) at trip ``t``."""
 
     src: "_Expr"
     reg: int
-    offset: int
 
 
 _Expr = Union[_Init, _RamRow, _Const, _Rot, _Bcast]
@@ -205,7 +196,7 @@ def _classify(ends: list[_Expr]) -> tuple[_RegPlan, ...]:
 
 
 # ----------------------------------------------------------------------
-# NPU issue specs and accumulation plans
+# The trip's NPU issue
 # ----------------------------------------------------------------------
 
 
@@ -221,7 +212,7 @@ class _LaneSource:
 
 @dataclass(frozen=True)
 class _NpuSpec:
-    """One NPU issue of the trip, fully resolved to lane expressions."""
+    """The trip's NPU issue, fully resolved to lane expressions."""
 
     opcode: NPUOpcode
     dtype: NcoreDType
@@ -235,73 +226,27 @@ class _NpuSpec:
     predicate: int | None
 
 
-def _spec_class(spec: _NpuSpec) -> str:
-    if not spec.accumulate or spec.opcode in (
-        NPUOpcode.AND,
-        NPUOpcode.OR,
-        NPUOpcode.XOR,
-    ):
-        return "replace"
-    if spec.opcode in (NPUOpcode.MIN, NPUOpcode.MAX):
-        return "minmax"
-    return "sum"
-
-
-def _npu_plan(specs: Sequence[_NpuSpec]) -> tuple[str, bool] | None:
-    """Validate that the trip's NPU issues share one accumulation plan."""
-    if not specs:
-        return None
-    is_float = specs[0].is_float
-    if any(spec.is_float != is_float for spec in specs):
-        raise UnsupportedTrace("npu.mixed-domain")
-    klass = _spec_class(specs[0])
-    if any(_spec_class(spec) != klass for spec in specs):
-        raise UnsupportedTrace("npu.mixed-class")
-    if klass == "minmax" and any(spec.opcode is not specs[0].opcode for spec in specs):
-        raise UnsupportedTrace("npu.mixed-minmax")
-    if klass == "sum" and is_float and any(spec.predicate is not None for spec in specs):
-        # A masked lane keeps its accumulator bit-exactly; adding a zero
-        # contribution would turn -0.0 into +0.0.
-        raise UnsupportedTrace("npu.float-predicated-sum")
-    return klass, is_float
-
-
 # ----------------------------------------------------------------------
 # Trip builder (compile time)
 # ----------------------------------------------------------------------
 
 
 class _TripBuilder:
-    """Symbolically executes one trip, issue by issue."""
+    """Symbolically executes one trip: one issue of the instruction."""
 
     def __init__(self, config: "NcoreConfig") -> None:
         self.row_bytes = config.row_bytes
         self.lanes = config.lanes
         self.regs: list[_Expr] = [_Init(i) for i in range(4)]
         self.dlast: _Expr = _Init(_DLAST)
-        self.addr_off: list[int] = [0] * NUM_ADDR_REGS
-        self.reads = {"data": 0, "weight": 0}
+        self.strides: list[int] = [0] * NUM_ADDR_REGS  # post-increments per trip
         self.ram_leaves: list[tuple[str, int, int]] = []
-        self.npu_specs: list[_NpuSpec] = []
-        self.cycles = 0
-        self.issues = 0
-        self.mac_issues = 0
+        self.npu: _NpuSpec | None = None
 
-    def _rot(self, src: _Expr, shift: int) -> _Expr:
-        if isinstance(src, _Rot):
-            shift += src.shift
-            src = src.src
-        shift %= self.row_bytes
-        if shift == 0:
-            return src
-        return _Rot(src, shift)
-
-    def _ram_row(self, kind: OperandKind, reg: int, extra: int = 0) -> _RamRow:
+    def _ram_row(self, kind: OperandKind, reg: int, offset: int = 0) -> _RamRow:
         name = "data" if kind is OperandKind.DATA_RAM else "weight"
-        leaf = _RamRow(name, reg, self.addr_off[reg] + extra)
-        self.reads[name] += 1
-        self.ram_leaves.append((name, reg, self.addr_off[reg] + extra))
-        return leaf
+        self.ram_leaves.append((name, reg, offset))
+        return _RamRow(name, reg, offset)
 
     def _row_source(
         self,
@@ -348,7 +293,7 @@ class _TripBuilder:
         if operand.kind not in (OperandKind.DATA_RAM, OperandKind.WEIGHT_RAM):
             raise UnsupportedTrace(f"npu16.{operand.kind.name}")
         low = self._ram_row(operand.kind, operand.index)
-        high = self._ram_row(operand.kind, operand.index, extra=1)
+        high = self._ram_row(operand.kind, operand.index, offset=1)
         if operand.increment:
             increments.append((operand.index, 2))
         return _LaneSource("ram16", low=low, high=high)
@@ -364,35 +309,35 @@ class _TripBuilder:
             raise UnsupportedTrace("npu.cmpgt")
         if info.is_float and op.zero_offset:
             raise UnsupportedTrace("npu.float-zero-offset")
-        if info.is_float and op.opcode in (NPUOpcode.AND, NPUOpcode.OR, NPUOpcode.XOR):
+        if info.is_float and op.opcode not in FLOAT_OPCODES:
             raise UnsupportedTrace("npu.float-logical")
+        if (
+            info.is_float
+            and op.predicate is not None
+            and fold_class(op.opcode, op.accumulate) == "sum"
+        ):
+            # A masked lane keeps its accumulator bit-exactly; adding a zero
+            # contribution would turn -0.0 into +0.0.
+            raise UnsupportedTrace("npu.float-predicated-sum")
         if self.lanes != self.row_bytes:
             raise UnsupportedTrace("npu.lane-geometry")
         data = self._lane_source(op.data, op.dtype, dlast_snapshot, increments)
         weight = self._lane_source(op.weight, op.dtype, dlast_snapshot, increments)
-        self.npu_specs.append(
-            _NpuSpec(
-                opcode=op.opcode,
-                dtype=op.dtype,
-                is_float=info.is_float,
-                accumulate=op.accumulate,
-                data=data,
-                weight=weight,
-                zero_offset=op.zero_offset,
-                data_shift=op.data_shift,
-                from_neighbor=op.from_neighbor,
-                predicate=op.predicate,
-            )
+        self.npu = _NpuSpec(
+            opcode=op.opcode,
+            dtype=op.dtype,
+            is_float=info.is_float,
+            accumulate=op.accumulate,
+            data=data,
+            weight=weight,
+            zero_offset=op.zero_offset,
+            data_shift=op.data_shift,
+            from_neighbor=op.from_neighbor,
+            predicate=op.predicate,
         )
-        if op.opcode is NPUOpcode.MAC:
-            self.mac_issues += 1
 
-    def add_issue(self, instruction: Instruction) -> None:
+    def trace(self, instruction: Instruction) -> "FusedTrace":
         """Symbolically execute one issue of ``instruction``."""
-        self.issues += 1
-        if self.issues > _MAX_TRIP_ISSUES:
-            raise UnsupportedTrace("trip-too-large")
-        self.cycles += instruction.issue_cycles()
         increments: list[tuple[int, int]] = []
         dlast_snapshot = self.dlast
         pre_regs = list(self.regs)
@@ -403,11 +348,12 @@ class _TripBuilder:
                 expr = src
             elif op.opcode is NDUOpcode.ROTATE:
                 shift = -op.amount if op.direction is RotateDirection.LEFT else op.amount
-                expr = self._rot(src, shift)
+                shift %= self.row_bytes
+                expr = _Rot(src, shift) if shift else src
             elif op.opcode is NDUOpcode.BROADCAST64:
                 if self.row_bytes % BROADCAST_GROUP:
                     raise UnsupportedTrace("ndu.broadcast-geometry")
-                expr = _Bcast(src, op.index_reg, self.addr_off[op.index_reg])
+                expr = _Bcast(src, op.index_reg)
                 if op.index_increment:
                     increments.append((op.index_reg, 1))
             else:
@@ -421,40 +367,22 @@ class _TripBuilder:
         if npu is not None and npu.opcode is not NPUOpcode.NOP:
             self._add_npu(npu, dlast_snapshot, increments)
         for reg, amount in increments:
-            self.addr_off[reg] += amount
-
-    def finish(
-        self,
-        *,
-        kind: str,
-        trips: int,
-        length: int,
-        instructions_per_trip: int,
-        prologue: int,
-    ) -> "FusedTrace":
-        plans = _classify([*self.regs, self.dlast])
-        plan = _npu_plan(self.npu_specs)
+            self.strides[reg] += amount
+        npu = self.npu
+        data_reads = sum(name == "data" for name, _, _ in self.ram_leaves)
         return FusedTrace(
-            kind=kind,
             row_bytes=self.row_bytes,
             lanes=self.lanes,
-            trips=trips,
-            length=length,
-            cycles_per_trip=self.cycles,
-            issues_per_trip=self.issues,
-            instructions_per_trip=instructions_per_trip,
-            prologue_cycles=prologue,
-            prologue_issues=prologue,
-            prologue_instructions=prologue,
-            strides=tuple(self.addr_off),
-            reads_data=self.reads["data"],
-            reads_weight=self.reads["weight"],
-            mac_issues=self.mac_issues,
+            cycles_per_trip=instruction.issue_cycles(),
+            strides=tuple(self.strides),
+            reads_data=data_reads,
+            reads_weight=len(self.ram_leaves) - data_reads,
+            macs_per_trip=(
+                self.lanes if npu is not None and npu.opcode is NPUOpcode.MAC else 0
+            ),
             ram_leaves=tuple(self.ram_leaves),
-            plans=plans,
-            npu_specs=tuple(self.npu_specs),
-            npu_class=None if plan is None else plan[0],
-            npu_float=False if plan is None else plan[1],
+            plans=_classify([*self.regs, self.dlast]),
+            npu=npu,
         )
 
 
@@ -544,7 +472,7 @@ class _Evaluator:
             return np.roll(src, expr.shift, axis=1)
         if isinstance(expr, _Bcast):
             src = self.eval(expr.src)
-            idx = self.row_index(expr.reg, expr.offset) % BROADCAST_GROUP
+            idx = self.row_index(expr.reg, 0) % BROADCAST_GROUP
             groups_per_row = row_bytes // BROADCAST_GROUP
             if src.strides[0] == 0:
                 g = src[0].reshape(groups_per_row, BROADCAST_GROUP)
@@ -645,54 +573,38 @@ def _lanes(
     return (bits.astype(np.uint32) << np.uint32(16)).view(np.float32).copy(), 0, False
 
 
-def _combined(
-    ev: _Evaluator, spec: _NpuSpec, issue: int
-) -> tuple[Array, Array | None, int]:
-    """One NPU issue's per-trip combined values, predicate mask and a
+def _combined(ev: _Evaluator, spec: _NpuSpec) -> tuple[Array, Array | None, int]:
+    """The NPU issue's per-trip combined values, predicate mask and a
     static magnitude bound on any combined value.
 
     Integer math widens only as far as the bound requires (int32 when the
     combine provably fits, int64 otherwise) — values are exact integers in
-    either width, mirroring ``_combine_int``'s int64 semantics.  Float
+    either width, mirroring ``npu.execute_int``'s int64 semantics.  Float
     results stay float32.
     """
     machine = ev.m
     data, dbound, dnonneg = _lanes(ev, spec.data, spec.dtype)
     weight, wbound, wnonneg = _lanes(ev, spec.weight, spec.dtype)
     op = spec.opcode
+    combine = COMBINE[op]
+    mask = None if spec.predicate is None else machine.pred_regs[spec.predicate]
     if spec.is_float:
         if spec.data_shift:
             data = data * np.float32(2.0 ** -spec.data_shift)
         if spec.from_neighbor:
             data = np.roll(data, SLICE_LANES, axis=1)
-        if op is NPUOpcode.MAC:
-            comb = data * weight
-        elif op is NPUOpcode.ADD:
-            comb = data + weight
-        elif op is NPUOpcode.SUB:
-            comb = data - weight
-        elif op is NPUOpcode.MIN:
-            comb = np.minimum(data, weight)
-        else:
-            comb = np.maximum(data, weight)
-        mask = None if spec.predicate is None else machine.pred_regs[spec.predicate]
-        return comb, mask, 0
+        return combine(data, weight), mask, 0
     if spec.zero_offset:
         dbound += abs(int(machine.data_zero_offset))
         wbound += abs(int(machine.weight_zero_offset))
         dnonneg = wnonneg = False
     if op is NPUOpcode.MAC:
         bound = dbound * wbound
-        nonneg = dnonneg and wnonneg
-    elif op is NPUOpcode.ADD:
+    elif op is NPUOpcode.ADD or op is NPUOpcode.SUB:
         bound = dbound + wbound
-        nonneg = dnonneg and wnonneg
-    elif op is NPUOpcode.SUB:
-        bound = dbound + wbound
-        nonneg = False
     else:
         bound = max(dbound, wbound)
-        nonneg = dnonneg and wnonneg
+    nonneg = dnonneg and wnonneg and op is not NPUOpcode.SUB
     # The narrowest dtype that holds every combined value exactly: SIMD
     # throughput on this path scales with element width.  The uint16 tier
     # additionally needs unsigned *inputs* — a signed operand array (e.g.
@@ -721,124 +633,70 @@ def _combined(
         data = data >> spec.data_shift
     if spec.from_neighbor:
         data = np.roll(data, SLICE_LANES, axis=1)
-    out = ev.scratch(("comb", issue), (ev.nb, ev.trace.row_bytes), cdtype)
-    if op is NPUOpcode.MAC:
-        comb = np.multiply(data, weight, dtype=cdtype, out=out)
-    elif op is NPUOpcode.ADD:
-        comb = np.add(data, weight, dtype=cdtype, out=out)
-    elif op is NPUOpcode.SUB:
-        comb = np.subtract(data, weight, dtype=cdtype, out=out)
-    elif op is NPUOpcode.MIN:
-        comb = np.minimum(data, weight, dtype=cdtype, out=out)
-    elif op is NPUOpcode.MAX:
-        comb = np.maximum(data, weight, dtype=cdtype, out=out)
-    elif op is NPUOpcode.AND:
-        comb = np.bitwise_and(data, weight, dtype=cdtype, out=out)
-    elif op is NPUOpcode.OR:
-        comb = np.bitwise_or(data, weight, dtype=cdtype, out=out)
-    else:
-        comb = np.bitwise_xor(data, weight, dtype=cdtype, out=out)
-    mask = None if spec.predicate is None else machine.pred_regs[spec.predicate]
-    return comb, mask, bound
+    out = ev.scratch("comb", (ev.nb, ev.trace.row_bytes), cdtype)
+    return combine(data, weight, dtype=cdtype, out=out), mask, bound
 
 
 def _apply_npu(ev: _Evaluator, trace: "FusedTrace", nb: int) -> tuple[int, Array | None]:
-    """Fold the block's NPU issues into the accumulator.
+    """Fold the block's trips of the NPU issue into the accumulator.
 
     Returns ``(n_ok, new_acc)``: the number of trips whose accumulation is
     proven bit-exact (saturation inside the block truncates it) and the
     accumulator after those trips (None when the trip has no NPU work).
     """
-    if trace.npu_class is None:
+    spec = trace.npu
+    if spec is None:
         return nb, None
     machine = ev.m
-    specs = trace.npu_specs
-    issues = len(specs)
-    pairs = [_combined(ev, spec, issue) for issue, spec in enumerate(specs)]
-    if trace.npu_class == "sum":
-        if trace.npu_float:
-            flat = np.stack([comb for comb, _, _ in pairs], axis=1).reshape(
-                nb * issues, -1
-            )
-            stacked = np.vstack([machine.acc_float[None, :], flat])
+    comb, mask, bound = _combined(ev, spec)
+    klass = fold_class(spec.opcode, spec.accumulate)
+    if klass == "sum":
+        if spec.is_float:
+            stacked = np.vstack([machine.acc_float[None, :], comb])
             acc = np.add.accumulate(stacked, axis=0, dtype=np.float32)[-1]
             return nb, acc.astype(np.float32)
         # Fast path: when |acc| plus the worst-case drift over the whole
         # block provably stays inside int32, no intermediate clip can fire
-        # (clip is the identity on in-range accumulators), so plain sums —
-        # order-free exact integer addition — replace the prefix scan.
-        acc0 = machine.acc_int
-        per_trip = sum(bound for _, _, bound in pairs)
-        worst = int(np.abs(acc0.astype(np.int64)).max()) + nb * per_trip
-        if worst <= ACC_MAX:
-            total = np.zeros(acc0.shape[0], dtype=np.int64)
-            for comb, mask, bound in pairs:
-                # A 32-bit accumulator is exact while nb*bound fits in it.
-                sdtype = np.int32 if nb * bound <= ACC_MAX else np.int64
-                part = comb.sum(axis=0, dtype=sdtype)
-                if mask is not None:
-                    # A masked lane's acc is unchanged: zero its whole sum.
-                    part = np.where(mask, part, part.dtype.type(0))
-                total += part
-            return nb, (acc0.astype(np.int64) + total).astype(np.int32)
-        conts = []
-        for comb, mask, _ in pairs:
+        # (clip is the identity on in-range accumulators), so a plain sum —
+        # order-free exact integer addition, itself inside int32 — replaces
+        # the prefix scan.
+        acc64 = machine.acc_int.astype(np.int64)
+        if int(np.abs(acc64).max()) + nb * bound <= ACC_MAX:
+            total = comb.sum(axis=0, dtype=np.int32)
             if mask is not None:
-                # Exact: a masked lane's acc is unchanged and clip() is the
-                # identity on in-range int32 accumulators.
-                comb = np.where(mask[None, :], comb, np.int64(0))
-            conts.append(comb.astype(np.int64, copy=False))
-        flat = np.stack(conts, axis=1).reshape(nb * issues, -1)
-        prefix = machine.acc_int.astype(np.int64)[None, :] + np.cumsum(
-            flat, axis=0, dtype=np.int64
-        )
+                # A masked lane's acc is unchanged: zero its whole sum.
+                total = np.where(mask, total, np.int32(0))
+            return nb, (acc64 + total).astype(np.int32)
+        if mask is not None:
+            # Exact: a masked lane's acc is unchanged and clip() is the
+            # identity on in-range int32 accumulators.
+            comb = np.where(mask[None, :], comb, np.int64(0))
+        prefix = acc64[None, :] + np.cumsum(comb, axis=0, dtype=np.int64)
         bad = ((prefix < ACC_MIN) | (prefix > ACC_MAX)).any(axis=1)
         if bad.any():
-            first_bad = int(np.argmax(bad))
-            n_ok = first_bad // issues
+            n_ok = int(np.argmax(bad))
             if n_ok == 0:
                 return 0, None
-            return n_ok, prefix[n_ok * issues - 1].astype(np.int32)
+            return n_ok, prefix[n_ok - 1].astype(np.int32)
         return nb, prefix[-1].astype(np.int32)
-    if trace.npu_class == "minmax":
-        is_min = specs[0].opcode is NPUOpcode.MIN
-        if trace.npu_float:
-            sentinel_f = np.float32(np.inf if is_min else -np.inf)
-            conts_f = [
-                comb if mask is None else np.where(mask[None, :], comb, sentinel_f)
-                for comb, mask, _ in pairs
-            ]
-            flat = np.stack(conts_f, axis=1).reshape(nb * issues, -1)
-            stacked = np.vstack([machine.acc_float[None, :], flat])
-            ufunc = np.minimum if is_min else np.maximum
-            return nb, ufunc.reduce(stacked, axis=0).astype(np.float32)
-        # Integer min/max is fully associative and commutative, so each
-        # issue's trips reduce independently before folding into the acc.
-        info = np.iinfo(np.int64)
-        sentinel = np.int64(info.max if is_min else info.min)
-        ufunc = np.minimum if is_min else np.maximum
-        acc64 = machine.acc_int.astype(np.int64)
-        for comb, mask, _ in pairs:
-            red = ufunc.reduce(comb, axis=0).astype(np.int64)
-            if mask is not None:
-                red = np.where(mask, red, sentinel)
-            acc64 = ufunc(acc64, red)
-        return nb, acc64.astype(np.int32)
-    # replace: only the final trip's values (per-lane last write) survive.
-    if trace.npu_float:
-        final_f: Array = machine.acc_float.copy()
-        for comb, mask, _ in pairs:
-            value = comb[nb - 1].astype(np.float32)
-            final_f = (
-                value if mask is None
-                else np.where(mask, value, final_f).astype(np.float32)
-            )
-        return nb, final_f
-    final: Array = machine.acc_int.copy()
-    for comb, mask, _ in pairs:
-        value_i = np.clip(comb[nb - 1], ACC_MIN, ACC_MAX).astype(np.int32)
-        final = value_i if mask is None else np.where(mask, value_i, final)
-    return nb, final
+    live: Array = machine.acc_float if spec.is_float else machine.acc_int
+    if klass == "minmax":
+        fold = COMBINE[spec.opcode]
+        if spec.is_float:
+            # Sequential, accumulator first: float min/max is order-sensitive
+            # in its signed zeros and NaN payloads.
+            value = fold.reduce(np.vstack([live[None, :], comb]), axis=0)
+        else:
+            # Integer min/max is associative and commutative: the narrow
+            # trips reduce first, then fold into the accumulator.
+            value = fold(live, fold.reduce(comb, axis=0))
+    else:
+        # replace: only the final trip's values (per-lane last write) survive.
+        value = comb[nb - 1]
+        if not spec.is_float:
+            value = np.clip(value, ACC_MIN, ACC_MAX)
+    value = value.astype(live.dtype)
+    return nb, value if mask is None else np.where(mask, value, live)
 
 
 def _bulk_add(counter: "PerfCounter", amount: int) -> None:
@@ -859,30 +717,18 @@ def _bulk_add(counter: "PerfCounter", amount: int) -> None:
 
 @dataclass
 class FusedTrace:
-    """One compiled loop: either a ``repeat`` trace (all iterations of a
-    single hardware-repeated instruction) or a ``region`` trace (a whole
-    ``LOOP_BEGIN``…``LOOP_END`` body, prologue included)."""
+    """All iterations of one hardware-repeated instruction, compiled."""
 
-    kind: str  # "repeat" | "region"
     row_bytes: int
     lanes: int
-    trips: int  # region: total trip count; repeat: 0 (count from repeat)
-    length: int  # region: instructions spanned (incl. begin/end)
     cycles_per_trip: int
-    issues_per_trip: int
-    instructions_per_trip: int
-    prologue_cycles: int
-    prologue_issues: int
-    prologue_instructions: int
     strides: tuple[int, ...]
     reads_data: int
     reads_weight: int
-    mac_issues: int
+    macs_per_trip: int
     ram_leaves: tuple[tuple[str, int, int], ...]
     plans: tuple[_RegPlan, ...]
-    npu_specs: tuple[_NpuSpec, ...]
-    npu_class: str | None
-    npu_float: bool
+    npu: _NpuSpec | None
 
     def preflight(self, machine: "Ncore", count: int) -> str | None:
         """Why ``count`` trips cannot be fused from the current state
@@ -890,8 +736,6 @@ class FusedTrace:
         interpreter would deviate from the static model: pending ECC
         corrections, RAM bounds faults, perf-counter wraparound
         breakpoints and n-step windows landing inside the trace."""
-        if count <= 0:
-            return "empty"
         if self.reads_data and machine.data_ram._injected:
             return "ecc"
         if self.reads_weight and machine.weight_ram._injected:
@@ -902,16 +746,9 @@ class FusedTrace:
             last = first + self.strides[reg] * (count - 1)
             if min(first, last) < 0 or max(first, last) >= ram.rows:
                 return "bounds"
-        cycles = self.prologue_cycles + self.cycles_per_trip * count
-        deltas = (
-            ("cycles", cycles),
-            (
-                "instructions",
-                self.prologue_instructions + self.instructions_per_trip * count,
-            ),
-            ("macs", self.lanes * self.mac_issues * count),
-        )
-        for name, delta in deltas:
+        cycles = self.cycles_per_trip * count
+        # The instruction retires after its last trip, outside the trace.
+        for name, delta in (("cycles", cycles), ("macs", self.macs_per_trip * count)):
             counter = machine.perf_counters[name]
             if counter.break_on_wrap and counter.value + delta >= (1 << counter.bits):
                 return "perf_counter"
@@ -924,16 +761,11 @@ class FusedTrace:
     def run(self, machine: "Ncore", count: int) -> int:
         """Execute up to ``count`` fused trips; returns trips committed.
 
-        Region traces commit their ``LOOP_BEGIN`` prologue counters first
-        (the caller manages pc and the loop stack).  A partial return means
-        accumulator saturation was detected — the machine state is exactly
-        the interpreter's at that trip boundary, and the interpreter picks
-        up the saturating iteration.
+        A partial return means accumulator saturation was detected — the
+        machine state is exactly the interpreter's at that trip boundary,
+        and the interpreter picks up the saturating iteration.
         """
-        if self.prologue_cycles:
-            self._commit_counters(machine, 0, prologue=True)
-        block_issues = max(1, _BLOCK_TARGET_BYTES // max(1, self.row_bytes))
-        per_block = max(1, block_issues // max(1, self.issues_per_trip))
+        per_block = max(1, _BLOCK_TARGET_BYTES // self.row_bytes)
         done = 0
         while done < count:
             nb = min(per_block, count - done)
@@ -959,7 +791,8 @@ class FusedTrace:
             else:
                 machine.ndu_regs[q] = value
         if acc is not None:
-            if self.npu_float:
+            assert self.npu is not None
+            if self.npu.is_float:
                 machine.acc_float = acc
             else:
                 machine.acc_int = acc
@@ -967,29 +800,16 @@ class FusedTrace:
             stride = self.strides[reg]
             if stride:
                 machine.addr_regs[reg] += stride * n_ok
-        self._commit_counters(machine, n_ok, prologue=False)
-        return n_ok
-
-    def _commit_counters(self, machine: "Ncore", trips: int, *, prologue: bool) -> None:
-        if prologue:
-            cycles, issues, instructions, macs = 1, 1, 1, 0
-            reads_d = reads_w = 0
-        else:
-            cycles = self.cycles_per_trip * trips
-            issues = self.issues_per_trip * trips
-            instructions = self.instructions_per_trip * trips
-            macs = self.lanes * self.mac_issues * trips
-            reads_d = self.reads_data * trips
-            reads_w = self.reads_weight * trips
+        cycles = self.cycles_per_trip * n_ok
+        macs = self.macs_per_trip * n_ok
         machine.total_cycles += cycles
-        machine.total_issues += issues
-        machine.total_instructions += instructions
+        machine.total_issues += n_ok
         machine.total_macs += macs
-        machine.data_ram.reads += reads_d
-        machine.weight_ram.reads += reads_w
+        machine.data_ram.reads += self.reads_data * n_ok
+        machine.weight_ram.reads += self.reads_weight * n_ok
         _bulk_add(machine.perf_counters["cycles"], cycles)
-        _bulk_add(machine.perf_counters["instructions"], instructions)
         _bulk_add(machine.perf_counters["macs"], macs)
+        return n_ok
 
 
 # ----------------------------------------------------------------------
@@ -997,70 +817,12 @@ class FusedTrace:
 # ----------------------------------------------------------------------
 
 
-def _pure_seq(instruction: Instruction) -> bool:
-    return (
-        not instruction.ndu_ops
-        and (instruction.npu is None or instruction.npu.opcode is NPUOpcode.NOP)
-        and (instruction.out is None or instruction.out.opcode is OutOpcode.NOP)
-        and instruction.repeat == 1
-    )
-
-
 def compile_repeat(instruction: Instruction, config: "NcoreConfig") -> FusedTrace:
-    """Compile a ``repeat > 1`` instruction into a fused trace."""
+    """Compile a hardware-repeated instruction into a fused trace."""
     blockers = instruction.fusion_blockers()
     if blockers:
         raise UnsupportedTrace(";".join(blockers))
-    builder = _TripBuilder(config)
-    builder.add_issue(instruction)
-    return builder.finish(
-        kind="repeat", trips=0, length=1, instructions_per_trip=0, prologue=0
-    )
-
-
-def compile_region(
-    program: Sequence[Instruction], pc: int, config: "NcoreConfig"
-) -> FusedTrace:
-    """Compile the ``LOOP_BEGIN`` at ``pc`` and its body into a trace."""
-    begin = program[pc]
-    if not _pure_seq(begin):
-        raise UnsupportedTrace("region.begin-units")
-    trips = begin.seq.arg2
-    if trips < 2:
-        raise UnsupportedTrace("region.trips")
-    end: int | None = None
-    for j in range(pc + 1, len(program)):
-        opcode = program[j].seq.opcode
-        if opcode is SeqOpcode.LOOP_BEGIN:
-            raise UnsupportedTrace("region.nested")
-        if opcode is SeqOpcode.LOOP_END:
-            end = j
-            break
-    if end is None or end == pc + 1:
-        raise UnsupportedTrace("region.body")
-    if not _pure_seq(program[end]):
-        raise UnsupportedTrace("region.end-units")
-    builder = _TripBuilder(config)
-    for instruction in program[pc + 1 : end]:
-        if instruction.repeat > 1 and instruction.seq.opcode is not SeqOpcode.NOP:
-            raise UnsupportedTrace("region.repeat-seq")  # interpreter raises
-        blockers = instruction.fusion_blockers()
-        if blockers:
-            raise UnsupportedTrace(";".join(blockers))
-        for _ in range(instruction.repeat):
-            builder.add_issue(instruction)
-        seq = instruction.seq
-        if seq.opcode is SeqOpcode.ADD_ADDR:
-            builder.addr_off[seq.arg] += seq.arg2
-    builder.cycles += 1  # the LOOP_END issue
-    builder.issues += 1
-    return builder.finish(
-        kind="region",
-        trips=trips,
-        length=end - pc + 1,
-        instructions_per_trip=end - pc,  # body instructions + LOOP_END
-        prologue=1,
-    )
+    return _TripBuilder(config).trace(instruction)
 
 
 def compile_program(
@@ -1068,41 +830,28 @@ def compile_program(
     config: "NcoreConfig",
     stats: dict[str, int] | None = None,
 ) -> dict[int, FusedTrace]:
-    """Compile every fusible loop of a program; keyed by pc.
-
-    ``repeat`` traces are keyed at the repeated instruction, ``region``
-    traces at their ``LOOP_BEGIN`` — both can coexist, so a region that
-    falls back at runtime still fuses its repeated body instructions.
-    """
+    """Compile every repeat worth fusing (``repeat >= MIN_FUSED_TRIPS``
+    and no fusion blocker); keyed by the repeated instruction's pc."""
     table: dict[int, FusedTrace] = {}
-    compiled = 0
     rejected = 0
     for pc, instruction in enumerate(program):
-        if instruction.repeat > 1:
-            try:
-                table[pc] = compile_repeat(instruction, config)
-                compiled += 1
-            except UnsupportedTrace:
-                rejected += 1
-        elif instruction.seq.opcode is SeqOpcode.LOOP_BEGIN:
-            try:
-                table[pc] = compile_region(program, pc, config)
-                compiled += 1
-            except UnsupportedTrace:
-                rejected += 1
+        if instruction.repeat < MIN_FUSED_TRIPS:
+            continue
+        try:
+            table[pc] = compile_repeat(instruction, config)
+        except UnsupportedTrace:
+            rejected += 1
     if stats is not None:
-        note_stat(stats, "compiled", compiled)
+        note_stat(stats, "compiled", len(table))
         note_stat(stats, "rejected", rejected)
     return table
 
 
 __all__ = [
+    "MIN_FUSED_TRIPS",
     "FusedTrace",
     "UnsupportedTrace",
     "compile_program",
-    "compile_region",
     "compile_repeat",
-    "get_fastpath_default",
     "note_stat",
-    "set_fastpath_default",
 ]

@@ -95,18 +95,18 @@ class Ncore:
         self,
         config: NcoreConfig | None = None,
         memory: LinearMemory | None = None,
-        fastpath: bool | None = None,
+        fastpath: bool = True,
         sanitize=None,
     ) -> None:
         self.config = config or NcoreConfig()
         # Shadow-SRAM sanitizer (repro.sanitize): None/False keeps every
         # hook site at one `is not None` check — the zero-cost default.
         self._san = None
-        # Tier-1 fast path (repro.ncore.fastpath): None defers to the
-        # process-wide default; False forces pure interpretation.
-        self.fastpath = (
-            fastpath_mod.get_fastpath_default() if fastpath is None else bool(fastpath)
-        )
+        # Tier-1 fast path (repro.ncore.fastpath): False forces pure
+        # interpretation.
+        if not isinstance(fastpath, bool):
+            raise TypeError(f"fastpath must be a bool, not {fastpath!r}")
+        self.fastpath = fastpath
         # One fused-trace table per IRAM bank, rebuilt on load_program.
         self._fastpath_tables: list[dict[int, fastpath_mod.FusedTrace]] = [{}, {}]
         self.fastpath_stats: dict[str, int] = {
@@ -152,7 +152,7 @@ class Ncore:
         ``sanitize`` may be ``True`` / ``"shadow"`` (fresh
         :class:`~repro.sanitize.Sanitizer`), an existing instance, or
         ``False`` / ``None`` to disarm.  Arming forces pure
-        interpretation: the fast path batches whole loop regions, so the
+        interpretation: the fast path batches a repeat's issues, so the
         sanitizer would miss the per-issue accesses it must observe.
         Returns the armed sanitizer (or ``None`` after disarming).
         """
@@ -582,22 +582,22 @@ class Ncore:
         if self._resume_repeat is not None and self._resume_repeat[0] == self.pc:
             start = self._resume_repeat[1]
         self._resume_repeat = None
-        if self.fastpath and instruction.repeat - start > 1:
+        count = instruction.repeat - start
+        # Below the floor (a short repeat, or the short tail of a resumed
+        # one) the interpreter is faster: neither a hit nor a miss.
+        if self.fastpath and count >= fastpath_mod.MIN_FUSED_TRIPS:
             entry = self._fastpath_tables[self.iram.active_bank].get(self.pc)
-            if entry is None or entry.kind != "repeat":
+            if entry is None:
                 fastpath_mod.note_stat(self.fastpath_stats, "misses")
-            else:
-                count = instruction.repeat - start
-                reason = entry.preflight(self, count)
-                if reason is None:
-                    done = entry.run(self, count)
-                    start += done
-                    fastpath_mod.note_stat(self.fastpath_stats, "hits")
-                    fastpath_mod.note_stat(self.fastpath_stats, "fused_trips", done)
-                    if done < count:  # saturation: interpret the rest
-                        fastpath_mod.note_stat(self.fastpath_stats, "fallbacks")
-                else:
+            elif entry.preflight(self, count) is None:
+                done = entry.run(self, count)
+                start += done
+                fastpath_mod.note_stat(self.fastpath_stats, "hits")
+                fastpath_mod.note_stat(self.fastpath_stats, "fused_trips", done)
+                if done < count:  # saturation: interpret the rest
                     fastpath_mod.note_stat(self.fastpath_stats, "fallbacks")
+            else:
+                fastpath_mod.note_stat(self.fastpath_stats, "fallbacks")
         for iteration in range(start, instruction.repeat):
             increments: list[tuple[int, int]] = []
             dlast_snapshot = self.dlast
@@ -667,47 +667,6 @@ class Ncore:
                 if self.total_cycles - start_cycles >= budget_cycles:
                     stop_reason = "cycle_budget"
                     break
-                if self.fastpath:
-                    entry = self._fastpath_tables[self.iram.active_bank].get(self.pc)
-                    if (
-                        entry is not None
-                        and entry.kind == "region"
-                        and len(self.loop_stack) < NUM_LOOP_COUNTERS
-                    ):
-                        # Fuse only whole trips that fit in the remaining
-                        # budget; the interpreter finishes any partial trip
-                        # so budget-sliced stepping stays cycle-exact.
-                        remaining = budget_cycles - (self.total_cycles - start_cycles)
-                        trips = min(
-                            entry.trips,
-                            (remaining - entry.prologue_cycles) // entry.cycles_per_trip,
-                        )
-                        if trips > 0 and entry.preflight(self, trips) is None:
-                            done = entry.run(self, trips)
-                            fastpath_mod.note_stat(self.fastpath_stats, "hits")
-                            fastpath_mod.note_stat(
-                                self.fastpath_stats, "fused_trips", done
-                            )
-                            if done < entry.trips:
-                                # Re-enter the loop mid-flight, exactly as if
-                                # the interpreter had just taken the LOOP_END
-                                # branch back for the (done+1)-th trip.
-                                self.loop_stack.append(
-                                    _LoopFrame(
-                                        body_start=self.pc + 1,
-                                        remaining=entry.trips - done,
-                                    )
-                                )
-                                self.pc += 1
-                                if done < trips:  # saturation fallback
-                                    fastpath_mod.note_stat(
-                                        self.fastpath_stats, "fallbacks"
-                                    )
-                            else:
-                                self.pc += entry.length
-                            continue
-                        if trips > 0:
-                            fastpath_mod.note_stat(self.fastpath_stats, "fallbacks")
                 instruction = self.iram.fetch(self.pc)
                 pc = self.pc
                 completed = self._execute_instruction(instruction)

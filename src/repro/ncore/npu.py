@@ -31,26 +31,35 @@ def slide_from_neighbor(lanes: np.ndarray) -> np.ndarray:
     return np.roll(lanes, SLICE_LANES)
 
 
-def _combine_int(opcode: NPUOpcode, data: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    data = data.astype(np.int64)
-    weight = weight.astype(np.int64)
-    if opcode is NPUOpcode.MAC:
-        return data * weight
-    if opcode is NPUOpcode.ADD:
-        return data + weight
-    if opcode is NPUOpcode.SUB:
-        return data - weight
-    if opcode is NPUOpcode.MIN:
-        return np.minimum(data, weight)
-    if opcode is NPUOpcode.MAX:
-        return np.maximum(data, weight)
-    if opcode is NPUOpcode.AND:
-        return data & weight
-    if opcode is NPUOpcode.OR:
-        return data | weight
-    if opcode is NPUOpcode.XOR:
-        return data ^ weight
-    raise ValueError(f"not an integer ALU opcode: {opcode}")
+#: The one spelling of each ALU opcode's combining function.  The
+#: interpreter applies it to one issue's lanes, the trace-fused path
+#: (:mod:`repro.ncore.fastpath`) to a whole block of trips at once.
+COMBINE: dict[NPUOpcode, np.ufunc] = {
+    NPUOpcode.MAC: np.multiply,
+    NPUOpcode.ADD: np.add,
+    NPUOpcode.SUB: np.subtract,
+    NPUOpcode.MIN: np.minimum,
+    NPUOpcode.MAX: np.maximum,
+    NPUOpcode.AND: np.bitwise_and,
+    NPUOpcode.OR: np.bitwise_or,
+    NPUOpcode.XOR: np.bitwise_xor,
+}
+
+_LOGICAL = frozenset({NPUOpcode.AND, NPUOpcode.OR, NPUOpcode.XOR})
+
+#: The opcodes defined on bf16 lanes (logical ops are integer-only).
+FLOAT_OPCODES = frozenset(COMBINE) - _LOGICAL
+
+
+def fold_class(opcode: NPUOpcode, accumulate: bool) -> str:
+    """How an issue's combined value meets the accumulator: logical ops
+    and non-accumulating issues ``"replace"`` it, MIN/MAX fold against it
+    (``"minmax"``, the pooling idiom), arithmetic ops ``"sum"`` into it."""
+    if not accumulate or opcode in _LOGICAL:
+        return "replace"
+    if opcode in (NPUOpcode.MIN, NPUOpcode.MAX):
+        return "minmax"
+    return "sum"
 
 
 def execute_int(
@@ -63,17 +72,18 @@ def execute_int(
     """One integer NPU operation; returns the new accumulator.
 
     ``data``/``weight`` are already sign-interpreted int32 lane arrays with
-    zero offsets and the data pre-shift applied.  MIN/MAX accumulate by
-    folding against the accumulator (the pooling idiom); arithmetic ops
-    accumulate by saturating addition; logical ops replace.
+    zero offsets and the data pre-shift applied.  Arithmetic ops accumulate
+    by saturating addition (see :func:`fold_class`).
     """
-    combined = _combine_int(op.opcode, data, weight)
-    if not op.accumulate or op.opcode in (NPUOpcode.AND, NPUOpcode.OR, NPUOpcode.XOR):
+    combine = COMBINE.get(op.opcode)
+    if combine is None:
+        raise ValueError(f"not an integer ALU opcode: {op.opcode}")
+    combined = combine(data.astype(np.int64), weight.astype(np.int64))
+    klass = fold_class(op.opcode, op.accumulate)
+    if klass == "replace":
         new_acc = np.clip(combined, ACC_MIN, ACC_MAX)
-    elif op.opcode is NPUOpcode.MIN:
-        new_acc = np.minimum(acc.astype(np.int64), combined)
-    elif op.opcode is NPUOpcode.MAX:
-        new_acc = np.maximum(acc.astype(np.int64), combined)
+    elif klass == "minmax":
+        new_acc = combine(acc.astype(np.int64), combined)
     else:
         new_acc = np.clip(acc.astype(np.int64) + combined, ACC_MIN, ACC_MAX)
     new_acc = new_acc.astype(np.int32)
@@ -90,24 +100,14 @@ def execute_float(
     predicate_mask: np.ndarray | None,
 ) -> np.ndarray:
     """One bfloat16 NPU operation on the float32 accumulator."""
-    if op.opcode is NPUOpcode.MAC:
-        combined = data * weight
-    elif op.opcode is NPUOpcode.ADD:
-        combined = data + weight
-    elif op.opcode is NPUOpcode.SUB:
-        combined = data - weight
-    elif op.opcode is NPUOpcode.MIN:
-        combined = np.minimum(data, weight)
-    elif op.opcode is NPUOpcode.MAX:
-        combined = np.maximum(data, weight)
-    else:
+    if op.opcode not in FLOAT_OPCODES:
         raise ExecutionError(f"opcode {op.opcode} is not defined for bf16 lanes")
-    if not op.accumulate:
+    combined = COMBINE[op.opcode](data, weight)
+    klass = fold_class(op.opcode, op.accumulate)
+    if klass == "replace":
         new_acc = combined.astype(np.float32)
-    elif op.opcode is NPUOpcode.MIN:
-        new_acc = np.minimum(acc, combined).astype(np.float32)
-    elif op.opcode is NPUOpcode.MAX:
-        new_acc = np.maximum(acc, combined).astype(np.float32)
+    elif klass == "minmax":
+        new_acc = COMBINE[op.opcode](acc, combined).astype(np.float32)
     else:
         new_acc = (acc + combined).astype(np.float32)
     if predicate_mask is not None:

@@ -10,6 +10,8 @@ augmented with a 4 KB ROM.
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 
 from repro.isa import Instruction
@@ -40,7 +42,16 @@ class RowMemory:
         self.rows = rows
         self.row_bytes = row_bytes
         self.name = name
-        self.data = np.zeros((rows, row_bytes), dtype=np.uint8)
+        # A private anonymous mapping, not np.zeros: glibc's dynamic mmap
+        # threshold can move a calloc'd image onto the brk heap, where each
+        # new machine memsets and pins it whether or not a row is touched.
+        # (MAP_PRIVATE / MAP_ANONYMOUS are POSIX-only, as is the simulator.)
+        self.data = np.frombuffer(
+            mmap.mmap(
+                -1, rows * row_bytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+            ),
+            dtype=np.uint8,
+        ).reshape(rows, row_bytes)
         # Map row -> {ecc word index -> set of flipped bit positions}.
         self._injected: dict[int, dict[int, set[int]]] = {}
         self.corrected_errors = 0

@@ -48,7 +48,7 @@ def fig6_program(iterations: int = FIG6_ITERATIONS) -> list[Instruction]:
 
 
 def fig6_machine(
-    iterations: int = FIG6_ITERATIONS, fastpath: bool | None = None
+    iterations: int = FIG6_ITERATIONS, fastpath: bool = True
 ) -> tuple[Ncore, list[Instruction]]:
     """A machine with deterministic RAM contents plus the Fig. 6 program."""
     machine = Ncore(fastpath=fastpath)

@@ -14,8 +14,10 @@ from repro.dtypes import NcoreDType, QuantParams
 from repro.isa import AssemblyError, Instruction, assemble
 from repro.isa.instruction import SeqOp, SeqOpcode
 from repro.ncore import Ncore
+from repro.ncore import fastpath as fastpath_mod
 from repro.ncore.machine import ExecutionError
-from repro.ncore.fastpath import get_fastpath_default, set_fastpath_default
+from repro.ncore.fastpath import MIN_FUSED_TRIPS
+from repro.nkl import programs as nkl_programs
 from repro.nkl.programs import (
     emit_avg_pool_program,
     emit_conv1d_rotate_program,
@@ -240,13 +242,79 @@ class TestFig6Loop:
         assert machine.fastpath_stats["compiled"] == 0
 
     def test_default_flag_round_trip(self):
-        assert get_fastpath_default() is True
-        try:
-            set_fastpath_default(False)
-            assert Ncore().fastpath is False
-        finally:
-            set_fastpath_default(True)
+        # The constructor argument is the only switch: no process default.
         assert Ncore().fastpath is True
+        assert Ncore(fastpath=False).fastpath is False
+        with pytest.raises(TypeError):
+            Ncore(fastpath=None)  # the old "process default" spelling
+        assert not hasattr(fastpath_mod, "set_fastpath_default")
+
+    @pytest.mark.parametrize(
+        "trips, fused", [(MIN_FUSED_TRIPS - 1, 0), (MIN_FUSED_TRIPS, 1)]
+    )
+    def test_fusion_floor(self, trips, fused):
+        # Below the measured crossover a repeat is not compiled and not
+        # looked up (neither a hit nor a miss); at it, it fuses.
+        fast_m, program = fig6_machine(trips, fastpath=True)
+        interp_m, _ = fig6_machine(trips, fastpath=False)
+        fast_m.execute_program(program)
+        interp_m.execute_program(program)
+        _assert_same_state(fast_m, interp_m)
+        stats = fast_m.fastpath_stats
+        assert (stats["compiled"], stats["hits"]) == (fused, fused)
+        assert stats["misses"] == stats["fallbacks"] == 0
+
+    def test_loopn_is_interpreted_with_its_body_repeat_fused(self):
+        def emit(machine):
+            row = machine.config.row_bytes
+            machine.write_data_ram(0, bytes(np.arange(8 * row, dtype=np.uint8)))
+            machine.write_weight_ram(0, bytes(np.full(row, 3, np.uint8)))
+            return assemble(
+                "setaddr a0, 0\nsetaddr a1, 0\n"
+                "loopn 3\n"
+                "  loop 8 {\n    mac.uint8 dram[a0], wtram[a1]\n  }\n"
+                "  rotl n0, n0, 1\n"
+                "endloop\nhalt"
+            )
+
+        fast, _ = _differential(emit)
+        # Only the repeated body instruction compiles; the loop runs on
+        # the interpreter and takes the fused repeat once per trip.
+        assert fast.fastpath_stats["compiled"] == 1
+        assert fast.fastpath_stats["hits"] == 3
+        assert fast.fastpath_stats["fused_trips"] == 24
+
+
+def test_nkl_emitters_emit_no_hardware_loop():
+    # The measured fact single-form fusion rests on: every NKL emitter
+    # spells its loops as hardware repeats.  A looping emitter must reopen
+    # that decision here instead of silently interpreting.
+    def u8(*shape):
+        return np.ones(shape, dtype=np.uint8)
+
+    q = qp(0.02, 128)
+    emitters = {
+        "emit_matmul_program": lambda m: nkl_programs.emit_matmul_program(
+            m, u8(4, 8), u8(8, 4), q, q, q),
+        "emit_conv1d_rotate_program": lambda m: nkl_programs.emit_conv1d_rotate_program(
+            m, u8(12), u8(4, 3), q, q, q),
+        "emit_tiled_matmul_program": lambda m: nkl_programs.emit_tiled_matmul_program(
+            m, u8(80, 130), u8(130, 70), q, q, q),
+        "emit_max_pool_rows_program": lambda m: nkl_programs.emit_max_pool_rows_program(
+            m, u8(4, 4096)),
+        "emit_avg_pool_program": lambda m: nkl_programs.emit_avg_pool_program(
+            m, u8(4, 4096)),
+        "emit_elementwise_add_program": lambda m: nkl_programs.emit_elementwise_add_program(
+            m, u8(4096), u8(4096), q, q),
+        "emit_conv2d_program": lambda m: nkl_programs.emit_conv2d_program(
+            m, u8(1, 6, 6, 2), u8(3, 3, 2, 4), q, q, q, stride=(2, 2)),
+        "emit_depthwise_program": lambda m: nkl_programs.emit_depthwise_program(
+            m, u8(1, 6, 6, 4), u8(3, 3, 4), q, q, q),
+    }
+    assert set(emitters) == {n for n in dir(nkl_programs) if n.startswith("emit_")}
+    for name, emit in emitters.items():
+        program, _ = emit(Ncore(fastpath=False))
+        assert all(i.seq.opcode is not SeqOpcode.LOOP_BEGIN for i in program), name
 
 
 class TestBf16NonFinite:
@@ -341,6 +409,24 @@ class TestMidTraceStops:
         assert fast_trail[0][0] == "perf_counter"
         assert fast_m.halted and fast_m.total_cycles == 517
         _assert_same_state(fast_m, interp_m)
+
+
+    def test_resume_below_the_floor_stays_on_the_interpreter(self):
+        # The break leaves fewer than MIN_FUSED_TRIPS trips: the tail is
+        # interpreted, counted neither as a hit nor as a miss.
+        def configure(m):
+            m.perf_counters["cycles"].configure(
+                offset=(1 << 48) - (4 + 512 - (MIN_FUSED_TRIPS - 1)),
+                break_on_wrap=True,
+            )
+
+        fast_m, fast_trail = self._stepped(True, configure)
+        interp_m, interp_trail = self._stepped(False, configure)
+        assert fast_trail == interp_trail
+        assert fast_trail[0][0] == "perf_counter" and fast_trail[0][1] < 517
+        _assert_same_state(fast_m, interp_m)
+        stats = fast_m.fastpath_stats
+        assert stats["hits"] == stats["misses"] == 0 and stats["fallbacks"] == 1
 
 
 class TestStopReasonRegression:

@@ -81,12 +81,13 @@ def _random_program(rng) -> str:
     for _ in range(int(rng.integers(1, 5))):
         roll = rng.random()
         if roll < 0.5:
-            # A fused block: one instruction with a hardware repeat count.
+            # A fused block: one instruction with a hardware repeat count,
+            # on either side of MIN_FUSED_TRIPS.
             lines.append(f"loop {int(rng.integers(2, 48))} {{")
             lines.append("  " + _random_instruction(rng))
             lines.append("}")
         elif roll < 0.75:
-            # A multi-instruction hardware loop (region fusion candidate).
+            # A multi-instruction hardware loop (interpreted; body repeats fuse).
             lines.append(f"loopn {int(rng.integers(2, 16))}")
             for _ in range(int(rng.integers(1, 3))):
                 lines.append(_random_instruction(rng))

@@ -1,5 +1,11 @@
 """Tests for the row memories (with ECC) and the instruction RAM."""
 
+import copy
+import pickle
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -90,6 +96,70 @@ class TestEcc:
         ram.write_row(0, np.full(64, 7, dtype=np.uint8))
         out = ram.read_row(0)  # no EccError: the write re-encoded ECC
         assert out[0] == 7
+
+
+class TestBackingStore:
+    """The RAM image is a private anonymous mapping, not malloc memory."""
+
+    def test_data_is_a_zeroed_writeable_row_matrix(self):
+        ram = RowMemory(rows=8, row_bytes=64)
+        assert ram.data.shape == (8, 64) and ram.data.dtype == np.uint8
+        assert ram.data.flags.c_contiguous and ram.data.flags.writeable
+        assert not ram.data.any()
+        ram.data[3, 5] = 9
+        assert ram.read_row(3)[5] == 9
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda ram: pickle.loads(pickle.dumps(ram))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copies_carry_rows_and_pending_ecc_flips(self, clone):
+        ram = RowMemory(rows=4, row_bytes=64)
+        ram.write_row(1, np.arange(64, dtype=np.uint8))
+        ram.inject_bit_error(row=1, byte=2, bit=0)
+        twin = clone(ram)
+        ram.write_row(1, np.zeros(64, dtype=np.uint8))  # the copy is independent
+        assert twin.data[1, 2] == 3  # the flip is stored ...
+        np.testing.assert_array_equal(  # ... and still corrected on read
+            twin.read_row(1), np.arange(64, dtype=np.uint8)
+        )
+        assert twin.corrected_errors == 1
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_a_new_machine_pins_no_memory_whatever_the_heap_history(self):
+        # Freeing a 20 MB array raises glibc's mmap threshold past the 8 MB
+        # RAM images; calloc'd images then land on the brk heap, where every
+        # later Ncore() memsets and pins 16 MB (+15.7 MB here with np.zeros).
+        # A subprocess, so that this suite's own heap history plays no part.
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from repro.ncore import Ncore
+
+            def rss_kb():
+                with open("/proc/self/status") as status:
+                    for line in status:
+                        if line.startswith("VmRSS:"):
+                            return int(line.split()[1])
+
+            row_bytes = Ncore().config.row_bytes
+            big = np.ones(20 << 20, np.uint8)
+            del big
+            before = rss_kb()
+            for _ in range(3):
+                m = Ncore()
+                m.write_data_ram(0, b"\\x01" * row_bytes)
+                del m
+            m = Ncore()
+            print(rss_kb() - before)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 4 * 1024
 
 
 class TestInstructionRam:

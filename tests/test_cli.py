@@ -42,14 +42,13 @@ class TestBench:
         assert "unknown model" in capsys.readouterr().err
 
     def test_no_fastpath_does_not_leak_machine_mode(self, capsys):
-        # --no-fastpath picks the machine mode of the Fig. 6 line only; it
-        # must not rewrite the process default every later Ncore() reads.
-        from repro.ncore.fastpath import get_fastpath_default
+        # --no-fastpath picks the machine mode of the Fig. 6 line only; a
+        # later Ncore() still fuses.
+        from repro.ncore import Ncore
 
-        before = get_fastpath_default()
         assert main(["bench", "mobilenet_v1", "--no-fastpath"]) == 0
         assert "(interpreter)" in capsys.readouterr().out
-        assert get_fastpath_default() == before
+        assert Ncore().fastpath is True
 
 
 class TestTierFlag:

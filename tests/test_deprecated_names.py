@@ -5,7 +5,8 @@ left a warn-once module alias behind; the alias is now gone.  The
 ``InferenceSession`` / ``compile_model`` facades, the no-op ``fastpath``
 graph tier, the reserved ``predict`` slot and the legacy executor kwargs
 followed, then the pass-through ``*Step`` classes of the Tier-3 codegen
-and its run-time variant race.
+and its run-time variant race, then the process-wide machine-mode default
+and ``loopn`` region fusion.
 These tests grep the tree so a stray reference (or a reintroduced alias)
 fails loudly rather than resurrecting an old name.
 """
@@ -77,6 +78,8 @@ def test_removed_facade_and_tier_names_are_gone():
         # The codegen sidecar channel and the process-wide tier default.
         r"|lookup_artifact|store_artifact|CODEGEN_ARTIFACT_KIND|_CODEGEN_KIND"
         r"|_load_macro_kernels|default_tier_policy"
+        # The process-wide machine-mode default and region fusion.
+        r"|set_fastpath_default|get_fastpath_default|compile_region|prologue_cycles"
     )
     files = [ROOT / "README.md"]
     for folder, glob in (("src", "*.py"), ("examples", "*.py"), ("docs", "*.md")):
