@@ -15,8 +15,8 @@ Two entry points share the rule set and the :class:`HazardGraph` model:
   :class:`~repro.graph.loadable.NcoreLoadable` (prefetch schedule versus
   kernel order, rows from the memory plan), and
 - :func:`analyze_program_hazards` works on an assembled instruction
-  program plus its DMA descriptor table, with the same abstract
-  address-register interpretation as ``program_rules``.
+  program plus its DMA descriptor table, over the program verifier's
+  :class:`~repro.analyze.program_rules.AddressWalk`.
 
 Findings are real orderings the schedule failed to establish; statically
 unknowable addresses are simply not reported (the runtime shadow-SRAM
@@ -30,14 +30,7 @@ from dataclasses import dataclass, field
 from repro.graph.gir import Graph
 from repro.graph.loadable import NcoreLoadable
 from repro.graph.planner import Prefetch, RowRange
-from repro.isa.instruction import (
-    DMAOp,
-    Instruction,
-    OutOpcode,
-    SeqOp,
-    SeqOpcode,
-)
-from repro.isa.operands import NUM_ADDR_REGS, OperandKind, RAM_KINDS
+from repro.isa.instruction import DMAOp, Instruction, SeqOp, SeqOpcode
 from repro.ncore.config import NcoreConfig
 from repro.obs.metrics import get_metrics
 
@@ -48,6 +41,7 @@ from repro.analyze.diagnostics import (
     diag,
     register_rule,
 )
+from repro.analyze.program_rules import AddressWalk
 
 RAW = register_rule(
     "hazard.raw", Severity.ERROR, "read may observe an in-flight DMA write",
@@ -393,20 +387,6 @@ class _Transfer:
     consumed: bool = False
 
 
-@dataclass
-class _ProgramLoop:
-    body_start: int
-    remaining: int
-    iterations_seen: int = 0
-    entry_addr: tuple[int | None, ...] = ()
-
-
-# Bounded exactly like ``program_rules``: kernels reach an address fixpoint
-# (or widen) within a few loop iterations.
-_MAX_STEPS = 200_000
-_LOOP_WIDEN_AFTER = 4
-
-
 def _normalize_descriptors(
     descriptors: dict[int, DMAOp] | list[DMAOp | None] | None,
 ) -> dict[int, DMAOp]:
@@ -429,11 +409,11 @@ def build_program_hazard_graph(
 ) -> tuple[HazardGraph, list[Diagnostic]]:
     """Interpret a program abstractly; return its HB graph plus findings.
 
-    Address registers are tracked as ``int | None`` with the same loop
-    fixpoint/widening discipline as the program verifier, so every
-    reported hazard involves statically-known row intervals.
+    The rows each instruction touches come from the program verifier's
+    :class:`AddressWalk` (``int | None`` address registers, loop fixpoint /
+    widening), so every reported hazard involves statically-known row
+    intervals; this pass adds only the DMA start / wait / halt events.
     """
-    config = config or NcoreConfig()
     table = _normalize_descriptors(descriptors)
     hb = HazardGraph(name=name)
     findings: list[Diagnostic] = []
@@ -509,94 +489,22 @@ def build_program_hazard_graph(
                     hint="insert a dmawait 2 before reusing the buffer",
                 )
 
-    addr: list[int | None] = [0] * NUM_ADDR_REGS
-    loops: list[_ProgramLoop] = []
-    pc = 0
-    steps = 0
-    halted = False
-    while 0 <= pc < len(program):
-        steps += 1
-        if steps > _MAX_STEPS:
-            break
-        instruction = program[pc]
-        repeat = max(1, instruction.repeat)
-
-        increments: dict[int, int] = {}
-        compute_id: str | None = None
-        for op in instruction.ndu_ops:
-            sources = [op.src] if op.src2 is None else [op.src, op.src2]
-            for source in sources:
-                if source.kind not in RAM_KINDS:
-                    continue
-                if not 0 <= source.index < NUM_ADDR_REGS:
-                    continue
-                ram = "data" if source.kind is OperandKind.DATA_RAM else "weight"
-                row = addr[source.index]
-                if source.increment:
-                    increments[source.index] = increments.get(source.index, 0) + 1
-                span = (
-                    None if row is None
-                    else RowRange(row, repeat if source.increment else 1)
-                )
-                if compute_id is None:
-                    compute_id = link(hb.add_node(
-                        f"i{pc}", "compute", f"pc {pc}", ram=ram, rows=span,
-                    ))
-                touch_read(ram, span, pc, "ndu")
-        if instruction.npu is not None:
-            for source in (instruction.npu.data, instruction.npu.weight):
-                if source.kind not in RAM_KINDS:
-                    continue
-                if not 0 <= source.index < NUM_ADDR_REGS:
-                    continue
-                ram = "data" if source.kind is OperandKind.DATA_RAM else "weight"
-                row = addr[source.index]
-                if source.increment:
-                    increments[source.index] = increments.get(source.index, 0) + 1
-                span = (
-                    None if row is None
-                    else RowRange(row, repeat if source.increment else 1)
-                )
-                if compute_id is None:
-                    compute_id = link(hb.add_node(
-                        f"i{pc}", "compute", f"pc {pc}", ram=ram, rows=span,
-                    ))
-                touch_read(ram, span, pc, "npu")
-        out = instruction.out
-        if (out is not None
-                and out.opcode in (OutOpcode.STORE, OutOpcode.STORE_ACC)
-                and 0 <= out.dst_addr_reg < NUM_ADDR_REGS):
-            rows_per_issue = 4 if out.opcode is OutOpcode.STORE_ACC else 1
-            if out.dst_increment:
-                increments[out.dst_addr_reg] = (
-                    increments.get(out.dst_addr_reg, 0) + rows_per_issue
-                )
-            row = addr[out.dst_addr_reg]
-            if row is not None:
-                span = rows_per_issue + (
-                    (repeat - 1) * rows_per_issue if out.dst_increment else 0
-                )
-                store_rows = RowRange(row, span)
-                if compute_id is None:
-                    compute_id = link(hb.add_node(
-                        f"i{pc}", "compute", f"pc {pc}",
-                        ram="data", rows=store_rows,
-                    ))
-                touch_write("data", store_rows, pc, "out")
-        for reg, per_issue in increments.items():
-            if addr[reg] is not None:
-                addr[reg] += per_issue * repeat  # type: ignore[operator]
+    walk = AddressWalk(program)
+    for pc, instruction, accesses in walk:
+        for access, first_row, span in accesses:
+            rows = None if first_row is None else RowRange(first_row, span)
+            node = (f"i{pc}", "compute", f"pc {pc}", access.ram, rows)
+            if not access.write:
+                link(hb.add_node(*node))
+                touch_read(access.ram, rows, pc, access.unit)
+            elif rows is not None:  # a store to unknowable rows orders nothing
+                link(hb.add_node(*node))
+                touch_write(access.ram, rows, pc, access.unit)
 
         seq = instruction.seq
-        opcode = seq.opcode
-        if instruction.repeat > 1 and opcode is not SeqOpcode.NOP:
-            opcode = SeqOpcode.NOP  # isa.repeat-seq reports this defect
-        next_pc = pc + 1
-        if opcode is SeqOpcode.HALT:
-            halted = True
-            link(hb.add_node("halt", "halt", "halt"))
-            break
-        if opcode is SeqOpcode.DMA_START:
+        if instruction.repeat > 1:
+            continue  # isa.repeat-seq: the walk skipped the seq op too
+        if seq.opcode is SeqOpcode.DMA_START:
             descriptor = table.get(seq.arg)
             if descriptor is not None and pc not in transfer_at_pc:
                 engine = "dma_write" if descriptor.write_to_dram else "dma_read"
@@ -621,55 +529,18 @@ def build_program_hazard_graph(
                     touch_write(ram, rows, pc, "dma")
                 transfers.append(transfer)
                 transfer_at_pc[pc] = transfer
-        elif opcode is SeqOpcode.DMA_WAIT and seq.arg in SeqOp.DMA_WAIT_GROUPS:
-            engines = set()
-            if seq.arg in (0, 1, 3):
-                engines.add("dma_read")
-            if seq.arg in (0, 2, 3):
-                engines.add("dma_write")
+        elif seq.opcode is SeqOpcode.DMA_WAIT and seq.arg in SeqOp.DMA_WAIT_GROUPS:
             wait_id = link(hb.add_node(
                 f"w{pc}", "wait", f"dmawait {seq.arg}",
             ))
             for transfer in transfers:
-                if transfer.in_flight and transfer.engine in engines:
+                if (transfer.in_flight
+                        and transfer.engine in SeqOp.DMA_WAIT_GROUPS[seq.arg]):
                     transfer.in_flight = False
                     hb.add_edge(transfer.node_id, wait_id, "wait")
-        elif opcode is SeqOpcode.LOOP_BEGIN:
-            if len(loops) >= 8:  # isa.loop-depth reports the real limit
-                break
-            loops.append(_ProgramLoop(
-                body_start=pc + 1,
-                remaining=max(1, seq.arg2),
-                entry_addr=tuple(addr),
-            ))
-        elif opcode is SeqOpcode.LOOP_END:
-            if not loops:
-                break  # isa.loop-structure reports the defect
-            frame = loops[-1]
-            frame.remaining -= 1
-            frame.iterations_seen += 1
-            if frame.remaining > 0:
-                if tuple(addr) == frame.entry_addr:
-                    loops.pop()
-                elif frame.iterations_seen >= _LOOP_WIDEN_AFTER:
-                    for reg, before in enumerate(frame.entry_addr):
-                        if addr[reg] != before:
-                            addr[reg] = None
-                    loops.pop()
-                else:
-                    frame.entry_addr = tuple(addr)
-                    next_pc = frame.body_start
-            else:
-                loops.pop()
-        elif opcode is SeqOpcode.SET_ADDR:
-            if 0 <= seq.arg < NUM_ADDR_REGS:
-                addr[seq.arg] = seq.arg2
-        elif opcode is SeqOpcode.ADD_ADDR:
-            if 0 <= seq.arg < NUM_ADDR_REGS and addr[seq.arg] is not None:
-                addr[seq.arg] += seq.arg2  # type: ignore[operator]
-        pc = next_pc
 
-    if halted:
+    if walk.stop == "halt":
+        link(hb.add_node("halt", "halt", "halt"))
         for transfer in transfers:
             if transfer.in_flight:
                 report(

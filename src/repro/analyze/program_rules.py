@@ -11,7 +11,8 @@ simply not reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 from repro.isa.instruction import (
     MAX_NDU_OPS,
@@ -21,19 +22,18 @@ from repro.isa.instruction import (
     NDUOp,
     NDUOpcode,
     OutOp,
-    OutOpcode,
+    RowAccess,
     SeqOp,
     SeqOpcode,
 )
 from repro.isa.operands import (
+    INDEX_LIMITS,
     NUM_ADDR_REGS,
     NUM_DMA_DESCRIPTORS,
     NUM_LOOP_COUNTERS,
     NUM_NDU_REGS,
     NUM_PRED_REGS,
-    RAM_KINDS,
     Operand,
-    OperandKind,
 )
 from repro.ncore.config import NcoreConfig
 
@@ -122,13 +122,7 @@ def _check_operand(
     operand: Operand, name: str, unit: str, index: int
 ) -> list[Diagnostic]:
     findings: list[Diagnostic] = []
-    limits = {
-        OperandKind.DATA_RAM: NUM_ADDR_REGS,
-        OperandKind.WEIGHT_RAM: NUM_ADDR_REGS,
-        OperandKind.NDU_REG: NUM_NDU_REGS,
-        OperandKind.IMMEDIATE: 64,
-    }
-    limit = limits.get(operand.kind, 1)
+    limit = INDEX_LIMITS[operand.kind]
     if not 0 <= operand.index < limit:
         findings.append(diag(
             REGISTER,
@@ -276,41 +270,106 @@ class _LoopFrame:
     entry_addr: tuple[int | None, ...] = ()
 
 
-@dataclass
-class _AbstractState:
-    """The interpreter's machine state: addr regs as ``int | None``."""
+class AddressWalk:
+    """The abstract interpreter of address registers, shared by every
+    program pass.
 
-    addr: list[int | None] = field(default_factory=lambda: [0] * NUM_ADDR_REGS)
-    loops: list[_LoopFrame] = field(default_factory=list)
+    Iterating yields ``(pc, instruction, accesses)`` per interpreted
+    instruction, where ``accesses`` holds ``(access, first_row, span)`` for
+    each of :meth:`Instruction.row_accesses` whose register exists (a
+    forged one is ``isa.register``'s to report): ``first_row`` is the
+    register's value entering the instruction (``None`` = statically
+    unknown) and ``span`` the rows its repeat issues cover from there.
+    Hardware loops are re-walked until the registers reach a fixpoint or,
+    after ``_LOOP_WIDEN_AFTER`` changing trips, the changed ones widen to
+    unknown; a sequencer op under a repeat is skipped (``isa.repeat-seq``).
 
-    def widen_changed(self, baseline: tuple[int | None, ...]) -> None:
-        for reg, before in enumerate(baseline):
-            if self.addr[reg] != before:
-                self.addr[reg] = None
+    Once exhausted, ``stop`` says why — ``halt``, ``end`` (fell off the
+    program), ``budget``, ``loop-depth`` or ``loop-structure`` (endloop
+    without a loop) — ``pc`` where, and ``open_loops`` how many hardware
+    loops were still open.
+    """
 
+    def __init__(self, program: list[Instruction]) -> None:
+        self.program = program
+        self.addr: list[int | None] = [0] * NUM_ADDR_REGS
+        self.stop, self.pc, self.open_loops = "end", 0, 0
 
-def _ram_operands(instruction: Instruction) -> list[tuple[Operand, str]]:
-    """Every RAM-addressed operand of one instruction, with its unit name."""
-    operands: list[tuple[Operand, str]] = []
-    for op in instruction.ndu_ops:
-        for source in (op.src, op.src2):
-            if source is not None and source.kind in RAM_KINDS:
-                operands.append((source, "ndu"))
-    if instruction.npu is not None:
-        for source in (instruction.npu.data, instruction.npu.weight):
-            if source.kind in RAM_KINDS:
-                operands.append((source, "npu"))
-    return operands
+    def __iter__(self) -> Iterator[
+        tuple[int, Instruction, list[tuple[RowAccess, int | None, int]]]
+    ]:
+        program, addr = self.program, self.addr
+        loops: list[_LoopFrame] = []
+        stop = "end"
+        pc = steps = 0
+        while 0 <= pc < len(program):
+            steps += 1
+            if steps > _MAX_STEPS:
+                stop = "budget"
+                break
+            instruction = program[pc]
+            repeat = max(1, min(instruction.repeat, MAX_REPEAT))
+            per_issue = instruction.addr_steps()
+            yield pc, instruction, [
+                (access, addr[access.reg],
+                 access.rows + (repeat - 1) * per_issue.get(access.reg, 0))
+                for access in instruction.row_accesses()
+                if 0 <= access.reg < NUM_ADDR_REGS
+            ]
+            for reg, step in per_issue.items():
+                if 0 <= reg < NUM_ADDR_REGS and addr[reg] is not None:
+                    addr[reg] += step * repeat  # type: ignore[operator]
+
+            seq = instruction.seq
+            opcode = SeqOpcode.NOP if instruction.repeat > 1 else seq.opcode
+            next_pc = pc + 1
+            if opcode is SeqOpcode.HALT:
+                stop = "halt"
+                break
+            if opcode is SeqOpcode.LOOP_BEGIN:
+                if len(loops) >= NUM_LOOP_COUNTERS:
+                    stop = "loop-depth"
+                    break
+                loops.append(_LoopFrame(
+                    body_start=pc + 1,
+                    remaining=max(1, seq.arg2),
+                    entry_addr=tuple(addr),
+                ))
+            elif opcode is SeqOpcode.LOOP_END:
+                if not loops:
+                    stop = "loop-structure"
+                    break
+                frame = loops[-1]
+                frame.remaining -= 1
+                frame.iterations_seen += 1
+                moving = frame.remaining > 0 and tuple(addr) != frame.entry_addr
+                if moving and frame.iterations_seen < _LOOP_WIDEN_AFTER:
+                    frame.entry_addr = tuple(addr)
+                    next_pc = frame.body_start
+                else:
+                    if moving:  # no fixpoint within the precise trips: widen
+                        for reg, before in enumerate(frame.entry_addr):
+                            if addr[reg] != before:
+                                addr[reg] = None
+                    loops.pop()
+            elif opcode is SeqOpcode.SET_ADDR:
+                if 0 <= seq.arg < NUM_ADDR_REGS:
+                    addr[seq.arg] = seq.arg2
+            elif opcode is SeqOpcode.ADD_ADDR:
+                if 0 <= seq.arg < NUM_ADDR_REGS and addr[seq.arg] is not None:
+                    addr[seq.arg] += seq.arg2  # type: ignore[operator]
+            pc = next_pc
+        self.stop, self.pc, self.open_loops = stop, pc, len(loops)
 
 
 def _interpret(
     program: list[Instruction], name: str, config: NcoreConfig
 ) -> list[Diagnostic]:
-    """Walk the program with abstract address registers.
+    """Bounds-check every access of one :class:`AddressWalk`.
 
-    Reports ``isa.sram-bounds`` only for statically-known addresses,
-    ``isa.loop-*`` violations and ``isa.no-halt``.  Bails out with an
-    ``isa.budget`` note if the step budget runs dry.
+    Reports ``isa.sram-bounds`` only for statically-known addresses, then
+    the walk's own ending: ``isa.loop-*``, ``isa.no-halt`` or the
+    ``isa.budget`` note.
     """
     findings: list[Diagnostic] = []
     reported: set[tuple[str, int]] = set()
@@ -324,134 +383,47 @@ def _interpret(
             rule, message, artifact=name, element=element, index=index, hint=hint,
         ))
 
-    state = _AbstractState()
-    pc = 0
-    steps = 0
-    halted = False
-    while 0 <= pc < len(program):
-        steps += 1
-        if steps > _MAX_STEPS:
-            report(
-                BUDGET,
-                f"stopped after {_MAX_STEPS} interpreted issues; remaining "
-                "instructions were only structurally checked",
-                "program", pc,
-            )
-            return findings
-        instruction = program[pc]
-        repeat = max(1, min(instruction.repeat, MAX_REPEAT))
-
-        increments: dict[int, int] = {}
-        for operand, unit in _ram_operands(instruction):
-            if not 0 <= operand.index < NUM_ADDR_REGS:
-                continue  # reported by the structural pass
-            row = state.addr[operand.index]
-            if operand.increment:
-                increments[operand.index] = increments.get(operand.index, 0) + 1
-            if row is None:
-                continue
-            last_row = row + (repeat - 1 if operand.increment else 0)
-            if row < 0 or last_row >= config.sram_rows:
-                ram = "data RAM" if operand.kind is OperandKind.DATA_RAM else "weight RAM"
+    walk = AddressWalk(program)
+    for pc, _, accesses in walk:
+        for access, row, span in accesses:
+            if row is not None and (row < 0 or row + span > config.sram_rows):
+                verb = "stores" if access.write else "reads"
                 report(
                     SRAM_BOUNDS,
-                    f"{unit} reads {ram} rows [{row}, {last_row}] via "
-                    f"a{operand.index}, but the RAM has {config.sram_rows} rows",
-                    unit, pc,
+                    f"{access.unit} {verb} {access.ram} RAM rows [{row}, "
+                    f"{row + span - 1}] via a{access.reg}, but the RAM has "
+                    f"{config.sram_rows} rows",
+                    access.unit, pc,
                 )
-        if instruction.out is not None and instruction.out.opcode in (
-            OutOpcode.STORE, OutOpcode.STORE_ACC
-        ):
-            out = instruction.out
-            if 0 <= out.dst_addr_reg < NUM_ADDR_REGS:
-                rows_per_issue = 4 if out.opcode is OutOpcode.STORE_ACC else 1
-                if out.dst_increment:
-                    increments[out.dst_addr_reg] = (
-                        increments.get(out.dst_addr_reg, 0) + rows_per_issue
-                    )
-                row = state.addr[out.dst_addr_reg]
-                if row is not None:
-                    span = rows_per_issue + (
-                        (repeat - 1) * rows_per_issue if out.dst_increment else 0
-                    )
-                    if row < 0 or row + span > config.sram_rows:
-                        report(
-                            SRAM_BOUNDS,
-                            f"out stores data RAM rows [{row}, {row + span - 1}] "
-                            f"via a{out.dst_addr_reg}, but the RAM has "
-                            f"{config.sram_rows} rows",
-                            "out", pc,
-                        )
-        for reg, per_issue in increments.items():
-            if state.addr[reg] is not None:
-                state.addr[reg] += per_issue * repeat  # type: ignore[operator]
-
-        seq = instruction.seq
-        opcode = seq.opcode
-        next_pc = pc + 1
-        if instruction.repeat > 1 and opcode is not SeqOpcode.NOP:
-            # structural pass reported isa.repeat-seq; treat the seq op as
-            # a NOP so interpretation can continue past it.
-            opcode = SeqOpcode.NOP
-        if opcode is SeqOpcode.HALT:
-            halted = True
-            break
-        if opcode is SeqOpcode.LOOP_BEGIN:
-            if len(state.loops) >= NUM_LOOP_COUNTERS:
-                report(
-                    LOOP_DEPTH,
-                    f"loop nesting exceeds the {NUM_LOOP_COUNTERS} hardware "
-                    "loop counters",
-                    "seq", pc,
-                )
-                return findings
-            state.loops.append(_LoopFrame(
-                body_start=pc + 1,
-                remaining=max(1, seq.arg2),
-                entry_addr=tuple(state.addr),
-            ))
-        elif opcode is SeqOpcode.LOOP_END:
-            if not state.loops:
-                report(
-                    LOOP_STRUCTURE,
-                    "endloop without a matching loop begin",
-                    "seq", pc,
-                )
-                return findings
-            frame = state.loops[-1]
-            frame.remaining -= 1
-            frame.iterations_seen += 1
-            if frame.remaining > 0:
-                if tuple(state.addr) == frame.entry_addr:
-                    state.loops.pop()  # fixpoint: more iterations change nothing
-                elif frame.iterations_seen >= _LOOP_WIDEN_AFTER:
-                    state.widen_changed(frame.entry_addr)
-                    state.loops.pop()
-                else:
-                    frame.entry_addr = tuple(state.addr)
-                    next_pc = frame.body_start
-            else:
-                state.loops.pop()
-        elif opcode is SeqOpcode.SET_ADDR:
-            if 0 <= seq.arg < NUM_ADDR_REGS:
-                state.addr[seq.arg] = seq.arg2
-        elif opcode is SeqOpcode.ADD_ADDR:
-            if 0 <= seq.arg < NUM_ADDR_REGS and state.addr[seq.arg] is not None:
-                state.addr[seq.arg] += seq.arg2  # type: ignore[operator]
-        pc = next_pc
-
-    if not halted:
+    if walk.stop == "end":
         report(
             NO_HALT,
             "execution falls off the end of the program without a halt",
             "program", max(0, len(program) - 1),
             hint="end the program with a halt instruction",
         )
-    if halted and state.loops:
+    elif walk.stop == "halt" and walk.open_loops:
         report(
             LOOP_STRUCTURE,
-            f"{len(state.loops)} hardware loop(s) still open at halt",
-            "seq", pc,
+            f"{walk.open_loops} hardware loop(s) still open at halt",
+            "seq", walk.pc,
+        )
+    elif walk.stop == "loop-structure":
+        report(
+            LOOP_STRUCTURE, "endloop without a matching loop begin", "seq", walk.pc,
+        )
+    elif walk.stop == "loop-depth":
+        report(
+            LOOP_DEPTH,
+            f"loop nesting exceeds the {NUM_LOOP_COUNTERS} hardware loop counters",
+            "seq", walk.pc,
+        )
+    elif walk.stop == "budget":
+        report(
+            BUDGET,
+            f"stopped after {_MAX_STEPS} interpreted issues; remaining "
+            "instructions were only structurally checked",
+            "program", walk.pc,
         )
     return findings
 

@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from repro.dtypes import NcoreDType
+from repro.dtypes import NcoreDType, dtype_info
 from repro.isa.operands import (
     NUM_ADDR_REGS,
     NUM_DMA_DESCRIPTORS,
     NUM_NDU_REGS,
     NUM_PRED_REGS,
+    RAM_KINDS,
     Operand,
+    OperandKind,
 )
 
 # Maximum NDU micro-ops per instruction: "up to three (typically two) of
@@ -195,8 +198,13 @@ class SeqOp:
     arg: int = 0
     arg2: int = 0
 
-    #: DMA_WAIT engine groups: 0 = both, 1 = read, 2 = write, 3 = both.
-    DMA_WAIT_GROUPS = frozenset({0, 1, 2, 3})
+    #: DMA_WAIT engine group -> the DMA engines it waits on.
+    DMA_WAIT_GROUPS = {
+        0: ("dma_read", "dma_write"),
+        1: ("dma_read",),
+        2: ("dma_write",),
+        3: ("dma_read", "dma_write"),
+    }
 
     def __post_init__(self) -> None:
         if (self.opcode in (SeqOpcode.SET_ADDR, SeqOpcode.ADD_ADDR)
@@ -240,6 +248,30 @@ class DMAOp:
     @property
     def num_bytes(self) -> int:
         return self.rows * 4096  # row-bytes-ok: isa/ cannot import ncore.config
+
+
+class RowAccess(NamedTuple):
+    """One RAM operand of one issue: ``rows`` consecutive rows starting at
+    ``addr[reg]``, which the issue then advances by ``step``."""
+
+    unit: str   # "ndu" | "npu" | "out"
+    ram: str    # "data" | "weight"
+    reg: int
+    rows: int
+    step: int
+    write: bool
+
+
+# Rows one OUT store writes: STORE_ACC spills the 32-bit accumulators as
+# four byte planes (section IV-D.5).
+_STORE_ROWS = {OutOpcode.STORE: 1, OutOpcode.STORE_ACC: 4}
+
+
+def _row_read(unit: str, operand: Operand, rows: int = 1) -> RowAccess:
+    ram = "data" if operand.kind is OperandKind.DATA_RAM else "weight"
+    return RowAccess(
+        unit, ram, operand.index, rows, rows if operand.increment else 0, False
+    )
 
 
 @dataclass(frozen=True)
@@ -311,6 +343,53 @@ class Instruction:
             reasons.append(f"seq.{self.seq.opcode.value}")
         return tuple(reasons)
 
+    def row_accesses(self) -> tuple[RowAccess, ...]:
+        """The RAM rows one issue touches, in pipeline order.
+
+        The one statement of what the machine reads and writes: every NDU
+        op its ``src`` (MERGE also its mask), a non-NOP NPU op its RAM
+        operands — a 16-bit element spans two consecutive rows (section
+        IV-C.2) — then the OUT store.  Computed from the fields, so forged
+        and decoded instructions answer too.
+        """
+        accesses: list[RowAccess] = []
+        for op in self.ndu_ops:
+            sources = (op.src, op.src2) if op.opcode is NDUOpcode.MERGE else (op.src,)
+            accesses += [
+                _row_read("ndu", source)
+                for source in sources
+                if source is not None and source.kind in RAM_KINDS
+            ]
+        npu = self.npu
+        if npu is not None and npu.opcode is not NPUOpcode.NOP:
+            rows = dtype_info(npu.dtype).bytes_per_element
+            accesses += [
+                _row_read("npu", source, rows)
+                for source in (npu.data, npu.weight)
+                if source.kind in RAM_KINDS
+            ]
+        out = self.out
+        if out is not None and out.opcode in _STORE_ROWS:
+            rows = _STORE_ROWS[out.opcode]
+            step = rows if out.dst_increment else 0
+            accesses.append(RowAccess("out", "data", out.dst_addr_reg, rows, step, True))
+        return tuple(accesses)
+
+    def addr_steps(self) -> dict[int, int]:
+        """Address register -> its total post-increment per issue.
+
+        Row steps of :meth:`row_accesses` plus the byte-index register of a
+        ``broadcast64 ... inc``; registers one issue leaves alone are absent.
+        """
+        steps: dict[int, int] = {}
+        for access in self.row_accesses():
+            if access.step:
+                steps[access.reg] = steps.get(access.reg, 0) + access.step
+        for op in self.ndu_ops:
+            if op.opcode is NDUOpcode.BROADCAST64 and op.index_increment:
+                steps[op.index_reg] = steps.get(op.index_reg, 0) + 1
+        return steps
+
     def issue_cycles(self) -> int:
         """Clock cycles for one issue of this instruction.
 
@@ -320,8 +399,6 @@ class Instruction:
         """
         if self.npu is None or self.npu.opcode is NPUOpcode.NOP:
             return 1
-        from repro.dtypes import dtype_info
-
         return dtype_info(self.npu.dtype).npu_cycles
 
     def total_cycles(self) -> int:

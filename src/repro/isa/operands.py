@@ -37,6 +37,20 @@ NUM_PRED_REGS = 8      # predication registers (section IV-D.4)
 NUM_LOOP_COUNTERS = 4  # hardware loop counter stack depth
 NUM_DMA_DESCRIPTORS = 8  # memory-mapped DMA descriptor slots
 
+# Exclusive upper bound of ``Operand.index`` per kind: a register-file size,
+# the immediate field's range, or 1 for the kinds that take no index.
+INDEX_LIMITS = {
+    OperandKind.DATA_RAM: NUM_ADDR_REGS,
+    OperandKind.WEIGHT_RAM: NUM_ADDR_REGS,
+    OperandKind.NDU_REG: NUM_NDU_REGS,
+    OperandKind.IMMEDIATE: 64,
+    OperandKind.OUT_LOW: 1,
+    OperandKind.OUT_HIGH: 1,
+    OperandKind.DLAST: 1,
+    OperandKind.ACC: 1,
+    OperandKind.ZERO: 1,
+}
+
 
 @dataclass(frozen=True)
 class Operand:
@@ -55,18 +69,7 @@ class Operand:
     increment: bool = False
 
     def __post_init__(self) -> None:
-        limits = {
-            OperandKind.DATA_RAM: NUM_ADDR_REGS,
-            OperandKind.WEIGHT_RAM: NUM_ADDR_REGS,
-            OperandKind.NDU_REG: NUM_NDU_REGS,
-            OperandKind.IMMEDIATE: 64,
-            OperandKind.OUT_LOW: 1,
-            OperandKind.OUT_HIGH: 1,
-            OperandKind.DLAST: 1,
-            OperandKind.ACC: 1,
-            OperandKind.ZERO: 1,
-        }
-        limit = limits[self.kind]
+        limit = INDEX_LIMITS[self.kind]
         if not 0 <= self.index < limit:
             raise ValueError(
                 f"operand index {self.index} out of range for {self.kind.name} "

@@ -231,6 +231,11 @@ class _NpuSpec:
 # ----------------------------------------------------------------------
 
 
+def _ram_row(operand: Operand, offset: int = 0) -> _RamRow:
+    name = "data" if operand.kind is OperandKind.DATA_RAM else "weight"
+    return _RamRow(name, operand.index, offset)
+
+
 class _TripBuilder:
     """Symbolically executes one trip: one issue of the instruction."""
 
@@ -239,27 +244,14 @@ class _TripBuilder:
         self.lanes = config.lanes
         self.regs: list[_Expr] = [_Init(i) for i in range(4)]
         self.dlast: _Expr = _Init(_DLAST)
-        self.strides: list[int] = [0] * NUM_ADDR_REGS  # post-increments per trip
-        self.ram_leaves: list[tuple[str, int, int]] = []
         self.npu: _NpuSpec | None = None
 
-    def _ram_row(self, kind: OperandKind, reg: int, offset: int = 0) -> _RamRow:
-        name = "data" if kind is OperandKind.DATA_RAM else "weight"
-        self.ram_leaves.append((name, reg, offset))
-        return _RamRow(name, reg, offset)
-
     def _row_source(
-        self,
-        operand: Operand,
-        regs: list[_Expr],
-        dlast_snapshot: _Expr,
-        increments: list[tuple[int, int]],
+        self, operand: Operand, regs: list[_Expr], dlast_snapshot: _Expr
     ) -> _Expr:
         kind = operand.kind
         if kind is OperandKind.DATA_RAM or kind is OperandKind.WEIGHT_RAM:
-            if operand.increment:
-                increments.append((operand.index, 1))
-            return self._ram_row(kind, operand.index)
+            return _ram_row(operand)
         if kind is OperandKind.IMMEDIATE:
             return _Const("imm", operand.index)
         if kind is OperandKind.NDU_REG:
@@ -277,33 +269,22 @@ class _TripBuilder:
         raise UnsupportedTrace(f"operand.{kind.name}")
 
     def _lane_source(
-        self,
-        operand: Operand,
-        dtype: NcoreDType,
-        dlast_snapshot: _Expr,
-        increments: list[tuple[int, int]],
+        self, operand: Operand, dtype: NcoreDType, dlast_snapshot: _Expr
     ) -> _LaneSource:
         info = dtype_info(dtype)
         if info.bytes_per_element == 1:
             # NPU reads NDU registers *post-commit*, dlast pre-issue.
-            expr = self._row_source(operand, self.regs, dlast_snapshot, increments)
+            expr = self._row_source(operand, self.regs, dlast_snapshot)
             return _LaneSource("row8", expr=expr)
         if operand.kind is OperandKind.ZERO:
             return _LaneSource("zero16")
         if operand.kind not in (OperandKind.DATA_RAM, OperandKind.WEIGHT_RAM):
             raise UnsupportedTrace(f"npu16.{operand.kind.name}")
-        low = self._ram_row(operand.kind, operand.index)
-        high = self._ram_row(operand.kind, operand.index, offset=1)
-        if operand.increment:
-            increments.append((operand.index, 2))
-        return _LaneSource("ram16", low=low, high=high)
+        return _LaneSource(
+            "ram16", low=_ram_row(operand), high=_ram_row(operand, offset=1)
+        )
 
-    def _add_npu(
-        self,
-        op: NPUOp,
-        dlast_snapshot: _Expr,
-        increments: list[tuple[int, int]],
-    ) -> None:
+    def _add_npu(self, op: NPUOp, dlast_snapshot: _Expr) -> None:
         info = dtype_info(op.dtype)
         if op.opcode is NPUOpcode.CMPGT:
             raise UnsupportedTrace("npu.cmpgt")
@@ -321,8 +302,8 @@ class _TripBuilder:
             raise UnsupportedTrace("npu.float-predicated-sum")
         if self.lanes != self.row_bytes:
             raise UnsupportedTrace("npu.lane-geometry")
-        data = self._lane_source(op.data, op.dtype, dlast_snapshot, increments)
-        weight = self._lane_source(op.weight, op.dtype, dlast_snapshot, increments)
+        data = self._lane_source(op.data, op.dtype, dlast_snapshot)
+        weight = self._lane_source(op.weight, op.dtype, dlast_snapshot)
         self.npu = _NpuSpec(
             opcode=op.opcode,
             dtype=op.dtype,
@@ -337,13 +318,17 @@ class _TripBuilder:
         )
 
     def trace(self, instruction: Instruction) -> "FusedTrace":
-        """Symbolically execute one issue of ``instruction``."""
-        increments: list[tuple[int, int]] = []
+        """Symbolically execute one issue of ``instruction``.
+
+        What the issue touches — the RAM rows it reads and how far each
+        address register steps — is the ISA's own table
+        (:meth:`Instruction.row_accesses` / ``addr_steps``), not re-derived.
+        """
         dlast_snapshot = self.dlast
         pre_regs = list(self.regs)
         results: list[tuple[int, _Expr]] = []
         for op in instruction.ndu_ops:
-            src = self._row_source(op.src, pre_regs, dlast_snapshot, increments)
+            src = self._row_source(op.src, pre_regs, dlast_snapshot)
             if op.opcode is NDUOpcode.BYPASS:
                 expr = src
             elif op.opcode is NDUOpcode.ROTATE:
@@ -354,8 +339,6 @@ class _TripBuilder:
                 if self.row_bytes % BROADCAST_GROUP:
                     raise UnsupportedTrace("ndu.broadcast-geometry")
                 expr = _Bcast(src, op.index_reg)
-                if op.index_increment:
-                    increments.append((op.index_reg, 1))
             else:
                 raise UnsupportedTrace(f"ndu.{op.opcode.value}")
             results.append((op.dst, expr))
@@ -365,22 +348,26 @@ class _TripBuilder:
                 self.dlast = expr  # dlast shadows n0
         npu = instruction.npu
         if npu is not None and npu.opcode is not NPUOpcode.NOP:
-            self._add_npu(npu, dlast_snapshot, increments)
-        for reg, amount in increments:
-            self.strides[reg] += amount
+            self._add_npu(npu, dlast_snapshot)
         npu = self.npu
-        data_reads = sum(name == "data" for name, _, _ in self.ram_leaves)
+        steps = instruction.addr_steps()
+        ram_leaves = tuple(
+            (access.ram, access.reg, offset)
+            for access in instruction.row_accesses()
+            for offset in range(access.rows)
+        )
+        data_reads = sum(name == "data" for name, _, _ in ram_leaves)
         return FusedTrace(
             row_bytes=self.row_bytes,
             lanes=self.lanes,
             cycles_per_trip=instruction.issue_cycles(),
-            strides=tuple(self.strides),
+            strides=tuple(steps.get(reg, 0) for reg in range(NUM_ADDR_REGS)),
             reads_data=data_reads,
-            reads_weight=len(self.ram_leaves) - data_reads,
+            reads_weight=len(ram_leaves) - data_reads,
             macs_per_trip=(
                 self.lanes if npu is not None and npu.opcode is NPUOpcode.MAC else 0
             ),
-            ram_leaves=tuple(self.ram_leaves),
+            ram_leaves=ram_leaves,
             plans=_classify([*self.regs, self.dlast]),
             npu=npu,
         )

@@ -540,11 +540,7 @@ class Ncore:
                 raise ExecutionError(
                     f"DMA_WAIT engine group {seq.arg} is not a valid encoding (0..3)"
                 )
-            engines = []
-            if seq.arg in (0, 1, 3):
-                engines.append(self.dma_read)
-            if seq.arg in (0, 2, 3):
-                engines.append(self.dma_write)
+            engines = [getattr(self, name) for name in SeqOp.DMA_WAIT_GROUPS[seq.arg]]
             ready = max((e.busy_until for e in engines), default=0)
             stall = max(0, ready - self.total_cycles)
             self.total_cycles += stall

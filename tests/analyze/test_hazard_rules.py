@@ -266,6 +266,30 @@ class TestProgramHazards:
         assert {"dma", "wait", "compute", "halt"} <= kinds
         assert any(kind == "wait" for _, _, kind in hb.edges)
 
+    def test_int16_read_overlaps_the_fill_through_its_second_row(self):
+        # An int16 operand at row 9 reads rows 9-10; the fill lands in
+        # rows 10-17.  A one-row model sees no overlap and calls the
+        # transfer dead instead.
+        fill = {0: DMAOp(False, False, 10, 8, 0, False)}
+        program = assemble(
+            "setaddr a0, 9\nsetaddr a1, 0\ndmastart 0\n"
+            "mac.int16 dram[a0], wtram[a1]\ndmawait 1\nhalt"
+        )
+        report = analyze_program_hazards(program, fill)
+        finding = _find(report, "hazard.raw")
+        assert finding.location.index == 3
+        assert "reads data RAM rows [9, 11)" in finding.message
+        assert "hazard.dead-write" not in _rules(report)
+
+    def test_int16_read_below_the_fill_is_clean(self):
+        fill = {0: DMAOp(False, False, 10, 8, 0, False)}
+        program = assemble(
+            "setaddr a0, 8\nsetaddr a1, 0\nsetaddr a2, 10\ndmastart 0\n"
+            "mac.int16 dram[a0], wtram[a1]\ndmawait 1\n"
+            "bypass n0, dram[a2]\nhalt"
+        )
+        assert len(analyze_program_hazards(program, fill)) == 0
+
     def test_descriptor_list_is_accepted(self):
         program = assemble("dmastart 0\ndmawait 1\nsetaddr a0, 0\nbypass n0, dram[a0]\nhalt")
         descriptors = [DMAOp(False, False, 0, 1, 0, False)]

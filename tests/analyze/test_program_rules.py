@@ -13,9 +13,9 @@ import pytest
 
 from repro.analyze import Severity, analyze_program
 from repro.analyze import program_rules
+from repro.analyze.program_rules import AddressWalk
 from repro.dtypes import QuantParams
 from repro.isa import assemble
-from repro.isa.instruction import Instruction
 from repro.ncore.config import NcoreConfig
 
 
@@ -231,6 +231,51 @@ class TestSramBounds:
         program = assemble("setaddr a0, 100\nbypass n0, dram[a0]\nhalt")
         assert _find(analyze_program(program, config), "isa.sram-bounds")
 
+    def test_int16_operand_walks_two_rows_per_issue(self):
+        # Six int16 issues from row 2040 read rows 2040..2051: the machine
+        # faults at row 2048 (a one-row / +1 model stays in bounds).
+        program = assemble(
+            "setaddr a0, 2040\nsetaddr a1, 0\n"
+            "loop 6 {\n  mac.int16 dram[a0++], wtram[a1]\n}\nhalt"
+        )
+        finding = _find(analyze_program(program), "isa.sram-bounds")
+        assert finding.location.index == 2
+        assert "rows [2040, 2051] via a0" in finding.message
+
+    def test_int16_pair_that_fits_is_clean(self):
+        rows = NcoreConfig().sram_rows
+        program = assemble(
+            f"setaddr a0, {rows - 2}\nmac.int16 dram[a0], wtram[a1]\nhalt"
+        )
+        assert analyze_program(program).ok
+
+    def test_broadcast_index_register_steps(self):
+        # ``broadcast64 ... inc`` post-increments its byte-index register;
+        # reusing it as a row address afterwards faults at row 2098.
+        program = assemble(
+            "setaddr a3, 0\nsetaddr a5, 1998\n"
+            "loop 100 {\n  broadcast64 n1, wtram[a3], a5, inc\n}\n"
+            "bypass n0, dram[a5]\nhalt"
+        )
+        finding = _find(analyze_program(program), "isa.sram-bounds")
+        assert finding.location.index == 3
+        assert "rows [2098, 2098] via a5" in finding.message
+
+    def test_storeacc_walks_four_rows_per_issue(self):
+        rows = NcoreConfig().sram_rows
+        (storeacc,) = assemble("storeacc a6")
+        spill = dataclasses.replace(
+            storeacc, out=dataclasses.replace(storeacc.out, dst_increment=True),
+        )
+
+        def program(repeat):
+            (setaddr,) = assemble(f"setaddr a6, {rows - 8}")
+            return [setaddr, dataclasses.replace(spill, repeat=repeat), _halt()]
+
+        assert analyze_program(program(2)).ok
+        finding = _find(analyze_program(program(3)), "isa.sram-bounds")
+        assert f"out stores data RAM rows [{rows - 8}, {rows + 3}]" in finding.message
+
 
 class TestBudget:
     def test_budget_note_is_info(self, monkeypatch):
@@ -240,3 +285,80 @@ class TestBudget:
         finding = _find(report, "isa.budget")
         assert finding.severity is Severity.INFO
         assert report.ok  # advisory only
+
+
+class TestAddressWalk:
+    """The one abstract interpreter, without a consumer on top."""
+
+    @staticmethod
+    def _run(source_or_program):
+        program = source_or_program
+        if isinstance(program, str):
+            program = assemble(program)
+        walk = AddressWalk(program)
+        return walk, [pc for pc, _, _ in walk]
+
+    def test_yields_first_row_and_span_of_all_repeats(self):
+        walk = AddressWalk(assemble(
+            "setaddr a0, 8\nloop 5 {\n  mac.int16 dram[a0++], wtram[a1]\n}\nhalt"
+        ))
+        (_, _, accesses) = list(walk)[1]
+        assert [(a.ram, a.rows, first, span) for a, first, span in accesses] == [
+            ("data", 2, 8, 10), ("weight", 2, 0, 2),
+        ]
+        assert walk.addr[0] == 18
+
+    def test_address_neutral_loop_exits_after_one_trip(self):
+        walk, pcs = self._run("loopn 1000\nbypass n0, dram[a0]\nendloop\nhalt")
+        assert pcs == [0, 1, 2, 3]
+        assert (walk.stop, walk.pc, walk.open_loops) == ("halt", 3, 0)
+
+    def test_changing_loop_widens_after_four_trips(self):
+        walk = AddressWalk(assemble(
+            "loopn 1000\nbypass n0, dram[a0++]\naddaddr a2, 0\nendloop\n"
+            "bypass n1, dram[a0]\nhalt"
+        ))
+        steps = list(walk)
+        assert [pc for pc, _, _ in steps].count(1) == program_rules._LOOP_WIDEN_AFTER
+        # Only the register the loop moves is widened, and the read after
+        # the loop sees it as unknown.
+        assert walk.addr[0] is None and walk.addr[2] == 0
+        ((_, first_row, _),) = next(acc for pc, _, acc in steps if pc == 4)
+        assert first_row is None
+
+    def test_short_loop_is_walked_exactly(self):
+        walk, pcs = self._run("loopn 3\nbypass n0, dram[a0++]\nendloop\nhalt")
+        assert pcs.count(1) == 3 and walk.addr[0] == 3
+
+    @pytest.mark.parametrize("source, stop, pc, open_loops", [
+        ("bypass n0, n1\nhalt\nbypass n0, n1", "halt", 1, 0),
+        ("loopn 2\nhalt", "halt", 1, 1),
+        ("bypass n0, n1", "end", 1, 0),
+        ("endloop\nhalt", "loop-structure", 0, 0),
+        ("loopn 2\n" * 5 + "halt", "loop-depth", 4, 4),
+    ])
+    def test_stop_reasons(self, source, stop, pc, open_loops):
+        walk, _ = self._run(source)
+        assert (walk.stop, walk.pc, walk.open_loops) == (stop, pc, open_loops)
+
+    def test_budget_stop(self, monkeypatch):
+        monkeypatch.setattr(program_rules, "_MAX_STEPS", 5)
+        walk, pcs = self._run([_nop()] * 10 + [_halt()])
+        assert (walk.stop, walk.pc, len(pcs)) == ("budget", 5, 5)
+
+    def test_forged_register_is_skipped_not_raised(self):
+        (inst,) = assemble("bypass n0, dram[a0++] | store a6, inc")
+        op = inst.ndu_ops[0]
+        forged = _forge(
+            inst,
+            ndu_ops=(_forge(op, src=_forge(op.src, index=9)),),
+            out=_forge(inst.out, dst_addr_reg=8),
+        )
+        walk = AddressWalk([forged, _halt()])
+        assert [accesses for _, _, accesses in walk] == [[], []]
+        assert walk.stop == "halt" and walk.addr == [0] * 8
+
+    def test_sequencer_op_under_a_repeat_is_skipped(self):
+        (setaddr,) = assemble("setaddr a0, 77")
+        walk, _ = self._run([_forge(_nop(), seq=setaddr.seq, repeat=2), _halt()])
+        assert walk.addr[0] == 0

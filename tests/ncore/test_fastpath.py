@@ -285,34 +285,40 @@ class TestFig6Loop:
         assert fast.fastpath_stats["fused_trips"] == 24
 
 
+def _u8(*shape):
+    return np.ones(shape, dtype=np.uint8)
+
+
+_Q = qp(0.02, 128)
+
+#: One small call per ``emit_*`` of ``repro.nkl.programs`` — the inventory
+#: every per-emitter test iterates (a new emitter must be added here).
+NKL_EMITTERS = {
+    "emit_matmul_program": lambda m: nkl_programs.emit_matmul_program(
+        m, _u8(4, 8), _u8(8, 4), _Q, _Q, _Q),
+    "emit_conv1d_rotate_program": lambda m: nkl_programs.emit_conv1d_rotate_program(
+        m, _u8(12), _u8(4, 3), _Q, _Q, _Q),
+    "emit_tiled_matmul_program": lambda m: nkl_programs.emit_tiled_matmul_program(
+        m, _u8(80, 130), _u8(130, 70), _Q, _Q, _Q),
+    "emit_max_pool_rows_program": lambda m: nkl_programs.emit_max_pool_rows_program(
+        m, _u8(4, 4096)),
+    "emit_avg_pool_program": lambda m: nkl_programs.emit_avg_pool_program(
+        m, _u8(4, 4096)),
+    "emit_elementwise_add_program": lambda m: nkl_programs.emit_elementwise_add_program(
+        m, _u8(4096), _u8(4096), _Q, _Q),
+    "emit_conv2d_program": lambda m: nkl_programs.emit_conv2d_program(
+        m, _u8(1, 6, 6, 2), _u8(3, 3, 2, 4), _Q, _Q, _Q, stride=(2, 2)),
+    "emit_depthwise_program": lambda m: nkl_programs.emit_depthwise_program(
+        m, _u8(1, 6, 6, 4), _u8(3, 3, 4), _Q, _Q, _Q),
+}
+
+
 def test_nkl_emitters_emit_no_hardware_loop():
     # The measured fact single-form fusion rests on: every NKL emitter
     # spells its loops as hardware repeats.  A looping emitter must reopen
     # that decision here instead of silently interpreting.
-    def u8(*shape):
-        return np.ones(shape, dtype=np.uint8)
-
-    q = qp(0.02, 128)
-    emitters = {
-        "emit_matmul_program": lambda m: nkl_programs.emit_matmul_program(
-            m, u8(4, 8), u8(8, 4), q, q, q),
-        "emit_conv1d_rotate_program": lambda m: nkl_programs.emit_conv1d_rotate_program(
-            m, u8(12), u8(4, 3), q, q, q),
-        "emit_tiled_matmul_program": lambda m: nkl_programs.emit_tiled_matmul_program(
-            m, u8(80, 130), u8(130, 70), q, q, q),
-        "emit_max_pool_rows_program": lambda m: nkl_programs.emit_max_pool_rows_program(
-            m, u8(4, 4096)),
-        "emit_avg_pool_program": lambda m: nkl_programs.emit_avg_pool_program(
-            m, u8(4, 4096)),
-        "emit_elementwise_add_program": lambda m: nkl_programs.emit_elementwise_add_program(
-            m, u8(4096), u8(4096), q, q),
-        "emit_conv2d_program": lambda m: nkl_programs.emit_conv2d_program(
-            m, u8(1, 6, 6, 2), u8(3, 3, 2, 4), q, q, q, stride=(2, 2)),
-        "emit_depthwise_program": lambda m: nkl_programs.emit_depthwise_program(
-            m, u8(1, 6, 6, 4), u8(3, 3, 4), q, q, q),
-    }
-    assert set(emitters) == {n for n in dir(nkl_programs) if n.startswith("emit_")}
-    for name, emit in emitters.items():
+    assert set(NKL_EMITTERS) == {n for n in dir(nkl_programs) if n.startswith("emit_")}
+    for name, emit in NKL_EMITTERS.items():
         program, _ = emit(Ncore(fastpath=False))
         assert all(i.seq.opcode is not SeqOpcode.LOOP_BEGIN for i in program), name
 

@@ -6,7 +6,8 @@ left a warn-once module alias behind; the alias is now gone.  The
 graph tier, the reserved ``predict`` slot and the legacy executor kwargs
 followed, then the pass-through ``*Step`` classes of the Tier-3 codegen
 and its run-time variant race, then the process-wide machine-mode default
-and ``loopn`` region fusion.
+and ``loopn`` region fusion, then the analyzers' private copies of what an
+instruction touches (``Instruction.row_accesses`` is the one table).
 These tests grep the tree so a stray reference (or a reintroduced alias)
 fails loudly rather than resurrecting an old name.
 """
@@ -91,6 +92,28 @@ def test_removed_facade_and_tier_names_are_gone():
         if pattern.search(line)
     ]
     assert not offenders, "removed name resurfaced:\n" + "\n".join(offenders)
+
+
+def test_one_statement_of_what_an_instruction_touches():
+    # The static re-derivations of rows-per-issue / post-increment and the
+    # second abstract interpreter are gone: the analyzers read the ISA's
+    # table through ``program_rules.AddressWalk``.
+    gone = re.compile(r"_ram_operands|_AbstractState|_ProgramLoop|rows_per_issue")
+    defined: dict[str, list[str]] = {"_MAX_STEPS": [], "_LOOP_WIDEN_AFTER": []}
+    offenders = []
+    for path in _source_files():
+        in_analyze = SRC / "analyze" in path.parents
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            where = f"{path.relative_to(ROOT)}:{lineno}: {line.strip()}"
+            if gone.search(line) or (in_analyze and "increment" in line):
+                offenders.append(where)
+            for name, sites in defined.items():
+                if re.match(rf"{name}\s*=", line):
+                    sites.append(where)
+    assert not offenders, "re-derived operand facts resurfaced:\n" + "\n".join(offenders)
+    assert {name: len(sites) for name, sites in defined.items()} == {
+        "_MAX_STEPS": 1, "_LOOP_WIDEN_AFTER": 1,
+    }, defined
 
 
 def test_tier_policy_is_exactly_the_graph_mode():
