@@ -7,7 +7,8 @@ every actor — Ncore instances, the x86 worker pool, the batching queue,
 the load generator — and a scheduler that interleaves them.  This module
 is that scheduler: a deterministic discrete-event kernel in the style of
 cycle-level NPU simulators (ONNXim's tick/event loop), small enough to
-audit but complete enough to host the whole serving stack.
+audit but complete enough to host the whole serving stack
+(``repro.perf.serving`` and ``repro.perf.mlperf`` are its consumers).
 
 Design points:
 
@@ -19,8 +20,7 @@ Design points:
   in the same order — the property the seed-determinism tests pin down.
 - **Cooperative tasks.**  A task is a plain generator that yields
   :class:`Event` objects (timeouts, resource grants, completions) and is
-  resumed with the event's value — the same coroutine structure the
-  resumable :meth:`repro.ncore.machine.Ncore.step` API plugs into.
+  resumed with the event's value.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ _START = _Start()
 class Engine:
     """The discrete-event scheduler: one simulated clock, one event queue.
 
-    All model actors — resumable Ncore machines, the batching queue, the
+    All model actors — per-socket Ncore loops, the batching queue, the
     modelled x86 worker pool, scenario load generators — share this clock,
     which is what lets N Ncore instances and a query stream interleave
     deterministically.

@@ -2,9 +2,8 @@
 
 Models the contended actors of the serving stack: the x86 worker pool
 (``cores - 1`` preprocessing/postprocessing workers — one core drives
-Ncore, section VI-C), the per-socket Ncore executor (capacity 1: one
-batch in flight per coprocessor), and the serial driver core.  Grants are
-FIFO in request order, which keeps every schedule deterministic.
+Ncore, section VI-C) and the serial driver cores.  Grants are FIFO in
+request order, which keeps every schedule deterministic.
 """
 
 from __future__ import annotations

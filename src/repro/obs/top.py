@@ -3,8 +3,8 @@
 The serving scenario samples one telemetry *frame* per interval of
 simulated time (see ``ServerScenario._sample_frame``): completed/offered
 queries, rolling p50/p90/p99, completion QPS, queue depth, batch
-occupancy, the replay-cache hit rate and per-socket utilization.  This
-module renders those frames as a terminal dashboard:
+occupancy, the SLO state and per-socket utilization.  This module renders
+those frames as a terminal dashboard:
 
 - **live**: ``repro top <model>`` runs a seeded server scenario and
   plays its frames back in order (simulated time, so the whole run is
@@ -57,10 +57,6 @@ def format_frame(frame: Mapping[str, Any], max_batch: int | None = None) -> list
         f"queue     depth {int(frame.get('queue_depth', 0)):4d}   "
         f"batch occupancy {occupancy_text}"
     )
-    if "replay_hit_rate" in frame:
-        lines.append(
-            f"replay    hit rate {float(frame['replay_hit_rate']) * 100:5.1f}%"
-        )
     if "slo_attainment" in frame:
         lines.append(
             f"slo       attainment {float(frame['slo_attainment']) * 100:6.2f}%   "

@@ -166,6 +166,17 @@ class _Query:
     socket: int = -1
     trace: TraceContext | None = None
 
+    @property
+    def last_stage(self) -> str:
+        """The furthest pipeline stage this query entered."""
+        if self.ncore_done_at is not None:
+            return "x86.post"
+        if self.batch_started_at is not None:
+            return "ncore"
+        if self.enqueued_at is not None:
+            return "queue.wait"
+        return "pre"
+
 
 class ServerScenario:
     """The engine wiring of one server run: arrivals through completion.
@@ -223,7 +234,6 @@ class ServerScenario:
         self.driver_cores = Resource(self.engine, capacity=sockets, name="driver-core")
         self._records: list[_Query] = []
         self._done = 0
-        self._all_done = self.engine.event()
         # One source of truth for the latency summary: every query is
         # observed here at completion time, and _result derives the
         # headline percentiles from these same observations — the summary
@@ -373,8 +383,6 @@ class ServerScenario:
         if self.slo is not None:
             self.slo.observe(latency, ts=now)
         self._trace_query(record)
-        if self._done >= self.queries and not self._all_done.triggered:
-            self._all_done.succeed()
         return None
 
     def _trace_query(self, record: _Query) -> None:
@@ -436,15 +444,6 @@ class ServerScenario:
         if self.slo is not None:
             frame["slo_attainment"] = self.slo.attainment
             frame["slo_burn_rate"] = self.slo.burn_rate(now)
-        metrics = get_metrics()
-        if metrics.enabled and "ncore.replay.hits" in metrics:
-            hits = metrics.get("ncore.replay.hits").value
-            misses = (
-                metrics.get("ncore.replay.misses").value
-                if "ncore.replay.misses" in metrics else 0
-            )
-            total = hits + misses
-            frame["replay_hit_rate"] = hits / total if total else 0.0
         self.frames.append(frame)
         if self._done < self.queries and self.telemetry_interval is not None:
             self.engine.call_after(self.telemetry_interval, self._sample_frame)
@@ -454,9 +453,11 @@ class ServerScenario:
     def _result(self) -> ServerResult:
         incomplete = [r for r in self._records if r.completed_at is None]
         if incomplete:
+            first = incomplete[0]
             raise RuntimeError(
                 f"{len(incomplete)} queries never completed; engine drained "
-                "with a wedged schedule"
+                f"with a wedged schedule (first: query[{first.index}], "
+                f"last stage reached: {first.last_stage})"
             )
         latencies = np.array(
             [r.completed_at - r.arrival for r in self._records], dtype=np.float64

@@ -7,14 +7,7 @@ that owns the protected settings (DMA windows, power).
 """
 
 from repro.runtime.driver import DriverError, NcoreKernelDriver
-from repro.runtime.executor import (
-    TIER_CHOICES,
-    EngineExecutor,
-    NcoreExecutor,
-    QueryTicket,
-    SessionHandle,
-    TierPolicy,
-)
+from repro.runtime.executor import TIER_CHOICES, NcoreExecutor, TierPolicy
 from repro.runtime.luts import build_activation_lut, sigmoid_lut, tanh_lut
 from repro.runtime.profiler import EventLogOverflowError, Profiler, Trace
 from repro.runtime.qkernels import execute_quantized
@@ -22,13 +15,10 @@ from repro.runtime.selftest import SelfTestReport, power_on_self_test
 
 __all__ = [
     "DriverError",
-    "EngineExecutor",
     "EventLogOverflowError",
     "NcoreExecutor",
     "NcoreKernelDriver",
     "Profiler",
-    "QueryTicket",
-    "SessionHandle",
     "SelfTestReport",
     "TIER_CHOICES",
     "TierPolicy",

@@ -1,36 +1,27 @@
-"""Engine-owned execution: device executor, async sessions, batching.
+"""The device executor: one query at a time on one socket's Ncore.
 
-The pieces a serving system needs:
+:class:`NcoreExecutor` owns the device (driver probe/open, the memory
+mapping, the timing model) and executes one query (``execute``): the
+functional outputs from the graph mode its :class:`TierPolicy` selects,
+plus the modelled Ncore / x86 timing split.  It refuses to load a model
+whose Loadables fail the ``repro.analyze`` static verifiers unless
+constructed with ``verify=False`` — the same gate the compiler applies,
+re-checked at load time because a Loadable can reach the runtime without
+passing through ``compile_graph``.
 
-- :class:`NcoreExecutor` owns the device (driver probe/open, the memory
-  mapping, the timing model) and executes one query (``execute``) or one
-  batch (``execute_batch``) at a time.  It refuses to load a model whose
-  Loadables fail the ``repro.analyze`` static verifiers unless
-  constructed with ``verify=False`` — the same gate the compiler
-  applies, re-checked at load time because a Loadable can reach the
-  runtime without passing through ``compile_graph``.
-- :class:`EngineExecutor` mounts an executor on a discrete-event engine:
-  a dynamic-batching queue (max batch / max wait) feeds the Ncore
-  executor while modelled x86 workers handle per-query pre/post work.
-- :class:`SessionHandle` is the lightweight client object: ``submit()``
-  enqueues a query and returns a ticket, ``poll()`` reports completion.
-  Many handles can share one executor.
-
-Simulated time throughout: latencies come from the engine clock, never
-the wall clock, so every schedule is deterministic.
+Timing is modelled, never the wall clock.  Serving schedules (batching,
+x86 overlap, sockets) live in ``repro.perf.serving`` on the
+discrete-event engine, which reads the same compiled-model clock.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine import BatchQueue, Engine, WorkerPool
-from repro.engine.core import Event
-from repro.engine.resources import Resource
 from repro.graph.loadable import CompiledModel
 from repro.graph.partitioner import Segment
 from repro.ncore.codegen import (
@@ -40,7 +31,6 @@ from repro.ncore.codegen import (
     MacroKernelSet,
 )
 from repro.obs.attrib import TIER_CODEGEN, TIER_INTERPRETER, TIER_REPLAY, get_attrib
-from repro.obs.context import TraceContext, mint_trace
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.runtime.delegate import (
@@ -108,7 +98,7 @@ class TierPolicy:
 
 
 class NcoreExecutor:
-    """Owns one socket's Ncore through the kernel driver; runs batches.
+    """Owns one socket's Ncore through the kernel driver; runs queries.
 
     The load-time verification gate: unless ``verify=False``, the model's
     graph and every lowered Loadable are re-checked with the
@@ -146,8 +136,7 @@ class NcoreExecutor:
         # output tensors instead of re-running the quantized kernels.
         # Keys bind the segment to the loadable fingerprint (graph +
         # device config), so a different model or config never aliases;
-        # timing is recomputed per call (it depends on batch size, not
-        # on the cached functional outputs).
+        # timing is recomputed per call (it is modelled, not cached).
         self._replay_cache: OrderedDict[str, dict[str, np.ndarray]] = OrderedDict()
         self._replay_prefix: str | None = None
         self.replay_stats = {"hits": 0, "misses": 0}
@@ -273,23 +262,18 @@ class NcoreExecutor:
         self.last_tier = self._walk_tier
         return outputs, self._walk_tier
 
-    def _attribute(self, tiers: dict[str, int], batch: int) -> None:
-        """Feed the cycle-attribution collector, tier-labelled.
+    def _attribute(self, tier: str) -> None:
+        """Feed the cycle-attribution collector one tier-labelled query.
 
-        ``tiers`` maps the tier that served each query to its count —
-        executed queries land on the tier that ran them (codegen or
-        interpreter); replay hits are labelled ``replay`` so
-        a harvest shows the cycles *avoided*.
+        An executed query lands on the tier that ran it (codegen or
+        interpreter); a replay hit is labelled ``replay`` so a harvest
+        shows the cycles *avoided*.
         """
         attrib = get_attrib()
-        if not attrib.enabled:
-            return
-        for tier, count in tiers.items():
-            if count:
-                attrib.record_model_run(
-                    self.model, tier, batch=batch, count=count,
-                    dma_bytes_per_cycle=self._dma_bpc,
-                )
+        if attrib.enabled:
+            attrib.record_model_run(
+                self.model, tier, dma_bytes_per_cycle=self._dma_bpc
+            )
 
     # ------------------------------------------------------------------
     # Timing model (the NKL cycle schedules + the core cost model)
@@ -298,10 +282,6 @@ class NcoreExecutor:
     def ncore_seconds(self) -> float:
         """Ncore portion of one single-batch inference."""
         return self.model.ncore_cycles(self._dma_bpc) / self._clock
-
-    def ncore_seconds_batched(self, batch: int) -> float:
-        """Per-item Ncore time with a batch amortizing streamed weights."""
-        return self.model.ncore_cycles_batched(batch, self._dma_bpc) / self._clock
 
     def x86_graph_seconds(self) -> float:
         """x86 portion attributable to non-delegated graph segments."""
@@ -321,7 +301,7 @@ class NcoreExecutor:
         tracer = get_tracer()
         with tracer.span("delegate.run", track="delegate", model=self.model.name) as span:
             outputs, tier = self._run_quantized(feeds)
-            self._attribute({tier: 1}, batch=1)
+            self._attribute(tier)
             timing = RunTiming(
                 ncore_seconds=self.ncore_seconds(),
                 x86_seconds=self.x86_graph_seconds(),
@@ -340,23 +320,6 @@ class NcoreExecutor:
                 "delegate.latency_seconds", unit="s"
             ).observe(timing.total_seconds)
         return RunResult(outputs=outputs, timing=timing)
-
-    def execute_batch(self, batch_feeds: list[dict[str, np.ndarray]]) -> list[RunResult]:
-        """Run a batch: per-query outputs, batched Ncore amortization."""
-        size = len(batch_feeds)
-        per_item_ncore = self.ncore_seconds_batched(size)
-        x86 = self.x86_graph_seconds()
-        results = []
-        tiers: dict[str, int] = {}
-        for feeds in batch_feeds:
-            outputs, tier = self._run_quantized(feeds)
-            tiers[tier] = tiers.get(tier, 0) + 1
-            results.append(RunResult(
-                outputs=outputs,
-                timing=RunTiming(ncore_seconds=per_item_ncore, x86_seconds=x86),
-            ))
-        self._attribute(tiers, batch=size)
-        return results
 
     def trace_schedule(self, tracer) -> None:
         """Emit the modelled execution timeline as simulated-time spans.
@@ -403,233 +366,3 @@ class NcoreExecutor:
                           "ops": sorted({n.op for n in segment.nodes})},
                 )
                 cursor += seconds
-
-
-@dataclass
-class QueryTicket:
-    """One submitted query's lifecycle, stamped in engine time."""
-
-    index: int
-    owner: str
-    submitted_at: float
-    feeds: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
-    enqueued_at: float | None = None     # entered the batch queue
-    batch_started_at: float | None = None
-    ncore_done_at: float | None = None
-    completed_at: float | None = None
-    batch_size: int = 0
-    result: object | None = None         # delegate.RunResult once done
-    done_event: Event | None = field(repr=False, default=None)
-    trace: TraceContext | None = field(repr=False, default=None)
-
-    @property
-    def done(self) -> bool:
-        return self.completed_at is not None
-
-    @property
-    def latency_seconds(self) -> float | None:
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.submitted_at
-
-    @property
-    def queue_wait_seconds(self) -> float | None:
-        if self.batch_started_at is None or self.enqueued_at is None:
-            return None
-        return self.batch_started_at - self.enqueued_at
-
-
-class SessionHandle:
-    """A lightweight client of one :class:`EngineExecutor`.
-
-    Holding a handle grants nothing exclusive — submission order across
-    all handles decides batching.
-    """
-
-    def __init__(self, executor: "EngineExecutor", owner: str) -> None:
-        self.executor = executor
-        self.owner = owner
-        self.tickets: list[QueryTicket] = []
-
-    def submit(self, feeds: dict[str, np.ndarray]) -> QueryTicket:
-        ticket = self.executor.submit(feeds, owner=self.owner)
-        self.tickets.append(ticket)
-        return ticket
-
-    def poll(self, ticket: QueryTicket):
-        """The query's result, or None while it is still in flight."""
-        return ticket.result if ticket.done else None
-
-
-class EngineExecutor:
-    """An :class:`NcoreExecutor` mounted on a discrete-event engine.
-
-    Queries flow submit -> x86 pre work (worker pool) -> dynamic batch
-    queue -> Ncore executor (one batch in flight) -> x86 post work
-    (worker pool) -> completion.  Every stage is stamped on the ticket
-    and emitted as tracer spans, so a Perfetto trace decomposes latency
-    into queue wait vs batch assembly vs Ncore vs x86 time.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        executor: NcoreExecutor,
-        max_batch: int = 8,
-        max_wait: float = 200e-6,
-        workers: int = 7,
-        pre_seconds: float | None = None,
-    ) -> None:
-        self.engine = engine
-        self.executor = executor
-        self.queue = BatchQueue(engine, max_batch=max_batch, max_wait=max_wait,
-                                name=f"{executor.model.name}.batch-queue")
-        self.pool = WorkerPool(engine, workers=workers)
-        self.ncore = Resource(engine, capacity=1, name="ncore-executor")
-        # Submit-side framework/buffer-handoff cost, on a worker.
-        self.pre_seconds = (
-            DELEGATE_TRANSITION_SECONDS if pre_seconds is None else pre_seconds
-        )
-        self.tickets: list[QueryTicket] = []
-        self._dispatcher = engine.process(self._dispatch_loop(), name="ncore-dispatch")
-
-    def session(self, owner: str = "session") -> SessionHandle:
-        return SessionHandle(self, owner)
-
-    # ------------------------------------------------------------------
-    # Submission path
-    # ------------------------------------------------------------------
-
-    def submit(self, feeds: dict[str, np.ndarray], owner: str = "anonymous") -> QueryTicket:
-        index = len(self.tickets)
-        ticket = QueryTicket(
-            index=index, owner=owner,
-            submitted_at=self.engine.now, feeds=feeds,
-            done_event=self.engine.event(),
-            # Trace ids are minted from (model, sequence) — deterministic,
-            # so a seeded run exports byte-identical trace files.
-            trace=(
-                mint_trace(self.executor.model.name, index)
-                if get_tracer().enabled else None
-            ),
-        )
-        self.tickets.append(ticket)
-        self.engine.process(self._query_body(ticket), name=f"query[{ticket.index}]")
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("engine.queries_submitted").inc()
-        return ticket
-
-    def poll(self, ticket: QueryTicket):
-        return ticket.result if ticket.done else None
-
-    def _query_body(self, ticket: QueryTicket):
-        # x86 pre work on the worker pool (framework callback, handoff).
-        if self.pre_seconds > 0:
-            yield self.pool.submit(self.pre_seconds)
-        ticket.enqueued_at = self.engine.now
-        self.queue.put(ticket)
-        yield ticket.done_event
-        return ticket.result
-
-    # ------------------------------------------------------------------
-    # Dispatch path (one batch in flight on the Ncore executor)
-    # ------------------------------------------------------------------
-
-    def _dispatch_loop(self):
-        engine = self.engine
-        while True:
-            batch = yield self.queue.get()
-            tickets: list[QueryTicket] = batch.items
-            yield self.ncore.request()
-            started = engine.now
-            for ticket in tickets:
-                ticket.batch_started_at = started
-                ticket.batch_size = batch.size
-            # Functional execution is eager; timing advances the clock.
-            results = self.executor.execute_batch([t.feeds for t in tickets])
-            ncore_seconds = (
-                self.executor.ncore_seconds_batched(batch.size) * batch.size
-            )
-            yield engine.timeout(ncore_seconds)
-            self.ncore.release()
-            ncore_done = engine.now
-            engine.trace_span(
-                f"batch[{batch.sequence}]", "engine.ncore", started, ncore_done,
-                args={"size": batch.size, "reason": batch.reason,
-                      "assembly_us": batch.assembly_seconds * 1e6,
-                      "trace_ids": [
-                          t.trace.trace_id for t in tickets if t.trace is not None
-                      ]},
-            )
-            for ticket, result in zip(tickets, results, strict=True):
-                ticket.ncore_done_at = ncore_done
-                engine.process(
-                    self._postprocess(ticket, result),
-                    name=f"post[{ticket.index}]",
-                )
-
-    def _postprocess(self, ticket: QueryTicket, result):
-        # Per-query x86 post work (non-delegated segments) on the pool.
-        x86_seconds = result.timing.x86_seconds
-        if x86_seconds > 0:
-            yield self.pool.submit(x86_seconds)
-        ticket.completed_at = self.engine.now
-        ticket.result = result
-        self._trace_ticket(ticket)
-        metrics = get_metrics()
-        if metrics.enabled:
-            model = self.executor.model.name
-            metrics.counter("engine.queries_completed").inc()
-            metrics.histogram("engine.latency_seconds", unit="s").observe(
-                ticket.latency_seconds
-            )
-            # Labelled, windowed view of the same signal: rolling
-            # percentiles per model, in engine (simulated) time.
-            metrics.windowed_histogram(
-                "engine.latency_seconds", unit="s", labels={"model": model}
-            ).observe(ticket.latency_seconds, ts=self.engine.now)
-        ticket.done_event.succeed(result)
-
-    def _trace_ticket(self, ticket: QueryTicket) -> None:
-        tracer = get_tracer()
-        if not tracer.enabled:
-            return
-        context = ticket.trace
-        if context is not None and ticket.completed_at is not None:
-            # Root span of the query's causal tree: submit -> completion.
-            self.engine.trace_span(
-                f"query[{ticket.index}]", "engine.queries",
-                ticket.submitted_at, ticket.completed_at,
-                args={"owner": ticket.owner, "batch_size": ticket.batch_size,
-                      "model": self.executor.model.name},
-                context=context,
-            )
-        spans = [
-            ("pre", ticket.submitted_at, ticket.enqueued_at),
-            ("queue.wait", ticket.enqueued_at, ticket.batch_started_at),
-            ("ncore", ticket.batch_started_at, ticket.ncore_done_at),
-            ("x86.post", ticket.ncore_done_at, ticket.completed_at),
-        ]
-        for stage, start, end in spans:
-            if start is None or end is None:
-                continue
-            self.engine.trace_span(
-                f"query[{ticket.index}].{stage}", "engine.queries", start, end,
-                args={"owner": ticket.owner, "batch_size": ticket.batch_size,
-                      "stage": stage},
-                context=context.child(stage) if context is not None else None,
-            )
-
-    # ------------------------------------------------------------------
-
-    def drain(self, max_events: int = 50_000_000) -> None:
-        """Flush the open batch and run the engine until all queries finish."""
-        self.queue.flush()
-        self.engine.run(max_events=max_events)
-        while any(not t.done for t in self.tickets):
-            self.queue.flush()
-            self.engine.run(max_events=max_events)
-
-    def close(self) -> None:
-        self.executor.close()

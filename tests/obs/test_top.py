@@ -24,7 +24,6 @@ FRAME = {
     "socket_util": [0.8, 0.3],
     "slo_attainment": 0.995,
     "slo_burn_rate": 0.5,
-    "replay_hit_rate": 0.25,
 }
 
 
@@ -36,17 +35,14 @@ class TestFormatFrame:
         assert "1234.5" in text
         assert "p99   4.000 ms" in text
         assert "6.40/8" in text
-        assert "hit rate  25.0%" in text
         assert "attainment  99.50%" in text
         assert "[0]" in text and "[1]" in text
 
     def test_optional_sections_are_omitted(self):
         frame = {k: v for k, v in FRAME.items()
-                 if k not in ("slo_attainment", "slo_burn_rate",
-                              "replay_hit_rate", "socket_util")}
+                 if k not in ("slo_attainment", "slo_burn_rate", "socket_util")}
         text = "\n".join(format_frame(frame))
         assert "slo" not in text
-        assert "replay" not in text
         assert "sockets" not in text
 
     def test_utilization_bar(self):

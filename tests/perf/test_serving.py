@@ -146,6 +146,40 @@ class TestValidation:
             ServerScenario(timing, qps=100.0, queries=10, cores=0)
 
 
+class TestPipeline:
+    def test_query_stages_are_monotonic(self, resnet):
+        timing = ServingTimingModel.from_system(resnet)
+        scenario = ServerScenario(timing, qps=2000.0, queries=128, sockets=2)
+        scenario.run()
+        for record in scenario._records:
+            assert (
+                record.arrival
+                <= record.enqueued_at
+                <= record.batch_started_at
+                <= record.ncore_done_at
+                <= record.completed_at
+            )
+            assert record.batch_size >= 1
+            assert 0 <= record.socket < scenario.sockets
+
+    def test_wedged_schedule_names_the_stuck_query(self, resnet, monkeypatch):
+        timing = ServingTimingModel.from_system(resnet)
+        scenario = ServerScenario(timing, qps=1000.0, queries=8)
+
+        def idle_ncore(socket):
+            # Never pulls a batch: every query stops in the queue.
+            return
+            yield
+
+        monkeypatch.setattr(scenario, "_ncore_loop", idle_ncore)
+        with pytest.raises(
+            RuntimeError,
+            match=r"^8 queries never completed; engine drained with a wedged "
+            r"schedule \(first: query\[0\], last stage reached: queue\.wait\)$",
+        ):
+            scenario.run()
+
+
 class TestObservability:
     def test_registered_histogram_sees_every_completion(self, resnet):
         from repro import obs

@@ -139,13 +139,16 @@ class TestOneTimingModel:
         from repro.soc.cha import ChaSoc
 
         system = get_system(model)
-        executor = NcoreExecutor(
-            system.compiled, soc=ChaSoc(ncore_config=system.config), verify=False
-        )
+        soc = ChaSoc(ncore_config=system.config)
+        executor = NcoreExecutor(system.compiled, soc=soc, verify=False)
+        clock = system.config.clock_hz
+        bpc = soc.ncore_to_dram_bandwidth() / clock
         try:
             for batch in (1, 8, 64):
-                assert executor.ncore_seconds_batched(batch) == \
+                assert system.compiled.ncore_cycles_batched(batch, bpc) / clock == \
                     system.ncore_seconds_batched(batch)
+            with pytest.raises(ValueError):
+                system.compiled.ncore_cycles_batched(0, bpc)
             assert executor.ncore_seconds() == system.ncore_seconds()
             assert executor.x86_graph_seconds() == system.x86_portion().graph_seconds
         finally:

@@ -1,4 +1,4 @@
-"""The executor split: device ownership, the verify gate, async serving."""
+"""The device executor: ownership, the verify gate, the segment walk."""
 
 import copy
 import dataclasses
@@ -8,10 +8,9 @@ import pytest
 
 from repro.analyze import AnalysisError
 from repro.compiler import compile_graph
-from repro.engine import Engine
 from repro.ncore.config import NcoreConfig
 from repro.graph.planner import RowRange
-from repro.runtime import EngineExecutor, NcoreExecutor, execute_quantized
+from repro.runtime import NcoreExecutor, execute_quantized
 from tests.quantize.test_convert import calibration_batches, small_cnn
 
 
@@ -62,12 +61,16 @@ class TestNcoreExecutor:
         executor.close()
 
     def test_batching_amortizes_ncore_time(self, compiled):
+        # The one batched formula is the compiled model's, read on the
+        # executor's device clock.
         executor = NcoreExecutor(compiled, verify=False)
-        single = executor.ncore_seconds_batched(1)
-        batched = executor.ncore_seconds_batched(8)
+        clock = executor.soc.ncore.config.clock_hz
+        bpc = executor.soc.ncore_to_dram_bandwidth() / clock
+        single = compiled.ncore_cycles_batched(1, bpc) / clock
+        batched = compiled.ncore_cycles_batched(8, bpc) / clock
         assert batched <= single
         with pytest.raises(ValueError):
-            executor.ncore_seconds_batched(0)
+            compiled.ncore_cycles_batched(0, bpc)
         executor.close()
 
 
@@ -137,66 +140,3 @@ class TestSegmentWalk:
                 assert dispatched == 2 * len(kset.kernels)
         finally:
             executor.close()
-
-
-class TestEngineExecutor:
-    def make(self, compiled, **kwargs):
-        engine = Engine()
-        ncore = NcoreExecutor(compiled, verify=False)
-        return engine, EngineExecutor(engine, ncore, **kwargs)
-
-    def test_submit_poll_lifecycle(self, compiled):
-        engine, executor = self.make(compiled)
-        session = executor.session("client-a")
-        feeds = calibration_batches(count=1, seed=3)[0]
-        ticket = session.submit(feeds)
-        assert session.poll(ticket) is None      # still in flight
-        assert not ticket.done
-        executor.drain()
-        result = session.poll(ticket)
-        assert result is not None
-        assert ticket.done
-        assert ticket.latency_seconds > 0
-        assert ticket.batch_size >= 1
-        direct = execute_quantized(compiled.graph, feeds)
-        for name in direct:
-            np.testing.assert_array_equal(result.outputs[name], direct[name])
-        executor.close()
-
-    def test_concurrent_submissions_batch_together(self, compiled):
-        engine, executor = self.make(compiled, max_batch=8, max_wait=1.0)
-        a, b = executor.session("a"), executor.session("b")
-        feeds = calibration_batches(count=2, seed=5)
-        first = a.submit(feeds[0])
-        second = b.submit(feeds[1])
-        executor.drain()
-        # Two handles, one queue: simultaneous submissions share a batch.
-        assert first.batch_size == 2
-        assert second.batch_size == 2
-        assert first.batch_started_at == second.batch_started_at
-        executor.close()
-
-    def test_ticket_stages_are_monotonic(self, compiled):
-        engine, executor = self.make(compiled)
-        ticket = executor.submit(calibration_batches(count=1, seed=7)[0])
-        executor.drain()
-        assert (
-            ticket.submitted_at
-            <= ticket.enqueued_at
-            <= ticket.batch_started_at
-            <= ticket.ncore_done_at
-            <= ticket.completed_at
-        )
-        assert ticket.queue_wait_seconds >= 0
-        executor.close()
-
-    def test_many_queries_all_complete(self, compiled):
-        engine, executor = self.make(compiled, max_batch=4, max_wait=50e-6)
-        feeds = calibration_batches(count=1, seed=11)[0]
-        tickets = [executor.submit(feeds) for _ in range(10)]
-        executor.drain()
-        assert all(t.done for t in tickets)
-        assert executor.queue.stats.items == 10
-        # Completion times are engine time, totally ordered with batches.
-        assert engine.now >= max(t.completed_at for t in tickets)
-        executor.close()

@@ -86,17 +86,6 @@ class TestReplayCache:
         assert not executor._replay_cache
         executor.close()
 
-    def test_batched_execution_replays_per_query(self, compiled):
-        executor = NcoreExecutor(compiled, verify=False)
-        feeds = calibration_batches(count=1, seed=13)[0]
-        results = executor.execute_batch([feeds, feeds])
-        assert executor.replay_stats["hits"] == 1  # second query in batch
-        direct = execute_quantized(compiled.graph, feeds)
-        for result in results:
-            for name in direct:
-                np.testing.assert_array_equal(result.outputs[name], direct[name])
-        executor.close()
-
 
 class TestReplayOnZooModel:
     def test_mobilenet_replay_on_off_identical(self):

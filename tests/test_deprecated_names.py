@@ -7,7 +7,8 @@ graph tier, the reserved ``predict`` slot and the legacy executor kwargs
 followed, then the pass-through ``*Step`` classes of the Tier-3 codegen
 and its run-time variant race, then the process-wide machine-mode default
 and ``loopn`` region fusion, then the analyzers' private copies of what an
-instruction touches (``Instruction.row_accesses`` is the one table).
+instruction touches (``Instruction.row_accesses`` is the one table), then
+the test-only ``EngineExecutor`` serving pipeline and ``MachineTask``.
 These tests grep the tree so a stray reference (or a reintroduced alias)
 fails loudly rather than resurrecting an old name.
 """
@@ -81,6 +82,10 @@ def test_removed_facade_and_tier_names_are_gone():
         r"|_load_macro_kernels|default_tier_policy"
         # The process-wide machine-mode default and region fusion.
         r"|set_fastpath_default|get_fastpath_default|compile_region|prologue_cycles"
+        # The second serving pipeline and the engine adapter for the machine
+        # (``repro.perf.serving.ServerScenario`` is the one pipeline).
+        r"|EngineExecutor|SessionHandle|QueryTicket|MachineTask|MachineRun\b"
+        r"|amortize_overshoot|overshoot_cycles"
     )
     files = [ROOT / "README.md"]
     for folder, glob in (("src", "*.py"), ("examples", "*.py"), ("docs", "*.md")):
