@@ -9,8 +9,7 @@ import pytest
 
 from repro.dtypes import NcoreDType
 from repro.nkl.schedule import conv2d_schedule
-
-from tableutil import render_table
+from repro.perf.report import render_table
 
 LAYERS = [
     (64, 64, 56, 56, 3, 3),
@@ -43,7 +42,6 @@ def compute_dtype_ablation():
 def test_ablation_dtype(benchmark, capsys):
     cycles, rows = benchmark(compute_dtype_ablation)
     with capsys.disabled():
-        print()
         print(render_table(
             "Ablation: datatype vs convolution-body latency",
             ["dtype", "cycles", "time (us)", "vs int8"],

@@ -12,9 +12,8 @@ import numpy as np
 
 from repro.isa import assemble
 from repro.ncore import DmaDescriptor
+from repro.perf.report import render_table
 from repro.soc import ChaSoc
-
-from tableutil import render_table
 
 ROWS = 16  # 64 KB transfer
 
@@ -48,7 +47,6 @@ def run_both_paths():
 def test_ablation_l3_dma(benchmark, capsys):
     results = benchmark(run_both_paths)
     with capsys.disabled():
-        print()
         print(render_table(
             "Ablation: DMA read path (64 KB transfer)",
             ["Path", "Stall cycles", "Coherent w/ CPU stores"],

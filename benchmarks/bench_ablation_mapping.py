@@ -7,8 +7,7 @@ the paper's dataflow choice buys on real layer shapes.
 """
 
 from repro.nkl.schedule import conv2d_schedule
-
-from tableutil import render_table
+from repro.perf.report import render_table
 
 LAYERS = [
     ("early 56x56x64", 64, 64, 56, 56, 3),
@@ -46,7 +45,6 @@ def compute_mapping_ablation():
 def test_ablation_mapping(benchmark, capsys):
     rows = benchmark(compute_mapping_ablation)
     with capsys.disabled():
-        print()
         print(render_table(
             "Ablation: Fig. 7 W x K mapping vs naive channel-only mapping",
             ["Layer", "WxK cycles", "naive cycles", "speedup",

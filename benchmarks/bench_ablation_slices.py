@@ -7,11 +7,9 @@ with breadth while the realized speedup flattens as per-pass overheads and
 mapping waste grow — the quantitative version of the sizing decision.
 """
 
-
 from repro.ncore import NcoreConfig
 from repro.nkl.schedule import conv2d_schedule
-
-from tableutil import render_table
+from repro.perf.report import render_table
 
 # (cin, cout, h, w, k) x repeats: the ResNet-50 convolution body.
 RESNET_LAYERS = [
@@ -60,7 +58,6 @@ def compute_slice_sweep():
 def test_ablation_slices(benchmark, capsys):
     rows = benchmark(compute_slice_sweep)
     with capsys.disabled():
-        print()
         print(render_table(
             "Ablation: slice count vs ResNet-50 Ncore-portion latency",
             ["Slices", "Lanes", "Peak TOPS", "Latency (ms)", "Speedup vs 4"],

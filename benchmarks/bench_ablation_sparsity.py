@@ -13,8 +13,7 @@ from repro.graph import partition
 from repro.graph.passes import default_pipeline
 from repro.models import PAPER_CHARACTERISTICS, build_resnet50_v15
 from repro.nkl.lower import compressed_weight_bytes, lower_segment
-
-from tableutil import render_table
+from repro.perf.report import render_table
 
 DMA_BYTES_PER_CYCLE = 102.4e9 / 2.5e9
 
@@ -70,7 +69,6 @@ def compute_sparsity_ablation():
 def test_ablation_sparsity(benchmark, capsys):
     rows = benchmark.pedantic(compute_sparsity_ablation, rounds=1, iterations=1)
     with capsys.disabled():
-        print()
         print(render_table(
             "Ablation: sparse-weight compression on (pruned) ResNet-50",
             ["pruned", "dense MB", "packed MB", "ratio", "dense ms", "packed ms"],

@@ -9,14 +9,14 @@ streaming forced on.
 
 import copy
 
-
-from tableutil import render_table, system
+from repro.perf.report import render_table
+from repro.perf.system import get_system
 
 DMA_BYTES_PER_CYCLE = 102.4e9 / 2.5e9
 
 
 def compute_pinning_ablation():
-    sys = system("mobilenet_v1")
+    sys = get_system("mobilenet_v1")
     rows = []
     pinned_cycles = streamed_cycles = 0
     for index in sys.compiled.ncore_segments:
@@ -36,7 +36,6 @@ def compute_pinning_ablation():
 def test_ablation_weight_pinning(benchmark, capsys):
     pinned, streamed, rows = benchmark(compute_pinning_ablation)
     with capsys.disabled():
-        print()
         print(render_table(
             "Ablation: MobileNet-V1 weight pinning vs streaming",
             ["Weight policy", "Ncore cycles", "Ncore portion (us)"],
@@ -51,7 +50,7 @@ def test_ablation_weight_pinning(benchmark, capsys):
 
 def test_resnet_weights_do_not_fit(benchmark):
     def check():
-        sys = system("resnet50_v15")
+        sys = get_system("resnet50_v15")
         return [
             sys.compiled.loadables[i].memory_plan.weights_pinned
             for i in sys.compiled.ncore_segments

@@ -105,6 +105,9 @@ PAPER_WORKLOAD_SPLIT_MS = {
     "ssd_mobilenet_v1": {"total": 1.54, "ncore": 0.36, "x86": 1.18},
 }
 
+# Fig. 13 as the paper reads it: x86 cores each model needs to saturate Ncore.
+PAPER_SATURATION_CORES = {"mobilenet_v1": 4, "resnet50_v15": 2, "ssd_mobilenet_v1": 5}
+
 # System facts used for the normalized comparisons in section VI-B.
 CLX_9282_CORES_PER_SYSTEM = 112   # 2 sockets x 56 VNNI Xeon cores
 NNP_I_ICES_PER_SYSTEM = 24        # 2 adapters x 12 inference compute engines

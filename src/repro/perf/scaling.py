@@ -67,7 +67,8 @@ def cores_to_saturate(ncore_seconds: float, x86_seconds: float) -> int:
     """Smallest core count whose expected throughput hits the Ncore bound.
 
     The paper reads these off Fig. 13: ResNet-50 needs 2 cores, MobileNet
-    4, SSD-MobileNet 5.
+    4, SSD-MobileNet 5 (``published.PAPER_SATURATION_CORES``).  Every x86
+    second counts as batchable here.
     """
     for cores in range(1, 64):
         if expected_throughput(ncore_seconds, x86_seconds, cores) >= (

@@ -23,7 +23,7 @@ from repro.compiler import compile_graph, optimize_graph
 from repro.graph.loadable import CompiledModel
 from repro.models import PAPER_CHARACTERISTICS, ModelInfo
 from repro.ncore.config import NcoreConfig
-from repro.perf.scaling import expected_throughput, observed_throughput
+from repro.perf.scaling import observed_throughput
 from repro.perf.workloads import X86Portion, x86_portion_seconds
 from repro.runtime.delegate import x86_graph_seconds
 from repro.soc.config import SocConfig
@@ -162,20 +162,9 @@ class BenchmarkSystem:
         )
         return observed_throughput(ncore, x86, cores, nonbatchable)
 
-    def expected_throughput_ips(self, cores: int) -> float:
-        """The Fig. 13 ideal-hiding curve for this model."""
-        portion = self.x86_portion()
-        nonbatchable = portion.total_seconds * (1.0 - portion.batchable_fraction)
-        return expected_throughput(
-            self.ncore_seconds() + self.gnmt_framework_seconds(False),
-            portion.total_seconds,
-            cores,
-            nonbatchable,
-        )
-
     def workload_split(self) -> dict[str, float]:
         """The Table IX decomposition, in seconds."""
-        ncore = self.ncore_seconds() + self.gnmt_framework_seconds(False) * 0.0
+        ncore = self.ncore_seconds()
         x86 = self.x86_portion().total_seconds + self.gnmt_framework_seconds(False)
         return {"ncore": ncore, "x86": x86, "total": ncore + x86}
 

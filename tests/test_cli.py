@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -228,6 +230,12 @@ class TestReproduce:
         assert "Ncore (simulated)" in out
         assert "NVIDIA AGX Xavier" in out
         assert "Server scenario" in out
+        # EXPERIMENTS.md embeds every section verbatim: regenerate it by
+        # pasting `python -m repro reproduce` output when a number moves.
+        experiments = (Path(__file__).resolve().parent.parent / "EXPERIMENTS.md").read_text()
+        sections = out.strip().split("\n\n")[1:]
+        stale = [s.splitlines()[0] for s in sections if s not in experiments]
+        assert not stale, f"EXPERIMENTS.md is missing or has stale sections: {stale}"
 
 
 class TestServeTelemetry:

@@ -8,7 +8,9 @@ followed, then the pass-through ``*Step`` classes of the Tier-3 codegen
 and its run-time variant race, then the process-wide machine-mode default
 and ``loopn`` region fusion, then the analyzers' private copies of what an
 instruction touches (``Instruction.row_accesses`` is the one table), then
-the test-only ``EngineExecutor`` serving pipeline and ``MachineTask``.
+the test-only ``EngineExecutor`` serving pipeline and ``MachineTask``, then
+the per-table benchmark files, their helper module and the second Fig. 13
+definition (``repro.perf.report`` is the one generator of paper numbers).
 These tests grep the tree so a stray reference (or a reintroduced alias)
 fails loudly rather than resurrecting an old name.
 """
@@ -33,6 +35,24 @@ _RUNTIME_RESULT_FILES = {
 
 def _source_files():
     return sorted(SRC.rglob("*.py"))
+
+
+def _grep(pattern, files):
+    return [
+        f"{path.relative_to(ROOT)}:{lineno}: {line.strip()}"
+        for path in files
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if pattern.search(line)
+    ]
+
+
+def _tree_files(*folders):
+    """README plus the ``*.py`` / ``*.md`` files under ``folders``."""
+    files = [ROOT / "README.md"]
+    for folder in folders:
+        glob = "*.md" if folder == "docs" else "*.py"
+        files += sorted((ROOT / folder).rglob(glob))
+    return files
 
 
 def test_no_machine_level_runresult_references():
@@ -87,16 +107,20 @@ def test_removed_facade_and_tier_names_are_gone():
         r"|EngineExecutor|SessionHandle|QueryTicket|MachineTask|MachineRun\b"
         r"|amortize_overshoot|overshoot_cycles"
     )
-    files = [ROOT / "README.md"]
-    for folder, glob in (("src", "*.py"), ("examples", "*.py"), ("docs", "*.md")):
-        files += sorted((ROOT / folder).rglob(glob))
-    offenders = [
-        f"{path.relative_to(ROOT)}:{lineno}: {line.strip()}"
-        for path in files
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
-        if pattern.search(line)
-    ]
+    offenders = _grep(pattern, _tree_files("src", "examples", "docs"))
     assert not offenders, "removed name resurfaced:\n" + "\n".join(offenders)
+
+
+def test_one_generator_of_paper_numbers():
+    pattern = re.compile(
+        r"tableutil|expected_throughput_ips|bench_table|bench_fig"
+        r"|bench_vendor_normalized|bench_scaleout"
+    )
+    files = _tree_files("src", "tests", "docs", "examples")
+    files += [ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md"]
+    files.remove(Path(__file__).resolve())
+    offenders = _grep(pattern, files)
+    assert not offenders, "second paper-table generator resurfaced:\n" + "\n".join(offenders)
 
 
 def test_one_statement_of_what_an_instruction_touches():
