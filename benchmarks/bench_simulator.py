@@ -3,9 +3,8 @@
 Times the Fig. 6 fused convolution inner loop (one 4096-wide MAC issue per
 iteration) on the functional simulator — the number that bounds how large
 a workload the golden model can replay for verification.  The machine and
-program come from :mod:`repro.perf.simbench`, which also records the
-``BENCH_simulator.json`` baseline; the fastpath/interpreter pair here is
-the microbenchmark behind the tier-1 speedup claim in
+program come from :mod:`repro.perf.simbench`; the fastpath/interpreter
+pair here is the microbenchmark behind the tier-1 speedup claim in
 ``docs/simulator-performance.md``.
 """
 

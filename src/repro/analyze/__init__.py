@@ -4,8 +4,11 @@ Compile-time verification of every artifact the toolchain produces — GIR
 graphs, Ncore Loadables and assembled instruction programs — so an illegal
 DMA schedule or out-of-bounds scratchpad access is rejected with a
 structured :class:`Diagnostic` instead of hanging silicon (or the
-simulator) mid-run.  The lowering pipeline and the delegate gate on these
-analyzers in strict mode; ``repro lint`` runs the same stack from the CLI.
+simulator) mid-run.  The compiler and the executor gate on the graph and
+loadable analyzers in strict mode, and ``repro lint`` runs them from the
+CLI; ``repro run --sanitize`` checks its instruction program with
+:func:`analyze_program` and :func:`analyze_program_hazards` before
+running it.
 
 See ``docs/static-analysis.md`` for the rule catalog.
 """

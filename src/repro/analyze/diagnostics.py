@@ -160,9 +160,6 @@ class AnalysisReport:
     def by_severity(self, severity: Severity) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.severity is severity]
 
-    def by_rule(self, rule_id: str) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.rule == rule_id]
-
     @property
     def errors(self) -> list[Diagnostic]:
         return self.by_severity(Severity.ERROR)
@@ -175,12 +172,6 @@ class AnalysisReport:
     def ok(self) -> bool:
         """True when no error-severity finding is present."""
         return not self.errors
-
-    @property
-    def worst(self) -> Severity | None:
-        if not self.diagnostics:
-            return None
-        return max((d.severity for d in self.diagnostics), key=_RANK.get)  # type: ignore[arg-type]
 
     def __len__(self) -> int:
         return len(self.diagnostics)

@@ -3,10 +3,8 @@
 The model builders declare every tensor's :class:`TensorType` explicitly;
 this module recomputes the output types each node *should* produce from its
 declared input types, so the GIR verifier can re-check every declaration
-instead of trusting it.  Unlike :func:`repro.graph.reference.infer_shapes`
-(which covers only the shape-bearing convolution/pool ops and raises on the
-first mismatch), the propagation here covers the whole operator vocabulary
-and reports every inconsistency.
+instead of trusting it.  The propagation covers the whole operator
+vocabulary and reports every inconsistency.
 """
 
 from __future__ import annotations
@@ -342,21 +340,6 @@ def infer_node_types(graph: Graph, node: Node) -> list[TensorType]:
         return _INFERENCE[node.op](node, ins)
     except KeyError as exc:  # missing required attribute
         raise ShapeInferenceError(f"{node.op} is missing attribute {exc}") from None
-
-
-def shapes_compatible(declared: TensorType, inferred: TensorType) -> bool:
-    """Whether a declared output type matches the inferred one.
-
-    Shapes must match exactly.  Dtypes are compared loosely: the propagation
-    carries the *input* dtype forward, but fused requantization legitimately
-    changes integer widths (uint8 conv producing uint8 from int8 weights,
-    int32 bias paths), so only the float-vs-integer class must agree —
-    except for ops whose dtype contract is exact (quantize/dequantize/nms),
-    which the GIR rules check separately.
-    """
-    if declared.shape != inferred.shape:
-        return False
-    return is_float_dtype(declared.dtype) == is_float_dtype(inferred.dtype)
 
 
 def is_float_dtype(dtype: NcoreDType | str) -> bool:

@@ -372,19 +372,61 @@ def _cmd_compile(args) -> int:
     return 0
 
 
+#: The DMA + MAC-loop microkernel, as named regions: stage one weight row
+#: through DMA (via the coherent L3 path), run a short MAC loop, write the
+#: requantized row back.  ``repro trace`` profiles the regions; ``repro run
+#: --sanitize`` verifies the joined program.
+_MICROKERNEL = (
+    ("stage_weights", "dmastart 0\ndmawait 1"),
+    ("compute",
+     "setaddr a0, 0\nsetaddr a3, 0\nsetaddr a5, 0\n"
+     "loop 16 {\n"
+     "  bypass n0, dram[a0]\n"
+     "  broadcast64 n1, wtram[a3], a5, inc\n"
+     "  mac.uint8 n0, n1\n"
+     "}"),
+    ("writeback", "setaddr a6, 64\nrequant.uint8 relu\nstore a6"),
+)
+
+
+def _microkernel_dma() -> dict:
+    """The microkernel's DMA descriptor table."""
+    from repro.ncore import DmaDescriptor
+
+    return {0: DmaDescriptor(False, True, ram_row=0, rows=1, dram_addr=0, through_l3=True)}
+
+
+def _stage_microkernel(machine, dram_address: int) -> None:
+    """Stage the microkernel's operands on ``machine``: one payload row in
+    system memory at ``dram_address`` (the DMA source, window offset 0) and
+    in data RAM row 0, plus the descriptor table."""
+    payload = np.tile(np.arange(64, dtype=np.uint8), 64).tobytes()
+    machine.memory.write(dram_address, payload)
+    for index, descriptor in _microkernel_dma().items():
+        machine.set_dma_descriptor(index, descriptor)
+    machine.write_data_ram(0, payload)
+
+
 def _sanitize_run(executor, compiled, result, feeds) -> int:
     """The ``repro run --sanitize`` verification pass; returns an exit code.
 
-    Composes all four nsan oracles into one shared-model report: the
-    static hazard rules over the compiled loadables, a two-run output
-    determinism check, a shadow-SRAM microkernel on the executor's machine,
-    and the fastpath-vs-interpreter equivalence oracle.
+    Composes one shared-model report: the static hazard rules over the
+    compiled loadables, a two-run output determinism check, and the
+    microkernel on the executor's machine — first the program verifier and
+    hazard pass over the joined program, then (when those are clean) a
+    two-machine determinism check, a shadow-SRAM-sanitized run and the
+    fastpath-vs-interpreter equivalence oracle.
     """
-    from repro.analyze import AnalysisReport, analyze_model, render_text
+    from repro.analyze import (
+        AnalysisReport,
+        analyze_model,
+        analyze_program,
+        analyze_program_hazards,
+        render_text,
+    )
     from repro.analyze.diagnostics import diag
     from repro.isa import assemble
-    from repro.ncore import DmaDescriptor
-    from repro.sanitize import oracle_compare
+    from repro.sanitize import check_determinism, oracle_compare
     from repro.sanitize.sanitizer import DIVERGENCE
 
     report = AnalysisReport()
@@ -402,50 +444,41 @@ def _sanitize_run(executor, compiled, result, feeds) -> int:
                 f"two runs with identical feeds disagree on output {name!r}",
                 artifact=compiled.name, element=name,
             )])
-    # 3. Shadow-SRAM sanitizer: a DMA + MAC-loop microkernel on the
-    # executor's machine with every access checked.
+    # 3. The microkernel on the executor's machine: verified statically
+    # before anything executes it.
     machine = executor.mapping.machine()
-    sanitizer = machine.arm_sanitizer(True)
-    try:
-        payload = np.tile(np.arange(64, dtype=np.uint8), 64).tobytes()
-        machine.memory.write(executor.driver.dma_address_for(0), payload)
-        machine.set_dma_descriptor(
-            0,
-            DmaDescriptor(False, True, ram_row=0, rows=1, dram_addr=0, through_l3=True),
-        )
-        machine.write_data_ram(0, payload)
-        machine.execute_program(assemble(
-            "dmastart 0\ndmawait 1\n"
-            "setaddr a0, 0\nsetaddr a3, 0\nsetaddr a5, 0\n"
-            "loop 16 {\n"
-            "  bypass n0, dram[a0]\n"
-            "  broadcast64 n1, wtram[a3], a5, inc\n"
-            "  mac.uint8 n0, n1\n"
-            "}\n"
-            "setaddr a6, 64\nrequant.uint8 relu\nstore a6\nhalt"
-        ))
-        report.merge(sanitizer.report)
-        checked = (sanitizer.stats["reads_checked"]
-                   + sanitizer.stats["writes_checked"])
-        print(f"  sanitizer: {checked} accesses and "
-              f"{sanitizer.stats['dma_transfers']} transfer(s) checked")
-    finally:
-        machine.arm_sanitizer(False)
-    # 4. Equivalence oracle: fastpath and interpreter must agree bit-for-bit.
-    def setup(oracle_machine) -> None:
-        oracle_machine.write_data_ram(0, payload)
-        oracle_machine.write_weight_ram(0, payload)
-
-    report.merge(oracle_compare(
-        "setaddr a0, 0\nsetaddr a3, 0\nsetaddr a5, 0\n"
-        "loop 64 {\n"
-        "  bypass n0, dram[a0]\n"
-        "  broadcast64 n1, wtram[a3], a5, inc\n"
-        "  mac.uint8 n0, n1\n"
-        "}\n"
-        "setaddr a6, 64\nrequant.uint8 relu\nstore a6\nhalt",
-        setup=setup, name=compiled.name,
+    source = "\n".join(region for _, region in _MICROKERNEL) + "\nhalt"
+    program = assemble(source)
+    kernel = analyze_program(program, machine.config, name="microkernel")
+    kernel.merge(analyze_program_hazards(
+        program, _microkernel_dma(), machine.config, name="microkernel",
     ))
+    report.merge(kernel)
+    if kernel.ok:
+        def setup(fresh) -> None:
+            fresh.dma_read.configure_window(0)
+            _stage_microkernel(fresh, 0)
+
+        report.merge(check_determinism(
+            source, config=machine.config, setup=setup, name=compiled.name,
+        ))
+        # Shadow-SRAM sanitizer: every access of the run checked, the
+        # host's staging writes included.
+        sanitizer = machine.arm_sanitizer(True)
+        try:
+            _stage_microkernel(machine, executor.driver.dma_address_for(0))
+            machine.execute_program(program)
+            report.merge(sanitizer.report)
+            checked = (sanitizer.stats["reads_checked"]
+                       + sanitizer.stats["writes_checked"])
+            print(f"  sanitizer: {checked} accesses and "
+                  f"{sanitizer.stats['dma_transfers']} transfer(s) checked")
+        finally:
+            machine.arm_sanitizer(False)
+        # Equivalence oracle: fastpath and interpreter must agree bit-for-bit.
+        report.merge(oracle_compare(
+            source, config=machine.config, setup=setup, name=compiled.name,
+        ))
     print(f"  sanitize {compiled.name}: ", end="")
     print(render_text(report))
     return 0 if report.ok else 1
@@ -586,38 +619,17 @@ def _resolve_model_key(name: str) -> str | None:
 
 
 def _trace_microkernel(executor) -> None:
-    """Run a real instrumented program on the executor's Ncore machine.
-
-    Stages one weight row through DMA (via the coherent L3 path) and runs
-    a short MAC loop bracketed with event markers, so the trace carries
-    genuine simulator event streams (event log, DMA engine, cache) and
-    not just the NKL cycle schedule.
-    """
+    """Run the instrumented microkernel on the executor's Ncore machine, so
+    the trace carries genuine simulator event streams (event log, DMA
+    engine, cache) and not just the NKL cycle schedule."""
     from repro.isa import assemble
-    from repro.ncore import DmaDescriptor
     from repro.runtime.profiler import Profiler
 
     machine = executor.mapping.machine()
-    payload = np.tile(np.arange(64, dtype=np.uint8), 64).tobytes()
-    machine.memory.write(executor.driver.dma_address_for(0), payload)
-    machine.set_dma_descriptor(
-        0, DmaDescriptor(False, True, ram_row=0, rows=1, dram_addr=0, through_l3=True)
-    )
-    machine.write_data_ram(0, payload)
+    _stage_microkernel(machine, executor.driver.dma_address_for(0))
     profiler = Profiler(machine)
     program = profiler.instrument(
-        [
-            ("stage_weights", assemble("dmastart 0\ndmawait 1")),
-            ("compute", assemble(
-                "setaddr a0, 0\nsetaddr a3, 0\nsetaddr a5, 0\n"
-                "loop 16 {\n"
-                "  bypass n0, dram[a0]\n"
-                "  broadcast64 n1, wtram[a3], a5, inc\n"
-                "  mac.uint8 n0, n1\n"
-                "}"
-            )),
-            ("writeback", assemble("setaddr a6, 64\nrequant.uint8 relu\nstore a6")),
-        ]
+        [(name, assemble(region)) for name, region in _MICROKERNEL]
     )
     profiler.run(program)
 

@@ -43,7 +43,6 @@ from repro.compiler.irdump import dump_context, dump_graph, ir_diff
 from repro.compiler.pipeline import (
     INPUT_SNAPSHOT,
     Pipeline,
-    available_pipelines,
     get_pipeline,
     register_pipeline,
 )
@@ -52,7 +51,6 @@ from repro.compiler.stages import (
     CompilerError,
     Stage,
     StageStats,
-    available_stages,
     get_stage,
     optimize_stage,
     register_stage,
@@ -70,8 +68,6 @@ __all__ = [
     "Stage",
     "StageStats",
     "USE_DEFAULT_CACHE",
-    "available_pipelines",
-    "available_stages",
     "compile_graph",
     "compile_key",
     "dump_context",

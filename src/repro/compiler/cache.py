@@ -42,14 +42,6 @@ class CacheStats:
     stores: int = 0
     evictions: int = 0
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
 
 class CompileCache:
     """LRU map from compile keys to compiled models, with a disk tier.

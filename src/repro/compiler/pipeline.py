@@ -59,12 +59,6 @@ class Pipeline:
         """Whether any stage rewrites the input graph (optimize does)."""
         return any(stage.name == "optimize" for stage in self.stages)
 
-    @classmethod
-    def from_stage_names(cls, id: str, names: list[str] | tuple[str, ...],
-                         description: str = "") -> "Pipeline":
-        """Compose a custom pipeline from registered stage names."""
-        return cls(id, tuple(get_stage(name) for name in names), description)
-
     # ------------------------------------------------------------------
 
     def run(self, ctx: CompilerContext) -> CompilerContext:
@@ -135,10 +129,6 @@ def get_pipeline(spec: str | Pipeline) -> Pipeline:
         ) from None
 
 
-def available_pipelines() -> list[str]:
-    return sorted(_PIPELINES)
-
-
 register_pipeline(Pipeline(
     "O0",
     tuple(get_stage(name) for name in _BACKEND),
@@ -161,7 +151,6 @@ register_pipeline(Pipeline(
 __all__ = [
     "INPUT_SNAPSHOT",
     "Pipeline",
-    "available_pipelines",
     "get_pipeline",
     "register_pipeline",
 ]

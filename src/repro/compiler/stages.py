@@ -70,13 +70,6 @@ class CompilerContext:
     stats: list[StageStats] = field(default_factory=list)
     snapshots: dict[str, str] = field(default_factory=dict)
 
-    def stage_stats(self, stage: str) -> StageStats | None:
-        """The recorded stats of the named stage (last run wins)."""
-        for stats in reversed(self.stats):
-            if stats.stage == stage:
-                return stats
-        return None
-
 
 StageFn = Callable[[CompilerContext], dict[str, Any]]
 
@@ -310,10 +303,6 @@ def get_stage(name: str) -> Stage:
         ) from None
 
 
-def available_stages() -> list[str]:
-    return sorted(_STAGES)
-
-
 register_stage(optimize_stage())
 register_stage(Stage("partition", _run_partition, "delegate split into Ncore/x86 segments"))
 register_stage(Stage("verify", _run_verify, "repro.analyze GIR verification gate"))
@@ -329,7 +318,6 @@ __all__ = [
     "Stage",
     "StageFn",
     "StageStats",
-    "available_stages",
     "get_stage",
     "optimize_stage",
     "register_stage",

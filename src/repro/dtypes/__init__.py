@@ -4,8 +4,6 @@ from repro.dtypes.bfloat16 import (
     BF16_EPS,
     BF16_MAX,
     BF16_MIN_NORMAL,
-    bf16_from_bits,
-    bf16_to_bits,
     to_bfloat16,
 )
 from repro.dtypes.fixedpoint import (
@@ -15,8 +13,6 @@ from repro.dtypes.fixedpoint import (
     NcoreDType,
     dtype_info,
     saturate,
-    saturating_accumulate,
-    saturating_add,
 )
 from repro.dtypes.quantization import (
     ChannelQuantParams,
@@ -40,8 +36,6 @@ __all__ = [
     "DTypeInfo",
     "NcoreDType",
     "QuantParams",
-    "bf16_from_bits",
-    "bf16_to_bits",
     "choose_channel_quant_params",
     "choose_quant_params",
     "dequantize",
@@ -51,7 +45,5 @@ __all__ = [
     "requantize",
     "rounding_right_shift",
     "saturate",
-    "saturating_accumulate",
-    "saturating_add",
     "to_bfloat16",
 ]

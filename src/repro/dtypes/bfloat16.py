@@ -42,20 +42,3 @@ def to_bfloat16(x: np.ndarray | float) -> np.ndarray:
     if nan_mask.any():
         out[nan_mask] = np.nan
     return out.reshape(arr.shape)
-
-
-def bf16_to_bits(x: np.ndarray | float) -> np.ndarray:
-    """Return the 16-bit storage encoding of bfloat16 values.
-
-    *x* is rounded to bfloat16 first, so any float32 input is accepted.
-    """
-    rounded = to_bfloat16(x)
-    bits = np.ascontiguousarray(rounded).reshape(-1).view(np.uint32)
-    return (bits >> np.uint32(16)).astype(np.uint16).reshape(np.shape(rounded))
-
-
-def bf16_from_bits(bits: np.ndarray) -> np.ndarray:
-    """Expand 16-bit bfloat16 storage encodings into float32 values."""
-    raw = np.asarray(bits, dtype=np.uint16)
-    b = raw.reshape(-1).astype(np.uint32) << np.uint32(16)
-    return b.view(np.float32).reshape(raw.shape)

@@ -3,9 +3,10 @@
 The NPU operates on int8 / uint8 / int16 operands (plus bfloat16, handled in
 :mod:`repro.dtypes.bfloat16`) and accumulates into a 32-bit *saturating*
 accumulator (section IV-D.4).  This module defines the datatype registry used
-throughout the simulator and the saturating primitives the NPU model builds
-on.  Everything is vectorised over numpy arrays: one array element per SIMD
-byte lane.
+throughout the simulator, the accumulator bounds and the narrowing
+saturation; the saturating accumulation itself is the NPU model's
+(:func:`repro.ncore.npu.execute_int`).  Everything is vectorised over numpy
+arrays: one array element per SIMD byte lane.
 """
 
 from __future__ import annotations
@@ -84,23 +85,3 @@ def saturate(x: np.ndarray, dtype: NcoreDType | str) -> np.ndarray:
     info = dtype_info(dtype)
     clipped = np.clip(np.asarray(x), info.min_value, info.max_value)
     return clipped.astype(info.numpy_dtype)
-
-
-def saturating_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """32-bit saturating add, as performed by the NPU accumulator."""
-    wide = a.astype(np.int64) + b.astype(np.int64)
-    return np.clip(wide, ACC_MIN, ACC_MAX).astype(np.int32)
-
-
-def saturating_accumulate(
-    acc: np.ndarray, data: np.ndarray, weight: np.ndarray
-) -> np.ndarray:
-    """One MAC step: ``acc = sat32(acc + data * weight)``.
-
-    Operands are widened to int64 before the multiply so that no intermediate
-    overflow can occur (max |product| for s9 x s9 inputs is << 2**63), then
-    the sum is saturated back into the 32-bit accumulator, matching the NPU's
-    saturating accumulator semantics.
-    """
-    wide = acc.astype(np.int64) + data.astype(np.int64) * weight.astype(np.int64)
-    return np.clip(wide, ACC_MIN, ACC_MAX).astype(np.int32)

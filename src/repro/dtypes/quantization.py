@@ -44,15 +44,6 @@ class QuantParams:
                 f"[{info.min_value}, {info.max_value}]"
             )
 
-    @property
-    def range(self) -> tuple[float, float]:
-        """Real-valued range representable under these parameters."""
-        info = dtype_info(self.dtype)
-        return (
-            self.scale * (info.min_value - self.zero_point),
-            self.scale * (info.max_value - self.zero_point),
-        )
-
 
 def choose_quant_params(
     rmin: float, rmax: float, dtype: NcoreDType | str = NcoreDType.UINT8

@@ -1,8 +1,9 @@
 """``repro.engine``: the discrete-event execution engine.
 
-One simulated clock hosts every serving schedule in the repo — the
-MLPerf SingleStream / Offline loops (``repro.perf.mlperf``) and the
-Server scenario (``repro.perf.serving.ServerScenario``):
+One simulated clock hosts every serving schedule in the repo that queues
+— the MLPerf SingleStream loop (``repro.perf.mlperf``) and the Server
+scenario (``repro.perf.serving.ServerScenario``); Offline is the closed
+form ``BenchmarkSystem.offline_throughput_ips``:
 
 - :mod:`repro.engine.core`       -- event queue, simulated time, tasks;
 - :mod:`repro.engine.resources`  -- capacity-limited resources (worker
@@ -15,7 +16,7 @@ and seed-reproducible.  See ``docs/execution-engine.md``.
 """
 
 from repro.engine.batching import Batch, BatchQueue, BatchQueueStats
-from repro.engine.core import Engine, EngineError, Event, Task, Timeout, every
+from repro.engine.core import Engine, EngineError, Event, Task, Timeout
 from repro.engine.resources import Resource, WorkerPool
 
 __all__ = [
@@ -29,5 +30,4 @@ __all__ = [
     "Task",
     "Timeout",
     "WorkerPool",
-    "every",
 ]

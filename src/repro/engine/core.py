@@ -26,7 +26,7 @@ Design points:
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterator
+from typing import Any, Callable, Generator
 
 
 class EngineError(RuntimeError):
@@ -36,35 +36,24 @@ class EngineError(RuntimeError):
 class Event:
     """One-shot occurrence tasks can wait on.
 
-    An event starts *pending*; :meth:`succeed` (or :meth:`fail`) triggers
-    it, resuming every waiting task at the engine's current time with the
-    event's value.  Triggering twice is an error — occurrences are facts.
+    An event starts *pending*; :meth:`succeed` triggers it, resuming every
+    waiting task at the engine's current time with the event's value.
+    Triggering twice is an error — occurrences are facts.
     """
 
-    __slots__ = ("engine", "_callbacks", "triggered", "value", "error")
+    __slots__ = ("engine", "_callbacks", "triggered", "value")
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
         self._callbacks: list[Callable[[Event], None]] = []
         self.triggered = False
         self.value: Any = None
-        self.error: BaseException | None = None
 
     def succeed(self, value: Any = None) -> "Event":
         if self.triggered:
             raise EngineError("event already triggered")
         self.triggered = True
         self.value = value
-        for callback in self._callbacks:
-            self.engine._post(0.0, callback, self)
-        self._callbacks.clear()
-        return self
-
-    def fail(self, error: BaseException) -> "Event":
-        if self.triggered:
-            raise EngineError("event already triggered")
-        self.triggered = True
-        self.error = error
         for callback in self._callbacks:
             self.engine._post(0.0, callback, self)
         self._callbacks.clear()
@@ -100,9 +89,9 @@ class Task(Event):
     """A running cooperative task; itself an event that triggers on return.
 
     The wrapped generator yields :class:`Event` objects; each resume
-    passes the event's value back in (or throws the event's error).  The
-    generator's ``return`` value becomes the task's event value, so tasks
-    compose: ``result = yield engine.process(subtask())``.
+    passes the event's value back in.  The generator's ``return`` value
+    becomes the task's event value, so tasks compose:
+    ``result = yield engine.process(subtask())``.
     """
 
     __slots__ = ("name", "_generator")
@@ -115,12 +104,7 @@ class Task(Event):
 
     def _resume(self, event: "Event") -> None:
         try:
-            if event is _START:
-                target = self._generator.send(None)
-            elif event.error is not None:
-                target = self._generator.throw(event.error)
-            else:
-                target = self._generator.send(event.value)
+            target = self._generator.send(None if event is _START else event.value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -142,7 +126,6 @@ class _Start(Event):
     def __init__(self) -> None:  # no engine; never scheduled
         self.triggered = False
         self.value = None
-        self.error = None
 
 
 _START = _Start()
@@ -194,28 +177,6 @@ class Engine:
         """Start a cooperative task; returns the task (itself awaitable)."""
         return Task(self, generator, name=name)
 
-    def all_of(self, events: list[Event]) -> Event:
-        """An event that triggers once every listed event has triggered."""
-        done = self.event()
-        remaining = len(events)
-        if remaining == 0:
-            return done.succeed([])
-        values: list[Any] = [None] * remaining
-        state = {"left": remaining}
-
-        def arm(index: int, event: Event) -> None:
-            def on_trigger(ev: Event) -> None:
-                values[index] = ev.value
-                state["left"] -= 1
-                if state["left"] == 0:
-                    done.succeed(values)
-
-            event.add_callback(on_trigger)
-
-        for index, event in enumerate(events):
-            arm(index, event)
-        return done
-
     # ------------------------------------------------------------------
     # The run loop
     # ------------------------------------------------------------------
@@ -246,11 +207,6 @@ class Engine:
         if until is not None and until > self.now:
             self.now = until
         return self.now
-
-    @property
-    def pending(self) -> int:
-        """Number of queued events (diagnostics / tests)."""
-        return len(self._heap)
 
     @property
     def events_dispatched(self) -> int:
@@ -284,14 +240,3 @@ class Engine:
                 start_us=start * 1e6, duration_us=max(0.0, end - start) * 1e6,
                 args=args, context=context,
             )
-
-
-def every(engine: Engine, interval: float, fn: Callable[[], bool | None]) -> TaskGenerator:
-    """A periodic task body: call ``fn`` each interval until it returns True."""
-    def body() -> Iterator[Event]:
-        while True:
-            yield engine.timeout(interval)
-            if fn():
-                return
-
-    return body()

@@ -30,22 +30,11 @@ class Resource:
         self.name = name
         self.in_use = 0
         self._waiters: deque[Event] = deque()
-        # Cumulative busy integral (slot-seconds) for utilization reports.
-        self._busy_slot_seconds = 0.0
-        self._last_change = 0.0
-
-    # ------------------------------------------------------------------
-
-    def _account(self) -> None:
-        now = self.engine.now
-        self._busy_slot_seconds += self.in_use * (now - self._last_change)
-        self._last_change = now
 
     def request(self) -> Event:
         """An event that triggers when one slot is granted to the caller."""
         grant = self.engine.event()
         if self.in_use < self.capacity:
-            self._account()
             self.in_use += 1
             grant.succeed(self)
         else:
@@ -60,7 +49,6 @@ class Resource:
             # Hand the slot straight to the next waiter: occupancy stays.
             self._waiters.popleft().succeed(self)
         else:
-            self._account()
             self.in_use -= 1
 
     def use(self, hold_seconds: float) -> TaskGenerator:
@@ -73,20 +61,6 @@ class Resource:
                 self.release()
 
         return body()
-
-    # ------------------------------------------------------------------
-
-    @property
-    def queued(self) -> int:
-        return len(self._waiters)
-
-    def utilization(self) -> float:
-        """Mean busy fraction of all slots up to the current engine time."""
-        self._account()
-        elapsed = self.engine.now
-        if elapsed <= 0.0:
-            return 0.0
-        return self._busy_slot_seconds / (elapsed * self.capacity)
 
 
 class WorkerPool(Resource):

@@ -18,7 +18,7 @@ from repro.graph.loadable import CompiledModel, NcoreLoadable, Segment
 from repro.graph.partitioner import partition
 from repro.graph.passes import PassManager, default_pipeline
 from repro.graph.planner import MemoryPlan, plan_memory
-from repro.graph.reference import execute_float, infer_shapes
+from repro.graph.reference import execute_float
 
 __all__ = [
     "CompiledModel",
@@ -33,7 +33,6 @@ __all__ = [
     "TensorType",
     "default_pipeline",
     "execute_float",
-    "infer_shapes",
     "partition",
     "plan_memory",
 ]

@@ -9,8 +9,7 @@ beyond just the on-disk serialization format" normalization of section
 V-B: for even kernels or asymmetric SAME cases, TF and torch disagree on
 where padding lands; torch's symmetric convention is preserved exactly.)
 
-Use :func:`nchw_to_nhwc` / :func:`nhwc_to_nchw` to adapt input and output
-arrays at the boundary.
+Use :func:`nchw_to_nhwc` to adapt input arrays at the boundary.
 """
 
 from __future__ import annotations
@@ -42,11 +41,6 @@ _OP_MAP = {
 def nchw_to_nhwc(array: np.ndarray) -> np.ndarray:
     """Adapt an NCHW activation array for the imported graph."""
     return np.ascontiguousarray(np.transpose(array, (0, 2, 3, 1)))
-
-
-def nhwc_to_nchw(array: np.ndarray) -> np.ndarray:
-    """Adapt a graph output back to the framework's NCHW layout."""
-    return np.ascontiguousarray(np.transpose(array, (0, 3, 1, 2)))
 
 
 def _shape_to_nhwc(shape: tuple[int, ...]) -> tuple[int, ...]:

@@ -172,18 +172,3 @@ class CompiledModel:
                 )
             lines.append(line)
         return "\n".join(lines)
-
-
-def render_partition(model: CompiledModel, max_nodes_per_segment: int = 6) -> str:
-    """A Fig. 9-style rendering of the delegate's graph modification:
-    which subgraphs run on Ncore, which fall back to x86."""
-    lines = [f"Delegate partition of {model.name!r}:"]
-    for index, segment in enumerate(model.segments):
-        marker = "[Ncore]" if segment.target == "ncore" else "[ x86 ]"
-        lines.append(f"  {marker} segment {index} ({len(segment.nodes)} nodes)")
-        shown = segment.nodes[:max_nodes_per_segment]
-        for node in shown:
-            lines.append(f"      {node.op:<18} {node.name}")
-        if len(segment.nodes) > len(shown):
-            lines.append(f"      ... {len(segment.nodes) - len(shown)} more")
-    return "\n".join(lines)

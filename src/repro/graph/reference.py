@@ -31,10 +31,6 @@ def _pad_nhwc(x: np.ndarray, padding: Padding, value: float = 0.0) -> np.ndarray
     )
 
 
-def _out_dim(size: int, k: int, stride: int, pad: tuple[int, int]) -> int:
-    return (size + pad[0] + pad[1] - k) // stride + 1
-
-
 def conv2d(
     x: np.ndarray,
     weights: np.ndarray,
@@ -321,12 +317,6 @@ def _iou(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _optional_input(graph: Graph, node: Node, index: int) -> np.ndarray | None:
-    if len(node.inputs) > index:
-        return graph.tensor(node.inputs[index]).data
-    return None
-
-
 def execute_float(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Execute a graph in float32, returning its output tensors."""
     values: dict[str, np.ndarray] = {}
@@ -449,57 +439,3 @@ def execute_op(op: str, attrs: dict[str, Any], ins: list[np.ndarray]) -> list[np
     if op == "identity":
         return [ins[0]]
     raise GraphError(f"no reference implementation for op {op!r}")
-
-
-def infer_shapes(graph: Graph) -> None:
-    """Validate that declared tensor shapes are consistent with op semantics.
-
-    Runs symbolic checks for the shape-bearing ops; raises GraphError on
-    the first inconsistency.  (Builders declare output shapes explicitly;
-    this pass catches declaration bugs.)
-    """
-    for node in graph.nodes:
-        if node.op in ("conv2d", "depthwise_conv2d"):
-            x = graph.tensor(node.inputs[0]).shape
-            w = graph.tensor(node.inputs[1]).shape
-            out = graph.tensor(node.outputs[0]).shape
-            stride = node.attr("stride", (1, 1))
-            padding = node.attr("padding", ((0, 0), (0, 0)))
-            kh, kw = w[0], w[1]
-            expected_h = _out_dim(x[1], kh, stride[0], padding[0])
-            expected_w = _out_dim(x[2], kw, stride[1], padding[1])
-            cout = w[3] if node.op == "conv2d" else w[2]
-            expected = (x[0], expected_h, expected_w, cout)
-            if out != expected:
-                raise GraphError(
-                    f"{node.op} {node.name!r}: declared output {out}, expected {expected}"
-                )
-        elif node.op == "fully_connected":
-            x = graph.tensor(node.inputs[0]).shape
-            w = graph.tensor(node.inputs[1]).shape
-            out = graph.tensor(node.outputs[0]).shape
-            if x[-1] != w[0] or out != x[:-1] + (w[1],):
-                raise GraphError(f"fully_connected {node.name!r} shape mismatch")
-        elif node.op in ("max_pool", "avg_pool"):
-            x = graph.tensor(node.inputs[0]).shape
-            out = graph.tensor(node.outputs[0]).shape
-            kh, kw = node.attrs["ksize"]
-            stride = node.attrs["stride"]
-            padding = node.attr("padding", ((0, 0), (0, 0)))
-            expected = (
-                x[0],
-                _out_dim(x[1], kh, stride[0], padding[0]),
-                _out_dim(x[2], kw, stride[1], padding[1]),
-                x[3],
-            )
-            if out != expected:
-                raise GraphError(
-                    f"{node.op} {node.name!r}: declared output {out}, expected {expected}"
-                )
-        elif node.op == "pad":
-            x = graph.tensor(node.inputs[0]).shape
-            out = graph.tensor(node.outputs[0]).shape
-            (top, bottom), (left, right) = node.attrs["padding"]
-            expected = (x[0], x[1] + top + bottom, x[2] + left + right, x[3])
-            if out != expected:
-                raise GraphError(f"pad {node.name!r} shape mismatch")

@@ -439,10 +439,6 @@ def assemble(source: str) -> list[Instruction]:
     return instructions
 
 
-def _format_operand(operand: Operand) -> str:
-    return str(operand)
-
-
 def _format_ndu(op: NDUOp) -> str:
     if op.opcode is NDUOpcode.BYPASS:
         return f"bypass n{op.dst}, {op.src}"

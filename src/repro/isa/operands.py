@@ -87,23 +87,3 @@ class Operand:
         if self.kind is OperandKind.IMMEDIATE:
             return f"#{self.index}"
         return self.kind.value
-
-
-def data_ram(addr_reg: int, increment: bool = False) -> Operand:
-    """Shorthand for a data-RAM operand addressed by ``addr[addr_reg]``."""
-    return Operand(OperandKind.DATA_RAM, addr_reg, increment)
-
-
-def weight_ram(addr_reg: int, increment: bool = False) -> Operand:
-    """Shorthand for a weight-RAM operand addressed by ``addr[addr_reg]``."""
-    return Operand(OperandKind.WEIGHT_RAM, addr_reg, increment)
-
-
-def ndu_reg(index: int) -> Operand:
-    """Shorthand for NDU output register ``n<index>``."""
-    return Operand(OperandKind.NDU_REG, index)
-
-
-def immediate(value: int) -> Operand:
-    """Shorthand for an immediate byte value broadcast across the row."""
-    return Operand(OperandKind.IMMEDIATE, value)

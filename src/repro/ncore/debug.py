@@ -62,11 +62,6 @@ class EventLog:
         """Events overwritten before being drained."""
         return max(0, self._total - self.capacity)
 
-    @property
-    def overflowed(self) -> bool:
-        """True when more events were recorded than fit since last drain."""
-        return self._total > self.capacity
-
     def __len__(self) -> int:
         return min(self._total, self.capacity)
 

@@ -14,8 +14,6 @@ cycles and overlap between compute and DMA is modelled faithfully.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.isa.instruction import DMAOp
@@ -81,13 +79,6 @@ class LinearMemory:
     def transfer_cycles(self, num_bytes: int) -> int:
         """Cycles to move ``num_bytes`` including fixed access latency."""
         return self.latency_cycles + int(np.ceil(num_bytes / self.bandwidth_bytes_per_cycle))
-
-
-@dataclass
-class _WindowMapping:
-    """One DMA base address register: maps a window slot to a DRAM base."""
-
-    dram_base: int
 
 
 class DmaEngine:

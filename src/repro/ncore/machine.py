@@ -236,10 +236,6 @@ class Ncore:
         self.requant_shift = np.broadcast_to(np.asarray(shift, dtype=np.int64), (lanes,)).copy()
         self.requant_offset = np.broadcast_to(np.asarray(offset, dtype=np.int64), (lanes,)).copy()
 
-    def set_float_scale(self, scale: float) -> None:
-        """Configure the bf16 output scaling factor."""
-        self.float_scale = float(scale)
-
     def set_activation_lut(self, lut: np.ndarray) -> None:
         """Load the 256-entry tanh/sigmoid lookup table."""
         lut = np.asarray(lut)
@@ -250,11 +246,6 @@ class Ncore:
     def set_act_qmax(self, qmax: int) -> None:
         """Configure the upper clamp code used by ReLU6."""
         self.act_qmax = int(qmax)
-
-    def set_addr_reg(self, index: int, value: int) -> None:
-        if not 0 <= index < NUM_ADDR_REGS:
-            raise ValueError(f"address register {index} out of range")
-        self.addr_regs[index] = int(value)
 
     def set_dma_descriptor(self, index: int, descriptor: DmaDescriptor) -> None:
         if not 0 <= index < NUM_DMA_DESCRIPTORS:

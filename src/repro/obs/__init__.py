@@ -21,7 +21,7 @@ Serving-grade additions:
 - per-query **trace contexts** (:mod:`repro.obs.context`) thread one
   causal tree per query through every stage span;
 - **windowed metrics and SLO monitoring** (:mod:`repro.obs.window`):
-  rolling percentiles, rates, EWMAs and error-budget burn rates;
+  rolling percentiles, rates and error-budget burn rates;
 - **cycle attribution** (:mod:`repro.obs.attrib`): retired cycles and
   DMA bytes mapped back to GIR segment -> op -> execution tier, with a
   JSONL feature harvest and flamegraph-ready collapsed stacks;
@@ -51,7 +51,6 @@ from repro.obs.context import TraceContext, mint_trace
 from repro.obs.export import (
     chrome_trace,
     metrics_csv,
-    metrics_json,
     write_chrome_trace,
 )
 from repro.obs.metrics import (
@@ -81,7 +80,6 @@ from repro.obs.tracer import (
     set_tracer,
 )
 from repro.obs.window import (
-    Ewma,
     RateMeter,
     SloMonitor,
     WindowedHistogram,
@@ -108,7 +106,6 @@ __all__ = [
     "AttributionCollector",
     "Counter",
     "CounterSample",
-    "Ewma",
     "Gauge",
     "HardwareCounter",
     "Histogram",
@@ -132,7 +129,6 @@ __all__ = [
     "install_tracer",
     "labelled_name",
     "metrics_csv",
-    "metrics_json",
     "mint_trace",
     "observe",
     "prometheus_text",

@@ -41,10 +41,6 @@ class TraceContext:
         """The context of a sub-stage caused by this span."""
         return replace(self, span_id=span_id, parent_id=self.span_id)
 
-    def sibling(self, span_id: str) -> "TraceContext":
-        """A context at the same tree depth (same parent)."""
-        return replace(self, span_id=span_id)
-
 
 def mint_trace(owner: str, sequence: int) -> TraceContext:
     """Deterministically mint a root context for one submitted query.

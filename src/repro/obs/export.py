@@ -169,10 +169,6 @@ def _jsonable(value: Any):
 # Flat metrics dumps
 # ----------------------------------------------------------------------
 
-def metrics_json(registry) -> dict[str, dict[str, Any]]:
-    """The registry snapshot, ready for ``json.dump``."""
-    return registry.snapshot()
-
 
 def metrics_csv(registry) -> str:
     """A flat CSV: one row per metric, histogram stats flattened."""

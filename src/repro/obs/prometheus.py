@@ -34,7 +34,6 @@ _TYPE_MAP = {
     "windowed_histogram": "summary",
     "hardware": "gauge",
     "rate": "gauge",
-    "ewma": "gauge",
     "slo": "gauge",
 }
 
@@ -119,7 +118,7 @@ def prometheus_text(registry: Any) -> str:
             count = base + "_queries_total"
             _header(lines, emitted_headers, count, "counter", snap)
             lines.append(f"{count}{_labels_suffix(labels)} {_fmt(snap.get('count'))}")
-        else:  # gauge, rate, ewma and anything snapshot-compatible
+        else:  # gauge, rate and anything snapshot-compatible
             _header(lines, emitted_headers, base, "gauge", snap)
             lines.append(f"{base}{_labels_suffix(labels)} {_fmt(snap.get('value'))}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -253,11 +253,6 @@ class Tracer:
     def spans_on(self, track: str) -> list[SpanRecord]:
         return [s for s in self.spans if s.track == track]
 
-    def spans_for_trace(self, trace_id: str) -> list[SpanRecord]:
-        """One query's span tree, in start order (distributed tracing)."""
-        spans = [s for s in self.spans if s.trace_id == trace_id]
-        return sorted(spans, key=lambda s: (s.start_us, s.end_us))
-
     def trace_ids(self) -> list[str]:
         """Distinct trace ids in order of first appearance."""
         seen: dict[str, None] = {}

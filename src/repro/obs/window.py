@@ -15,14 +15,12 @@ here reads the wall clock unless the caller passes wall timestamps).
   percentile pass).
 - :class:`RateMeter` — events (or weighted quantities) per second over a
   sliding window.
-- :class:`Ewma` — exponentially weighted moving average with a half-life
-  in seconds, for smoothed gauges (utilization, batch occupancy).
 - :class:`SloMonitor` — a latency target plus an error budget; computes
   attainment, the windowed violation rate and the budget *burn rate*
   (observed violation rate / budgeted violation rate; >1 means the
   budget is being spent faster than allowed).
 
-All four expose ``name``/``labels``/``kind``/``snapshot()`` so they can
+All three expose ``name``/``labels``/``kind``/``snapshot()`` so they can
 be adopted by a :class:`~repro.obs.metrics.MetricsRegistry` (via
 ``register`` or ``windowed_histogram``) and ride along in snapshots and
 the Prometheus exposition.
@@ -174,51 +172,6 @@ class RateMeter:
             "count": self.count, "sum": self.total,
             "window_seconds": self.window_seconds,
             "value": self.rate(),
-        }
-        if self.labels:
-            snap["labels"] = dict(self.labels)
-        return snap
-
-
-class Ewma:
-    """Exponentially weighted moving average with a time half-life."""
-
-    kind = "ewma"
-
-    def __init__(self, name: str, halflife_seconds: float = 1.0,
-                 description: str = "", unit: str = "",
-                 labels: Mapping[str, Any] | None = None) -> None:
-        if halflife_seconds <= 0:
-            raise ValueError("halflife_seconds must be positive")
-        self.name = name
-        self.description = description
-        self.unit = unit
-        self.labels = dict(labels) if labels else {}
-        self.halflife_seconds = halflife_seconds
-        self.value = 0.0
-        self.count = 0
-        self._last_ts: float | None = None
-
-    def update(self, value: float, ts: float) -> float:
-        value = float(value)
-        if math.isnan(value) or math.isnan(ts):
-            raise ValueError(f"ewma {self.name} rejects NaN")
-        if self._last_ts is None:
-            self.value = value
-        else:
-            dt = max(0.0, ts - self._last_ts)
-            decay = 0.5 ** (dt / self.halflife_seconds)
-            self.value = decay * self.value + (1.0 - decay) * value
-        self._last_ts = ts
-        self.count += 1
-        return self.value
-
-    def snapshot(self) -> dict[str, Any]:
-        snap: dict[str, Any] = {
-            "kind": self.kind, "unit": self.unit,
-            "description": self.description,
-            "count": self.count, "value": self.value,
-            "halflife_seconds": self.halflife_seconds,
         }
         if self.labels:
             snap["labels"] = dict(self.labels)

@@ -6,12 +6,13 @@
   (preprocess, postprocess, framework overhead; Table IX).
 - :mod:`repro.perf.system`     -- the full-system latency/throughput model.
 - :mod:`repro.perf.scaling`    -- throughput vs x86 core count (Figs 13/14).
-- :mod:`repro.perf.mlperf`     -- SingleStream / Offline scenario harness.
+- :mod:`repro.perf.mlperf`     -- SingleStream scenario harness (Offline is
+  the closed form ``BenchmarkSystem.offline_throughput_ips``).
 - :mod:`repro.perf.serving`    -- engine-driven Server scenario (Poisson
   arrivals, dynamic batching, multisocket sharding).
 """
 
-from repro.perf.mlperf import OfflineResult, SingleStreamResult, run_offline, run_single_stream
+from repro.perf.mlperf import SingleStreamResult, run_single_stream
 from repro.perf.report import generate_report
 from repro.perf.serving import (
     ServerResult,
@@ -30,7 +31,6 @@ from repro.perf.workloads import x86_portion_seconds
 
 __all__ = [
     "BenchmarkSystem",
-    "OfflineResult",
     "PUBLISHED_LATENCY_MS",
     "PUBLISHED_THROUGHPUT_IPS",
     "SUBMITTER_TYPES",
@@ -41,7 +41,6 @@ __all__ = [
     "expected_throughput",
     "generate_report",
     "observed_throughput",
-    "run_offline",
     "run_server",
     "run_single_stream",
     "x86_portion_seconds",

@@ -1,18 +1,15 @@
-"""The MLPerf-Inference-style scenario harness.
+"""The MLPerf-Inference-style SingleStream harness.
 
-Implements the two modes the paper submitted (section VI-A): SingleStream,
-which issues one query at a time and reports the 90th-percentile latency,
-and Offline, which issues everything at once and reports throughput.
-Query-to-query jitter (scheduler noise, DRAM refresh) is modelled as a
-small seeded log-normal factor so percentile statistics are meaningful.
-
-Both scenarios are *degenerate schedules* on the discrete-event engine
-(:mod:`repro.engine`): SingleStream is a closed loop with one outstanding
-query, Offline is a pipeline of back-to-back batches.  The Server scenario
-(:mod:`repro.perf.serving`) uses the same engine with Poisson arrivals and
-dynamic batching — one execution path for all three.  The service times
-come from the same calibrated :class:`~repro.perf.system.BenchmarkSystem`
-model as before the engine existed, so the reported numbers are unchanged.
+The paper submitted two modes (section VI-A).  SingleStream issues one
+query at a time and reports the 90th-percentile latency; it runs here as
+a closed loop with one outstanding query on the discrete-event engine
+(:mod:`repro.engine`), with query-to-query jitter (scheduler noise, DRAM
+refresh) modelled as a small seeded log-normal factor so percentile
+statistics are meaningful.  Offline issues everything at once and reports
+throughput; back-to-back batches have no queueing to simulate, so it is
+the closed form :meth:`~repro.perf.system.BenchmarkSystem.offline_throughput_ips`.
+The Server scenario (:mod:`repro.perf.serving`) is the engine schedule
+with Poisson arrivals and dynamic batching.
 """
 
 from __future__ import annotations
@@ -41,14 +38,6 @@ class SingleStreamResult:
     @property
     def p90_latency_ms(self) -> float:
         return self.p90_latency_seconds * 1e3
-
-
-@dataclass(frozen=True)
-class OfflineResult:
-    model_key: str
-    queries: int
-    throughput_ips: float
-    batch_size: int
 
 
 def run_single_stream(
@@ -104,69 +93,4 @@ def run_single_stream(
         histogram = metrics.histogram("mlperf.latency_seconds", unit="s")
         for latency in samples:
             histogram.observe(float(latency))
-    return result
-
-
-def run_offline(
-    system: BenchmarkSystem,
-    queries: int = 4096,  # row-bytes-ok: a query count, not a row width
-    batch_size: int = 64,
-    cores: int = 8,
-    seed: int = 0,
-) -> OfflineResult:
-    """Offline scenario: all queries at once, batched (batch 64 for GNMT,
-    as in the paper, to raise arithmetic intensity).
-
-    The engine pipelines the batches back-to-back; a trailing partial
-    batch (``queries % batch_size != 0``, or ``batch_size > queries``)
-    still runs and still counts — throughput is queries over the engine
-    makespan.
-    """
-    if queries < 1:
-        raise ValueError("at least one query required")
-    if batch_size < 1:
-        raise ValueError("batch size must be positive")
-    with get_tracer().span(
-        "mlperf.offline", track="mlperf",
-        model=system.model_key, queries=queries, batch_size=batch_size, cores=cores,
-    ) as span:
-        base = system.offline_throughput_ips(cores=cores)
-        rng = np.random.default_rng(seed)
-        # Throughput noise shrinks with the query count (averaging).
-        noise = rng.lognormal(mean=0.0, sigma=JITTER_SIGMA / np.sqrt(queries))
-        sizes = [batch_size] * (queries // batch_size)
-        if queries % batch_size:
-            sizes.append(queries % batch_size)
-        engine = Engine()
-        completed = 0
-
-        def batch_pipeline() -> Iterator:
-            nonlocal completed
-            for sequence, size in enumerate(sizes):
-                started = engine.now
-                yield engine.timeout(size / base)
-                completed += size
-                engine.trace_span(
-                    f"batch[{sequence}]", "mlperf.offline.batches",
-                    started, engine.now, args={"size": size},
-                )
-            return None
-
-        engine.process(batch_pipeline(), name="offline")
-        engine.run()
-        if completed != queries:
-            raise RuntimeError(
-                f"offline schedule completed {completed} of {queries} queries"
-            )
-        result = OfflineResult(
-            model_key=system.model_key,
-            queries=queries,
-            throughput_ips=float(queries / engine.now * noise),
-            batch_size=batch_size,
-        )
-        span.set(throughput_ips=result.throughput_ips)
-    metrics = get_metrics()
-    if metrics.enabled:
-        metrics.counter("mlperf.queries").inc(queries)
-        metrics.gauge("mlperf.offline_ips", unit="IPS").set(result.throughput_ips)
     return result

@@ -1,23 +1,26 @@
-"""Engine-driven serving scenarios: one execution path for all schedules.
+"""The engine-driven MLPerf Server scenario.
 
-The MLPerf scenarios differ only in their *schedule*, not their machinery
-(the LoadGen insight the paper's submissions ran under):
+The MLPerf scenarios differ only in their *schedule* (the LoadGen insight
+the paper's submissions ran under):
 
-- **SingleStream** -- a closed loop with one outstanding query;
-- **Offline**      -- every query available at time zero, batched;
+- **SingleStream** -- a closed loop with one outstanding query, on the
+  engine in :mod:`repro.perf.mlperf`;
+- **Offline**      -- every query available at time zero, batched; with
+  nothing to queue it is the closed form
+  :meth:`~repro.perf.system.BenchmarkSystem.offline_throughput_ips`;
 - **Server**       -- seeded Poisson arrivals at a target QPS with a
   latency-bounded dynamic-batching queue (the scenario the paper's
   MLPerf v0.5 submission pre-dated, added here because Fig. 12-14's
   interesting behaviour — x86 work hidden behind Ncore compute — is
-  precisely what server-mode batching exercises).
+  precisely what server-mode batching exercises).  This module.
 
-All three build their schedule on :class:`repro.engine.Engine`: simulated
-time only, deterministic event order, per-stage tracer spans (queue wait
-vs batch assembly vs Ncore vs x86).  The :class:`ServingTimingModel`
-adapter maps a :class:`~repro.perf.system.BenchmarkSystem` onto stage
-service times using the same calibrated constants as the analytic models,
-so the engine-produced SingleStream/Offline numbers reproduce the
-pre-engine harness (the regression tests pin this within 1%).
+The Server schedule runs on :class:`repro.engine.Engine`: simulated time
+only, deterministic event order, per-stage tracer spans (queue wait vs
+batch assembly vs Ncore vs x86).  The :class:`ServingTimingModel` adapter
+maps a :class:`~repro.perf.system.BenchmarkSystem` onto stage service
+times using the same calibrated constants as the analytic models: the
+stages of one query sum to its SingleStream latency
+(``tests/perf/test_serving.py`` pins this).
 """
 
 from __future__ import annotations
@@ -66,22 +69,7 @@ class ServingTimingModel:
         mature_software: bool = False,
         batching: bool | None = None,
     ) -> "ServingTimingModel":
-        """Derive stage times from a benchmark system (or a stand-in).
-
-        Objects without the full ``x86_portion`` decomposition (test
-        doubles, pre-compiled latency tables) degrade to a single serial
-        stage equal to their SingleStream latency.
-        """
-        model_key = getattr(system, "model_key", "unknown")
-        if not hasattr(system, "x86_portion"):
-            latency = system.single_stream_latency_seconds()
-            return cls(
-                model_key=model_key,
-                ncore_unbatched=latency,
-                ncore_batched=lambda batch: latency,
-                serial=0.0, pre_parallel=0.0, post_parallel=0.0,
-                offline_batching=False,
-            )
+        """Derive stage times from a :class:`~repro.perf.system.BenchmarkSystem`."""
         portion = system.x86_portion()
         x86_total = portion.total_seconds
         nonbatchable = x86_total * (1.0 - portion.batchable_fraction)
@@ -93,9 +81,9 @@ class ServingTimingModel:
         pre_fraction = portion.preprocess_seconds / x86_total if x86_total else 0.0
         framework = system.gnmt_framework_seconds(mature_software)
         if batching is None:
-            batching = model_key != "ssd_mobilenet_v1"
+            batching = system.model_key != "ssd_mobilenet_v1"
         return cls(
-            model_key=model_key,
+            model_key=system.model_key,
             ncore_unbatched=system.ncore_seconds() + framework,
             ncore_batched=lambda batch: system.ncore_seconds_batched(batch) + framework,
             serial=serial,
@@ -560,13 +548,12 @@ def run_server(
         if result.slo is not None:
             span.set(slo_attainment=result.slo["attainment"])
     attrib = get_attrib()
-    compiled = getattr(system, "compiled", None)
-    if attrib.enabled and compiled is not None:
+    if attrib.enabled:
         # The analytic serving path never runs kernels, but its cycle
         # budget still decomposes over the compiled artifact — label the
         # harvest records with the timing-model tier.
         attrib.record_model_run(
-            compiled, TIER_TIMING_MODEL,
+            system.compiled, TIER_TIMING_MODEL,
             batch=max(1, round(result.mean_batch_size)), count=queries,
         )
     return result

@@ -1,13 +1,14 @@
 """Simulator throughput measurement: how fast the golden model replays.
 
-Two independent measurements, one per execution axis.  The *machine*
-axis: the Fig. 6 fused convolution inner loop on the instruction-level
-simulator, with and without :mod:`repro.ncore.fastpath` trace fusion
-(used by ``benchmarks/bench_simulator.py`` and the fastpath CI guard).
-The *graph* axis: zoo models end to end through
+Two independent measurements, one per execution axis, both printed by
+``repro bench``.  The *machine* axis: the Fig. 6 fused convolution inner
+loop on the instruction-level simulator, with and without
+:mod:`repro.ncore.fastpath` trace fusion (also used by
+``benchmarks/bench_simulator.py`` and the fastpath CI guard).  The *graph*
+axis: zoo models end to end through
 :class:`~repro.runtime.executor.NcoreExecutor` at a named graph mode —
-no zoo query touches the instruction machine.  Both land in the
-``BENCH_simulator.json`` baseline.
+no zoo query touches the instruction machine.  The versioned numbers live
+in the performance ledger (``benchmarks/ledger``).
 
 Wall-clock numbers here describe the *simulator*, not the modelled
 hardware — simulated cycle counts are identical either way (the fastpath
@@ -16,9 +17,7 @@ differential tests prove it).
 
 from __future__ import annotations
 
-import json
 import time
-from typing import Any
 
 import numpy as np
 
@@ -162,58 +161,3 @@ def measure_zoo_end_to_end(
         )
     executor.close()
     return result
-
-
-#: Graph modes compared by :func:`measure_zoo_tiers` — the two that
-#: execute (replay memoizes whole queries, which would measure the cache,
-#: not the simulator).
-ZOO_TIERS = ("interpreter", "codegen")
-
-
-def measure_zoo_tiers(
-    model_key: str = "mobilenet_v1",
-    queries: int = 3,
-    tiers: tuple[str, ...] = ZOO_TIERS,
-) -> dict[str, Any]:
-    """Steady-state zoo end-to-end throughput at each graph mode.
-
-    One warm-up query per tier (Tier 3 runs the interpreter oracle on
-    first dispatch), then ``queries`` timed queries.  Returns per-tier
-    timings plus each tier's speedup over the interpreter walk.
-    """
-    per_tier: dict[str, Any] = {}
-    for tier in tiers:
-        per_tier[tier] = measure_zoo_end_to_end(
-            model_key, tier, queries=queries, warmup=1
-        )
-    result: dict[str, Any] = {"model": model_key, "tiers": per_tier}
-    interp = per_tier.get("interpreter")
-    if interp is not None:
-        result["speedups"] = {
-            tier: interp["seconds"] / timing["seconds"]
-            for tier, timing in per_tier.items()
-        }
-    return result
-
-
-#: Models whose per-tier steady-state numbers ``record_baseline`` records.
-ZOO_MODELS = ("mobilenet_v1", "resnet50_v15", "ssd_mobilenet_v1", "gnmt")
-
-
-def record_baseline(path: str) -> dict[str, Any]:
-    """Measure and write the ``BENCH_simulator.json`` baseline."""
-    inner_fast = measure_inner_loop(fastpath=True)
-    inner_interp = measure_inner_loop(fastpath=False)
-    baseline: dict[str, Any] = {
-        "inner_loop": {
-            "iterations": FIG6_ITERATIONS,
-            "fastpath": inner_fast,
-            "interpreter": inner_interp,
-            "speedup": inner_interp["seconds"] / inner_fast["seconds"],
-        },
-        "zoo_tiers": {key: measure_zoo_tiers(key) for key in ZOO_MODELS},
-    }
-    with open(path, "w") as handle:
-        json.dump(baseline, handle, indent=2)
-        handle.write("\n")
-    return baseline

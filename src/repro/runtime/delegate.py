@@ -12,11 +12,13 @@ x86-resident nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from repro.graph.gir import Graph
+from repro.graph.gir import Graph, Node
 from repro.graph.loadable import CompiledModel
+from repro.graph.partitioner import Segment
 from repro.obs.metrics import get_metrics
 from repro.soc.x86 import X86Core
 
@@ -71,23 +73,34 @@ def _x86_node_cost(graph: Graph, node) -> dict:
             "bytes_moved": in_bytes + out_bytes}
 
 
+def x86_segment_costs(
+    graph: Graph, segment: Segment, core: X86Core
+) -> Iterator[tuple[Node | None, float]]:
+    """The x86 cost terms of one non-delegated segment on ``core``, in
+    order: one delegate transition (node ``None``), then the roofline
+    seconds of each node.  The segment's cost is their sum."""
+    yield None, DELEGATE_TRANSITION_SECONDS
+    for node in segment.nodes:
+        yield node, core.task_seconds(**_x86_node_cost(graph, node))
+
+
 def x86_graph_seconds(model: CompiledModel, core: X86Core) -> tuple[float, float]:
     """x86 time of the non-delegated segments: (total, non-batchable NMS share).
 
-    Each x86 segment pays one delegate transition plus the roofline cost
-    of its nodes on ``core``; under an installed metrics registry the
-    Table IX attribution (where the fallback time goes) is counted too.
+    The total is every :func:`x86_segment_costs` term of the x86
+    segments; under an installed metrics registry the Table IX
+    attribution (where the fallback time goes) is counted too.
     """
     metrics = get_metrics()
     total = 0.0
     nonbatchable = 0.0
     for index in model.x86_segments:
-        total += DELEGATE_TRANSITION_SECONDS
-        if metrics.enabled:
-            metrics.counter("delegate.transitions").inc()
-        for node in model.segments[index].nodes:
-            seconds = core.task_seconds(**_x86_node_cost(model.graph, node))
+        for node, seconds in x86_segment_costs(model.graph, model.segments[index], core):
             total += seconds
+            if node is None:
+                if metrics.enabled:
+                    metrics.counter("delegate.transitions").inc()
+                continue
             if node.op == "nms":
                 # "TensorFlow-Lite's implementation of the NMS operation
                 # does not support batching" (section VI-C).

@@ -93,11 +93,6 @@ class NcoreKernelDriver:
     def powered_on(self) -> bool:
         return self.soc.ncore_pci.powered_on
 
-    def power_down(self) -> None:
-        if self._owner is not None:
-            raise DriverError(f"cannot power down: owned by {self._owner!r}")
-        self.soc.ncore_pci.config_write(0x40, 0, kernel_mode=True)
-
     def self_test(self):
         """Run the power-on self-test (the ROM's self-test routines plus
         the driver-side RAM march and DMA loopback checks)."""

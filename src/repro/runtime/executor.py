@@ -34,11 +34,10 @@ from repro.obs.attrib import TIER_CODEGEN, TIER_INTERPRETER, TIER_REPLAY, get_at
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.runtime.delegate import (
-    DELEGATE_TRANSITION_SECONDS,
     RunResult,
     RunTiming,
-    _x86_node_cost,
     x86_graph_seconds,
+    x86_segment_costs,
 )
 from repro.runtime.driver import NcoreKernelDriver
 from repro.runtime.qkernels import run_nodes, seed_values
@@ -356,9 +355,9 @@ class NcoreExecutor:
                     kernel_cursor += kernel_seconds
                 cursor += seconds
             else:
-                seconds = DELEGATE_TRANSITION_SECONDS
-                for node in segment.nodes:
-                    seconds += core.task_seconds(**_x86_node_cost(self.model.graph, node))
+                seconds = sum(cost for _, cost in x86_segment_costs(
+                    self.model.graph, segment, core,
+                ))
                 tracer.add_span(
                     f"x86.segment[{index}]", "delegate.schedule",
                     start_us=cursor * 1e6, duration_us=seconds * 1e6,

@@ -2,9 +2,8 @@
 
 "The x86 portion consists of preprocessing, postprocessing, framework
 overhead, and benchmark overhead" (section VI-C).  These are the actual
-preprocessing kernels the cost model prices: the MLPerf classification
-pipeline resizes the short side, center-crops, and normalizes; SSD resizes
-directly to 300x300.
+preprocessing kernels of the detection path: SSD resizes directly to
+300x300 and normalizes.
 """
 
 from __future__ import annotations
@@ -32,33 +31,9 @@ def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return (top * (1 - wy) + bottom * wy).astype(np.float32)
 
 
-def center_crop(image: np.ndarray, size: int) -> np.ndarray:
-    """Central (size, size) crop of an (H, W, C) image."""
-    h, w, _ = image.shape
-    if h < size or w < size:
-        raise ValueError(f"image {h}x{w} smaller than crop {size}")
-    top = (h - size) // 2
-    left = (w - size) // 2
-    return image[top : top + size, left : left + size, :]
-
-
 def normalize(image: np.ndarray, mean: float = 127.5, scale: float = 1 / 127.5) -> np.ndarray:
     """Map uint8 pixel values into the model's input range."""
     return ((image.astype(np.float32) - mean) * scale).astype(np.float32)
-
-
-def classification_pipeline(image: np.ndarray, resolution: int = 224) -> np.ndarray:
-    """The MLPerf classification preprocess: short-side resize to
-    resolution*256/224, center crop, normalize; returns (1, R, R, 3)."""
-    h, w, _ = image.shape
-    short_side = int(round(resolution * 256 / 224))
-    resized = (
-        resize_bilinear(image, short_side, int(round(w * short_side / h)))
-        if h < w
-        else resize_bilinear(image, int(round(h * short_side / w)), short_side)
-    )
-    cropped = center_crop(resized, resolution)
-    return normalize(cropped)[None, ...]
 
 
 def detection_pipeline(image: np.ndarray, resolution: int = 300) -> np.ndarray:

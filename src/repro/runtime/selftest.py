@@ -55,10 +55,6 @@ class SelfTestReport:
     debug_fabric_ok: bool = False
     failures: list[str] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
     def fail(self, message: str) -> None:
         self.failures.append(message)
 

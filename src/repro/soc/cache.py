@@ -70,21 +70,6 @@ class L3Cache:
                     self.memory.write(line_addr, dirty)
         ways[tag] = payload
 
-    def access(self, addr: int, write: bool = False, payload: bytes | None = None) -> bool:
-        """One CPU-side line access; returns True on hit."""
-        set_index, tag = self._locate(addr)
-        ways = self._sets[set_index]
-        hit = tag in ways
-        if hit:
-            self.hits += 1
-            self._touch(set_index, tag)
-            if write:
-                ways[tag] = payload if payload is not None else ways[tag]
-        else:
-            self.misses += 1
-            self._install(set_index, tag, payload if write else None)
-        return hit
-
     def write_line(self, addr: int, payload: bytes) -> None:
         """CPU-side store of a full line (leaves the line dirty in L3)."""
         if len(payload) != LINE_BYTES:
@@ -127,8 +112,3 @@ class L3Cache:
             metrics.counter("l3.hits").inc(self.hits - hits_before)
             metrics.counter("l3.misses").inc(self.misses - misses_before)
         return bytes(out)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

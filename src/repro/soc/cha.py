@@ -17,12 +17,12 @@ from repro.ncore import Ncore, NcoreConfig, NcorePciDevice
 from repro.soc.cache import L3Cache
 from repro.soc.config import SocConfig
 from repro.soc.memory import DramController
-from repro.soc.ring import RingBus, RingStop
+from repro.soc.ring import RingBus
 from repro.soc.x86 import CNS, X86Core
 
 NUM_CORES = 8
 
-# Die facts from section III / IV-B, recorded for reporting.
+# Die facts from section III / IV-B (Ncore is 17% of the die area).
 DIE_AREA_MM2 = 200.0
 NCORE_AREA_MM2 = 34.4
 PROCESS = "TSMC 16 nm FFC"
@@ -70,11 +70,6 @@ class ChaSoc:
         self.ncore_pci = NcorePciDevice(sram_bytes=config.total_ram_bytes)
         self._mmio_assigned = False
 
-    @property
-    def ncore_area_fraction(self) -> float:
-        """Ncore's share of the die (17% in CHA)."""
-        return NCORE_AREA_MM2 / DIE_AREA_MM2
-
     def enumerate_pci(self) -> list[PciFunction]:
         """Standard PCI enumeration; Ncore shows up as a coprocessor.
 
@@ -94,10 +89,6 @@ class ChaSoc:
                 class_code=self.ncore_pci.class_code,
             )
         ]
-
-    def core_to_ncore_seconds(self, num_bytes: int, core_index: int = 0) -> float:
-        """Latency of an x86 access to Ncore over the ring."""
-        return self.ring.transfer_seconds(f"core{core_index}", RingStop.NCORE, num_bytes)
 
     def ncore_to_dram_bandwidth(self) -> float:
         """Sustained Ncore DMA bandwidth: min of ring direction and DRAM."""

@@ -56,12 +56,6 @@ class SocConfig:
         return self.ring_width_bytes * self.clock_hz
 
     @property
-    def ring_stops(self) -> int:
-        """Agents on the ring: the cores plus Ncore, I/O, the memory
-        controller and the multi-socket logic."""
-        return self.x86_cores + 4
-
-    @property
     def ddr_bandwidth(self) -> float:
         """Peak theoretical DRAM throughput (102.4 GB/s in CHA)."""
         return self.ddr_channels * self.ddr_transfer_rate * BYTES_PER_DDR_TRANSFER

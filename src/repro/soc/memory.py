@@ -55,9 +55,3 @@ class DramController(LinearMemory):
     def peak_bandwidth(self) -> float:
         """Peak theoretical throughput in bytes/second (102.4 GB/s in CHA)."""
         return self.channels * self.transfer_rate * BYTES_PER_DDR_TRANSFER
-
-    def stream_seconds(self, num_bytes: int, efficiency: float = 0.8) -> float:
-        """Time to stream a large transfer at a sustained efficiency."""
-        if not 0 < efficiency <= 1:
-            raise ValueError("efficiency must be in (0, 1]")
-        return num_bytes / (self.peak_bandwidth * efficiency)

@@ -50,16 +50,3 @@ class MultiSocketSystem:
 
     def total_x86_cores(self) -> int:
         return self.cores_per_socket * self.sockets
-
-    def run_server(self, system, **kwargs):
-        """Server scenario sharded across this system's sockets.
-
-        One dynamic-batching queue feeds ``sockets`` engine-managed Ncore
-        executors; the cross-socket efficiency degrades each socket's
-        service rate so the sustained QPS lands on ``scaling_factor()``
-        times the single-socket number (modulo queueing effects).
-        """
-        from repro.perf.serving import run_server
-
-        kwargs.setdefault("socket_efficiency", self.cross_socket_efficiency)
-        return run_server(system, sockets=self.sockets, **kwargs)

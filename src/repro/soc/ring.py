@@ -97,11 +97,6 @@ class RingBus:
         """Peak bytes/second in one direction (160 GB/s in CHA)."""
         return self.width_bytes * self.clock_hz
 
-    @property
-    def combined_bandwidth(self) -> float:
-        """Peak bytes/second across both directions (320 GB/s in CHA)."""
-        return 2 * self.bandwidth_per_direction
-
     def hops(self, src: "RingStop | str", dst: "RingStop | str") -> int:
         """Fewest ring stops between two agents (the ring is bidirectional,
         so traffic takes the shorter way around)."""
@@ -123,6 +118,3 @@ class RingBus:
             # the message holds its injection slot.
             metrics.counter("ring.occupancy_cycles", unit="cycles").inc(serialisation)
         return latency + serialisation
-
-    def transfer_seconds(self, src: "RingStop | str", dst: "RingStop | str", num_bytes: int) -> float:
-        return self.transfer_cycles(src, dst, num_bytes) / self.clock_hz

@@ -99,7 +99,6 @@ class X86Core:
         self.clock_hz = clock_hz
         self.efficiency = efficiency
         self.memory_bandwidth = memory_bandwidth
-        self.busy_seconds = 0.0
 
     def peak_ops(self, dtype: NcoreDType | None = None) -> float:
         """Peak ops/second at this clock (Table II row '1x CNS x86')."""
@@ -122,9 +121,3 @@ class X86Core:
         compute = ops / (self.peak_ops(dtype) * self.efficiency) if ops else 0.0
         memory = bytes_moved / self.memory_bandwidth if bytes_moved else 0.0
         return fixed_seconds + compute + memory
-
-    def run_task(self, **kwargs) -> float:
-        """Account a task against this core; returns its duration."""
-        seconds = self.task_seconds(**kwargs)
-        self.busy_seconds += seconds
-        return seconds

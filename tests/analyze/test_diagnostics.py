@@ -14,6 +14,7 @@ from repro.analyze import (
     render_text,
 )
 from repro.analyze.diagnostics import Location, diag, register_rule
+from tests.helpers import by_rule
 
 
 def _tmp_rule(id_: str, severity: Severity = Severity.ERROR):
@@ -84,8 +85,8 @@ class TestReport:
         assert not report.ok
         assert len(report.errors) == 1
         assert len(report.warnings) == 1
-        assert report.worst is Severity.ERROR
-        assert len(report.by_rule(rule.id)) == 3
+        assert report.sorted()[0].severity is Severity.ERROR
+        assert len(by_rule(report, rule.id)) == 3
         assert len(report) == 3
 
     def test_suppress_returns_filtered_copy(self, rule):
@@ -104,7 +105,7 @@ class TestReport:
     def test_empty_report_is_ok(self):
         report = AnalysisReport()
         assert report.ok
-        assert report.worst is None
+        assert not report.sorted()
 
 
 class TestEnforce:

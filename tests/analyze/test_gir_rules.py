@@ -10,13 +10,14 @@ import pytest
 from repro.analyze import Severity, analyze_graph
 from repro.dtypes import ChannelQuantParams, NcoreDType, QuantParams
 from repro.graph.gir import Graph, Node, Tensor, TensorType
+from tests.helpers import by_rule
 
 UINT8 = NcoreDType.UINT8
 INT8 = NcoreDType.INT8
 
 
 def _find(report, rule_id):
-    found = report.by_rule(rule_id)
+    found = by_rule(report, rule_id)
     assert found, f"no {rule_id} in {[d.rule for d in report]}"
     return found[0]
 
@@ -77,8 +78,8 @@ class TestStructuralRules:
         graph = _relu_graph(out_shape=(1, 9))  # would be a shape mismatch
         graph.nodes.append(Node("r1", "relu", ["ghost"], ["y"]))
         report = analyze_graph(graph)
-        assert report.by_rule("gir.unknown-tensor")
-        assert not report.by_rule("gir.shape-mismatch")
+        assert by_rule(report, "gir.unknown-tensor")
+        assert not by_rule(report, "gir.shape-mismatch")
 
 
 class TestTypeRules:
@@ -108,7 +109,7 @@ class TestTypeRules:
         graph.add_tensor(Tensor("q", TensorType((1, 8), "float32")))  # no quant
         graph.add_node(Node("q0", "quantize", ["x"], ["q"]))
         graph.mark_output("q")
-        findings = analyze_graph(graph).by_rule("gir.quantize-contract")
+        findings = by_rule(analyze_graph(graph), "gir.quantize-contract")
         # float output AND missing quant params: two contract violations
         assert len(findings) == 2
         assert all(f.location.element == "q0" for f in findings)
@@ -202,7 +203,7 @@ class TestLayoutRules:
         graph.add_tensor(Tensor("s", TensorType((1, 8), "int32")))
         graph.add_node(Node("a0", "add", ["ids", "ids"], ["s"]))
         graph.mark_output("s")
-        findings = analyze_graph(graph).by_rule("lay.segment-dtype")
+        findings = by_rule(analyze_graph(graph), "lay.segment-dtype")
         assert {f.location.element for f in findings} == {"ids", "s"}
 
     def test_quantized_edge_without_params(self):
@@ -229,7 +230,7 @@ class TestLayoutRules:
     def test_suppress_drops_rule(self):
         graph = _relu_graph(out_shape=(1, 9))
         report = analyze_graph(graph, suppress=("gir.shape-mismatch",))
-        assert not report.by_rule("gir.shape-mismatch")
+        assert not by_rule(report, "gir.shape-mismatch")
 
 
 class TestValidateHardening:

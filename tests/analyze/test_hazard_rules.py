@@ -26,6 +26,7 @@ from repro.isa import assemble
 from repro.isa.instruction import DMAOp
 from repro.models import MODEL_BUILDERS
 from repro.nkl.lower import lower_segment
+from tests.helpers import by_rule
 
 UINT8 = NcoreDType.UINT8
 QP = QuantParams(scale=0.05, zero_point=128)
@@ -37,7 +38,7 @@ OUTBOUND = {0: DMAOp(True, False, 0, 1, 0, False)}
 
 
 def _find(report, rule_id):
-    found = report.by_rule(rule_id)
+    found = by_rule(report, rule_id)
     assert found, f"no {rule_id} in {[d.rule for d in report]}"
     return found[0]
 
@@ -136,7 +137,7 @@ class TestLoadableHazards:
             Prefetch("w1", 0, 0, 64 * 64),
         ]
         report = analyze_loadable(graph, loadable)
-        assert not report.by_rule("hazard.war")
+        assert not by_rule(report, "hazard.war")
 
     def test_dead_write_prefetch_of_unconsumed_tensor(self):
         graph = _fc_chain()

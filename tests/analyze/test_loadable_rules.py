@@ -16,13 +16,14 @@ from repro.graph.partitioner import Segment, partition
 from repro.graph.planner import Prefetch, RowRange
 from repro.ncore.config import NcoreConfig
 from repro.nkl.lower import lower_segment
+from tests.helpers import by_rule
 
 UINT8 = NcoreDType.UINT8
 QP = QuantParams(scale=0.05, zero_point=128)
 
 
 def _find(report, rule_id):
-    found = report.by_rule(rule_id)
+    found = by_rule(report, rule_id)
     assert found, f"no {rule_id} in {[d.rule for d in report]}"
     return found[0]
 
@@ -97,7 +98,7 @@ class TestMemoryRules:
         graph = _relu_chain()
         _, loadable = _lower(graph)
         del loadable.memory_plan.data_allocs["y"]
-        findings = analyze_loadable(graph, loadable).by_rule("ldb.unplaced-tensor")
+        findings = by_rule(analyze_loadable(graph, loadable), "ldb.unplaced-tensor")
         # y is written by relu1 and read by relu2: two findings
         assert {f.location.element for f in findings} == {"relu1", "relu2"}
 

@@ -17,10 +17,11 @@ from repro.analyze.program_rules import AddressWalk
 from repro.dtypes import QuantParams
 from repro.isa import assemble
 from repro.ncore.config import NcoreConfig
+from tests.helpers import by_rule
 
 
 def _find(report, rule_id):
-    found = report.by_rule(rule_id)
+    found = by_rule(report, rule_id)
     assert found, f"no {rule_id} in {[d.rule for d in report]}"
     return found[0]
 
@@ -139,13 +140,13 @@ class TestStructuralRules:
 
     def test_valid_dma_wait_groups_are_clean(self):
         program = assemble("dmawait 0\ndmawait 1\ndmawait 2\ndmawait 3\nhalt")
-        assert not analyze_program(program).by_rule("isa.dma-wait")
+        assert not by_rule(analyze_program(program), "isa.dma-wait")
 
     def test_iram_overflow(self):
         program = [_nop()] * NcoreConfig().iram_instructions + [_halt()]
         report = analyze_program(program)
         assert _find(report, "isa.iram-overflow")
-        assert not report.by_rule("isa.no-halt")
+        assert not by_rule(report, "isa.no-halt")
 
 
 class TestControlFlowRules:

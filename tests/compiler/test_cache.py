@@ -73,8 +73,7 @@ class TestMemoryTier:
         cache = CompileCache()
         compile_graph(small_cnn(), cache=cache)
         compile_graph(small_cnn(), cache=cache)
-        assert cache.stats.lookups == 2
-        assert cache.stats.hit_rate == pytest.approx(0.5)
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
 
 
 class TestDiskTier:

@@ -49,7 +49,7 @@ class TestStageRegistration:
 
     def test_stage_stats_record_coverage(self):
         result = compile_graph(quantized_cnn(), cache=None, pipeline="O2")
-        changes = result.context.stage_stats("codegen").changes
+        changes = {s.stage: s for s in result.stats}["codegen"].changes
         assert changes["kernels"] == result.macro_kernels.covered_segments
         assert "uncovered_segments" in changes
 

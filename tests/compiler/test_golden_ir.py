@@ -66,10 +66,10 @@ def test_backend_stage_counts(key):
         name=key, cache=None, collect_ir=True,
     )
     assert len(result.model.graph.nodes) == nodes
-    part = result.context.stage_stats("partition").changes
-    assert part["segments"] == segments
-    assert part["ncore_segments"] == ncore
-    assert result.context.stage_stats("lower").changes["kernels"] == kernels
+    stages = {s.stage: s.changes for s in result.stats}
+    assert stages["partition"]["segments"] == segments
+    assert stages["partition"]["ncore_segments"] == ncore
+    assert stages["lower"]["kernels"] == kernels
     assert list(result.snapshots) == STAGE_ORDER
 
 
@@ -84,7 +84,7 @@ def test_quantize_without_optimize_reaches_the_same_backend_counts(key):
     ranges = calibrate(graph, [info.sample_input(graph, seed=0)])
     result = compile_graph(quantize_graph(graph, ranges), pipeline="O2", name=key, cache=None)
     assert len(result.model.graph.nodes) == nodes
-    part = result.context.stage_stats("partition").changes
+    part = {s.stage: s for s in result.stats}["partition"].changes
     assert (part["segments"], part["ncore_segments"]) == (segments, ncore)
     assert Counter(node.op for node in result.model.graph.nodes) == Counter(
         node.op for node in get_system(key).compiled.graph.nodes

@@ -7,10 +7,9 @@ from repro import obs
 from repro.compiler import (
     CompilerError,
     Pipeline,
-    available_pipelines,
-    available_stages,
     compile_graph,
     get_pipeline,
+    get_stage,
     ir_diff,
     optimize_graph,
 )
@@ -44,7 +43,7 @@ def bn_graph():
 
 class TestPresets:
     def test_registry_has_the_presets(self):
-        assert {"O0", "O1", "O2"} <= set(available_pipelines())
+        assert [get_pipeline(k).id for k in ("O0", "O1", "O2")] == ["O0", "O1", "O2"]
 
     def test_default_is_o2(self):
         assert get_pipeline("default").id == "O2"
@@ -67,39 +66,39 @@ class TestPresets:
     def test_o1_folds_but_does_not_constant_fold(self):
         g = bn_graph()
         r1 = compile_graph(g, pipeline="O1", cache=None)
-        changes = r1.context.stage_stats("optimize").changes
+        changes = {s.stage: s for s in r1.stats}["optimize"].changes
         assert "fold_batch_norm" in changes["pass_changes"]
         assert "constant_fold" not in changes["pass_changes"]
 
 
 class TestComposition:
     def test_from_stage_names(self):
-        custom = Pipeline.from_stage_names(
-            "just-backend", ["partition", "verify", "plan", "lower", "finalize"]
-        )
+        custom = Pipeline("just-backend", tuple(
+            get_stage(name) for name in ("partition", "verify", "plan", "lower", "finalize")
+        ))
         result = compile_graph(small_cnn(), pipeline=custom, cache=None)
         assert result.pipeline_id == "just-backend"
         assert result.model.ncore_segments
 
     def test_unknown_stage_errors(self):
         with pytest.raises(CompilerError, match="unknown stage"):
-            Pipeline.from_stage_names("bad", ["partition", "transmogrify"])
+            get_stage("transmogrify")
 
     def test_empty_pipeline_rejected(self):
         with pytest.raises(CompilerError, match="no stages"):
             Pipeline("empty", ())
 
     def test_registry_lists_core_stages(self):
-        assert {"optimize", "partition", "verify", "plan", "lower",
-                "finalize"} <= set(available_stages())
+        names = ("optimize", "partition", "verify", "plan", "lower", "codegen", "finalize")
+        assert tuple(get_stage(name).name for name in names) == names
 
     def test_plan_before_partition_errors(self):
-        bad = Pipeline.from_stage_names("bad-order", ["plan", "finalize"])
+        bad = Pipeline("bad-order", (get_stage("plan"), get_stage("finalize")))
         with pytest.raises(CompilerError, match="partition"):
             compile_graph(small_cnn(), pipeline=bad, cache=None)
 
     def test_pipeline_without_finalize_errors(self):
-        headless = Pipeline.from_stage_names("headless", ["partition", "lower"])
+        headless = Pipeline("headless", (get_stage("partition"), get_stage("lower")))
         with pytest.raises(CompilerError, match="finalize"):
             compile_graph(small_cnn(), pipeline=headless, cache=None)
 
@@ -162,13 +161,13 @@ class TestInstrumentation:
         assert [s.stage for s in result.stats] == [
             "partition", "verify", "plan", "lower", "finalize",
         ]
-        plan = result.context.stage_stats("plan")
+        plan = {s.stage: s for s in result.stats}["plan"]
         assert plan.changes["sram_bytes_planned"] > 0
         assert "plan:" in plan.summary()
 
     def test_verify_false_skips_the_gate(self):
         result = compile_graph(small_cnn(), cache=None, verify=False)
-        assert result.context.stage_stats("verify").changes == {"skipped": True}
+        assert {s.stage: s for s in result.stats}["verify"].changes == {"skipped": True}
 
 
 class TestPassManagerStats:

@@ -4,14 +4,8 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dtypes import (
-    BF16_EPS,
-    BF16_MAX,
-    BF16_MIN_NORMAL,
-    bf16_from_bits,
-    bf16_to_bits,
-    to_bfloat16,
-)
+from repro.dtypes import BF16_EPS, BF16_MAX, BF16_MIN_NORMAL, to_bfloat16
+from tests.helpers import bf16_from_bits, bf16_to_bits
 
 
 def test_exactly_representable_values_pass_through():

@@ -1,4 +1,9 @@
-"""Tests for saturating fixed-point arithmetic and the dtype registry."""
+"""Tests for saturating fixed-point arithmetic and the dtype registry.
+
+The 32-bit saturating accumulator is the NPU model's: the add and MAC
+cases below drive one accumulating integer issue of
+:func:`repro.ncore.npu.execute_int`.
+"""
 
 import numpy as np
 import pytest
@@ -6,15 +11,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from repro.dtypes import (
-    ACC_MAX,
-    ACC_MIN,
-    NcoreDType,
-    dtype_info,
-    saturate,
-    saturating_accumulate,
-    saturating_add,
-)
+from repro.dtypes import ACC_MAX, ACC_MIN, NcoreDType, dtype_info, saturate
+from repro.isa.instruction import NPUOp, NPUOpcode
+from repro.isa.operands import Operand, OperandKind
+from repro.ncore.npu import execute_int
+
+_ROW = Operand(OperandKind.DATA_RAM, 0)
+
+
+def saturating_add(acc, value):
+    """ADD issue with a zero weight: ``acc = sat32(acc + value)``."""
+    op = NPUOp(NPUOpcode.ADD, _ROW, _ROW)
+    return execute_int(op, value, np.zeros_like(value), acc, None)
+
+
+def saturating_accumulate(acc, data, weight):
+    """MAC issue: ``acc = sat32(acc + data * weight)``."""
+    return execute_int(NPUOp(NPUOpcode.MAC, _ROW, _ROW), data, weight, acc, None)
 
 
 class TestDTypeRegistry:

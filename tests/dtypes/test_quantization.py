@@ -17,6 +17,7 @@ from repro.dtypes import (
     rounding_right_shift,
 )
 from repro.ncore.out import RequantSpec, requantize_lanes
+from tests.helpers import quant_range
 
 
 class TestQuantParams:
@@ -34,7 +35,7 @@ class TestQuantParams:
 
     def test_range_property(self):
         qp = QuantParams(scale=0.5, zero_point=128, dtype=NcoreDType.UINT8)
-        lo, hi = qp.range
+        lo, hi = quant_range(qp)
         assert lo == pytest.approx(-64.0)
         assert hi == pytest.approx(63.5)
 
@@ -46,7 +47,7 @@ class TestChooseQuantParams:
 
     def test_covers_requested_range(self):
         qp = choose_quant_params(-3.0, 5.0)
-        lo, hi = qp.range
+        lo, hi = quant_range(qp)
         assert lo <= -3.0 + qp.scale
         assert hi >= 5.0 - qp.scale
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import Engine, EngineError, every
+from repro.engine import Engine, EngineError
 
 
 class TestClockAndOrdering:
@@ -45,7 +45,6 @@ class TestClockAndOrdering:
         engine.call_after(5.0, seen.append, "b")
         assert engine.run(until=2.0) == 2.0
         assert seen == ["a"]
-        assert engine.pending == 1
         engine.run()
         assert seen == ["a", "b"]
 
@@ -103,37 +102,6 @@ class TestEvents:
         engine.process(waiter())
         engine.run()
         assert got == ["fact"]
-
-    def test_fail_throws_into_the_task(self):
-        engine = Engine()
-        doomed = engine.event()
-        caught = []
-
-        def waiter():
-            try:
-                yield doomed
-            except ValueError as error:
-                caught.append(str(error))
-
-        engine.process(waiter())
-        engine.call_after(1.0, doomed.fail, ValueError("boom"))
-        engine.run()
-        assert caught == ["boom"]
-
-    def test_all_of_collects_values_in_order(self):
-        engine = Engine()
-        got = []
-
-        def waiter():
-            got.append((yield engine.all_of([
-                engine.timeout(3.0, "slow"),
-                engine.timeout(1.0, "fast"),
-            ])))
-
-        engine.process(waiter())
-        engine.run()
-        assert got == [["slow", "fast"]]
-        assert engine.now == 3.0
 
 
 class TestTasks:
@@ -203,16 +171,3 @@ class TestTasks:
         engine.process(confused())
         with pytest.raises(EngineError, match="another engine"):
             engine.run()
-
-    def test_every_runs_until_fn_returns_true(self):
-        engine = Engine()
-        ticks = []
-
-        def tick():
-            ticks.append(engine.now)
-            return len(ticks) >= 3
-
-        engine.process(every(engine, 2.0, tick))
-        engine.run()
-        assert ticks == [2.0, 4.0, 6.0]
-        assert engine.now == 6.0

@@ -1,4 +1,4 @@
-"""Capacity-limited resources: FIFO grants, utilization, the worker pool."""
+"""Capacity-limited resources: FIFO grants and the worker pool."""
 
 import pytest
 
@@ -13,7 +13,6 @@ class TestResource:
         assert first.triggered and second.triggered
         assert not third.triggered
         assert resource.in_use == 2
-        assert resource.queued == 1
 
     def test_release_grants_the_oldest_waiter(self):
         engine = Engine()
@@ -55,15 +54,6 @@ class TestResource:
         engine.run()
         assert stamps == [2.5]
         assert resource.in_use == 0
-
-    def test_utilization_integrates_busy_slots(self):
-        engine = Engine()
-        resource = Resource(engine, capacity=2)
-        engine.process(resource.use(4.0))
-        engine.process(resource.use(2.0))
-        engine.run()
-        # 6 busy slot-seconds over 4 seconds of 2 slots = 75%.
-        assert resource.utilization() == pytest.approx(0.75)
 
 
 class TestWorkerPool:

@@ -23,7 +23,7 @@ from repro.isa import (
 )
 from repro.isa.encoding import INSTRUCTION_BYTES
 from repro.isa.instruction import Activation, RotateDirection
-from repro.isa.operands import data_ram, ndu_reg, weight_ram
+from tests.helpers import data_ram, ndu_reg, weight_ram
 
 
 def test_word_is_exactly_128_bits():

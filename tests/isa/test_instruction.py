@@ -14,7 +14,7 @@ from repro.isa import (
     SeqOp,
     SeqOpcode,
 )
-from repro.isa.operands import data_ram, immediate, ndu_reg, weight_ram
+from tests.helpers import data_ram, immediate, ndu_reg, weight_ram
 
 
 class TestOperand:

@@ -22,7 +22,7 @@ from repro.isa.instruction import (
     RowAccess,
     SeqOpcode,
 )
-from repro.isa.operands import data_ram, weight_ram
+from tests.helpers import data_ram, weight_ram
 from repro.ncore import Ncore
 from repro.sanitize.sanitizer import Sanitizer
 

@@ -82,12 +82,12 @@ class TestModelStructure:
         assert len(g.find_nodes("attention")) == 25
 
     def test_models_validate_and_infer_shapes(self):
-        from repro.graph import infer_shapes
+        from repro.analyze import analyze_graph
 
         for info in PAPER_CHARACTERISTICS.values():
             g = info.build()
             g.validate()
-            infer_shapes(g)
+            assert analyze_graph(g).ok
 
 
 class TestBatchedBuilds:

@@ -50,7 +50,7 @@ class TestFloatCoverage:
         assert kset.uncovered_reason_counts() == {}
 
     def test_codegen_stage_records_float_stats(self, compiled):
-        stats = compiled.context.stage_stats("codegen").changes
+        stats = {s.stage: s for s in compiled.stats}["codegen"].changes
         assert stats["coverage"] == 1.0
         assert stats["float_steps"] > 0
         assert stats["fused_chains"] >= 1

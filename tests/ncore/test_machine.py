@@ -5,7 +5,7 @@ import pytest
 
 from repro.dtypes import NcoreDType, quantize_multiplier
 from repro.isa import Instruction, NPUOp, NPUOpcode, SeqOp, SeqOpcode, assemble
-from repro.isa.operands import data_ram, ndu_reg, weight_ram
+from tests.helpers import data_ram, ndu_reg, weight_ram
 from repro.ncore import DmaDescriptor, ExecutionError, Ncore
 
 ROW = 4096
@@ -194,15 +194,15 @@ class TestSixteenBitAndFloat:
             ),
             Instruction(seq=SeqOp(SeqOpcode.HALT)),
         ]
-        machine.set_addr_reg(0, 0)
-        machine.set_addr_reg(1, 0)
+        machine.addr_regs[0] = 0
+        machine.addr_regs[1] = 0
         result = machine.execute_program(program)
         assert machine.acc_int[0] == 1500
         # int16 NPU ops take four clocks (section IV-D.4).
         assert result.cycles == 4 + 1
 
     def test_bf16_mac_three_cycles(self, machine):
-        from repro.dtypes import bf16_to_bits
+        from tests.helpers import bf16_to_bits
 
         vals = np.full(ROW, 1.5, dtype=np.float32)
         bits = bf16_to_bits(vals)

@@ -6,11 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from repro.dtypes import NcoreDType, bf16_from_bits, quantization, quantize_multiplier, requantize
+from repro.dtypes import NcoreDType, quantization, quantize_multiplier, requantize
 from repro.isa.instruction import Activation
 from repro.ncore import out as out_unit
 
 from tests.dtypes.test_quantization import oracle_lanes
+from tests.helpers import bf16_from_bits
 
 
 class TestRequantizeLanes:

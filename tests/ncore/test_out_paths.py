@@ -145,7 +145,7 @@ class TestLutActivations:
 
 class TestBf16OutputOnMachine:
     def test_bf16_mac_requant_store_roundtrip(self):
-        from repro.dtypes import bf16_from_bits, bf16_to_bits
+        from tests.helpers import bf16_from_bits, bf16_to_bits
 
         machine = Ncore()
         vals = np.linspace(-4.0, 4.0, ROW).astype(np.float32)
@@ -155,7 +155,7 @@ class TestBf16OutputOnMachine:
         wbits = bf16_to_bits(np.full(ROW, 3.0, np.float32))
         machine.write_weight_ram(0, (wbits & 0xFF).astype(np.uint8).tobytes())
         machine.write_weight_ram(ROW, (wbits >> 8).astype(np.uint8).tobytes())
-        machine.set_float_scale(0.5)
+        machine.float_scale = 0.5
         machine.execute_program(assemble(
             """
             mac.bf16 dram[a0], wtram[a1]
@@ -177,7 +177,7 @@ class TestBf16OutputOnMachine:
         np.testing.assert_allclose(out, expected, rtol=2**-7)
 
     def test_bf16_relu_on_machine(self):
-        from repro.dtypes import bf16_from_bits, bf16_to_bits
+        from tests.helpers import bf16_from_bits, bf16_to_bits
 
         machine = Ncore()
         bits = bf16_to_bits(np.full(ROW, -2.5, np.float32))

@@ -92,7 +92,7 @@ class TestMetricsDumps:
     def test_json_round_trips(self):
         registry = obs.MetricsRegistry()
         registry.counter("a").inc(5)
-        assert json.loads(json.dumps(obs.metrics_json(registry)))["a"]["value"] == 5
+        assert json.loads(json.dumps(registry.snapshot()))["a"]["value"] == 5
 
 
 class TestRender:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.obs.window import Ewma, RateMeter, SloMonitor, WindowedHistogram
+from repro.obs.window import RateMeter, SloMonitor, WindowedHistogram
 
 
 class TestWindowedHistogram:
@@ -76,18 +76,6 @@ class TestRateMeter:
         meter.add(ts=0.0, weight=100.0)
         meter.add(ts=1.0, weight=300.0)
         assert meter.rate(now=1.0) == pytest.approx(200.0)
-
-
-class TestEwma:
-    def test_first_sample_seeds_the_average(self):
-        ewma = Ewma("util", halflife_seconds=1.0)
-        assert ewma.update(0.8, ts=0.0) == pytest.approx(0.8)
-
-    def test_halflife_decay(self):
-        ewma = Ewma("util", halflife_seconds=1.0)
-        ewma.update(1.0, ts=0.0)
-        # One half-life later a 0.0 sample pulls halfway down.
-        assert ewma.update(0.0, ts=1.0) == pytest.approx(0.5)
 
 
 class TestSloMonitor:

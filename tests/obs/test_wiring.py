@@ -126,9 +126,6 @@ class TestMlperfWiring:
         def single_stream_latency_seconds(self):
             return 1e-3
 
-        def offline_throughput_ips(self, cores=8):
-            return 1000.0
-
     def test_single_stream_spans_and_histogram(self):
         from repro.perf.mlperf import run_single_stream
 
@@ -145,18 +142,6 @@ class TestMlperfWiring:
         assert histogram.count == 16
         assert histogram.percentile(90) == pytest.approx(
             result.p90_latency_seconds, rel=0.05
-        )
-
-    def test_offline_span(self):
-        from repro.perf.mlperf import run_offline
-
-        with obs.observe() as (tracer, metrics):
-            result = run_offline(self.FakeSystem(), queries=32)
-        (span,) = tracer.spans_on("mlperf")
-        assert span.name == "mlperf.offline"
-        assert span.args["throughput_ips"] == pytest.approx(result.throughput_ips)
-        assert metrics.get("mlperf.offline_ips").value == pytest.approx(
-            result.throughput_ips
         )
 
 

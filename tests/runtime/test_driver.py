@@ -38,12 +38,6 @@ class TestOwnership:
         driver.close(mapping)
         driver.open("user-b")  # now fine
 
-    def test_power_down_refused_while_owned(self, driver):
-        driver.probe()
-        driver.open("user-a")
-        with pytest.raises(DriverError):
-            driver.power_down()
-
 
 class TestMemoryMapping:
     def test_mapping_reaches_ncore_srams(self, driver):

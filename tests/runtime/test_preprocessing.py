@@ -1,13 +1,10 @@
 """Tests for the x86 image preprocessing pipeline."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.preprocessing import (
-    center_crop,
-    classification_pipeline,
     detection_pipeline,
     normalize,
     resize_bilinear,
@@ -48,15 +45,6 @@ class TestResizeBilinear:
 
 
 class TestCropAndNormalize:
-    def test_center_crop_takes_middle(self):
-        img = np.zeros((6, 6, 1), np.float32)
-        img[2:4, 2:4] = 1.0
-        out = center_crop(img, 2)
-        np.testing.assert_array_equal(out, np.ones((2, 2, 1), np.float32))
-
-    def test_crop_too_large_rejected(self):
-        with pytest.raises(ValueError):
-            center_crop(np.zeros((4, 4, 3)), 5)
 
     def test_normalize_range(self):
         img = np.array([[[0, 127.5, 255]]], np.float32)
@@ -65,18 +53,6 @@ class TestCropAndNormalize:
 
 
 class TestPipelines:
-    def test_classification_shape(self):
-        frame = np.random.default_rng(1).integers(0, 255, (480, 640, 3)).astype(np.uint8)
-        out = classification_pipeline(frame)
-        assert out.shape == (1, 224, 224, 3)
-        assert -1.0 <= out.min() and out.max() <= 1.0
-
-    def test_portrait_and_landscape_agree_on_shape(self):
-        rng = np.random.default_rng(2)
-        landscape = rng.integers(0, 255, (300, 500, 3)).astype(np.uint8)
-        portrait = rng.integers(0, 255, (500, 300, 3)).astype(np.uint8)
-        assert classification_pipeline(landscape).shape == (1, 224, 224, 3)
-        assert classification_pipeline(portrait).shape == (1, 224, 224, 3)
 
     def test_detection_shape(self):
         frame = np.random.default_rng(3).integers(0, 255, (720, 1280, 3)).astype(np.uint8)

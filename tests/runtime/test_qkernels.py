@@ -16,6 +16,7 @@ from repro.runtime.qkernels import (
     qmax_pool,
     qrequant,
 )
+from tests.helpers import quant_range
 
 
 def qp(scale, zp, dtype=NcoreDType.UINT8):
@@ -124,7 +125,7 @@ class TestQAdd:
         a_qp, b_qp, out_qp = qp(0.037, 3), qp(0.11, 40), qp(0.21, 17)
         out = qadd(np.array([a], np.uint8), a_qp, np.array([b], np.uint8), b_qp, out_qp)
         real = dequantize(np.array([a]), a_qp)[0] + dequantize(np.array([b]), b_qp)[0]
-        lo, hi = out_qp.range
+        lo, hi = quant_range(out_qp)
         expected = np.clip(real, lo, hi)
         assert abs(dequantize(out, out_qp)[0] - expected) <= out_qp.scale
 

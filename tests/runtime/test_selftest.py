@@ -18,7 +18,7 @@ def probed_driver():
 class TestPost:
     def test_healthy_device_passes(self, probed_driver):
         report = probed_driver.self_test()
-        assert report.passed
+        assert not report.failures
         assert report.ram_march_ok
         assert report.mac_datapath_ok
         assert report.dma_loopback_ok
@@ -43,7 +43,7 @@ class TestPost:
     def test_unconfigured_dma_detected(self):
         machine = Ncore()  # windows never configured
         report = power_on_self_test(machine)
-        assert not report.passed
+        assert report.failures
         assert any("DMA" in f for f in report.failures)
 
 

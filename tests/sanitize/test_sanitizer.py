@@ -214,3 +214,20 @@ class TestCliSanitize:
         out = capsys.readouterr().out
         assert "sanitizer:" in out
         assert "0 error(s)" in out
+
+    def test_run_sanitize_verifies_the_microkernel_before_running_it(
+        self, capsys, monkeypatch
+    ):
+        from repro import cli
+
+        # Point the MAC loop's data address past the 2048-row data RAM: the
+        # program verifier rejects the kernel, so nothing executes it.
+        regions = [
+            (name, region.replace("setaddr a0, 0", "setaddr a0, 3000"))
+            for name, region in cli._MICROKERNEL
+        ]
+        monkeypatch.setattr(cli, "_MICROKERNEL", tuple(regions))
+        assert cli.main(["run", "mobilenet_v1", "--sanitize"]) == 1
+        out = capsys.readouterr().out
+        assert "isa.sram-bounds" in out
+        assert "sanitizer:" not in out

@@ -57,12 +57,6 @@ class TestX86CoreModel:
         core = X86Core()
         assert core.task_seconds(fixed_seconds=0.5) == pytest.approx(0.5)
 
-    def test_run_task_accumulates(self):
-        core = X86Core()
-        core.run_task(fixed_seconds=0.1)
-        core.run_task(fixed_seconds=0.2)
-        assert core.busy_seconds == pytest.approx(0.3)
-
 
 class TestNcoreSpeedupContext:
     def test_ncore_is_23x_a_vnni_xeon_equivalent(self):

@@ -10,9 +10,10 @@ and ``loopn`` region fusion, then the analyzers' private copies of what an
 instruction touches (``Instruction.row_accesses`` is the one table), then
 the test-only ``EngineExecutor`` serving pipeline and ``MachineTask``, then
 the per-table benchmark files, their helper module and the second Fig. 13
-definition (``repro.perf.report`` is the one generator of paper numbers).
-These tests grep the tree so a stray reference (or a reintroduced alias)
-fails loudly rather than resurrecting an old name.
+definition (``repro.perf.report`` is the one generator of paper numbers),
+then the first backlog of the consumer gate (``tools/lint_consumers.py``):
+names only tests reached.  These tests grep the tree so a stray reference
+(or a reintroduced alias) fails loudly rather than resurrecting an old name.
 """
 
 import dataclasses
@@ -121,6 +122,47 @@ def test_one_generator_of_paper_numbers():
     files.remove(Path(__file__).resolve())
     offenders = _grep(pattern, files)
     assert not offenders, "second paper-table generator resurfaced:\n" + "\n".join(offenders)
+
+
+def test_test_only_names_are_gone():
+    # The consumer gate's first backlog: names no CLI command, benchmark,
+    # example or CI step reached, and the simulator baseline file whose zoo
+    # rows nobody regenerated (the ledger owns those numbers now).
+    pattern = re.compile(
+        r"run_offline|OfflineResult|measure_zoo_tiers|record_baseline|ZOO_TIERS"
+        r"|ZOO_MODELS|BENCH_simulator|\ball_of\b|\bevery\(|_busy_slot_seconds"
+        r"|\bEwma\b|metrics_json|spans_for_trace|\.sibling\(|infer_shapes"
+        r"|_optional_input|render_partition|nhwc_to_nchw|available_pipelines"
+        r"|available_stages|from_stage_names|\.stage_stats\(|\bhit_rate\b|\.lookups\b"
+        r"|shapes_compatible|_format_operand|_WindowMapping|center_crop"
+        r"|classification_pipeline|power_down|\.by_rule\(|\.overflowed\b"
+        r"|set_addr_reg|set_float_scale|core_to_ncore_seconds|ncore_area_fraction"
+        r"|ring_stops|\bstream_seconds\b|combined_bandwidth|\btransfer_seconds\b"
+        r"|\brun_task\b|saturating_add|saturating_accumulate|bf16_to_bits|bf16_from_bits"
+    )
+    files = _tree_files("src", "examples", "docs") + [ROOT / "DESIGN.md"]
+    offenders = _grep(pattern, files)
+    assert not offenders, "test-only name resurfaced:\n" + "\n".join(offenders)
+    assert not (ROOT / "BENCH_simulator.json").exists()
+
+
+@pytest.mark.parametrize("owner, name", [
+    ("repro.engine.core:Event", "fail"),
+    ("repro.engine.core:Engine", "pending"),
+    ("repro.engine.resources:Resource", "utilization"),
+    ("repro.engine.resources:Resource", "queued"),
+    ("repro.analyze.diagnostics:AnalysisReport", "worst"),
+    ("repro.dtypes.quantization:QuantParams", "range"),
+    ("repro.runtime.selftest:SelfTestReport", "passed"),
+    ("repro.soc.cache:L3Cache", "access"),
+    ("repro.soc.multisocket:MultiSocketSystem", "run_server"),
+])
+def test_test_only_members_are_gone(owner, name):
+    # Common words the grep above cannot tell from live spellings.
+    import importlib
+
+    module, _, cls = owner.partition(":")
+    assert not hasattr(getattr(importlib.import_module(module), cls), name)
 
 
 def test_one_statement_of_what_an_instruction_touches():
