@@ -91,8 +91,8 @@ def main() -> None:
 
     print("\n== full-stack tracing (repro.obs) ==")
     # The same workflow through the observability subsystem: install a
-    # tracer + metrics registry, run under the profiler (its spans are
-    # forwarded automatically), export Perfetto JSON and a Fig. 10 view.
+    # tracer + metrics registry, run under the profiler (its spans land on
+    # the installed tracer), export Perfetto JSON and a Fig. 10 view.
     from repro.runtime.profiler import Profiler
 
     machine = Ncore()

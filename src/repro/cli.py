@@ -1,21 +1,20 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands:
+One command per job:
 
 - ``info``                  -- the CHA/Ncore configuration and peak numbers
 - ``selftest``              -- run the power-on self-test on a fresh SoC model
 - ``models``                -- the model zoo with Table V characteristics
-- ``bench <model>``         -- latency/throughput/split for one zoo model
+- ``reproduce``             -- regenerate every paper table/figure in one run
 - ``serve <model>``         -- MLPerf Server scenario on the event engine
   (``--slo-ms`` arms the SLO monitor; ``--telemetry``/``--prometheus``/
   ``--harvest``/``--flamegraph`` write the telemetry surfaces)
-- ``top [<model>]``         -- live ``top``-style serving dashboard, or
-  ``--replay frames.jsonl`` to re-render a harvested run
-- ``reproduce``             -- regenerate every paper table/figure in one run
+- ``top <frames.jsonl>``    -- ``top``-style dashboard over the frames
+  ``serve --telemetry`` wrote
 - ``compile <model|path>``  -- compile through the staged driver; ``--dump-ir``
   prints per-stage IR, ``-O{0,1,2}`` picks the pipeline preset
-- ``run <graph-path>``      -- execute a serialized GIR on a random input
-- ``trace <model>``         -- run one traced inference, write Perfetto JSON
+- ``run <model|path>``      -- execute one query; ``--sanitize`` verifies it,
+  ``--trace FILE`` writes its Perfetto trace and prints the Fig. 10 text
 - ``lint <model|path>``     -- run the static analyzers; non-zero exit on errors
 - ``explore``               -- design-space sweep with an energy/area Pareto
   frontier (``--grid``/``--models``/``--json``/``--csv``)
@@ -24,6 +23,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -32,10 +32,6 @@ import numpy as np
 # argument parser (``repro --help``) never imports the runtime stack.  A
 # test asserts the two stay in sync.
 _TIER_CHOICES = ("auto", "interpreter", "replay", "codegen")
-_TIER_HELP = (
-    "graph mode: auto (replay + Tier-3 codegen when compiled at O2), "
-    "interpreter (per-node walk), replay, or codegen"
-)
 
 
 def _cmd_info(args) -> int:
@@ -89,48 +85,7 @@ def _cmd_models(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.models import PAPER_CHARACTERISTICS
-    from repro.perf.simbench import measure_inner_loop
-    from repro.perf.system import get_system
-
-    if args.model not in PAPER_CHARACTERISTICS:
-        print(f"unknown model {args.model!r}; try one of "
-              f"{sorted(PAPER_CHARACTERISTICS)}", file=sys.stderr)
-        return 2
-    system = get_system(args.model)
-    split = system.workload_split()
-    print(f"{system.info.display} on one CHA socket")
-    print(f"  Ncore portion:        {split['ncore'] * 1e3:8.3f} ms "
-          f"({split['ncore'] / split['total']:.0%})")
-    print(f"  x86 portion:          {split['x86'] * 1e3:8.3f} ms")
-    print(f"  SingleStream latency: {system.single_stream_latency_seconds() * 1e3:8.3f} ms")
-    print(f"  Offline throughput:   {system.offline_throughput_ips(cores=args.cores):8.1f} IPS "
-          f"({args.cores} cores)")
-    inner = measure_inner_loop(fastpath=args.fastpath)
-    machine_mode = "fastpath" if args.fastpath else "interpreter"
-    print(f"  Simulator inner loop: {inner['cycles_per_second']:8.0f} cycles/s "
-          f"({machine_mode})")
-    if args.tier != "auto":
-        from repro.perf.simbench import measure_zoo_end_to_end
-
-        zoo = measure_zoo_end_to_end(args.model, tier=args.tier, warmup=1)
-        print(f"  Zoo end-to-end:       {zoo['queries_per_second']:8.2f} "
-              f"queries/s (tier {args.tier}, steady state)")
-        coverage = zoo.get("coverage")
-        if coverage is not None:
-            print(f"  Codegen coverage:     {coverage:8.0%} of segments have "
-                  f"macro-kernels")
-            if coverage == 0.0:
-                print(f"  warning: tier {args.tier!r} covered no segments of "
-                      f"{args.model}; queries fell back to the interpreter walk",
-                      file=sys.stderr)
-    return 0
-
-
 def _cmd_serve(args) -> int:
-    import contextlib
-
     from repro.models import PAPER_CHARACTERISTICS
     from repro.obs.attrib import install_attrib
     from repro.obs.metrics import MetricsRegistry, install_metrics
@@ -202,7 +157,7 @@ def _cmd_serve(args) -> int:
 
         count = write_frames(args.telemetry, result.frames)
         print(f"  wrote {args.telemetry} ({count} telemetry frames; "
-              f"view with: repro top --replay {args.telemetry})")
+              f"view with: repro top {args.telemetry})")
     if args.prometheus:
         from repro.obs.prometheus import write_prometheus
 
@@ -222,46 +177,16 @@ def _cmd_serve(args) -> int:
 def _cmd_top(args) -> int:
     from repro.obs.top import read_frames, render_frames
 
-    ansi = not args.no_ansi
-    if args.replay:
-        try:
-            frames = read_frames(args.replay)
-        except FileNotFoundError:
-            print(f"no such frame file: {args.replay}", file=sys.stderr)
-            return 2
-        if not frames:
-            print(f"no frames in {args.replay}", file=sys.stderr)
-            return 1
-        count = render_frames(frames, sys.stdout, ansi=ansi)
-        print(f"({count} frames from {args.replay})")
-        return 0
-    if not args.model:
-        print("a model key (or --replay FILE) is required", file=sys.stderr)
+    try:
+        frames = read_frames(args.frames)
+    except FileNotFoundError:
+        print(f"no such frame file: {args.frames}", file=sys.stderr)
         return 2
-    from repro.models import PAPER_CHARACTERISTICS
-    from repro.perf.serving import run_server
-    from repro.perf.system import get_system
-
-    key = _resolve_model_key(args.model)
-    if key is None:
-        print(f"unknown model {args.model!r}; try one of "
-              f"{sorted(PAPER_CHARACTERISTICS)}", file=sys.stderr)
-        return 2
-    slo_seconds = args.slo_ms * 1e-3 if args.slo_ms is not None else None
-    result = run_server(
-        get_system(key),
-        qps=args.qps,
-        queries=args.queries,
-        seed=args.seed,
-        slo_latency_seconds=slo_seconds,
-        window_seconds=args.window,
-        telemetry_interval=args.interval,
-    )
-    count = render_frames(
-        result.frames, sys.stdout, ansi=ansi, max_batch=result.max_batch
-    )
-    print(f"({count} frames, {result.queries} queries, "
-          f"sustained {result.sustained_qps:,.1f} QPS)")
+    if not frames:
+        print(f"no frames in {args.frames}", file=sys.stderr)
+        return 1
+    count = render_frames(frames, sys.stdout, ansi=not args.no_ansi)
+    print(f"({count} frames from {args.frames})")
     return 0
 
 
@@ -298,6 +223,34 @@ def _zoo_pipeline(info, opt_level: str, seed: int):
     return Pipeline(f"zoo-{opt_level}-s{seed}", stages)
 
 
+def _resolve_target(target: str, pipeline_id: str, seed: int):
+    """Resolve a ``compile`` / ``run`` target into (name, graph, pipeline).
+
+    A zoo model key (or unique prefix) builds the float graph and compiles
+    through :func:`_zoo_pipeline`, so ``O0`` (``--no-optimize``) skips
+    optimization in both commands; anything else is loaded as a serialized
+    GIR and compiled with the ``pipeline_id`` preset.  Raises
+    ``FileNotFoundError`` when the target is neither.
+    """
+    from repro.models import PAPER_CHARACTERISTICS
+
+    key = _resolve_model_key(target)
+    if key is not None:
+        info = PAPER_CHARACTERISTICS[key]
+        return key, info.build(), _zoo_pipeline(info, pipeline_id, seed)
+    from repro.graph.frontends import load_graph
+
+    return target, load_graph(target), pipeline_id
+
+
+def _unknown_target(target: str) -> int:
+    from repro.models import PAPER_CHARACTERISTICS
+
+    print(f"unknown model or graph path {target!r}; zoo keys: "
+          f"{sorted(PAPER_CHARACTERISTICS)}", file=sys.stderr)
+    return 2
+
+
 def _print_ir_dump(result, dump: str) -> int:
     """Print collected IR snapshots: full text for one stage, or the
     input IR plus per-stage unified diffs for ``all``."""
@@ -327,25 +280,11 @@ def _cmd_compile(args) -> int:
     from repro import obs
     from repro.compiler import USE_DEFAULT_CACHE, CompileCache, compile_graph
 
-    from repro.models import PAPER_CHARACTERISTICS
-
     pipeline_id = "O0" if args.no_optimize else args.opt_level
-    pipeline = pipeline_id
-    key = _resolve_model_key(args.target)
-    if key is not None:
-        name = key
-        info = PAPER_CHARACTERISTICS[key]
-        graph = info.build()
-        pipeline = _zoo_pipeline(info, pipeline_id, args.seed)
-    else:
-        from repro.graph.frontends import load_graph
-
-        try:
-            name, graph = args.target, load_graph(args.target)
-        except FileNotFoundError:
-            print(f"unknown model or graph path {args.target!r}; zoo keys: "
-                  f"{sorted(PAPER_CHARACTERISTICS)}", file=sys.stderr)
-            return 2
+    try:
+        name, graph, pipeline = _resolve_target(args.target, pipeline_id, args.seed)
+    except FileNotFoundError:
+        return _unknown_target(args.target)
     if args.cache_dir:
         cache = CompileCache(directory=args.cache_dir)
     elif args.no_cache:
@@ -374,8 +313,8 @@ def _cmd_compile(args) -> int:
 
 #: The DMA + MAC-loop microkernel, as named regions: stage one weight row
 #: through DMA (via the coherent L3 path), run a short MAC loop, write the
-#: requantized row back.  ``repro trace`` profiles the regions; ``repro run
-#: --sanitize`` verifies the joined program.
+#: requantized row back.  ``repro run --trace`` profiles the regions;
+#: ``repro run --sanitize`` verifies the joined program.
 _MICROKERNEL = (
     ("stage_weights", "dmastart 0\ndmawait 1"),
     ("compute",
@@ -485,50 +424,64 @@ def _sanitize_run(executor, compiled, result, feeds) -> int:
 
 
 def _cmd_run(args) -> int:
+    from repro import obs
     from repro.compiler import compile_graph
+    from repro.models import PAPER_CHARACTERISTICS
     from repro.runtime import NcoreExecutor
 
     try:
-        name, graph = _lint_target_graph(args.path, args.seed)
-    except FileNotFoundError:
-        from repro.models import PAPER_CHARACTERISTICS
-
-        print(f"unknown model or graph path {args.path!r}; zoo keys: "
-              f"{sorted(PAPER_CHARACTERISTICS)}", file=sys.stderr)
-        return 2
-    pipeline = "O0" if args.no_optimize else "O2"
-    compiled = compile_graph(graph, pipeline=pipeline, name=name).model
-    executor = NcoreExecutor(compiled, verify=False, policy=args.tier)
-    key = _resolve_model_key(args.path)
-    if key is not None:
-        from repro.models import PAPER_CHARACTERISTICS
-
-        feeds = PAPER_CHARACTERISTICS[key].sample_input(
-            compiled.graph, seed=args.seed
+        name, graph, pipeline = _resolve_target(
+            args.path, "O0" if args.no_optimize else "O2", args.seed
         )
-    else:
-        rng = np.random.default_rng(args.seed)
-        feeds = {}
-        for name in compiled.graph.inputs:
-            tensor = compiled.graph.tensor(name)
-            feeds[name] = (
-                rng.integers(0, 100, size=tensor.shape).astype(np.int32)
-                if tensor.type.dtype == "int32"
-                else rng.uniform(-1, 1, size=tensor.shape).astype(np.float32)
-            )
-    result = executor.execute(feeds)
-    for name, value in result.outputs.items():
-        value = np.asarray(value)
-        print(f"  output {name}: shape {value.shape}, "
-              f"range [{value.min():.4g}, {value.max():.4g}]")
-    timing = result.timing
-    print(f"  latency: {timing.total_seconds * 1e6:.1f} us "
-          f"(Ncore {timing.ncore_fraction:.0%}, "
-          f"tier {executor.last_tier})")
-    exit_code = 0
-    if args.sanitize:
-        exit_code = _sanitize_run(executor, compiled, result, feeds)
-    executor.close()
+    except FileNotFoundError:
+        return _unknown_target(args.path)
+    with contextlib.ExitStack() as stack:
+        if args.trace:
+            tracer, metrics = stack.enter_context(obs.observe())
+        compiled = compile_graph(graph, pipeline=pipeline, name=name).model
+        executor = NcoreExecutor(compiled, verify=False, policy=args.tier)
+        if args.trace:
+            tracer.clock_hz = executor.soc.ncore.config.clock_hz
+            executor.soc.ncore.bind_metrics(metrics)
+        info = PAPER_CHARACTERISTICS.get(name)
+        if info is not None:
+            feeds = info.sample_input(compiled.graph, seed=args.seed)
+        else:
+            rng = np.random.default_rng(args.seed)
+            feeds = {}
+            for input_name in compiled.graph.inputs:
+                tensor = compiled.graph.tensor(input_name)
+                feeds[input_name] = (
+                    rng.integers(0, 100, size=tensor.shape).astype(np.int32)
+                    if tensor.type.dtype == "int32"
+                    else rng.uniform(-1, 1, size=tensor.shape).astype(np.float32)
+                )
+        result = executor.execute(feeds)
+        for output_name, value in result.outputs.items():
+            value = np.asarray(value)
+            print(f"  output {output_name}: shape {value.shape}, "
+                  f"range [{value.min():.4g}, {value.max():.4g}]")
+        timing = result.timing
+        print(f"  latency: {timing.total_seconds * 1e6:.1f} us "
+              f"(Ncore {timing.ncore_fraction:.0%}, "
+              f"tier {executor.last_tier})")
+        exit_code = 0
+        if args.sanitize:
+            exit_code = _sanitize_run(executor, compiled, result, feeds)
+        if args.trace:
+            # The simulator's own event streams (event log, DMA, L3).
+            _trace_microkernel(executor)
+        executor.close()
+    if args.trace:
+        obs.write_chrome_trace(args.trace, tracer, metrics)
+        tracks = tracer.tracks()
+        print(f"  trace: {len(tracer.spans)} spans on {len(tracks)} tracks "
+              f"({', '.join(tracks)})")
+        print(f"  wrote {args.trace} (open at https://ui.perfetto.dev)")
+        print(obs.render_tracer(tracer, tracks=["ncore", "delegate.schedule"]))
+        counters = obs.render_counters(metrics)
+        if counters:
+            print(counters)
     return exit_code
 
 
@@ -568,11 +521,7 @@ def _cmd_lint(args) -> int:
     try:
         name, graph = _lint_target_graph(args.target, args.seed)
     except FileNotFoundError:
-        from repro.models import PAPER_CHARACTERISTICS
-
-        print(f"unknown model or graph path {args.target!r}; zoo keys: "
-              f"{sorted(PAPER_CHARACTERISTICS)}", file=sys.stderr)
-        return 2
+        return _unknown_target(args.target)
     if args.graph_only and (args.hazards or args.dot):
         print("--hazards/--dot need the lowered loadables; "
               "drop --graph-only", file=sys.stderr)
@@ -634,55 +583,6 @@ def _trace_microkernel(executor) -> None:
     profiler.run(program)
 
 
-def _cmd_trace(args) -> int:
-    from repro import obs
-    from repro.models import PAPER_CHARACTERISTICS
-    from repro.perf.mlperf import run_single_stream
-    from repro.perf.system import BenchmarkSystem
-    from repro.runtime import NcoreExecutor
-
-    key = _resolve_model_key(args.model)
-    if key is None:
-        print(f"unknown model {args.model!r}; try one of "
-              f"{sorted(PAPER_CHARACTERISTICS)}", file=sys.stderr)
-        return 2
-    if args.queries < 1:
-        print("--queries must be at least 1", file=sys.stderr)
-        return 2
-    with obs.observe() as (tracer, metrics):
-        # Compile through the delegate (GCL pipeline, partition, NKL).
-        system = BenchmarkSystem(key)
-        tracer.clock_hz = system.config.clock_hz
-        # Open the device through the kernel driver and run one inference.
-        executor = NcoreExecutor(system.compiled, owner="repro-trace", verify=False)
-        executor.soc.ncore.bind_metrics(metrics)
-        feeds = system.info.sample_input(system.compiled.graph, seed=args.seed)
-        executor.execute(feeds)
-        # Exercise the simulator's own event streams (event log, DMA, L3).
-        _trace_microkernel(executor)
-        executor.close()
-        # The MLPerf harness view: a short SingleStream run.
-        result = run_single_stream(system, queries=args.queries, seed=args.seed)
-    output = args.output or f"{key}.trace.json"
-    obs.write_chrome_trace(output, tracer, metrics)
-    tracks = tracer.tracks()
-    print(f"{system.info.display}: {len(tracer.spans)} spans on "
-          f"{len(tracks)} tracks ({', '.join(tracks)})")
-    print(f"  p90 SingleStream latency: {result.p90_latency_ms:.3f} ms "
-          f"({args.queries} queries)")
-    print(f"  wrote {output} (open at https://ui.perfetto.dev)")
-    if args.metrics_csv:
-        with open(args.metrics_csv, "w", encoding="utf-8") as handle:
-            handle.write(obs.metrics_csv(metrics))
-        print(f"  wrote {args.metrics_csv} ({len(metrics.names())} metrics)")
-    if args.render:
-        print(obs.render_tracer(tracer, tracks=["ncore", "delegate.schedule"]))
-        counters = obs.render_counters(metrics)
-        if counters:
-            print(counters)
-    return 0
-
-
 def _cmd_explore(args) -> int:
     from repro.explore import DEFAULT_GRID, enumerate_grid, parse_grid, run_sweep
 
@@ -724,19 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("selftest", help="run the power-on self-test")
     sub.add_parser("models", help="list the model zoo (Table V)")
     sub.add_parser("reproduce", help="regenerate every paper table/figure")
-    bench = sub.add_parser("bench", help="benchmark one zoo model")
-    bench.add_argument("model", help="model key, e.g. resnet50_v15")
-    bench.add_argument("--cores", type=int, default=8)
-    bench.add_argument(
-        "--fastpath", action=argparse.BooleanOptionalAction, default=True,
-        help="machine mode of the Fig. 6 inner-loop line: trace-fused "
-             "(--no-fastpath for the pure instruction interpreter)",
-    )
-    bench.add_argument(
-        "--tier", choices=_TIER_CHOICES, default="auto",
-        help=_TIER_HELP + "; naming one also benchmarks the zoo "
-             "end-to-end path at that graph mode",
-    )
     serve = sub.add_parser(
         "serve", help="run the MLPerf Server scenario on the event engine"
     )
@@ -764,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a Perfetto trace with one causally linked "
                             "span tree per query")
     serve.add_argument("--telemetry", metavar="FILE",
-                       help="write JSONL telemetry frames (repro top --replay)")
+                       help="write JSONL telemetry frames (view with repro top)")
     serve.add_argument("--prometheus", metavar="FILE",
                        help="write the metrics registry as OpenMetrics text")
     serve.add_argument("--harvest", metavar="FILE",
@@ -773,34 +660,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--flamegraph", metavar="FILE",
                        help="write collapsed stacks (flamegraph.pl input)")
     top = sub.add_parser(
-        "top", help="top-style serving dashboard (live run or frame replay)"
+        "top", help="top-style dashboard over serve --telemetry frames"
     )
-    top.add_argument("model", nargs="?", default=None,
-                     help="zoo model key or unique prefix (omit with --replay)")
-    top.add_argument("--replay", metavar="FILE",
-                     help="render frames from a JSONL file instead of running")
-    top.add_argument("--queries", type=int, default=512)
-    top.add_argument("--qps", type=float, default=None)
-    top.add_argument("--seed", type=int, default=0)
-    top.add_argument("--slo-ms", type=float, default=None,
-                     help="arm the SLO monitor with this latency target")
-    top.add_argument("--window", type=float, default=None, metavar="SECONDS",
-                     help="rolling-window length (default: whole run)")
-    top.add_argument("--interval", type=float, default=0.05, metavar="SECONDS",
-                     help="frame sampling interval in simulated seconds")
+    top.add_argument("frames", help="JSONL frame file written by serve --telemetry")
     top.add_argument("--no-ansi", action="store_true",
                      help="append frames instead of redrawing in place")
-    trace = sub.add_parser(
-        "trace", help="run one traced inference and write Perfetto JSON"
-    )
-    trace.add_argument("model", help="zoo model key or unique prefix, e.g. resnet")
-    trace.add_argument("-o", "--output", help="trace path (default <model>.trace.json)")
-    trace.add_argument("--queries", type=int, default=128,
-                       help="SingleStream queries to trace (default 128)")
-    trace.add_argument("--metrics-csv", help="also dump the metrics registry as CSV")
-    trace.add_argument("--render", action="store_true",
-                       help="print Fig. 10-style text trace of the Ncore tracks")
-    trace.add_argument("--seed", type=int, default=0)
     lint = sub.add_parser(
         "lint", help="run the static analyzers over a model or GIR file"
     )
@@ -879,14 +743,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="zoo model key (or unique prefix) or path prefix of the "
              ".json/.npz pair",
     )
-    run_cmd.add_argument("--no-optimize", action="store_true")
-    run_cmd.add_argument("--tier", choices=_TIER_CHOICES, default="auto",
-                         help=_TIER_HELP)
+    run_cmd.add_argument("--no-optimize", action="store_true",
+                         help="compile at O0 (as compile --no-optimize)")
+    run_cmd.add_argument(
+        "--tier", choices=_TIER_CHOICES, default="auto",
+        help="graph mode: auto (replay + Tier-3 codegen when compiled at O2), "
+             "interpreter (per-node walk), replay, or codegen",
+    )
     run_cmd.add_argument("--seed", type=int, default=0)
     run_cmd.add_argument(
         "--sanitize", action="store_true",
         help="verify the run: static hazard rules, output determinism, a "
              "shadow-SRAM-sanitized microkernel and the fastpath oracle",
+    )
+    run_cmd.add_argument(
+        "--trace", metavar="FILE",
+        help="write a Perfetto trace of the run (compile, driver, delegate "
+             "schedule, a profiled DMA + MAC microkernel) and print its "
+             "Fig. 10-style text",
     )
     return parser
 
@@ -896,12 +770,10 @@ _COMMANDS = {
     "selftest": _cmd_selftest,
     "models": _cmd_models,
     "reproduce": _cmd_reproduce,
-    "bench": _cmd_bench,
     "serve": _cmd_serve,
     "top": _cmd_top,
     "compile": _cmd_compile,
     "run": _cmd_run,
-    "trace": _cmd_trace,
     "lint": _cmd_lint,
     "explore": _cmd_explore,
 }

@@ -1,9 +1,10 @@
 """``repro.engine``: the discrete-event execution engine.
 
-One simulated clock hosts every serving schedule in the repo that queues
-— the MLPerf SingleStream loop (``repro.perf.mlperf``) and the Server
-scenario (``repro.perf.serving.ServerScenario``); Offline is the closed
-form ``BenchmarkSystem.offline_throughput_ips``:
+One simulated clock hosts the serving schedule that queues — the MLPerf
+Server scenario (``repro.perf.serving.ServerScenario``).  SingleStream and
+Offline never queue, so they are the closed forms
+``BenchmarkSystem.single_stream_latency_seconds`` and
+``offline_throughput_ips``:
 
 - :mod:`repro.engine.core`       -- event queue, simulated time, tasks;
 - :mod:`repro.engine.resources`  -- capacity-limited resources (worker

@@ -8,7 +8,7 @@ the load generator — and a scheduler that interleaves them.  This module
 is that scheduler: a deterministic discrete-event kernel in the style of
 cycle-level NPU simulators (ONNXim's tick/event loop), small enough to
 audit but complete enough to host the whole serving stack
-(``repro.perf.serving`` and ``repro.perf.mlperf`` are its consumers).
+(``repro.perf.serving`` is its consumer).
 
 Design points:
 

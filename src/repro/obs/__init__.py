@@ -13,7 +13,6 @@ Usage::
         ...  # run anything: sessions, machines, MLPerf scenarios
     obs.write_chrome_trace("run.trace.json", tracer, metrics)
     print(obs.render_tracer(tracer))          # Fig. 10-style text
-    print(obs.metrics_csv(metrics))           # flat counter dump
     print(obs.prometheus_text(metrics))       # OpenMetrics exposition
 
 Serving-grade additions:
@@ -25,8 +24,8 @@ Serving-grade additions:
 - **cycle attribution** (:mod:`repro.obs.attrib`): retired cycles and
   DMA bytes mapped back to GIR segment -> op -> execution tier, with a
   JSONL feature harvest and flamegraph-ready collapsed stacks;
-- the ``repro top`` dashboard (:mod:`repro.obs.top`) over telemetry
-  frames sampled by the serving scenario.
+- the ``repro top`` dashboard (:mod:`repro.obs.top`) over the telemetry
+  frames ``repro serve --telemetry`` writes.
 
 When nothing is installed, every instrumentation point short-circuits on
 the no-op defaults — preserving the paper's "no performance penalty"
@@ -48,11 +47,7 @@ from repro.obs.attrib import (
     set_attrib,
 )
 from repro.obs.context import TraceContext, mint_trace
-from repro.obs.export import (
-    chrome_trace,
-    metrics_csv,
-    write_chrome_trace,
-)
+from repro.obs.export import chrome_trace, write_chrome_trace
 from repro.obs.metrics import (
     NULL_METRICS,
     Counter,
@@ -128,7 +123,6 @@ __all__ = [
     "install_metrics",
     "install_tracer",
     "labelled_name",
-    "metrics_csv",
     "mint_trace",
     "observe",
     "prometheus_text",

@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace-event / Perfetto JSON and flat metrics dumps.
+"""Exporter: Chrome trace-event / Perfetto JSON.
 
 The trace format is the Chrome ``traceEvents`` JSON that Perfetto and
 ``chrome://tracing`` both open directly: complete ("X") events carry the
@@ -15,7 +15,6 @@ two timelines (host microseconds vs model cycles) never interleave:
 
 from __future__ import annotations
 
-import io
 import json
 from typing import Any
 
@@ -162,35 +161,4 @@ def _jsonable(value: Any):
     for attr in ("item",):  # numpy scalars
         if hasattr(value, attr):
             return value.item()
-    return str(value)
-
-
-# ----------------------------------------------------------------------
-# Flat metrics dumps
-# ----------------------------------------------------------------------
-
-
-def metrics_csv(registry) -> str:
-    """A flat CSV: one row per metric, histogram stats flattened."""
-    out = io.StringIO()
-    out.write("name,kind,unit,value,count,mean,min,max,p50,p90,p99,wrapped\n")
-    for name, snap in registry.snapshot().items():
-        row = [
-            name, snap.get("kind", ""), snap.get("unit", ""),
-            _fmt(snap.get("value")), _fmt(snap.get("count")),
-            _fmt(snap.get("mean")), _fmt(snap.get("min")), _fmt(snap.get("max")),
-            _fmt(snap.get("p50")), _fmt(snap.get("p90")), _fmt(snap.get("p99")),
-            _fmt(snap.get("wrapped")),
-        ]
-        out.write(",".join(row) + "\n")
-    return out.getvalue()
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return f"{value:.9g}"
     return str(value)

@@ -3,9 +3,9 @@
 The paper's Fig. 10 shows "an example runtime trace generated during an
 Ncore run using Ncore's debugging features": named regions as bars over
 a cycle axis.  :func:`render_bars` is the generic renderer — one bar per
-row against a shared axis — used both by the legacy
-:class:`repro.runtime.profiler.Trace` and by :func:`render_tracer` for
-full-system traces with one section per track.
+row against a shared axis — and :func:`render_tracer` draws every track of
+a tracer with it, one section per track (the profiler's event-log spans on
+``ncore`` included).
 """
 
 from __future__ import annotations

@@ -1,18 +1,14 @@
-"""A ``top``-style live view of a serving run.
+"""A ``top``-style view of a serving run.
 
 The serving scenario samples one telemetry *frame* per interval of
 simulated time (see ``ServerScenario._sample_frame``): completed/offered
 queries, rolling p50/p90/p99, completion QPS, queue depth, batch
-occupancy, the SLO state and per-socket utilization.  This module renders
-those frames as a terminal dashboard:
-
-- **live**: ``repro top <model>`` runs a seeded server scenario and
-  plays its frames back in order (simulated time, so the whole run is
-  available instantly — playback is a scrub through the run, not a wall
-  clock wait);
-- **replay**: ``repro top --replay frames.jsonl`` renders frames written
-  by ``repro serve --telemetry frames.jsonl``, so a run harvested on one
-  machine can be inspected on another.
+occupancy, the SLO state and per-socket utilization.  ``repro serve
+--telemetry frames.jsonl`` writes them and ``repro top frames.jsonl``
+renders them as a terminal dashboard, so a run harvested on one machine
+can be inspected on another.  The frames are in simulated time, so the
+whole run is available at once: playback is a scrub through the run, not
+a wall-clock wait.
 
 With ANSI enabled each frame redraws in place (cursor-up escapes); with
 ``--no-ansi`` frames append, which keeps the output pipeable and makes
@@ -35,7 +31,7 @@ def utilization_bar(fraction: float, width: int = BAR_WIDTH) -> str:
     return "#" * filled + "." * (width - filled)
 
 
-def format_frame(frame: Mapping[str, Any], max_batch: int | None = None) -> list[str]:
+def format_frame(frame: Mapping[str, Any]) -> list[str]:
     """One frame as dashboard lines (no trailing newlines)."""
     model = frame.get("model", "?")
     completed = int(frame.get("completed", 0))
@@ -49,13 +45,9 @@ def format_frame(frame: Mapping[str, Any], max_batch: int | None = None) -> list
         f"p90 {float(frame.get('p90_ms', 0.0)):7.3f} ms   "
         f"p99 {float(frame.get('p99_ms', 0.0)):7.3f} ms",
     ]
-    occupancy = float(frame.get("batch_occupancy", 0.0))
-    occupancy_text = f"{occupancy:.2f}"
-    if max_batch:
-        occupancy_text += f"/{max_batch}"
     lines.append(
         f"queue     depth {int(frame.get('queue_depth', 0)):4d}   "
-        f"batch occupancy {occupancy_text}"
+        f"batch occupancy {float(frame.get('batch_occupancy', 0.0)):.2f}"
     )
     if "slo_attainment" in frame:
         lines.append(
@@ -76,7 +68,6 @@ def render_frames(
     frames: Iterable[Mapping[str, Any]],
     stream: IO[str],
     ansi: bool = True,
-    max_batch: int | None = None,
 ) -> int:
     """Play frames to ``stream``; returns the number rendered.
 
@@ -87,7 +78,7 @@ def render_frames(
     rendered = 0
     previous_height = 0
     for frame in frames:
-        lines = format_frame(frame, max_batch=max_batch)
+        lines = format_frame(frame)
         if ansi and previous_height:
             stream.write(f"\x1b[{previous_height}A")
             for line in lines:
@@ -103,7 +94,7 @@ def render_frames(
 
 
 # ----------------------------------------------------------------------
-# Frame files (the ``repro serve --telemetry`` <-> ``repro top --replay``
+# Frame files (the ``repro serve --telemetry`` -> ``repro top``
 # interchange format: one JSON frame per line)
 # ----------------------------------------------------------------------
 

@@ -200,8 +200,8 @@ class Tracer:
 
     def add_span(self, name: str, track: str, *, start_us: float, duration_us: float,
                  domain: str = SIM, args: dict | None = None, category: str = "",
-                 context: TraceContext | None = None) -> None:
-        """Record a completed span with explicit timestamps."""
+                 context: TraceContext | None = None) -> SpanRecord:
+        """Record a completed span with explicit timestamps; returns it."""
         record = SpanRecord(
             name=name, track=track, start_us=start_us, duration_us=duration_us,
             domain=domain, category=category, args=dict(args or {}),
@@ -212,16 +212,17 @@ class Tracer:
             record.parent_id = context.parent_id
         with self._lock:
             self.spans.append(record)
+        return record
 
     def add_cycle_span(self, name: str, track: str, start_cycle: int, end_cycle: int,
                        args: dict | None = None, category: str = "",
-                       context: TraceContext | None = None) -> None:
-        """Record a simulator span stamped in model cycles."""
+                       context: TraceContext | None = None) -> SpanRecord:
+        """Record a simulator span stamped in model cycles; returns it."""
         scale = 1e6 / self.clock_hz
         merged = {"start_cycle": int(start_cycle), "end_cycle": int(end_cycle)}
         if args:
             merged.update(args)
-        self.add_span(
+        return self.add_span(
             name, track,
             start_us=start_cycle * scale,
             duration_us=max(0, end_cycle - start_cycle) * scale,

@@ -4,15 +4,13 @@
   against (Tables VII/VIII, MLPerf Inference v0.5 closed division).
 - :mod:`repro.perf.workloads`  -- the x86 portion of each benchmark
   (preprocess, postprocess, framework overhead; Table IX).
-- :mod:`repro.perf.system`     -- the full-system latency/throughput model.
+- :mod:`repro.perf.system`     -- the full-system latency/throughput model;
+  SingleStream and Offline are its closed forms (nothing queues).
 - :mod:`repro.perf.scaling`    -- throughput vs x86 core count (Figs 13/14).
-- :mod:`repro.perf.mlperf`     -- SingleStream scenario harness (Offline is
-  the closed form ``BenchmarkSystem.offline_throughput_ips``).
 - :mod:`repro.perf.serving`    -- engine-driven Server scenario (Poisson
   arrivals, dynamic batching, multisocket sharding).
 """
 
-from repro.perf.mlperf import SingleStreamResult, run_single_stream
 from repro.perf.report import generate_report
 from repro.perf.serving import (
     ServerResult,
@@ -36,12 +34,10 @@ __all__ = [
     "SUBMITTER_TYPES",
     "ServerResult",
     "ServingTimingModel",
-    "SingleStreamResult",
     "default_server_qps",
     "expected_throughput",
     "generate_report",
     "observed_throughput",
     "run_server",
-    "run_single_stream",
     "x86_portion_seconds",
 ]

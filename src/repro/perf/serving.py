@@ -3,8 +3,9 @@
 The MLPerf scenarios differ only in their *schedule* (the LoadGen insight
 the paper's submissions ran under):
 
-- **SingleStream** -- a closed loop with one outstanding query, on the
-  engine in :mod:`repro.perf.mlperf`;
+- **SingleStream** -- one outstanding query never queues, so it is the
+  closed form
+  :meth:`~repro.perf.system.BenchmarkSystem.single_stream_latency_seconds`;
 - **Offline**      -- every query available at time zero, batched; with
   nothing to queue it is the closed form
   :meth:`~repro.perf.system.BenchmarkSystem.offline_throughput_ips`;
@@ -36,9 +37,10 @@ from repro.obs.context import TraceContext, mint_trace
 from repro.obs.metrics import Histogram, get_metrics
 from repro.obs.tracer import get_tracer
 from repro.obs.window import RateMeter, SloMonitor, WindowedHistogram
-from repro.perf.mlperf import JITTER_SIGMA
 from repro.perf.scaling import SERIAL_X86_SHARE
 from repro.soc.multisocket import CROSS_SOCKET_EFFICIENCY
+
+JITTER_SIGMA = 0.015  # ~1.5% batch-to-batch latency noise (scheduler, DRAM refresh)
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ class ServerResult:
     latencies_seconds: np.ndarray = field(repr=False, compare=False, default=None)
     #: SLO snapshot (attainment / burn rate / budget) when a target was set.
     slo: dict | None = field(repr=False, compare=False, default=None)
-    #: Telemetry frames sampled during the run (``repro top`` input).
+    #: Telemetry frames sampled during the run (what ``repro top`` renders).
     frames: list = field(repr=False, compare=False, default_factory=list)
 
     @property

@@ -1,13 +1,14 @@
 """Simulator throughput measurement: how fast the golden model replays.
 
-Two independent measurements, one per execution axis, both printed by
-``repro bench``.  The *machine* axis: the Fig. 6 fused convolution inner
+Two independent measurements, one per execution axis, both taken by the
+wall-time guards.  The *machine* axis: the Fig. 6 fused convolution inner
 loop on the instruction-level simulator, with and without
-:mod:`repro.ncore.fastpath` trace fusion (also used by
-``benchmarks/bench_simulator.py`` and the fastpath CI guard).  The *graph*
-axis: zoo models end to end through
-:class:`~repro.runtime.executor.NcoreExecutor` at a named graph mode —
-no zoo query touches the instruction machine.  The versioned numbers live
+:mod:`repro.ncore.fastpath` trace fusion (``benchmarks/bench_fastpath_guard.py``;
+``benchmarks/bench_simulator.py`` reuses its machine).  The *graph* axis:
+zoo models end to end through
+:class:`~repro.runtime.executor.NcoreExecutor` at a named graph mode
+(``benchmarks/bench_codegen_guard.py``) — no zoo query touches the
+instruction machine.  The versioned numbers live
 in the performance ledger (``benchmarks/ledger``).
 
 Wall-clock numbers here describe the *simulator*, not the modelled

@@ -9,7 +9,7 @@ that owns the protected settings (DMA windows, power).
 from repro.runtime.driver import DriverError, NcoreKernelDriver
 from repro.runtime.executor import TIER_CHOICES, NcoreExecutor, TierPolicy
 from repro.runtime.luts import build_activation_lut, sigmoid_lut, tanh_lut
-from repro.runtime.profiler import EventLogOverflowError, Profiler, Trace
+from repro.runtime.profiler import EventLogOverflowError, Profiler
 from repro.runtime.qkernels import execute_quantized
 from repro.runtime.selftest import SelfTestReport, power_on_self_test
 
@@ -22,7 +22,6 @@ __all__ = [
     "SelfTestReport",
     "TIER_CHOICES",
     "TierPolicy",
-    "Trace",
     "build_activation_lut",
     "execute_quantized",
     "power_on_self_test",

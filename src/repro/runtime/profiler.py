@@ -3,27 +3,23 @@
 Section V-C shows "an example runtime trace generated during an Ncore run
 using Ncore's debugging features".  The profiler brackets program regions
 with event markers, runs the program, and folds the drained event log into
-named spans with cycle and wall-time attribution — logging "poses no
-performance penalty on Ncore" (section IV-F), so the trace is free.
+named :class:`~repro.obs.SpanRecord` cycle spans on track ``ncore`` —
+logging "poses no performance penalty on Ncore" (section IV-F), so the
+trace is free.
 
-When a :mod:`repro.obs` tracer is installed, the folded spans are also
-forwarded to it (track ``ncore``), so Profiler traces land in the same
-Perfetto export as the rest of the system.
+The spans go to the installed :mod:`repro.obs` tracer, so Profiler traces
+land in the same Perfetto export as the rest of the system and render with
+:func:`repro.obs.render_tracer`; with no tracer installed they are
+recorded on a private one clocked at the machine's ``config.clock_hz``.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
 from repro.isa import Instruction, SeqOp, SeqOpcode
 from repro.ncore import Ncore
-from repro.obs.render import render_bars
-from repro.obs.tracer import get_tracer
+from repro.obs.tracer import SpanRecord, Tracer, get_tracer
 
 MAX_TAG = 15  # the EVENT seq-op arg is a 4-bit field
-
-DEFAULT_CLOCK_HZ = 2.5e9
 
 
 class EventLogOverflowError(RuntimeError):
@@ -31,65 +27,15 @@ class EventLogOverflowError(RuntimeError):
 
     The hardware buffer silently overwrites its oldest entries (section
     IV-F); a trace folded from a wrapped log would be truncated, so the
-    profiler refuses to return one unless configured to only warn.
+    profiler refuses to return one.
     """
-
-
-@dataclass(frozen=True)
-class Span:
-    """One named region of the trace."""
-
-    name: str
-    start_cycle: int
-    end_cycle: int
-    clock_hz: float = DEFAULT_CLOCK_HZ
-
-    @property
-    def cycles(self) -> int:
-        return self.end_cycle - self.start_cycle
-
-    def seconds(self, clock_hz: float | None = None) -> float:
-        """Span duration; the clock defaults to the machine's configured
-        ``config.clock_hz``, threaded in by the profiler."""
-        return self.cycles / (clock_hz if clock_hz is not None else self.clock_hz)
-
-
-@dataclass
-class Trace:
-    """A completed profiling run."""
-
-    spans: list[Span]
-    total_cycles: int
-    clock_hz: float
-
-    def render(self, width: int = 48) -> str:
-        """A Fig. 10-style text trace (one bar per span)."""
-        title = (f"Ncore trace: {self.total_cycles} cycles "
-                 f"({self.total_cycles / self.clock_hz * 1e6:.2f} us)")
-        rows = [(span.name, span.start_cycle, span.cycles) for span in self.spans]
-        return render_bars(title, rows, max(1, self.total_cycles), width=width)
-
-    def span(self, name: str) -> Span:
-        for candidate in self.spans:
-            if candidate.name == name:
-                return candidate
-        raise KeyError(f"no span named {name!r}")
 
 
 class Profiler:
-    """Instrument and run a program on one machine.
+    """Instrument and run a program on one machine."""
 
-    ``on_overflow`` selects what happens when the event log wrapped during
-    the run (spans irrecoverably lost): ``"raise"`` (default) raises
-    :class:`EventLogOverflowError`, ``"warn"`` emits a warning and returns
-    the truncated trace.
-    """
-
-    def __init__(self, machine: Ncore, on_overflow: str = "raise") -> None:
-        if on_overflow not in ("raise", "warn"):
-            raise ValueError("on_overflow must be 'raise' or 'warn'")
+    def __init__(self, machine: Ncore) -> None:
         self.machine = machine
-        self.on_overflow = on_overflow
         self._names: dict[int, str] = {}
         self._next_tag = 0
 
@@ -112,39 +58,34 @@ class Profiler:
         program.append(Instruction(seq=SeqOp(SeqOpcode.HALT)))
         return program
 
-    def run(self, program: list[Instruction], max_cycles: int = 100_000_000) -> Trace:
-        """Execute and fold the event log into spans."""
+    def run(self, program: list[Instruction],
+            max_cycles: int = 100_000_000) -> list[SpanRecord]:
+        """Execute and fold the event log into one cycle span per region.
+
+        Raises :class:`EventLogOverflowError` when the log wrapped during
+        the run (spans irrecoverably lost).
+        """
         self.machine.event_log.drain()  # start clean
-        result = self.machine.execute_program(program, max_cycles=max_cycles)
+        self.machine.execute_program(program, max_cycles=max_cycles)
         dropped = self.machine.event_log.dropped
         if dropped:
-            message = (
+            raise EventLogOverflowError(
                 f"event log wrapped during the run: {dropped} events were "
                 f"overwritten before draining, the trace is truncated "
                 f"(capacity {self.machine.event_log.capacity})"
             )
-            if self.on_overflow == "raise":
-                raise EventLogOverflowError(message)
-            warnings.warn(message, RuntimeWarning, stacklevel=2)
-        clock_hz = self.machine.config.clock_hz
+        tracer = get_tracer()
+        if not tracer.enabled:
+            tracer = Tracer(clock_hz=self.machine.config.clock_hz)
         events = [
             e for e in self.machine.event_log.drain() if e.tag in self._names
         ]
-        spans: list[Span] = []
+        spans: list[SpanRecord] = []
         for current, following in zip(events, events[1:], strict=False):
             name = self._names[current.tag]
             if name == "__end__":
                 continue
-            spans.append(Span(name, current.cycle, following.cycle, clock_hz=clock_hz))
-        tracer = get_tracer()
-        if tracer.enabled:
-            for span in spans:
-                tracer.add_cycle_span(
-                    span.name, "ncore", span.start_cycle, span.end_cycle,
-                    category="profiler",
-                )
-        return Trace(
-            spans=spans,
-            total_cycles=result.cycles,
-            clock_hz=clock_hz,
-        )
+            spans.append(tracer.add_cycle_span(
+                name, "ncore", current.cycle, following.cycle, category="profiler",
+            ))
+        return spans

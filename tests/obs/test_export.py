@@ -1,4 +1,4 @@
-"""Tests for the Chrome-trace/Perfetto exporter and the metrics dumps."""
+"""Tests for the Chrome-trace/Perfetto exporter and the metrics snapshot."""
 
 import json
 
@@ -78,17 +78,6 @@ class TestChromeTrace:
 
 
 class TestMetricsDumps:
-    def test_csv_has_one_row_per_metric(self):
-        registry = obs.MetricsRegistry()
-        registry.counter("a", unit="B").inc(1)
-        registry.gauge("b").set(2)
-        registry.histogram("c").observe(3.0)
-        text = obs.metrics_csv(registry)
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("name,kind,unit")
-        assert len(lines) == 4
-        assert lines[1].startswith("a,counter,B,1")
-
     def test_json_round_trips(self):
         registry = obs.MetricsRegistry()
         registry.counter("a").inc(5)

@@ -29,12 +29,12 @@ FRAME = {
 
 class TestFormatFrame:
     def test_renders_all_sections(self):
-        text = "\n".join(format_frame(FRAME, max_batch=8))
+        text = "\n".join(format_frame(FRAME))
         assert "resnet50_v15" in text
         assert "100/512" in text
         assert "1234.5" in text
         assert "p99   4.000 ms" in text
-        assert "6.40/8" in text
+        assert "batch occupancy 6.40" in text
         assert "attainment  99.50%" in text
         assert "[0]" in text and "[1]" in text
 

@@ -119,32 +119,6 @@ class TestRuntimeWiring:
         assert compile_span.args["segments"] == len(model.segments)
 
 
-class TestMlperfWiring:
-    class FakeSystem:
-        model_key = "fake"
-
-        def single_stream_latency_seconds(self):
-            return 1e-3
-
-    def test_single_stream_spans_and_histogram(self):
-        from repro.perf.mlperf import run_single_stream
-
-        with obs.observe() as (tracer, metrics):
-            result = run_single_stream(self.FakeSystem(), queries=16)
-        (span,) = tracer.spans_on("mlperf")
-        assert span.name == "mlperf.single_stream"
-        assert span.args["p90_latency_ms"] == pytest.approx(result.p90_latency_ms)
-        queries = tracer.spans_on("mlperf.queries")
-        assert len(queries) == 16
-        # Queries tile the modelled timeline back-to-back.
-        assert queries[1].start_us == pytest.approx(queries[0].end_us)
-        histogram = metrics.get("mlperf.latency_seconds")
-        assert histogram.count == 16
-        assert histogram.percentile(90) == pytest.approx(
-            result.p90_latency_seconds, rel=0.05
-        )
-
-
 class TestProfilerForwarding:
     def test_profiler_spans_reach_the_tracer(self):
         machine = Ncore()
@@ -154,11 +128,12 @@ class TestProfilerForwarding:
 
         with obs.observe() as (tracer, _):
             profiler = Profiler(machine)
-            trace = profiler.run(profiler.instrument(
+            (span,) = profiler.run(profiler.instrument(
                 [("compute", assemble("loop 4 {\n  mac dram[a0], wtram[a1]\n}"))]
             ))
         names = {s.name for s in tracer.spans_on("ncore")}
-        assert "compute" in names      # forwarded profiler span
+        assert "compute" in names      # the profiler's span
         assert "ncore.run" in names    # machine-level span
-        forwarded = next(s for s in tracer.spans_on("ncore") if s.name == "compute")
-        assert forwarded.args["start_cycle"] == trace.span("compute").start_cycle
+        # One span model: the returned record is the tracer's own.
+        assert any(s is span for s in tracer.spans_on("ncore"))
+        assert span.category == "profiler"

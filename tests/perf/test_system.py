@@ -3,7 +3,6 @@ paper's comparative claims (who wins, by roughly what factor)."""
 
 import pytest
 
-from repro.perf.mlperf import run_single_stream
 from repro.perf.published import (
     PUBLISHED_LATENCY_MS,
     PUBLISHED_THROUGHPUT_IPS,
@@ -200,21 +199,3 @@ class TestOneTimingModel:
             assert executor.x86_graph_seconds() == system.x86_portion().graph_seconds
         finally:
             executor.close()
-
-
-class TestMlperfHarness:
-    def test_single_stream_p90_above_mean(self):
-        result = run_single_stream(get_system("mobilenet_v1"), queries=512)
-        assert result.p90_latency_seconds > result.mean_latency_seconds
-
-    def test_single_stream_deterministic_by_seed(self):
-        system = get_system("mobilenet_v1")
-        a = run_single_stream(system, queries=128, seed=3)
-        b = run_single_stream(system, queries=128, seed=3)
-        assert a == b
-
-    def test_query_counts_validated(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            run_single_stream(get_system("mobilenet_v1"), queries=0)

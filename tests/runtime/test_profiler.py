@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.isa import assemble
-from repro.ncore import Ncore
+from repro.ncore import Ncore, NcoreConfig
 from repro.runtime.profiler import Profiler
 
 
@@ -12,12 +13,27 @@ def region(source: str):
     return assemble(source)
 
 
+def cycles(span) -> int:
+    return span.args["end_cycle"] - span.args["start_cycle"]
+
+
+def loaded_machine(config=None) -> Ncore:
+    machine = Ncore(config)
+    machine.write_data_ram(0, bytes(np.full(4096, 1, np.uint8)))
+    machine.write_weight_ram(0, bytes(np.full(4096, 1, np.uint8)))
+    return machine
+
+
+def profile_compute(machine):
+    profiler = Profiler(machine)
+    return profiler.run(profiler.instrument(
+        [("compute", region("loop 10 {\n  mac dram[a0], wtram[a1]\n}"))]
+    ))
+
+
 class TestProfiler:
-    def _trace(self):
-        machine = Ncore()
-        machine.write_data_ram(0, bytes(np.full(4096, 1, np.uint8)))
-        machine.write_weight_ram(0, bytes(np.full(4096, 1, np.uint8)))
-        profiler = Profiler(machine)
+    def _spans(self):
+        profiler = Profiler(loaded_machine())
         program = profiler.instrument(
             [
                 ("setup", region("setaddr a0, 0\nsetaddr a1, 0")),
@@ -28,21 +44,20 @@ class TestProfiler:
         return profiler.run(program)
 
     def test_spans_cover_named_regions(self):
-        trace = self._trace()
-        assert [s.name for s in trace.spans] == ["setup", "compute", "writeback"]
+        assert [s.name for s in self._spans()] == ["setup", "compute", "writeback"]
 
     def test_compute_span_has_the_cycles(self):
-        trace = self._trace()
-        compute = trace.span("compute")
+        spans = {s.name: s for s in self._spans()}
         # marker + 10 fused MAC cycles land inside the compute span.
-        assert compute.cycles >= 10
-        assert compute.cycles > trace.span("setup").cycles
+        assert cycles(spans["compute"]) >= 10
+        assert cycles(spans["compute"]) > cycles(spans["setup"])
 
     def test_spans_are_contiguous_and_ordered(self):
-        trace = self._trace()
-        for a, b in zip(trace.spans, trace.spans[1:], strict=False):
-            assert a.end_cycle == b.start_cycle
-            assert a.start_cycle < a.end_cycle
+        spans = self._spans()
+        for a, b in zip(spans, spans[1:], strict=False):
+            assert a.args["end_cycle"] == b.args["start_cycle"]
+            assert a.args["start_cycle"] < a.args["end_cycle"]
+            assert a.end_us == pytest.approx(b.start_us)
 
     def test_instrumentation_is_free(self):
         # Section IV-F: "logging poses no performance penalty" — the only
@@ -52,20 +67,16 @@ class TestProfiler:
         baseline = machine.execute_program(body + assemble("halt")).cycles
         machine.reset()
         profiler = Profiler(machine)
-        trace = profiler.run(profiler.instrument([("all", body)]))
-        assert trace.total_cycles == baseline + 2  # two markers
+        profiler.run(profiler.instrument([("all", body)]))
+        assert machine.total_cycles == baseline + 2  # two markers
 
     def test_render_is_fig10_like(self):
-        trace = self._trace()
-        text = trace.render()
-        assert "Ncore trace" in text
+        with obs.observe() as (tracer, _):
+            self._spans()
+        text = obs.render_tracer(tracer, tracks=["ncore"])
+        assert text.startswith("[ncore]")
         assert "compute" in text
         assert "#" in text
-
-    def test_unknown_span_lookup(self):
-        trace = self._trace()
-        with pytest.raises(KeyError):
-            trace.span("nope")
 
     def test_marker_budget_enforced(self):
         profiler = Profiler(Ncore())
@@ -77,35 +88,23 @@ class TestProfiler:
 
 class TestClockThreading:
     def test_span_seconds_uses_machine_clock(self):
-        from repro.ncore import NcoreConfig
-
-        machine = Ncore(NcoreConfig(clock_hz=1e9))
-        machine.write_data_ram(0, bytes(np.full(4096, 1, np.uint8)))
-        machine.write_weight_ram(0, bytes(np.full(4096, 1, np.uint8)))
-        profiler = Profiler(machine)
-        trace = profiler.run(profiler.instrument(
-            [("compute", region("loop 10 {\n  mac dram[a0], wtram[a1]\n}"))]
-        ))
-        span = trace.span("compute")
-        assert span.clock_hz == 1e9
-        assert span.seconds() == pytest.approx(span.cycles / 1e9)
-        assert trace.clock_hz == 1e9
+        # No tracer installed: spans convert through the machine's clock.
+        (span,) = profile_compute(loaded_machine(NcoreConfig(clock_hz=1e9)))
+        assert span.duration_us == pytest.approx(cycles(span) / 1e9 * 1e6)
 
     def test_explicit_clock_still_wins(self):
-        from repro.runtime.profiler import Span
-
-        span = Span("x", 0, 2500)
-        assert span.seconds() == pytest.approx(1e-6)  # default 2.5 GHz
-        assert span.seconds(clock_hz=2.5e6) == pytest.approx(1e-3)
+        # An installed tracer converts through its own clock.
+        with obs.observe(clock_hz=2.5e6) as (tracer, _):
+            (span,) = profile_compute(loaded_machine())
+        assert span.duration_us == pytest.approx(cycles(span) / 2.5e6 * 1e6)
+        assert any(s is span for s in tracer.spans_on("ncore"))
 
 
 class TestOverflowDetection:
     def _flooding_machine(self):
         # A tiny event log makes the marker stream itself overflow it.
-        machine = Ncore()
+        machine = loaded_machine()
         machine.event_log.capacity = 1
-        machine.write_data_ram(0, bytes(np.full(4096, 1, np.uint8)))
-        machine.write_weight_ram(0, bytes(np.full(4096, 1, np.uint8)))
         return machine
 
     def _program(self, profiler):
@@ -123,21 +122,7 @@ class TestOverflowDetection:
         with pytest.raises(EventLogOverflowError, match="wrapped"):
             profiler.run(self._program(profiler))
 
-    def test_overflow_warns_when_configured(self):
-        profiler = Profiler(self._flooding_machine(), on_overflow="warn")
-        with pytest.warns(RuntimeWarning, match="truncated"):
-            trace = profiler.run(self._program(profiler))
-        # The truncated trace is still returned.
-        assert trace.total_cycles > 0
-
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError, match="on_overflow"):
-            Profiler(Ncore(), on_overflow="ignore")
-
     def test_no_overflow_on_normal_runs(self):
-        machine = Ncore()
-        machine.write_data_ram(0, bytes(np.full(4096, 1, np.uint8)))
-        machine.write_weight_ram(0, bytes(np.full(4096, 1, np.uint8)))
-        profiler = Profiler(machine)
-        trace = profiler.run(self._program(profiler))
-        assert [s.name for s in trace.spans] == ["setup", "compute"]
+        profiler = Profiler(loaded_machine())
+        spans = profiler.run(self._program(profiler))
+        assert [s.name for s in spans] == ["setup", "compute"]

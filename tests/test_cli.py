@@ -32,29 +32,8 @@ class TestModels:
             assert key in out
 
 
-class TestBench:
-    def test_benchmarks_a_model(self, capsys):
-        assert main(["bench", "mobilenet_v1"]) == 0
-        out = capsys.readouterr().out
-        assert "SingleStream latency" in out
-        assert "Offline throughput" in out
-
-    def test_unknown_model_errors(self, capsys):
-        assert main(["bench", "alexnet"]) == 2
-        assert "unknown model" in capsys.readouterr().err
-
-    def test_no_fastpath_does_not_leak_machine_mode(self, capsys):
-        # --no-fastpath picks the machine mode of the Fig. 6 line only; a
-        # later Ncore() still fuses.
-        from repro.ncore import Ncore
-
-        assert main(["bench", "mobilenet_v1", "--no-fastpath"]) == 0
-        assert "(interpreter)" in capsys.readouterr().out
-        assert Ncore().fastpath is True
-
-
 class TestTierFlag:
-    @pytest.mark.parametrize("command", ["run", "serve", "bench"])
+    @pytest.mark.parametrize("command", ["run", "serve"])
     def test_fastpath_is_not_a_graph_mode(self, command, capsys):
         # Trace fusion is a machine mode (``Ncore(fastpath=)``); as a zoo
         # ``--tier`` it only ever changed a label, so the spelling is gone.
@@ -181,40 +160,49 @@ class TestCompileAndRun:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_run_no_optimize_skips_the_optimize_stage(self, capsys):
+        # As for ``compile --no-optimize``: the zoo graph reaches PTQ and the
+        # backend unoptimized (a cache hit records the pipeline instead).
+        from repro import obs
+
+        with obs.observe() as (tracer, _):
+            assert main(["run", "mobilenet_v1", "--no-optimize"]) == 0
+        assert "latency" in capsys.readouterr().out
+        records = tracer.spans_on("compiler") + tracer.instants
+        assert "compiler.optimize" not in {r.name for r in records}
+        assert {r.args.get("pipeline") for r in records} >= {"zoo-O0-s0"}
+
 
 class TestTrace:
     def test_writes_valid_chrome_trace(self, tmp_path, capsys):
         import json
 
         out_path = tmp_path / "mn.trace.json"
-        csv_path = tmp_path / "mn.metrics.csv"
-        assert main([
-            "trace", "mobilenet", "-o", str(out_path),
-            "--queries", "8", "--metrics-csv", str(csv_path), "--render",
-        ]) == 0
+        assert main(["run", "mobilenet_v1", "--trace", str(out_path)]) == 0
         out = capsys.readouterr().out
-        assert "spans on" in out
-        assert "p90 SingleStream latency" in out
+        assert "latency:" in out
         doc = json.loads(out_path.read_text())
-        tracks = {
-            e["args"]["name"] for e in doc["traceEvents"]
+        threads = {
+            (e["pid"], e["args"]["name"]) for e in doc["traceEvents"]
             if e["ph"] == "M" and e["name"] == "thread_name"
         }
-        # Spans from at least four distinct layers of the stack.
-        assert {"delegate", "driver", "dma", "ncore", "mlperf"} <= tracks
+        assert {"compiler", "delegate", "driver", "delegate.schedule",
+                "ncore.kernels", "dma", "ncore"} <= {name for _, name in threads}
+        # Wall-clock layers in pid 1, simulated time in pid 2.
+        assert {(1, "delegate"), (1, "driver"), (2, "delegate.schedule"),
+                (2, "dma"), (2, "ncore")} <= threads
         assert any(e["ph"] == "X" for e in doc["traceEvents"])
-        csv = csv_path.read_text().splitlines()
-        assert csv[0].startswith("name,kind,unit")
-        assert any(line.startswith("dma.bytes_moved,") for line in csv)
-        assert "[ncore]" in out  # --render output
+        # The Fig. 10 text of the profiled microkernel.
+        assert "[ncore]" in out
+        assert "stage_weights" in out
 
-    def test_unknown_model_errors(self, capsys):
-        assert main(["trace", "alexnet"]) == 2
+    def test_unknown_model_errors(self, tmp_path, capsys):
+        assert main(["run", "alexnet", "--trace", str(tmp_path / "t.json")]) == 2
         assert "unknown model" in capsys.readouterr().err
 
-    def test_ambiguous_prefix_errors(self, capsys):
+    def test_ambiguous_prefix_errors(self, tmp_path, capsys):
         # "mobilenet_v1" and "ssd_mobilenet_v1" both contain "net".
-        assert main(["trace", "net"]) == 2
+        assert main(["run", "net", "--trace", str(tmp_path / "t.json")]) == 2
         assert "unknown model" in capsys.readouterr().err
 
 
@@ -270,28 +258,24 @@ class TestServeTelemetry:
 
 
 class TestTop:
-    def test_live_run_renders_frames(self, capsys):
-        assert main(["top", "mobilenet_v1", "--queries", "64",
-                     "--no-ansi"]) == 0
-        out = capsys.readouterr().out
-        assert "repro top" in out
-        assert "p99" in out
-        assert "sockets" in out
-
     def test_replay_round_trip(self, capsys, tmp_path):
         frames = tmp_path / "frames.jsonl"
         assert main(["serve", "mobilenet_v1", "--queries", "32",
                      "--telemetry", str(frames)]) == 0
-        capsys.readouterr()
-        assert main(["top", "--replay", str(frames), "--no-ansi"]) == 0
+        assert f"repro top {frames}" in capsys.readouterr().out
+        assert main(["top", str(frames), "--no-ansi"]) == 0
         out = capsys.readouterr().out
         assert "repro top" in out
         assert "mobilenet_v1" in out
+        assert "sockets" in out
 
     def test_replay_missing_file_exits_2(self, capsys, tmp_path):
-        assert main(["top", "--replay", str(tmp_path / "nope.jsonl")]) == 2
+        assert main(["top", str(tmp_path / "nope.jsonl")]) == 2
         assert "no such" in capsys.readouterr().err.lower()
 
     def test_no_model_and_no_replay_exits_2(self, capsys):
-        assert main(["top"]) == 2
-        assert "model" in capsys.readouterr().err
+        # The frame file is the only input: there is no live mode.
+        with pytest.raises(SystemExit) as exc_info:
+            main(["top"])
+        assert exc_info.value.code == 2
+        assert "frames" in capsys.readouterr().err

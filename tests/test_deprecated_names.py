@@ -12,7 +12,9 @@ the test-only ``EngineExecutor`` serving pipeline and ``MachineTask``, then
 the per-table benchmark files, their helper module and the second Fig. 13
 definition (``repro.perf.report`` is the one generator of paper numbers),
 then the first backlog of the consumer gate (``tools/lint_consumers.py``):
-names only tests reached.  These tests grep the tree so a stray reference
+names only tests reached, then the commands that re-ran another command's
+job (``repro bench``, ``repro trace``, the live ``repro top``) and the
+second copies only they reached.  These tests grep the tree so a stray reference
 (or a reintroduced alias) fails loudly rather than resurrecting an old name.
 """
 
@@ -144,6 +146,19 @@ def test_test_only_names_are_gone():
     offenders = _grep(pattern, files)
     assert not offenders, "test-only name resurfaced:\n" + "\n".join(offenders)
     assert not (ROOT / "BENCH_simulator.json").exists()
+
+
+def test_one_command_per_job():
+    # ``repro trace`` is ``repro run --trace``; ``repro top`` only renders a
+    # frame file.  With the removed commands went the engine SingleStream
+    # loop, the CSV metrics dump and the profiler's overflow policy.
+    pattern = re.compile(
+        r"repro bench|repro trace|top --replay|run_single_stream|SingleStreamResult"
+        r"|perf\.mlperf|perf/mlperf|metrics_csv|--metrics-csv|on_overflow"
+    )
+    files = _tree_files("src", "examples", "docs") + [ROOT / "DESIGN.md"]
+    offenders = _grep(pattern, files)
+    assert not offenders, "removed command or name resurfaced:\n" + "\n".join(offenders)
 
 
 @pytest.mark.parametrize("owner, name", [
