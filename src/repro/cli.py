@@ -7,8 +7,9 @@ One command per job:
 - ``models``                -- the model zoo with Table V characteristics
 - ``reproduce``             -- regenerate every paper table/figure in one run
 - ``serve <model>``         -- MLPerf Server scenario on the event engine
-  (``--slo-ms`` arms the SLO monitor; ``--telemetry``/``--prometheus``/
-  ``--harvest``/``--flamegraph`` write the telemetry surfaces)
+  (``--slo-ms`` sets the latency target the SLO figures read;
+  ``--trace``/``--telemetry``/``--prometheus``/``--harvest``/
+  ``--flamegraph`` write the telemetry surfaces)
 - ``top <frames.jsonl>``    -- ``top``-style dashboard over the frames
   ``serve --telemetry`` wrote
 - ``compile <model|path>``  -- compile through the staged driver; ``--dump-ir``
@@ -87,7 +88,6 @@ def _cmd_models(args) -> int:
 
 def _cmd_serve(args) -> int:
     from repro.models import PAPER_CHARACTERISTICS
-    from repro.obs.attrib import install_attrib
     from repro.obs.metrics import MetricsRegistry, install_metrics
     from repro.perf.serving import run_server
     from repro.perf.system import get_system
@@ -103,6 +103,9 @@ def _cmd_serve(args) -> int:
     if args.qps is not None and args.qps <= 0:
         print("--qps must be positive", file=sys.stderr)
         return 2
+    if args.slo_ms is not None and args.slo_ms <= 0:
+        print("--slo-ms must be positive", file=sys.stderr)
+        return 2
     slo_seconds = args.slo_ms * 1e-3 if args.slo_ms is not None else None
     telemetry_interval = args.interval if args.telemetry else None
     with contextlib.ExitStack() as stack:
@@ -114,11 +117,9 @@ def _cmd_serve(args) -> int:
             from repro.obs.tracer import Tracer, install_tracer
 
             tracer = stack.enter_context(install_tracer(Tracer()))
-        collector = None
-        if args.harvest or args.flamegraph:
-            collector = stack.enter_context(install_attrib())
+        system = get_system(key)
         result = run_server(
-            get_system(key),
+            system,
             qps=args.qps,
             queries=args.queries,
             seed=args.seed,
@@ -127,7 +128,6 @@ def _cmd_serve(args) -> int:
             cores=args.cores,
             sockets=args.sockets,
             slo_latency_seconds=slo_seconds,
-            window_seconds=args.window,
             telemetry_interval=telemetry_interval,
         )
     print(f"{PAPER_CHARACTERISTICS[key].display} Server scenario "
@@ -164,12 +164,23 @@ def _cmd_serve(args) -> int:
         write_prometheus(args.prometheus, registry)
         print(f"  wrote {args.prometheus} ({len(registry.names())} metrics, "
               "OpenMetrics text)")
+    if args.harvest or args.flamegraph:
+        from repro.obs.attrib import collapsed_stacks, model_run_records, write_harvest
+        from repro.runtime.executor import TIER_TIMING_MODEL
+
+        # The analytic serving path never runs kernels, but its cycle
+        # budget still decomposes over the compiled artifact: one record
+        # per segment, labelled with the timing-model tier.
+        records = model_run_records(
+            system.compiled, TIER_TIMING_MODEL,
+            batch=max(1, round(result.mean_batch_size)), count=result.queries,
+        )
     if args.harvest:
-        count = collector.write_jsonl(args.harvest)
+        count = write_harvest(args.harvest, records)
         print(f"  wrote {args.harvest} ({count} segment-feature records)")
     if args.flamegraph:
         with open(args.flamegraph, "w", encoding="utf-8") as handle:
-            handle.write(collector.collapsed_stacks() + "\n")
+            handle.write(collapsed_stacks(records) + "\n")
         print(f"  wrote {args.flamegraph} (collapsed stacks for flamegraph.pl)")
     return 0
 
@@ -639,11 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--sockets", type=int, default=1)
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--slo-ms", type=float, default=None,
-                       help="arm the SLO monitor with this latency target "
-                            "(MLPerf Server shape: 1%% error budget)")
-    serve.add_argument("--window", type=float, default=None, metavar="SECONDS",
-                       help="rolling-window length for windowed metrics "
-                            "(default: whole run)")
+                       help="latency target for the SLO attainment / burn "
+                            "rate (MLPerf Server shape: 1%% error budget)")
     serve.add_argument("--interval", type=float, default=0.05, metavar="SECONDS",
                        help="telemetry frame sampling interval in simulated "
                             "seconds (with --telemetry; default 0.05)")

@@ -19,11 +19,10 @@ Serving-grade additions:
 
 - per-query **trace contexts** (:mod:`repro.obs.context`) thread one
   causal tree per query through every stage span;
-- **windowed metrics and SLO monitoring** (:mod:`repro.obs.window`):
-  rolling percentiles, rates and error-budget burn rates;
-- **cycle attribution** (:mod:`repro.obs.attrib`): retired cycles and
-  DMA bytes mapped back to GIR segment -> op -> execution tier, with a
-  JSONL feature harvest and flamegraph-ready collapsed stacks;
+- **cycle attribution** (:mod:`repro.obs.attrib`): pure functions
+  mapping compiled cycles and DMA bytes back to GIR segment -> op ->
+  execution tier, with a JSONL feature harvest and flamegraph-ready
+  collapsed stacks;
 - the ``repro top`` dashboard (:mod:`repro.obs.top`) over the telemetry
   frames ``repro serve --telemetry`` writes.
 
@@ -38,13 +37,10 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from repro.obs.attrib import (
-    NULL_ATTRIB,
-    AttributionCollector,
-    NullAttribution,
-    get_attrib,
-    install_attrib,
+    collapsed_stacks,
+    model_run_records,
     segment_features,
-    set_attrib,
+    write_harvest,
 )
 from repro.obs.context import TraceContext, mint_trace
 from repro.obs.export import chrome_trace, write_chrome_trace
@@ -74,11 +70,6 @@ from repro.obs.tracer import (
     install_tracer,
     set_tracer,
 )
-from repro.obs.window import (
-    RateMeter,
-    SloMonitor,
-    WindowedHistogram,
-)
 
 
 @contextmanager
@@ -95,10 +86,8 @@ def observe(
 
 
 __all__ = [
-    "NULL_ATTRIB",
     "NULL_METRICS",
     "NULL_TRACER",
-    "AttributionCollector",
     "Counter",
     "CounterSample",
     "Gauge",
@@ -106,33 +95,29 @@ __all__ = [
     "Histogram",
     "InstantRecord",
     "MetricsRegistry",
-    "NullAttribution",
     "NullMetrics",
     "NullTracer",
-    "RateMeter",
-    "SloMonitor",
     "SpanRecord",
     "TraceContext",
     "Tracer",
-    "WindowedHistogram",
     "chrome_trace",
-    "get_attrib",
+    "collapsed_stacks",
     "get_metrics",
     "get_tracer",
-    "install_attrib",
     "install_metrics",
     "install_tracer",
     "labelled_name",
     "mint_trace",
+    "model_run_records",
     "observe",
     "prometheus_text",
     "render_bars",
     "render_counters",
     "render_tracer",
     "segment_features",
-    "set_attrib",
     "set_metrics",
     "set_tracer",
     "write_chrome_trace",
+    "write_harvest",
     "write_prometheus",
 ]

@@ -1,41 +1,34 @@
-"""Cycle-attribution profiling: wall-clock results back to GIR segments.
+"""Cycle-attribution profiling: compiled cycles back to GIR segments.
 
 The paper debugs MLPerf bring-up by reading performance counters against
 the known kernel schedule (Fig. 10).  This module systematises that: it
 maps retired cycles and DMA bytes back through the compiled artifact —
-GIR segment -> op -> lowered kernel — and stamps each execution with the
-graph mode that actually ran it (``interpreter`` per-node walk /
-``codegen`` macro-kernels / ``replay`` cache hit / the serving harness's
+GIR segment -> op -> lowered kernel — and labels each record with the
+graph mode that produced the cycles (the executor's ``last_tier``:
+``interpreter`` / ``codegen`` / ``replay``; or the serving harness's
 analytic ``timing-model``).
 
+Pure functions of a compiled model; nothing is installed process-wide.
 Two outputs:
 
-- **Segment feature records** (JSONL): per-segment op mix, output
-  shapes, streamed DMA bytes, loop trip counts, MACs and cycles — the
-  training schema a learned cycle predictor (NeuroScalar/SimNet in
-  PAPERS.md; parked in ROADMAP.md) would consume.  Harvest with
+- **Segment feature records** (JSONL, :func:`model_run_records` +
+  :func:`write_harvest`): per-segment op mix, output shapes, streamed DMA
+  bytes, loop trip counts, MACs and cycles — the training schema a
+  learned cycle predictor (NeuroScalar/SimNet in PAPERS.md; parked in
+  ROADMAP.md) would consume.  Harvest with
   ``repro serve <model> --harvest run.jsonl``.
-- **Collapsed stacks** for flamegraph tooling
-  (``model;segment[i];tier;op;kernel cycles`` — feed straight into
+- **Collapsed stacks** for flamegraph tooling (:func:`collapsed_stacks`,
+  ``model;segment[i] (tier);op cycles`` — feed straight into
   ``flamegraph.pl`` or speedscope).
-
-Like the tracer and the metrics registry, the collector has a zero-cost
-null default: hot call sites check ``get_attrib().enabled`` first.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from repro.graph.loadable import CompiledModel
-
-#: Graph modes a record can be attributed to.
-TIER_INTERPRETER = "interpreter"
-TIER_REPLAY = "replay"
-TIER_CODEGEN = "codegen"
-TIER_TIMING_MODEL = "timing-model"
 
 
 def segment_features(
@@ -103,143 +96,59 @@ def segment_features(
     return records
 
 
-class NullAttribution:
-    """The no-op default collector (mirrors ``NullTracer``)."""
+def model_run_records(
+    model: "CompiledModel", tier: str, batch: int = 1, count: int = 1,
+    dma_bytes_per_cycle: float = 40.96,
+) -> list[dict[str, Any]]:
+    """Harvest records for ``count`` executions of a model on one tier.
 
-    enabled = False
-
-    def record(self, **fields: Any) -> None:
-        pass
-
-    def record_model_run(
-        self, model: "CompiledModel", tier: str, batch: int = 1,
-        count: int = 1, dma_bytes_per_cycle: float = 40.96,
-    ) -> None:
-        pass
-
-
-NULL_ATTRIB = NullAttribution()
-
-
-class AttributionCollector:
-    """Accumulates per-segment execution records for one observed run."""
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self.records: list[dict[str, Any]] = []
-        # Static features are pure functions of the compiled artifact;
-        # cache them per model object so per-query recording is cheap.
-        self._features: dict[int, list[dict[str, Any]]] = {}
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[dict[str, Any]]:
-        return iter(self.records)
-
-    def record(self, **fields: Any) -> None:
-        """Append one free-form record (must carry the schema keys)."""
-        self.records.append(fields)
-
-    def features_for(
-        self, model: "CompiledModel", dma_bytes_per_cycle: float = 40.96
-    ) -> list[dict[str, Any]]:
-        cached = self._features.get(id(model))
-        if cached is None:
-            cached = segment_features(model, dma_bytes_per_cycle)
-            self._features[id(model)] = cached
-        return cached
-
-    def record_model_run(
-        self, model: "CompiledModel", tier: str, batch: int = 1,
-        count: int = 1, dma_bytes_per_cycle: float = 40.96,
-    ) -> None:
-        """Attribute ``count`` executions of a model to one tier.
-
-        Emits one record per segment: the static features plus the tier,
-        batch size and execution count.  A replay hit contributes records
-        with ``tier="replay"`` — its cycles are the cycles *avoided*,
-        which is exactly what a predictor trained on this harvest needs
-        to see labelled.
-        """
-        if count < 1:
-            return
-        for features in self.features_for(model, dma_bytes_per_cycle):
-            record = dict(features)
-            record["tier"] = tier
-            record["batch"] = batch
-            record["count"] = count
-            self.records.append(record)
-
-    # ------------------------------------------------------------------
-    # Outputs
-    # ------------------------------------------------------------------
-
-    def write_jsonl(self, path: str) -> int:
-        """Write the harvest file: one JSON record per line."""
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in self.records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-        return len(self.records)
-
-    def collapsed_stacks(self) -> str:
-        """Flamegraph-ready collapsed stacks, cycles as sample weights.
-
-        Frame order: model ; segment[i] (tier) ; op.  Cycle weights are
-        per-op compute cycles times the execution count, so the widest
-        frames are where the simulated silicon spent its time.
-        """
-        weights: dict[tuple[str, str, str], int] = {}
-        for record in self.records:
-            count = int(record.get("count", 1))
-            model = str(record.get("model", "?"))
-            frame = f"segment[{record.get('segment', '?')}] ({record.get('tier', '?')})"
-            op_cycles: dict[str, int] = record.get("op_cycles") or {}
-            if op_cycles:
-                for op, cycles in op_cycles.items():
-                    key = (model, frame, op)
-                    weights[key] = weights.get(key, 0) + int(cycles) * count
-            else:
-                for op, n in (record.get("ops") or {}).items():
-                    key = (model, frame, op)
-                    weights[key] = weights.get(key, 0) + int(n) * count
-        lines = [
-            ";".join(key) + f" {weight}"
-            for key, weight in sorted(weights.items())
-            if weight > 0
-        ]
-        return "\n".join(lines)
+    One record per segment: the static features plus the tier, batch
+    size and execution count (none when ``count`` < 1).  A replay hit
+    contributes records with ``tier="replay"`` — its cycles are the
+    cycles *avoided*, which is exactly what a predictor trained on this
+    harvest needs to see labelled.
+    """
+    if count < 1:
+        return []
+    return [
+        {**features, "tier": tier, "batch": batch, "count": count}
+        for features in segment_features(model, dma_bytes_per_cycle)
+    ]
 
 
-# ----------------------------------------------------------------------
-# The installed collector (module-level, like the tracer)
-# ----------------------------------------------------------------------
-
-_installed: NullAttribution | AttributionCollector = NULL_ATTRIB
-
-
-def get_attrib() -> NullAttribution | AttributionCollector:
-    """The installed collector, or the zero-cost :data:`NULL_ATTRIB`."""
-    return _installed
+def write_harvest(path: str, records: list[dict[str, Any]]) -> int:
+    """Write the harvest file: one JSON record per line."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+    return len(records)
 
 
-def set_attrib(collector: AttributionCollector | NullAttribution | None) -> None:
-    global _installed
-    _installed = collector if collector is not None else NULL_ATTRIB
+def collapsed_stacks(records: list[dict[str, Any]]) -> str:
+    """Flamegraph-ready collapsed stacks, cycles as sample weights.
 
-
-class install_attrib:
-    """Install a collector for a ``with`` block (nests, restores on exit)."""
-
-    def __init__(self, collector: AttributionCollector | None = None) -> None:
-        self.collector = collector if collector is not None else AttributionCollector()
-        self._previous: NullAttribution | AttributionCollector | None = None
-
-    def __enter__(self) -> AttributionCollector:
-        self._previous = _installed
-        set_attrib(self.collector)
-        return self.collector
-
-    def __exit__(self, *exc: object) -> None:
-        set_attrib(self._previous)
+    Frame order: model ; segment[i] (tier) ; op.  Cycle weights are
+    per-op compute cycles times the execution count, so the widest
+    frames are where the simulated silicon spent its time; a segment
+    without Ncore cycles (x86 fallback) weighs its op counts instead.
+    """
+    weights: dict[tuple[str, str, str], int] = {}
+    for record in records:
+        count = int(record.get("count", 1))
+        model = str(record.get("model", "?"))
+        frame = f"segment[{record.get('segment', '?')}] ({record.get('tier', '?')})"
+        op_cycles: dict[str, int] = record.get("op_cycles") or {}
+        if op_cycles:
+            for op, cycles in op_cycles.items():
+                key = (model, frame, op)
+                weights[key] = weights.get(key, 0) + int(cycles) * count
+        else:
+            for op, n in (record.get("ops") or {}).items():
+                key = (model, frame, op)
+                weights[key] = weights.get(key, 0) + int(n) * count
+    lines = [
+        ";".join(key) + f" {weight}"
+        for key, weight in sorted(weights.items())
+        if weight > 0
+    ]
+    return "\n".join(lines)

@@ -13,9 +13,6 @@ Serving-grade extensions (the fleet-telemetry substrate):
 - **Label sets.**  Every metric accepts a ``labels`` mapping
   (``model=``, ``socket=``, ``stage=``); each distinct label set is its
   own time series, keyed Prometheus-style as ``name{k="v",...}``.
-- **Windowed series.**  :meth:`MetricsRegistry.windowed_histogram`
-  registers a :class:`repro.obs.window.WindowedHistogram` for rolling
-  percentiles over simulated (or wall) time — see :mod:`repro.obs.window`.
 - **Exact percentiles.**  :meth:`Histogram.percentile` uses the same
   linear interpolation as ``numpy.percentile``, so a summary derived
   from the registry is bit-identical to a post-pass over the raw
@@ -30,7 +27,7 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import insort
+from bisect import bisect_right, insort
 from contextlib import contextmanager
 from typing import Any, Iterator, Mapping
 
@@ -167,6 +164,15 @@ class Histogram:
             raise ValueError("percentile must be in [0, 100]")
         return _percentile_linear(self._sorted, p)
 
+    def count_above(self, bound: float) -> int:
+        """Observations strictly greater than ``bound`` (an SLO's violations).
+
+        Exact while every observation is retained (``count`` within
+        ``max_observations``); past the cap, the unretained tail counts
+        as above.
+        """
+        return self.count - bisect_right(self._sorted, bound)
+
     def snapshot(self) -> dict[str, Any]:
         snap = {
             "kind": self.kind, "unit": self.unit, "description": self.description,
@@ -242,13 +248,6 @@ class NullMetrics:
                   labels: Mapping[str, Any] | None = None) -> Histogram:
         return self._NULL_HISTOGRAM
 
-    def windowed_histogram(self, name: str, window_seconds: float | None = None,
-                           description: str = "", unit: str = "",
-                           labels: Mapping[str, Any] | None = None):
-        from repro.obs.window import NULL_WINDOWED_HISTOGRAM
-
-        return NULL_WINDOWED_HISTOGRAM
-
     def bind_hardware(self, name: str, perf_counter, description: str = "",
                       unit: str = "",
                       labels: Mapping[str, Any] | None = None) -> HardwareCounter:
@@ -298,17 +297,6 @@ class MetricsRegistry:
                   labels: Mapping[str, Any] | None = None) -> Histogram:
         return self._get_or_create(Histogram, name, description, unit, labels)
 
-    def windowed_histogram(self, name: str, window_seconds: float | None = None,
-                           description: str = "", unit: str = "",
-                           labels: Mapping[str, Any] | None = None):
-        """Get or create a rolling-window histogram (see ``repro.obs.window``)."""
-        from repro.obs.window import WindowedHistogram
-
-        return self._get_or_create(
-            WindowedHistogram, name, description, unit, labels,
-            window_seconds=window_seconds,
-        )
-
     def bind_hardware(self, name: str, perf_counter, description: str = "",
                       unit: str = "",
                       labels: Mapping[str, Any] | None = None) -> HardwareCounter:
@@ -327,8 +315,8 @@ class MetricsRegistry:
     def register(self, metric):
         """Adopt an externally constructed metric object.
 
-        Lets a scenario own its metric (a per-run latency histogram, an
-        SLO monitor) while still exposing it through the registry for
+        Lets a scenario own its metric (a per-run latency histogram)
+        while still exposing it through the registry for
         snapshots/exposition.  Like :meth:`bind_hardware`, re-registering
         a key replaces the view — the caller's object stays authoritative.
         """

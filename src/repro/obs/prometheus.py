@@ -7,12 +7,11 @@ OpenMetrics).  Mapping:
 
 - counters      -> ``<name>_total``
 - gauges        -> ``<name>``
-- histograms / windowed histograms -> summary-style ``{quantile="..."}``
-  series plus ``_count`` and ``_sum`` (exact, since the registry keeps
-  sorted observations rather than fixed buckets)
+- histograms     -> summary-style ``{quantile="..."}`` series plus
+  ``_count`` and ``_sum`` (exact, since the registry keeps sorted
+  observations rather than fixed buckets)
 - hardware counters -> a gauge plus a ``<name>_wrapped`` gauge carrying
   the section IV-F wraparound flag
-- SLO monitors  -> ``_attainment`` / ``_burn_rate`` / ``_budget_remaining``
 
 Metric names are sanitised to the Prometheus grammar (dots become
 underscores); label sets pass through verbatim.
@@ -26,16 +25,6 @@ from typing import Any, Mapping
 
 _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _INVALID = re.compile(r"[^a-zA-Z0-9_:]")
-
-_TYPE_MAP = {
-    "counter": "counter",
-    "gauge": "gauge",
-    "histogram": "summary",
-    "windowed_histogram": "summary",
-    "hardware": "gauge",
-    "rate": "gauge",
-    "slo": "gauge",
-}
 
 _QUANTILES = ((0.5, "p50"), (0.9, "p90"), (0.99, "p99"))
 
@@ -93,7 +82,7 @@ def prometheus_text(registry: Any) -> str:
             name = base + "_total"
             _header(lines, emitted_headers, name, "counter", snap)
             lines.append(f"{name}{_labels_suffix(labels)} {_fmt(snap.get('value'))}")
-        elif kind in ("histogram", "windowed_histogram"):
+        elif kind == "histogram":
             _header(lines, emitted_headers, base, "summary", snap)
             for quantile, pkey in _QUANTILES:
                 suffix = _labels_suffix(labels, {"quantile": quantile})
@@ -110,15 +99,7 @@ def prometheus_text(registry: Any) -> str:
                 f"{wrapped}{_labels_suffix(labels)} "
                 f"{1 if snap.get('wrapped') else 0}"
             )
-        elif kind == "slo":
-            for field in ("attainment", "burn_rate", "budget_remaining"):
-                name = f"{base}_{field}"
-                _header(lines, emitted_headers, name, "gauge", snap)
-                lines.append(f"{name}{_labels_suffix(labels)} {_fmt(snap.get(field))}")
-            count = base + "_queries_total"
-            _header(lines, emitted_headers, count, "counter", snap)
-            lines.append(f"{count}{_labels_suffix(labels)} {_fmt(snap.get('count'))}")
-        else:  # gauge, rate and anything snapshot-compatible
+        else:  # gauge and anything snapshot-compatible
             _header(lines, emitted_headers, base, "gauge", snap)
             lines.append(f"{base}{_labels_suffix(labels)} {_fmt(snap.get('value'))}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -1,9 +1,10 @@
 """A ``top``-style view of a serving run.
 
 The serving scenario samples one telemetry *frame* per interval of
-simulated time (see ``ServerScenario._sample_frame``): completed/offered
-queries, rolling p50/p90/p99, completion QPS, queue depth, batch
-occupancy, the SLO state and per-socket utilization.  ``repro serve
+simulated time (see ``ServerScenario._sample_frame``), plus a final one
+at the last completion: completed/offered queries, p50/p90/p99 so far,
+completions per elapsed second, queue depth, batch occupancy, the SLO
+state and per-socket utilization.  ``repro serve
 --telemetry frames.jsonl`` writes them and ``repro top frames.jsonl``
 renders them as a terminal dashboard, so a run harvested on one machine
 can be inspected on another.  The frames are in simulated time, so the

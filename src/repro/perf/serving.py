@@ -32,15 +32,15 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.engine import BatchQueue, Engine, Resource, WorkerPool
-from repro.obs.attrib import TIER_TIMING_MODEL, get_attrib
 from repro.obs.context import TraceContext, mint_trace
 from repro.obs.metrics import Histogram, get_metrics
 from repro.obs.tracer import get_tracer
-from repro.obs.window import RateMeter, SloMonitor, WindowedHistogram
 from repro.perf.scaling import SERIAL_X86_SHARE
 from repro.soc.multisocket import CROSS_SOCKET_EFFICIENCY
 
 JITTER_SIGMA = 0.015  # ~1.5% batch-to-batch latency noise (scheduler, DRAM refresh)
+#: MLPerf Server's latency constraint: 99% of queries under the bound.
+SLO_ERROR_BUDGET = 0.01
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ class ServerResult:
     sockets: int
     seed: int
     latencies_seconds: np.ndarray = field(repr=False, compare=False, default=None)
-    #: SLO snapshot (attainment / burn rate / budget) when a target was set.
+    #: SLO figures (attainment / burn rate / budget) when a target was set.
     slo: dict | None = field(repr=False, compare=False, default=None)
     #: Telemetry frames sampled during the run (what ``repro top`` renders).
     frames: list = field(repr=False, compare=False, default_factory=list)
@@ -189,12 +189,12 @@ class ServerScenario:
         sockets: int = 1,
         socket_efficiency: float = 1.0,
         slo_latency_seconds: float | None = None,
-        error_budget: float = 0.01,
-        window_seconds: float | None = None,
         telemetry_interval: float | None = None,
     ) -> None:
         if queries < 1:
             raise ValueError("at least one query required")
+        if slo_latency_seconds is not None and slo_latency_seconds <= 0:
+            raise ValueError("the SLO latency target must be positive")
         if qps <= 0:
             raise ValueError("offered QPS must be positive")
         if sockets < 1:
@@ -224,44 +224,27 @@ class ServerScenario:
         self.driver_cores = Resource(self.engine, capacity=sockets, name="driver-core")
         self._records: list[_Query] = []
         self._done = 0
-        # One source of truth for the latency summary: every query is
-        # observed here at completion time, and _result derives the
-        # headline percentiles from these same observations — the summary
-        # and the exported metrics can never disagree.  max_observations
-        # covers the full run, so percentile() is exactly np.percentile.
-        labels = {"model": timing.model_key}
+        self._last_completed_at = 0.0
+        # The one record of completions: every query is observed here at
+        # completion time, and the frames, the SLO figures and the
+        # headline percentiles all read these same observations — the
+        # summary and the exported metrics can never disagree.
+        # max_observations covers the full run, so percentile() is
+        # exactly np.percentile and count_above() is exact.
         self._latency_hist = Histogram(
-            "server.latency_seconds", unit="s", labels=labels,
+            "server.latency_seconds", unit="s",
+            labels={"model": timing.model_key},
             description="end-to-end server latency, observed at completion",
             max_observations=max(65536, queries),
         )
-        self._latency_window = WindowedHistogram(
-            "server.latency_seconds.window", unit="s", labels=labels,
-            description="rolling server latency (engine time)",
-            window_seconds=window_seconds,
-        )
-        self._completion_rate = RateMeter(
-            "server.completion_qps", unit="QPS", labels=labels,
-            window_seconds=window_seconds if window_seconds else 1.0,
-            description="completions per second over the rolling window",
-        )
-        self._batch_window = WindowedHistogram(
-            "server.batch_size.window", labels=labels,
-            description="rolling dispatched batch occupancy",
-            window_seconds=window_seconds,
-        )
-        self.slo: SloMonitor | None = None
-        if slo_latency_seconds is not None:
-            self.slo = SloMonitor(
-                "server.slo", target_seconds=slo_latency_seconds,
-                error_budget=error_budget, window_seconds=window_seconds,
-                labels=labels,
-                description="server latency objective (MLPerf-style p99 bound)",
-            )
+        self._batches = 0           # dispatched batches that finished on Ncore
+        self._batched_queries = 0   # the queries those batches carried
+        self.slo_latency_seconds = slo_latency_seconds
         self.telemetry_interval = telemetry_interval
         self.frames: list[dict] = []
         self._socket_busy = [0.0] * sockets
         self._prev_busy = [0.0] * sockets
+        self._prev_frame_ts = 0.0
 
     # ------------------------------------------------------------------
 
@@ -269,11 +252,6 @@ class ServerScenario:
         metrics = get_metrics()
         if metrics.enabled:
             metrics.register(self._latency_hist)
-            metrics.register(self._latency_window)
-            metrics.register(self._completion_rate)
-            metrics.register(self._batch_window)
-            if self.slo is not None:
-                metrics.register(self.slo)
         rng = np.random.default_rng(self.seed)
         interarrival = rng.exponential(1.0 / self.qps, size=self.queries)
         arrivals = np.cumsum(interarrival)
@@ -294,15 +272,17 @@ class ServerScenario:
         for socket in range(self.sockets):
             self.engine.process(self._ncore_loop(socket), name=f"ncore[{socket}]")
         if self.telemetry_interval is not None:
-            self.engine.call_after(self.telemetry_interval, self._sample_frame)
+            self.engine.call_after(self.telemetry_interval, self._tick)
         self.engine.run()
         if self._done < self.queries:
             # Tail flush: arrivals stopped but a batch stayed open.
             self.queue.flush()
             self.engine.run()
         if self.telemetry_interval is not None:
-            # Final frame at drain time, so a replay shows the end state.
-            self._sample_frame()
+            # The final frame, stamped at the last completion (a pending
+            # tick may have moved the engine clock past it).
+            last = self._last_completed_at
+            self._sample_frame(last, last - self._prev_frame_ts)
         return self._result()
 
     # -- per-query admission -------------------------------------------
@@ -338,7 +318,8 @@ class ServerScenario:
             self._socket_busy[socket] += service
             yield engine.timeout(service)
             done = engine.now
-            self._batch_window.observe(batch.size, ts=done)
+            self._batches += 1
+            self._batched_queries += batch.size
             engine.trace_span(
                 f"batch[{batch.sequence}]", f"server.ncore[{socket}]",
                 started, done,
@@ -365,13 +346,8 @@ class ServerScenario:
             yield self.pool.submit(timing.post_parallel)
         record.completed_at = self.engine.now
         self._done += 1
-        now = self.engine.now
-        latency = record.completed_at - record.arrival
-        self._latency_hist.observe(latency)
-        self._latency_window.observe(latency, ts=now)
-        self._completion_rate.add(now)
-        if self.slo is not None:
-            self.slo.observe(latency, ts=now)
+        self._last_completed_at = record.completed_at
+        self._latency_hist.observe(record.completed_at - record.arrival)
         self._trace_query(record)
         return None
 
@@ -408,35 +384,73 @@ class ServerScenario:
 
     # -- telemetry frames (the ``repro top`` feed) ----------------------
 
-    def _sample_frame(self) -> None:
-        """Sample one live-telemetry frame; self-reschedules until done."""
-        now = self.engine.now
-        interval = self.telemetry_interval or 1.0
+    def _tick(self) -> None:
+        """One periodic frame; reschedules while queries are outstanding.
+
+        A tick that finds the run drained emits nothing: the final frame
+        (stamped at the last completion) closes the series.
+        """
+        if self._done == self.queries:
+            return
+        self._sample_frame(self.engine.now, self.telemetry_interval)
+        self.engine.call_after(self.telemetry_interval, self._tick)
+
+    def _sample_frame(self, now: float, span: float) -> None:
+        """Append one telemetry frame at engine time ``now``.
+
+        ``socket_util`` is the Ncore busy time over the ``span`` seconds
+        the frame covers.
+        """
         busy = list(self._socket_busy)
         utilization = [
-            min(1.0, max(0.0, (total - previous) / interval))
+            min(1.0, max(0.0, (total - previous) / span))
             for total, previous in zip(busy, self._prev_busy, strict=False)
         ]
         self._prev_busy = busy
+        self._prev_frame_ts = now
+        hist = self._latency_hist
         frame: dict = {
             "ts": now,
             "model": self.timing.model_key,
             "completed": self._done,
             "queries": self.queries,
-            "qps": self._completion_rate.rate(now),
-            "p50_ms": self._latency_window.percentile(50, now) * 1e3,
-            "p90_ms": self._latency_window.percentile(90, now) * 1e3,
-            "p99_ms": self._latency_window.percentile(99, now) * 1e3,
+            "qps": self._done / now,
+            "p50_ms": hist.percentile(50) * 1e3,
+            "p90_ms": hist.percentile(90) * 1e3,
+            "p99_ms": hist.percentile(99) * 1e3,
             "queue_depth": self.queue.depth,
-            "batch_occupancy": self._batch_window.mean(now),
+            "batch_occupancy": (
+                self._batched_queries / self._batches if self._batches else 0.0
+            ),
             "socket_util": utilization,
         }
-        if self.slo is not None:
-            frame["slo_attainment"] = self.slo.attainment
-            frame["slo_burn_rate"] = self.slo.burn_rate(now)
+        slo = self._slo()
+        if slo is not None:
+            frame["slo_attainment"] = slo["attainment"]
+            frame["slo_burn_rate"] = slo["burn_rate"]
         self.frames.append(frame)
-        if self._done < self.queries and self.telemetry_interval is not None:
-            self.engine.call_after(self.telemetry_interval, self._sample_frame)
+
+    def _slo(self) -> dict | None:
+        """The SLO figures over the completions so far (None: no target).
+
+        MLPerf Server's fixed 1% error budget: the burn rate is the
+        violation share over the budgeted share (1.0 spends the budget
+        exactly), and the budget remaining is what that leaves.
+        """
+        if self.slo_latency_seconds is None:
+            return None
+        hist = self._latency_hist
+        violated = (
+            hist.count_above(self.slo_latency_seconds) / hist.count
+            if hist.count else 0.0
+        )
+        burn = violated / SLO_ERROR_BUDGET
+        return {
+            "target_seconds": self.slo_latency_seconds,
+            "attainment": 1.0 - violated,
+            "burn_rate": burn,
+            "budget_remaining": 1.0 - burn,
+        }
 
     # -- results --------------------------------------------------------
 
@@ -476,13 +490,19 @@ class ServerScenario:
             sockets=self.sockets,
             seed=self.seed,
             latencies_seconds=latencies,
-            slo=self.slo.snapshot() if self.slo is not None else None,
+            slo=self._slo(),
             frames=self.frames,
         )
         metrics = get_metrics()
         if metrics.enabled:
             metrics.counter("server.queries").inc(self.queries)
             metrics.gauge("server.sustained_qps", unit="QPS").set(result.sustained_qps)
+        if metrics.enabled and result.slo is not None:
+            for figure in ("attainment", "burn_rate", "budget_remaining"):
+                metrics.gauge(
+                    f"server.slo_{figure}", labels={"model": self.timing.model_key},
+                    description="server latency objective (MLPerf-style p99 bound)",
+                ).set(result.slo[figure])
         return result
 
 
@@ -505,8 +525,6 @@ def run_server(
     socket_efficiency: float | None = None,
     mature_software: bool = False,
     slo_latency_seconds: float | None = None,
-    error_budget: float = 0.01,
-    window_seconds: float | None = None,
     telemetry_interval: float | None = None,
 ) -> ServerResult:
     """MLPerf-style Server scenario on the discrete-event engine.
@@ -517,11 +535,10 @@ def run_server(
     the sustained QPS come from the engine clock, so two runs with the
     same seed are bit-identical.
 
-    ``slo_latency_seconds`` arms an :class:`~repro.obs.window.SloMonitor`
-    (MLPerf Server's "99% of queries under the bound" shape with the
-    default 1% ``error_budget``); ``telemetry_interval`` samples live
-    frames for ``repro top``; ``window_seconds`` bounds the rolling
-    percentile/rate windows (None = whole run).
+    ``slo_latency_seconds`` sets a latency target, reported as
+    ``result.slo`` (MLPerf Server's "99% of queries under the bound"
+    shape: a fixed 1% error budget); ``telemetry_interval`` samples
+    frames for ``repro top``.
     """
     timing = ServingTimingModel.from_system(system, mature_software=mature_software)
     if socket_efficiency is None:
@@ -538,8 +555,8 @@ def run_server(
             timing, qps=qps, queries=queries, seed=seed,
             max_batch=max_batch, max_wait=max_wait,
             cores=cores, sockets=sockets, socket_efficiency=socket_efficiency,
-            slo_latency_seconds=slo_latency_seconds, error_budget=error_budget,
-            window_seconds=window_seconds, telemetry_interval=telemetry_interval,
+            slo_latency_seconds=slo_latency_seconds,
+            telemetry_interval=telemetry_interval,
         )
         result = scenario.run()
         span.set(
@@ -549,13 +566,4 @@ def run_server(
         )
         if result.slo is not None:
             span.set(slo_attainment=result.slo["attainment"])
-    attrib = get_attrib()
-    if attrib.enabled:
-        # The analytic serving path never runs kernels, but its cycle
-        # budget still decomposes over the compiled artifact — label the
-        # harvest records with the timing-model tier.
-        attrib.record_model_run(
-            system.compiled, TIER_TIMING_MODEL,
-            batch=max(1, round(result.mean_batch_size)), count=queries,
-        )
     return result

@@ -30,7 +30,6 @@ from repro.ncore.codegen import (
     MacroKernel,
     MacroKernelSet,
 )
-from repro.obs.attrib import TIER_CODEGEN, TIER_INTERPRETER, TIER_REPLAY, get_attrib
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.runtime.delegate import (
@@ -45,6 +44,14 @@ from repro.soc.cha import ChaSoc
 
 #: ``--tier`` spellings accepted by :meth:`TierPolicy.for_tier` and the CLI.
 TIER_CHOICES = ("auto", "interpreter", "replay", "codegen")
+
+#: Graph modes :attr:`NcoreExecutor.last_tier` reports (and harvest
+#: records carry), plus the serving harness's analytic path, which runs
+#: no kernels at all.
+TIER_INTERPRETER = "interpreter"
+TIER_REPLAY = "replay"
+TIER_CODEGEN = "codegen"
+TIER_TIMING_MODEL = "timing-model"
 
 
 @dataclass(frozen=True)
@@ -240,10 +247,8 @@ class NcoreExecutor:
     # Graph mode: replay ahead of the segment walk
     # ------------------------------------------------------------------
 
-    def _run_quantized(
-        self, feeds: dict[str, np.ndarray]
-    ) -> tuple[dict[str, np.ndarray], str]:
-        """Run one query; returns (outputs, graph mode that served it).
+    def _run_quantized(self, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """Run one query and set :attr:`last_tier` to the mode that served it.
 
         A replay hit short-circuits execution; otherwise the segment walk
         runs and is labelled by whether this executor holds macro-kernels.
@@ -254,25 +259,12 @@ class NcoreExecutor:
             cached = self._replay_lookup(key)
             if cached is not None:
                 self.last_tier = TIER_REPLAY
-                return cached, TIER_REPLAY
+                return cached
         outputs = self._walk_segments(feeds)
         if key is not None:
             self._replay_store(key, outputs)
         self.last_tier = self._walk_tier
-        return outputs, self._walk_tier
-
-    def _attribute(self, tier: str) -> None:
-        """Feed the cycle-attribution collector one tier-labelled query.
-
-        An executed query lands on the tier that ran it (codegen or
-        interpreter); a replay hit is labelled ``replay`` so a harvest
-        shows the cycles *avoided*.
-        """
-        attrib = get_attrib()
-        if attrib.enabled:
-            attrib.record_model_run(
-                self.model, tier, dma_bytes_per_cycle=self._dma_bpc
-            )
+        return outputs
 
     # ------------------------------------------------------------------
     # Timing model (the NKL cycle schedules + the core cost model)
@@ -299,8 +291,7 @@ class NcoreExecutor:
         """
         tracer = get_tracer()
         with tracer.span("delegate.run", track="delegate", model=self.model.name) as span:
-            outputs, tier = self._run_quantized(feeds)
-            self._attribute(tier)
+            outputs = self._run_quantized(feeds)
             timing = RunTiming(
                 ncore_seconds=self.ncore_seconds(),
                 x86_seconds=self.x86_graph_seconds(),

@@ -141,17 +141,14 @@ class TestFloatBitExactness:
 
 class TestFloatObservability:
     def test_attrib_stamps_codegen_on_float_segments(self, compiled):
-        from repro.obs.attrib import install_attrib
-
+        # The executor's ``last_tier`` is the label harvest records carry.
         feeds = gnmt_feeds(compiled.model.graph)
-        with install_attrib() as collector:
-            executor = NcoreExecutor(compiled.model, verify=False, policy="codegen")
-            try:
-                executor.execute(feeds)
-            finally:
-                executor.close()
-        tiers = {record.get("tier") for record in collector.records}
-        assert "codegen" in tiers
+        executor = NcoreExecutor(compiled.model, verify=False, policy="codegen")
+        try:
+            executor.execute(feeds)
+            assert executor.last_tier == "codegen"
+        finally:
+            executor.close()
 
     def test_float_steps_pickle_small(self, compiled):
         # Float steps read weights from the executor-seeded environment

@@ -1,4 +1,4 @@
-"""Cycle attribution: segment features, tier records, harvest outputs."""
+"""Cycle attribution: segment features, tier-stamped records, harvest outputs."""
 
 import json
 
@@ -6,14 +6,12 @@ import pytest
 
 from repro.compiler import compile_graph
 from repro.obs.attrib import (
-    TIER_CODEGEN,
-    TIER_REPLAY,
-    AttributionCollector,
-    get_attrib,
-    install_attrib,
+    collapsed_stacks,
+    model_run_records,
     segment_features,
-    set_attrib,
+    write_harvest,
 )
+from repro.runtime.executor import TIER_CODEGEN, TIER_REPLAY
 from tests.quantize.test_convert import calibration_batches, small_cnn
 
 
@@ -55,64 +53,48 @@ class TestSegmentFeatures:
 
 class TestCollector:
     def test_record_model_run_stamps_tier_and_count(self, compiled):
-        collector = AttributionCollector()
-        collector.record_model_run(compiled, TIER_CODEGEN, batch=4, count=3)
-        collector.record_model_run(compiled, TIER_REPLAY, count=2)
+        records = (model_run_records(compiled, TIER_CODEGEN, batch=4, count=3)
+                   + model_run_records(compiled, TIER_REPLAY, count=2))
         per_run = len(compiled.segments)
-        assert len(collector.records) == 2 * per_run
-        executed = [r for r in collector.records if r["tier"] == TIER_CODEGEN]
+        assert len(records) == 2 * per_run
+        executed = [r for r in records if r["tier"] == TIER_CODEGEN]
+        assert len(executed) == per_run
         assert all(r["count"] == 3 and r["batch"] == 4 for r in executed)
+        # A record is the segment's static features plus the stamps.
+        for record, features in zip(executed, segment_features(compiled),
+                                    strict=True):
+            assert {k: v for k, v in record.items()
+                    if k not in ("tier", "batch", "count")} == features
 
     def test_zero_count_records_nothing(self, compiled):
-        collector = AttributionCollector()
-        collector.record_model_run(compiled, TIER_CODEGEN, count=0)
-        assert len(collector) == 0
-
-    def test_features_are_cached_per_model(self, compiled):
-        collector = AttributionCollector()
-        first = collector.features_for(compiled)
-        assert collector.features_for(compiled) is first
+        assert model_run_records(compiled, TIER_CODEGEN, count=0) == []
 
     def test_jsonl_harvest_roundtrips(self, compiled, tmp_path):
-        collector = AttributionCollector()
-        collector.record_model_run(compiled, TIER_CODEGEN)
+        records = model_run_records(compiled, TIER_CODEGEN)
         path = tmp_path / "harvest.jsonl"
-        count = collector.write_jsonl(str(path))
+        count = write_harvest(str(path), records)
         lines = path.read_text().strip().splitlines()
-        assert len(lines) == count == len(collector.records)
-        record = json.loads(lines[0])
+        assert len(lines) == count == len(records)
+        assert [json.loads(line) for line in lines] == records
         # The ROADMAP item 3 training schema keys.
         for key in ("model", "segment", "ops", "op_cycles", "dma_bytes",
                     "loop_trips", "macs", "total_cycles", "tier", "batch"):
-            assert key in record
+            assert key in records[0]
 
     def test_collapsed_stacks_weight_by_cycles(self, compiled):
-        collector = AttributionCollector()
-        collector.record_model_run(compiled, TIER_CODEGEN, count=2)
-        stacks = collector.collapsed_stacks()
-        assert stacks
-        for line in stacks.splitlines():
+        once = collapsed_stacks(model_run_records(compiled, TIER_CODEGEN))
+        twice = collapsed_stacks(model_run_records(compiled, TIER_CODEGEN, count=2))
+        assert twice
+        for line in twice.splitlines():
             frames, weight = line.rsplit(" ", 1)
             assert frames.startswith("smallcnn;segment[")
+            assert "(codegen)" in frames
             assert int(weight) > 0
+        # Weights scale with the execution count.
+        assert [int(line.rsplit(" ", 1)[1]) * 2 for line in once.splitlines()] == \
+            [int(line.rsplit(" ", 1)[1]) for line in twice.splitlines()]
 
-
-class TestInstallation:
-    def test_null_by_default(self):
-        assert not get_attrib().enabled
-        # Null collector absorbs records without tracking anything.
-        get_attrib().record(model="m", segment=0)
-
-    def test_install_and_restore(self, compiled):
-        with install_attrib() as collector:
-            assert get_attrib() is collector
-            get_attrib().record_model_run(compiled, TIER_CODEGEN)
-            assert len(collector) == len(compiled.segments)
-        assert not get_attrib().enabled
-
-    def test_set_attrib_none_restores_null(self):
-        collector = AttributionCollector()
-        set_attrib(collector)
-        assert get_attrib() is collector
-        set_attrib(None)
-        assert not get_attrib().enabled
+    def test_collapsed_stacks_fold_x86_segments_by_op_count(self):
+        records = [{"model": "m", "segment": 1, "tier": "timing-model",
+                    "count": 3, "op_cycles": {}, "ops": {"softmax": 1}}]
+        assert collapsed_stacks(records) == "m;segment[1] (timing-model);softmax 3"

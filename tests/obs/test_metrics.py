@@ -64,6 +64,16 @@ class TestHistogram:
         assert histogram.count == 100
         assert histogram.max == 99.0
 
+    def test_count_above_is_the_slo_violation_count(self):
+        histogram = obs.Histogram("lat")
+        for value in (0.5, 1.0, 1.0, 2.0, 3.0):
+            histogram.observe(value)
+        # "At or under the target" meets it: ties are not violations.
+        assert histogram.count_above(1.0) == 2
+        assert histogram.count_above(0.1) == 5
+        assert histogram.count_above(3.0) == 0
+        assert obs.Histogram("empty").count_above(1.0) == 0
+
 
 class TestHardwareCounter:
     def test_wraparound_breakpoint_preserved(self):

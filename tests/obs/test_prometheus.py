@@ -3,7 +3,6 @@
 from repro import obs
 from repro.ncore import PerfCounter
 from repro.obs.prometheus import prometheus_text, sanitize_name, write_prometheus
-from repro.obs.window import SloMonitor
 
 
 class TestNameSanitization:
@@ -49,14 +48,19 @@ class TestExposition:
         assert "hw_macs_wrapped 1" in text
 
     def test_slo_exposes_burn_rate_series(self):
-        registry = obs.MetricsRegistry()
-        slo = SloMonitor("server.slo", target_seconds=1e-3)
-        slo.observe(2e-3, ts=0.0)
-        registry.register(slo)
+        from repro.perf.serving import run_server
+        from repro.perf.system import get_system
+
+        with obs.install_metrics(obs.MetricsRegistry()) as registry:
+            run_server(get_system("mobilenet_v1"), queries=16,
+                       slo_latency_seconds=1e-9)
         text = prometheus_text(registry)
-        assert "server_slo_attainment 0" in text
-        assert "server_slo_burn_rate" in text
-        assert "server_slo_queries_total 1" in text
+        labels = '{model="mobilenet_v1"}'
+        assert "# TYPE server_slo_burn_rate gauge" in text
+        assert f"server_slo_attainment{labels} 0\n" in text
+        assert f"server_slo_burn_rate{labels} 100\n" in text
+        assert f"server_slo_budget_remaining{labels} -99\n" in text
+        assert f"server_latency_seconds_count{labels} 16\n" in text
 
     def test_write_prometheus(self, tmp_path):
         registry = obs.MetricsRegistry()

@@ -128,6 +128,8 @@ class TestValidation:
             ServerScenario(timing, qps=100.0, queries=10, sockets=0)
         with pytest.raises(ValueError, match="core"):
             ServerScenario(timing, qps=100.0, queries=10, cores=0)
+        with pytest.raises(ValueError, match="SLO"):
+            ServerScenario(timing, qps=100.0, queries=10, slo_latency_seconds=0.0)
 
 
 class TestPipeline:
@@ -210,6 +212,29 @@ class TestObservability:
         assert hopeless.slo["attainment"] == 0.0
         assert hopeless.slo["budget_remaining"] < 0
 
+    def test_slo_attainment_and_budget(self, resnet):
+        # MLPerf Server's fixed 1% budget: with exactly one query of 100
+        # over the target, attainment is 99%, the budget burns at 1.0x
+        # and none of it remains.
+        bare = run_server(resnet, queries=100, seed=6)
+        target = float(np.sort(bare.latencies_seconds)[98])
+        slo = run_server(resnet, queries=100, seed=6,
+                         slo_latency_seconds=target).slo
+        assert slo["target_seconds"] == target
+        assert slo["attainment"] == 0.99
+        assert slo["burn_rate"] == 1.0
+        assert slo["budget_remaining"] == 0.0
+
+    def test_slo_burn_rate_is_the_violation_share_over_the_budget(self, resnet):
+        bare = run_server(resnet, queries=100, seed=6)
+        median = float(np.sort(bare.latencies_seconds)[49])
+        slo = run_server(resnet, queries=100, seed=6,
+                         slo_latency_seconds=median).slo
+        # Half the queries violate a 1% budget: burn 50x.
+        assert slo["attainment"] == 0.5
+        assert slo["burn_rate"] == 50.0
+        assert slo["budget_remaining"] == -49.0
+
     def test_no_slo_means_no_slo_field(self, resnet):
         result = run_server(resnet, queries=32, seed=0)
         assert result.slo is None
@@ -229,6 +254,43 @@ class TestObservability:
         assert 0.0 <= final["slo_attainment"] if "slo_attainment" in final else True
         assert len(final["socket_util"]) == 1
         assert all(0.0 <= u <= 1.0 for u in final["socket_util"])
+
+    @pytest.mark.parametrize("key", ["mobilenet_v1", "resnet50_v15", "gnmt"])
+    def test_final_frame_is_stamped_at_the_last_completion(self, key):
+        # Every frame once, in strictly increasing engine time; the last
+        # one closes the run at its final completion, not at the next
+        # sampling tick, and its utilization covers only the time since
+        # the frame before it.
+        system = get_system(key)
+        interval = 0.5 if key == "gnmt" else 0.005
+        scenario = ServerScenario(
+            ServingTimingModel.from_system(system),
+            qps=default_server_qps(system), queries=64, seed=2,
+            telemetry_interval=interval,
+        )
+        frames = scenario.run().frames
+        timestamps = [frame["ts"] for frame in frames]
+        assert all(a < b for a, b in zip(timestamps, timestamps[1:]))
+        last = max(record.completed_at for record in scenario._records)
+        assert timestamps[-1] == last
+        assert frames[-1]["completed"] == 64
+        assert all(0.0 <= u <= 1.0 for u in frames[-1]["socket_util"])
+
+    @pytest.mark.parametrize("key", ["mobilenet_v1", "resnet50_v15"])
+    def test_final_frame_agrees_with_the_result(self, key):
+        # Frames read the same latency histogram as the summary, and qps
+        # is completions over elapsed engine time.
+        result = run_server(get_system(key), queries=64, seed=2,
+                            slo_latency_seconds=1e-3, telemetry_interval=0.005)
+        final = result.frames[-1]
+        assert final["qps"] == result.sustained_qps
+        assert final["p50_ms"] == result.p50_latency_seconds * 1e3
+        assert final["p90_ms"] == result.p90_latency_seconds * 1e3
+        assert final["p99_ms"] == result.p99_latency_seconds * 1e3
+        assert final["slo_attainment"] == result.slo["attainment"]
+        assert final["slo_burn_rate"] == result.slo["burn_rate"]
+        for frame in result.frames:
+            assert frame["qps"] == frame["completed"] / frame["ts"]
 
     def test_frames_are_seed_deterministic(self, resnet):
         from repro import obs

@@ -79,6 +79,8 @@ class TestServe:
         assert "--queries" in capsys.readouterr().err
         assert main(["serve", "gnmt", "--qps", "0"]) == 2
         assert "--qps" in capsys.readouterr().err
+        assert main(["serve", "gnmt", "--slo-ms", "0"]) == 2
+        assert "--slo-ms" in capsys.readouterr().err
 
 
 class TestCompileAndRun:

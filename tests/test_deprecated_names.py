@@ -14,7 +14,9 @@ definition (``repro.perf.report`` is the one generator of paper numbers),
 then the first backlog of the consumer gate (``tools/lint_consumers.py``):
 names only tests reached, then the commands that re-ran another command's
 job (``repro bench``, ``repro trace``, the live ``repro top``) and the
-second copies only they reached.  These tests grep the tree so a stray reference
+second copies only they reached, then the serving telemetry's rolling
+windows, rate meter and SLO monitor (one latency histogram is the record)
+and the process-wide attribution collector.  These tests grep the tree so a stray reference
 (or a reintroduced alias) fails loudly rather than resurrecting an old name.
 """
 
@@ -159,6 +161,22 @@ def test_one_command_per_job():
     files = _tree_files("src", "examples", "docs") + [ROOT / "DESIGN.md"]
     offenders = _grep(pattern, files)
     assert not offenders, "removed command or name resurfaced:\n" + "\n".join(offenders)
+
+
+def test_one_record_of_serving_completions():
+    # ``repro serve`` reads one latency histogram: the windowed
+    # aggregations and ``--window`` went, and cycle attribution is pure
+    # functions of the compiled model, with no installed collector.
+    pattern = re.compile(
+        r"WindowedHistogram|RateMeter|SloMonitor|windowed_histogram"
+        r"|install_attrib|get_attrib|set_attrib|AttributionCollector"
+        r"|NullAttribution|NULL_ATTRIB|window_seconds|error_budget"
+        r"|--window\b|obs\.window|obs/window"
+    )
+    files = _tree_files("src", "examples", "docs", "benchmarks")
+    offenders = _grep(pattern, files)
+    assert not offenders, "removed telemetry name resurfaced:\n" + "\n".join(offenders)
+    assert not (SRC / "obs" / "window.py").exists()
 
 
 @pytest.mark.parametrize("owner, name", [
