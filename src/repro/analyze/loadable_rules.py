@@ -79,6 +79,25 @@ def _overlap(a: RowRange, b: RowRange) -> bool:
     return a.start < b.end and b.start < a.end
 
 
+def _row_clashes(rows: list[RowRange]) -> list[tuple[int, int]]:
+    """Every index pair ``(i, j)``, ``i < j``, whose row ranges overlap, in
+    ascending order.  A sweep by row start: only ranges still open at a
+    start are tested, so the cost follows the overlapping pairs, not all
+    ``n²`` of them."""
+    pairs: list[tuple[int, int]] = []
+    open_: list[int] = []
+    for k in sorted(range(len(rows)), key=lambda index: rows[index].start):
+        start = rows[k].start
+        # A range ending at or before this start overlaps no later one.
+        open_ = [other for other in open_ if rows[other].end > start]
+        pairs.extend(
+            (min(other, k), max(other, k))
+            for other in open_ if _overlap(rows[other], rows[k])
+        )
+        open_.append(k)
+    return sorted(pairs)
+
+
 def _check_allocs(
     loadable: NcoreLoadable, config: NcoreConfig
 ) -> list[Diagnostic]:
@@ -111,19 +130,18 @@ def _check_data_overlaps(
         for name, rng in plan.data_allocs.items()
         if name in ranges
     ]
-    for i, (name_a, rows_a, live_a) in enumerate(placed):
-        for name_b, rows_b, live_b in placed[i + 1:]:
-            rows_clash = _overlap(rows_a, rows_b)
-            live_clash = live_a[0] <= live_b[1] and live_b[0] <= live_a[1]
-            if rows_clash and live_clash:
-                findings.append(diag(
-                    ALLOC_OVERLAP,
-                    f"tensors {name_a!r} and {name_b!r} are live together "
-                    f"(nodes {live_a} vs {live_b}) but share data-RAM rows "
-                    f"[{max(rows_a.start, rows_b.start)}, "
-                    f"{min(rows_a.end, rows_b.end)})",
-                    artifact=loadable.name, element=name_a,
-                ))
+    for i, j in _row_clashes([rows for _, rows, _ in placed]):
+        name_a, rows_a, live_a = placed[i]
+        name_b, rows_b, live_b = placed[j]
+        if live_a[0] <= live_b[1] and live_b[0] <= live_a[1]:
+            findings.append(diag(
+                ALLOC_OVERLAP,
+                f"tensors {name_a!r} and {name_b!r} are live together "
+                f"(nodes {live_a} vs {live_b}) but share data-RAM rows "
+                f"[{max(rows_a.start, rows_b.start)}, "
+                f"{min(rows_a.end, rows_b.end)})",
+                artifact=loadable.name, element=name_a,
+            ))
     return findings
 
 

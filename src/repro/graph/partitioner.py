@@ -76,14 +76,15 @@ class Segment:
     def output_tensors(self, graph: Graph) -> list[str]:
         """Tensors produced here that are used outside (or graph outputs)."""
         internal_nodes = set(id(node) for node in self.nodes)
+        # One pass over the graph: every tensor some outside node reads.
+        read_outside = {
+            name for node in graph.nodes if id(node) not in internal_nodes
+            for name in node.inputs
+        }
         out: list[str] = []
         for node in self.nodes:
             for name in node.outputs:
-                consumed_outside = any(
-                    id(consumer) not in internal_nodes
-                    for consumer in graph.consumers(name)
-                )
-                if (consumed_outside or name in graph.outputs) and name not in out:
+                if (name in read_outside or name in graph.outputs) and name not in out:
                     out.append(name)
         return out
 

@@ -36,8 +36,10 @@ the default policy), or on every dispatch (``oracle="always"``).
 
 Only what is genuinely a second implementation lives here as its own
 step class — the checks the oracle really makes: :class:`ConvStep`
-(float-BLAS accumulation and the range-proved epilogue vs the int64,
-fully saturating ``qconv2d`` / ``qdepthwise`` / ``qfully_connected``) and
+(float-BLAS accumulation under a per-kernel proof and the range-proved
+epilogue vs the fully saturating ``qconv2d`` / ``qdepthwise`` /
+``qfully_connected``, which accumulate in int64 or in float64 under their
+own dtype-range proof) and
 :class:`SeqFuseStep` / :class:`CellFuseStep` (chains of ``lstm_step`` or
 same-weight ``lstm_cell`` nodes threading h/c state, computing each
 chain's whole-sequence input projection once instead of once per
@@ -154,8 +156,9 @@ class NodeStep(KernelStep):
 @dataclass(frozen=True)
 class ConvStep(NodeStep):
     """Quantized conv2d / depthwise_conv2d / fully_connected with baked
-    zero-offset weights: an accumulation independent of the table's int64
-    kernels, which the oracle checks it against.
+    zero-offset weights: an accumulation independent of the table's
+    kernels (int64, or float64 under their own dtype-range proof), which
+    the oracle checks it against.
 
     ``acc_bound`` is the codegen-time proof: no partial sum of this step's
     accumulation, in any order, exceeds it.  The weights are baked in

@@ -53,7 +53,7 @@ class RequantSpec:
     channel, with the multipliers precomputed: per-tensor weights use one
     mult/shift, per-channel weights one per output channel — exactly what
     the per-lane range/scale registers above implement.  The one
-    graph-level requantize: the int64 reference kernels
+    graph-level requantize: the reference kernels
     (:mod:`repro.runtime.qkernels`) build and apply it per call, the
     macro-kernels (:mod:`repro.ncore.codegen`) build it once at codegen."""
 

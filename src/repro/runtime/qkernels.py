@@ -7,6 +7,13 @@ serve as (a) the fast-model execution path for full networks and (b) the
 x86 reference kernels the instruction-level simulator is validated against
 (tests cross-check the two on small shapes).
 
+The conv2d and fully-connected accumulations run on float64 BLAS whenever
+a proof from the operand *dtypes* alone shows every partial sum is an
+integer below ``2**53`` (:func:`_accumulator_dtype`), and on numpy's int64
+matmul otherwise: both are the exact integer matmul.  The proof reads no
+data and no weights, so it is independent of the per-kernel bound the
+macro-kernels (:mod:`repro.ncore.codegen`) bake their weights under.
+
 This module is also the **one op table** of the graph-level model: a
 :class:`BoundNode` (a node plus the quant params, attrs and bf16
 write-back flags the kernels read from its ``Graph``) runs through
@@ -44,14 +51,40 @@ from repro.ncore.out import RequantSpec
 _ADD_SHIFT = 20  # fixed-point headroom for elementwise rescaling
 
 
-def _weight_offsets(weights: np.ndarray, w_qp) -> np.ndarray:
-    """Weights with their zero point(s) removed, as int64."""
-    w = weights.astype(np.int64)
+def _weight_offsets(weights: np.ndarray, w_qp, dtype: type = np.int64) -> np.ndarray:
+    """Weights with their zero point(s) removed, in ``dtype``."""
+    w = weights.astype(dtype)
     if isinstance(w_qp, ChannelQuantParams):
         shape = [1] * w.ndim
         shape[w_qp.axis] = w_qp.num_channels
-        return w - np.asarray(w_qp.zero_points, dtype=np.int64).reshape(shape)
+        return w - np.asarray(w_qp.zero_points, dtype=dtype).reshape(shape)
     return w - w_qp.zero_point
+
+
+def _code_reach(qp: QuantParams | ChannelQuantParams) -> int:
+    """Largest ``|code - zero point|`` ``qp``'s dtype can hold, over every
+    zero point it has."""
+    info = dtype_info(qp.dtype)
+    zero_points = qp.zero_points if isinstance(qp, ChannelQuantParams) else (qp.zero_point,)
+    return max(
+        max(abs(int(info.min_value) - zp), abs(int(info.max_value) - zp))
+        for zp in map(int, zero_points)
+    )
+
+
+def _accumulator_dtype(depth: int, x_qp: QuantParams | ChannelQuantParams, w_qp) -> type:
+    """float64 when ``depth`` products of zero-offset codes can never sum
+    past ``2**53`` in any order, int64 otherwise.
+
+    Below that bound every partial sum a BLAS might form is an integer a
+    float64 holds exactly, so ``dgemm`` *is* the int64 matmul, without
+    numpy's scalar integer loop (it has no BLAS path for integers).  The
+    bound is taken over the dtypes' whole code ranges, never over data or
+    weights.
+    """
+    if depth * _code_reach(x_qp) * _code_reach(w_qp) < 2**53:
+        return np.float64
+    return np.int64
 
 
 @functools.lru_cache(maxsize=256)
@@ -80,7 +113,8 @@ def _activation_clamp(values: np.ndarray, activation: str, out_qp: QuantParams) 
 def _requantize(acc, bias, x_qp, w_qp, out_qp, activation) -> np.ndarray:
     """The OUT-unit tail of the three matmul kernels: add the bias, clamp
     to the int32 accumulator range, requantize, saturate to the activation's
-    code range.  No static bound is passed, so the full epilogue runs."""
+    code range.  ``acc`` is int64 or integer-valued float64.  No static
+    bound is passed, so the full epilogue runs."""
     clamp = _activation_range(activation, out_qp)
     return RequantSpec.build(x_qp.scale, w_qp, out_qp, clamp).apply(acc, bias)
 
@@ -98,17 +132,18 @@ def qconv2d(
 ) -> np.ndarray:
     """Quantized conv2d: NHWC uint8 x HWIO uint8 -> uint8."""
     kh, kw, cin, cout = weights.shape
+    dtype = _accumulator_dtype(kh * kw * cin, x_qp, w_qp)
     # Padding inserts the input zero point (real value 0.0).
     (pt, pb), (pl, pr) = padding
     xq = np.pad(
-        x.astype(np.int64) - x_qp.zero_point,
+        x.astype(dtype) - x_qp.zero_point,
         ((0, 0), (pt, pb), (pl, pr), (0, 0)),
     )
-    wq = _weight_offsets(weights, w_qp)
+    wq = _weight_offsets(weights, w_qp, dtype)
     n, h, w, _ = xq.shape
     sh, sw = stride
     oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
-    cols = np.empty((n, oh, ow, kh * kw * cin), dtype=np.int64)
+    cols = np.empty((n, oh, ow, kh * kw * cin), dtype=dtype)
     for i in range(kh):
         for j in range(kw):
             patch = xq[:, i : i + oh * sh : sh, j : j + ow * sw : sw, :]
@@ -155,7 +190,8 @@ def qfully_connected(
     out_qp: QuantParams,
     activation: str = "none",
 ) -> np.ndarray:
-    acc = (x.astype(np.int64) - x_qp.zero_point) @ _weight_offsets(weights, w_qp)
+    dtype = _accumulator_dtype(weights.shape[0], x_qp, w_qp)
+    acc = (x.astype(dtype) - x_qp.zero_point) @ _weight_offsets(weights, w_qp, dtype)
     return _requantize(acc, bias, x_qp, w_qp, out_qp, activation)
 
 

@@ -13,7 +13,7 @@ from repro.compiler import compile_graph
 from repro.dtypes import NcoreDType, QuantParams
 from repro.graph.gir import Graph, Node, Tensor, TensorType
 from repro.graph.partitioner import Segment, partition
-from repro.graph.planner import Prefetch, RowRange
+from repro.graph.planner import Prefetch, RowRange, _live_ranges
 from repro.ncore.config import NcoreConfig
 from repro.nkl.lower import lower_segment
 from tests.helpers import by_rule
@@ -113,6 +113,71 @@ class TestMemoryRules:
         )
         assert finding.location.element == "relu2"
         assert finding.location.index == 0
+
+
+def _residual_chain(length=24):
+    """A relu chain with an ``add`` every fourth node reaching back four
+    tensors, so live ranges vary in length and nest."""
+    graph = Graph("residual-fixture")
+    ttype = TensorType((1, 4, 4, 16), UINT8)
+    graph.add_input("t0", ttype, quant=QP)
+    for i in range(1, length + 1):
+        graph.add_tensor(Tensor(f"t{i}", ttype, quant=QP))
+        if i % 4 == 0:
+            graph.add_node(Node(f"n{i}", "add", [f"t{i - 1}", f"t{i - 4}"], [f"t{i}"]))
+        else:
+            graph.add_node(Node(f"n{i}", "relu", [f"t{i - 1}"], [f"t{i}"]))
+    graph.mark_output(f"t{length}")
+    return graph
+
+
+def _brute_force_overlaps(graph, loadable):
+    """Every placed pair, in placement order: the findings the sweep must
+    reproduce, as (element, message)."""
+    ranges = _live_ranges(graph, loadable.segment)
+    placed = [
+        (name, rows, ranges[name])
+        for name, rows in loadable.memory_plan.data_allocs.items() if name in ranges
+    ]
+    found = []
+    for i, (name_a, rows_a, live_a) in enumerate(placed):
+        for name_b, rows_b, live_b in placed[i + 1:]:
+            rows_clash = rows_a.start < rows_b.end and rows_b.start < rows_a.end
+            live_clash = live_a[0] <= live_b[1] and live_b[0] <= live_a[1]
+            if rows_clash and live_clash:
+                found.append((name_a, (
+                    f"tensors {name_a!r} and {name_b!r} are live together "
+                    f"(nodes {live_a} vs {live_b}) but share data-RAM rows "
+                    f"[{max(rows_a.start, rows_b.start)}, {min(rows_a.end, rows_b.end)})"
+                )))
+    return found
+
+
+class TestOverlapSweep:
+    """The row sweep reports exactly the pairs, in exactly the order, of a
+    test over every placed pair."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_plans_match_the_pair_loop(self, seed):
+        graph = _residual_chain()
+        _, loadable = _lower(graph)
+        rng = np.random.default_rng(seed)
+        allocs = loadable.memory_plan.data_allocs
+        names = list(allocs)
+        rng.shuffle(names)
+        allocs.clear()
+        for name in names:  # empty and shared rows included
+            allocs[name] = RowRange(int(rng.integers(0, 24)), int(rng.integers(0, 7)))
+        want = _brute_force_overlaps(graph, loadable)
+        assert len(want) > 3
+        got = by_rule(analyze_loadable(graph, loadable), "ldb.alloc-overlap")
+        assert [(f.location.element, f.message) for f in got] == want
+
+    def test_the_planner_output_has_no_clash(self):
+        graph = _residual_chain()
+        _, loadable = _lower(graph)
+        assert _brute_force_overlaps(graph, loadable) == []
+        assert not by_rule(analyze_loadable(graph, loadable), "ldb.alloc-overlap")
 
 
 class TestWeightRules:

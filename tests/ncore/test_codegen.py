@@ -228,7 +228,7 @@ def _extreme_step(op, x_dtype, x_code, tap_sum, seed=0):
 
 
 def _assert_equal_to_the_walk(case, step):
-    """``step`` against the table's int64 kernel for its op."""
+    """``step`` against the table's kernel for its op (the walk)."""
     walked = seed_values(case.graph, case.feeds)
     run_nodes(case.graph, case.graph.nodes, walked)
     env = seed_values(case.graph, case.feeds)
@@ -340,7 +340,7 @@ def _conv_step(size, k, cin, stride, padded, w_qp, cout=5):
 
 
 def _assert_both_forms_equal_qconv2d(case, step):
-    # The table's int64 conv2d kernel is ``qconv2d``.
+    # The table's conv2d kernel is ``qconv2d``.
     for form in (step, dataclasses.replace(step, per_tap=not step.per_tap)):
         want = _assert_equal_to_the_walk(case, form)
     return want

@@ -1,13 +1,27 @@
 """Tests for the quantized kernels, including the cross-check against the
 instruction-level Ncore simulator (fast model == machine, bit-exact)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dtypes import NcoreDType, QuantParams, dequantize, quantize
+from repro.dtypes import (
+    ChannelQuantParams,
+    NcoreDType,
+    QuantParams,
+    dequantize,
+    dtype_info,
+    quantize,
+)
+from repro.graph.gir import TensorType
+from repro.graph.partitioner import Segment
+from repro.ncore.codegen import CodegenDivergence, ConvStep, KernelDispatcher, compile_segment
+from repro.ncore.out import RequantSpec
 from repro.runtime.qkernels import (
+    _accumulator_dtype,
     qadd,
     qavg_pool,
     qconv2d,
@@ -15,8 +29,11 @@ from repro.runtime.qkernels import (
     qfully_connected,
     qmax_pool,
     qrequant,
+    run_nodes,
+    seed_values,
 )
 from tests.helpers import quant_range
+from tests.runtime.test_op_table import OneNode
 
 
 def qp(scale, zp, dtype=NcoreDType.UINT8):
@@ -146,3 +163,132 @@ class TestQPooling:
         x = np.array([110], np.uint8)  # 10.0 real
         out = qrequant(x, a_qp, b_qp)
         assert dequantize(out, b_qp)[0] == pytest.approx(10.0, abs=0.05)
+
+
+def _int64_conv(x, weights, bias, x_qp, w_qp, out_qp, padding):
+    """The pure-int64 im2col conv the float64 walk must equal, stride 1."""
+    kh, kw, cin, cout = weights.shape
+    (pt, pb), (pl, pr) = padding
+    xq = np.pad(x.astype(np.int64) - x_qp.zero_point, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    zw = np.asarray(w_qp.zero_points, dtype=np.int64)
+    wq = weights.astype(np.int64) - zw
+    n, h, w, _ = xq.shape
+    oh, ow = h - kh + 1, w - kw + 1
+    cols = np.empty((n, oh, ow, kh, kw, cin), dtype=np.int64)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, :, i, j] = xq[:, i: i + oh, j: j + ow]
+    acc = (cols.reshape(-1, kh * kw * cin) @ wq.reshape(-1, cout)).reshape(n, oh, ow, cout)
+    return acc, RequantSpec.build(x_qp.scale, w_qp, out_qp).apply(acc, bias)
+
+
+U8, I16 = NcoreDType.UINT8, NcoreDType.INT16
+
+
+def _channel_qp(zero_points, dtype=U8):
+    return ChannelQuantParams(
+        scales=(0.01,) * len(zero_points), zero_points=tuple(zero_points), axis=3, dtype=dtype,
+    )
+
+
+class TestAccumulatorProof:
+    """The walk's conv2d / fully-connected accumulate in float64 only when
+    ``depth * max|x - zx| * max|w - zw|`` over the dtypes' whole code
+    ranges stays below 2**53, and stay exact either way."""
+
+    def test_the_bound_is_strict_at_2_53(self):
+        # 2**53 - 1 == 6361 * 69431 * 20394401 (uint8 codes against
+        # out-of-range zero points reach 255 - zp).
+        below = _accumulator_dtype(6361, _channel_qp([-69176]), _channel_qp([-20394146]))
+        assert below is np.float64
+        # 2**53 == 2**13 * 2**15 (int16, zero point 0) * 2**25.
+        x_qp = QuantParams(scale=0.1, zero_point=0, dtype=I16)
+        assert _accumulator_dtype(2**13, x_qp, _channel_qp([255 - 2**25])) is np.int64
+        assert _accumulator_dtype(2**13 - 1, x_qp, _channel_qp([255 - 2**25])) is np.float64
+
+    def test_every_zero_point_counts(self):
+        x_qp = QuantParams(scale=0.1, zero_point=0, dtype=I16)
+        assert _accumulator_dtype(4608, x_qp, _channel_qp([128, 3])) is np.float64
+        assert _accumulator_dtype(4608, x_qp, _channel_qp([128, -(2**45)])) is np.int64
+
+    @pytest.mark.parametrize("x_dtype", [U8, NcoreDType.INT8, I16])
+    def test_extreme_operands_at_the_deepest_zoo_conv(self, x_dtype):
+        # ResNet-50's deepest conv: K = 3 * 3 * 512, every operand at an end
+        # of its code range, the input zero point at the other end and the
+        # weights' per-channel zero points spread over theirs.
+        rng = np.random.default_rng(7)
+        info = dtype_info(x_dtype)
+        lo, hi = int(info.min_value), int(info.max_value)
+        x_qp = QuantParams(scale=0.02, zero_point=lo, dtype=x_dtype)
+        w_qp = _channel_qp([0, 255, 128, 1, 254, 0, 255, 77])
+        x = rng.choice([lo, hi], size=(1, 5, 5, 512)).astype(info.numpy_dtype)
+        weights = rng.choice([0, 255], size=(3, 3, 512, 8)).astype(np.uint8)
+        bias = rng.integers(-(2**20), 2**20, size=8)
+        padding = ((1, 1), (1, 1))
+        assert _accumulator_dtype(3 * 3 * 512, x_qp, w_qp) is np.float64
+        acc, _ = _int64_conv(x, weights, bias, x_qp, w_qp, QuantParams(1.0, 0), padding)
+        assert np.abs(acc).max() > 2**24  # past float32: only the f64 proof keeps it exact
+        # An int16 output scaled so the largest sum the int32 accumulator
+        # holds (int16 inputs overflow it on the one-signed channels) lands
+        # near its top code.
+        reach = int(np.abs(np.clip(acc + bias, -(2**31), 2**31 - 1)).max())
+        out_qp = QuantParams(scale=0.02 * 0.01 * reach / 30000, zero_point=0, dtype=I16)
+        _, want = _int64_conv(x, weights, bias, x_qp, w_qp, out_qp, padding)
+        got = qconv2d(x, weights, bias, x_qp, w_qp, out_qp, padding=padding)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert len(np.unique(want)) > 20
+
+    def test_a_zero_point_of_minus_2_45_keeps_int64(self):
+        # One tap of 257 * (2**45 + odd): an odd integer above 2**53, which
+        # float64 cannot hold.  The bias cancels it down to 7, so any error
+        # in the accumulator shows in the output code.
+        w_qp = _channel_qp([-(2**45)] * 2)
+        x_qp = QuantParams(scale=0.1, zero_point=0, dtype=I16)
+        out_qp = QuantParams(scale=0.1 * 0.01, zero_point=0, dtype=I16)
+        x = np.zeros((1, 3, 3, 512), np.int16)
+        x[0, 1, 2, 300] = 257
+        weights = np.full((3, 3, 512, 2), 3, np.uint8)
+        exact = 257 * (2**45 + 3)
+        bias = np.array([7 - exact, 7 - exact], dtype=np.int64)
+        assert _accumulator_dtype(3 * 3 * 512, x_qp, w_qp) is np.int64
+        acc, want = _int64_conv(x, weights, bias, x_qp, w_qp, out_qp, ((0, 0), (0, 0)))
+        assert acc.ravel()[0] == exact and want.ravel().tolist() == [7, 7]
+        got = qconv2d(x, weights, bias, x_qp, w_qp, out_qp)
+        assert got.tobytes() == want.tobytes()
+        # The float64 accumulation this proof refuses would be off.
+        lossy = RequantSpec.build(x_qp.scale, w_qp, out_qp).apply(acc.astype(np.float64), bias)
+        assert lossy.tobytes() != want.tobytes()
+
+    def test_a_float32_conv_step_past_2_24_diverges_from_the_walk(self):
+        # 255 * 65795 is odd and above 2**24: float32 weights (the step's
+        # own proof puts this node in float64) cannot sum it exactly, and
+        # the float64 walk under the dtype proof catches it.
+        x_qp = QuantParams(scale=0.02, zero_point=0)
+        w_qp = QuantParams(scale=0.01, zero_point=0)
+        taps = np.zeros(600, dtype=np.int64)
+        taps[: 65795 // 255] = 255
+        taps[65795 // 255] = 65795 % 255
+        weights = np.random.default_rng(0).permutation(taps).astype(np.uint8)
+        case = OneNode("conv2d")
+        case._feed(TensorType((1, 5, 5, 24), U8), np.full((1, 5, 5, 24), 255, np.uint8), x_qp)
+        case.const(weights.reshape(5, 5, 24, 1), w_qp)
+        case.const(np.array([7 - 255 * 65795], dtype=np.int32))
+        case.out(TensorType((1, 1, 1, 1), U8), quant=QuantParams(scale=0.02 * 0.01, zero_point=0))
+        kernel = compile_segment(case.graph, Segment("ncore", list(case.graph.nodes)), 0, "k")
+        (step,) = kernel.steps
+        assert isinstance(step, ConvStep) and step.weights.dtype == np.float64
+
+        def oracle(env):
+            scratch = dict(env)
+            run_nodes(case.graph, case.graph.nodes, scratch)
+            return {"out0": scratch["out0"]}
+
+        env = seed_values(case.graph, case.feeds)
+        KernelDispatcher(oracle="always").dispatch(kernel, env, oracle)
+        assert env["out0"].ravel().tolist() == [7]
+        forced = dataclasses.replace(step, weights=step.weights.astype(np.float32))
+        env = seed_values(case.graph, case.feeds)
+        with pytest.raises(CodegenDivergence):
+            KernelDispatcher(oracle="always").dispatch(
+                dataclasses.replace(kernel, steps=(forced,)), env, oracle,
+            )
