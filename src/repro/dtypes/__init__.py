@@ -17,6 +17,7 @@ from repro.dtypes.fixedpoint import (
 from repro.dtypes.quantization import (
     ChannelQuantParams,
     QuantParams,
+    Requantizer,
     choose_channel_quant_params,
     choose_quant_params,
     dequantize,
@@ -36,6 +37,7 @@ __all__ = [
     "DTypeInfo",
     "NcoreDType",
     "QuantParams",
+    "Requantizer",
     "choose_channel_quant_params",
     "choose_quant_params",
     "dequantize",

@@ -257,44 +257,76 @@ def requantize(
     bias rides in the high-mul's rounding constant:
     ``(a + b) * m + 2**30 == a * m + (b * m + 2**30)``.
     """
-    info = dtype_info(dtype)
-    acc = np.asarray(acc)
-    multiplier = np.asarray(multiplier, dtype=np.int64)
-    shift = np.asarray(shift, dtype=np.int64)
-    lanes = np.broadcast(multiplier, shift, offset, 0 if bias is None else bias).size
-    if lanes != 1 and lanes != acc.shape[-1]:
-        raise ValueError(f"{lanes} requantization lanes for accumulator shape {acc.shape}")
-    left, right = np.maximum(-shift, 0), np.maximum(shift, 0)
-    mask = None if right.all() else -(right > 0).astype(np.int64)
-    nudge = ((np.int64(1) << right) >> 1) + (np.asarray(offset, dtype=np.int64) << right)
-    proved = bound is not None and not left.any()
-    if proved and bias is not None:
-        bound += int(np.abs(bias, dtype=np.int64).max(initial=0))
-    proved = proved and bound < -ACC_MIN
-    # |a + b| < 2**31 and m < 2**31: neither side of the identity leaves int64.
-    half = bias * multiplier + (1 << 30) if proved and bias is not None else 1 << 30
-    low, high = (info.min_value, info.max_value) if clamp is None else clamp
-    flat = acc.reshape(-1, lanes)
-    out = np.empty(flat.shape, info.numpy_dtype if out_dtype is None else out_dtype)
-    step = max(1, _EPILOGUE_BLOCK // lanes)
-    scratch = np.empty((2, min(step, len(flat)), lanes), dtype=np.int64)
-    for start in range(0, len(flat), step):
-        rows = flat[start : start + step]
-        x, sign = scratch[:, : len(rows)]
-        np.copyto(x, rows, casting="unsafe")
-        if not proved:
-            if bias is not None:
-                x += bias
-            np.clip(x, ACC_MIN, ACC_MAX, out=x)
-            if left.any():  # left shift applied before the high-mul, as in gemmlowp
-                x <<= left
+    epilogue = Requantizer(
+        multiplier, shift, offset, dtype,
+        bias=bias, out_dtype=out_dtype, clamp=clamp, bound=bound,
+    )
+    return epilogue(acc)
+
+
+class Requantizer:
+    """:func:`requantize` with every argument but ``acc`` bound: the
+    per-lane constants are folded once, here, and each call runs only the
+    block loop.  A caller that requantizes with the same registers, bias
+    and bound on every query (a macro-kernel) builds one and keeps it."""
+
+    def __init__(
+        self,
+        multiplier: npt.ArrayLike,
+        shift: npt.ArrayLike,
+        offset: npt.ArrayLike,
+        dtype: NcoreDType | str = NcoreDType.UINT8,
+        *,
+        bias: np.ndarray | None = None,
+        out_dtype: npt.DTypeLike | None = None,
+        clamp: tuple[int, int] | None = None,
+        bound: int | None = None,
+    ) -> None:
+        info = dtype_info(dtype)
+        multiplier = np.asarray(multiplier, dtype=np.int64)
+        shift = np.asarray(shift, dtype=np.int64)
+        self.lanes = np.broadcast(multiplier, shift, offset, 0 if bias is None else bias).size
+        left, right = np.maximum(-shift, 0), np.maximum(shift, 0)
+        self.mask = None if right.all() else -(right > 0).astype(np.int64)
+        self.nudge = ((np.int64(1) << right) >> 1) + (np.asarray(offset, dtype=np.int64) << right)
+        proved = bound is not None and not left.any()
+        if proved and bias is not None:
+            bound += int(np.abs(bias, dtype=np.int64).max(initial=0))
+        self.proved = proved = proved and bound < -ACC_MIN
+        # |a + b| < 2**31 and m < 2**31: neither side of the identity leaves int64.
+        self.half = bias * multiplier + (1 << 30) if proved and bias is not None else 1 << 30
+        self.low, self.high = (info.min_value, info.max_value) if clamp is None else clamp
+        self.out_dtype = info.numpy_dtype if out_dtype is None else out_dtype
+        self.multiplier, self.right, self.bias = multiplier, right, bias
+        self.left = left if left.any() else None
+
+    def __call__(self, acc: np.ndarray) -> np.ndarray:
+        acc = np.asarray(acc)
+        lanes = self.lanes
+        if lanes != 1 and lanes != acc.shape[-1]:
+            raise ValueError(f"{lanes} requantization lanes for accumulator shape {acc.shape}")
+        proved, bias, left = self.proved, self.bias, self.left
+        flat = acc.reshape(-1, lanes)
+        out = np.empty(flat.shape, self.out_dtype)
+        step = max(1, _EPILOGUE_BLOCK // lanes)
+        scratch = np.empty((2, min(step, len(flat)), lanes), dtype=np.int64)
+        for start in range(0, len(flat), step):
+            rows = flat[start : start + step]
+            x, sign = scratch[:, : len(rows)]
+            np.copyto(x, rows, casting="unsafe")
+            if not proved:
+                if bias is not None:
+                    x += bias
                 np.clip(x, ACC_MIN, ACC_MAX, out=x)
-        x *= multiplier
-        x += half
-        x >>= 31
-        if not proved:
-            # The only overflow case is INT32_MIN * INT32_MIN; saturate regardless.
-            np.minimum(x, ACC_MAX, out=x)
-        _rounding_shift(x, sign, right, nudge, mask)
-        np.clip(x, low, high, out=out[start : start + step], casting="unsafe")
-    return out.reshape(acc.shape)
+                if left is not None:  # left shift applied before the high-mul, as in gemmlowp
+                    x <<= left
+                    np.clip(x, ACC_MIN, ACC_MAX, out=x)
+            x *= self.multiplier
+            x += self.half
+            x >>= 31
+            if not proved:
+                # The only overflow case is INT32_MIN * INT32_MIN; saturate regardless.
+                np.minimum(x, ACC_MAX, out=x)
+            _rounding_shift(x, sign, self.right, self.nudge, self.mask)
+            np.clip(x, self.low, self.high, out=out[start : start + step], casting="unsafe")
+        return out.reshape(acc.shape)

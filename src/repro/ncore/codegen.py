@@ -57,13 +57,14 @@ weights.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.dtypes import QuantParams, dtype_info
+from repro.dtypes import QuantParams, Requantizer
 from repro.graph.gir import Graph, Node
 from repro.graph.loadable import NcoreLoadable
 from repro.graph.partitioner import Segment
@@ -166,7 +167,9 @@ class ConvStep(NodeStep):
     epilogue takes it as its range proof.  ``per_tap`` selects between the
     two ``conv2d`` forms (:data:`_PER_TAP_MIN_CIN`; no other op reads it):
     there the weights' dtype is proved per tap block (a ``cin``-long sum)
-    and the taps are summed in ``exact_dtype(acc_bound)``.
+    and the taps are summed in ``exact_dtype(acc_bound)``.  The epilogue
+    (``requant`` with ``bias`` and ``acc_bound`` bound) is built on the
+    first run and kept; it is derived from the fields and never pickled.
     """
 
     weights: Array
@@ -184,12 +187,20 @@ class ConvStep(NodeStep):
         sh, sw = self.bound.attrs.get("stride", (1, 1))
         return sh, sw
 
+    def _offset(self, x: Array, out: Array | None = None) -> Array:
+        """``x - zero point`` in the weights' dtype, one pass."""
+        dtype = self.weights.dtype
+        return np.asarray(np.subtract(x, dtype.type(self._x_zp()), out=out, dtype=dtype))
+
     def _pad_input(self, x: Array) -> Array:
         (pt, pb), (pl, pr) = self.bound.attrs.get("padding", ((0, 0), (0, 0)))
-        xq = x.astype(self.weights.dtype) - self._x_zp()
         if not (pt or pb or pl or pr):
-            return xq
-        return np.asarray(np.pad(xq, ((0, 0), (pt, pb), (pl, pr), (0, 0))))
+            return self._offset(x)
+        # Padding inserts the input zero point: 0 once offset.
+        n, h, w, c = x.shape
+        xq = np.zeros((n, pt + h + pb, pl + w + pr, c), dtype=self.weights.dtype)
+        self._offset(x, xq[:, pt: pt + h, pl: pl + w])
+        return xq
 
     def _conv_nest(self, xq: Array) -> Array:
         kh, kw, cin, cout = self.weights.shape
@@ -225,17 +236,25 @@ class ConvStep(NodeStep):
 
     def _accumulate(self, x: Array) -> Array:
         if self.op == "fully_connected":
-            return np.asarray((x.astype(self.weights.dtype) - self._x_zp()) @ self.weights)
+            return np.asarray(self._offset(x) @ self.weights)
         xq = self._pad_input(x)
         if self.op == "depthwise_conv2d":
             return self._depthwise_nest(xq)
         return self._conv_rowsweep(xq) if self.per_tap else self._conv_nest(xq)
 
+    @functools.cached_property
+    def _epilogue(self) -> Requantizer:
+        return self.requant.requantizer(self.bias, self.acc_bound)
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The epilogue is derived from the fields: rebuilt, never pickled.
+        return {k: v for k, v in self.__dict__.items() if k != "_epilogue"}
+
     def run(self, env: Env) -> None:
         # The float -> int64 cast, the bias and the activation clamp happen
         # block by block inside the OUT-unit epilogue.
         acc = self._accumulate(env[self.bound.inputs[0]])
-        env[self.bound.outputs[0]] = self.requant.apply(acc, self.bias, self.acc_bound)
+        env[self.bound.outputs[0]] = self._epilogue(acc)
 
 
 @dataclass(frozen=True)
@@ -347,15 +366,6 @@ class MacroKernelSet:
 # ----------------------------------------------------------------------
 
 
-def _input_magnitude(qp: QuantParams) -> int:
-    """Largest ``|code - zero_point|`` the input dtype can represent."""
-    info = dtype_info(qp.dtype)
-    return max(
-        abs(int(info.min_value) - qp.zero_point),
-        abs(int(info.max_value) - qp.zero_point),
-    )
-
-
 def _tensor_qp(name: str, qp: QuantParams | None) -> QuantParams:
     if not isinstance(qp, QuantParams):
         raise UnsupportedSegment(f"tensor {name!r} lacks tensor quant params")
@@ -378,7 +388,7 @@ _TAP_AXES: dict[str, tuple[int, ...]] = {
 
 def _matmul_steps(graph: Graph, node: Node, bound: BoundNode) -> ConvStep:
     """The step of a conv2d / depthwise_conv2d / fully_connected."""
-    from repro.runtime.qkernels import _activation_range, _weight_offsets
+    from repro.runtime.qkernels import _activation_range, _code_reach, _weight_offsets
 
     x_qp = _tensor_qp(node.inputs[0], bound.in_qps[0])
     w_qp = bound.in_qps[1]
@@ -397,7 +407,7 @@ def _matmul_steps(graph: Graph, node: Node, bound: BoundNode) -> ConvStep:
     # Exactness proof: the largest |partial sum| any accumulation order can
     # produce is max|x - zp| * sum|w - zp| per output channel — over the
     # whole window for the step, over one tap's cin for a per-tap block.
-    reach = _input_magnitude(x_qp)
+    reach = _code_reach(x_qp)
     acc_bound = reach * int(np.abs(wq).sum(axis=_TAP_AXES[node.op]).max(initial=0))
     block_bound = reach * int(np.abs(wq).sum(axis=2).max(initial=0)) if per_tap else acc_bound
     clamp = _activation_range(bound.attrs.get("activation"), out_qp)

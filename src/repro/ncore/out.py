@@ -22,6 +22,7 @@ from repro.dtypes import (
     ChannelQuantParams,
     NcoreDType,
     QuantParams,
+    Requantizer,
     dtype_info,
     quantize_multiplier,
     requantize,
@@ -93,12 +94,18 @@ class RequantSpec:
         the caller's static proof that ``|acc| <= bound`` (see
         :func:`repro.dtypes.requantize`); without it the sum is clipped to
         the int32 accumulator range first."""
+        return self.requantizer(bias, bound)(acc)
+
+    def requantizer(self, bias: np.ndarray | None = None,
+                    bound: int | None = None) -> Requantizer:
+        """:meth:`apply` with ``bias`` and ``bound`` fixed, for a caller
+        that applies the same epilogue on every query."""
         if self.lane_mults is None or self.lane_shifts is None:
             mult, shift = self.mult, self.shift
         else:
             mult, shift = self.lane_mults, self.lane_shifts
-        return requantize(
-            acc, mult, shift, self.zero_point, self.dtype,
+        return Requantizer(
+            mult, shift, self.zero_point, self.dtype,
             bias=bias, clamp=self.clamp, bound=bound,
         )
 

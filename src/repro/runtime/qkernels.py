@@ -63,7 +63,9 @@ def _weight_offsets(weights: np.ndarray, w_qp, dtype: type = np.int64) -> np.nda
 
 def _code_reach(qp: QuantParams | ChannelQuantParams) -> int:
     """Largest ``|code - zero point|`` ``qp``'s dtype can hold, over every
-    zero point it has."""
+    zero point it has.  Reads only dtypes and zero points: the walk's proof
+    below and codegen's per-kernel bound both take their input factor
+    from it."""
     info = dtype_info(qp.dtype)
     zero_points = qp.zero_points if isinstance(qp, ChannelQuantParams) else (qp.zero_point,)
     return max(

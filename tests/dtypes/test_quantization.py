@@ -250,10 +250,11 @@ def boundary_accumulators(multiplier: int, shift: int) -> list[int]:
 
 
 def assert_all_three_match_gemmlowp(acc, mults, shifts, offset, dtype, bias=None, clamp=None):
-    """``requantize``, ``requantize_lanes`` and ``RequantSpec.apply`` on a
-    (rows, lanes) accumulator against the oracle, bytes and dtype.
+    """``requantize``, ``requantize_lanes``, ``RequantSpec.apply`` and a
+    reused ``RequantSpec.requantizer`` on a (rows, lanes) accumulator
+    against the oracle, bytes and dtype.
 
-    The two that take a range proof run twice: without one (the full,
+    The three that take a range proof run twice: without one (the full,
     saturating epilogue) and with the honest ``bound = max|acc|`` — the
     range-proved path wherever the proof holds (no left shift,
     ``bound + max|bias| < 2**31``), the full one again wherever it does not.
@@ -274,6 +275,9 @@ def assert_all_three_match_gemmlowp(acc, mults, shifts, offset, dtype, bias=None
         got = spec.apply(acc, bias, bound)
         assert got.dtype == narrow
         np.testing.assert_array_equal(got, want, f"RequantSpec.apply bound={bound}")
+        epilogue = spec.requantizer(bias, bound)
+        for _ in range(2):  # built once, applied on every query
+            np.testing.assert_array_equal(epilogue(acc), want, f"Requantizer bound={bound}")
     if bias is None and clamp is None:
         got = requantize_lanes(acc, mults, shifts, np.full(lanes, offset, np.int64), dtype)
         assert got.dtype == np.int32

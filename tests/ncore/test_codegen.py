@@ -81,6 +81,23 @@ class TestCodegenModel:
         for reason in kernels.uncovered.values():
             assert isinstance(reason, str) and reason
 
+    def test_a_run_leaves_the_artifact_bytes_alone(self, compiled):
+        # A ConvStep builds its epilogue on first run and keeps it; it is
+        # derived from the step's fields, so pickling never carries it.
+        graph = compiled.model.graph
+        index, kernel = next(iter(compiled.macro_kernels.kernels.items()))
+        before = pickle.dumps(kernel)
+        env = seed_values(graph, sample_feeds())
+        for segment in compiled.model.segments[:index]:
+            run_nodes(graph, segment.nodes, env)
+        kernel.run(env)
+        assert any("_epilogue" in vars(step) for step in kernel.steps)
+        assert pickle.dumps(kernel) == before
+        again = dict(env)
+        pickle.loads(before).run(again)
+        for name in kernel.outputs:
+            assert again[name].tobytes() == env[name].tobytes()
+
 
 class TestBitExactness:
     def test_every_variant_matches_the_interpreter(self, compiled):
