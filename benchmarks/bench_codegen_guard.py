@@ -1,31 +1,42 @@
-"""Regression guard: Tier-3 codegen must stay well ahead of the per-node
+"""Regression guard: Tier-3 codegen must stay ahead of the per-node
 interpreter walk on end-to-end zoo inference.
 
-The measured steady-state advantage on MobileNet (the cheapest zoo CNN)
-is ~5x on an idle machine; the guard asserts a conservative 3x so CI
-noise never flakes it, while any change that quietly drops macro-kernel
-coverage (an op falling out of the codegen vocabulary, the sidecar
-artifact missing from the cache) still fails loudly.  The digest check
-keeps the guard honest: the speed-up only counts if the bytes match.
+Both graph modes run the same compiled model in two warm executors: the
+first query of each (first-dispatch oracle, allocations) is not timed,
+then the two alternate one query each, ``QUERIES`` times, so host noise
+lands on both sides alike, and the guard compares the median query of
+each.  The digest check keeps the guard honest: the speed-up only counts
+if the bytes match.
 
-GNMT guards the bf16 float region the same way: the measured
-steady-state advantage is ~5x (chain fusion computes each encoder
-layer's sequence projection once instead of once per step), guarded at
-the same conservative 3x and only after the outputs digest-match the
-interpreter bit for bit.
+MobileNet (the cheapest zoo CNN, 64 px build) is where the two tiers are
+closest: the walk's conv / FC accumulate in float64 BLAS like codegen's
+float32 GEMMs, so codegen's lead is its fused epilogue and the one-pass
+offset + pad.  On a 2-vCPU host 22 readings of this measurement (12 with
+BLAS pinned to one thread, 10 unpinned) read 2.48-3.27x, median 3.0x;
+the floor is 1.9x, under 0.8x the lowest.  A model that loses its
+macro-kernel coverage runs the walk in both executors and reads about
+1x, so the floor still catches it.
+
+GNMT guards the bf16 float region: chain fusion computes each encoder
+layer's sequence projection once instead of once per step, a 6.2-6.7x
+lead guarded at 3x, and only after the outputs digest-match the interpreter
+bit for bit.
 """
+
+import statistics
+import time
 
 import numpy as np
 import pytest
 
-from repro.perf.simbench import compile_zoo_model, measure_zoo_end_to_end
+from repro.perf.simbench import compile_zoo_model
 from repro.runtime import NcoreExecutor
 
-GUARD_SPEEDUP = 3.0
-MODELS = ("mobilenet_v1", "gnmt")
+FLOORS = {"mobilenet_v1": 1.9, "gnmt": 3.0}
+QUERIES = 9
 
 
-@pytest.mark.parametrize("model_key", MODELS)
+@pytest.mark.parametrize("model_key", sorted(FLOORS))
 def test_codegen_bit_exact_and_covered(model_key):
     model, feeds = compile_zoo_model(model_key)
     interp = NcoreExecutor(model, verify=False, policy="interpreter")
@@ -45,14 +56,35 @@ def test_codegen_bit_exact_and_covered(model_key):
         tier3.close()
 
 
-@pytest.mark.parametrize("model_key", MODELS)
+def median_speedup(model_key: str) -> tuple[float, float]:
+    """(median interpreter query ÷ median codegen query, codegen coverage)
+    over ``QUERIES`` alternating queries of two warm executors."""
+    model, feeds = compile_zoo_model(model_key)
+    executors = {tier: NcoreExecutor(model, verify=False, policy=tier)
+                 for tier in ("interpreter", "codegen")}
+    try:
+        for executor in executors.values():
+            executor.execute(feeds)
+        seconds: dict[str, list[float]] = {tier: [] for tier in executors}
+        for _ in range(QUERIES):
+            for tier, executor in executors.items():
+                start = time.perf_counter()
+                executor.execute(feeds)
+                seconds[tier].append(time.perf_counter() - start)
+        coverage = executors["codegen"].macro_kernels.coverage_fraction(len(model.segments))
+    finally:
+        for executor in executors.values():
+            executor.close()
+    speedup = statistics.median(seconds["interpreter"]) / statistics.median(seconds["codegen"])
+    return speedup, coverage
+
+
+@pytest.mark.parametrize("model_key", sorted(FLOORS))
 def test_codegen_speedup_guard(model_key):
-    tier3 = measure_zoo_end_to_end(model_key, queries=3, tier="codegen", warmup=1)
-    interp = measure_zoo_end_to_end(model_key, queries=3, tier="interpreter", warmup=1)
-    assert tier3.get("coverage", 0.0) > 0.8
-    speedup = interp["seconds"] / tier3["seconds"]
-    assert speedup >= GUARD_SPEEDUP, (
-        f"Tier-3 codegen only {speedup:.1f}x over the interpreter walk "
-        f"on {model_key} (guard {GUARD_SPEEDUP}x) — did macro-kernel "
+    speedup, coverage = median_speedup(model_key)
+    assert coverage > 0.8
+    assert speedup >= FLOORS[model_key], (
+        f"Tier-3 codegen only {speedup:.2f}x over the interpreter walk "
+        f"on {model_key} (floor {FLOORS[model_key]}x) — did macro-kernel "
         "coverage (or, for gnmt, LSTM chain fusion) regress?"
     )

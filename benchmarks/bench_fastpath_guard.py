@@ -13,8 +13,8 @@ GUARD_SPEEDUP = 5.0
 
 
 def test_fastpath_speedup_guard():
-    fast = measure_inner_loop(repeats=5, fastpath=True)
-    interp = measure_inner_loop(repeats=5, fastpath=False)
+    fast = measure_inner_loop(fastpath=True)
+    interp = measure_inner_loop(fastpath=False)
     # Identical simulated work on both tiers — only wall time may differ.
     assert fast["cycles"] == interp["cycles"]
     assert fast["instructions"] == interp["instructions"]

@@ -1,6 +1,6 @@
 """Guard for the sanitizer zero-cost contract.
 
-``Ncore(sanitize=...)`` follows the observability discipline: when no
+``Ncore.arm_sanitizer`` follows the observability discipline: when no
 sanitizer is armed, every hook site in the machine and the DMA engines
 reduces to one ``is not None`` check.  Three assertions keep that true:
 

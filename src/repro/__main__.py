@@ -4,4 +4,4 @@ import sys
 
 from repro.cli import main
 
-sys.exit(main())
+sys.exit(main(sys.argv[1:]))

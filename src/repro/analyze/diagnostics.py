@@ -122,16 +122,11 @@ def diag(
     element: str = "",
     index: int | None = None,
     hint: str = "",
-    severity: Severity | None = None,
 ) -> Diagnostic:
-    """Build a :class:`Diagnostic` for a registered rule.
-
-    ``severity`` overrides the rule's default (used when one rule downgrades
-    in specific contexts).
-    """
+    """Build a :class:`Diagnostic` for a registered rule, at its severity."""
     return Diagnostic(
         rule=rule.id,
-        severity=severity if severity is not None else rule.severity,
+        severity=rule.severity,
         location=Location(artifact=artifact, element=element, index=index),
         message=message,
         hint=hint,

@@ -164,17 +164,15 @@ class HazardGraph:
                     path.pop()
         return None
 
-    def to_dot(self, *, indent: str = "  ", cluster: int | None = None) -> str:
-        """Graphviz rendering; standalone digraph or one cluster body."""
+    def to_dot(self, cluster: int) -> str:
+        """Graphviz rendering of this graph as the body of cluster
+        ``cluster`` (see :func:`render_dot`)."""
         shapes = {"kernel": "box", "compute": "box", "dma": "ellipse",
                   "wait": "diamond", "halt": "octagon"}
         styles = {"program": "solid", "engine": "dashed",
                   "wait": "bold", "data": "dotted"}
-        prefix = f"c{cluster}_" if cluster is not None else ""
+        prefix, indent = f"c{cluster}_", "    "
         lines: list[str] = []
-        if cluster is None:
-            lines.append(f'digraph "{self.name}" {{')
-            lines.append(f"{indent}rankdir=TB;")
         for node in self.nodes:
             label = node.label
             if node.rows is not None:
@@ -189,8 +187,6 @@ class HazardGraph:
                 f'{indent}"{prefix}{src}" -> "{prefix}{dst}" '
                 f'[style={style}, label="{kind}"];'
             )
-        if cluster is None:
-            lines.append("}")
         return "\n".join(lines)
 
 
@@ -200,7 +196,7 @@ def render_dot(graphs: list[HazardGraph], name: str = "hazards") -> str:
     for index, graph in enumerate(graphs):
         lines.append(f"  subgraph cluster_{index} {{")
         lines.append(f'    label="{graph.name}";')
-        lines.append(graph.to_dot(indent="    ", cluster=index))
+        lines.append(graph.to_dot(index))
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines)
@@ -432,11 +428,16 @@ def build_program_hazard_graph(
     transfer_at_pc: dict[int, _Transfer] = {}
     last_engine_node: dict[str, str] = {}
     previous_node: str | None = None
+    ordered: set[str] = set()
 
     def link(node_id: str) -> str:
+        """Order ``node_id`` after the previous event.  The walk revisits a
+        loop body until its fixpoint; a revisited pc is the same static
+        event, so it gets no second (backward) program edge."""
         nonlocal previous_node
-        if previous_node is not None and previous_node != node_id:
+        if previous_node is not None and node_id not in ordered:
             hb.add_edge(previous_node, node_id, "program")
+        ordered.add(node_id)
         previous_node = node_id
         return node_id
 
@@ -575,12 +576,9 @@ def analyze_program_hazards(
     descriptors: dict[int, DMAOp] | list[DMAOp | None] | None = None,
     config: NcoreConfig | None = None,
     name: str = "program",
-    suppress: tuple[str, ...] = (),
 ) -> AnalysisReport:
     """Hazard pass over an assembled program + its DMA descriptor table."""
     report = AnalysisReport()
     _, findings = build_program_hazard_graph(program, descriptors, config, name)
     report.extend(findings)
-    if suppress:
-        report = report.suppress(suppress)
     return report

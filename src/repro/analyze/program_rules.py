@@ -432,13 +432,10 @@ def analyze_program(
     program: list[Instruction],
     config: NcoreConfig | None = None,
     name: str = "program",
-    suppress: tuple[str, ...] = (),
 ) -> AnalysisReport:
     """Run the full program pass stack over one assembled program."""
     config = config or NcoreConfig()
     report = AnalysisReport()
     report.extend(_check_structure(program, name, config))
     report.extend(_interpret(program, name, config))
-    if suppress:
-        report = report.suppress(suppress)
     return report

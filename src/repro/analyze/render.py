@@ -29,7 +29,7 @@ def render_text(report: AnalysisReport, *, verbose: bool = False) -> str:
     return "\n".join(lines)
 
 
-def render_json(report: AnalysisReport, *, indent: int | None = 2) -> str:
+def render_json(report: AnalysisReport) -> str:
     """Machine-readable rendering: a stable JSON document."""
     payload: dict[str, Any] = {
         "ok": report.ok,
@@ -37,4 +37,4 @@ def render_json(report: AnalysisReport, *, indent: int | None = 2) -> str:
         "warnings": len(report.warnings),
         "diagnostics": [d.to_json() for d in report.sorted()],
     }
-    return json.dumps(payload, indent=indent)
+    return json.dumps(payload, indent=2)

@@ -788,8 +788,14 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.graph.gir import GraphError
+
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except GraphError as error:  # a malformed GIR file: a usage error
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

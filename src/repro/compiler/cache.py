@@ -129,11 +129,11 @@ class CompileCache:
 
     # ------------------------------------------------------------------
 
-    def clear(self, disk: bool = False) -> None:
-        """Drop the memory tier (and, with ``disk=True``, disk entries)."""
+    def clear(self) -> None:
+        """Drop every entry, in memory and on disk."""
         with self._lock:
             self._entries.clear()
-        if disk and self.directory is not None:
+        if self.directory is not None:
             for path in self.directory.glob("*.pkl"):
                 path.unlink(missing_ok=True)
 

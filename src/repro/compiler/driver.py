@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING
 
 from repro.graph.gir import Graph
 from repro.graph.loadable import CompiledModel
-from repro.graph.passes import PassManager
 from repro.ncore.config import NcoreConfig
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
@@ -73,17 +72,16 @@ def compile_graph(
     pipeline: str | Pipeline = "default",
     name: str | None = None,
     verify: bool = True,
-    in_place: bool = False,
     cache: CompileCache | None | _UseDefaultCache = USE_DEFAULT_CACHE,
     collect_ir: bool = False,
-    pass_manager: PassManager | None = None,
 ) -> CompileResult:
     """Compile ``graph`` through a named (or custom) staged pipeline.
 
     ``cache`` defaults to the process-wide compile cache; pass ``None``
     to force a full compile.  ``collect_ir`` bypasses the cache (its
     point is to watch the stages run) and fills per-stage snapshots.
-    ``in_place`` opts into optimizing the caller's graph object directly.
+    The caller's graph is never rewritten: a mutating pipeline optimizes
+    a copy.
     """
     pipeline_obj = get_pipeline(pipeline)
     config = config if config is not None else NcoreConfig()
@@ -112,17 +110,13 @@ def compile_graph(
                 model=cached, key=key, pipeline_id=pipeline_obj.id, cache_hit=True,
             )
 
-    working = graph
-    if pipeline_obj.mutates_graph and not in_place:
-        working = graph.copy()
     ctx = CompilerContext(
-        graph=working,
+        graph=graph.copy() if pipeline_obj.mutates_graph else graph,
         config=config,
         name=effective_name,
         verify=verify,
         pipeline_id=pipeline_obj.id,
         collect_ir=collect_ir,
-        pass_manager=pass_manager,
     )
     with tracer.span(
         "compiler.compile", track="compiler",
@@ -157,13 +151,8 @@ def compile_graph(
     )
 
 
-def optimize_graph(
-    graph: Graph,
-    *,
-    manager: PassManager | None = None,
-    in_place: bool = False,
-) -> Graph:
-    """Run just the GCL optimize stage (spans + stats, no lowering).
+def optimize_graph(graph: Graph, *, in_place: bool = False) -> Graph:
+    """Run just the GCL optimize stage (a span, no lowering).
 
     The front-end half of the driver for callers that optimize a float
     graph before quantization (``perf.system``, the lint CLI) — the same
@@ -175,18 +164,12 @@ def optimize_graph(
 
     working = graph if in_place else graph.copy()
     ctx = CompilerContext(
-        graph=working,
-        config=NcoreConfig(),
-        name=graph.name,
-        pipeline_id="optimize-only",
-        pass_manager=manager,
+        graph=working, config=NcoreConfig(), name=graph.name, pipeline_id="optimize-only",
     )
     with get_tracer().span(
         "compiler.optimize", track="compiler", model=graph.name
     ) as span:
-        changes = get_stage("optimize").run(ctx)
-        span.set(**changes)
-    ctx.stats.append(StageStats("optimize", 0.0, changes))
+        span.set(**get_stage("optimize").run(ctx))
     return working
 
 

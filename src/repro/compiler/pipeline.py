@@ -108,8 +108,8 @@ _BACKEND_O2 = ("partition", "verify", "plan", "lower", "codegen", "finalize")
 _PIPELINES: dict[str, Pipeline] = {}
 
 
-def register_pipeline(pipeline: Pipeline, replace: bool = False) -> Pipeline:
-    if pipeline.id in _PIPELINES and not replace:
+def register_pipeline(pipeline: Pipeline) -> Pipeline:
+    if pipeline.id in _PIPELINES:
         raise CompilerError(f"pipeline {pipeline.id!r} is already registered")
     _PIPELINES[pipeline.id] = pipeline
     return pipeline

@@ -49,10 +49,9 @@ class CompilerContext:
     """Everything one compilation owns, threaded through the stages.
 
     Stages read and extend this context in order: ``optimize`` rewrites
-    ``graph`` in place (the driver hands it a private copy unless the
-    caller opted into ``in_place``), ``partition`` fills ``segments``,
-    ``plan`` fills ``memory_plans``, ``lower`` fills ``loadables`` and
-    ``finalize`` assembles ``model``.
+    ``graph`` in place (the driver hands it a private copy), ``partition``
+    fills ``segments``, ``plan`` fills ``memory_plans``, ``lower`` fills
+    ``loadables`` and ``finalize`` assembles ``model``.
     """
 
     graph: Graph
@@ -61,7 +60,6 @@ class CompilerContext:
     verify: bool = True
     pipeline_id: str = "custom"
     collect_ir: bool = False
-    pass_manager: PassManager | None = None
     segments: list[Segment] = field(default_factory=list)
     memory_plans: dict[int, MemoryPlan] = field(default_factory=dict)
     loadables: dict[int, NcoreLoadable] = field(default_factory=dict)
@@ -96,9 +94,7 @@ def _run_optimize(
     ctx: CompilerContext, manager_factory: Callable[[], PassManager] | None = None
 ) -> dict[str, Any]:
     """GCL graph optimization: run a pass pipeline to its fixed point."""
-    manager = ctx.pass_manager
-    if manager is None:
-        manager = manager_factory() if manager_factory is not None else default_pipeline()
+    manager = manager_factory() if manager_factory is not None else default_pipeline()
     nodes_before = len(ctx.graph.nodes)
     sweeps = manager.run(ctx.graph)
     changes: dict[str, Any] = {
@@ -286,9 +282,9 @@ def optimize_stage(
 _STAGES: dict[str, Stage] = {}
 
 
-def register_stage(stage: Stage, replace: bool = False) -> Stage:
+def register_stage(stage: Stage) -> Stage:
     """Register a stage under its name for name-based pipeline composition."""
-    if stage.name in _STAGES and not replace:
+    if stage.name in _STAGES:
         raise CompilerError(f"stage {stage.name!r} is already registered")
     _STAGES[stage.name] = stage
     return stage

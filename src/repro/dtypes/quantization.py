@@ -221,10 +221,7 @@ def requantize(
     offset: npt.ArrayLike,
     dtype: NcoreDType | str = NcoreDType.UINT8,
     *,
-    bias: np.ndarray | None = None,
     out_dtype: npt.DTypeLike | None = None,
-    clamp: tuple[int, int] | None = None,
-    bound: int | None = None,
 ) -> np.ndarray:
     """Requantize 32-bit accumulators to a narrow integer type.
 
@@ -237,17 +234,27 @@ def requantize(
 
     The one expression of the gemmlowp arithmetic in the repo: the
     quantized kernels, the macro-kernels and the instruction machine reach
-    it through :mod:`repro.ncore.out`.  ``acc`` is any integer or
-    integer-valued float64 array and is never written; ``bias`` is added
-    first and the sum saturated to the 32-bit accumulator range.  The
-    high-mul is the closed form ``(a * m + 2**30) >> 31`` (gemmlowp's
+    it through :mod:`repro.ncore.out` and :class:`Requantizer`.  ``acc``
+    is any integer or integer-valued float64 array and is never written;
+    it is saturated to the 32-bit accumulator range first.  The high-mul
+    is the closed form ``(a * m + 2**30) >> 31`` (gemmlowp's
     sign-dependent nudge and truncating division, for every product), the
     right shift :func:`_rounding_shift` with the offset folded into its
     constant (proofs: docs/simulator-performance.md).  Work runs in place
     over row blocks of :data:`_EPILOGUE_BLOCK` elements in scratch owned by
     the call, written straight into the result (``out_dtype``, default
     *dtype*'s own numpy type).
+    """
+    return Requantizer(multiplier, shift, offset, dtype, out_dtype=out_dtype)(acc)
 
+
+class Requantizer:
+    """:func:`requantize` with every argument but ``acc`` bound: the
+    per-lane constants are folded once, here, and each call runs only the
+    block loop.  A caller that requantizes with the same registers, bias
+    and bound on every query (a macro-kernel) builds one and keeps it.
+
+    ``bias`` is added to the accumulator before the 32-bit saturation.
     ``clamp`` is the final saturation range when it is narrower than
     *dtype*'s own (a fused ReLU / ReLU6 in the quantized domain).
     ``bound`` is a proof obligation the caller discharges statically:
@@ -255,20 +262,7 @@ def requantize(
     below ``2**31`` and no lane shifts left, the accumulator can never
     saturate, so the three 32-bit saturation passes are skipped and the
     bias rides in the high-mul's rounding constant:
-    ``(a + b) * m + 2**30 == a * m + (b * m + 2**30)``.
-    """
-    epilogue = Requantizer(
-        multiplier, shift, offset, dtype,
-        bias=bias, out_dtype=out_dtype, clamp=clamp, bound=bound,
-    )
-    return epilogue(acc)
-
-
-class Requantizer:
-    """:func:`requantize` with every argument but ``acc`` bound: the
-    per-lane constants are folded once, here, and each call runs only the
-    block loop.  A caller that requantizes with the same registers, bias
-    and bound on every query (a macro-kernel) builds one and keeps it."""
+    ``(a + b) * m + 2**30 == a * m + (b * m + 2**30)``."""
 
     def __init__(
         self,

@@ -72,14 +72,9 @@ class Timeout(Event):
 
     __slots__ = ()
 
-    def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
+    def __init__(self, engine: "Engine", delay: float) -> None:
         super().__init__(engine)
-        if delay < 0:
-            raise EngineError(f"cannot schedule {delay} seconds into the past")
-        engine._post(delay, self._fire, value)
-
-    def _fire(self, value: Any) -> None:
-        self.succeed(value)
+        engine._post(delay, self.succeed)
 
 
 TaskGenerator = Generator[Event, Any, Any]
@@ -169,9 +164,9 @@ class Engine:
         """A fresh pending event (trigger it with ``.succeed(value)``)."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """An event that fires ``delay`` simulated seconds from now."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     def process(self, generator: TaskGenerator, name: str = "") -> Task:
         """Start a cooperative task; returns the task (itself awaitable)."""

@@ -38,6 +38,7 @@ MAC_ENERGY_PJ = 0.25
 SRAM_PJ_PER_BYTE = 0.08
 DRAM_PJ_PER_BYTE = 15.0
 RING_PJ_PER_BYTE_HOP = 0.06
+RING_HOPS = 3  # memory controller to Ncore on the ring
 LEAKAGE_W_PER_MM2 = 0.015
 
 AREA_PER_MAC_UM2 = 850.0
@@ -117,7 +118,6 @@ def energy_model(
     macs: int,
     cycles: int,
     dram_bytes: int,
-    ring_hops: int = 3,
 ) -> EnergyBreakdown:
     """Energy of one inference at one design point.
 
@@ -126,7 +126,8 @@ def energy_model(
     traffic.  SRAM energy assumes each active cycle touches one full row
     in each of the two RAMs — an upper bound that is tight for the fused
     inner loop (one broadcast read + one accumulate/store per clock).
-    ``ring_hops`` is the memory-controller-to-Ncore hop distance.
+    DRAM traffic crosses :data:`RING_HOPS` ring stops, the
+    memory-controller-to-Ncore distance.
     """
     seconds = cycles / config.clock_hz if config.clock_hz > 0 else 0.0
     area = area_model(config, soc)
@@ -135,6 +136,6 @@ def energy_model(
         mac_mj=macs * MAC_ENERGY_PJ / 1e9,
         sram_mj=sram_bytes * SRAM_PJ_PER_BYTE / 1e9,
         dram_mj=dram_bytes * DRAM_PJ_PER_BYTE / 1e9,
-        ring_mj=dram_bytes * ring_hops * RING_PJ_PER_BYTE_HOP / 1e9,
+        ring_mj=dram_bytes * RING_HOPS * RING_PJ_PER_BYTE_HOP / 1e9,
         leakage_mj=area.total_mm2 * LEAKAGE_W_PER_MM2 * seconds * 1e3,
     )

@@ -329,7 +329,6 @@ def run_sweep(
     models: Sequence[str] = DEFAULT_MODELS,
     seed: int = 0,
     execute_queries: int = 0,
-    cache: CompileCache | None = None,
 ) -> SweepResult:
     """Score every design point; returns the full, deterministically ordered
     result set with the Pareto frontier marked.
@@ -343,8 +342,7 @@ def run_sweep(
         if name not in PAPER_CHARACTERISTICS:
             raise KeyError(f"unknown model {name!r}")
     prepared = {name: _prepare_model(name) for name in sorted(set(models))}
-    if cache is None:
-        cache = CompileCache(capacity=max(1, len(points) * len(prepared)))
+    cache = CompileCache(capacity=max(1, len(points) * len(prepared)))
     scored = [_score_point(point, prepared, cache) for point in points]
     frontier_labels = {r.point.label for r in pareto_frontier(scored)}
     results = [

@@ -10,6 +10,7 @@ toolflow (section V-B), in Ncore's own format.
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -128,19 +129,43 @@ def save_graph(graph: Graph, path: str | Path) -> tuple[Path, Path]:
 
 
 def load_graph(path: str | Path) -> Graph:
-    """Reconstruct a graph saved by :func:`save_graph`."""
+    """Reconstruct a graph saved by :func:`save_graph`.
+
+    A missing ``.json`` raises ``FileNotFoundError``; any other defect of
+    the pair (bad JSON, a missing key, an unknown dtype, an unreadable or
+    incomplete ``.npz``) raises :class:`GraphError` naming the file.
+    """
     path = Path(path)
     json_path = path.with_suffix(".json")
     npz_path = path.with_suffix(".npz")
-    document = json.loads(json_path.read_text())
-    if document.get("format_version") != FORMAT_VERSION:
-        raise GraphError(
-            f"unsupported GIR format version {document.get('format_version')!r}"
-        )
-    constants = np.load(npz_path)
+    text = json_path.read_text()
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise GraphError(f"{json_path}: not valid JSON ({error})") from None
+    version = document.get("format_version") if isinstance(document, dict) else None
+    if version != FORMAT_VERSION:
+        raise GraphError(f"{json_path}: unsupported GIR format version {version!r}")
+    try:
+        with open(npz_path, "rb") as handle, np.load(handle) as archive:
+            constants = dict(archive)
+    except (OSError, ValueError, zipfile.BadZipFile) as error:
+        raise GraphError(f"{npz_path}: cannot read the constants ({error})") from None
+    try:
+        return _graph_from_json(document, constants, npz_path)
+    except KeyError as error:
+        raise GraphError(f"{json_path}: missing key {error}") from None
+    except (TypeError, ValueError) as error:  # GraphError too: an inconsistent graph
+        raise GraphError(f"{json_path}: {error}") from None
+
+
+def _graph_from_json(document: dict, constants: dict[str, np.ndarray],
+                     npz_path: Path) -> Graph:
     graph = Graph(document["name"])
     for name, spec in document["tensors"].items():
         dtype = _dtype_from_json(spec["dtype"])
+        if spec["constant"] and name not in constants:
+            raise GraphError(f"no array for constant {name!r} in {npz_path.name}")
         data = constants[name] if spec["constant"] else None
         graph.add_tensor(
             Tensor(

@@ -41,8 +41,9 @@ _OP_MAP = {
 _ACTIVATIONS = {"NONE": "none", "RELU": "relu", "RELU6": "relu6"}
 
 
-def _same_padding(size: int, k: int, stride: int) -> tuple[int, int]:
-    """TF 'SAME': total padding split with the extra pixel after."""
+def same_padding(size: int, k: int, stride: int) -> tuple[int, int]:
+    """TF 'SAME' for one dimension: total padding split with the extra
+    pixel after."""
     out = -(-size // stride)
     total = max((out - 1) * stride + k - size, 0)
     return total // 2, total - total // 2
@@ -52,7 +53,7 @@ def _resolve_padding(spec: str | list, in_h: int, in_w: int, kh: int, kw: int, s
     if spec == "VALID":
         return ((0, 0), (0, 0))
     if spec == "SAME":
-        return (_same_padding(in_h, kh, stride[0]), _same_padding(in_w, kw, stride[1]))
+        return (same_padding(in_h, kh, stride[0]), same_padding(in_w, kw, stride[1]))
     # Explicit [[t, b], [l, r]] padding.
     (t, b), (l, r) = spec
     return ((int(t), int(b)), (int(l), int(r)))

@@ -184,8 +184,8 @@ class Graph:
             dtype = mapping[data.dtype]
         return self.add_tensor(Tensor(name, TensorType(data.shape, dtype), data, quant))
 
-    def add_input(self, name: str, type: TensorType, quant: QuantParams | None = None) -> Tensor:
-        tensor = self.add_tensor(Tensor(name, type, quant=quant))
+    def add_input(self, name: str, type: TensorType) -> Tensor:
+        tensor = self.add_tensor(Tensor(name, type))
         self.inputs.append(name)
         return tensor
 
@@ -207,7 +207,7 @@ class Graph:
         self.nodes.append(node)
         return node
 
-    def copy(self, name: str | None = None) -> "Graph":
+    def copy(self) -> "Graph":
         """A structurally independent copy of this graph.
 
         Node and tensor objects are duplicated (mutable wiring lists and
@@ -216,7 +216,7 @@ class Graph:
         no pass rewrites weight data in place; passes that fold constants
         install *new* arrays on the copy.
         """
-        clone = Graph(name if name is not None else self.name)
+        clone = Graph(self.name)
         for tensor_name, tensor in self.tensors.items():
             clone.tensors[tensor_name] = Tensor(
                 tensor.name, tensor.type, tensor.data, tensor.quant

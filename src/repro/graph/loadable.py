@@ -77,9 +77,6 @@ class NcoreLoadable:
             previous_compute = kernel.cycles
         return total
 
-    def seconds(self, clock_hz: float = 2.5e9, dma_bytes_per_cycle: float = 40.96) -> float:
-        return self.total_cycles(dma_bytes_per_cycle) / clock_hz
-
     @property
     def mean_utilization(self) -> float:
         lane_cycles = sum(k.cycles * k.lanes for k in self.kernels)

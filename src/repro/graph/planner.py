@@ -61,10 +61,6 @@ class MemoryPlan:
     weight_rows_used: int = 0
     row_bytes: int = CHA_NCORE.row_bytes  # RAM row width the plan assumed
 
-    @property
-    def weight_bytes(self) -> int:
-        return sum(r.rows for r in self.weight_allocs.values()) * self.row_bytes
-
 
 def _rows_for(graph: Graph, tensor_name: str, row_bytes: int) -> int:
     num_bytes = graph.tensor(tensor_name).type.num_bytes

@@ -4,14 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graph.frontends.tf_like import same_padding
 from repro.graph.gir import Graph, Node, Tensor, TensorType
-
-
-def same_padding(size: int, k: int, stride: int) -> tuple[int, int]:
-    """TensorFlow 'SAME' padding for one dimension."""
-    out = -(-size // stride)
-    total = max((out - 1) * stride + k - size, 0)
-    return total // 2, total - total // 2
 
 
 class GraphBuilder:
@@ -91,12 +85,11 @@ class GraphBuilder:
         x: str,
         kernel: int = 3,
         stride: int = 1,
-        padding: str | tuple = "same",
         activation: str = "none",
-        batch_norm: bool = True,
     ) -> str:
+        """A depthwise conv, then batch norm and ``activation``."""
         n, h, w, c = self.shape(x)
-        pad = self._resolve_padding(padding, h, w, kernel, kernel, stride)
+        pad = self._resolve_padding("same", h, w, kernel, kernel, stride)
         oh = (h + pad[0][0] + pad[0][1] - kernel) // stride + 1
         ow = (w + pad[1][0] + pad[1][1] - kernel) // stride + 1
         weights = self.constant("dw", self._weights((kernel, kernel, c), kernel * kernel))
@@ -105,11 +98,7 @@ class GraphBuilder:
         self.g.add_node(
             Node(self._name("depthwise"), "depthwise_conv2d", [x, weights], [out], attrs)
         )
-        if batch_norm:
-            out = self.batch_norm(out, activation)
-        elif activation != "none":
-            out = self.activation(out, activation)
-        return out
+        return self.batch_norm(out, activation)
 
     def batch_norm(self, x: str, activation: str = "none") -> str:
         shape = self.shape(x)
@@ -137,27 +126,14 @@ class GraphBuilder:
         self.g.add_node(Node(self._name("add_op"), "add", [a, b], [out], attrs))
         return out
 
-    def max_pool(self, x: str, ksize: int, stride: int, padding="same") -> str:
-        return self._pool(x, "max_pool", ksize, stride, padding)
-
-    def avg_pool(self, x: str, ksize: int, stride: int, padding="valid") -> str:
-        return self._pool(x, "avg_pool", ksize, stride, padding)
-
-    def _pool(self, x: str, op: str, ksize: int, stride: int, padding) -> str:
+    def max_pool(self, x: str, ksize: int, stride: int) -> str:
         n, h, w, c = self.shape(x)
-        pad = self._resolve_padding(padding, h, w, ksize, ksize, stride)
+        pad = self._resolve_padding("same", h, w, ksize, ksize, stride)
         oh = (h + pad[0][0] + pad[0][1] - ksize) // stride + 1
         ow = (w + pad[1][0] + pad[1][1] - ksize) // stride + 1
-        out = self._act(self._name(op), (n, oh, ow, c))
-        self.g.add_node(
-            Node(
-                self._name(f"{op}_op"),
-                op,
-                [x],
-                [out],
-                {"ksize": (ksize, ksize), "stride": (stride, stride), "padding": pad},
-            )
-        )
+        out = self._act(self._name("max_pool"), (n, oh, ow, c))
+        attrs = {"ksize": (ksize, ksize), "stride": (stride, stride), "padding": pad}
+        self.g.add_node(Node(self._name("max_pool_op"), "max_pool", [x], [out], attrs))
         return out
 
     def global_mean(self, x: str) -> str:
@@ -166,15 +142,12 @@ class GraphBuilder:
         self.g.add_node(Node(self._name("mean_op"), "mean", [x], [out], {"axis": (1, 2)}))
         return out
 
-    def fully_connected(self, x: str, out_features: int, bias: bool = True, activation: str = "none") -> str:
+    def fully_connected(self, x: str, out_features: int) -> str:
         shape = self.shape(x)
         weights = self.constant("fw", self._weights((shape[-1], out_features), shape[-1]))
-        inputs = [x, weights]
-        if bias:
-            inputs.append(self.constant("fb", np.zeros(out_features, np.float32)))
+        bias = self.constant("fb", np.zeros(out_features, np.float32))
         out = self._act(self._name("fc"), shape[:-1] + (out_features,))
-        attrs = {"activation": activation} if activation != "none" else {}
-        self.g.add_node(Node(self._name("fc_op"), "fully_connected", inputs, [out], attrs))
+        self.g.add_node(Node(self._name("fc_op"), "fully_connected", [x, weights, bias], [out]))
         return out
 
     def reshape(self, x: str, shape: tuple[int, ...]) -> str:

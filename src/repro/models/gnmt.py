@@ -96,10 +96,9 @@ def build_gnmt(
     hidden: int = HIDDEN,
     layers: int = LAYERS,
     vocab: int = VOCAB,
-    seed: int = 23,
 ) -> Graph:
     """Build the unrolled GNMT translation graph with synthetic weights."""
-    b = GraphBuilder("gnmt", seed=seed)
+    b = GraphBuilder("gnmt", seed=23)
     rng = b.rng
     src_ids = b.input("source_ids", (batch, seq_len), dtype="int32")
     tgt_ids = b.input("target_ids", (batch, seq_len), dtype="int32")

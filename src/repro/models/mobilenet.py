@@ -29,27 +29,15 @@ _BLOCKS = [
 ]
 
 
-def build_mobilenet_v1(
-    batch: int = 1,
-    resolution: int = 224,
-    num_classes: int = 1001,
-    include_head: bool = True,
-    seed: int = 20,
-) -> Graph:
-    """Build MobileNet-V1 with synthetic weights.
-
-    ``include_head=False`` stops after the global pool (the SSD backbone
-    shares the trunk).
-    """
-    b = GraphBuilder("mobilenet_v1", seed=seed)
+def build_mobilenet_v1(batch: int = 1, resolution: int = 224) -> Graph:
+    """Build MobileNet-V1 (1001 classes) with synthetic weights."""
+    b = GraphBuilder("mobilenet_v1", seed=20)
     x = b.input("images", (batch, resolution, resolution, 3))
     x = b.conv(x, 32, 3, stride=2, batch_norm=True, activation="relu6")
     for out_channels, stride in _BLOCKS:
-        x = b.depthwise(x, 3, stride=stride, activation="relu6", batch_norm=True)
+        x = b.depthwise(x, 3, stride=stride, activation="relu6")
         x = b.conv(x, out_channels, 1, batch_norm=True, activation="relu6")
-    if not include_head:
-        return b.finish([x])
     x = b.global_mean(x)
-    logits = b.fully_connected(x, num_classes)
+    logits = b.fully_connected(x, 1001)
     probs = b.softmax(logits)
     return b.finish([probs])

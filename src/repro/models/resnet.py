@@ -38,11 +38,9 @@ def _bottleneck(b: GraphBuilder, x: str, mid: int, out: int, stride: int, first:
     return b.add(y, shortcut, activation="relu")
 
 
-def build_resnet50_v15(
-    batch: int = 1, num_classes: int = 1001, seed: int = 21
-) -> Graph:
-    """Build ResNet-50 v1.5 with synthetic weights."""
-    b = GraphBuilder("resnet50_v15", seed=seed)
+def build_resnet50_v15(batch: int = 1) -> Graph:
+    """Build ResNet-50 v1.5 (1001 classes) with synthetic weights."""
+    b = GraphBuilder("resnet50_v15", seed=21)
     x = b.input("images", (batch, 224, 224, 3))
     # Stem: explicit pad + 7x7/2 VALID conv (as in the reference graph).
     x = b.pad(x, ((3, 3), (3, 3)))
@@ -53,6 +51,6 @@ def build_resnet50_v15(
             stride = 2 if (stage_index > 0 and block_index == 0) else 1
             x = _bottleneck(b, x, mid, out, stride, first=(block_index == 0))
     x = b.global_mean(x)
-    logits = b.fully_connected(x, num_classes)
+    logits = b.fully_connected(x, 1001)
     probs = b.softmax(logits)
     return b.finish([probs])

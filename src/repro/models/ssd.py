@@ -25,19 +25,19 @@ TOTAL_ANCHORS = sum(side * side * anchors for side, anchors in _SCALES)  # 1917
 _EXTRAS = [(256, 512), (128, 256), (128, 256), (64, 128)]
 
 
-def build_ssd_mobilenet_v1(batch: int = 1, seed: int = 22) -> Graph:
+def build_ssd_mobilenet_v1(batch: int = 1) -> Graph:
     """Build SSD-MobileNet-V1 with synthetic weights."""
     if batch != 1:
         raise ValueError(
             "the SSD postprocess (NMS) does not support batching — the very "
             "limitation discussed in section VI-C of the paper"
         )
-    b = GraphBuilder("ssd_mobilenet_v1", seed=seed)
+    b = GraphBuilder("ssd_mobilenet_v1", seed=22)
     x = b.input("images", (1, 300, 300, 3))
     x = b.conv(x, 32, 3, stride=2, batch_norm=True, activation="relu6")
     feature_maps: list[str] = []
     for index, (out_channels, stride) in enumerate(_BLOCKS):
-        x = b.depthwise(x, 3, stride=stride, activation="relu6", batch_norm=True)
+        x = b.depthwise(x, 3, stride=stride, activation="relu6")
         x = b.conv(x, out_channels, 1, batch_norm=True, activation="relu6")
         if index == 10:  # conv11: the 19x19x512 feature map
             feature_maps.append(x)

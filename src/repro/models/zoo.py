@@ -49,13 +49,12 @@ class ModelInfo:
             )
         return feeds
 
-    def convert(self, graph: Graph, seed: int = 0, batches: int = 1) -> Graph:
+    def convert(self, graph: Graph, seed: int = 0) -> Graph:
         """The submission-precision graph: uint8 PTQ calibrated on
-        ``sample_input(graph, seed + i)`` for each batch, or bfloat16."""
+        ``sample_input(graph, seed)``, or bfloat16."""
         if self.precision == "bf16":
             return convert_to_bf16(graph)
-        feeds = [self.sample_input(graph, seed + i) for i in range(batches)]
-        return quantize_graph(graph, calibrate(graph, feeds))
+        return quantize_graph(graph, calibrate(graph, [self.sample_input(graph, seed)]))
 
 
 PAPER_CHARACTERISTICS: dict[str, ModelInfo] = {

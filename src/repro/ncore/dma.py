@@ -81,6 +81,9 @@ class LinearMemory:
         return self.latency_cycles + int(np.ceil(num_bytes / self.bandwidth_bytes_per_cycle))
 
 
+#: Extra cycles a transfer pays for the hop through the L3 (section IV-A).
+L3_EXTRA_LATENCY = 20
+
 class DmaEngine:
     """One DMA engine moving whole rows between system memory and the RAMs.
 
@@ -94,12 +97,10 @@ class DmaEngine:
         name: str,
         memory: LinearMemory,
         window_bytes: int = 4 << 30,
-        l3_extra_latency: int = 20,
     ) -> None:
         self.name = name
         self.memory = memory
         self.window_bytes = window_bytes
-        self.l3_extra_latency = l3_extra_latency
         self._window_base: int | None = None
         self.busy_until = 0
         self.bytes_moved = 0
@@ -157,7 +158,7 @@ class DmaEngine:
         if descriptor.through_l3:
             # "The extra hop through the L3 minimally increases the latency
             # to DRAM" (section IV-A).
-            cycles += self.l3_extra_latency
+            cycles += L3_EXTRA_LATENCY
         end_cycle = max(self.busy_until, now_cycle) + cycles
         if self.sanitizer is not None:
             # Before the functional copy, so an out-of-bounds descriptor is

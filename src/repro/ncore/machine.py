@@ -96,11 +96,11 @@ class Ncore:
         config: NcoreConfig | None = None,
         memory: LinearMemory | None = None,
         fastpath: bool = True,
-        sanitize=None,
     ) -> None:
         self.config = config or NcoreConfig()
-        # Shadow-SRAM sanitizer (repro.sanitize): None/False keeps every
-        # hook site at one `is not None` check — the zero-cost default.
+        # Shadow-SRAM sanitizer (repro.sanitize, armed by arm_sanitizer):
+        # None keeps every hook site at one `is not None` check — the
+        # zero-cost default.
         self._san = None
         # Tier-1 fast path (repro.ncore.fastpath): False forces pure
         # interpretation.
@@ -133,8 +133,6 @@ class Ncore:
             name: PerfCounter(name) for name in ("cycles", "instructions", "macs", "dma_stall")
         }
         self.n_step: int | None = None
-        if sanitize:
-            self.arm_sanitizer(sanitize)
         self.reset()
 
     # ------------------------------------------------------------------
@@ -252,8 +250,8 @@ class Ncore:
             raise ValueError(f"DMA descriptor {index} out of range")
         self.dma_descriptors[index] = descriptor
 
-    def load_program(self, program: list[Instruction], swap: bool = True) -> None:
-        """Load a program into the inactive IRAM bank and optionally swap.
+    def load_program(self, program: list[Instruction]) -> None:
+        """Load a program into the inactive IRAM bank and swap to it.
 
         Mirrors the double-buffered loading flow: any x86 core can fill the
         inactive bank during execution, then the sequencer flips banks.
@@ -265,10 +263,9 @@ class Ncore:
             if self.fastpath
             else {}
         )
-        if swap:
-            self.iram.swap()
-            self.pc = 0
-            self.halted = False
+        self.iram.swap()
+        self.pc = 0
+        self.halted = False
 
     # ------------------------------------------------------------------
     # Operand resolution
@@ -608,7 +605,7 @@ class Ncore:
                 return False
         return True
 
-    def bind_metrics(self, registry=None, prefix: str = "ncore") -> None:
+    def bind_metrics(self, registry=None) -> None:
         """Expose the hardware performance counters through a registry.
 
         The registered views wrap the live :class:`PerfCounter` objects,
@@ -618,7 +615,7 @@ class Ncore:
         registry = registry if registry is not None else get_metrics()
         for name, counter in self.perf_counters.items():
             registry.bind_hardware(
-                f"{prefix}.hw.{name}", counter,
+                f"ncore.hw.{name}", counter,
                 description=f"Ncore hardware performance counter {name!r}",
             )
 

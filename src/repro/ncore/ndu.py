@@ -88,22 +88,21 @@ def expand(row: np.ndarray, width: int, zero: int = 0) -> np.ndarray:
     return out
 
 
-def compress(row: np.ndarray, zero: int = 0) -> np.ndarray:
+def compress(row: np.ndarray) -> np.ndarray:
     """Software-side encoder matching :func:`expand` (used by the NKL).
 
-    Returns the compressed stream as a uint8 array; bytes equal to
-    ``zero`` are elided.  The hardware only decompresses; compression
+    Returns the compressed stream as a uint8 array; zero bytes are
+    elided.  The hardware only decompresses; compression
     happens at model-conversion time.
     """
     out: list[int] = []
     data = np.asarray(row, dtype=np.uint8)
-    zero = zero & 0xFF
     for start in range(0, data.size, 8):
         group = data[start : start + 8]
         bitmap = 0
         payload: list[int] = []
         for bit, value in enumerate(group):
-            if value != zero:
+            if value:
                 bitmap |= 1 << bit
                 payload.append(int(value))
         out.append(bitmap)

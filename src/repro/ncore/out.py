@@ -87,19 +87,17 @@ class RequantSpec:
             mult=mult, shift=shift,
         )
 
-    def apply(self, acc: np.ndarray, bias: np.ndarray | None = None,
-              bound: int | None = None) -> np.ndarray:
+    def apply(self, acc: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
         """Requantize an integer (or integer-valued float) accumulator plus
-        ``bias`` to the narrow type, saturating to ``clamp``.  ``bound`` is
-        the caller's static proof that ``|acc| <= bound`` (see
-        :func:`repro.dtypes.requantize`); without it the sum is clipped to
-        the int32 accumulator range first."""
-        return self.requantizer(bias, bound)(acc)
+        ``bias`` to the narrow type, saturating to ``clamp``; the sum is
+        clipped to the int32 accumulator range first."""
+        return self.requantizer(bias, None)(acc)
 
-    def requantizer(self, bias: np.ndarray | None = None,
-                    bound: int | None = None) -> Requantizer:
-        """:meth:`apply` with ``bias`` and ``bound`` fixed, for a caller
-        that applies the same epilogue on every query."""
+    def requantizer(self, bias: np.ndarray | None, bound: int | None) -> Requantizer:
+        """:meth:`apply` with ``bias`` fixed, for a caller that applies the
+        same epilogue on every query.  ``bound`` is the caller's static
+        proof that ``|acc| <= bound`` (see :class:`repro.dtypes.Requantizer`):
+        with it the int32 clipping is skipped."""
         if self.lane_mults is None or self.lane_shifts is None:
             mult, shift = self.mult, self.shift
         else:

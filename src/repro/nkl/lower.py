@@ -130,7 +130,7 @@ def compressed_weight_bytes(data: np.ndarray, zero_point: int = 0) -> int:
 
     One bitmap byte per 8 elements plus the payload bytes that differ from
     the zero(-point) byte — computed analytically (equivalent to
-    ``len(repro.ncore.ndu.compress(bytes, zero=zero_point))``).
+    ``len(repro.ncore.ndu.compress(bytes))`` at zero point 0).
     """
     flat = np.frombuffer(
         np.ascontiguousarray(np.asarray(data)).tobytes(), dtype=np.uint8

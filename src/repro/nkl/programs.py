@@ -76,6 +76,9 @@ def pack_weight_row(weights: np.ndarray, row_bytes: int = ROW_BYTES) -> np.ndarr
         row[g * BROADCAST_GROUP : g * BROADCAST_GROUP + c] = weights[g]
     return row
 
+#: The data-RAM row a W x K pass (matmul, 1-D rotate conv) stores into.
+WK_OUTPUT_ROW = 64
+
 
 @dataclass
 class WkPassResult:
@@ -105,17 +108,16 @@ def emit_matmul_program(
     weight_qp: QuantParams,
     output_qp: QuantParams,
     activation: str = "none",
-    data_row_base: int = 0,
-    weight_row_base: int = 0,
-    output_row: int = 64,
 ) -> tuple[list[Instruction], WkPassResult]:
     """Lay out and emit a quantized matmul (M<=64, C<=2048, N<=64).
 
-    ``data`` is the quantized (M, C) activation matrix, ``weights`` the
-    quantized (C, N) matrix.  Each reduction step c is one fused
-    (bypass + broadcast64 + MAC) instruction — one clock per c, exactly the
-    Fig. 6 inner-loop form.  Zero offsets and the requantization config are
-    programmed through the slave interface, as the runtime does.
+    ``data`` is the quantized (M, C) activation matrix, staged from data
+    row 0; ``weights`` the quantized (C, N) matrix, from weight row 0.
+    The result lands in data row :data:`WK_OUTPUT_ROW`.  Each reduction
+    step c is one fused (bypass + broadcast64 + MAC) instruction — one
+    clock per c, exactly the Fig. 6 inner-loop form.  Zero offsets and the
+    requantization config are programmed through the slave interface, as
+    the runtime does.
     """
     m, c = data.shape
     c2, n = weights.shape
@@ -127,12 +129,12 @@ def emit_matmul_program(
         raise ProgramShapeError(
             f"one pass handles at most {BROADCAST_GROUP} rows x {groups} columns"
         )
-    if c > machine.config.sram_rows - data_row_base:
+    if c > machine.config.sram_rows:
         raise ProgramShapeError("reduction depth exceeds data RAM rows")
     # Stage data: one row per reduction index c, M values tiled.
     for ci in range(c):
         machine.write_data_ram(
-            (data_row_base + ci) * row_bytes,
+            ci * row_bytes,
             tile_data_row(data[:, ci], row_bytes).tobytes(),
         )
     # Stage weights: weight rows pack (N x 64) reduction slices.
@@ -143,7 +145,7 @@ def emit_matmul_program(
         for g in range(n):
             wt[row, g * BROADCAST_GROUP + idx] = weights[ci, g]
     for r in range(weight_rows):
-        machine.write_weight_ram((weight_row_base + r) * row_bytes, wt[r].tobytes())
+        machine.write_weight_ram(r * row_bytes, wt[r].tobytes())
     # Requantization config: M = s_in * s_w / s_out.  Per-channel weight
     # parameters program the per-lane registers: lane (g*64 + m) carries
     # output column g's multiplier/shift (section IV-D.5's per-lane
@@ -174,12 +176,12 @@ def emit_matmul_program(
         weight_zero = weight_qp.zero_point
     machine.set_zero_offsets(data=input_qp.zero_point, weight=weight_zero)
     act = _configure_activation(machine, activation, output_qp)
-    lines = [f"setaddr a0, {data_row_base}", "setaddr a5, 0"]
+    lines = ["setaddr a0, 0", "setaddr a5, 0"]
     # One fused instruction per 64-deep reduction chunk.
     for r in range(weight_rows):
         chunk = min(BROADCAST_GROUP, c - r * BROADCAST_GROUP)
         lines += [
-            f"setaddr a3, {weight_row_base + r}",
+            f"setaddr a3, {r}",
             "setaddr a5, 0",
             f"loop {chunk} {{",
             "  bypass n0, dram[a0++]",
@@ -188,12 +190,12 @@ def emit_matmul_program(
             "}",
         ]
     lines += [
-        f"setaddr a6, {output_row}",
+        f"setaddr a6, {WK_OUTPUT_ROW}",
         f"requant.uint8{act}",
         "store a6",
         "halt",
     ]
-    return assemble("\n".join(lines)), WkPassResult(output_row, m, n)
+    return assemble("\n".join(lines)), WkPassResult(WK_OUTPUT_ROW, m, n)
 
 
 def emit_conv1d_rotate_program(
@@ -203,7 +205,6 @@ def emit_conv1d_rotate_program(
     input_qp: QuantParams,
     weight_qp: QuantParams,
     output_qp: QuantParams,
-    output_row: int = 64,
 ) -> tuple[list[Instruction], WkPassResult]:
     """A 1-D convolution using the Fig. 6 rotate idiom.
 
@@ -238,12 +239,12 @@ def emit_conv1d_rotate_program(
       mac.uint8 dlast, n1, zoff
       rotl n0, n0, 1
     }}
-    setaddr a6, {output_row}
+    setaddr a6, {WK_OUTPUT_ROW}
     requant.uint8
     store a6
     halt
     """
-    return assemble(source), WkPassResult(output_row, w_out, k)
+    return assemble(source), WkPassResult(WK_OUTPUT_ROW, w_out, k)
 
 
 def reference_matmul_uint8(
@@ -384,21 +385,20 @@ def emit_tiled_matmul_program(
 def emit_max_pool_rows_program(
     machine: Ncore,
     rows: np.ndarray,
-    output_row: int | None = None,
 ) -> tuple[list[Instruction], int]:
     """Row-wise max reduction: out[j] = max_i rows[i][j].
 
     The pooling idiom on the NPU: MAX folds each streamed row against the
     accumulator (section IV-D.4 lists min/max among the NPU operations).
-    Returns the program and the output row index.
+    Returns the program and the output row index (one past a gap row
+    after the inputs).
     """
     rows = np.asarray(rows, dtype=np.uint8)
     count, width = rows.shape
     row_bytes = machine.config.row_bytes
     if width != row_bytes:
         raise ProgramShapeError(f"pooling rows must be full {row_bytes}-byte rows")
-    if output_row is None:
-        output_row = count + 1
+    output_row = count + 1
     for i in range(count):
         machine.write_data_ram(i * row_bytes, rows[i].tobytes())
     machine.set_requant(1 << 30, -1, 0)  # identity requant
@@ -422,7 +422,6 @@ def emit_elementwise_add_program(
     b: np.ndarray,
     qp: QuantParams,
     output_qp: QuantParams,
-    output_row: int = 4,
 ) -> tuple[list[Instruction], int]:
     """Quantized elementwise add of two rows sharing one scale.
 
@@ -442,12 +441,12 @@ def emit_elementwise_add_program(
     machine.set_requant(mult, shift, output_qp.zero_point)
     source = f"""
     add.uint8 dram[a0], wtram[a1], noacc, zoff
-    setaddr a6, {output_row}
+    setaddr a6, 4
     requant.uint8
     store a6
     halt
     """
-    return assemble(source), output_row
+    return assemble(source), 4
 
 
 @dataclass
@@ -589,7 +588,7 @@ def emit_conv2d_program(
     return program, Conv2dResult(output_base, h_out, w_out, cout)
 
 
-def run_streamed(machine: Ncore, program: list[Instruction], max_cycles: int = 100_000_000):
+def run_streamed(machine: Ncore, program: list[Instruction]):
     """Execute a program of any length through the double-buffered IRAM.
 
     Programs longer than one bank are split into straight-line chunks; each
@@ -610,7 +609,7 @@ def run_streamed(machine: Ncore, program: list[Instruction], max_cycles: int = 1
         position += len(chunk)
         if not chunk[-1].is_halt:
             chunk.append(Instruction(seq=SeqOp(SeqOpcode.HALT)))
-        result = machine.execute_program(chunk, max_cycles=max_cycles)
+        result = machine.execute_program(chunk)
         if not result.halted:
             break
     return result
@@ -703,7 +702,6 @@ def emit_depthwise_program(
 def emit_avg_pool_program(
     machine: Ncore,
     rows: np.ndarray,
-    output_row: int | None = None,
 ) -> tuple[list[Instruction], int]:
     """Row-wise average: out[j] ~= mean_i rows[i][j].
 
@@ -717,8 +715,7 @@ def emit_avg_pool_program(
     row_bytes = machine.config.row_bytes
     if width != row_bytes:
         raise ProgramShapeError(f"pooling rows must be full {row_bytes}-byte rows")
-    if output_row is None:
-        output_row = count + 1
+    output_row = count + 1
     for i in range(count):
         machine.write_data_ram(i * row_bytes, rows[i].tobytes())
     mult, shift = quantize_multiplier(1.0 / count)

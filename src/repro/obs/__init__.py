@@ -61,7 +61,6 @@ from repro.obs.prometheus import prometheus_text, write_prometheus
 from repro.obs.render import render_bars, render_counters, render_tracer
 from repro.obs.tracer import (
     NULL_TRACER,
-    CounterSample,
     InstantRecord,
     NullTracer,
     SpanRecord,
@@ -89,7 +88,6 @@ __all__ = [
     "NULL_METRICS",
     "NULL_TRACER",
     "Counter",
-    "CounterSample",
     "Gauge",
     "HardwareCounter",
     "Histogram",

@@ -31,9 +31,7 @@ if TYPE_CHECKING:
     from repro.graph.loadable import CompiledModel
 
 
-def segment_features(
-    model: "CompiledModel", dma_bytes_per_cycle: float = 40.96
-) -> list[dict[str, Any]]:
+def segment_features(model: "CompiledModel") -> list[dict[str, Any]]:
     """Static per-segment feature dicts from one compiled artifact.
 
     One dict per segment in execution order.  Ncore segments carry the
@@ -89,7 +87,7 @@ def segment_features(
                 loop_trips=trips,
                 macs=sum(k.macs for k in loadable.kernels),
                 compute_cycles=loadable.compute_cycles,
-                total_cycles=loadable.total_cycles(dma_bytes_per_cycle),
+                total_cycles=loadable.total_cycles(),
                 utilization=loadable.mean_utilization,
             )
         records.append(record)
@@ -98,7 +96,6 @@ def segment_features(
 
 def model_run_records(
     model: "CompiledModel", tier: str, batch: int = 1, count: int = 1,
-    dma_bytes_per_cycle: float = 40.96,
 ) -> list[dict[str, Any]]:
     """Harvest records for ``count`` executions of a model on one tier.
 
@@ -112,7 +109,7 @@ def model_run_records(
         return []
     return [
         {**features, "tier": tier, "batch": batch, "count": count}
-        for features in segment_features(model, dma_bytes_per_cycle)
+        for features in segment_features(model)
     ]
 
 

@@ -71,15 +71,6 @@ def chrome_trace(tracer: Tracer, metrics=None) -> dict[str, Any]:
             "tid": tid_for(instant.domain, instant.track),
             "args": instant.args,
         })
-    for sample in tracer.counter_samples:
-        events.append({
-            "name": sample.name,
-            "ph": "C",
-            "ts": round(sample.ts_us, 3),
-            "pid": _pid(sample.domain),
-            "tid": 0,
-            "args": {"value": sample.value},
-        })
     # A final counter event per metric so the metrics dump rides along in
     # the same file (visible in Perfetto's counter tracks).
     if metrics is not None and getattr(metrics, "enabled", False):

@@ -60,10 +60,10 @@ def labelled_name(name: str, labels: Mapping[str, Any] | None) -> str:
     return f"{name}{{{inner}}}"
 
 
-class Counter:
-    """A monotonically increasing value (bytes moved, queries, hits)."""
+class _Scalar:
+    """One named value: the shared body of :class:`Counter` and :class:`Gauge`."""
 
-    kind = "counter"
+    kind = ""
 
     def __init__(self, name: str, description: str = "", unit: str = "",
                  labels: Mapping[str, Any] | None = None) -> None:
@@ -72,42 +72,33 @@ class Counter:
         self.unit = unit
         self.labels = dict(labels) if labels else {}
         self.value: float = 0
+
+    def snapshot(self) -> dict[str, Any]:
+        snap = {"kind": self.kind, "value": self.value, "unit": self.unit,
+                "description": self.description}
+        if self.labels:
+            snap["labels"] = dict(self.labels)
+        return snap
+
+
+class Counter(_Scalar):
+    """A monotonically increasing value (bytes moved, queries, hits)."""
+
+    kind = "counter"
 
     def inc(self, amount: float = 1) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease")
         self.value += amount
 
-    def snapshot(self) -> dict[str, Any]:
-        snap = {"kind": self.kind, "value": self.value, "unit": self.unit,
-                "description": self.description}
-        if self.labels:
-            snap["labels"] = dict(self.labels)
-        return snap
 
-
-class Gauge:
+class Gauge(_Scalar):
     """A point-in-time value (ring occupancy, queue depth)."""
 
     kind = "gauge"
 
-    def __init__(self, name: str, description: str = "", unit: str = "",
-                 labels: Mapping[str, Any] | None = None) -> None:
-        self.name = name
-        self.description = description
-        self.unit = unit
-        self.labels = dict(labels) if labels else {}
-        self.value: float = 0
-
     def set(self, value: float) -> None:
         self.value = value
-
-    def snapshot(self) -> dict[str, Any]:
-        snap = {"kind": self.kind, "value": self.value, "unit": self.unit,
-                "description": self.description}
-        if self.labels:
-            snap["labels"] = dict(self.labels)
-        return snap
 
 
 class Histogram:
@@ -197,13 +188,10 @@ class HardwareCounter:
 
     kind = "hardware"
 
-    def __init__(self, name: str, perf_counter, description: str = "",
-                 unit: str = "", labels: Mapping[str, Any] | None = None) -> None:
+    def __init__(self, name: str, perf_counter, description: str) -> None:
         self.name = name
         self.perf_counter = perf_counter
         self.description = description
-        self.unit = unit
-        self.labels = dict(labels) if labels else {}
 
     @property
     def value(self) -> int:
@@ -219,12 +207,10 @@ class HardwareCounter:
     def snapshot(self) -> dict[str, Any]:
         snap = {
             "kind": self.kind, "value": self.perf_counter.value,
-            "unit": self.unit, "description": self.description,
+            "unit": "", "description": self.description,
             "bits": self.perf_counter.bits, "wrapped": self.perf_counter.wrapped,
             "break_on_wrap": self.perf_counter.break_on_wrap,
         }
-        if self.labels:
-            snap["labels"] = dict(self.labels)
         return snap
 
 
@@ -244,15 +230,12 @@ class NullMetrics:
               labels: Mapping[str, Any] | None = None) -> Gauge:
         return self._NULL_GAUGE
 
-    def histogram(self, name: str, description: str = "", unit: str = "",
+    def histogram(self, name: str, unit: str = "",
                   labels: Mapping[str, Any] | None = None) -> Histogram:
         return self._NULL_HISTOGRAM
 
-    def bind_hardware(self, name: str, perf_counter, description: str = "",
-                      unit: str = "",
-                      labels: Mapping[str, Any] | None = None) -> HardwareCounter:
-        return HardwareCounter(name, perf_counter, description, unit,
-                               labels=labels)
+    def bind_hardware(self, name: str, perf_counter, description: str = "") -> HardwareCounter:
+        return HardwareCounter(name, perf_counter, description)
 
     def register(self, metric):
         return metric
@@ -293,23 +276,19 @@ class MetricsRegistry:
               labels: Mapping[str, Any] | None = None) -> Gauge:
         return self._get_or_create(Gauge, name, description, unit, labels)
 
-    def histogram(self, name: str, description: str = "", unit: str = "",
+    def histogram(self, name: str, unit: str = "",
                   labels: Mapping[str, Any] | None = None) -> Histogram:
-        return self._get_or_create(Histogram, name, description, unit, labels)
+        return self._get_or_create(Histogram, name, "", unit, labels)
 
-    def bind_hardware(self, name: str, perf_counter, description: str = "",
-                      unit: str = "",
-                      labels: Mapping[str, Any] | None = None) -> HardwareCounter:
+    def bind_hardware(self, name: str, perf_counter, description: str = "") -> HardwareCounter:
         """Expose a hardware PerfCounter through the registry.
 
         Re-binding the same name replaces the view (a fresh machine after
         reset), never the underlying hardware state.
         """
-        key = labelled_name(name, labels)
         with self._lock:
-            view = HardwareCounter(name, perf_counter, description, unit,
-                                   labels=labels)
-            self._metrics[key] = view
+            view = HardwareCounter(name, perf_counter, description)
+            self._metrics[name] = view
             return view
 
     def register(self, metric):

@@ -14,12 +14,14 @@ from typing import Iterable, Sequence
 
 from repro.obs.tracer import SIM, Tracer
 
+#: Cells on a bar's axis.
+BAR_WIDTH = 48
+
 
 def render_bars(
     title: str,
     rows: Iterable[Sequence],
     total: float,
-    width: int = 48,
     unit: str = "",
 ) -> str:
     """Render (name, start, length) rows as aligned bars.
@@ -31,9 +33,9 @@ def render_bars(
     axis_total = max(total, 1e-12)
     suffix = f" {unit}" if unit else ""
     for name, start, length in rows:
-        offset = int(min(1.0, max(0.0, start / axis_total)) * width)
-        cells = max(1, int(min(1.0, length / axis_total) * width))
-        cells = min(cells, width - min(offset, width - 1))
+        offset = int(min(1.0, max(0.0, start / axis_total)) * BAR_WIDTH)
+        cells = max(1, int(min(1.0, length / axis_total) * BAR_WIDTH))
+        cells = min(cells, BAR_WIDTH - min(offset, BAR_WIDTH - 1))
         bar = " " * offset + "#" * cells
         start_label = _fmt_quantity(start)
         length_label = _fmt_quantity(length)
@@ -43,7 +45,7 @@ def render_bars(
     return "\n".join(lines)
 
 
-def render_tracer(tracer: Tracer, width: int = 48, tracks: list[str] | None = None) -> str:
+def render_tracer(tracer: Tracer, tracks: list[str] | None = None) -> str:
     """Render every track of a tracer, one Fig. 10-style section each.
 
     Wall-clock tracks render in microseconds; simulated tracks render in
@@ -72,32 +74,29 @@ def render_tracer(tracer: Tracer, width: int = 48, tracks: list[str] | None = No
             total = end - start
             title = f"[{track}] {_fmt_quantity(total)} us"
             unit = "us"
-        sections.append(render_bars(title, rows, total, width=width, unit=unit))
+        sections.append(render_bars(title, rows, total, unit=unit))
     return "\n".join(sections) if sections else "(empty trace)"
 
 
-def render_counters(
-    metrics, prefixes: Sequence[str] = ("ncore.replay.", "ncore.fastpath."),
-    title: str = "[counters]",
-) -> str:
-    """Render registry counters matching ``prefixes`` as aligned rows.
+def render_counters(metrics) -> str:
+    """Render the registry's debug-fabric counters as aligned rows.
 
     The Fig. 10 companion table: alongside the span timeline, the
-    debug-fabric counters that explain it — by default the segment
-    replay cache (``ncore.replay.hits/misses``) and the trace-fusion
-    fastpath (``ncore.fastpath.*``) tallies.  Returns "" when nothing
-    matches, so callers can print unconditionally.
+    counters that explain it — the segment replay cache
+    (``ncore.replay.hits/misses``) and the trace-fusion fastpath
+    (``ncore.fastpath.*``) tallies.  Returns "" when nothing matches, so
+    callers can print unconditionally.
     """
     rows: list[tuple[str, float, str]] = []
     for name in metrics.names():
-        if not any(name.startswith(prefix) for prefix in prefixes):
+        if not name.startswith(("ncore.replay.", "ncore.fastpath.")):
             continue
         snap = metrics.get(name).snapshot()
         value = snap.get("value", snap.get("count", 0))
         rows.append((name, float(value), str(snap.get("unit", ""))))
     if not rows:
         return ""
-    lines = [title]
+    lines = ["[counters]"]
     width = max(len(name) for name, _, _ in rows)
     for name, value, unit in rows:
         suffix = f" {unit}" if unit else ""

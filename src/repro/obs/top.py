@@ -25,11 +25,10 @@ from typing import IO, Any, Iterable, Mapping
 BAR_WIDTH = 10
 
 
-def utilization_bar(fraction: float, width: int = BAR_WIDTH) -> str:
+def utilization_bar(fraction: float) -> str:
     """A ``####....`` bar for one utilization fraction in [0, 1]."""
-    fraction = min(1.0, max(0.0, fraction))
-    filled = round(fraction * width)
-    return "#" * filled + "." * (width - filled)
+    filled = round(min(1.0, max(0.0, fraction)) * BAR_WIDTH)
+    return "#" * filled + "." * (BAR_WIDTH - filled)
 
 
 def format_frame(frame: Mapping[str, Any]) -> list[str]:

@@ -74,16 +74,6 @@ class InstantRecord:
     args: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass
-class CounterSample:
-    """A timestamped counter sample (exported as a Chrome 'C' event)."""
-
-    name: str
-    ts_us: float
-    value: float
-    domain: str = SIM
-
-
 class _SpanHandle:
     """Mutable handle yielded by :meth:`Tracer.span` for adding attributes."""
 
@@ -128,22 +118,19 @@ class NullTracer:
         pass
 
     def add_cycle_span(self, name: str, track: str, start_cycle: int, end_cycle: int,
-                       args: dict | None = None, category: str = "",
-                       context: TraceContext | None = None) -> None:
+                       args: dict | None = None, category: str = "") -> None:
         pass
 
     def instant(self, name: str, track: str = "app", **args: Any) -> None:
         pass
 
-    def counter(self, name: str, value: float, *, ts_us: float | None = None) -> None:
-        pass
 
 
 NULL_TRACER = NullTracer()
 
 
 class Tracer:
-    """Collects spans, instants and counter samples from every layer.
+    """Collects spans and instants from every layer.
 
     Thread-safe: spans may be recorded concurrently (the MLPerf harness
     and future batching/sharding work run queries from worker threads).
@@ -155,7 +142,6 @@ class Tracer:
         self.clock_hz = float(clock_hz)
         self.spans: list[SpanRecord] = []
         self.instants: list[InstantRecord] = []
-        self.counter_samples: list[CounterSample] = []
         self._lock = threading.Lock()
         self._epoch = time.perf_counter()
 
@@ -215,8 +201,7 @@ class Tracer:
         return record
 
     def add_cycle_span(self, name: str, track: str, start_cycle: int, end_cycle: int,
-                       args: dict | None = None, category: str = "",
-                       context: TraceContext | None = None) -> SpanRecord:
+                       args: dict | None = None, category: str = "") -> SpanRecord:
         """Record a simulator span stamped in model cycles; returns it."""
         scale = 1e6 / self.clock_hz
         merged = {"start_cycle": int(start_cycle), "end_cycle": int(end_cycle)}
@@ -226,17 +211,8 @@ class Tracer:
             name, track,
             start_us=start_cycle * scale,
             duration_us=max(0, end_cycle - start_cycle) * scale,
-            domain=SIM, args=merged, category=category, context=context,
+            domain=SIM, args=merged, category=category,
         )
-
-    def counter(self, name: str, value: float, *, ts_us: float | None = None) -> None:
-        """Record one counter sample on the simulated timeline."""
-        sample = CounterSample(
-            name=name, ts_us=self._now_us() if ts_us is None else ts_us,
-            value=float(value), domain=SIM if ts_us is not None else WALL,
-        )
-        with self._lock:
-            self.counter_samples.append(sample)
 
     # ------------------------------------------------------------------
     # Views

@@ -113,9 +113,10 @@ CLX_9282_CORES_PER_SYSTEM = 112   # 2 sockets x 56 VNNI Xeon cores
 NNP_I_ICES_PER_SYSTEM = 24        # 2 adapters x 12 inference compute engines
 
 
-def per_core_resnet_ips(system: str = "(2x) Intel CLX 9282") -> float:
+def per_core_resnet_ips() -> float:
     """ResNet-50 IPS per Xeon core for the CLX submission (~53.3)."""
-    return PUBLISHED_THROUGHPUT_IPS[system]["resnet50_v15"] / CLX_9282_CORES_PER_SYSTEM
+    return (PUBLISHED_THROUGHPUT_IPS["(2x) Intel CLX 9282"]["resnet50_v15"]
+            / CLX_9282_CORES_PER_SYSTEM)
 
 
 def per_ice_resnet_ips() -> float:

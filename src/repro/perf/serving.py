@@ -65,12 +65,7 @@ class ServingTimingModel:
     offline_batching: bool                    # paper submission: SSD unbatched
 
     @classmethod
-    def from_system(
-        cls,
-        system,
-        mature_software: bool = False,
-        batching: bool | None = None,
-    ) -> "ServingTimingModel":
+    def from_system(cls, system) -> "ServingTimingModel":
         """Derive stage times from a :class:`~repro.perf.system.BenchmarkSystem`."""
         portion = system.x86_portion()
         x86_total = portion.total_seconds
@@ -81,9 +76,7 @@ class ServingTimingModel:
         # Split the parallel work around the Ncore stage in proportion to
         # the preprocess share (input prep precedes the delegate call).
         pre_fraction = portion.preprocess_seconds / x86_total if x86_total else 0.0
-        framework = system.gnmt_framework_seconds(mature_software)
-        if batching is None:
-            batching = system.model_key != "ssd_mobilenet_v1"
+        framework = system.gnmt_framework_seconds()
         return cls(
             model_key=system.model_key,
             ncore_unbatched=system.ncore_seconds() + framework,
@@ -91,7 +84,7 @@ class ServingTimingModel:
             serial=serial,
             pre_parallel=parallel * pre_fraction,
             post_parallel=parallel * (1.0 - pre_fraction),
-            offline_batching=batching,
+            offline_batching=system.model_key != "ssd_mobilenet_v1",
         )
 
     # ------------------------------------------------------------------
@@ -522,8 +515,6 @@ def run_server(
     max_wait: float = 200e-6,
     cores: int = 8,
     sockets: int = 1,
-    socket_efficiency: float | None = None,
-    mature_software: bool = False,
     slo_latency_seconds: float | None = None,
     telemetry_interval: float | None = None,
 ) -> ServerResult:
@@ -540,9 +531,7 @@ def run_server(
     shape: a fixed 1% error budget); ``telemetry_interval`` samples
     frames for ``repro top``.
     """
-    timing = ServingTimingModel.from_system(system, mature_software=mature_software)
-    if socket_efficiency is None:
-        socket_efficiency = CROSS_SOCKET_EFFICIENCY
+    timing = ServingTimingModel.from_system(system)
     if qps is None:
         qps = default_server_qps(system, cores=cores, sockets=sockets)
     tracer = get_tracer()
@@ -554,7 +543,7 @@ def run_server(
         scenario = ServerScenario(
             timing, qps=qps, queries=queries, seed=seed,
             max_batch=max_batch, max_wait=max_wait,
-            cores=cores, sockets=sockets, socket_efficiency=socket_efficiency,
+            cores=cores, sockets=sockets, socket_efficiency=CROSS_SOCKET_EFFICIENCY,
             slo_latency_seconds=slo_latency_seconds,
             telemetry_interval=telemetry_interval,
         )

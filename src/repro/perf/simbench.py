@@ -5,10 +5,10 @@ wall-time guards.  The *machine* axis: the Fig. 6 fused convolution inner
 loop on the instruction-level simulator, with and without
 :mod:`repro.ncore.fastpath` trace fusion (``benchmarks/bench_fastpath_guard.py``;
 ``benchmarks/bench_simulator.py`` reuses its machine).  The *graph* axis:
-zoo models end to end through
-:class:`~repro.runtime.executor.NcoreExecutor` at a named graph mode
-(``benchmarks/bench_codegen_guard.py``) — no zoo query touches the
-instruction machine.  The versioned numbers live
+the reduced zoo builds
+(:func:`compile_zoo_model`) that ``benchmarks/bench_codegen_guard.py`` times
+through :class:`~repro.runtime.executor.NcoreExecutor` in two graph modes —
+no zoo query touches the instruction machine.  The versioned numbers live
 in the performance ledger (``benchmarks/ledger``).
 
 Wall-clock numbers here describe the *simulator*, not the modelled
@@ -58,20 +58,16 @@ def fig6_machine(
     return machine, fig6_program(iterations)
 
 
-def measure_inner_loop(
-    iterations: int = FIG6_ITERATIONS,
-    repeats: int = 5,
-    fastpath: bool = True,
-) -> dict[str, float]:
-    """Best-of-``repeats`` wall time executing the Fig. 6 inner loop.
+def measure_inner_loop(fastpath: bool) -> dict[str, float]:
+    """Best-of-five wall time executing the Fig. 6 inner loop.
 
     Returns instructions/sec and cycles/sec of *simulated* work per
     second of host wall time — the simulator's replay throughput.
     """
-    machine, program = fig6_machine(iterations, fastpath=fastpath)
+    machine, program = fig6_machine(FIG6_ITERATIONS, fastpath=fastpath)
     best = float("inf")
     result = None
-    for _ in range(max(1, repeats)):
+    for _ in range(5):
         machine.reset()
         start = time.perf_counter()
         result = machine.execute_program(program)
@@ -123,42 +119,3 @@ def compile_zoo_model(model_key: str = "mobilenet_v1"):
             graph = info.build()
     converted = info.convert(graph, seed=0)
     return compile_graph(converted, name=model_key).model, info.sample_input(graph, seed=0)
-
-
-def measure_zoo_end_to_end(
-    model_key: str,
-    tier: str,
-    queries: int = 3,
-    warmup: int = 0,
-) -> dict[str, float]:
-    """Wall time for repeated end-to-end quantized inference of one zoo
-    model at one graph mode (``auto`` / ``interpreter`` / ``replay`` /
-    ``codegen``).  The same feed every query: under a replaying mode only
-    the first one executes.
-
-    Pass ``warmup`` > 0 to exclude the first-dispatch oracle check from
-    the measured window.
-    """
-    from repro.runtime.executor import NcoreExecutor
-
-    model, feeds = compile_zoo_model(model_key)
-    executor = NcoreExecutor(model, verify=False, policy=tier)
-    for _ in range(max(0, warmup)):
-        executor.execute(feeds)
-    start = time.perf_counter()
-    for _ in range(max(1, queries)):
-        executor.execute(feeds)
-    elapsed = time.perf_counter() - start
-    result = {
-        "seconds": elapsed,
-        "queries": float(queries),
-        "queries_per_second": queries / elapsed,
-    }
-    if tier == "codegen":
-        kset = executor.macro_kernels
-        total = len(model.segments)
-        result["coverage"] = (
-            kset.coverage_fraction(total) if kset is not None else 0.0
-        )
-    executor.close()
-    return result

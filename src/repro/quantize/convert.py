@@ -61,7 +61,7 @@ class _Converter:
         graph: Graph,
         calibration: CalibrationResult,
         dtype: NcoreDType,
-        per_channel_weights: bool = False,
+        per_channel_weights: bool,
     ):
         self.src = graph
         self.cal = calibration
@@ -163,7 +163,7 @@ class _Converter:
 
     # -- main loop -------------------------------------------------------
 
-    def convert(self, dequantize_outputs: bool) -> Graph:
+    def convert(self) -> Graph:
         for name in self.src.inputs:
             tensor = self.src.tensor(name)
             self.out.add_input(name, tensor.type)
@@ -179,10 +179,7 @@ class _Converter:
             else:
                 self._convert_float(node)
         for name in self.src.outputs:
-            if dequantize_outputs or name not in self.quant_version:
-                self.out.mark_output(self._ensure_float(name))
-            else:
-                self.out.mark_output(self.quant_version[name])
+            self.out.mark_output(self._ensure_float(name))
         self.out.validate()
         return self.out
 
@@ -264,7 +261,6 @@ def quantize_graph(
     graph: Graph,
     calibration: CalibrationResult,
     dtype: NcoreDType = NcoreDType.UINT8,
-    dequantize_outputs: bool = True,
     per_channel_weights: bool = False,
 ) -> Graph:
     """Convert a float graph to affine-quantized integer arithmetic.
@@ -288,9 +284,7 @@ def quantize_graph(
     if dtype not in (NcoreDType.UINT8, NcoreDType.INT8, NcoreDType.INT16):
         raise ValueError("post-training quantization targets integer dtypes")
     graph, calibration = _fold_into_convs(graph, calibration)
-    return _Converter(graph, calibration, dtype, per_channel_weights).convert(
-        dequantize_outputs
-    )
+    return _Converter(graph, calibration, dtype, per_channel_weights).convert()
 
 
 def convert_to_bf16(graph: Graph) -> Graph:

@@ -33,17 +33,8 @@ class MemoryMapping:
     owner: str
     soc: ChaSoc
 
-    # The mapping forwards to the machine's slave interface.
-    def write_data_ram(self, offset: int, payload: bytes) -> None:
-        self.soc.ncore.write_data_ram(offset, payload)
-
-    def read_data_ram(self, offset: int, length: int) -> bytes:
-        return self.soc.ncore.read_data_ram(offset, length)
-
-    def write_weight_ram(self, offset: int, payload: bytes) -> None:
-        self.soc.ncore.write_weight_ram(offset, payload)
-
     def machine(self):
+        """The mapped machine: its slave interface is the mapping."""
         return self.soc.ncore
 
 

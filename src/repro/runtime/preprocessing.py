@@ -31,12 +31,12 @@ def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return (top * (1 - wy) + bottom * wy).astype(np.float32)
 
 
-def normalize(image: np.ndarray, mean: float = 127.5, scale: float = 1 / 127.5) -> np.ndarray:
-    """Map uint8 pixel values into the model's input range."""
-    return ((image.astype(np.float32) - mean) * scale).astype(np.float32)
+def normalize(image: np.ndarray) -> np.ndarray:
+    """Map uint8 pixel values into the model's [-1, 1] input range."""
+    return ((image.astype(np.float32) - 127.5) * (1 / 127.5)).astype(np.float32)
 
 
-def detection_pipeline(image: np.ndarray, resolution: int = 300) -> np.ndarray:
-    """The SSD preprocess: direct resize to (resolution, resolution)."""
-    resized = resize_bilinear(image, resolution, resolution)
+def detection_pipeline(image: np.ndarray) -> np.ndarray:
+    """The SSD preprocess: direct resize to 300 x 300."""
+    resized = resize_bilinear(image, 300, 300)
     return normalize(resized)[None, ...]

@@ -66,10 +66,11 @@ def install_rom(machine: Ncore) -> int:
     return machine.iram.bank_instructions  # the ROM is mapped after the bank
 
 
-def _march_test(machine: Ncore, report: SelfTestReport, sample_rows: int) -> None:
+def _march_test(machine: Ncore, report: SelfTestReport) -> None:
+    """March patterns over 16 rows spread across each RAM."""
     row_bytes = machine.config.row_bytes
     patterns = [b"\x55" * row_bytes, b"\xaa" * row_bytes, bytes(range(256)) * (row_bytes // 256)]
-    step = max(1, machine.config.sram_rows // sample_rows)
+    step = max(1, machine.config.sram_rows // 16)
     ok = True
     for write, read in (
         (machine.write_data_ram, machine.read_data_ram),
@@ -168,11 +169,11 @@ def _dma_loopback(machine: Ncore, report: SelfTestReport) -> None:
         report.fail("DMA loopback produced wrong data")
 
 
-def power_on_self_test(machine: Ncore, sample_rows: int = 16) -> SelfTestReport:
+def power_on_self_test(machine: Ncore) -> SelfTestReport:
     """Run the full POST sequence on one Ncore instance."""
     report = SelfTestReport()
     machine.reset()
-    _march_test(machine, report, sample_rows)
+    _march_test(machine, report)
     _mac_test(machine, report)
     machine.reset()
     _dma_loopback(machine, report)

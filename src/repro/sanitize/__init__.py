@@ -1,7 +1,7 @@
 """``repro.sanitize``: runtime verification for the Ncore machine model.
 
 The dynamic counterpart of :mod:`repro.analyze` — a shadow-SRAM sanitizer
-(:class:`Sanitizer`, armed via ``Ncore(sanitize=True)``), a determinism
+(:class:`Sanitizer`, armed via ``Ncore.arm_sanitizer``), a determinism
 checker and a fastpath-vs-interpreter equivalence oracle, all reporting
 through the shared Diagnostic model.  See ``docs/sanitizer.md``.
 """

@@ -81,10 +81,9 @@ def check_determinism(
     *,
     config: NcoreConfig | None = None,
     setup: SetupFn | None = None,
-    runs: int = 2,
     name: str = "ncore",
 ) -> AnalysisReport:
-    """Run ``program_source`` on ``runs`` fresh machines; digests must agree.
+    """Run ``program_source`` on two fresh machines; digests must agree.
 
     ``setup`` stages each machine (RAM contents, descriptors, config
     registers) and must itself be deterministic — a stateful setup closure
@@ -96,7 +95,7 @@ def check_determinism(
             program_source, config=config, setup=setup, fastpath=False,
             name=name,
         ))
-        for _ in range(max(2, runs))
+        for _ in range(2)
     ]
     if len(set(digests)) > 1:
         report.extend([diag(

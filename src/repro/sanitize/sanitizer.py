@@ -2,8 +2,8 @@
 
 The static hazard analyzer (:mod:`repro.analyze.hazard`) proves ordering
 over statically-known address intervals; this module is its runtime
-counterpart.  Armed via ``Ncore(sanitize=True)`` (or
-:meth:`~repro.ncore.machine.Ncore.arm_sanitizer`), it shadows every byte
+counterpart.  Armed via
+:meth:`~repro.ncore.machine.Ncore.arm_sanitizer`, it shadows every byte
 of both scratchpads with init / last-writer / last-reader state, and the
 machine + DMA engines call back on every row read, row write, host write
 and transfer so the sanitizer can catch what the functional simulation
@@ -341,8 +341,9 @@ class Sanitizer:
     # Metrics
     # ------------------------------------------------------------------
 
-    def publish_metrics(self, metrics: Any, prefix: str = "ncore.sanitize") -> None:
-        """Increment ``<prefix>.*`` counters by the deltas since last call."""
+    def publish_metrics(self, metrics: Any) -> None:
+        """Increment ``ncore.sanitize.*`` counters by the deltas since last call."""
+        prefix = "ncore.sanitize"
         total = (
             self.stats["reads_checked"]
             + self.stats["writes_checked"]

@@ -29,7 +29,6 @@ class L3Cache:
         size_bytes: int = 16 * 1024 * 1024,
         ways: int = 16,
         memory: LinearMemory | None = None,
-        hit_latency_cycles: int = 40,
     ) -> None:
         if size_bytes % (ways * LINE_BYTES):
             raise ValueError("cache size must divide evenly into ways and lines")
@@ -37,7 +36,6 @@ class L3Cache:
         self.ways = ways
         self.num_sets = size_bytes // (ways * LINE_BYTES)
         self.memory = memory
-        self.hit_latency_cycles = hit_latency_cycles
         # Each set is an OrderedDict tag -> dirty payload (None when clean);
         # insertion order is LRU order (oldest first).
         self._sets: list[OrderedDict[int, bytes | None]] = [

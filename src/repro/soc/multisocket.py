@@ -15,6 +15,7 @@ from dataclasses import dataclass
 # Fraction of linear scaling retained per added socket (query dispatch,
 # NUMA effects on the shared input stream).
 CROSS_SOCKET_EFFICIENCY = 0.97
+CORES_PER_SOCKET = 8  # CNS cores on one CHA die
 
 
 @dataclass(frozen=True)
@@ -22,22 +23,16 @@ class MultiSocketSystem:
     """N CHA sockets serving one inference workload."""
 
     sockets: int = 2
-    cores_per_socket: int = 8
-    cross_socket_efficiency: float = CROSS_SOCKET_EFFICIENCY
 
     def __post_init__(self) -> None:
         if self.sockets < 1:
             raise ValueError("a system needs at least one socket")
-        if self.cores_per_socket < 1:
-            raise ValueError("a socket needs at least one core")
-        if not 0 < self.cross_socket_efficiency <= 1:
-            raise ValueError("cross-socket efficiency must be in (0, 1]")
 
     def scaling_factor(self) -> float:
         """Effective throughput multiple over one socket."""
         if self.sockets == 1:
             return 1.0
-        return self.sockets * self.cross_socket_efficiency ** (self.sockets - 1)
+        return self.sockets * CROSS_SOCKET_EFFICIENCY ** (self.sockets - 1)
 
     def offline_throughput_ips(self, single_socket_ips: float) -> float:
         """Offline throughput: queries shard across sockets."""
@@ -49,4 +44,4 @@ class MultiSocketSystem:
         return single_socket_latency
 
     def total_x86_cores(self) -> int:
-        return self.cores_per_socket * self.sockets
+        return CORES_PER_SOCKET * self.sockets

@@ -76,6 +76,8 @@ _PEAK_OPS = {
     NcoreDType.BF16: 80e9,
 }
 PEAK_FP32_OPS = 80e9
+#: Memory bandwidth one core can draw (of the four DDR channels).
+CORE_MEMORY_BANDWIDTH = 20e9
 
 
 class X86Core:
@@ -84,8 +86,8 @@ class X86Core:
     Real code never reaches vector peak; ``efficiency`` captures sustained
     utilisation for the AVX-512 kernels TensorFlow-Lite uses on the
     non-delegated subgraphs (section V-A).  Memory-bound work is limited by
-    ``memory_bandwidth`` (a single core cannot saturate all four DDR
-    channels).
+    :data:`CORE_MEMORY_BANDWIDTH` (a single core cannot saturate all four
+    DDR channels).
     """
 
     def __init__(
@@ -93,12 +95,10 @@ class X86Core:
         spec: MicroarchSpec = CNS,
         clock_hz: float = 2.5e9,
         efficiency: float = 0.35,
-        memory_bandwidth: float = 20e9,
     ) -> None:
         self.spec = spec
         self.clock_hz = clock_hz
         self.efficiency = efficiency
-        self.memory_bandwidth = memory_bandwidth
 
     def peak_ops(self, dtype: NcoreDType | None = None) -> float:
         """Peak ops/second at this clock (Table II row '1x CNS x86')."""
@@ -109,15 +109,14 @@ class X86Core:
         self,
         ops: float = 0.0,
         bytes_moved: float = 0.0,
-        dtype: NcoreDType | None = None,
         fixed_seconds: float = 0.0,
     ) -> float:
-        """Roofline estimate for one work item on this core.
+        """Roofline estimate for one (fp32) work item on this core.
 
         Compute and memory phases are taken as non-overlapping (pre/post
         processing code is short, serial loops), plus any fixed software
         overhead (framework dispatch, benchmark harness).
         """
-        compute = ops / (self.peak_ops(dtype) * self.efficiency) if ops else 0.0
-        memory = bytes_moved / self.memory_bandwidth if bytes_moved else 0.0
+        compute = ops / (self.peak_ops() * self.efficiency) if ops else 0.0
+        memory = bytes_moved / CORE_MEMORY_BANDWIDTH if bytes_moved else 0.0
         return fixed_seconds + compute + memory

@@ -1,6 +1,7 @@
 """Tests for the shared diagnostic model of ``repro.analyze``."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -19,6 +20,10 @@ from tests.helpers import by_rule
 
 def _tmp_rule(id_: str, severity: Severity = Severity.ERROR):
     return register_rule(id_, severity, "temporary test rule", "only for tests")
+
+
+def _as(severity: Severity, d):
+    return replace(d, severity=severity)
 
 
 @pytest.fixture
@@ -64,9 +69,13 @@ class TestDiagnostic:
         assert "index" not in data
         assert "hint" not in data
 
-    def test_severity_override(self, rule):
-        d = diag(rule, "boom", severity=Severity.WARNING)
-        assert d.severity is Severity.WARNING
+    def test_severity_override(self):
+        # A diagnostic carries its rule's severity.
+        rule = _tmp_rule("tst.warning", Severity.WARNING)
+        try:
+            assert diag(rule, "boom").severity is Severity.WARNING
+        finally:
+            del RULES["tst.warning"]
 
     def test_location_str(self):
         assert str(Location()) == "<unknown>"
@@ -79,8 +88,8 @@ class TestReport:
         report = AnalysisReport()
         report.extend([
             diag(rule, "e1"),
-            diag(rule, "w1", severity=Severity.WARNING),
-            diag(rule, "i1", severity=Severity.INFO),
+            _as(Severity.WARNING, diag(rule, "w1")),
+            _as(Severity.INFO, diag(rule, "i1")),
         ])
         assert not report.ok
         assert len(report.errors) == 1
@@ -97,7 +106,7 @@ class TestReport:
 
     def test_sorted_puts_errors_first(self, rule):
         report = AnalysisReport([
-            diag(rule, "note", severity=Severity.INFO),
+            _as(Severity.INFO, diag(rule, "note")),
             diag(rule, "bad"),
         ])
         assert report.sorted()[0].severity is Severity.ERROR
@@ -123,7 +132,7 @@ class TestEnforce:
         assert exc_info.value.report is report
 
     def test_warnings_do_not_raise(self, rule):
-        report = AnalysisReport([diag(rule, "meh", severity=Severity.WARNING)])
+        report = AnalysisReport([_as(Severity.WARNING, diag(rule, "meh"))])
         assert enforce(report) is report
 
 
@@ -131,14 +140,14 @@ class TestRenderers:
     def test_text_summary_counts(self, rule):
         report = AnalysisReport([
             diag(rule, "e1"),
-            diag(rule, "w1", severity=Severity.WARNING),
+            _as(Severity.WARNING, diag(rule, "w1")),
         ])
         text = render_text(report)
         assert "1 error(s), 1 warning(s)" in text
         assert "error[tst.diagnostics]" in text
 
     def test_text_hides_info_unless_verbose(self, rule):
-        report = AnalysisReport([diag(rule, "fyi", severity=Severity.INFO)])
+        report = AnalysisReport([_as(Severity.INFO, diag(rule, "fyi"))])
         assert "fyi" not in render_text(report)
         assert "fyi" in render_text(report, verbose=True)
 

@@ -147,7 +147,7 @@ class TestLivenessRules:
 class TestQuantRules:
     def _graph_with_quant(self, dtype, quant):
         graph = Graph("fixture")
-        graph.add_input("x", TensorType((1, 2, 2, 4), dtype), quant=quant)
+        graph.add_input("x", TensorType((1, 2, 2, 4), dtype)).quant = quant
         return graph
 
     def test_scale_nan(self):

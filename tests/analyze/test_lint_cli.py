@@ -115,7 +115,7 @@ class TestLintTargets:
         qp = QuantParams(scale=0.05, zero_point=128)
         ttype = TensorType((1, 4, 4, 16), NcoreDType.UINT8)
         graph = Graph("clean")
-        graph.add_input("x", ttype, quant=qp)
+        graph.add_input("x", ttype).quant = qp
         graph.add_tensor(Tensor("y", ttype, quant=qp))
         graph.add_node(Node("r0", "relu", ["x"], ["y"]))
         graph.mark_output("y")

@@ -32,7 +32,7 @@ def _relu_chain():
     """x -> relu1 -> y -> relu2 -> z, all quantized uint8."""
     graph = Graph("ldb-fixture")
     ttype = TensorType((1, 4, 4, 16), UINT8)
-    graph.add_input("x", ttype, quant=QP)
+    graph.add_input("x", ttype).quant = QP
     graph.add_tensor(Tensor("y", ttype, quant=QP))
     graph.add_tensor(Tensor("z", ttype, quant=QP))
     graph.add_node(Node("relu1", "relu", ["x"], ["y"]))
@@ -44,7 +44,7 @@ def _relu_chain():
 def _fc_chain():
     """x -> fc1(w1) -> h -> fc2(w2) -> y -> relu -> z."""
     graph = Graph("fc-fixture")
-    graph.add_input("x", TensorType((1, 64), UINT8), quant=QP)
+    graph.add_input("x", TensorType((1, 64), UINT8)).quant = QP
     graph.add_constant("w1", np.ones((64, 64), np.uint8), quant=QP)
     graph.add_constant("w2", np.ones((64, 64), np.uint8), quant=QP)
     graph.add_tensor(Tensor("h", TensorType((1, 64), UINT8), quant=QP))
@@ -120,7 +120,7 @@ def _residual_chain(length=24):
     tensors, so live ranges vary in length and nest."""
     graph = Graph("residual-fixture")
     ttype = TensorType((1, 4, 4, 16), UINT8)
-    graph.add_input("t0", ttype, quant=QP)
+    graph.add_input("t0", ttype).quant = QP
     for i in range(1, length + 1):
         graph.add_tensor(Tensor(f"t{i}", ttype, quant=QP))
         if i % 4 == 0:

@@ -102,7 +102,7 @@ class TestDiskTier:
         cache = CompileCache(directory=tmp_path)
         compile_graph(small_cnn(), cache=cache)
         assert list(tmp_path.glob("*.pkl"))
-        cache.clear(disk=True)
+        cache.clear()
         assert len(cache) == 0
         assert not list(tmp_path.glob("*.pkl"))
 

@@ -116,7 +116,7 @@ class TestSidecarArtifact:
     def test_clear_drops_sidecar_files_too(self, tmp_path):
         cache = CompileCache(directory=tmp_path)
         result = compile_graph(quantized_cnn(), cache=cache)
-        cache.clear(disk=True)
+        cache.clear()
         assert not list(tmp_path.iterdir())
         assert cache.lookup(result.key) is None
 

@@ -17,7 +17,8 @@ class TestGraphFingerprint:
 
     def test_display_name_is_excluded(self):
         g = small_cnn()
-        renamed = g.copy(name="something-else")
+        renamed = g.copy()
+        renamed.name = "something-else"
         assert fingerprint_graph(renamed) == fingerprint_graph(g)
 
     def test_weight_byte_change_invalidates(self):

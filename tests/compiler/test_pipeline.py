@@ -13,7 +13,7 @@ from repro.compiler import (
     ir_diff,
     optimize_graph,
 )
-from repro.graph.passes import PassManager, default_pipeline, fold_batch_norm
+from repro.graph.passes import PassManager, default_pipeline
 from tests.quantize.test_convert import small_cnn
 
 
@@ -111,12 +111,6 @@ class TestMutationContract:
         assert len(g.nodes) == nodes_before  # caller's graph untouched
         assert len(result.model.graph.nodes) < nodes_before  # copy optimized
 
-    def test_in_place_opts_back_in(self):
-        g = bn_graph()
-        result = compile_graph(g, cache=None, in_place=True)
-        assert result.model.graph is g
-        assert "batch_norm" not in {n.op for n in g.nodes}
-
     def test_optimize_graph_returns_a_copy(self):
         g = bn_graph()
         optimized = optimize_graph(g)
@@ -128,12 +122,6 @@ class TestMutationContract:
         g = bn_graph()
         assert optimize_graph(g, in_place=True) is g
         assert not any(n.op == "batch_norm" for n in g.nodes)
-
-    def test_optimize_graph_custom_manager(self):
-        g = bn_graph()
-        optimized = optimize_graph(g, manager=PassManager([fold_batch_norm]))
-        assert not any(n.op == "batch_norm" for n in optimized.nodes)
-        assert any(n.op == "relu" for n in optimized.nodes)  # not fused
 
 
 class TestInstrumentation:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.dtypes import (
     NcoreDType,
     QuantParams,
+    Requantizer,
     choose_quant_params,
     dequantize,
     dtype_info,
@@ -269,12 +270,13 @@ def assert_all_three_match_gemmlowp(acc, mults, shifts, offset, dtype, bias=None
         zero_point=offset, dtype=dtype, lane_mults=mults, lane_shifts=shifts, clamp=clamp
     )
     for bound in (None, int(np.abs(acc).max(initial=0))):
-        got = requantize(acc, mults, shifts, offset, dtype, bias=bias, clamp=clamp, bound=bound)
+        got = Requantizer(mults, shifts, offset, dtype, bias=bias, clamp=clamp, bound=bound)(acc)
         assert got.dtype == narrow
-        np.testing.assert_array_equal(got, want, f"requantize bound={bound}")
-        got = spec.apply(acc, bias, bound)
-        assert got.dtype == narrow
-        np.testing.assert_array_equal(got, want, f"RequantSpec.apply bound={bound}")
+        np.testing.assert_array_equal(got, want, f"Requantizer bound={bound}")
+        if bound is None:
+            got = spec.apply(acc, bias)
+            assert got.dtype == narrow
+            np.testing.assert_array_equal(got, want, "RequantSpec.apply")
         epilogue = spec.requantizer(bias, bound)
         for _ in range(2):  # built once, applied on every query
             np.testing.assert_array_equal(epilogue(acc), want, f"Requantizer bound={bound}")
@@ -317,7 +319,7 @@ class TestAgainstGemmlowp:
                 np.testing.assert_array_equal(spec.apply(acc), want, where)
                 # The range-proved path needs every accumulator inside int32.
                 inside = acc[np.abs(acc) < (1 << 31)]
-                proved = spec.apply(inside, bound=int(np.abs(inside).max()))
+                proved = spec.requantizer(None, int(np.abs(inside).max()))(inside)
                 np.testing.assert_array_equal(proved, want[np.abs(acc) < (1 << 31)], where)
                 full = np.full(acc.size, 1, np.int64)
                 np.testing.assert_array_equal(
@@ -425,7 +427,7 @@ class TestAgainstGemmlowp:
         shifts = np.array([-4, 3], dtype=np.int64)
         acc = np.array([[1 << 29, 1 << 29], [-(1 << 29), 12345]], dtype=np.int64)
         assert_all_three_match_gemmlowp(acc, mults, shifts, 0, NcoreDType.INT16)
-        got = requantize(acc, mults, shifts, 0, NcoreDType.INT16, bound=1 << 29)
+        got = Requantizer(mults, shifts, 0, NcoreDType.INT16, bound=1 << 29)(acc)
         assert got[0, 0] == 32767 and got[1, 0] == -32768
 
     @pytest.mark.parametrize("bias", [None, 100], ids=["acc", "acc+bias"])
@@ -440,17 +442,17 @@ class TestAgainstGemmlowp:
         )
         assert want[0, 0] == 32767 and want[1, 0] == -32768
         for dtype in (np.int64, np.float64):
-            got = requantize(
-                acc.astype(dtype), (1 << 31) - 1, 16, 0, NcoreDType.INT16,
+            got = Requantizer(
+                (1 << 31) - 1, 16, 0, NcoreDType.INT16,
                 bias=lane_bias, bound=int(np.abs(acc).max()),
-            )
+            )(acc.astype(dtype))
             np.testing.assert_array_equal(got, want)
         # One below the limit the proof holds, and agrees with the oracle.
         inside = acc[2:]
-        got = requantize(
-            inside, (1 << 31) - 1, 16, 0, NcoreDType.INT16,
+        got = Requantizer(
+            (1 << 31) - 1, 16, 0, NcoreDType.INT16,
             bias=lane_bias, bound=int(np.abs(inside).max()),
-        )
+        )(inside)
         np.testing.assert_array_equal(got, want[2:])
 
     @given(st.integers(-(1 << 62), 1 << 62), st.integers(0, 40))

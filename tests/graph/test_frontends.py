@@ -215,6 +215,39 @@ class TestSerialization:
         with pytest.raises(GraphError, match="version"):
             load_graph(tmp_path / "m")
 
+    @pytest.mark.parametrize("defect, says", [
+        ("truncated-json", "not valid JSON"),
+        ("missing-key", "missing key 'inputs'"),
+        ("bad-dtype", "'float7'"),
+        ("missing-npz", ".npz: cannot read"),
+        ("corrupt-npz", ".npz: cannot read"),
+        ("missing-constant", "no array for constant"),
+    ])
+    def test_malformed_pair_raises_graph_error_naming_the_file(self, tmp_path, defect, says):
+        import json
+
+        from tests.quantize.test_convert import small_cnn
+
+        json_path, npz_path = save_graph(small_cnn(), tmp_path / "m")
+        doc = json.loads(json_path.read_text())
+        if defect == "truncated-json":
+            json_path.write_text(json_path.read_text()[:100])
+        elif defect == "missing-key":
+            del doc["inputs"]
+        elif defect == "bad-dtype":
+            next(iter(doc["tensors"].values()))["dtype"] = "float7"
+        elif defect == "missing-npz":
+            npz_path.unlink()
+        elif defect == "corrupt-npz":
+            npz_path.write_bytes(b"PK\x03\x04 not a zip")
+        else:
+            np.savez_compressed(npz_path)
+        if defect in ("missing-key", "bad-dtype"):
+            json_path.write_text(json.dumps(doc))
+        with pytest.raises(GraphError, match="m\\.(json|npz)") as exc_info:
+            load_graph(tmp_path / "m")
+        assert says in str(exc_info.value)
+
     def test_per_channel_quant_round_trip(self, tmp_path):
         from repro.dtypes import ChannelQuantParams
         from repro.quantize import calibrate, quantize_graph

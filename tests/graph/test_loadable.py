@@ -55,10 +55,6 @@ class TestStallModel:
         dma = int(np.ceil(4096 / 40.96))
         assert l.total_cycles(40.96) == 60 + (dma - 60) + 50
 
-    def test_seconds_conversion(self):
-        l = loadable([kernel("a", 2_500_000)])
-        assert l.seconds(clock_hz=2.5e9) == pytest.approx(1e-3)
-
 
 class TestUtilization:
     def test_kernel_utilization(self):

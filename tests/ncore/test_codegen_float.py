@@ -122,7 +122,7 @@ class TestFloatBitExactness:
         x = b.input("x", (1, 6, 6, 3))
         y = b.conv(x, 8, 3, batch_norm=True, activation="relu")
         y = b.global_mean(y)
-        y = b.fully_connected(y, 10, activation="tanh")
+        y = b.activation(b.fully_connected(y, 10), "tanh")
         y = b.softmax(y)
         graph = convert_to_bf16(b.finish([y]))
         result = compile_graph(graph, cache=None, pipeline="O2")

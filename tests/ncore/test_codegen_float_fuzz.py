@@ -122,10 +122,10 @@ def random_float_graph(seed: int) -> Graph:
     outputs = [x_seq]
     last = hs[-1]
     if rng.random() < 0.6:
-        last = b.fully_connected(
-            last, int(rng.integers(3, 9)),
-            activation=str(rng.choice(["none", "tanh", "sigmoid"])),
-        )
+        last = b.fully_connected(last, int(rng.integers(3, 9)))
+        activation = str(rng.choice(["none", "tanh", "sigmoid"]))
+        if activation != "none":
+            last = b.activation(last, activation)
     if rng.random() < 0.5:
         last = b.softmax(last)
     outputs.append(last)

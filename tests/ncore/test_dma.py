@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ncore import DmaDescriptor, DmaEngine, LinearMemory, RowMemory
+from repro.ncore.dma import L3_EXTRA_LATENCY
 
 
 @pytest.fixture
@@ -123,14 +124,14 @@ class TestDmaEngine:
         assert done == first_done + 1000 + memory.transfer_cycles(4096)
 
     def test_l3_path_adds_latency(self, memory, rams):
-        direct = DmaEngine("rd", memory, window_bytes=1 << 30, l3_extra_latency=20)
+        direct = DmaEngine("rd", memory, window_bytes=1 << 30)
         direct.configure_window(0)
-        through = DmaEngine("rd", memory, window_bytes=1 << 30, l3_extra_latency=20)
+        through = DmaEngine("rd", memory, window_bytes=1 << 30)
         through.configure_window(0)
         direct.start(descriptor(), *rams, now_cycle=0)
         through.start(descriptor(through_l3=True, ram_row=1), *rams, now_cycle=0)
         # "The extra hop through the L3 minimally increases the latency".
-        assert through.busy_until == direct.busy_until + 20
+        assert through.busy_until == direct.busy_until + L3_EXTRA_LATENCY
 
     def test_statistics(self, memory, rams):
         engine = DmaEngine("rd", memory, window_bytes=1 << 30)

@@ -64,7 +64,7 @@ class TestRequantizeLanes:
         # (the full one again when ``s`` is a left shift).
         spec = out_unit.RequantSpec(offset, NcoreDType.INT16, mult=m, shift=s)
         for form in (acc, acc.astype(np.float32)):
-            np.testing.assert_array_equal(spec.apply(form, bound=2**24), expected)
+            np.testing.assert_array_equal(spec.requantizer(None, 2**24)(form), expected)
 
 
 def _lane_params(lanes, seed=0):
@@ -137,7 +137,7 @@ class TestEpilogueRegressions:
         )
         for form in (acc, acc.astype(np.float32)):
             before = form.copy()
-            got = spec.apply(form, bias, bound=1 << 24)
+            got = spec.requantizer(bias, 1 << 24)(form)
             assert got.shape == shape and got.dtype == np.int8
             np.testing.assert_array_equal(got.reshape(-1, lanes), want)
             np.testing.assert_array_equal(form, before)  # never written

@@ -6,6 +6,7 @@ import pytest
 
 from repro import obs
 from repro.obs.export import SIM_PID, WALL_PID
+from repro.obs.render import BAR_WIDTH
 
 
 def make_tracer():
@@ -14,7 +15,6 @@ def make_tracer():
         pass
     tracer.add_cycle_span("kernel", "ncore", 0, 500, args={"macs": 10})
     tracer.instant("marker", track="delegate")
-    tracer.counter("occupancy", 3.0, ts_us=100.0)
     return tracer
 
 
@@ -52,12 +52,6 @@ class TestChromeTrace:
                          if e["name"] == "process_name"}
         assert "model (simulated time)" in process_names
 
-    def test_counter_events(self):
-        doc = obs.chrome_trace(make_tracer())
-        counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
-        assert any(e["name"] == "occupancy" and e["args"]["value"] == 3.0
-                   for e in counters)
-
     def test_metrics_ride_along_as_counters(self):
         registry = obs.MetricsRegistry()
         registry.counter("dma.bytes_moved", unit="B").inc(4096)
@@ -87,12 +81,12 @@ class TestMetricsDumps:
 class TestRender:
     def test_render_bars_alignment(self):
         text = obs.render_bars("title", [("a", 0, 50), ("b", 50, 50)], total=100,
-                               width=10, unit="cyc")
+                               unit="cyc")
         lines = text.splitlines()
         assert lines[0] == "title"
         assert "#" in lines[1]
         # Second bar starts at half the axis.
-        assert lines[2].split("|")[1].startswith("     #")
+        assert lines[2].split("|")[1].startswith(" " * (BAR_WIDTH // 2) + "#")
 
     def test_render_tracer_sections_per_track(self):
         text = obs.render_tracer(make_tracer())

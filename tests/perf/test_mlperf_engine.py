@@ -32,7 +32,7 @@ class TestBaselineRegression:
     @pytest.mark.parametrize("key", sorted(PRE_ENGINE_BASELINE))
     def test_offline_within_one_percent(self, key):
         _, ips = PRE_ENGINE_BASELINE[key]
-        throughput = get_system(key).offline_throughput_ips(cores=8, batch=64)
+        throughput = get_system(key).offline_throughput_ips(cores=8)
         assert throughput == pytest.approx(ips, rel=0.01)
 
 
@@ -40,6 +40,6 @@ class TestOfflineEdgeCases:
     def test_rejects_bad_parameters(self):
         system = get_system("resnet50_v15")
         with pytest.raises(ValueError, match="batch"):
-            system.offline_throughput_ips(batch=0)
+            system.ncore_seconds_batched(0)
         with pytest.raises(ValueError, match="core"):
             system.offline_throughput_ips(cores=0)

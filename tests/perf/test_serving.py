@@ -91,11 +91,11 @@ class TestMultisocket:
         assert result.latencies_seconds.tobytes() == again.latencies_seconds.tobytes()
 
     def test_socket_efficiency_penalises_throughput(self, resnet):
-        ideal = run_server(
-            resnet, queries=256, seed=0, qps=4000.0, sockets=2, socket_efficiency=1.0
-        )
-        real = run_server(
-            resnet, queries=256, seed=0, qps=4000.0, sockets=2, socket_efficiency=0.9
+        timing = ServingTimingModel.from_system(resnet)
+        ideal, real = (
+            ServerScenario(timing, qps=4000.0, queries=256, seed=0, sockets=2,
+                           socket_efficiency=efficiency).run()
+            for efficiency in (1.0, 0.9)
         )
         assert real.sustained_qps < ideal.sustained_qps
 

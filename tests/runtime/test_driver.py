@@ -42,9 +42,9 @@ class TestOwnership:
 class TestMemoryMapping:
     def test_mapping_reaches_ncore_srams(self, driver):
         driver.probe()
-        mapping = driver.open("user")
-        mapping.write_data_ram(0, b"\x42" * 16)
-        assert mapping.read_data_ram(0, 16) == b"\x42" * 16
+        machine = driver.open("user").machine()
+        machine.write_data_ram(0, b"\x42" * 16)
+        assert machine.read_data_ram(0, 16) == b"\x42" * 16
 
     def test_dma_address_translation(self, driver):
         driver.probe()

@@ -58,7 +58,7 @@ class OneNode:
 
     def _feed(self, type_, data, quant=None):
         name = f"in{len(self.names)}"
-        self.graph.add_input(name, type_, quant=quant)
+        self.graph.add_input(name, type_).quant = quant
         self.feeds[name] = data
         self.names.append(name)
         return self

@@ -16,7 +16,6 @@ from repro.ncore.dma import DmaDescriptor
 from repro.sanitize import (
     AGENT_COMPUTE,
     AGENT_HOST,
-    Sanitizer,
     ShadowRam,
     check_determinism,
     oracle_compare,
@@ -155,10 +154,6 @@ class TestZeroCostOff:
         machine = Ncore(fastpath=True)
         machine.arm_sanitizer(True)
         assert machine.fastpath is False
-
-    def test_constructor_kwarg_arms(self):
-        machine = Ncore(sanitize=True)
-        assert isinstance(machine.sanitizer, Sanitizer)
 
 
 FIG6 = (

@@ -281,3 +281,42 @@ class TestTop:
             main(["top"])
         assert exc_info.value.code == 2
         assert "frames" in capsys.readouterr().err
+
+
+def _truncated(text: str) -> str:
+    return text[: len(text) // 2]
+
+
+def _missing_key(text: str) -> str:
+    import json
+
+    document = json.loads(text)
+    del document["nodes"]
+    return json.dumps(document)
+
+
+def _bad_version(text: str) -> str:
+    import json
+
+    return json.dumps({**json.loads(text), "format_version": 99})
+
+
+class TestMalformedGraphFile:
+    """A broken .json/.npz pair is a usage error: exit 2 and a message
+    that names the file, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["run", "compile", "lint"])
+    @pytest.mark.parametrize("corrupt, says", [
+        (_truncated, "not valid JSON"),
+        (_missing_key, "missing key 'nodes'"),
+        (_bad_version, "format version 99"),
+    ], ids=["truncated-json", "missing-key", "bad-version"])
+    def test_exits_2_naming_the_file(self, command, corrupt, says, tmp_path, capsys):
+        from repro.graph.frontends import save_graph
+        from tests.quantize.test_convert import small_cnn
+
+        json_path, _ = save_graph(small_cnn(), tmp_path / "bad")
+        json_path.write_text(corrupt(json_path.read_text()))
+        assert main([command, str(tmp_path / "bad")]) == 2
+        err = capsys.readouterr().err
+        assert str(json_path) in err and says in err

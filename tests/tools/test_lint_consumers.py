@@ -163,3 +163,129 @@ class TestSeededCases:
     def test_main_exits_non_zero_on_findings(self, seeded, capsys):
         assert main([str(seeded / "src")]) == 1
         assert "only_tested" in capsys.readouterr().out
+
+
+def _params(report):
+    """``func(param)`` labels of the parameter findings."""
+    return {line.split()[2] for line in report if line.split()[1] == "parameter"}
+
+
+@pytest.fixture
+def knobs(seeded):
+    """The miniature repo plus one module of defaulted parameters, some
+    passed by the CLI entry point in each supported way."""
+    _write(seeded, {
+        "src/repro/knobs.py": '''
+            import argparse
+            from dataclasses import dataclass, replace
+
+
+            def dead(x, unused=1):
+                return x
+
+
+            def by_keyword(x, k=1):
+                return x
+
+
+            def by_position(x, p=1):
+                return x
+
+
+            def built(resolution=224, depth=1):
+                return resolution
+
+
+            def registered(width=8):
+                return width
+
+
+            @dataclass(frozen=True)
+            class Info:
+                builder: object
+                scale: int = 1
+                mode: str = "a"
+
+                def build(self, **kwargs):
+                    return self.builder(**kwargs)
+
+
+            REGISTRY = {"registered": registered}
+
+
+            def flag_handler(verbose=False):
+                return verbose
+
+
+            def handle(args):
+                return flag_handler(verbose=args.verbose)
+
+
+            def cli():
+                parser = argparse.ArgumentParser()
+                parser.add_argument("--verbose", action="store_true")
+                args = parser.parse_args([])
+                info = Info(builder=built)
+                info.build(resolution=64)
+                REGISTRY["registered"](width=4)
+                tuned = replace(info, mode="b")
+                return (dead(1), by_keyword(1, k=2), by_position(1, 2), handle(args), tuned)
+        ''',
+        "src/repro/cli.py": '''
+            from repro.core import Machine, used
+            from repro.knobs import cli
+
+
+            def main():
+                machine = Machine()
+                machine.run()
+                cli()
+                return used()
+        ''',
+        "tests/test_knobs.py": '''
+            from repro.knobs import built, dead
+
+
+            def test_it():
+                assert dead(1, unused=2) == 1
+                assert built(depth=2) == 224
+        ''',
+    })
+    return seeded
+
+
+class TestParameterRule:
+    def test_unpassed_defaulted_parameters_are_flagged(self, knobs):
+        report = lint_repo(knobs)
+        assert any("repro.knobs.dead(unused) is passed only from tests/" in line
+                   for line in report)
+        assert "repro.knobs.Info(scale)" in _params(report)  # a dataclass field
+
+    def test_exact_parameter_findings(self, knobs):
+        # Keyword, position, a ``**kwargs`` forward through a registry-held
+        # callable (``Info.build`` -> ``builder``), a registry entry,
+        # ``dataclasses.replace`` and an argparse flag its handler reads
+        # all count as passing; ``built(depth)`` is set only by a test.
+        assert _params(lint_repo(knobs)) == {
+            "repro.knobs.dead(unused)", "repro.knobs.built(depth)", "repro.knobs.Info(scale)",
+        }
+
+    def test_parameter_waiver_and_class_waiver(self, knobs):
+        _write(knobs, {"tools/consumer_waivers.txt": '''
+            repro.knobs.dead(unused): kept on purpose
+            repro.knobs.built(depth): kept on purpose
+            repro.knobs.Info: a config record; covers its fields
+            repro.core: the module and everything under it
+        '''})
+        assert lint_repo(knobs) == []
+
+    def test_stale_parameter_waiver_fails(self, knobs):
+        _write(knobs, {"tools/consumer_waivers.txt":
+                       "repro.knobs.by_keyword(k): passed already\n"})
+        report = lint_repo(knobs)
+        assert any("stale waiver 'repro.knobs.by_keyword(k)'" in line for line in report)
+
+    def test_main_exits_non_zero_on_an_unpassed_parameter(self, knobs, capsys):
+        _write(knobs, {"tools/consumer_waivers.txt": "repro.core: not under test here\n"})
+        assert main([str(knobs / "src")]) == 1
+        assert "repro.knobs.dead(unused)" in capsys.readouterr().out
