@@ -1,15 +1,15 @@
 """Guard for the observability zero-cost contract.
 
 Section IV-F claims the debug fabric "poses no performance penalty on
-Ncore"; the software mirrors that with null-object defaults — when no
-tracer/metrics registry is installed, every instrumentation site reduces
-to one module-global lookup plus an ``enabled`` check, placed at per-run
-(not per-cycle) granularity.
+Ncore"; the software mirrors that with null-object defaults — an object
+built without a live ``repro.obs.Observation`` holds the null one, and
+every instrumentation site reduces to one attribute read plus an
+``enabled`` check, placed at per-run (not per-cycle) granularity.
 
 Two assertions keep that true as instrumentation spreads:
 
 - the workload from ``bench_simulator.py`` must run within 2% of its speed
-  with a *live* tracer+registry installed (catches anyone adding
+  on a machine built with a *live* observation (catches anyone adding
   per-instruction spans to the hot loop), and
 - the null-path guard itself must cost <2% of one workload run even if
   every site fired hundreds of times (catches unguarded work ahead of the
@@ -24,8 +24,7 @@ from bench_simulator import build_machine
 
 from repro import obs
 from repro.obs.context import mint_trace
-from repro.obs.metrics import get_metrics
-from repro.obs.tracer import get_tracer
+from repro.perf.simbench import fig6_machine
 
 REPEATS = 30
 OVERHEAD_BUDGET = 0.02
@@ -44,23 +43,22 @@ def _min_seconds(fn, repeats=REPEATS):
 
 
 def _timed_pair():
-    """Interleaved min-of-repeats: null path vs live-tracer path.
+    """Interleaved min-of-repeats: null path vs live-observation path.
 
-    The tracer/registry persist across repeats so the live side measures
-    steady-state instrumentation (the serving case: one registry per
-    run, warm metric objects), not first-touch metric creation.
+    Two machines run the same program, one unobserved and one built with
+    a live observation that persists across repeats, so the live side
+    measures steady-state instrumentation (the serving case: one registry
+    per run, warm metric objects), not first-touch metric creation.
     """
-    machine, program = build_machine()
+    null_machine, program = fig6_machine()
+    live_machine, _ = fig6_machine(obs=obs.observe())
 
-    def run():
+    def run(machine):
         machine.reset()
         machine.execute_program(program)
 
-    run()  # warm up caches / JIT-free but allocator-warm
-    tracer = obs.Tracer()
-    registry = obs.MetricsRegistry()
-    with obs.observe(tracer=tracer, metrics=registry):
-        run()  # warm the live path too (creates the bound metrics)
+    run(null_machine)  # warm up caches / JIT-free but allocator-warm
+    run(live_machine)  # warm the live path too (creates the bound metrics)
     # Keep null/live samples of one repeat adjacent and compare them as a
     # pair: CPU frequency and cache state drift slowly in CI containers,
     # so the paired ratio is far more stable than a global min/min.
@@ -69,13 +67,12 @@ def _timed_pair():
     for _ in range(REPEATS):
         start = time.perf_counter()
         for _ in range(RUNS_PER_SAMPLE):
-            run()
+            run(null_machine)
         null_sample = time.perf_counter() - start
-        with obs.observe(tracer=tracer, metrics=registry):
-            start = time.perf_counter()
-            for _ in range(RUNS_PER_SAMPLE):
-                run()
-            live_sample = time.perf_counter() - start
+        start = time.perf_counter()
+        for _ in range(RUNS_PER_SAMPLE):
+            run(live_machine)
+        live_sample = time.perf_counter() - start
         best_ratio = min(best_ratio, live_sample / null_sample)
         null_best = min(null_best, null_sample)
         live_best = min(live_best, live_sample)
@@ -108,8 +105,7 @@ def test_labelled_metrics_and_trace_propagation_under_budget():
     run()
     # One registry/tracer for the whole serving run (as run_server does);
     # the per-run cost under test is the updates, not metric creation.
-    tracer = obs.Tracer()
-    registry = obs.MetricsRegistry()
+    tracer, registry = obs.observe()
     sequence = 0
 
     def bookkeeping(n=200):
@@ -124,9 +120,8 @@ def test_labelled_metrics_and_trace_propagation_under_budget():
             tracer.add_span("bench.run", "bench", start_us=0.0,
                             duration_us=1.0, context=context.child("ncore"))
 
-    with obs.observe(tracer=tracer, metrics=registry):
-        bookkeeping(1)  # warm: creates the labelled metric objects
-        per_run = _min_seconds(bookkeeping) / 200
+    bookkeeping(1)  # warm: creates the labelled metric objects
+    per_run = _min_seconds(bookkeeping) / 200
     workload = _min_seconds(run, repeats=10)
     assert per_run < OVERHEAD_BUDGET * workload, (
         f"labelled metrics + trace propagation cost {per_run * 1e6:.1f} us "
@@ -136,16 +131,16 @@ def test_labelled_metrics_and_trace_propagation_under_budget():
 
 
 def test_null_guard_cost_negligible():
-    # The full per-site null cost: global lookup + enabled check, for the
-    # tracer and the metrics registry.
+    # The full per-site null cost: the instrumented object's observation
+    # read + enabled check, for the tracer and the metrics registry.
+    machine, program = build_machine()
+
     def guards(n=10_000):
         for _ in range(n):
-            if get_tracer().enabled:
-                raise AssertionError("tracer unexpectedly installed")
-            if get_metrics().enabled:
-                raise AssertionError("metrics unexpectedly installed")
-
-    machine, program = build_machine()
+            if machine.obs.tracer.enabled:
+                raise AssertionError("tracer unexpectedly live")
+            if machine.obs.metrics.enabled:
+                raise AssertionError("metrics unexpectedly live")
 
     def run():
         machine.reset()

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro import obs
 from repro.isa import assemble
-from repro.ncore import Ncore
+from repro.ncore import Ncore, NcoreConfig
 
 KERNEL = """
 ; pointwise conv pass with event markers (cf. Fig. 10's runtime trace)
@@ -90,31 +90,31 @@ def main() -> None:
     print(f"   resumed to halt after {steps} stops")
 
     print("\n== full-stack tracing (repro.obs) ==")
-    # The same workflow through the observability subsystem: install a
-    # tracer + metrics registry, run under the profiler (its spans land on
-    # the installed tracer), export Perfetto JSON and a Fig. 10 view.
+    # The same workflow through the observability subsystem: build the
+    # machine with a live observation (tracer + metrics registry, hardware
+    # counters bound), run under the profiler (its spans land on the
+    # machine's tracer), export Perfetto JSON and a Fig. 10 view.
     from repro.runtime.profiler import Profiler
 
-    machine = Ncore()
+    config = NcoreConfig()
+    tracer, metrics = observation = obs.observe(clock_hz=config.clock_hz)
+    machine = Ncore(config, obs=observation)
     stage_inputs(machine)
-    with obs.observe() as (tracer, metrics):
-        tracer.clock_hz = machine.config.clock_hz
-        machine.bind_metrics(metrics)
-        profiler = Profiler(machine)
-        program = profiler.instrument(
-            [
-                ("compute", assemble(
-                    "setaddr a0, 0\nsetaddr a3, 0\nsetaddr a5, 0\n"
-                    "loop 16 {\n"
-                    "  bypass n0, dram[a0++]\n"
-                    "  broadcast64 n1, wtram[a3], a5, inc\n"
-                    "  mac.uint8 n0, n1\n"
-                    "}"
-                )),
-                ("writeback", assemble("setaddr a6, 100\nrequant.uint8 relu\nstore a6")),
-            ]
-        )
-        profiler.run(program)
+    profiler = Profiler(machine)
+    program = profiler.instrument(
+        [
+            ("compute", assemble(
+                "setaddr a0, 0\nsetaddr a3, 0\nsetaddr a5, 0\n"
+                "loop 16 {\n"
+                "  bypass n0, dram[a0++]\n"
+                "  broadcast64 n1, wtram[a3], a5, inc\n"
+                "  mac.uint8 n0, n1\n"
+                "}"
+            )),
+            ("writeback", assemble("setaddr a6, 100\nrequant.uint8 relu\nstore a6")),
+        ]
+    )
+    profiler.run(program)
     obs.write_chrome_trace("debug_tracing.trace.json", tracer, metrics)
     print(obs.render_tracer(tracer, tracks=["ncore"]))
     print(f"   macs (hw counter view): {metrics.get('ncore.hw.macs').value:,}")

@@ -32,7 +32,6 @@ from repro.graph.loadable import NcoreLoadable
 from repro.graph.planner import Prefetch, RowRange
 from repro.isa.instruction import DMAOp, Instruction, SeqOp, SeqOpcode
 from repro.ncore.config import NcoreConfig
-from repro.obs.metrics import get_metrics
 
 from repro.analyze.diagnostics import (
     AnalysisReport,
@@ -355,11 +354,6 @@ def analyze_loadable_hazards(
                     artifact=loadable.name, element=pf_b.tensor, index=pos_b,
                     hint="prefetch queue order must follow consumption order",
                 ))
-    metrics = get_metrics()
-    if metrics.enabled:
-        metrics.counter("analyze.hazard.loadables").inc()
-        if findings:
-            metrics.counter("analyze.hazard.findings").inc(len(findings))
     return findings
 
 

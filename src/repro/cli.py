@@ -24,7 +24,6 @@ One command per job:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 
 import numpy as np
@@ -88,7 +87,7 @@ def _cmd_models(args) -> int:
 
 def _cmd_serve(args) -> int:
     from repro.models import PAPER_CHARACTERISTICS
-    from repro.obs.metrics import MetricsRegistry, install_metrics
+    from repro.obs import NULL_METRICS, NULL_TRACER, MetricsRegistry, Observation, Tracer
     from repro.perf.serving import run_server
     from repro.perf.system import get_system
 
@@ -108,28 +107,23 @@ def _cmd_serve(args) -> int:
         return 2
     slo_seconds = args.slo_ms * 1e-3 if args.slo_ms is not None else None
     telemetry_interval = args.interval if args.telemetry else None
-    with contextlib.ExitStack() as stack:
-        registry = None
-        if args.telemetry or args.prometheus:
-            registry = stack.enter_context(install_metrics(MetricsRegistry()))
-        tracer = None
-        if args.trace:
-            from repro.obs.tracer import Tracer, install_tracer
-
-            tracer = stack.enter_context(install_tracer(Tracer()))
-        system = get_system(key)
-        result = run_server(
-            system,
-            qps=args.qps,
-            queries=args.queries,
-            seed=args.seed,
-            max_batch=args.max_batch,
-            max_wait=args.max_wait_us * 1e-6,
-            cores=args.cores,
-            sockets=args.sockets,
-            slo_latency_seconds=slo_seconds,
-            telemetry_interval=telemetry_interval,
-        )
+    tracer = Tracer() if args.trace else NULL_TRACER
+    registry = MetricsRegistry() if args.telemetry or args.prometheus else NULL_METRICS
+    # The (cached) system build is setup: only the run is observed.
+    system = get_system(key)
+    result = run_server(
+        system,
+        qps=args.qps,
+        queries=args.queries,
+        seed=args.seed,
+        max_batch=args.max_batch,
+        max_wait=args.max_wait_us * 1e-6,
+        cores=args.cores,
+        sockets=args.sockets,
+        slo_latency_seconds=slo_seconds,
+        telemetry_interval=telemetry_interval,
+        obs=Observation(tracer, registry),
+    )
     print(f"{PAPER_CHARACTERISTICS[key].display} Server scenario "
           f"({result.queries} queries, seed {result.seed}, "
           f"{result.sockets} socket{'s' if result.sockets > 1 else ''})")
@@ -302,11 +296,11 @@ def _cmd_compile(args) -> int:
         cache = None
     else:
         cache = USE_DEFAULT_CACHE
-    with obs.observe() as (tracer, _metrics):
-        result = compile_graph(
-            graph, pipeline=pipeline, name=name, cache=cache,
-            collect_ir=args.dump_ir is not None,
-        )
+    observation = obs.observe() if args.dump_ir is not None else obs.NULL_OBSERVATION
+    result = compile_graph(
+        graph, pipeline=pipeline, name=name, cache=cache,
+        collect_ir=args.dump_ir is not None, obs=observation,
+    )
     compiled = result.model
     print(compiled.summary())
     cycles = compiled.ncore_cycles()
@@ -316,7 +310,7 @@ def _cmd_compile(args) -> int:
     for stats in result.stats:
         print(f"  {stats.summary()}")
     if args.dump_ir is not None:
-        spans = tracer.spans_on("compiler")
+        spans = observation.tracer.spans_on("compiler")
         print(f"  {len(spans)} compiler spans recorded")
         return _print_ir_dump(result, args.dump_ir)
     return 0
@@ -439,6 +433,7 @@ def _cmd_run(args) -> int:
     from repro.compiler import compile_graph
     from repro.models import PAPER_CHARACTERISTICS
     from repro.runtime import NcoreExecutor
+    from repro.soc import CHA_SOC, ChaSoc
 
     try:
         name, graph, pipeline = _resolve_target(
@@ -446,43 +441,43 @@ def _cmd_run(args) -> int:
         )
     except FileNotFoundError:
         return _unknown_target(args.path)
-    with contextlib.ExitStack() as stack:
-        if args.trace:
-            tracer, metrics = stack.enter_context(obs.observe())
-        compiled = compile_graph(graph, pipeline=pipeline, name=name).model
-        executor = NcoreExecutor(compiled, verify=False, policy=args.tier)
-        if args.trace:
-            tracer.clock_hz = executor.soc.ncore.config.clock_hz
-            executor.soc.ncore.bind_metrics(metrics)
-        info = PAPER_CHARACTERISTICS.get(name)
-        if info is not None:
-            feeds = info.sample_input(compiled.graph, seed=args.seed)
-        else:
-            rng = np.random.default_rng(args.seed)
-            feeds = {}
-            for input_name in compiled.graph.inputs:
-                tensor = compiled.graph.tensor(input_name)
-                feeds[input_name] = (
-                    rng.integers(0, 100, size=tensor.shape).astype(np.int32)
-                    if tensor.type.dtype == "int32"
-                    else rng.uniform(-1, 1, size=tensor.shape).astype(np.float32)
-                )
-        result = executor.execute(feeds)
-        for output_name, value in result.outputs.items():
-            value = np.asarray(value)
-            print(f"  output {output_name}: shape {value.shape}, "
-                  f"range [{value.min():.4g}, {value.max():.4g}]")
-        timing = result.timing
-        print(f"  latency: {timing.total_seconds * 1e6:.1f} us "
-              f"(Ncore {timing.ncore_fraction:.0%}, "
-              f"tier {executor.last_tier})")
-        exit_code = 0
-        if args.sanitize:
-            exit_code = _sanitize_run(executor, compiled, result, feeds)
-        if args.trace:
-            # The simulator's own event streams (event log, DMA, L3).
-            _trace_microkernel(executor)
-        executor.close()
+    observation = (
+        obs.observe(clock_hz=CHA_SOC.clock_hz) if args.trace else obs.NULL_OBSERVATION
+    )
+    tracer, metrics = observation
+    compiled = compile_graph(graph, pipeline=pipeline, name=name, obs=observation).model
+    executor = NcoreExecutor(
+        compiled, soc=ChaSoc(obs=observation), verify=False, policy=args.tier
+    )
+    info = PAPER_CHARACTERISTICS.get(name)
+    if info is not None:
+        feeds = info.sample_input(compiled.graph, seed=args.seed)
+    else:
+        rng = np.random.default_rng(args.seed)
+        feeds = {}
+        for input_name in compiled.graph.inputs:
+            tensor = compiled.graph.tensor(input_name)
+            feeds[input_name] = (
+                rng.integers(0, 100, size=tensor.shape).astype(np.int32)
+                if tensor.type.dtype == "int32"
+                else rng.uniform(-1, 1, size=tensor.shape).astype(np.float32)
+            )
+    result = executor.execute(feeds)
+    for output_name, value in result.outputs.items():
+        value = np.asarray(value)
+        print(f"  output {output_name}: shape {value.shape}, "
+              f"range [{value.min():.4g}, {value.max():.4g}]")
+    timing = result.timing
+    print(f"  latency: {timing.total_seconds * 1e6:.1f} us "
+          f"(Ncore {timing.ncore_fraction:.0%}, "
+          f"tier {executor.last_tier})")
+    exit_code = 0
+    if args.sanitize:
+        exit_code = _sanitize_run(executor, compiled, result, feeds)
+    if args.trace:
+        # The simulator's own event streams (event log, DMA, L3).
+        _trace_microkernel(executor)
+    executor.close()
     if args.trace:
         obs.write_chrome_trace(args.trace, tracer, metrics)
         tracks = tracer.tracks()

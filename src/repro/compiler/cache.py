@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.graph.loadable import CompiledModel
-from repro.obs.metrics import get_metrics
 
 
 @dataclass
@@ -78,7 +77,6 @@ class CompileCache:
             if model is not None:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
-                self._count("compiler.cache.hits")
                 return model
         path = self._disk_path(key)
         if path is not None and path.exists():
@@ -93,13 +91,10 @@ class CompileCache:
                         self._remember(key, loaded)
                         self.stats.hits += 1
                         self.stats.disk_hits += 1
-                    self._count("compiler.cache.hits")
-                    self._count("compiler.cache.disk_hits")
                     return loaded
                 path.unlink(missing_ok=True)
         with self._lock:
             self.stats.misses += 1
-        self._count("compiler.cache.misses")
         return None
 
     def store(self, key: str, model: CompiledModel) -> None:
@@ -122,11 +117,6 @@ class CompileCache:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
 
-    def _count(self, name: str) -> None:
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter(name).inc()
-
     # ------------------------------------------------------------------
 
     def clear(self) -> None:
@@ -147,7 +137,7 @@ class CompileCache:
 
 
 # ----------------------------------------------------------------------
-# The process-wide default cache (like the obs tracer/metrics defaults)
+# The process-wide default cache
 # ----------------------------------------------------------------------
 
 _default_cache: CompileCache | None = CompileCache()

@@ -22,8 +22,7 @@ from typing import TYPE_CHECKING
 from repro.graph.gir import Graph
 from repro.graph.loadable import CompiledModel
 from repro.ncore.config import NcoreConfig
-from repro.obs.metrics import get_metrics
-from repro.obs.tracer import get_tracer
+from repro.obs import NULL_OBSERVATION, Observation
 from repro.compiler.cache import CompileCache, get_compile_cache
 from repro.compiler.fingerprint import compile_key
 from repro.compiler.pipeline import Pipeline, get_pipeline
@@ -74,6 +73,7 @@ def compile_graph(
     verify: bool = True,
     cache: CompileCache | None | _UseDefaultCache = USE_DEFAULT_CACHE,
     collect_ir: bool = False,
+    obs: Observation = NULL_OBSERVATION,
 ) -> CompileResult:
     """Compile ``graph`` through a named (or custom) staged pipeline.
 
@@ -81,7 +81,8 @@ def compile_graph(
     to force a full compile.  ``collect_ir`` bypasses the cache (its
     point is to watch the stages run) and fills per-stage snapshots.
     The caller's graph is never rewritten: a mutating pipeline optimizes
-    a copy.
+    a copy.  ``obs`` receives the stage spans and the ``compiler.*``
+    counters (the context carries it to every stage).
     """
     pipeline_obj = get_pipeline(pipeline)
     config = config if config is not None else NcoreConfig()
@@ -95,10 +96,17 @@ def compile_graph(
     resolved_cache = (
         get_compile_cache() if isinstance(cache, _UseDefaultCache) else cache
     )
-    tracer = get_tracer()
-    metrics = get_metrics()
+    tracer, metrics = obs
     if resolved_cache is not None and not collect_ir:
+        disk_hits = resolved_cache.stats.disk_hits
         cached = resolved_cache.lookup(key)
+        if metrics.enabled:
+            if cached is None:
+                metrics.counter("compiler.cache.misses").inc()
+            else:
+                metrics.counter("compiler.cache.hits").inc()
+                if resolved_cache.stats.disk_hits > disk_hits:
+                    metrics.counter("compiler.cache.disk_hits").inc()
         if cached is not None:
             if tracer.enabled:
                 tracer.instant(
@@ -117,6 +125,7 @@ def compile_graph(
         verify=verify,
         pipeline_id=pipeline_obj.id,
         collect_ir=collect_ir,
+        obs=obs,
     )
     with tracer.span(
         "compiler.compile", track="compiler",
@@ -152,12 +161,12 @@ def compile_graph(
 
 
 def optimize_graph(graph: Graph, *, in_place: bool = False) -> Graph:
-    """Run just the GCL optimize stage (a span, no lowering).
+    """Run just the GCL optimize stage (no lowering).
 
     The front-end half of the driver for callers that optimize a float
     graph before quantization (``perf.system``, the lint CLI) — the same
-    registered stage the full pipelines run, so instrumentation and
-    fixed-point warnings behave identically.  Returns the optimized
+    registered stage the full pipelines run, unobserved: it is setup,
+    not a compile.  Returns the optimized
     graph: the caller's object with ``in_place=True``, a copy otherwise.
     """
     from repro.compiler.stages import get_stage
@@ -166,10 +175,7 @@ def optimize_graph(graph: Graph, *, in_place: bool = False) -> Graph:
     ctx = CompilerContext(
         graph=working, config=NcoreConfig(), name=graph.name, pipeline_id="optimize-only",
     )
-    with get_tracer().span(
-        "compiler.optimize", track="compiler", model=graph.name
-    ) as span:
-        span.set(**get_stage("optimize").run(ctx))
+    get_stage("optimize").run(ctx)
     return working
 
 

@@ -24,8 +24,6 @@ import time
 
 from repro.graph.passes import PassManager, default_pipeline
 from repro.graph.passes import fold_batch_norm, fuse_activations, fuse_bias_add, fuse_pad
-from repro.obs.metrics import get_metrics
-from repro.obs.tracer import get_tracer
 from repro.compiler.irdump import dump_context
 from repro.compiler.stages import (
     CompilerContext,
@@ -63,8 +61,7 @@ class Pipeline:
 
     def run(self, ctx: CompilerContext) -> CompilerContext:
         """Execute every stage in order with spans, stats and snapshots."""
-        tracer = get_tracer()
-        metrics = get_metrics()
+        tracer, metrics = ctx.obs
         ctx.pipeline_id = self.id
         if ctx.collect_ir and INPUT_SNAPSHOT not in ctx.snapshots:
             ctx.snapshots[INPUT_SNAPSHOT] = dump_context(ctx)

@@ -22,6 +22,7 @@ from repro.graph.passes import PassManager, default_pipeline
 from repro.graph.planner import MemoryPlan, plan_memory
 from repro.ncore.config import NcoreConfig
 from repro.nkl.lower import lower_segment
+from repro.obs import NULL_OBSERVATION, Observation
 
 if TYPE_CHECKING:
     from repro.ncore.codegen import MacroKernelSet
@@ -51,7 +52,8 @@ class CompilerContext:
     Stages read and extend this context in order: ``optimize`` rewrites
     ``graph`` in place (the driver hands it a private copy), ``partition``
     fills ``segments``, ``plan`` fills ``memory_plans``, ``lower`` fills
-    ``loadables`` and ``finalize`` assembles ``model``.
+    ``loadables`` and ``finalize`` assembles ``model``.  ``obs`` is
+    where every stage reports its spans and counters.
     """
 
     graph: Graph
@@ -60,6 +62,7 @@ class CompilerContext:
     verify: bool = True
     pipeline_id: str = "custom"
     collect_ir: bool = False
+    obs: Observation = NULL_OBSERVATION
     segments: list[Segment] = field(default_factory=list)
     memory_plans: dict[int, MemoryPlan] = field(default_factory=dict)
     loadables: dict[int, NcoreLoadable] = field(default_factory=dict)
@@ -110,6 +113,18 @@ def _run_optimize(
             name: count for name, count in run_stats.pass_changes.items() if count
         }
         changes["dead_tensors_pruned"] = run_stats.dead_tensors_pruned
+        if not run_stats.reached_fixed_point:
+            # Surface a non-converged pass pipeline: the graph may be
+            # under-optimized.
+            tracer, metrics = ctx.obs
+            if tracer.enabled:
+                tracer.instant(
+                    "passes.max_sweeps_exhausted", track="compiler",
+                    graph=ctx.graph.name, max_sweeps=manager.max_sweeps,
+                    still_changing=changes["pass_changes"],
+                )
+            if metrics.enabled:
+                metrics.counter("compiler.pass_sweeps_exhausted").inc()
     return changes
 
 
@@ -179,20 +194,29 @@ def _run_lower(ctx: CompilerContext) -> dict[str, Any]:
     """
     if not ctx.segments:
         raise CompilerError("lower stage needs partitioned segments; run 'partition' first")
+    from repro.analyze import analyze_loadable, enforce
+
+    metrics = ctx.obs.metrics
     kernels = 0
     compute_cycles = 0
     weight_image_bytes = 0
     for index, segment in enumerate(ctx.segments):
         if segment.target != "ncore":
             continue
+        name = f"{ctx.name}_seg{index}"
         loadable = lower_segment(
-            ctx.graph,
-            segment,
-            ctx.config,
-            name=f"{ctx.name}_seg{index}",
-            verify=ctx.verify,
+            ctx.graph, segment, ctx.config, name=name, verify=False,
             plan=ctx.memory_plans.get(index),
         )
+        if ctx.verify:
+            # The Loadable verifier gate, with its hazard findings counted.
+            report = analyze_loadable(ctx.graph, loadable, ctx.config)
+            if metrics.enabled:
+                metrics.counter("analyze.hazard.loadables").inc()
+                hazards = sum(d.rule.startswith("hazard.") for d in report.diagnostics)
+                if hazards:
+                    metrics.counter("analyze.hazard.findings").inc(hazards)
+            enforce(report, context=name)
         ctx.loadables[index] = loadable
         kernels += len(loadable.kernels)
         compute_cycles += loadable.compute_cycles
@@ -225,6 +249,10 @@ def _run_codegen(ctx: CompilerContext) -> dict[str, Any]:
         ctx.graph, ctx.segments, ctx.loadables, ctx.name, stats=stats
     )
     ctx.macro_kernels = kset
+    metrics = ctx.obs.metrics
+    if metrics.enabled:
+        for key, amount in stats.items():
+            metrics.counter(f"ncore.codegen.{key}").inc(amount)
     stats.setdefault("kernels", 0)
     stats.setdefault("uncovered_segments", 0)
     # Float-region coverage: how much of the graph's float family (bf16

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.engine.core import Engine, Event
-from repro.obs.metrics import get_metrics
 
 
 @dataclass
@@ -102,7 +101,7 @@ class BatchQueue:
                 generation = self._generation
                 self.engine.call_after(self.max_wait, self._deadline, generation)
         self._open.append(item)
-        metrics = get_metrics()
+        metrics = self.engine.obs.metrics
         if metrics.enabled:
             metrics.gauge(
                 "engine.batch_queue.depth", labels={"queue": self.name}
@@ -130,7 +129,7 @@ class BatchQueue:
         self._open = []
         self._generation += 1
         self.stats.record(batch)
-        metrics = get_metrics()
+        metrics = self.engine.obs.metrics
         if metrics.enabled:
             labels = {"queue": self.name}
             metrics.counter("engine.batch_queue.batches", labels=labels).inc()

@@ -28,6 +28,8 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator
 
+from repro.obs import NULL_OBSERVATION, Observation
+
 
 class EngineError(RuntimeError):
     """Engine-level failures (bad yields, double triggers, dead tasks)."""
@@ -132,10 +134,12 @@ class Engine:
     All model actors — per-socket Ncore loops, the batching queue, the
     modelled x86 worker pool, scenario load generators — share this clock,
     which is what lets N Ncore instances and a query stream interleave
-    deterministically.
+    deterministically.  ``obs`` is where the engine and the actors built
+    on it record spans and metrics.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, obs: Observation = NULL_OBSERVATION) -> None:
+        self.obs = obs
         self.now = 0.0
         self._heap: list[tuple[float, int, Callable, tuple]] = []
         self._sequence = 0
@@ -221,14 +225,12 @@ class Engine:
         args: dict | None = None,
         context=None,
     ) -> None:
-        """Record a simulated-time span (seconds) on the installed tracer.
+        """Record a simulated-time span (seconds) on the engine's tracer.
 
         ``context`` is an optional :class:`repro.obs.context.TraceContext`
         tying the span into one query's causal tree.
         """
-        from repro.obs.tracer import get_tracer
-
-        tracer = get_tracer()
+        tracer = self.obs.tracer
         if tracer.enabled:
             tracer.add_span(
                 name, track,

@@ -52,9 +52,9 @@ class PassManager:
     Each pass returns True when it changed the graph; the manager repeats
     the pipeline until a full sweep makes no changes (bounded, since every
     pass strictly shrinks or annotates the graph).  Every run records a
-    :class:`PassRunStats` on ``last_stats``; exhausting ``max_sweeps``
-    without reaching a fixed point is reported through ``repro.obs`` (an
-    instant marker plus a counter) instead of stopping silently.
+    :class:`PassRunStats` on ``last_stats``; the compiler's optimize stage
+    reports a run that exhausted ``max_sweeps`` without reaching a fixed
+    point (an instant marker plus a counter) instead of stopping silently.
     """
 
     def __init__(self, passes: list[GraphPass], max_sweeps: int = 10) -> None:
@@ -90,27 +90,7 @@ class PassManager:
         stats.nodes_after = len(graph.nodes)
         stats.dead_tensors_pruned = graph.prune_dead_tensors()
         self.last_stats = stats
-        if not fixed_point:
-            self._warn_sweeps_exhausted(graph, stats)
         return sweeps
-
-    def _warn_sweeps_exhausted(self, graph: Graph, stats: PassRunStats) -> None:
-        """Surface a non-converged pipeline through ``repro.obs``."""
-        from repro.obs.metrics import get_metrics
-        from repro.obs.tracer import get_tracer
-
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.instant(
-                "passes.max_sweeps_exhausted", track="compiler",
-                graph=graph.name, max_sweeps=self.max_sweeps,
-                still_changing={
-                    name: count for name, count in stats.pass_changes.items() if count
-                },
-            )
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("compiler.pass_sweeps_exhausted").inc()
 
 
 def default_pipeline() -> PassManager:

@@ -70,7 +70,7 @@ from repro.graph.loadable import NcoreLoadable
 from repro.graph.partitioner import Segment
 from repro.graph.reference import lstm_cell, lstm_step_combine, lstm_step_project
 from repro.ncore.out import RequantSpec
-from repro.obs.metrics import get_metrics
+from repro.obs import NULL_OBSERVATION, Observation, note_stat
 
 # repro.runtime's package init imports the executor, which imports this
 # module: the kernel library is reached through the bound nodes at run
@@ -101,16 +101,6 @@ def exact_dtype(bound: int) -> type[np.floating[Any]] | type[np.signedinteger[An
     if bound < 2**24:
         return np.float32
     return np.float64 if bound < 2**53 else np.int64
-
-
-def note_stat(stats: dict[str, int], key: str, amount: int = 1) -> None:
-    """Bump a codegen statistic and mirror it to ``repro.obs`` metrics."""
-    if amount <= 0:
-        return
-    stats[key] = stats.get(key, 0) + amount
-    metrics = get_metrics()
-    if metrics.enabled:
-        metrics.counter(f"ncore.codegen.{key}").inc(amount)
 
 
 class UnsupportedSegment(Exception):
@@ -547,11 +537,11 @@ def codegen_model(
             )
         except UnsupportedSegment as unsupported:
             kset.uncovered[index] = unsupported.reason
-            note_stat(stats, "uncovered_segments")
+            stats["uncovered_segments"] = stats.get("uncovered_segments", 0) + 1
             continue
         kset.kernels[index] = kernel
-        note_stat(stats, "kernels")
-        note_stat(stats, "steps", len(kernel.steps))
+        stats["kernels"] = stats.get("kernels", 0) + 1
+        stats["steps"] = stats.get("steps", 0) + len(kernel.steps)
     return kset
 
 
@@ -581,12 +571,14 @@ class KernelDispatcher:
     ``oracle`` (one of :data:`ORACLE_MODES`) is the interpreter
     differential: ``"first"`` verifies each (kernel, input shapes) once,
     on its first dispatch; ``"always"`` every dispatch; ``"off"`` never.
+    ``obs`` mirrors :attr:`stats` as ``ncore.codegen.*`` counters.
     """
 
-    def __init__(self, oracle: str = "first") -> None:
+    def __init__(self, oracle: str = "first", obs: Observation = NULL_OBSERVATION) -> None:
         if oracle not in ORACLE_MODES:
             raise ValueError(f"oracle must be one of {ORACLE_MODES}, got {oracle!r}")
         self.oracle = oracle
+        self.obs = obs
         self.stats: dict[str, int] = {}
         #: (kernel name, input shapes) already verified under ``"first"``.
         self._checked: set[tuple[str, tuple[tuple[int, ...], ...]]] = set()
@@ -603,11 +595,11 @@ class KernelDispatcher:
 
     def dispatch(self, kernel: MacroKernel, env: Env, oracle_fn: OracleFn) -> None:
         """Run ``kernel`` against ``env`` in place."""
-        note_stat(self.stats, "dispatches")
+        note_stat(self.obs, "ncore.codegen", self.stats, "dispatches")
         kernel.run(env)
         if not self._due(kernel, env):
             return
-        note_stat(self.stats, "oracle_checks")
+        note_stat(self.obs, "ncore.codegen", self.stats, "oracle_checks")
         outputs = {name: env[name] for name in kernel.outputs}
         if not _outputs_equal(outputs, oracle_fn(env)):
             raise CodegenDivergence(
@@ -632,5 +624,4 @@ __all__ = [
     "codegen_model",
     "compile_segment",
     "exact_dtype",
-    "note_stat",
 ]

@@ -18,8 +18,7 @@ import numpy as np
 
 from repro.isa.instruction import DMAOp
 from repro.ncore.sram import RowMemory
-from repro.obs.metrics import get_metrics
-from repro.obs.tracer import get_tracer
+from repro.obs import NULL_OBSERVATION, Observation
 
 # Re-exported name used throughout: a descriptor is just the ISA's DMAOp.
 DmaDescriptor = DMAOp
@@ -89,7 +88,8 @@ class DmaEngine:
 
     The kernel driver is the sole gatekeeper of the base-address registers
     (section V-D): user code supplies window-relative addresses and the
-    engine translates them through driver-configured mappings.
+    engine translates them through driver-configured mappings.  ``obs``
+    receives one cycle span and the ``dma.*`` byte counters per transfer.
     """
 
     def __init__(
@@ -97,9 +97,11 @@ class DmaEngine:
         name: str,
         memory: LinearMemory,
         window_bytes: int = 4 << 30,
+        obs: Observation = NULL_OBSERVATION,
     ) -> None:
         self.name = name
         self.memory = memory
+        self.obs = obs
         self.window_bytes = window_bytes
         self._window_base: int | None = None
         self.busy_until = 0
@@ -179,7 +181,7 @@ class DmaEngine:
         self.busy_until = end_cycle
         self.bytes_moved += length
         self.transfers += 1
-        tracer = get_tracer()
+        tracer, metrics = self.obs
         if tracer.enabled:
             direction = "wr" if descriptor.write_to_dram else "rd"
             tracer.add_cycle_span(
@@ -192,7 +194,6 @@ class DmaEngine:
                     "dram_addr": dram_addr,
                 },
             )
-        metrics = get_metrics()
         if metrics.enabled:
             metrics.counter("dma.bytes_moved", unit="B").inc(length)
             metrics.counter(f"dma.{self.name}.bytes", unit="B").inc(length)

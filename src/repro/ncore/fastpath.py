@@ -46,7 +46,7 @@ from repro.isa.operands import NUM_ADDR_REGS, Operand, OperandKind
 from repro.ncore.config import CHA_NCORE
 from repro.ncore.ndu import BROADCAST_GROUP
 from repro.ncore.npu import COMBINE, FLOAT_OPCODES, SLICE_LANES, fold_class
-from repro.obs.metrics import get_metrics
+from repro.obs import Observation, note_stat
 
 if TYPE_CHECKING:
     from repro.ncore.config import NcoreConfig
@@ -71,16 +71,6 @@ _BLOCK_TARGET_BYTES = 1024 * CHA_NCORE.row_bytes
 #: (sweep in docs/simulator-performance.md).  Read where a trip count is
 #: known: ``compile_program`` and ``Ncore._execute_instruction``.
 MIN_FUSED_TRIPS = 4
-
-
-def note_stat(stats: dict[str, int], key: str, amount: int = 1) -> None:
-    """Bump a fastpath statistic and mirror it to ``repro.obs`` metrics."""
-    if amount <= 0:
-        return
-    stats[key] = stats.get(key, 0) + amount
-    metrics = get_metrics()
-    if metrics.enabled:
-        metrics.counter(f"ncore.fastpath.{key}").inc(amount)
 
 
 class UnsupportedTrace(Exception):
@@ -815,10 +805,13 @@ def compile_repeat(instruction: Instruction, config: "NcoreConfig") -> FusedTrac
 def compile_program(
     program: Sequence[Instruction],
     config: "NcoreConfig",
-    stats: dict[str, int] | None = None,
+    stats: dict[str, int],
+    obs: Observation,
 ) -> dict[int, FusedTrace]:
     """Compile every repeat worth fusing (``repeat >= MIN_FUSED_TRIPS``
-    and no fusion blocker); keyed by the repeated instruction's pc."""
+    and no fusion blocker); keyed by the repeated instruction's pc.
+    Counts ``compiled`` / ``rejected`` into ``stats`` (mirrored to
+    ``obs``)."""
     table: dict[int, FusedTrace] = {}
     rejected = 0
     for pc, instruction in enumerate(program):
@@ -828,9 +821,8 @@ def compile_program(
             table[pc] = compile_repeat(instruction, config)
         except UnsupportedTrace:
             rejected += 1
-    if stats is not None:
-        note_stat(stats, "compiled", len(table))
-        note_stat(stats, "rejected", rejected)
+    note_stat(obs, "ncore.fastpath", stats, "compiled", len(table))
+    note_stat(obs, "ncore.fastpath", stats, "rejected", rejected)
     return table
 
 
@@ -840,5 +832,4 @@ __all__ = [
     "UnsupportedTrace",
     "compile_program",
     "compile_repeat",
-    "note_stat",
 ]

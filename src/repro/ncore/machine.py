@@ -54,8 +54,7 @@ from repro.ncore import fastpath as fastpath_mod
 from repro.ncore import ndu as ndu_unit
 from repro.ncore import npu as npu_unit
 from repro.ncore import out as out_unit
-from repro.obs.metrics import get_metrics
-from repro.obs.tracer import get_tracer
+from repro.obs import NULL_OBSERVATION, Observation, note_stat
 from repro.ncore.config import NcoreConfig
 from repro.ncore.debug import EventLog, PerfCounter
 from repro.ncore.dma import DmaDescriptor, DmaEngine, LinearMemory
@@ -89,15 +88,23 @@ class _LoopFrame:
 
 
 class Ncore:
-    """One Ncore coprocessor instance."""
+    """One Ncore coprocessor instance.
+
+    ``obs`` receives its run spans and ``ncore.*`` counters; a live
+    observation also exposes the hardware performance counters as
+    ``ncore.hw.*`` views (section IV-F semantics: offsets and wraparound
+    breakpoints stay in effect).
+    """
 
     def __init__(
         self,
         config: NcoreConfig | None = None,
         memory: LinearMemory | None = None,
         fastpath: bool = True,
+        obs: Observation = NULL_OBSERVATION,
     ) -> None:
         self.config = config or NcoreConfig()
+        self.obs = obs
         # Shadow-SRAM sanitizer (repro.sanitize, armed by arm_sanitizer):
         # None keeps every hook site at one `is not None` check — the
         # zero-cost default.
@@ -125,13 +132,19 @@ class Ncore:
         self.weight_ram = RowMemory(cfg.sram_rows, cfg.row_bytes, "weight_ram")
         self.iram = InstructionRam(cfg.iram_instructions, cfg.irom_instructions)
         self.memory = memory if memory is not None else LinearMemory(8 << 30)
-        self.dma_read = DmaEngine("dma_read", self.memory, cfg.dma_window_bytes)
-        self.dma_write = DmaEngine("dma_write", self.memory, cfg.dma_window_bytes)
+        self.dma_read = DmaEngine("dma_read", self.memory, cfg.dma_window_bytes, obs)
+        self.dma_write = DmaEngine("dma_write", self.memory, cfg.dma_window_bytes, obs)
         self.dma_descriptors: list[DmaDescriptor | None] = [None] * NUM_DMA_DESCRIPTORS
         self.event_log = EventLog(cfg.event_log_entries)
         self.perf_counters = {
             name: PerfCounter(name) for name in ("cycles", "instructions", "macs", "dma_stall")
         }
+        if obs.metrics.enabled:
+            for name, counter in self.perf_counters.items():
+                obs.metrics.bind_hardware(
+                    f"ncore.hw.{name}", counter,
+                    description=f"Ncore hardware performance counter {name!r}",
+                )
         self.n_step: int | None = None
         self.reset()
 
@@ -259,7 +272,9 @@ class Ncore:
         inactive = self.iram.active_bank ^ 1
         self.iram.load_bank(inactive, program, running=self.running)
         self._fastpath_tables[inactive] = (
-            fastpath_mod.compile_program(program, self.config, self.fastpath_stats)
+            fastpath_mod.compile_program(
+                program, self.config, self.fastpath_stats, self.obs
+            )
             if self.fastpath
             else {}
         )
@@ -572,16 +587,16 @@ class Ncore:
         if self.fastpath and count >= fastpath_mod.MIN_FUSED_TRIPS:
             entry = self._fastpath_tables[self.iram.active_bank].get(self.pc)
             if entry is None:
-                fastpath_mod.note_stat(self.fastpath_stats, "misses")
+                note_stat(self.obs, "ncore.fastpath", self.fastpath_stats, "misses")
             elif entry.preflight(self, count) is None:
                 done = entry.run(self, count)
                 start += done
-                fastpath_mod.note_stat(self.fastpath_stats, "hits")
-                fastpath_mod.note_stat(self.fastpath_stats, "fused_trips", done)
+                note_stat(self.obs, "ncore.fastpath", self.fastpath_stats, "hits")
+                note_stat(self.obs, "ncore.fastpath", self.fastpath_stats, "fused_trips", done)
                 if done < count:  # saturation: interpret the rest
-                    fastpath_mod.note_stat(self.fastpath_stats, "fallbacks")
+                    note_stat(self.obs, "ncore.fastpath", self.fastpath_stats, "fallbacks")
             else:
-                fastpath_mod.note_stat(self.fastpath_stats, "fallbacks")
+                note_stat(self.obs, "ncore.fastpath", self.fastpath_stats, "fallbacks")
         for iteration in range(start, instruction.repeat):
             increments: list[tuple[int, int]] = []
             dlast_snapshot = self.dlast
@@ -604,20 +619,6 @@ class Ncore:
                 self._resume_repeat = (self.pc, iteration + 1)
                 return False
         return True
-
-    def bind_metrics(self, registry=None) -> None:
-        """Expose the hardware performance counters through a registry.
-
-        The registered views wrap the live :class:`PerfCounter` objects,
-        so offsets and wraparound breakpoints configured either way stay
-        in effect (section IV-F semantics).
-        """
-        registry = registry if registry is not None else get_metrics()
-        for name, counter in self.perf_counters.items():
-            registry.bind_hardware(
-                f"ncore.hw.{name}", counter,
-                description=f"Ncore hardware performance counter {name!r}",
-            )
 
     # The datapath never traps: on bf16 lanes a signalling NaN, Inf - Inf,
     # Inf * 0 or an overflow yields a quiet NaN / Inf that propagates
@@ -693,7 +694,7 @@ class Ncore:
         """Execute until halt, breakpoint or budget: one traced step."""
         start_cycles = self.total_cycles
         result = self.step(max_cycles)
-        tracer = get_tracer()
+        tracer, metrics = self.obs
         if tracer.enabled:
             tracer.add_cycle_span(
                 "ncore.run", "ncore", start_cycles, self.total_cycles,
@@ -705,7 +706,6 @@ class Ncore:
                     "dma_stall_cycles": result.dma_stall_cycles,
                 },
             )
-        metrics = get_metrics()
         if metrics.enabled:
             metrics.counter("ncore.cycles", unit="cycles").inc(result.cycles)
             metrics.counter("ncore.instructions").inc(result.instructions)

@@ -9,11 +9,12 @@ Usage::
 
     from repro import obs
 
-    with obs.observe() as (tracer, metrics):
-        ...  # run anything: sessions, machines, MLPerf scenarios
-    obs.write_chrome_trace("run.trace.json", tracer, metrics)
-    print(obs.render_tracer(tracer))          # Fig. 10-style text
-    print(obs.prometheus_text(metrics))       # OpenMetrics exposition
+    observation = obs.observe()               # one live (tracer, metrics) pair
+    ...  # hand it to what runs: compile_graph(obs=), ChaSoc(obs=),
+         # run_server(obs=); a Profiler reads its machine's
+    obs.write_chrome_trace("run.trace.json", *observation)
+    print(obs.render_tracer(observation.tracer))     # Fig. 10-style text
+    print(obs.prometheus_text(observation.metrics))  # OpenMetrics exposition
 
 Serving-grade additions:
 
@@ -26,15 +27,17 @@ Serving-grade additions:
 - the ``repro top`` dashboard (:mod:`repro.obs.top`) over the telemetry
   frames ``repro serve --telemetry`` writes.
 
-When nothing is installed, every instrumentation point short-circuits on
-the no-op defaults — preserving the paper's "no performance penalty"
+Nothing is process-wide: an :class:`Observation` is passed to the roots
+(the compiler driver, the SoC, the serving harness) and flows from there
+to every instrumented object.  The default, :data:`NULL_OBSERVATION`,
+makes each instrumentation point one attribute read and a failed
+``.enabled`` check — preserving the paper's "no performance penalty"
 claim (guarded by ``benchmarks/bench_obs_overhead.py``).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
+from typing import NamedTuple
 
 from repro.obs.attrib import (
     collapsed_stacks,
@@ -52,10 +55,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NullMetrics,
-    get_metrics,
-    install_metrics,
     labelled_name,
-    set_metrics,
 )
 from repro.obs.prometheus import prometheus_text, write_prometheus
 from repro.obs.render import render_bars, render_counters, render_tracer
@@ -65,27 +65,43 @@ from repro.obs.tracer import (
     NullTracer,
     SpanRecord,
     Tracer,
-    get_tracer,
-    install_tracer,
-    set_tracer,
 )
 
 
-@contextmanager
-def observe(
-    tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
-    clock_hz: float = 2.5e9,
-) -> Iterator[tuple[Tracer, MetricsRegistry]]:
-    """Install a tracer and a metrics registry for a ``with`` block."""
-    tracer = tracer if tracer is not None else Tracer(clock_hz=clock_hz)
-    metrics = metrics if metrics is not None else MetricsRegistry()
-    with install_tracer(tracer), install_metrics(metrics):
-        yield tracer, metrics
+class Observation(NamedTuple):
+    """Where one run's spans and metrics go: a tracer and a registry.
+
+    Immutable and passed explicitly; two runs with two observations in
+    one process never see each other's records.
+    """
+
+    tracer: Tracer | NullTracer
+    metrics: MetricsRegistry | NullMetrics
+
+
+#: The zero-cost default: both halves are the no-op singletons.
+NULL_OBSERVATION = Observation(NULL_TRACER, NULL_METRICS)
+
+
+def observe(clock_hz: float = 2.5e9) -> Observation:
+    """A live observation: a fresh tracer (cycle spans converted at
+    ``clock_hz``) and a fresh metrics registry."""
+    return Observation(Tracer(clock_hz=clock_hz), MetricsRegistry())
+
+
+def note_stat(obs: Observation, prefix: str, stats: dict[str, int], key: str,
+              amount: int = 1) -> None:
+    """Bump ``stats[key]`` and mirror it to the ``{prefix}.{key}`` counter."""
+    if amount <= 0:
+        return
+    stats[key] = stats.get(key, 0) + amount
+    if obs.metrics.enabled:
+        obs.metrics.counter(f"{prefix}.{key}").inc(amount)
 
 
 __all__ = [
     "NULL_METRICS",
+    "NULL_OBSERVATION",
     "NULL_TRACER",
     "Counter",
     "Gauge",
@@ -95,26 +111,22 @@ __all__ = [
     "MetricsRegistry",
     "NullMetrics",
     "NullTracer",
+    "Observation",
     "SpanRecord",
     "TraceContext",
     "Tracer",
     "chrome_trace",
     "collapsed_stacks",
-    "get_metrics",
-    "get_tracer",
-    "install_metrics",
-    "install_tracer",
     "labelled_name",
     "mint_trace",
     "model_run_records",
+    "note_stat",
     "observe",
     "prometheus_text",
     "render_bars",
     "render_counters",
     "render_tracer",
     "segment_features",
-    "set_metrics",
-    "set_tracer",
     "write_chrome_trace",
     "write_harvest",
     "write_prometheus",

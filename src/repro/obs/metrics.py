@@ -19,8 +19,9 @@ Serving-grade extensions (the fleet-telemetry substrate):
   latency array (the serving harness relies on this to keep one source
   of truth).
 
-Like the tracer, the registry has a zero-cost default: call sites check
-``get_metrics().enabled`` before doing any bookkeeping.
+Like the tracer, the registry has a zero-cost default,
+:data:`NULL_METRICS`: call sites check their observation's
+``metrics.enabled`` before doing any bookkeeping.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right, insort
-from contextlib import contextmanager
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 
 def _percentile_linear(ordered: list[float], p: float) -> float:
@@ -319,25 +319,3 @@ class MetricsRegistry:
         """All metrics as plain dicts (the flat JSON dump)."""
         return {name: self._metrics[name].snapshot() for name in self.names()}
 
-
-_installed: NullMetrics | MetricsRegistry = NULL_METRICS
-
-
-def get_metrics() -> NullMetrics | MetricsRegistry:
-    """The installed registry, or the zero-cost :data:`NULL_METRICS`."""
-    return _installed
-
-
-def set_metrics(registry: MetricsRegistry | NullMetrics | None) -> None:
-    global _installed
-    _installed = registry if registry is not None else NULL_METRICS
-
-
-@contextmanager
-def install_metrics(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    previous = _installed
-    set_metrics(registry)
-    try:
-        yield registry
-    finally:
-        set_metrics(previous)

@@ -19,10 +19,10 @@ The exporter keeps the two domains in separate trace processes so the
 timelines never falsely interleave.
 
 Instrumentation must honor the paper's "no performance penalty" claim
-(section IV-F): when no tracer is installed, :func:`get_tracer` returns
-the module-level :data:`NULL_TRACER`, whose ``enabled`` flag lets hot
-call sites skip all bookkeeping.  ``benchmarks/bench_obs_overhead.py``
-guards this.
+(section IV-F): an object built without a live
+:class:`~repro.obs.Observation` holds :data:`NULL_TRACER`, whose
+``enabled`` flag lets hot call sites skip all bookkeeping.
+``benchmarks/bench_obs_overhead.py`` guards this.
 """
 
 from __future__ import annotations
@@ -238,31 +238,3 @@ class Tracer:
                 seen.setdefault(span.trace_id, None)
         return list(seen)
 
-
-# ----------------------------------------------------------------------
-# The installed tracer (module-level, like a logging root)
-# ----------------------------------------------------------------------
-
-_installed: NullTracer | Tracer = NULL_TRACER
-
-
-def get_tracer() -> NullTracer | Tracer:
-    """The installed tracer, or the zero-cost :data:`NULL_TRACER`."""
-    return _installed
-
-
-def set_tracer(tracer: Tracer | NullTracer | None) -> None:
-    """Install (or, with None, uninstall) the process-wide tracer."""
-    global _installed
-    _installed = tracer if tracer is not None else NULL_TRACER
-
-
-@contextmanager
-def install_tracer(tracer: Tracer) -> Iterator[Tracer]:
-    """Install a tracer for the duration of a ``with`` block."""
-    previous = _installed
-    set_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_tracer(previous)

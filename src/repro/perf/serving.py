@@ -33,8 +33,7 @@ import numpy as np
 
 from repro.engine import BatchQueue, Engine, Resource, WorkerPool
 from repro.obs.context import TraceContext, mint_trace
-from repro.obs.metrics import Histogram, get_metrics
-from repro.obs.tracer import get_tracer
+from repro.obs import NULL_OBSERVATION, Histogram, Observation
 from repro.perf.scaling import SERIAL_X86_SHARE
 from repro.soc.multisocket import CROSS_SOCKET_EFFICIENCY
 
@@ -65,9 +64,12 @@ class ServingTimingModel:
     offline_batching: bool                    # paper submission: SSD unbatched
 
     @classmethod
-    def from_system(cls, system) -> "ServingTimingModel":
-        """Derive stage times from a :class:`~repro.perf.system.BenchmarkSystem`."""
-        portion = system.x86_portion()
+    def from_system(
+        cls, system, obs: Observation = NULL_OBSERVATION
+    ) -> "ServingTimingModel":
+        """Derive stage times from a :class:`~repro.perf.system.BenchmarkSystem`
+        (``obs`` counts the x86 attribution of the derivation)."""
+        portion = system.x86_portion(obs)
         x86_total = portion.total_seconds
         nonbatchable = x86_total * (1.0 - portion.batchable_fraction)
         batchable = x86_total - nonbatchable
@@ -167,7 +169,8 @@ class ServerScenario:
     ``sockets`` engine-managed Ncore executors pull from one shared
     batching queue (the multisocket sharding path); ``cores`` x86 cores
     per socket split into one driver core (the serial share) and a
-    worker pool for the batchable pre/post work.
+    worker pool for the batchable pre/post work.  ``obs`` is the run's
+    observation: the engine, its queue and the scenario record into it.
     """
 
     def __init__(
@@ -183,6 +186,7 @@ class ServerScenario:
         socket_efficiency: float = 1.0,
         slo_latency_seconds: float | None = None,
         telemetry_interval: float | None = None,
+        obs: Observation = NULL_OBSERVATION,
     ) -> None:
         if queries < 1:
             raise ValueError("at least one query required")
@@ -207,7 +211,8 @@ class ServerScenario:
         self.ncore_scale = (
             1.0 / socket_efficiency ** (sockets - 1) if sockets > 1 else 1.0
         )
-        self.engine = Engine()
+        self.obs = obs
+        self.engine = Engine(obs)
         self.queue = BatchQueue(
             self.engine, max_batch=max_batch, max_wait=max_wait,
             name=f"{timing.model_key}.server-queue",
@@ -242,7 +247,7 @@ class ServerScenario:
     # ------------------------------------------------------------------
 
     def run(self) -> ServerResult:
-        metrics = get_metrics()
+        metrics = self.obs.metrics
         if metrics.enabled:
             metrics.register(self._latency_hist)
         rng = np.random.default_rng(self.seed)
@@ -253,7 +258,7 @@ class ServerScenario:
         self._batch_jitter = rng.lognormal(
             mean=0.0, sigma=JITTER_SIGMA, size=self.queries
         )
-        tracing = get_tracer().enabled
+        tracing = self.obs.tracer.enabled
         for index in range(self.queries):
             record = _Query(index=index, arrival=float(arrivals[index]))
             if tracing:
@@ -345,8 +350,7 @@ class ServerScenario:
         return None
 
     def _trace_query(self, record: _Query) -> None:
-        tracer = get_tracer()
-        if not tracer.enabled:
+        if not self.obs.tracer.enabled:
             return
         context = record.trace
         if context is not None and record.completed_at is not None:
@@ -486,7 +490,7 @@ class ServerScenario:
             slo=self._slo(),
             frames=self.frames,
         )
-        metrics = get_metrics()
+        metrics = self.obs.metrics
         if metrics.enabled:
             metrics.counter("server.queries").inc(self.queries)
             metrics.gauge("server.sustained_qps", unit="QPS").set(result.sustained_qps)
@@ -517,6 +521,7 @@ def run_server(
     sockets: int = 1,
     slo_latency_seconds: float | None = None,
     telemetry_interval: float | None = None,
+    obs: Observation = NULL_OBSERVATION,
 ) -> ServerResult:
     """MLPerf-style Server scenario on the discrete-event engine.
 
@@ -529,13 +534,13 @@ def run_server(
     ``slo_latency_seconds`` sets a latency target, reported as
     ``result.slo`` (MLPerf Server's "99% of queries under the bound"
     shape: a fixed 1% error budget); ``telemetry_interval`` samples
-    frames for ``repro top``.
+    frames for ``repro top``; ``obs`` receives the run's spans and
+    metrics.
     """
-    timing = ServingTimingModel.from_system(system)
+    timing = ServingTimingModel.from_system(system, obs)
     if qps is None:
         qps = default_server_qps(system, cores=cores, sockets=sockets)
-    tracer = get_tracer()
-    with tracer.span(
+    with obs.tracer.span(
         "mlperf.server", track="mlperf",
         model=timing.model_key, queries=queries, qps=qps,
         max_batch=max_batch, sockets=sockets,
@@ -545,7 +550,7 @@ def run_server(
             max_batch=max_batch, max_wait=max_wait,
             cores=cores, sockets=sockets, socket_efficiency=CROSS_SOCKET_EFFICIENCY,
             slo_latency_seconds=slo_latency_seconds,
-            telemetry_interval=telemetry_interval,
+            telemetry_interval=telemetry_interval, obs=obs,
         )
         result = scenario.run()
         span.set(

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.isa import Instruction, assemble
 from repro.ncore import Ncore
+from repro.obs import NULL_OBSERVATION, Observation
 
 #: Trip count of the Fig. 6 inner loop used for throughput measurement.
 FIG6_ITERATIONS = 512
@@ -48,10 +49,11 @@ def fig6_program(iterations: int = FIG6_ITERATIONS) -> list[Instruction]:
 
 
 def fig6_machine(
-    iterations: int = FIG6_ITERATIONS, fastpath: bool = True
+    iterations: int = FIG6_ITERATIONS, fastpath: bool = True,
+    obs: Observation = NULL_OBSERVATION,
 ) -> tuple[Ncore, list[Instruction]]:
     """A machine with deterministic RAM contents plus the Fig. 6 program."""
-    machine = Ncore(fastpath=fastpath)
+    machine = Ncore(fastpath=fastpath, obs=obs)
     row_bytes = machine.config.row_bytes
     machine.write_data_ram(0, bytes(np.full(row_bytes, 3, np.uint8)))
     machine.write_weight_ram(0, bytes(np.full(row_bytes, 2, np.uint8)))

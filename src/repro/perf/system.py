@@ -23,6 +23,7 @@ from repro.compiler import compile_graph, optimize_graph
 from repro.graph.loadable import CompiledModel
 from repro.models import PAPER_CHARACTERISTICS, ModelInfo
 from repro.ncore.config import NcoreConfig
+from repro.obs import NULL_OBSERVATION, Observation
 from repro.perf.scaling import observed_throughput
 from repro.perf.workloads import X86Portion, x86_portion_seconds
 from repro.runtime.delegate import x86_graph_seconds
@@ -102,8 +103,9 @@ class BenchmarkSystem:
             total += int(np.prod(shape))
         return total
 
-    def x86_portion(self) -> X86Portion:
-        graph_seconds, nonbatchable = x86_graph_seconds(self.compiled, self.core)
+    def x86_portion(self, obs: Observation = NULL_OBSERVATION) -> X86Portion:
+        """The modelled x86 work of one query (``obs`` counts its attribution)."""
+        graph_seconds, nonbatchable = x86_graph_seconds(self.compiled, self.core, obs)
         return x86_portion_seconds(
             self.compiled,
             self.info.input_type,

@@ -19,7 +19,7 @@ import numpy as np
 from repro.graph.gir import Graph, Node
 from repro.graph.loadable import CompiledModel
 from repro.graph.partitioner import Segment
-from repro.obs.metrics import get_metrics
+from repro.obs import NULL_OBSERVATION, Observation
 from repro.soc.x86 import X86Core
 
 # Fixed software cost of one delegate transition (framework callback,
@@ -84,14 +84,16 @@ def x86_segment_costs(
         yield node, core.task_seconds(**_x86_node_cost(graph, node))
 
 
-def x86_graph_seconds(model: CompiledModel, core: X86Core) -> tuple[float, float]:
+def x86_graph_seconds(
+    model: CompiledModel, core: X86Core, obs: Observation = NULL_OBSERVATION
+) -> tuple[float, float]:
     """x86 time of the non-delegated segments: (total, non-batchable NMS share).
 
     The total is every :func:`x86_segment_costs` term of the x86
-    segments; under an installed metrics registry the Table IX
-    attribution (where the fallback time goes) is counted too.
+    segments; under a live ``obs`` the Table IX attribution (where the
+    fallback time goes) is counted too.
     """
-    metrics = get_metrics()
+    metrics = obs.metrics
     total = 0.0
     nonbatchable = 0.0
     for index in model.x86_segments:

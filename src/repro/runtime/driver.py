@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.obs.tracer import get_tracer
 from repro.soc.cha import ChaSoc
 
 
@@ -55,7 +54,7 @@ class NcoreKernelDriver:
     def probe(self) -> None:
         """Standard PCI probe: find the coprocessor, power it up, reserve
         the DMA window, and configure the protected settings."""
-        with get_tracer().span("driver.probe", track="driver") as span:
+        with self.soc.obs.tracer.span("driver.probe", track="driver") as span:
             self._probe(span)
 
     def _probe(self, span) -> None:
@@ -99,7 +98,7 @@ class NcoreKernelDriver:
 
     def open(self, owner: str) -> MemoryMapping:
         """ioctl open: grant the single user-mode mapping."""
-        with get_tracer().span("driver.open", track="driver", owner=owner):
+        with self.soc.obs.tracer.span("driver.open", track="driver", owner=owner):
             if not self._probed:
                 raise DriverError("driver not probed; no device bound")
             if self._owner is not None:
@@ -111,7 +110,7 @@ class NcoreKernelDriver:
             return MemoryMapping(owner=owner, soc=self.soc)
 
     def close(self, mapping: MemoryMapping) -> None:
-        with get_tracer().span("driver.close", track="driver", owner=mapping.owner):
+        with self.soc.obs.tracer.span("driver.close", track="driver", owner=mapping.owner):
             if mapping.owner != self._owner:
                 raise DriverError("close from a non-owner mapping")
             self._owner = None

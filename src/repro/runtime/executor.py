@@ -30,8 +30,6 @@ from repro.ncore.codegen import (
     MacroKernel,
     MacroKernelSet,
 )
-from repro.obs.metrics import get_metrics
-from repro.obs.tracer import get_tracer
 from repro.runtime.delegate import (
     RunResult,
     RunTiming,
@@ -110,6 +108,7 @@ class NcoreExecutor:
     graph and every lowered Loadable are re-checked with the
     ``repro.analyze`` stack and an error-severity finding raises
     :class:`~repro.analyze.AnalysisError` before the device is opened.
+    The executor records into its socket's observation (``soc.obs``).
     """
 
     def __init__(
@@ -122,13 +121,14 @@ class NcoreExecutor:
     ) -> None:
         self.model = model
         self.soc = soc or ChaSoc()
+        self.obs = self.soc.obs
         if isinstance(policy, str):
             policy = TierPolicy.for_tier(policy)
         self.policy = policy if policy is not None else TierPolicy()
         if verify:
             from repro.analyze import analyze_model, enforce
 
-            with get_tracer().span("executor.verify", track="delegate", model=model.name):
+            with self.obs.tracer.span("executor.verify", track="delegate", model=model.name):
                 enforce(
                     analyze_model(model, config=self.soc.ncore.config),
                     context=model.name,
@@ -156,7 +156,7 @@ class NcoreExecutor:
         self._walk_tier = (
             TIER_INTERPRETER if self.macro_kernels is None else TIER_CODEGEN
         )
-        self.dispatcher = KernelDispatcher(oracle=self.policy.oracle)
+        self.dispatcher = KernelDispatcher(oracle=self.policy.oracle, obs=self.obs)
         #: Graph mode that served the most recent query (attribution label).
         self.last_tier: str | None = None
 
@@ -187,7 +187,7 @@ class NcoreExecutor:
 
     def _replay_lookup(self, key: str) -> dict[str, np.ndarray] | None:
         cached = self._replay_cache.get(key)
-        metrics = get_metrics()
+        metrics = self.obs.metrics
         if cached is None:
             self.replay_stats["misses"] += 1
             if metrics.enabled:
@@ -276,7 +276,7 @@ class NcoreExecutor:
 
     def x86_graph_seconds(self) -> float:
         """x86 portion attributable to non-delegated graph segments."""
-        return x86_graph_seconds(self.model, self.soc.cores[0])[0]
+        return x86_graph_seconds(self.model, self.soc.cores[0], self.obs)[0]
 
     # ------------------------------------------------------------------
     # Execution
@@ -285,11 +285,11 @@ class NcoreExecutor:
     def execute(self, feeds: dict[str, np.ndarray]) -> RunResult:
         """Run one query: functional outputs plus the timing split.
 
-        Under an installed tracer / metrics registry this is also the
-        ``delegate.run`` span, the ``delegate.schedule`` timeline and the
-        ``delegate.inferences`` / ``delegate.latency_seconds`` metrics.
+        Under a live observation this is also the ``delegate.run`` span,
+        the ``delegate.schedule`` timeline and the ``delegate.inferences``
+        / ``delegate.latency_seconds`` metrics.
         """
-        tracer = get_tracer()
+        tracer, metrics = self.obs
         with tracer.span("delegate.run", track="delegate", model=self.model.name) as span:
             outputs = self._run_quantized(feeds)
             timing = RunTiming(
@@ -303,7 +303,6 @@ class NcoreExecutor:
             )
         if tracer.enabled:
             self.trace_schedule(tracer)
-        metrics = get_metrics()
         if metrics.enabled:
             metrics.counter("delegate.inferences").inc()
             metrics.histogram(

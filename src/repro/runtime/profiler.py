@@ -7,17 +7,17 @@ named :class:`~repro.obs.SpanRecord` cycle spans on track ``ncore`` —
 logging "poses no performance penalty on Ncore" (section IV-F), so the
 trace is free.
 
-The spans go to the installed :mod:`repro.obs` tracer, so Profiler traces
-land in the same Perfetto export as the rest of the system and render with
-:func:`repro.obs.render_tracer`; with no tracer installed they are
-recorded on a private one clocked at the machine's ``config.clock_hz``.
+The spans go to the machine's observation tracer, so Profiler traces land
+in the same Perfetto export as the rest of the system and render with
+:func:`repro.obs.render_tracer`; on an unobserved machine they are
+recorded on a private tracer clocked at the machine's ``config.clock_hz``.
 """
 
 from __future__ import annotations
 
 from repro.isa import Instruction, SeqOp, SeqOpcode
 from repro.ncore import Ncore
-from repro.obs.tracer import SpanRecord, Tracer, get_tracer
+from repro.obs.tracer import SpanRecord, Tracer
 
 MAX_TAG = 15  # the EVENT seq-op arg is a 4-bit field
 
@@ -74,7 +74,7 @@ class Profiler:
                 f"overwritten before draining, the trace is truncated "
                 f"(capacity {self.machine.event_log.capacity})"
             )
-        tracer = get_tracer()
+        tracer = self.machine.obs.tracer
         if not tracer.enabled:
             tracer = Tracer(clock_hz=self.machine.config.clock_hz)
         events = [

@@ -12,7 +12,7 @@ from repro.soc.cha import ChaSoc
 from repro.soc.config import CHA_SOC, SocConfig
 from repro.soc.memory import DramController
 from repro.soc.multisocket import MultiSocketSystem
-from repro.soc.ring import RingBus, RingStop, ring_order
+from repro.soc.ring import RingBus
 from repro.soc.x86 import (
     CNS,
     HASWELL,
@@ -31,9 +31,7 @@ __all__ = [
     "MultiSocketSystem",
     "MicroarchSpec",
     "RingBus",
-    "RingStop",
     "SKYLAKE_SERVER",
     "SocConfig",
     "X86Core",
-    "ring_order",
 ]

@@ -16,22 +16,27 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro.ncore.dma import LinearMemory
-from repro.obs.metrics import get_metrics
+from repro.obs import NULL_OBSERVATION, Observation
 
 LINE_BYTES = 64
 
 
 class L3Cache:
-    """Shared L3 tag model with a coherent read path for Ncore DMA."""
+    """Shared L3 tag model with a coherent read path for Ncore DMA.
+
+    ``obs`` receives the ``l3.*`` counters of each coherent read.
+    """
 
     def __init__(
         self,
         size_bytes: int = 16 * 1024 * 1024,
         ways: int = 16,
         memory: LinearMemory | None = None,
+        obs: Observation = NULL_OBSERVATION,
     ) -> None:
         if size_bytes % (ways * LINE_BYTES):
             raise ValueError("cache size must divide evenly into ways and lines")
+        self.obs = obs
         self.size_bytes = size_bytes
         self.ways = ways
         self.num_sets = size_bytes // (ways * LINE_BYTES)
@@ -104,7 +109,7 @@ class L3Cache:
             else:
                 self.misses += 1
                 self._install(set_index, tag)
-        metrics = get_metrics()
+        metrics = self.obs.metrics
         if metrics.enabled:
             metrics.counter("l3.coherent_reads").inc()
             metrics.counter("l3.hits").inc(self.hits - hits_before)

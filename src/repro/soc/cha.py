@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.ncore import Ncore, NcoreConfig, NcorePciDevice
+from repro.obs import NULL_OBSERVATION, Observation
 from repro.soc.cache import L3Cache
 from repro.soc.config import SocConfig
 from repro.soc.memory import DramController
@@ -41,13 +42,19 @@ class PciFunction:
 
 
 class ChaSoc:
-    """One CHA socket."""
+    """One CHA socket.
+
+    ``obs`` is the socket's observation: the Ncore (with its DMA engines)
+    and the L3 record into it, and so do the kernel driver and the
+    executor built on this socket.
+    """
 
     def __init__(
         self,
         ncore_config: NcoreConfig | None = None,
         clock_hz: float | None = None,
         soc_config: SocConfig | None = None,
+        obs: Observation = NULL_OBSERVATION,
     ) -> None:
         if soc_config is None:
             soc_config = SocConfig(clock_hz=clock_hz if clock_hz is not None else 2.5e9)
@@ -55,13 +62,15 @@ class ChaSoc:
             raise ValueError("pass the clock through soc_config, not both ways")
         self.soc_config = soc_config
         self.clock_hz = soc_config.clock_hz
+        self.obs = obs
         self.ring = RingBus.from_config(soc_config)
         self.dram = DramController.from_config(soc_config)
         self.l3 = L3Cache(
-            size_bytes=soc_config.l3_bytes, ways=soc_config.l3_ways, memory=self.dram
+            size_bytes=soc_config.l3_bytes, ways=soc_config.l3_ways, memory=self.dram,
+            obs=obs,
         )
         config = ncore_config or NcoreConfig(clock_hz=self.clock_hz)
-        self.ncore = Ncore(config=config, memory=self.dram)
+        self.ncore = Ncore(config=config, memory=self.dram, obs=obs)
         # Wire the coherent DMA-through-L3 path (section IV-A).
         self.ncore.dma_read.l3 = self.l3
         self.cores = [

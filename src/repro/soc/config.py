@@ -25,7 +25,6 @@ class SocConfig:
     """Architectural parameters of one CHA socket (minus Ncore)."""
 
     ring_width_bits: int = 512           # per direction (section III)
-    ring_hop_cycles: int = 1             # one-cycle stop-to-stop latency
     ddr_channels: int = 4                # four channels of DDR4-3200
     ddr_transfer_rate: float = 3200e6    # transfers/second per channel (DDR4-3200)
     dram_bytes: int = 32 << 30           # the test platform's 32 GB (Table IV)

@@ -5,6 +5,7 @@ import pytest
 
 from repro import obs
 from repro.compiler import (
+    CompilerContext,
     CompilerError,
     Pipeline,
     compile_graph,
@@ -12,8 +13,10 @@ from repro.compiler import (
     get_stage,
     ir_diff,
     optimize_graph,
+    optimize_stage,
 )
 from repro.graph.passes import PassManager, default_pipeline
+from repro.ncore.config import NcoreConfig
 from tests.quantize.test_convert import small_cnn
 
 
@@ -126,8 +129,8 @@ class TestMutationContract:
 
 class TestInstrumentation:
     def test_every_stage_gets_a_span(self):
-        with obs.observe() as (tracer, metrics):
-            compile_graph(small_cnn(), cache=None)
+        tracer, metrics = observation = obs.observe()
+        compile_graph(small_cnn(), cache=None, obs=observation)
         names = [s.name for s in tracer.spans_on("compiler")]
         for stage in ("optimize", "partition", "verify", "plan", "lower",
                       "codegen", "finalize"):
@@ -140,9 +143,13 @@ class TestInstrumentation:
 
         cache = CompileCache()
         compile_graph(small_cnn(), cache=cache)
-        with obs.observe() as (tracer, _):
-            compile_graph(small_cnn(), cache=cache)
-        assert any(i.name == "compiler.cache.hit" for i in tracer.instants)
+        observation = obs.observe()
+        compile_graph(small_cnn(), cache=cache, obs=observation)
+        assert any(
+            i.name == "compiler.cache.hit" for i in observation.tracer.instants
+        )
+        assert observation.metrics.get("compiler.cache.hits").value == 1
+        assert "compiler.cache.misses" not in observation.metrics
 
     def test_stage_stats_recorded_in_order(self):
         result = compile_graph(small_cnn(), pipeline="O0", cache=None)
@@ -180,8 +187,9 @@ class TestPassManagerStats:
     def test_max_sweeps_exhaustion_warns_through_obs(self):
         g = bn_graph()
         manager = PassManager(default_pipeline().passes, max_sweeps=1)
-        with obs.observe() as (tracer, metrics):
-            manager.run(g)
+        tracer, metrics = observation = obs.observe()
+        ctx = CompilerContext(graph=g, config=NcoreConfig(), name=g.name, obs=observation)
+        optimize_stage(lambda: manager).run(ctx)
         assert manager.last_stats.reached_fixed_point is False
         marks = [i for i in tracer.instants
                  if i.name == "passes.max_sweeps_exhausted"]

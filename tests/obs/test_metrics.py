@@ -40,10 +40,10 @@ class TestRegistry:
         assert snap["c"]["unit"] == "B"
 
     def test_default_registry_is_null(self):
-        assert obs.get_metrics() is NULL_METRICS
-        assert not obs.get_metrics().enabled
+        assert obs.NULL_OBSERVATION.metrics is NULL_METRICS
+        assert not NULL_METRICS.enabled
         # Null metrics absorb updates without tracking anything.
-        obs.get_metrics().counter("x").inc(5)
+        NULL_METRICS.counter("x").inc(5)
 
 
 class TestHistogram:
@@ -100,12 +100,11 @@ class TestHardwareCounter:
         assert snap["bits"] == 48
         assert snap["wrapped"] is False
 
-    def test_machine_bind_metrics(self):
+    def test_observed_machine_binds_its_counters(self):
         from repro.ncore import Ncore
 
-        registry = obs.MetricsRegistry()
-        machine = Ncore()
-        machine.bind_metrics(registry)
+        _, registry = observation = obs.observe()
+        machine = Ncore(obs=observation)
         assert "ncore.hw.macs" in registry
         # The view tracks the live machine counter.
         machine.perf_counters["macs"].add(4096)

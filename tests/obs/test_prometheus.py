@@ -51,10 +51,10 @@ class TestExposition:
         from repro.perf.serving import run_server
         from repro.perf.system import get_system
 
-        with obs.install_metrics(obs.MetricsRegistry()) as registry:
-            run_server(get_system("mobilenet_v1"), queries=16,
-                       slo_latency_seconds=1e-9)
-        text = prometheus_text(registry)
+        observation = obs.observe()
+        run_server(get_system("mobilenet_v1"), queries=16,
+                   slo_latency_seconds=1e-9, obs=observation)
+        text = prometheus_text(observation.metrics)
         labels = '{model="mobilenet_v1"}'
         assert "# TYPE server_slo_burn_rate gauge" in text
         assert f"server_slo_attainment{labels} 0\n" in text

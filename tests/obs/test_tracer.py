@@ -1,4 +1,4 @@
-"""Tests for the tracer: spans, domains, installation."""
+"""Tests for the tracer: spans, domains, the observation pair."""
 
 import pytest
 
@@ -8,45 +8,28 @@ from repro.obs.tracer import NULL_TRACER, SIM, WALL
 
 class TestNullDefault:
     def test_default_is_null(self):
-        assert obs.get_tracer() is NULL_TRACER
-        assert not obs.get_tracer().enabled
+        assert obs.NULL_OBSERVATION.tracer is NULL_TRACER
+        assert not obs.NULL_OBSERVATION.tracer.enabled
 
     def test_null_tracer_records_nothing(self):
-        tracer = obs.get_tracer()
+        tracer = obs.NULL_OBSERVATION.tracer
         with tracer.span("x", track="t") as handle:
             handle.set(a=1)
         tracer.add_cycle_span("y", "t", 0, 10)
         tracer.instant("z")
         # No attribute error, no state: still the shared null tracer.
-        assert obs.get_tracer() is NULL_TRACER
+        assert obs.NULL_OBSERVATION.tracer is NULL_TRACER
 
 
-class TestInstall:
-    def test_install_and_restore(self):
-        tracer = obs.Tracer()
-        with obs.install_tracer(tracer) as installed:
-            assert installed is tracer
-            assert obs.get_tracer() is tracer
-            assert obs.get_tracer().enabled
-        assert obs.get_tracer() is NULL_TRACER
-
-    def test_restore_on_exception(self):
-        with pytest.raises(RuntimeError), obs.install_tracer(obs.Tracer()):
-            raise RuntimeError("boom")
-        assert obs.get_tracer() is NULL_TRACER
-
-    def test_nested_install_restores_outer(self):
-        outer, inner = obs.Tracer(), obs.Tracer()
-        with obs.install_tracer(outer):
-            with obs.install_tracer(inner):
-                assert obs.get_tracer() is inner
-            assert obs.get_tracer() is outer
-
-    def test_observe_installs_both(self):
-        with obs.observe() as (tracer, metrics):
-            assert obs.get_tracer() is tracer
-            assert obs.get_metrics() is metrics
-        assert obs.get_tracer() is NULL_TRACER
+class TestObservation:
+    def test_observe_returns_a_live_pair(self):
+        tracer, metrics = observation = obs.observe(clock_hz=1e9)
+        assert observation.tracer is tracer and observation.metrics is metrics
+        assert tracer.enabled and metrics.enabled
+        assert tracer.clock_hz == 1e9
+        # Every call is a fresh pair: nothing is shared between callers.
+        other = obs.observe()
+        assert other.tracer is not tracer and other.metrics is not metrics
 
 
 class TestWallSpans:

@@ -86,10 +86,10 @@ class TestWindowedHistogram:
 
 class TestSloMonitor:
     def test_snapshot_kind(self, mobilenet):
-        with obs.install_metrics(obs.MetricsRegistry()) as registry:
-            result = run_server(mobilenet, queries=16, seed=0,
-                                slo_latency_seconds=1.0)
-            snap = registry.snapshot()
+        observation = obs.observe()
+        result = run_server(mobilenet, queries=16, seed=0,
+                            slo_latency_seconds=1.0, obs=observation)
+        snap = observation.metrics.snapshot()
         labels = '{model="mobilenet_v1"}'
         for figure in ("attainment", "burn_rate", "budget_remaining"):
             gauge = snap[f"server.slo_{figure}{labels}"]

@@ -170,18 +170,17 @@ class TestObservability:
     def test_registered_histogram_sees_every_completion(self, resnet):
         from repro import obs
 
-        with obs.install_metrics(obs.MetricsRegistry()) as registry:
-            result = run_server(resnet, queries=64, seed=1)
-            name = f'server.latency_seconds{{model="resnet50_v15"}}'
-            histogram = registry.get(name)
+        observation = obs.observe()
+        result = run_server(resnet, queries=64, seed=1, obs=observation)
+        name = f'server.latency_seconds{{model="resnet50_v15"}}'
+        histogram = observation.metrics.get(name)
         assert histogram.count == 64
         assert result.p99_latency_seconds == histogram.percentile(99)
 
     def test_summary_percentiles_match_numpy(self, resnet):
         from repro import obs
 
-        with obs.install_metrics(obs.MetricsRegistry()):
-            result = run_server(resnet, queries=128, seed=3)
+        result = run_server(resnet, queries=128, seed=3, obs=obs.observe())
         for p, got in ((50, result.p50_latency_seconds),
                        (90, result.p90_latency_seconds),
                        (99, result.p99_latency_seconds)):
@@ -191,22 +190,20 @@ class TestObservability:
         from repro import obs
 
         bare = run_server(resnet, queries=64, seed=5)
-        with obs.install_metrics(obs.MetricsRegistry()), \
-                obs.install_tracer(obs.Tracer()):
-            observed = run_server(resnet, queries=64, seed=5,
-                                  slo_latency_seconds=0.1,
-                                  telemetry_interval=0.01)
+        observed = run_server(resnet, queries=64, seed=5,
+                              slo_latency_seconds=0.1,
+                              telemetry_interval=0.01, obs=obs.observe())
         assert np.asarray(bare.latencies_seconds).tobytes() == \
             np.asarray(observed.latencies_seconds).tobytes()
 
     def test_slo_monitor_reports_through_the_result(self, resnet):
         from repro import obs
 
-        with obs.install_metrics(obs.MetricsRegistry()):
-            generous = run_server(resnet, queries=64, seed=0,
-                                  slo_latency_seconds=10.0)
-            hopeless = run_server(resnet, queries=64, seed=0,
-                                  slo_latency_seconds=1e-9)
+        observation = obs.observe()
+        generous = run_server(resnet, queries=64, seed=0,
+                              slo_latency_seconds=10.0, obs=observation)
+        hopeless = run_server(resnet, queries=64, seed=0,
+                              slo_latency_seconds=1e-9, obs=observation)
         assert generous.slo["attainment"] == 1.0
         assert generous.slo["budget_remaining"] > 0
         assert hopeless.slo["attainment"] == 0.0
@@ -242,9 +239,8 @@ class TestObservability:
     def test_telemetry_frames_sample_the_run(self, resnet):
         from repro import obs
 
-        with obs.install_metrics(obs.MetricsRegistry()):
-            result = run_server(resnet, queries=64, seed=2,
-                                telemetry_interval=0.005)
+        result = run_server(resnet, queries=64, seed=2,
+                            telemetry_interval=0.005, obs=obs.observe())
         assert len(result.frames) >= 2
         timestamps = [frame["ts"] for frame in result.frames]
         assert timestamps == sorted(timestamps)
@@ -296,17 +292,17 @@ class TestObservability:
         from repro import obs
 
         def frames():
-            with obs.install_metrics(obs.MetricsRegistry()):
-                return run_server(resnet, queries=64, seed=4,
-                                  telemetry_interval=0.01).frames
+            return run_server(resnet, queries=64, seed=4,
+                              telemetry_interval=0.01, obs=obs.observe()).frames
 
         assert frames() == frames()
 
     def test_queries_get_causally_linked_trace_trees(self, resnet):
         from repro import obs
 
-        with obs.install_tracer(obs.Tracer()) as tracer:
-            run_server(resnet, queries=16, seed=0)
+        observation = obs.observe()
+        run_server(resnet, queries=16, seed=0, obs=observation)
+        tracer = observation.tracer
         trace_ids = tracer.trace_ids()
         assert len(trace_ids) == 16
         assert trace_ids[0] == "resnet50_v15/q000000"

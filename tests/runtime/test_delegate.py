@@ -100,14 +100,18 @@ class TestX86SegmentCost:
         from repro.perf.system import get_system
         from repro.runtime import TierPolicy
         from repro.runtime.delegate import x86_graph_seconds
+        from repro.soc import ChaSoc
 
         system = get_system("ssd_mobilenet_v1")
         # O2 carries macro-kernels; without the first-dispatch oracle the
         # query runs at steady cost.
         model = compile_graph(system.compiled.graph, name="ssd", cache=None).model
-        executor = NcoreExecutor(model, verify=False, policy=TierPolicy(oracle="off"))
-        with obs.observe() as (tracer, _):
-            executor.execute(system.info.sample_input(model.graph, seed=0))
+        tracer, _ = observation = obs.observe()
+        executor = NcoreExecutor(
+            model, soc=ChaSoc(obs=observation), verify=False,
+            policy=TierPolicy(oracle="off"),
+        )
+        executor.execute(system.info.sample_input(model.graph, seed=0))
         executor.close()
         spans = [s for s in tracer.spans_on("delegate.schedule")
                  if s.name.startswith("x86.segment[")]

@@ -17,8 +17,8 @@ def cycles(span) -> int:
     return span.args["end_cycle"] - span.args["start_cycle"]
 
 
-def loaded_machine(config=None) -> Ncore:
-    machine = Ncore(config)
+def loaded_machine(config=None, observation=obs.NULL_OBSERVATION) -> Ncore:
+    machine = Ncore(config, obs=observation)
     machine.write_data_ram(0, bytes(np.full(4096, 1, np.uint8)))
     machine.write_weight_ram(0, bytes(np.full(4096, 1, np.uint8)))
     return machine
@@ -32,8 +32,8 @@ def profile_compute(machine):
 
 
 class TestProfiler:
-    def _spans(self):
-        profiler = Profiler(loaded_machine())
+    def _spans(self, observation=obs.NULL_OBSERVATION):
+        profiler = Profiler(loaded_machine(observation=observation))
         program = profiler.instrument(
             [
                 ("setup", region("setaddr a0, 0\nsetaddr a1, 0")),
@@ -71,9 +71,9 @@ class TestProfiler:
         assert machine.total_cycles == baseline + 2  # two markers
 
     def test_render_is_fig10_like(self):
-        with obs.observe() as (tracer, _):
-            self._spans()
-        text = obs.render_tracer(tracer, tracks=["ncore"])
+        observation = obs.observe()
+        self._spans(observation)
+        text = obs.render_tracer(observation.tracer, tracks=["ncore"])
         assert text.startswith("[ncore]")
         assert "compute" in text
         assert "#" in text
@@ -88,14 +88,14 @@ class TestProfiler:
 
 class TestClockThreading:
     def test_span_seconds_uses_machine_clock(self):
-        # No tracer installed: spans convert through the machine's clock.
+        # An unobserved machine: spans convert through the machine's clock.
         (span,) = profile_compute(loaded_machine(NcoreConfig(clock_hz=1e9)))
         assert span.duration_us == pytest.approx(cycles(span) / 1e9 * 1e6)
 
     def test_explicit_clock_still_wins(self):
-        # An installed tracer converts through its own clock.
-        with obs.observe(clock_hz=2.5e6) as (tracer, _):
-            (span,) = profile_compute(loaded_machine())
+        # An observed machine's tracer converts through its own clock.
+        tracer, _ = observation = obs.observe(clock_hz=2.5e6)
+        (span,) = profile_compute(loaded_machine(observation=observation))
         assert span.duration_us == pytest.approx(cycles(span) / 2.5e6 * 1e6)
         assert any(s is span for s in tracer.spans_on("ncore"))
 

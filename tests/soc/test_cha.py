@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.soc import ChaSoc, RingStop
+from repro.soc import ChaSoc
 from repro.soc.cha import DIE_AREA_MM2, NCORE_AREA_MM2, NUM_CORES
 
 
@@ -46,10 +46,6 @@ class TestDataPaths:
     def test_ncore_dram_bandwidth_limited_by_dram(self, soc):
         # Ring direction gives 160 GB/s but DRAM peaks at 102 GB/s.
         assert soc.ncore_to_dram_bandwidth() == pytest.approx(102.4e9)
-
-    def test_core_to_ncore_latency_is_sub_microsecond(self, soc):
-        cycles = soc.ring.transfer_cycles("core0", RingStop.NCORE, 64)
-        assert cycles / soc.clock_hz < 1e-6
 
     def test_full_system_dma_compute_roundtrip(self):
         # End-to-end: x86 stages weights in DRAM, Ncore DMAs them in,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.soc import CHA_SOC, SocConfig, ring_order
+from repro.soc import CHA_SOC, SocConfig
 from repro.soc.cha import ChaSoc
 from repro.soc.memory import DramController
 from repro.soc.ring import RingBus
@@ -18,9 +18,6 @@ class TestShippedPoint:
     def test_dma_rate_is_40_96_bytes_per_cycle(self):
         assert CHA_SOC.ncore_dma_bandwidth / 2.5e9 == pytest.approx(40.96)
 
-    def test_twelve_ring_stops(self):
-        assert len(ring_order(CHA_SOC.x86_cores)) == 12
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SocConfig(ring_width_bits=100)  # not a multiple of 8
@@ -34,17 +31,9 @@ class TestShippedPoint:
 
 class TestFromConfig:
     def test_ring_bus_follows_the_config(self):
-        ring = RingBus.from_config(SocConfig(ring_width_bits=256, x86_cores=4))
+        ring = RingBus.from_config(SocConfig(ring_width_bits=256))
         assert ring.width_bits == 256
-        assert len(ring.order) == 4 + 4
         assert ring.bandwidth_per_direction == 32 * 2.5e9
-
-    def test_default_ring_order_matches_the_cha_layout(self):
-        from repro.soc.ring import RING_ORDER
-
-        assert ring_order() == tuple(stop.value for stop in RING_ORDER)
-        with pytest.raises(ValueError):
-            ring_order(0)
 
     def test_dram_controller_follows_the_config(self):
         config = SocConfig(ddr_channels=8, ddr_transfer_rate=2400e6)

@@ -162,17 +162,19 @@ class TestCompileAndRun:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_run_no_optimize_skips_the_optimize_stage(self, capsys):
+    def test_run_no_optimize_skips_the_optimize_stage(self, tmp_path, capsys):
         # As for ``compile --no-optimize``: the zoo graph reaches PTQ and the
         # backend unoptimized (a cache hit records the pipeline instead).
-        from repro import obs
+        import json
 
-        with obs.observe() as (tracer, _):
-            assert main(["run", "mobilenet_v1", "--no-optimize"]) == 0
+        out_path = tmp_path / "o0.trace.json"
+        assert main(["run", "mobilenet_v1", "--no-optimize", "--trace", str(out_path)]) == 0
         assert "latency" in capsys.readouterr().out
-        records = tracer.spans_on("compiler") + tracer.instants
-        assert "compiler.optimize" not in {r.name for r in records}
-        assert {r.args.get("pipeline") for r in records} >= {"zoo-O0-s0"}
+        events = json.loads(out_path.read_text())["traceEvents"]
+        records = [e for e in events
+                   if e["ph"] in ("X", "i") and e["name"].startswith("compiler.")]
+        assert "compiler.optimize" not in {e["name"] for e in records}
+        assert {e["args"].get("pipeline") for e in records} >= {"zoo-O0-s0"}
 
 
 class TestTrace:
@@ -257,6 +259,32 @@ class TestServeTelemetry:
         first = json.loads(harvest.read_text().splitlines()[0])
         assert first["tier"] == "timing-model"
         assert flame.read_text().strip()
+
+    def test_prometheus_families_are_a_function_of_the_arguments(self, capsys, tmp_path):
+        # The cached system build is setup, not part of the observed run:
+        # a cold cache must not add compiler families to the first file.
+        from repro.perf.system import get_system
+
+        get_system.cache_clear()
+        families = []
+        for run in ("cold", "warm"):
+            prom = tmp_path / f"{run}.prom"
+            assert main(["serve", "mobilenet_v1", "--queries", "32",
+                         "--prometheus", str(prom)]) == 0
+            families.append({line.split()[2] for line in prom.read_text().splitlines()
+                             if line.startswith("# TYPE")})
+        capsys.readouterr()
+        assert families[0] == families[1] == {
+            "delegate_transitions_total",
+            "engine_batch_queue_batch_size",
+            "engine_batch_queue_batches_total",
+            "engine_batch_queue_depth",
+            "server_latency_seconds",
+            "server_queries_total",
+            "server_sustained_qps",
+            "x86_fallback_seconds_total",
+            "x86_fallback_softmax_cycles_total",
+        }
 
 
 class TestTop:
