@@ -166,7 +166,7 @@ def _cmd_serve(args) -> int:
         # budget still decomposes over the compiled artifact: one record
         # per segment, labelled with the timing-model tier.
         records = model_run_records(
-            system.compiled, TIER_TIMING_MODEL,
+            system.compiled, TIER_TIMING_MODEL, system.dma_bytes_per_cycle,
             batch=max(1, round(result.mean_batch_size)), count=result.queries,
         )
     if args.harvest:
@@ -284,6 +284,8 @@ def _print_ir_dump(result, dump: str) -> int:
 def _cmd_compile(args) -> int:
     from repro import obs
     from repro.compiler import USE_DEFAULT_CACHE, CompileCache, compile_graph
+    from repro.ncore.config import CHA_NCORE
+    from repro.soc import CHA_SOC
 
     pipeline_id = "O0" if args.no_optimize else args.opt_level
     try:
@@ -303,8 +305,10 @@ def _cmd_compile(args) -> int:
     )
     compiled = result.model
     print(compiled.summary())
-    cycles = compiled.ncore_cycles()
-    print(f"Ncore portion: {cycles:,} cycles ({cycles / 2.5e9 * 1e6:.1f} us at 2.5 GHz)")
+    clock_hz = CHA_NCORE.clock_hz
+    cycles = compiled.ncore_cycles(CHA_SOC.ncore_dma_bandwidth / clock_hz)
+    print(f"Ncore portion: {cycles:,} cycles "
+          f"({cycles / clock_hz * 1e6:.1f} us at {clock_hz / 1e9:g} GHz)")
     if result.cache_hit:
         print(f"  cache hit ({result.key[:16]}...)")
     for stats in result.stats:
@@ -445,7 +449,11 @@ def _cmd_run(args) -> int:
         obs.observe(clock_hz=CHA_SOC.clock_hz) if args.trace else obs.NULL_OBSERVATION
     )
     tracer, metrics = observation
-    compiled = compile_graph(graph, pipeline=pipeline, name=name, obs=observation).model
+    # A run compiles once: the in-memory cache could only leak what an
+    # earlier call in the same process compiled (and its spans) into this one.
+    compiled = compile_graph(
+        graph, pipeline=pipeline, name=name, cache=None, obs=observation
+    ).model
     executor = NcoreExecutor(
         compiled, soc=ChaSoc(obs=observation), verify=False, policy=args.tier
     )

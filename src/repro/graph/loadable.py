@@ -59,7 +59,7 @@ class NcoreLoadable:
     def compute_cycles(self) -> int:
         return sum(k.cycles for k in self.kernels)
 
-    def total_cycles(self, dma_bytes_per_cycle: float = 40.96) -> int:
+    def total_cycles(self, dma_bytes_per_cycle: float) -> int:
         """Cycle estimate with weight DMA overlapped against compute.
 
         Pinned weights cost a one-time preload (not counted per inference).
@@ -117,7 +117,7 @@ class CompiledModel:
     def x86_segments(self) -> list[int]:
         return [i for i, s in enumerate(self.segments) if s.target == "x86"]
 
-    def ncore_cycles(self, dma_bytes_per_cycle: float = 40.96) -> int:
+    def ncore_cycles(self, dma_bytes_per_cycle: float) -> int:
         return sum(
             self.loadables[i].total_cycles(dma_bytes_per_cycle)
             for i in self.ncore_segments
@@ -134,9 +134,7 @@ class CompiledModel:
             and not loadable.memory_plan.weights_pinned
         )
 
-    def ncore_cycles_batched(
-        self, batch: int, dma_bytes_per_cycle: float = 40.96
-    ) -> float:
+    def ncore_cycles_batched(self, batch: int, dma_bytes_per_cycle: float) -> float:
         """Per-item Ncore cycles with a batch amortizing streamed weights.
 
         Streamed weights are fetched once per batch while compute scales

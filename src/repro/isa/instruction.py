@@ -304,45 +304,6 @@ class Instruction:
     def is_halt(self) -> bool:
         return self.seq.opcode is SeqOpcode.HALT
 
-    # NDU operations whose effect on a row is a pure, statically known
-    # function of (source row, address registers): EXPAND consumes a
-    # variable-length stream (data-dependent), MERGE reads back the
-    # destination register's previous value through a runtime mask.
-    TRACE_NDU_OPCODES = frozenset(
-        {NDUOpcode.BYPASS, NDUOpcode.ROTATE, NDUOpcode.BROADCAST64}
-    )
-
-    # A trace is one hardware-repeated instruction, and a repeat count
-    # cannot combine with an active sequencer op (the machine raises).
-    TRACE_SEQ_OPCODES = frozenset({SeqOpcode.NOP})
-
-    def fusion_blockers(self) -> tuple[str, ...]:
-        """Why this instruction's hardware repeat cannot be fused.
-
-        Trace-legality metadata for ``repro.ncore.fastpath``: an empty
-        tuple means every unit op of this instruction is analyzable as a
-        pure function of (RAM rows, NDU registers, address-register
-        strides) and its sequencer field is ``NOP`` — the precondition
-        for executing all hardware-repeated iterations as one vectorized
-        macro-op.  Each entry names the blocking unit/op so diagnostics
-        can say *why* a repeat stays on the interpreter.
-        """
-        reasons: list[str] = []
-        for op in self.ndu_ops:
-            if op.opcode not in self.TRACE_NDU_OPCODES:
-                reasons.append(f"ndu.{op.opcode.value}")
-        if self.npu is not None and self.npu.opcode is NPUOpcode.CMPGT:
-            # CMPGT rewrites a predicate register mid-trace, so later
-            # iterations would see a different mask.
-            reasons.append("npu.cmpgt")
-        if self.out is not None and self.out.opcode is not OutOpcode.NOP:
-            # OUT ops read intermediate accumulator values (REQUANT) or
-            # write RAM rows that later iterations may read back (STORE).
-            reasons.append(f"out.{self.out.opcode.value}")
-        if self.seq.opcode not in self.TRACE_SEQ_OPCODES:
-            reasons.append(f"seq.{self.seq.opcode.value}")
-        return tuple(reasons)
-
     def row_accesses(self) -> tuple[RowAccess, ...]:
         """The RAM rows one issue touches, in pipeline order.
 

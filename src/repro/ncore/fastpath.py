@@ -2,28 +2,30 @@
 
 The interpreter in :mod:`repro.ncore.machine` pays one Python dispatch per
 hardware-loop iteration — the dominant cost of every simulated workload.
-This module compiles the one loop form the NKL emits — a single
-side-effect-analyzable instruction under a hardware repeat count of at
-least :data:`MIN_FUSED_TRIPS` — into a *fused trace*: a closed-form
-recurrence over (RAM rows, NDU registers, address-register strides) that
-executes all N iterations as a handful of vectorized numpy calls while
-producing **bit-identical, cycle-exact** machine state.  Shorter repeats
-and multi-instruction ``LOOP_BEGIN``…``LOOP_END`` loops are interpreted
-(a repeated instruction inside such a loop still fuses).
+This module compiles the one loop form the machine's programs run — a
+single 8-bit VLIW instruction under a hardware repeat count of at least
+:data:`MIN_FUSED_TRIPS` (paper §IV-B, Fig. 6) — into a *fused trace*: a
+closed-form recurrence over (RAM rows, NDU registers, address-register
+strides) that executes all N iterations as a handful of vectorized numpy
+calls while producing **bit-identical, cycle-exact** machine state.
+Shorter repeats and multi-instruction ``LOOP_BEGIN``…``LOOP_END`` loops
+are interpreted (a repeated instruction inside such a loop still fuses).
 
-Legality (see :meth:`repro.isa.Instruction.fusion_blockers`): only BYPASS /
-ROTATE / BROADCAST64 NDU ops, non-CMPGT NPU ops and no OUT ops.  Every
-register recurrence must classify as one of:
+Legality (:func:`fusion_blockers`, the one statement of it): BYPASS /
+ROTATE / BROADCAST64 NDU ops, no OUT or sequencer op, and an NPU issue,
+if any, that accumulates MAC / ADD / SUB / MIN / MAX over ``uint8`` /
+``int8`` lanes with no predicate, ``data_shift`` or ``from_neighbor``.
+Every register recurrence must classify as one of:
 
 - *invariant* — never written in the trip;
 - *self-rotation* — ``r <- rot(r, s)``, closed form ``rot(r0, s*t)``;
 - *derived* — ``q <- rot(p, s)`` with ``p`` invariant or self-rotating;
 - *stream* — a pure function of RAM rows / constants at trip ``t``.
 
-Anything else (and any condition the static model cannot prove: RAM bounds,
-pending ECC corrections, perf-counter wraparound breakpoints, n-step
-windows, accumulator saturation) falls back to the interpreter — possibly
-*mid-trace*, committing only the iterations proven exact.
+Anything else is interpreted, and so is any trip the static model cannot
+prove exact (RAM bounds, pending ECC corrections, perf-counter wraparound
+breakpoints, n-step windows, a block whose accumulation could saturate) —
+possibly *mid-repeat*, after committing the blocks proven exact.
 """
 
 from __future__ import annotations
@@ -34,18 +36,20 @@ from typing import TYPE_CHECKING, Any, Sequence, Union
 import numpy as np
 import numpy.typing as npt
 
-from repro.dtypes import ACC_MAX, ACC_MIN, NcoreDType, dtype_info
+from repro.dtypes import ACC_MAX, NcoreDType
 from repro.isa.instruction import (
     Instruction,
     NDUOpcode,
     NPUOp,
     NPUOpcode,
+    OutOpcode,
     RotateDirection,
+    SeqOpcode,
 )
 from repro.isa.operands import NUM_ADDR_REGS, Operand, OperandKind
 from repro.ncore.config import CHA_NCORE
 from repro.ncore.ndu import BROADCAST_GROUP
-from repro.ncore.npu import COMBINE, FLOAT_OPCODES, SLICE_LANES, fold_class
+from repro.ncore.npu import COMBINE
 from repro.obs import Observation, note_stat
 
 if TYPE_CHECKING:
@@ -76,9 +80,70 @@ MIN_FUSED_TRIPS = 4
 class UnsupportedTrace(Exception):
     """Raised at compile time when a loop cannot be legally fused."""
 
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
+
+# ----------------------------------------------------------------------
+# Legality
+# ----------------------------------------------------------------------
+
+# NDU operations whose effect on a row is a pure, statically known
+# function of (source row, address registers): EXPAND consumes a
+# variable-length stream (data-dependent), MERGE reads back the
+# destination register's previous value through a runtime mask.
+TRACE_NDU_OPCODES = frozenset(
+    {NDUOpcode.BYPASS, NDUOpcode.ROTATE, NDUOpcode.BROADCAST64}
+)
+
+# A trace is one hardware-repeated instruction, and a repeat count
+# cannot combine with an active sequencer op (the machine raises).
+TRACE_SEQ_OPCODES = frozenset({SeqOpcode.NOP})
+
+# The NPU issue of Fig. 6's inner loop and the NKL kernels: an
+# accumulating arithmetic or pooling fold over 8-bit integer lanes.
+_TRACE_NPU_OPCODES = frozenset(
+    {NPUOpcode.MAC, NPUOpcode.ADD, NPUOpcode.SUB, NPUOpcode.MIN, NPUOpcode.MAX}
+)
+_TRACE_NPU_DTYPES = frozenset({NcoreDType.UINT8, NcoreDType.INT8})
+
+
+def fusion_blockers(instruction: Instruction) -> tuple[str, ...]:
+    """Why ``instruction``'s hardware repeat cannot be fused.
+
+    An empty tuple means every unit op is analyzable as a pure function
+    of (RAM rows, NDU registers, address-register strides), its NPU
+    issue is the 8-bit accumulating form the trace evaluates, and its
+    sequencer field is ``NOP``.  Each entry names the blocking unit/op,
+    so diagnostics can say *why* a repeat stays on the interpreter.
+    """
+    reasons = [
+        f"ndu.{op.opcode.value}"
+        for op in instruction.ndu_ops
+        if op.opcode not in TRACE_NDU_OPCODES
+    ]
+    npu = instruction.npu
+    if npu is not None and npu.opcode is not NPUOpcode.NOP:
+        # CMPGT rewrites a predicate register mid-trace; the logical ops
+        # and a non-accumulating issue replace the accumulator instead of
+        # folding into it.
+        if npu.opcode not in _TRACE_NPU_OPCODES:
+            reasons.append(f"npu.{npu.opcode.value}")
+        if not npu.accumulate:
+            reasons.append("npu.noacc")
+        if npu.dtype not in _TRACE_NPU_DTYPES:
+            reasons.append(f"npu.{npu.dtype.value}")
+        if npu.predicate is not None:
+            reasons.append("npu.predicate")
+        if npu.data_shift:
+            reasons.append("npu.data-shift")
+        if npu.from_neighbor:
+            reasons.append("npu.from-neighbor")
+    out = instruction.out
+    if out is not None and out.opcode is not OutOpcode.NOP:
+        # OUT ops read intermediate accumulator values (REQUANT) or
+        # write RAM rows that later iterations may read back (STORE).
+        reasons.append(f"out.{out.opcode.value}")
+    if instruction.seq.opcode not in TRACE_SEQ_OPCODES:
+        reasons.append(f"seq.{instruction.seq.opcode.value}")
+    return tuple(reasons)
 
 
 # ----------------------------------------------------------------------
@@ -96,11 +161,10 @@ class _Init:
 
 @dataclass(frozen=True)
 class _RamRow:
-    """RAM row ``addr[reg] + offset + stride[reg] * t`` at trip ``t``."""
+    """RAM row ``addr[reg] + stride[reg] * t`` at trip ``t``."""
 
     ram: str  # "data" | "weight"
     reg: int
-    offset: int
 
 
 @dataclass(frozen=True)
@@ -191,39 +255,19 @@ def _classify(ends: list[_Expr]) -> tuple[_RegPlan, ...]:
 
 
 @dataclass(frozen=True)
-class _LaneSource:
-    """One NPU operand: an 8-bit row expression or a 16-bit RAM row pair."""
-
-    kind: str  # "row8" | "ram16" | "zero16"
-    expr: _Expr | None = None
-    low: _Expr | None = None
-    high: _Expr | None = None
-
-
-@dataclass(frozen=True)
 class _NpuSpec:
-    """The trip's NPU issue, fully resolved to lane expressions."""
+    """The trip's NPU issue, its operands resolved to row expressions."""
 
     opcode: NPUOpcode
-    dtype: NcoreDType
-    is_float: bool
-    accumulate: bool
-    data: _LaneSource
-    weight: _LaneSource
+    signed: bool  # int8 lanes (else uint8)
+    data: _Expr
+    weight: _Expr
     zero_offset: bool
-    data_shift: int
-    from_neighbor: bool
-    predicate: int | None
 
 
 # ----------------------------------------------------------------------
 # Trip builder (compile time)
 # ----------------------------------------------------------------------
-
-
-def _ram_row(operand: Operand, offset: int = 0) -> _RamRow:
-    name = "data" if operand.kind is OperandKind.DATA_RAM else "weight"
-    return _RamRow(name, operand.index, offset)
 
 
 class _TripBuilder:
@@ -240,8 +284,10 @@ class _TripBuilder:
         self, operand: Operand, regs: list[_Expr], dlast_snapshot: _Expr
     ) -> _Expr:
         kind = operand.kind
-        if kind is OperandKind.DATA_RAM or kind is OperandKind.WEIGHT_RAM:
-            return _ram_row(operand)
+        if kind is OperandKind.DATA_RAM:
+            return _RamRow("data", operand.index)
+        if kind is OperandKind.WEIGHT_RAM:
+            return _RamRow("weight", operand.index)
         if kind is OperandKind.IMMEDIATE:
             return _Const("imm", operand.index)
         if kind is OperandKind.NDU_REG:
@@ -258,53 +304,16 @@ class _TripBuilder:
         # reject and let it do so at the architecturally correct point.
         raise UnsupportedTrace(f"operand.{kind.name}")
 
-    def _lane_source(
-        self, operand: Operand, dtype: NcoreDType, dlast_snapshot: _Expr
-    ) -> _LaneSource:
-        info = dtype_info(dtype)
-        if info.bytes_per_element == 1:
-            # NPU reads NDU registers *post-commit*, dlast pre-issue.
-            expr = self._row_source(operand, self.regs, dlast_snapshot)
-            return _LaneSource("row8", expr=expr)
-        if operand.kind is OperandKind.ZERO:
-            return _LaneSource("zero16")
-        if operand.kind not in (OperandKind.DATA_RAM, OperandKind.WEIGHT_RAM):
-            raise UnsupportedTrace(f"npu16.{operand.kind.name}")
-        return _LaneSource(
-            "ram16", low=_ram_row(operand), high=_ram_row(operand, offset=1)
-        )
-
     def _add_npu(self, op: NPUOp, dlast_snapshot: _Expr) -> None:
-        info = dtype_info(op.dtype)
-        if op.opcode is NPUOpcode.CMPGT:
-            raise UnsupportedTrace("npu.cmpgt")
-        if info.is_float and op.zero_offset:
-            raise UnsupportedTrace("npu.float-zero-offset")
-        if info.is_float and op.opcode not in FLOAT_OPCODES:
-            raise UnsupportedTrace("npu.float-logical")
-        if (
-            info.is_float
-            and op.predicate is not None
-            and fold_class(op.opcode, op.accumulate) == "sum"
-        ):
-            # A masked lane keeps its accumulator bit-exactly; adding a zero
-            # contribution would turn -0.0 into +0.0.
-            raise UnsupportedTrace("npu.float-predicated-sum")
         if self.lanes != self.row_bytes:
             raise UnsupportedTrace("npu.lane-geometry")
-        data = self._lane_source(op.data, op.dtype, dlast_snapshot)
-        weight = self._lane_source(op.weight, op.dtype, dlast_snapshot)
+        # NPU reads NDU registers *post-commit*, dlast pre-issue.
         self.npu = _NpuSpec(
             opcode=op.opcode,
-            dtype=op.dtype,
-            is_float=info.is_float,
-            accumulate=op.accumulate,
-            data=data,
-            weight=weight,
+            signed=op.dtype is NcoreDType.INT8,
+            data=self._row_source(op.data, self.regs, dlast_snapshot),
+            weight=self._row_source(op.weight, self.regs, dlast_snapshot),
             zero_offset=op.zero_offset,
-            data_shift=op.data_shift,
-            from_neighbor=op.from_neighbor,
-            predicate=op.predicate,
         )
 
     def trace(self, instruction: Instruction) -> "FusedTrace":
@@ -325,12 +334,10 @@ class _TripBuilder:
                 shift = -op.amount if op.direction is RotateDirection.LEFT else op.amount
                 shift %= self.row_bytes
                 expr = _Rot(src, shift) if shift else src
-            elif op.opcode is NDUOpcode.BROADCAST64:
+            else:  # BROADCAST64, the last of TRACE_NDU_OPCODES
                 if self.row_bytes % BROADCAST_GROUP:
                     raise UnsupportedTrace("ndu.broadcast-geometry")
                 expr = _Bcast(src, op.index_reg)
-            else:
-                raise UnsupportedTrace(f"ndu.{op.opcode.value}")
             results.append((op.dst, expr))
         for dst, expr in results:
             self.regs[dst] = expr
@@ -349,7 +356,6 @@ class _TripBuilder:
         data_reads = sum(name == "data" for name, _, _ in ram_leaves)
         return FusedTrace(
             row_bytes=self.row_bytes,
-            lanes=self.lanes,
             cycles_per_trip=instruction.issue_cycles(),
             strides=tuple(steps.get(reg, 0) for reg in range(NUM_ADDR_REGS)),
             reads_data=data_reads,
@@ -408,10 +414,9 @@ class _Evaluator:
             pool[key] = buf
         return buf
 
-    def row_index(self, reg: int, offset: int) -> Array:
+    def row_index(self, reg: int) -> Array:
         stride = self.trace.strides[reg]
-        base = self.live_addr[reg] + offset
-        return base + stride * np.arange(self.nb, dtype=np.int64)
+        return self.live_addr[reg] + stride * np.arange(self.nb, dtype=np.int64)
 
     def eval(self, expr: _Expr) -> Array:
         got = self.memo.get(expr)
@@ -438,10 +443,9 @@ class _Evaluator:
             ram = self.m.data_ram if expr.ram == "data" else self.m.weight_ram
             if self.trace.strides[expr.reg] == 0:
                 # The same row every trip: a broadcast view, no gather.
-                row = ram.data[self.live_addr[expr.reg] + expr.offset]
+                row = ram.data[self.live_addr[expr.reg]]
                 return np.broadcast_to(row, (nb, row_bytes))
-            rows = self.row_index(expr.reg, expr.offset)
-            return ram.data[rows]
+            return ram.data[self.row_index(expr.reg)]
         if isinstance(expr, _Rot):
             src = self.eval(expr.src)
             if src.ndim == 2 and src.strides[0] == 0:
@@ -449,7 +453,7 @@ class _Evaluator:
             return np.roll(src, expr.shift, axis=1)
         if isinstance(expr, _Bcast):
             src = self.eval(expr.src)
-            idx = self.row_index(expr.reg, 0) % BROADCAST_GROUP
+            idx = self.row_index(expr.reg) % BROADCAST_GROUP
             groups_per_row = row_bytes // BROADCAST_GROUP
             if src.strides[0] == 0:
                 g = src[0].reshape(groups_per_row, BROADCAST_GROUP)
@@ -502,9 +506,10 @@ class _Evaluator:
         buf[1:] = vals[: nb - 1]
         return buf
 
-    def end_value(self, q: int, n: int) -> Array | None:
-        """State element ``q`` after ``n`` full trips (None = unchanged)."""
+    def end_value(self, q: int) -> Array | None:
+        """State element ``q`` after the block's trips (None = unchanged)."""
         plan = self.trace.plans[q]
+        n = self.nb
         live = self.live[q]
         row_bytes = self.trace.row_bytes
         if plan.mode == "inv":
@@ -521,159 +526,70 @@ class _Evaluator:
         return self.eval(plan.expr)[n - 1].copy()
 
 
-def _lanes(
-    ev: _Evaluator, source: _LaneSource, dtype: NcoreDType
-) -> tuple[Array, int, bool]:
-    """Operand lanes in their *native* width, a static magnitude bound
-    and whether the lanes are provably non-negative.
-
-    Keeping int operands narrow (int8/uint8/int16) lets ``_combined`` widen
-    once, inside the combining ufunc, instead of materializing int64 copies;
-    the bound lets ``_apply_npu`` prove no intermediate clip can fire.
-    """
-    if source.kind == "zero16":
-        if dtype is NcoreDType.BF16:
-            return np.zeros((ev.nb, ev.trace.row_bytes), dtype=np.float32), 0, False
-        return np.zeros((ev.nb, ev.trace.row_bytes), dtype=np.int16), 0, True
-    if source.kind == "row8":
-        assert source.expr is not None
-        raw = ev.eval(source.expr)
-        if dtype is NcoreDType.INT8:
-            return raw.view(np.int8), 128, False
-        return raw, 255, True
-    assert source.low is not None and source.high is not None
-    low = ev.eval(source.low)
-    high = ev.eval(source.high)
-    bits = low.astype(np.uint16) | (high.astype(np.uint16) << np.uint16(8))
-    if dtype is NcoreDType.INT16:
-        return bits.view(np.int16), 32768, False
-    return (bits.astype(np.uint32) << np.uint32(16)).view(np.float32).copy(), 0, False
+def _bound(spec: _NpuSpec, machine: "Ncore") -> int:
+    """A static bound on the magnitude of any one combined lane value."""
+    lane = 128 if spec.signed else 255
+    dbound = wbound = lane
+    if spec.zero_offset:
+        dbound += abs(machine.data_zero_offset)
+        wbound += abs(machine.weight_zero_offset)
+    if spec.opcode is NPUOpcode.MAC:
+        return dbound * wbound
+    if spec.opcode is NPUOpcode.ADD or spec.opcode is NPUOpcode.SUB:
+        return dbound + wbound
+    return max(dbound, wbound)
 
 
-def _combined(ev: _Evaluator, spec: _NpuSpec) -> tuple[Array, Array | None, int]:
-    """The NPU issue's per-trip combined values, predicate mask and a
-    static magnitude bound on any combined value.
-
-    Integer math widens only as far as the bound requires (int32 when the
-    combine provably fits, int64 otherwise) — values are exact integers in
-    either width, mirroring ``npu.execute_int``'s int64 semantics.  Float
-    results stay float32.
+def _combined(ev: _Evaluator, spec: _NpuSpec, bound: int) -> Array:
+    """The NPU issue's per-trip combined values, exact integers in the
+    narrowest dtype that holds every value under ``bound`` (``bound``
+    must fit int32): SIMD throughput on this path scales with element
+    width, and the 8-bit lanes widen once, inside the combining ufunc.
     """
     machine = ev.m
-    data, dbound, dnonneg = _lanes(ev, spec.data, spec.dtype)
-    weight, wbound, wnonneg = _lanes(ev, spec.weight, spec.dtype)
-    op = spec.opcode
-    combine = COMBINE[op]
-    mask = None if spec.predicate is None else machine.pred_regs[spec.predicate]
-    if spec.is_float:
-        if spec.data_shift:
-            data = data * np.float32(2.0 ** -spec.data_shift)
-        if spec.from_neighbor:
-            data = np.roll(data, SLICE_LANES, axis=1)
-        return combine(data, weight), mask, 0
-    if spec.zero_offset:
-        dbound += abs(int(machine.data_zero_offset))
-        wbound += abs(int(machine.weight_zero_offset))
-        dnonneg = wnonneg = False
-    if op is NPUOpcode.MAC:
-        bound = dbound * wbound
-    elif op is NPUOpcode.ADD or op is NPUOpcode.SUB:
-        bound = dbound + wbound
-    else:
-        bound = max(dbound, wbound)
-    nonneg = dnonneg and wnonneg and op is not NPUOpcode.SUB
-    # The narrowest dtype that holds every combined value exactly: SIMD
-    # throughput on this path scales with element width.  The uint16 tier
-    # additionally needs unsigned *inputs* — a signed operand array (e.g.
-    # the int16 zero16 source) cannot cast to uint16 under numpy's
-    # same-kind rule even when its values are provably non-negative.
+    data = ev.eval(spec.data)
+    weight = ev.eval(spec.weight)
+    if spec.signed:
+        data, weight = data.view(np.int8), weight.view(np.int8)
+    nonneg = not (spec.signed or spec.zero_offset) and spec.opcode is not NPUOpcode.SUB
     cdtype: type
-    if (
-        nonneg
-        and bound <= 65535
-        and data.dtype.kind == "u"
-        and weight.dtype.kind == "u"
-    ):
+    if nonneg and bound <= 65535:
         cdtype = np.uint16
     elif bound <= 32767:
         cdtype = np.int16
-    elif bound <= ACC_MAX:
-        cdtype = np.int32
     else:
-        cdtype = np.int64
+        cdtype = np.int32
     if spec.zero_offset:
         # subtract() with an explicit dtype casts the operands first, so
         # the narrow lanes widen exactly once.
         data = np.subtract(data, machine.data_zero_offset, dtype=cdtype)
         weight = np.subtract(weight, machine.weight_zero_offset, dtype=cdtype)
-    if spec.data_shift:
-        data = data >> spec.data_shift
-    if spec.from_neighbor:
-        data = np.roll(data, SLICE_LANES, axis=1)
     out = ev.scratch("comb", (ev.nb, ev.trace.row_bytes), cdtype)
-    return combine(data, weight, dtype=cdtype, out=out), mask, bound
+    return COMBINE[spec.opcode](data, weight, dtype=cdtype, out=out)
 
 
-def _apply_npu(ev: _Evaluator, trace: "FusedTrace", nb: int) -> tuple[int, Array | None]:
-    """Fold the block's trips of the NPU issue into the accumulator.
+def _accumulated(ev: _Evaluator, spec: _NpuSpec) -> Array | None:
+    """The accumulator after the block's trips of the NPU issue, or None
+    when the static no-overflow bound fails (the interpreter then runs
+    the rest of the repeat, saturating where it must).
 
-    Returns ``(n_ok, new_acc)``: the number of trips whose accumulation is
-    proven bit-exact (saturation inside the block truncates it) and the
-    accumulator after those trips (None when the trip has no NPU work).
+    Under the bound no clip can fire — clip is the identity on in-range
+    accumulators — so the order-free int32 sum (or min/max reduction)
+    of the trips equals the interpreter's sequential saturating fold.
     """
-    spec = trace.npu
-    if spec is None:
-        return nb, None
-    machine = ev.m
-    comb, mask, bound = _combined(ev, spec)
-    klass = fold_class(spec.opcode, spec.accumulate)
-    if klass == "sum":
-        if spec.is_float:
-            stacked = np.vstack([machine.acc_float[None, :], comb])
-            acc = np.add.accumulate(stacked, axis=0, dtype=np.float32)[-1]
-            return nb, acc.astype(np.float32)
-        # Fast path: when |acc| plus the worst-case drift over the whole
-        # block provably stays inside int32, no intermediate clip can fire
-        # (clip is the identity on in-range accumulators), so a plain sum —
-        # order-free exact integer addition, itself inside int32 — replaces
-        # the prefix scan.
-        acc64 = machine.acc_int.astype(np.int64)
-        if int(np.abs(acc64).max()) + nb * bound <= ACC_MAX:
-            total = comb.sum(axis=0, dtype=np.int32)
-            if mask is not None:
-                # A masked lane's acc is unchanged: zero its whole sum.
-                total = np.where(mask, total, np.int32(0))
-            return nb, (acc64 + total).astype(np.int32)
-        if mask is not None:
-            # Exact: a masked lane's acc is unchanged and clip() is the
-            # identity on in-range int32 accumulators.
-            comb = np.where(mask[None, :], comb, np.int64(0))
-        prefix = acc64[None, :] + np.cumsum(comb, axis=0, dtype=np.int64)
-        bad = ((prefix < ACC_MIN) | (prefix > ACC_MAX)).any(axis=1)
-        if bad.any():
-            n_ok = int(np.argmax(bad))
-            if n_ok == 0:
-                return 0, None
-            return n_ok, prefix[n_ok - 1].astype(np.int32)
-        return nb, prefix[-1].astype(np.int32)
-    live: Array = machine.acc_float if spec.is_float else machine.acc_int
-    if klass == "minmax":
-        fold = COMBINE[spec.opcode]
-        if spec.is_float:
-            # Sequential, accumulator first: float min/max is order-sensitive
-            # in its signed zeros and NaN payloads.
-            value = fold.reduce(np.vstack([live[None, :], comb]), axis=0)
-        else:
-            # Integer min/max is associative and commutative: the narrow
-            # trips reduce first, then fold into the accumulator.
-            value = fold(live, fold.reduce(comb, axis=0))
-    else:
-        # replace: only the final trip's values (per-lane last write) survive.
-        value = comb[nb - 1]
-        if not spec.is_float:
-            value = np.clip(value, ACC_MIN, ACC_MAX)
-    value = value.astype(live.dtype)
-    return nb, value if mask is None else np.where(mask, value, live)
+    acc = ev.m.acc_int
+    bound = _bound(spec, ev.m)
+    summing = spec.opcode not in (NPUOpcode.MIN, NPUOpcode.MAX)
+    peak = bound
+    if summing:
+        peak = max(-int(acc.min()), int(acc.max())) + ev.nb * bound
+    if peak > ACC_MAX:
+        return None
+    comb = _combined(ev, spec, bound)
+    if summing:
+        return acc + comb.sum(axis=0, dtype=np.int32)
+    fold = COMBINE[spec.opcode]
+    return fold(acc, fold.reduce(comb, axis=0)).astype(np.int32, copy=False)
 
 
 def _bulk_add(counter: "PerfCounter", amount: int) -> None:
@@ -697,7 +613,6 @@ class FusedTrace:
     """All iterations of one hardware-repeated instruction, compiled."""
 
     row_bytes: int
-    lanes: int
     cycles_per_trip: int
     strides: tuple[int, ...]
     reads_data: int
@@ -738,68 +653,55 @@ class FusedTrace:
     def run(self, machine: "Ncore", count: int) -> int:
         """Execute up to ``count`` fused trips; returns trips committed.
 
-        A partial return means accumulator saturation was detected — the
-        machine state is exactly the interpreter's at that trip boundary,
-        and the interpreter picks up the saturating iteration.
+        A partial return means a block's accumulation could saturate: the
+        block is not committed, so the machine state is exactly the
+        interpreter's at that block boundary, and the interpreter runs the
+        rest of the repeat.
         """
         per_block = max(1, _BLOCK_TARGET_BYTES // self.row_bytes)
         done = 0
         while done < count:
             nb = min(per_block, count - done)
-            ok = self._run_block(machine, nb)
-            done += ok
-            if ok < nb:
+            if not self._run_block(machine, nb):
                 break
+            done += nb
         return done
 
-    def _run_block(self, machine: "Ncore", nb: int) -> int:
+    def _run_block(self, machine: "Ncore", nb: int) -> bool:
         ev = _Evaluator(self, machine, nb)
-        n_ok, acc = _apply_npu(ev, self, nb)
-        if n_ok == 0:
-            return 0
-        ends: list[tuple[int, Array]] = []
-        for q in range(5):
-            value = ev.end_value(q, n_ok)
-            if value is not None:
-                ends.append((q, value))
+        if self.npu is not None:
+            acc = _accumulated(ev, self.npu)
+            if acc is None:
+                return False
+            machine.acc_int = acc
+        # Every end value reads the live rows before any is written back.
+        ends = [(q, ev.end_value(q)) for q in range(5)]
         for q, value in ends:
+            if value is None:
+                continue
             if q == _DLAST:
                 machine.dlast = value.astype(np.uint8, copy=False).copy()
             else:
                 machine.ndu_regs[q] = value
-        if acc is not None:
-            assert self.npu is not None
-            if self.npu.is_float:
-                machine.acc_float = acc
-            else:
-                machine.acc_int = acc
         for reg in range(NUM_ADDR_REGS):
             stride = self.strides[reg]
             if stride:
-                machine.addr_regs[reg] += stride * n_ok
-        cycles = self.cycles_per_trip * n_ok
-        macs = self.macs_per_trip * n_ok
+                machine.addr_regs[reg] += stride * nb
+        cycles = self.cycles_per_trip * nb
+        macs = self.macs_per_trip * nb
         machine.total_cycles += cycles
-        machine.total_issues += n_ok
+        machine.total_issues += nb
         machine.total_macs += macs
-        machine.data_ram.reads += self.reads_data * n_ok
-        machine.weight_ram.reads += self.reads_weight * n_ok
+        machine.data_ram.reads += self.reads_data * nb
+        machine.weight_ram.reads += self.reads_weight * nb
         _bulk_add(machine.perf_counters["cycles"], cycles)
         _bulk_add(machine.perf_counters["macs"], macs)
-        return n_ok
+        return True
 
 
 # ----------------------------------------------------------------------
 # Program compilation
 # ----------------------------------------------------------------------
-
-
-def compile_repeat(instruction: Instruction, config: "NcoreConfig") -> FusedTrace:
-    """Compile a hardware-repeated instruction into a fused trace."""
-    blockers = instruction.fusion_blockers()
-    if blockers:
-        raise UnsupportedTrace(";".join(blockers))
-    return _TripBuilder(config).trace(instruction)
 
 
 def compile_program(
@@ -817,8 +719,11 @@ def compile_program(
     for pc, instruction in enumerate(program):
         if instruction.repeat < MIN_FUSED_TRIPS:
             continue
+        if fusion_blockers(instruction):
+            rejected += 1
+            continue
         try:
-            table[pc] = compile_repeat(instruction, config)
+            table[pc] = _TripBuilder(config).trace(instruction)
         except UnsupportedTrace:
             rejected += 1
     note_stat(obs, "ncore.fastpath", stats, "compiled", len(table))
@@ -831,5 +736,5 @@ __all__ = [
     "FusedTrace",
     "UnsupportedTrace",
     "compile_program",
-    "compile_repeat",
+    "fusion_blockers",
 ]

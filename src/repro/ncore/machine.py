@@ -622,9 +622,9 @@ class Ncore:
 
     # The datapath never traps: on bf16 lanes a signalling NaN, Inf - Inf,
     # Inf * 0 or an overflow yields a quiet NaN / Inf that propagates
-    # (through data_shift, the NPU op, the accumulator and the OUT unit),
-    # bit-identically on the interpreter and the trace-fused path — so
-    # numpy must not warn about them either.
+    # (through data_shift, the NPU op, the accumulator and the OUT unit)
+    # on the interpreter, which runs every bf16 issue (the fast path fuses
+    # 8-bit integer lanes only) — so numpy must not warn about them either.
     @np.errstate(invalid="ignore", over="ignore")
     def step(self, budget_cycles: int = 100_000_000) -> MachineRunResult:
         """Execute from the current pc for at most ``budget_cycles``.

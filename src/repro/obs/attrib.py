@@ -31,13 +31,17 @@ if TYPE_CHECKING:
     from repro.graph.loadable import CompiledModel
 
 
-def segment_features(model: "CompiledModel") -> list[dict[str, Any]]:
+def segment_features(
+    model: "CompiledModel", dma_bytes_per_cycle: float
+) -> list[dict[str, Any]]:
     """Static per-segment feature dicts from one compiled artifact.
 
     One dict per segment in execution order.  Ncore segments carry the
     full lowered-kernel attribution (per-op cycle split, streamed DMA
-    bytes, loop trip counts); x86 fallback segments carry the op mix
-    with zero Ncore cycles, so a harvest still accounts for every node.
+    bytes, loop trip counts), their ``total_cycles`` streaming weights at
+    ``dma_bytes_per_cycle`` — the rate at the clock the model is timed
+    at; x86 fallback segments carry the op mix with zero Ncore cycles,
+    so a harvest still accounts for every node.
     """
     records: list[dict[str, Any]] = []
     for index, segment in enumerate(model.segments):
@@ -87,7 +91,7 @@ def segment_features(model: "CompiledModel") -> list[dict[str, Any]]:
                 loop_trips=trips,
                 macs=sum(k.macs for k in loadable.kernels),
                 compute_cycles=loadable.compute_cycles,
-                total_cycles=loadable.total_cycles(),
+                total_cycles=loadable.total_cycles(dma_bytes_per_cycle),
                 utilization=loadable.mean_utilization,
             )
         records.append(record)
@@ -95,7 +99,8 @@ def segment_features(model: "CompiledModel") -> list[dict[str, Any]]:
 
 
 def model_run_records(
-    model: "CompiledModel", tier: str, batch: int = 1, count: int = 1,
+    model: "CompiledModel", tier: str, dma_bytes_per_cycle: float,
+    batch: int = 1, count: int = 1,
 ) -> list[dict[str, Any]]:
     """Harvest records for ``count`` executions of a model on one tier.
 
@@ -109,7 +114,7 @@ def model_run_records(
         return []
     return [
         {**features, "tier": tier, "batch": batch, "count": count}
-        for features in segment_features(model)
+        for features in segment_features(model, dma_bytes_per_cycle)
     ]
 
 

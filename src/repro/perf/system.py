@@ -63,19 +63,19 @@ class BenchmarkSystem:
     # ------------------------------------------------------------------
 
     @property
-    def _dma_bytes_per_cycle(self) -> float:
+    def dma_bytes_per_cycle(self) -> float:
         # Ncore consumes the DMA stream at its own clock (which may
         # differ from the SoC's).
         return self.soc_config.ncore_dma_bandwidth / self.config.clock_hz
 
     def ncore_seconds(self) -> float:
         """Simulated Ncore portion of one single-batch inference."""
-        cycles = self.compiled.ncore_cycles(self._dma_bytes_per_cycle)
+        cycles = self.compiled.ncore_cycles(self.dma_bytes_per_cycle)
         return cycles / self.config.clock_hz
 
     def ncore_seconds_batched(self, batch: int) -> float:
         """Per-item Ncore time with a batch amortizing the weight traffic."""
-        cycles = self.compiled.ncore_cycles_batched(batch, self._dma_bytes_per_cycle)
+        cycles = self.compiled.ncore_cycles_batched(batch, self.dma_bytes_per_cycle)
         return cycles / self.config.clock_hz
 
     def offload_count(self) -> int:

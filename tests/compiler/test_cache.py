@@ -11,6 +11,7 @@ from repro.compiler import (
 )
 from repro.ncore.config import NcoreConfig
 from tests.quantize.test_convert import small_cnn
+from tests.helpers import CHA_DMA_BYTES_PER_CYCLE
 
 
 class TestMemoryTier:
@@ -84,7 +85,9 @@ class TestDiskTier:
         fresh = CompileCache(directory=tmp_path)
         loaded = fresh.lookup(first.key)
         assert loaded is not None
-        assert loaded.ncore_cycles() == first.model.ncore_cycles()
+        assert loaded.ncore_cycles(CHA_DMA_BYTES_PER_CYCLE) == first.model.ncore_cycles(
+            CHA_DMA_BYTES_PER_CYCLE
+        )
         assert fresh.stats.disk_hits == 1
         # The disk load populated the memory tier.
         assert first.key in fresh

@@ -99,8 +99,8 @@ def test_staged_compile_matches_benchmark_artifact(key):
         system.compiled.graph, config=system.config, pipeline="O0",
         name=key, cache=None,
     )
-    assert result.model.ncore_cycles(system._dma_bytes_per_cycle) == (
-        system.compiled.ncore_cycles(system._dma_bytes_per_cycle)
+    assert result.model.ncore_cycles(system.dma_bytes_per_cycle) == (
+        system.compiled.ncore_cycles(system.dma_bytes_per_cycle)
     )
 
 

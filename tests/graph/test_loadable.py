@@ -28,7 +28,7 @@ def loadable(kernels, pinned=True):
 class TestStallModel:
     def test_pinned_weights_have_no_stalls(self):
         l = loadable([kernel("a", 100, weight_bytes=10**9)], pinned=True)
-        assert l.total_cycles() == 100
+        assert l.total_cycles(40.96) == 100
 
     def test_first_streamed_layer_pays_full_dma(self):
         # Nothing to hide behind: the first layer stalls for its whole DMA.
@@ -72,4 +72,4 @@ class TestUtilization:
     def test_empty_loadable(self):
         l = loadable([])
         assert l.mean_utilization == 0.0
-        assert l.total_cycles() == 0
+        assert l.total_cycles(40.96) == 0

@@ -3,8 +3,8 @@
 Nothing in ``src/`` needs these, so they live with the tests: operand
 shorthands for hand-built instructions, the bfloat16 storage encoding the
 OUT-unit tests decode machine rows with, the real range a set of affine
-quantization parameters represents, and an analyzer report's findings of
-one rule.
+quantization parameters represents, an analyzer report's findings of one
+rule, and the shipped CHA weight-DMA rate.
 """
 
 from __future__ import annotations
@@ -14,6 +14,12 @@ import numpy as np
 from repro.analyze import AnalysisReport, Diagnostic
 from repro.dtypes import QuantParams, dtype_info, to_bfloat16
 from repro.isa.operands import Operand, OperandKind
+from repro.ncore.config import CHA_NCORE
+from repro.soc import CHA_SOC
+
+#: Weight-DMA bytes per Ncore cycle on the shipped CHA point: 102.4 GB/s
+#: at 2.5 GHz, the rate cycle estimates of a default-config compile use.
+CHA_DMA_BYTES_PER_CYCLE = CHA_SOC.ncore_dma_bandwidth / CHA_NCORE.clock_hz
 
 
 def data_ram(addr_reg: int, increment: bool = False) -> Operand:

@@ -10,7 +10,7 @@ an execution tier, not a different machine; any divergence is a bug.
 import numpy as np
 import pytest
 
-from repro.dtypes import NcoreDType, QuantParams
+from repro.dtypes import ACC_MAX, NcoreDType, QuantParams
 from repro.isa import AssemblyError, Instruction, assemble
 from repro.isa.instruction import SeqOp, SeqOpcode
 from repro.ncore import Ncore
@@ -89,8 +89,23 @@ def _differential(emit, streamed=False):
     return fast, interp
 
 
+def _assert_every_repeat_fused(machine):
+    """No repeat at or above the floor was rejected, and each compiled
+    trace ran fused exactly once: a cut that drops a form these programs
+    use fails here, not only in a benchmark."""
+    stats = machine.fastpath_stats
+    assert stats["rejected"] == 0, stats
+    assert stats["hits"] == stats["compiled"], stats
+
+
 class TestIsaSuiteDifferential:
     """The full NKL kernel suite, fused versus interpreted."""
+
+    @staticmethod
+    def _differential(emit, streamed=False):
+        fast, interp = _differential(emit, streamed)
+        _assert_every_repeat_fused(fast)
+        return fast, interp
 
     def test_matmul(self):
         rng = np.random.default_rng(11)
@@ -103,7 +118,7 @@ class TestIsaSuiteDifferential:
             )
             return program
 
-        fast, _ = _differential(emit)
+        fast, _ = self._differential(emit)
         assert fast.fastpath_stats["hits"] > 0
 
     def test_matmul_relu(self):
@@ -118,7 +133,7 @@ class TestIsaSuiteDifferential:
             )
             return program
 
-        _differential(emit)
+        self._differential(emit)
 
     def test_conv1d_rotate(self):
         rng = np.random.default_rng(13)
@@ -131,7 +146,7 @@ class TestIsaSuiteDifferential:
             )
             return program
 
-        fast, _ = _differential(emit)
+        fast, _ = self._differential(emit)
         assert fast.fastpath_stats["hits"] > 0
 
     def test_tiled_matmul(self):
@@ -145,7 +160,7 @@ class TestIsaSuiteDifferential:
             )
             return program
 
-        _differential(emit, streamed=True)
+        self._differential(emit, streamed=True)
 
     def test_max_pool_rows(self):
         rng = np.random.default_rng(15)
@@ -155,7 +170,7 @@ class TestIsaSuiteDifferential:
             program, _ = emit_max_pool_rows_program(machine, rows)
             return program
 
-        _differential(emit)
+        self._differential(emit)
 
     def test_avg_pool_rows(self):
         rng = np.random.default_rng(16)
@@ -165,7 +180,7 @@ class TestIsaSuiteDifferential:
             program, _ = emit_avg_pool_program(machine, rows)
             return program
 
-        _differential(emit)
+        self._differential(emit)
 
     def test_elementwise_add(self):
         rng = np.random.default_rng(17)
@@ -178,7 +193,7 @@ class TestIsaSuiteDifferential:
             )
             return program
 
-        _differential(emit)
+        self._differential(emit)
 
     def test_conv2d(self):
         rng = np.random.default_rng(18)
@@ -192,7 +207,7 @@ class TestIsaSuiteDifferential:
             )
             return program
 
-        _differential(emit, streamed=True)
+        self._differential(emit, streamed=True)
 
     def test_conv2d_strided(self):
         rng = np.random.default_rng(19)
@@ -206,7 +221,7 @@ class TestIsaSuiteDifferential:
             )
             return program
 
-        _differential(emit, streamed=True)
+        self._differential(emit, streamed=True)
 
     def test_depthwise(self):
         rng = np.random.default_rng(20)
@@ -220,7 +235,7 @@ class TestIsaSuiteDifferential:
             )
             return program
 
-        _differential(emit, streamed=True)
+        self._differential(emit, streamed=True)
 
 
 class TestFig6Loop:
@@ -233,6 +248,7 @@ class TestFig6Loop:
         _assert_same_state(fast_m, interp_m)
         assert fast_m.fastpath_stats["hits"] == 1
         assert fast_m.fastpath_stats["fused_trips"] == 512
+        _assert_every_repeat_fused(fast_m)
         assert interp_m.fastpath_stats["hits"] == 0
 
     def test_opt_out_compiles_nothing(self):
@@ -262,7 +278,7 @@ class TestFig6Loop:
         _assert_same_state(fast_m, interp_m)
         stats = fast_m.fastpath_stats
         assert (stats["compiled"], stats["hits"]) == (fused, fused)
-        assert stats["misses"] == stats["fallbacks"] == 0
+        assert stats["misses"] == stats["fallbacks"] == stats["rejected"] == 0
 
     def test_loopn_is_interpreted_with_its_body_repeat_fused(self):
         def emit(machine):
@@ -281,6 +297,7 @@ class TestFig6Loop:
         # Only the repeated body instruction compiles; the loop runs on
         # the interpreter and takes the fused repeat once per trip.
         assert fast.fastpath_stats["compiled"] == 1
+        assert fast.fastpath_stats["rejected"] == 0
         assert fast.fastpath_stats["hits"] == 3
         assert fast.fastpath_stats["fused_trips"] == 24
 
@@ -323,12 +340,34 @@ def test_nkl_emitters_emit_no_hardware_loop():
         assert all(i.seq.opcode is not SeqOpcode.LOOP_BEGIN for i in program), name
 
 
+@pytest.mark.parametrize("body, blockers", [
+    ("mac.uint8 dram[a0], wtram[a1], zoff", ()),
+    ("broadcast64 n1, wtram[a3], a5, inc | max.int8 dlast, n1", ()),
+    ("sub.uint8 n0, zero", ()),
+    ("mac.bf16 dram[a0], wtram[a1]", ("npu.bf16",)),
+    ("add.int16 dram[a0], zero", ("npu.int16",)),
+    ("xor.uint8 dram[a0], wtram[a1]", ("npu.xor",)),
+    ("cmpgt.uint8 dram[a0], wtram[a1], pred1", ("npu.cmpgt", "npu.predicate")),
+    ("mac.uint8 dram[a0], wtram[a1], noacc", ("npu.noacc",)),
+    ("mac.uint8 dram[a0], wtram[a1], pred2", ("npu.predicate",)),
+    ("mac.uint8 dram[a0]>>1, wtram[a1]", ("npu.data-shift",)),
+    ("mac.uint8 dram[a0], wtram[a1], neighbor", ("npu.from-neighbor",)),
+    ("mac.uint8 dram[a0], wtram[a1] | requant.uint8", ("out.requant",)),
+])
+def test_fusion_blockers_name_every_unfused_form(body, blockers):
+    # The one legality rule: only the 8-bit accumulating trip fuses, and
+    # each reject names what keeps the repeat on the interpreter.
+    (instruction,) = assemble(f"loop 8 {{\n  {body}\n}}")
+    assert fastpath_mod.fusion_blockers(instruction) == blockers
+
+
 class TestBf16NonFinite:
     def test_nan_and_inf_lanes_propagate_quietly_through_data_shift(self):
         # The datapath never traps: NaN stays NaN and Inf stays Inf through
-        # ``data >> shift`` and the MAC, identically fused and interpreted,
-        # and numpy raises no "invalid value" warning (suite-wide
-        # ``filterwarnings = error`` would turn one into a failure).
+        # ``data >> shift`` and the MAC, and numpy raises no "invalid value"
+        # warning (suite-wide ``filterwarnings = error`` would turn one into
+        # a failure).  A bf16 repeat is not a form the fast path fuses: it
+        # is rejected at load and interpreted on both machines.
         def emit(machine):
             row = machine.config.row_bytes
             data = np.full(row, 0x3FC0, dtype=np.uint16)  # bf16 1.5
@@ -345,12 +384,37 @@ class TestBf16NonFinite:
             )
 
         fast, interp = _differential(emit)
-        assert fast.fastpath_stats["hits"] > 0
+        stats = fast.fastpath_stats
+        assert (stats["compiled"], stats["rejected"], stats["hits"]) == (0, 1, 0)
         assert fast.acc_float.tobytes() == interp.acc_float.tobytes()
         acc = interp.acc_float
         assert np.isnan(acc[0]) and np.isnan(acc[1])
         assert acc[2] == np.inf and acc[3] == -np.inf
         assert (acc[4:] == 3.0).all()  # 4 trips of (1.5 >> 1) * 1.0
+
+
+class TestSaturationFallback:
+    def test_block_that_could_saturate_is_interpreted(self):
+        # The fused sum is exact only under its static no-overflow bound.
+        # Accumulators preloaded near ACC_MAX fail it: the block commits
+        # nothing and the interpreter runs the whole repeat, saturating.
+        def emit(machine):
+            row = machine.config.row_bytes
+            machine.write_data_ram(0, bytes([255]) * row)
+            machine.write_weight_ram(0, bytes([255]) * row)
+            machine.acc_int[: row // 2] = ACC_MAX - 100_000
+            return assemble(
+                "setaddr a0, 0\nsetaddr a1, 0\n"
+                "loop 8 {\n  mac.uint8 dram[a0], wtram[a1]\n}\nhalt"
+            )
+
+        fast, interp = _differential(emit)
+        stats = fast.fastpath_stats
+        assert (stats["compiled"], stats["hits"]) == (1, 1)
+        assert stats["fallbacks"] == 1 and stats["fused_trips"] == 0
+        half = fast.config.row_bytes // 2
+        assert (interp.acc_int[:half] == ACC_MAX).all()
+        assert (interp.acc_int[half:] == 8 * 255 * 255).all()
 
 
 class TestMidTraceStops:

@@ -1,18 +1,22 @@
 """Differential fuzzing of the fast path against the interpreter.
 
-Hundreds of seeded random — but legal — programs built from the fusable
-instruction vocabulary (rotates, broadcasts, bypasses, every NPU op,
-requant/store, fused loops, hardware repeats), run on both execution
-tiers from identical random RAM images and configuration registers.
-Everything observable must match bit-for-bit; traces the fast path
-rejects simply fall back to the interpreter and still must agree.
+Hundreds of seeded random — but legal — programs built from the
+single-instruction vocabulary (rotates, broadcasts, bypasses, every NPU
+op over 8- and 16-bit lanes, pre-shifts, neighbour slides, requant/store,
+fused loops, hardware repeats), run on both execution tiers from
+identical random RAM images and configuration registers.  Everything
+observable must match bit-for-bit; traces the fast path rejects (all but
+the 8-bit accumulating form) simply run on the interpreter and still
+must agree.
 """
 
 import numpy as np
 import pytest
 
 from repro.isa import assemble
+from repro.isa.instruction import NPUOpcode
 from repro.ncore import Ncore
+from repro.ncore import fastpath as fastpath_mod
 
 from tests.ncore.test_fastpath import _assert_same_state
 
@@ -136,10 +140,23 @@ def test_random_programs_differential(batch):
             raise
 
 
-def test_fuzz_exercises_both_fusion_kinds():
+def test_fuzz_exercises_both_fusion_kinds(monkeypatch):
     # Sanity: across the corpus the fast path actually fuses a meaningful
-    # share of traces (the differential above would pass trivially if the
-    # generator only ever produced rejected traces).
+    # share of traces, and each fold it keeps — the accumulating sum
+    # (MAC / ADD / SUB) and the min/max fold — commits at least one fused
+    # trip (the differential above would pass trivially if the generator
+    # only ever produced rejected traces).
+    folds = {"sum": 0, "minmax": 0}
+    run = fastpath_mod.FusedTrace.run
+
+    def counting_run(trace, machine, count):
+        done = run(trace, machine, count)
+        if done and trace.npu is not None:
+            minmax = trace.npu.opcode in (NPUOpcode.MIN, NPUOpcode.MAX)
+            folds["minmax" if minmax else "sum"] += 1
+        return done
+
+    monkeypatch.setattr(fastpath_mod.FusedTrace, "run", counting_run)
     hits = 0
     for seed in range(40):
         source = _random_program(np.random.default_rng(1000 + seed))
@@ -147,3 +164,4 @@ def test_fuzz_exercises_both_fusion_kinds():
         machine.execute_program(assemble(source))
         hits += machine.fastpath_stats["hits"]
     assert hits > 10
+    assert folds["sum"] > 0 and folds["minmax"] > 0, folds

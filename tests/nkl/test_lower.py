@@ -7,6 +7,7 @@ from repro.graph import Graph, Node, Tensor, TensorType, partition
 from repro.nkl import lower_segment
 from repro.nkl.lower import _node_dtype
 from repro.dtypes import NcoreDType
+from tests.helpers import CHA_DMA_BYTES_PER_CYCLE
 
 
 def conv_pool_graph():
@@ -89,6 +90,6 @@ class TestLowerSegment:
         g = conv_pool_graph()
         (segment,) = partition(g)
         loadable = lower_segment(g, segment)
-        assert loadable.total_cycles() == loadable.compute_cycles
+        assert loadable.total_cycles(CHA_DMA_BYTES_PER_CYCLE) == loadable.compute_cycles
         loadable.memory_plan.weights_pinned = False
-        assert loadable.total_cycles() >= loadable.compute_cycles
+        assert loadable.total_cycles(CHA_DMA_BYTES_PER_CYCLE) >= loadable.compute_cycles

@@ -13,6 +13,7 @@ from repro.obs.attrib import (
 )
 from repro.runtime.executor import TIER_CODEGEN, TIER_REPLAY
 from tests.quantize.test_convert import calibration_batches, small_cnn
+from tests.helpers import CHA_DMA_BYTES_PER_CYCLE as BPC
 
 
 @pytest.fixture(scope="module")
@@ -26,12 +27,12 @@ def compiled():
 
 class TestSegmentFeatures:
     def test_one_record_per_segment(self, compiled):
-        records = segment_features(compiled)
+        records = segment_features(compiled, BPC)
         assert len(records) == len(compiled.segments)
         assert [r["segment"] for r in records] == list(range(len(records)))
 
     def test_ncore_segments_carry_kernel_attribution(self, compiled):
-        records = segment_features(compiled)
+        records = segment_features(compiled, BPC)
         ncore = [r for r in records if r["target"] == "ncore"]
         assert ncore, "expected at least one Ncore segment"
         for record in ncore:
@@ -44,7 +45,7 @@ class TestSegmentFeatures:
             assert sum(record["ops"].values()) == record["nodes"]
 
     def test_dma_bytes_follow_the_memory_plan(self, compiled):
-        for record in segment_features(compiled):
+        for record in segment_features(compiled, BPC):
             if record["weights_pinned"]:
                 assert record["dma_bytes"] == 0
             else:
@@ -53,24 +54,24 @@ class TestSegmentFeatures:
 
 class TestCollector:
     def test_record_model_run_stamps_tier_and_count(self, compiled):
-        records = (model_run_records(compiled, TIER_CODEGEN, batch=4, count=3)
-                   + model_run_records(compiled, TIER_REPLAY, count=2))
+        records = (model_run_records(compiled, TIER_CODEGEN, BPC, batch=4, count=3)
+                   + model_run_records(compiled, TIER_REPLAY, BPC, count=2))
         per_run = len(compiled.segments)
         assert len(records) == 2 * per_run
         executed = [r for r in records if r["tier"] == TIER_CODEGEN]
         assert len(executed) == per_run
         assert all(r["count"] == 3 and r["batch"] == 4 for r in executed)
         # A record is the segment's static features plus the stamps.
-        for record, features in zip(executed, segment_features(compiled),
+        for record, features in zip(executed, segment_features(compiled, BPC),
                                     strict=True):
             assert {k: v for k, v in record.items()
                     if k not in ("tier", "batch", "count")} == features
 
     def test_zero_count_records_nothing(self, compiled):
-        assert model_run_records(compiled, TIER_CODEGEN, count=0) == []
+        assert model_run_records(compiled, TIER_CODEGEN, BPC, count=0) == []
 
     def test_jsonl_harvest_roundtrips(self, compiled, tmp_path):
-        records = model_run_records(compiled, TIER_CODEGEN)
+        records = model_run_records(compiled, TIER_CODEGEN, BPC)
         path = tmp_path / "harvest.jsonl"
         count = write_harvest(str(path), records)
         lines = path.read_text().strip().splitlines()
@@ -82,8 +83,8 @@ class TestCollector:
             assert key in records[0]
 
     def test_collapsed_stacks_weight_by_cycles(self, compiled):
-        once = collapsed_stacks(model_run_records(compiled, TIER_CODEGEN))
-        twice = collapsed_stacks(model_run_records(compiled, TIER_CODEGEN, count=2))
+        once = collapsed_stacks(model_run_records(compiled, TIER_CODEGEN, BPC))
+        twice = collapsed_stacks(model_run_records(compiled, TIER_CODEGEN, BPC, count=2))
         assert twice
         for line in twice.splitlines():
             frames, weight = line.rsplit(" ", 1)

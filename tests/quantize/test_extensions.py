@@ -15,6 +15,7 @@ from repro.graph import Graph, Node, Tensor, TensorType, execute_float
 from repro.quantize import calibrate, quantize_graph
 from repro.runtime import execute_quantized
 from tests.quantize.test_convert import calibration_batches, small_cnn
+from tests.helpers import CHA_DMA_BYTES_PER_CYCLE
 
 
 def disparate_channel_graph(seed=31):
@@ -178,6 +179,6 @@ class TestInt16Conversion:
         g16 = quantize_graph(
             small_cnn(), calibrate(small_cnn(), calibration_batches()), NcoreDType.INT16
         )
-        c8 = compile_graph(g8, pipeline="O0", name="int8").model.ncore_cycles()
-        c16 = compile_graph(g16, pipeline="O0", name="int16").model.ncore_cycles()
+        c8 = compile_graph(g8, pipeline="O0", name="int8").model.ncore_cycles(CHA_DMA_BYTES_PER_CYCLE)
+        c16 = compile_graph(g16, pipeline="O0", name="int16").model.ncore_cycles(CHA_DMA_BYTES_PER_CYCLE)
         assert c16 > 2.0 * c8

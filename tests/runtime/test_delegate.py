@@ -8,6 +8,7 @@ from repro.graph import execute_float
 from repro.quantize import calibrate, quantize_graph
 from repro.runtime import NcoreExecutor
 from tests.quantize.test_convert import calibration_batches, small_cnn
+from tests.helpers import CHA_DMA_BYTES_PER_CYCLE
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +26,7 @@ class TestCompileModel:
             assert compiled.loadables[index].kernels
 
     def test_cycle_estimate_positive(self, compiled):
-        assert compiled.ncore_cycles() > 0
+        assert compiled.ncore_cycles(CHA_DMA_BYTES_PER_CYCLE) > 0
 
     def test_summary_renders(self, compiled):
         text = compiled.summary()

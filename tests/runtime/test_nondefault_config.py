@@ -18,6 +18,7 @@ from repro.quantize import calibrate, quantize_graph
 from repro.runtime import NcoreExecutor, execute_quantized
 from repro.soc.cha import ChaSoc
 from tests.quantize.test_convert import calibration_batches, small_cnn
+from tests.helpers import CHA_DMA_BYTES_PER_CYCLE
 
 POINTS = {
     "s8": NcoreConfig(slices=8),
@@ -76,8 +77,8 @@ class TestNonDefaultConfig:
                 assert kernel.lanes == config.lanes
 
     def test_wider_machine_never_needs_more_cycles(self, compiled):
-        narrow = compiled["s8"].model.ncore_cycles()
-        wide = compiled["s32"].model.ncore_cycles()
+        narrow = compiled["s8"].model.ncore_cycles(CHA_DMA_BYTES_PER_CYCLE)
+        wide = compiled["s32"].model.ncore_cycles(CHA_DMA_BYTES_PER_CYCLE)
         assert wide <= narrow
 
     def test_executor_verify_uses_the_executor_config(self):

@@ -1,7 +1,7 @@
 """The sanitizer over a seeded subset of the differential fuzz corpus.
 
 Reuses the fastpath fuzz generator: random-but-legal programs from the
-full fusable vocabulary, run on a sanitized interpreter next to a plain
+full single-instruction vocabulary, run on a sanitized interpreter next to a plain
 one.  The sanitizer must never perturb architectural state, and a corpus
 with no DMA instructions must produce no race or out-of-bounds findings
 (uninitialized-read findings are expected — the generator freely walks

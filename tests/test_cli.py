@@ -260,6 +260,23 @@ class TestServeTelemetry:
         assert first["tier"] == "timing-model"
         assert flame.read_text().strip()
 
+    def test_gnmt_harvest_cycles_match_the_timing_model(self, capsys, tmp_path):
+        # GNMT is timed at 2.3 GHz, where the DMA stream delivers more bytes
+        # per Ncore cycle than at the default 2.5 GHz: the harvest must
+        # label its cycles at the system's own rate.
+        import json
+
+        from repro.perf.system import get_system
+
+        harvest = tmp_path / "gnmt.jsonl"
+        assert main(["serve", "gnmt", "--queries", "8", "--harvest", str(harvest)]) == 0
+        capsys.readouterr()
+        records = [json.loads(line) for line in harvest.read_text().splitlines()]
+        system = get_system("gnmt")
+        expected = system.compiled.ncore_cycles(system.dma_bytes_per_cycle)
+        assert sum(r["total_cycles"] for r in records) == expected
+        assert expected == round(system.ncore_seconds() * system.config.clock_hz)
+
     def test_prometheus_families_are_a_function_of_the_arguments(self, capsys, tmp_path):
         # The cached system build is setup, not part of the observed run:
         # a cold cache must not add compiler families to the first file.

@@ -16,7 +16,10 @@ names only tests reached, then the commands that re-ran another command's
 job (``repro bench``, ``repro trace``, the live ``repro top``) and the
 second copies only they reached, then the serving telemetry's rolling
 windows, rate meter and SLO monitor (one latency histogram is the record)
-and the process-wide attribution collector.  These tests grep the tree so a stray reference
+and the process-wide attribution collector, then the fast path's 16-bit
+and bf16 lane sources and the ``Instruction``-side copy of its legality
+rule (``repro.ncore.fastpath.fusion_blockers`` is the one statement of
+it).  These tests grep the tree so a stray reference
 (or a reintroduced alias) fails loudly rather than resurrecting an old name.
 """
 
@@ -177,6 +180,24 @@ def test_one_record_of_serving_completions():
     offenders = _grep(pattern, files)
     assert not offenders, "removed telemetry name resurfaced:\n" + "\n".join(offenders)
     assert not (SRC / "obs" / "window.py").exists()
+
+
+def test_one_fusion_legality_rule():
+    # The fast path fuses 8-bit integer trips only: its 16-bit / bf16 lane
+    # source went, and the legality rule moved out of the ISA into its one
+    # consumer, ``repro.ncore.fastpath``.
+    from repro.isa.instruction import Instruction
+
+    for name in ("fusion_blockers", "TRACE_NDU_OPCODES", "TRACE_SEQ_OPCODES"):
+        assert not hasattr(Instruction, name), name
+    offenders = _grep(
+        re.compile(r"fusion_blockers|TRACE_NDU_OPCODES|TRACE_SEQ_OPCODES"),
+        sorted((SRC / "isa").rglob("*.py")),
+    )
+    offenders += _grep(
+        re.compile(r"_LaneSource|compile_repeat"), _tree_files("src", "examples", "docs")
+    )
+    assert not offenders, "removed fast-path name resurfaced:\n" + "\n".join(offenders)
 
 
 @pytest.mark.parametrize("owner, name", [

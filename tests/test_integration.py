@@ -14,6 +14,7 @@ from repro.graph.passes import default_pipeline
 from repro.models import PAPER_CHARACTERISTICS, build_mobilenet_v1
 from repro.quantize import calibrate, quantize_graph
 from repro.runtime import NcoreExecutor
+from tests.helpers import CHA_DMA_BYTES_PER_CYCLE
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +73,7 @@ class TestMobileNetPipeline:
             g = build_mobilenet_v1(resolution=resolution)
             default_pipeline().run(g)
             qg = quantize_graph(g, calibrate(g, [info.sample_input(g)]))
-            return compile_graph(qg, pipeline="O0").model.ncore_cycles()
+            return compile_graph(qg, pipeline="O0").model.ncore_cycles(CHA_DMA_BYTES_PER_CYCLE)
 
         # 2x the resolution ~= 4x the pixels; the cycle count must track
         # it within the tiling slack.  (At tiny resolutions the late
