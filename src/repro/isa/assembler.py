@@ -2,9 +2,15 @@
 
 The paper shows a convolution inner loop in Ncore's internal code syntax
 (Fig. 6) and notes "this level of code is abstracted away from the end user
-via the tooling".  This assembler is that tooling layer: the NKL emits
-instruction objects directly, but hand-written kernels, the instruction ROM
-contents and tests use this textual form.
+via the tooling".  This assembler is that tooling layer: every NKL emitter
+(:mod:`repro.nkl.programs`) writes this textual form and assembles it, as
+do hand-written kernels, the instruction ROM contents and tests.
+
+Emitted programs are unrolled, so their text repeats heavily (a 28 x 28
+conv has ~4 300 lines but ~250 distinct ones).  :func:`assemble` therefore
+parses each distinct line, and each distinct ``loop`` block, once per call
+and reuses the frozen :class:`~repro.isa.Instruction`; there is no cache
+across calls.
 
 Grammar (one statement per line, ``;`` starts a comment)::
 
@@ -86,6 +92,9 @@ _OPERAND_RE = re.compile(
     r"|(?P<named>dlast|out_lo|out_hi|zero|acc)"
     r")$"
 )
+
+
+_LOOP_RE = re.compile(r"loop\s+(\d+)\s*\{")
 
 
 def _check_reg(index: int, limit: int, what: str, line_no: int) -> int:
@@ -404,38 +413,73 @@ def _parse_store(rest: str, dtype: NcoreDType | None, line_no: int) -> OutOp:
     )
 
 
+def _parse_line(line: str, pending: _PendingInstruction, line_no: int) -> None:
+    """Parse one source line's ``|``-separated statements into ``pending``."""
+    for stmt in line.split("|"):
+        stmt = stmt.strip()
+        if stmt:
+            _parse_statement(stmt, pending, line_no)
+
+
+def _parse_block(repeat: int, body: list[tuple[int, str]]) -> _PendingInstruction:
+    """Parse one ``loop N { ... }`` block's numbered body lines."""
+    pending = _PendingInstruction(repeat=repeat)
+    for line_no, line in body:
+        _parse_line(line, pending, line_no)
+    return pending
+
+
 def assemble(source: str) -> list[Instruction]:
-    """Assemble source text into a list of instructions."""
+    """Assemble source text into a list of instructions.
+
+    Each distinct stand-alone line, and each distinct ``loop N { ... }``
+    block, is parsed once per call; a repeat reuses the (frozen)
+    instruction built at its first occurrence.  The first occurrence is
+    always the one parsed, so an error reports the line it would report
+    without the memo.  Nothing is kept between calls.
+    """
     instructions: list[Instruction] = []
-    fused: _PendingInstruction | None = None
-    fused_start_line = 0
+    lines: dict[str, Instruction] = {}
+    blocks: dict[tuple[int, tuple[str, ...]], Instruction] = {}
+    body: list[tuple[int, str]] | None = None  # the open loop block's lines
+    repeat = 0
+    block_line = 0
     for line_no, raw_line in enumerate(source.splitlines(), start=1):
         line = raw_line.split(";", 1)[0].strip()
         if not line:
             continue
-        loop_match = re.fullmatch(r"loop\s+(\d+)\s*\{", line)
+        loop_match = _LOOP_RE.fullmatch(line)
         if loop_match:
-            if fused is not None:
+            if body is not None:
+                _parse_block(repeat, body)  # the body's own errors come first
                 raise AssemblyError("nested fused loops are not supported", line_no)
             repeat = _check_repeat(int(loop_match[1]), "repeat count", line_no)
-            fused = _PendingInstruction(repeat=repeat)
-            fused_start_line = line_no
+            body = []
+            block_line = line_no
             continue
         if line == "}":
-            if fused is None:
+            if body is None:
                 raise AssemblyError("unmatched '}'", line_no)
-            instructions.append(fused.build(fused_start_line))
-            fused = None
+            key = (repeat, tuple(text for _, text in body))
+            instruction = blocks.get(key)
+            if instruction is None:
+                instruction = _parse_block(repeat, body).build(block_line)
+                blocks[key] = instruction
+            instructions.append(instruction)
+            body = None
             continue
-        target = fused if fused is not None else _PendingInstruction()
-        for stmt in line.split("|"):
-            stmt = stmt.strip()
-            if stmt:
-                _parse_statement(stmt, target, line_no)
-        if fused is None:
-            instructions.append(target.build(line_no))
-    if fused is not None:
-        raise AssemblyError("unterminated fused loop block", fused_start_line)
+        if body is not None:
+            body.append((line_no, line))
+            continue
+        instruction = lines.get(line)
+        if instruction is None:
+            pending = _PendingInstruction()
+            _parse_line(line, pending, line_no)
+            instruction = lines[line] = pending.build(line_no)
+        instructions.append(instruction)
+    if body is not None:
+        _parse_block(repeat, body)
+        raise AssemblyError("unterminated fused loop block", block_line)
     return instructions
 
 

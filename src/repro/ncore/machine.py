@@ -289,11 +289,16 @@ class Ncore:
     def _raw_row(
         self,
         operand: Operand,
-        ndu_view: np.ndarray,
         dlast_snapshot: np.ndarray,
         increments: list[tuple[int, int]],
     ) -> np.ndarray:
-        """Fetch one raw 4096-byte row for an NDU source."""
+        """Fetch one raw 4096-byte row for an NDU or 8-bit NPU source.
+
+        NDU-register and DLAST sources are returned as views, not copies:
+        every consumer (the NDU functions, ``masked_merge``'s ``np.where``
+        and the NPU's ``astype``) allocates its result, and nothing writes
+        the returned row in place.
+        """
         kind = operand.kind
         if kind is OperandKind.DATA_RAM or kind is OperandKind.WEIGHT_RAM:
             ram = self.data_ram if kind is OperandKind.DATA_RAM else self.weight_ram
@@ -309,13 +314,13 @@ class Ncore:
         if kind is OperandKind.IMMEDIATE:
             return np.full(self.config.row_bytes, operand.index, dtype=np.uint8)
         if kind is OperandKind.NDU_REG:
-            return ndu_view[operand.index].copy()
+            return self.ndu_regs[operand.index]
         if kind is OperandKind.OUT_LOW:
             return self.out_low.copy()
         if kind is OperandKind.OUT_HIGH:
             return self.out_high.copy()
         if kind is OperandKind.DLAST:
-            return dlast_snapshot.copy()
+            return dlast_snapshot
         if kind is OperandKind.ZERO:
             return np.zeros(self.config.row_bytes, dtype=np.uint8)
         raise ExecutionError(f"operand kind {kind.name} is not a row source")
@@ -330,7 +335,7 @@ class Ncore:
         """Fetch and interpret one NPU operand as lane values."""
         info = dtype_info(dtype)
         if info.bytes_per_element == 1:
-            raw = self._raw_row(operand, self.ndu_regs, dlast_snapshot, increments)
+            raw = self._raw_row(operand, dlast_snapshot, increments)
             if dtype is NcoreDType.INT8:
                 return raw.view(np.int8).astype(np.int32)
             return raw.astype(np.int32)
@@ -373,10 +378,11 @@ class Ncore:
     ) -> None:
         if not ops:
             return
-        pre_state = self.ndu_regs.copy()
+        # Every op reads pre-instruction state: all reads (sources, masks,
+        # merge's previous value) happen in this loop, before any commit.
         results: list[tuple[int, np.ndarray]] = []
         for op in ops:
-            src = self._raw_row(op.src, pre_state, dlast_snapshot, increments)
+            src = self._raw_row(op.src, dlast_snapshot, increments)
             if op.opcode is NDUOpcode.BYPASS:
                 result = ndu_unit.bypass(src)
             elif op.opcode is NDUOpcode.ROTATE:
@@ -394,8 +400,8 @@ class Ncore:
                     src, self.config.row_bytes, zero=self.weight_zero_offset
                 )
             elif op.opcode is NDUOpcode.MERGE:
-                mask = self._raw_row(op.src2, pre_state, dlast_snapshot, increments)
-                result = ndu_unit.masked_merge(src, pre_state[op.dst], mask)
+                mask = self._raw_row(op.src2, dlast_snapshot, increments)
+                result = ndu_unit.masked_merge(src, self.ndu_regs[op.dst], mask)
             else:  # pragma: no cover - enum is closed
                 raise ExecutionError(f"unknown NDU opcode {op.opcode}")
             results.append((op.dst, result))
@@ -404,8 +410,11 @@ class Ncore:
             if dst == 0:
                 # dlast shadows NDU register n0 (Fig. 6's d0_mov_reg /
                 # d_last_latched pair): DLAST reads see the value n0 held
-                # entering the cycle, writes to n0 re-arm the latch.
-                self.dlast = result.copy()
+                # entering the cycle, writes to n0 re-arm the latch.  The
+                # result is a fresh array that only dlast keeps (n0 got a
+                # copy above), and dlast is only ever rebound, never
+                # written in place.
+                self.dlast = result
 
     def _execute_npu(
         self,

@@ -34,8 +34,8 @@ def rotate(row: np.ndarray, amount: int, direction: RotateDirection) -> np.ndarr
     """
     if not 0 <= amount <= 64:
         raise ValueError(f"rotate amount {amount} exceeds 64 bytes/clock")
-    shift = -amount if direction is RotateDirection.LEFT else amount
-    return np.roll(row, shift)
+    split = (amount if direction is RotateDirection.LEFT else -amount) % row.size
+    return np.concatenate((row[split:], row[:split]))
 
 
 def broadcast64(row: np.ndarray, byte_index: int) -> np.ndarray:

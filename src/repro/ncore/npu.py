@@ -78,14 +78,14 @@ def execute_int(
     combine = COMBINE.get(op.opcode)
     if combine is None:
         raise ValueError(f"not an integer ALU opcode: {op.opcode}")
-    combined = combine(data.astype(np.int64), weight.astype(np.int64))
+    combined = combine(data, weight, dtype=np.int64)
     klass = fold_class(op.opcode, op.accumulate)
-    if klass == "replace":
-        new_acc = np.clip(combined, ACC_MIN, ACC_MAX)
-    elif klass == "minmax":
-        new_acc = combine(acc.astype(np.int64), combined)
+    if klass == "minmax":
+        new_acc = combine(acc, combined, out=combined)
     else:
-        new_acc = np.clip(acc.astype(np.int64) + combined, ACC_MIN, ACC_MAX)
+        if klass == "sum":
+            combined += acc
+        new_acc = np.clip(combined, ACC_MIN, ACC_MAX, out=combined)
     new_acc = new_acc.astype(np.int32)
     if predicate_mask is not None:
         new_acc = np.where(predicate_mask, new_acc, acc)

@@ -16,6 +16,10 @@ Layout convention (the "internal data layout optimized for Ncore"):
   once, as in Fig. 6).
 - *Weight rows*: byte (g * 64 + idx) of a weight row holds the weight for
   output channel g at reduction index idx; ``broadcast64`` walks idx.
+
+Each emitter stages RAM through the bus interface with numpy-built blocks,
+one write per :data:`STAGE_ROWS` rows, and emits its program as assembly
+text for :func:`repro.isa.assemble`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dtypes import ChannelQuantParams, QuantParams, quantize_multiplier
-from repro.isa import Instruction, assemble
+from repro.isa import Instruction, SeqOp, SeqOpcode, assemble
 from repro.ncore import Ncore
 from repro.ncore.config import CHA_NCORE
 from repro.nkl.schedule import BROADCAST_GROUP
@@ -70,11 +74,43 @@ def pack_weight_row(weights: np.ndarray, row_bytes: int = ROW_BYTES) -> np.ndarr
             f"weight blocks are at most {groups} x {BROADCAST_GROUP} per "
             f"{row_bytes}-byte row"
         )
-    row = np.zeros(row_bytes, dtype=np.uint8)
+    row = np.zeros((groups, BROADCAST_GROUP), dtype=np.uint8)
     k, c = weights.shape
-    for g in range(k):
-        row[g * BROADCAST_GROUP : g * BROADCAST_GROUP + c] = weights[g]
-    return row
+    row[:k, :c] = weights
+    return row.reshape(row_bytes)
+
+
+#: Rows per bus write when an emitter stages a block of RAM: bounds the
+#: host-side temporaries to 64 rows (256 KB in CHA) at any problem size.
+STAGE_ROWS = 64
+
+
+def _stage_rows(write, first_row: int, tiles: np.ndarray, row_bytes: int) -> None:
+    """Write ``tiles`` (n, w), each tile repeated across a whole row, to the
+    consecutive RAM rows from ``first_row``: one ``write(offset, payload)``
+    bus write per :data:`STAGE_ROWS` rows."""
+    reps = row_bytes // tiles.shape[1]
+    for start in range(0, len(tiles), STAGE_ROWS):
+        block = np.tile(tiles[start : start + STAGE_ROWS], (1, reps))
+        write((first_row + start) * row_bytes, block.tobytes())
+
+
+def _data_tiles(data: np.ndarray) -> np.ndarray:
+    """The (C, 64) data-row tiles of an (M <= 64, C) matrix: tile ci holds
+    column ci, zero-filled past M (what :func:`tile_data_row` tiles)."""
+    tiles = np.zeros((data.shape[1], BROADCAST_GROUP), dtype=np.uint8)
+    tiles[:, : data.shape[0]] = data.T
+    return tiles
+
+
+def _pack_reduction_rows(cols: np.ndarray, row_bytes: int) -> np.ndarray:
+    """Pack a (C, N) weight block into ceil(C / 64) weight rows: row r packs
+    reduction indices r*64 .. r*64+63 of every column (see
+    :func:`pack_weight_row`)."""
+    return np.stack([
+        pack_weight_row(cols[start : start + BROADCAST_GROUP].T, row_bytes)
+        for start in range(0, cols.shape[0], BROADCAST_GROUP)
+    ])
 
 #: The data-RAM row a W x K pass (matmul, 1-D rotate conv) stores into.
 WK_OUTPUT_ROW = 64
@@ -132,20 +168,12 @@ def emit_matmul_program(
     if c > machine.config.sram_rows:
         raise ProgramShapeError("reduction depth exceeds data RAM rows")
     # Stage data: one row per reduction index c, M values tiled.
-    for ci in range(c):
-        machine.write_data_ram(
-            ci * row_bytes,
-            tile_data_row(data[:, ci], row_bytes).tobytes(),
-        )
+    _stage_rows(machine.write_data_ram, 0, _data_tiles(data), row_bytes)
     # Stage weights: weight rows pack (N x 64) reduction slices.
     weight_rows = -(-c // BROADCAST_GROUP)
-    wt = np.zeros((weight_rows, row_bytes), dtype=np.uint8)
-    for ci in range(c):
-        row, idx = divmod(ci, BROADCAST_GROUP)
-        for g in range(n):
-            wt[row, g * BROADCAST_GROUP + idx] = weights[ci, g]
-    for r in range(weight_rows):
-        machine.write_weight_ram(r * row_bytes, wt[r].tobytes())
+    _stage_rows(
+        machine.write_weight_ram, 0, _pack_reduction_rows(weights, row_bytes), row_bytes
+    )
     # Requantization config: M = s_in * s_w / s_out.  Per-channel weight
     # parameters program the per-lane registers: lane (g*64 + m) carries
     # output column g's multiplier/shift (section IV-D.5's per-lane
@@ -324,23 +352,16 @@ def emit_tiled_matmul_program(
     # Stage data: per m-tile, one row per reduction index.
     for mt in range(m_tiles):
         chunk = data[mt * BROADCAST_GROUP : (mt + 1) * BROADCAST_GROUP]
-        for ci in range(c):
-            machine.write_data_ram(
-                (mt * c + ci) * row_bytes,
-                tile_data_row(chunk[:, ci], row_bytes).tobytes(),
-            )
+        _stage_rows(machine.write_data_ram, mt * c, _data_tiles(chunk), row_bytes)
     # Stage weights: per n-tile, packed reduction slices.
     for nt in range(n_tiles):
         cols = weights[:, nt * groups : (nt + 1) * groups]
-        wt = np.zeros((weight_rows_per_tile, row_bytes), dtype=np.uint8)
-        for ci in range(c):
-            row, idx = divmod(ci, BROADCAST_GROUP)
-            for g in range(cols.shape[1]):
-                wt[row, g * BROADCAST_GROUP + idx] = cols[ci, g]
-        for r in range(weight_rows_per_tile):
-            machine.write_weight_ram(
-                (nt * weight_rows_per_tile + r) * row_bytes, wt[r].tobytes()
-            )
+        _stage_rows(
+            machine.write_weight_ram,
+            nt * weight_rows_per_tile,
+            _pack_reduction_rows(cols, row_bytes),
+            row_bytes,
+        )
     mult, shift = quantize_multiplier(
         input_qp.scale * weight_qp.scale / output_qp.scale
     )
@@ -399,8 +420,7 @@ def emit_max_pool_rows_program(
     if width != row_bytes:
         raise ProgramShapeError(f"pooling rows must be full {row_bytes}-byte rows")
     output_row = count + 1
-    for i in range(count):
-        machine.write_data_ram(i * row_bytes, rows[i].tobytes())
+    _stage_rows(machine.write_data_ram, 0, rows, row_bytes)
     machine.set_requant(1 << 30, -1, 0)  # identity requant
     source = f"""
     setaddr a0, 0
@@ -499,8 +519,11 @@ def emit_conv2d_program(
     Constraints of this single-pass template: output width <= 64,
     kh * kw * cin <= 64 (the weight row indexes all taps of one output
     channel), out_channels <= 64.  Larger shapes tile across passes (see
-    the schedule model); this template is the per-pass ground truth the
-    cycle counts are built on.
+    the schedule model).  The cycle counts the paper tables report come
+    from :mod:`repro.nkl.schedule`, not from this program: it runs one
+    output row per pass and issues a ``setaddr`` + ``bypass`` latch per
+    (filter row, in-channel), so it takes ~3x the schedule's cycles (3 089
+    against 970 for a 28 x 28, 7 -> 64 3x3 conv).
     """
     kh, kw, cin, cout = weights.shape
     (pt, pb), (pl, pr) = padding
@@ -529,29 +552,26 @@ def emit_conv2d_program(
     padded[pt : pt + h, pl : pl + w, :] = x[0]
     def data_row(y, c, phase):
         return (y * cin + c) * sw + phase
-    for y in range(h_pad):
-        for c in range(cin):
-            for phase in range(sw):
-                tile = np.full(BROADCAST_GROUP, zp, dtype=np.uint8)
-                cols = padded[y, phase::sw, c]
-                tile[: min(cols.size, BROADCAST_GROUP)] = cols[:BROADCAST_GROUP]
-                machine.write_data_ram(
-                    data_row(y, c, phase) * row_bytes,
-                    np.tile(tile, groups).tobytes(),
-                )
+    # Phase p's tile holds columns p, p+sw, ... (at most 64), zp-filled.
+    tiles = np.full((h_pad, cin, sw, BROADCAST_GROUP), zp, dtype=np.uint8)
+    for phase in range(sw):
+        cols = padded[:, phase::sw, :][:, :BROADCAST_GROUP, :]
+        tiles[:, :, phase, : cols.shape[1]] = cols.transpose(0, 2, 1)
+    _stage_rows(
+        machine.write_data_ram, 0, tiles.reshape(-1, BROADCAST_GROUP), row_bytes
+    )
     # Stage weights in the exact order the broadcast index walks them:
     # (filter_y, in_channel, phase, taps within the phase ascending).
-    tap_order: list[tuple[int, int, int]] = []  # (r, c, s)
-    for r in range(kh):
-        for c in range(cin):
-            for phase in range(sw):
-                for s_tap in range(phase, kw, sw):
-                    tap_order.append((r, c, s_tap))
-    wrow = np.zeros(row_bytes, dtype=np.uint8)
-    for k in range(cout):
-        for idx, (r, c, s_tap) in enumerate(tap_order):
-            wrow[k * BROADCAST_GROUP + idx] = weights[r, s_tap, c, k]
-    machine.write_weight_ram(0, wrow.tobytes())
+    tap_order = [
+        (r, c, s_tap)
+        for r in range(kh)
+        for c in range(cin)
+        for phase in range(sw)
+        for s_tap in range(phase, kw, sw)
+    ]
+    r_idx, c_idx, s_idx = np.array(tap_order).T
+    taps = weights[r_idx, s_idx, c_idx, :]  # (len(tap_order), cout)
+    machine.write_weight_ram(0, pack_weight_row(taps.T, row_bytes).tobytes())
     mult, shift = quantize_multiplier(
         input_qp.scale * weight_qp.scale / output_qp.scale
     )
@@ -588,25 +608,53 @@ def emit_conv2d_program(
     return program, Conv2dResult(output_base, h_out, w_out, cout)
 
 
+def _bank_cut(program: list[Instruction], position: int, room: int) -> int:
+    """Where the chunk starting at ``position`` ends: at most ``room``
+    instructions on, and never inside a ``loopn`` body — a loop's
+    ``endloop`` jumps to a pc in the bank its ``loopn`` ran from, so the
+    cut moves back to before the outermost loop still open there."""
+    end = position + room
+    if end >= len(program):
+        return len(program)
+    depth = 0
+    outer = position  # pc of the outermost open loopn
+    for pc in range(position, end):
+        opcode = program[pc].seq.opcode
+        if opcode is SeqOpcode.LOOP_BEGIN:
+            if depth == 0:
+                outer = pc
+            depth += 1
+        elif opcode is SeqOpcode.LOOP_END and depth:
+            depth -= 1
+    if depth == 0:
+        return end
+    if outer == position:
+        raise ProgramShapeError(
+            f"the loopn at pc {outer} has a body longer than one "
+            f"{room}-instruction bank chunk"
+        )
+    return outer
+
+
 def run_streamed(machine: Ncore, program: list[Instruction]):
     """Execute a program of any length through the double-buffered IRAM.
 
-    Programs longer than one bank are split into straight-line chunks; each
-    chunk is loaded into the inactive bank and the banks are swapped —
+    Programs longer than one bank are split into chunks at loop depth 0;
+    each chunk is loaded into the inactive bank and the banks are swapped —
     exactly the loading flow section IV-C.1 describes ("instruction RAM
     loading [does] not hinder Ncore's latency or throughput").  The
     machine's architectural state carries across swaps.  Returns the last
-    chunk's MachineRunResult.
+    chunk's MachineRunResult; raises :class:`ProgramShapeError` when one
+    ``loopn`` body cannot fit a bank.
     """
-    from repro.isa.instruction import SeqOp, SeqOpcode
-
-    capacity = machine.iram.bank_instructions
+    # Leave room for the bank-boundary halt we may need to append.
+    room = machine.iram.bank_instructions - 1
     result = None
     position = 0
     while position < len(program):
-        # Leave room for the bank-boundary halt we may need to append.
-        chunk = list(program[position : position + capacity - 1])
-        position += len(chunk)
+        cut = _bank_cut(program, position, room)
+        chunk = list(program[position:cut])
+        position = cut
         if not chunk[-1].is_halt:
             chunk.append(Instruction(seq=SeqOp(SeqOpcode.HALT)))
         result = machine.execute_program(chunk)
@@ -655,18 +703,14 @@ def emit_depthwise_program(
     padded = np.full((h_pad, w_pad, c), zp, dtype=np.uint8)
     padded[pt : pt + h, pl : pl + w, :] = x[0]
     # Data rows: group g of row y holds channel g's padded input row.
-    for y in range(h_pad):
-        row = np.full(row_bytes, zp, dtype=np.uint8)
-        for g in range(c):
-            row[g * BROADCAST_GROUP : g * BROADCAST_GROUP + w_pad] = padded[y, :, g]
-        machine.write_data_ram(y * row_bytes, row.tobytes())
+    for start in range(0, h_pad, STAGE_ROWS):
+        band = padded[start : start + STAGE_ROWS]
+        rows = np.full((len(band), groups, BROADCAST_GROUP), zp, dtype=np.uint8)
+        rows[:, :c, :w_pad] = band.transpose(0, 2, 1)
+        machine.write_data_ram(start * row_bytes, rows.tobytes())
     # Weight row: byte [g*64 + (r*kw + s)] holds weight[r, s, g].
-    wrow = np.zeros(row_bytes, dtype=np.uint8)
-    for g in range(c):
-        for r in range(kh):
-            for s_tap in range(kw):
-                wrow[g * BROADCAST_GROUP + r * kw + s_tap] = weights[r, s_tap, g]
-    machine.write_weight_ram(0, wrow.tobytes())
+    taps = weights.reshape(kh * kw, c)
+    machine.write_weight_ram(0, pack_weight_row(taps.T, row_bytes).tobytes())
     mult, shift = quantize_multiplier(
         input_qp.scale * weight_qp.scale / output_qp.scale
     )
@@ -716,8 +760,7 @@ def emit_avg_pool_program(
     if width != row_bytes:
         raise ProgramShapeError(f"pooling rows must be full {row_bytes}-byte rows")
     output_row = count + 1
-    for i in range(count):
-        machine.write_data_ram(i * row_bytes, rows[i].tobytes())
+    _stage_rows(machine.write_data_ram, 0, rows, row_bytes)
     mult, shift = quantize_multiplier(1.0 / count)
     machine.set_requant(mult, shift, 0)
     source = f"""
