@@ -11,6 +11,8 @@ overwrite rows still being consumed (DMA-write vs compute-read hazards).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.graph.gir import Graph
 from repro.graph.loadable import CompiledModel, NcoreLoadable
 from repro.graph.planner import Prefetch, RowRange, _live_ranges
@@ -79,23 +81,42 @@ def _overlap(a: RowRange, b: RowRange) -> bool:
     return a.start < b.end and b.start < a.end
 
 
-def _row_clashes(rows: list[RowRange]) -> list[tuple[int, int]]:
-    """Every index pair ``(i, j)``, ``i < j``, whose row ranges overlap, in
-    ascending order.  A sweep by row start: only ranges still open at a
-    start are tested, so the cost follows the overlapping pairs, not all
-    ``n²`` of them."""
+#: Pairs one block of :func:`_live_clashes` tests at once: its boolean
+#: temporaries stay near a megabyte whatever the plan's size.
+_BLOCK_PAIRS = 1 << 18
+
+
+def _live_clashes(
+    rows: list[RowRange], lives: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """Every index pair ``(i, j)``, ``i < j``, whose row ranges overlap (as
+    :func:`_overlap`) and whose inclusive live ranges intersect, in
+    ascending order.
+
+    Both interval tests run at once as numpy comparisons, a block of
+    ``i`` against every later ``j`` at a time: most row-sharing pairs of
+    a plan are never live together, so testing rows first and liveness
+    per pair in Python costs more than testing every pair here.
+    """
+    count = len(rows)
+    starts = np.array([rng.start for rng in rows], dtype=np.int64)
+    ends = np.array([rng.end for rng in rows], dtype=np.int64)
+    first = np.array([live[0] for live in lives], dtype=np.int64)
+    last = np.array([live[1] for live in lives], dtype=np.int64)
+    step = max(1, _BLOCK_PAIRS // max(count, 1))
     pairs: list[tuple[int, int]] = []
-    open_: list[int] = []
-    for k in sorted(range(len(rows)), key=lambda index: rows[index].start):
-        start = rows[k].start
-        # A range ending at or before this start overlaps no later one.
-        open_ = [other for other in open_ if rows[other].end > start]
-        pairs.extend(
-            (min(other, k), max(other, k))
-            for other in open_ if _overlap(rows[other], rows[k])
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        clash = (
+            (starts[lo:hi, None] < ends[None, lo:])
+            & (starts[None, lo:] < ends[lo:hi, None])
+            & (first[lo:hi, None] <= last[None, lo:])
+            & (first[None, lo:] <= last[lo:hi, None])
         )
-        open_.append(k)
-    return sorted(pairs)
+        # Keep j > i; nonzero is row-major, so the pairs come out ascending.
+        a, b = np.nonzero(np.triu(clash, 1))
+        pairs.extend(zip((a + lo).tolist(), (b + lo).tolist()))
+    return pairs
 
 
 def _check_allocs(
@@ -130,18 +151,18 @@ def _check_data_overlaps(
         for name, rng in plan.data_allocs.items()
         if name in ranges
     ]
-    for i, j in _row_clashes([rows for _, rows, _ in placed]):
+    rows = [rows for _, rows, _ in placed]
+    for i, j in _live_clashes(rows, [live for _, _, live in placed]):
         name_a, rows_a, live_a = placed[i]
         name_b, rows_b, live_b = placed[j]
-        if live_a[0] <= live_b[1] and live_b[0] <= live_a[1]:
-            findings.append(diag(
-                ALLOC_OVERLAP,
-                f"tensors {name_a!r} and {name_b!r} are live together "
-                f"(nodes {live_a} vs {live_b}) but share data-RAM rows "
-                f"[{max(rows_a.start, rows_b.start)}, "
-                f"{min(rows_a.end, rows_b.end)})",
-                artifact=loadable.name, element=name_a,
-            ))
+        findings.append(diag(
+            ALLOC_OVERLAP,
+            f"tensors {name_a!r} and {name_b!r} are live together "
+            f"(nodes {live_a} vs {live_b}) but share data-RAM rows "
+            f"[{max(rows_a.start, rows_b.start)}, "
+            f"{min(rows_a.end, rows_b.end)})",
+            artifact=loadable.name, element=name_a,
+        ))
     return findings
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import weakref
 from typing import Any
 
 import numpy as np
@@ -74,19 +75,22 @@ def _quant_spec(quant: Any) -> Any:
 def _tensor_digest(tensor: Any) -> str | None:
     """SHA-256 of one constant's bytes, memoized on the tensor.
 
-    The memo is stamped with the array's identity/shape/dtype, so
-    reassigning ``tensor.data`` (how every pass rewrites constants)
-    recomputes it.  When the array owns its memory it is frozen
-    (``writeable = False``) as the memo is taken — an in-place mutation
-    afterwards raises instead of silently serving a stale digest; arrays
+    The memo holds a weak reference to the array it digested and is
+    reused only while ``tensor.data`` is that very object, so reassigning
+    ``tensor.data`` (how every pass rewrites constants) recomputes it.  A
+    freed array's reference is dead, so a new array given its ``id()``
+    never matches, and the memo keeps no replaced array alive.  When the
+    array owns its memory it is frozen (``writeable = False``) as the memo
+    is taken — an in-place mutation afterwards raises instead of silently
+    serving a stale digest, and an array made writeable again is hashed
+    afresh (one thawed, mutated and frozen again is not noticed); arrays
     that cannot be frozen (views) are hashed fresh every time.
     """
     data = tensor.data
     if data is None:
         return None
-    stamp = (id(data), data.nbytes, str(data.dtype), data.shape)
     memo = tensor._content_digest
-    if memo is not None and memo[0] == stamp:
+    if memo is not None and memo[0]() is data and not data.flags.writeable:
         return memo[1]
     contiguous = np.ascontiguousarray(data)
     digest = hashlib.sha256()
@@ -99,7 +103,7 @@ def _tensor_digest(tensor: Any) -> str | None:
         except ValueError:
             pass  # a view we don't own: never memoize
         else:
-            tensor._content_digest = (stamp, hexdigest)
+            tensor._content_digest = (weakref.ref(data), hexdigest)
     return hexdigest
 
 

@@ -108,11 +108,17 @@ class Tensor:
     type: TensorType
     data: np.ndarray | None = None
     quant: QuantParams | None = None
-    # Memoized (stamp, sha256) of ``data``, maintained by
-    # repro.compiler.fingerprint; reassigning ``data`` invalidates it.
+    # Memoized (weak reference to the array, sha256) of ``data``,
+    # maintained by repro.compiler.fingerprint; reassigning ``data``
+    # invalidates it.  Pickles leave it out.
     _content_digest: tuple[Any, str] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_content_digest", None)
+        return state
 
     @property
     def is_constant(self) -> bool:
@@ -146,11 +152,18 @@ class Node:
 
 
 class Graph:
-    """A topologically ordered dataflow graph over named tensors."""
+    """A topologically ordered dataflow graph over named tensors.
+
+    ``add_node`` rejects a duplicate node name through a name index that
+    ``add_node``, ``remove_node`` and ``copy`` keep; a node appended to
+    ``nodes`` directly bypasses it, and ``validate`` checks the list
+    itself.
+    """
 
     def __init__(self, name: str = "graph") -> None:
         self.name = name
         self.nodes: list[Node] = []
+        self._node_names: set[str] = set()
         self.tensors: dict[str, Tensor] = {}
         self.inputs: list[str] = []
         self.outputs: list[str] = []
@@ -202,9 +215,10 @@ class Graph:
         for tensor_name in node.outputs:
             if tensor_name not in self.tensors:
                 raise GraphError(f"node {node.name!r} writes unknown tensor {tensor_name!r}")
-        if any(existing.name == node.name for existing in self.nodes):
+        if node.name in self._node_names:
             raise GraphError(f"duplicate node name {node.name!r}")
         self.nodes.append(node)
+        self._node_names.add(node.name)
         return node
 
     def copy(self) -> "Graph":
@@ -228,7 +242,19 @@ class Graph:
                  dict(node.attrs))
             for node in self.nodes
         ]
+        clone._node_names = {node.name for node in clone.nodes}
         return clone
+
+    # The name index is derived state: pickles (compile-cache artifacts)
+    # leave it out and a load rebuilds it from ``nodes``.
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(self.__dict__)
+        del state["_node_names"]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._node_names = {node.name for node in self.nodes}
 
     # ------------------------------------------------------------------
     # Queries
@@ -267,6 +293,7 @@ class Graph:
 
     def remove_node(self, node: Node) -> None:
         self.nodes.remove(node)
+        self._node_names.discard(node.name)
 
     def rewire_input(self, node: Node, old: str, new: str) -> None:
         node.inputs = [new if name == old else name for name in node.inputs]
@@ -384,8 +411,9 @@ def _node_macs(graph: Graph, node: Node) -> int:
     if node.op == "lstm_step":
         # Same hardware work as lstm_cell with split weights: one step of
         # input projection plus the recurrent matmul, batch x (in + hidden)
-        # x 4*hidden.  (The *reference* recomputes the whole-sequence input
-        # projection per node; the modelled Ncore does not.)
+        # x 4*hidden.  (The *reference* op projects the whole sequence for
+        # one row; the graph walks project it once per walk, and the
+        # modelled Ncore counts only the step's row.)
         wx = graph.tensor(node.inputs[1]).shape  # (in, 4 * hidden)
         wh = graph.tensor(node.inputs[2]).shape  # (hidden, 4 * hidden)
         batch = graph.tensor(node.outputs[0]).shape[0]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.graph.gir import Graph
 from repro.graph.reference import execute_node
 
@@ -49,13 +51,15 @@ def constant_fold(graph: Graph) -> bool:
 def dead_code_elimination(graph: Graph) -> bool:
     """Remove nodes whose outputs reach neither a consumer nor an output."""
     changed = False
+    outputs = set(graph.outputs)
+    # How many node inputs read each tensor; a removal gives its reads back.
+    uses = Counter(name for node in graph.nodes for name in node.inputs)
     # Sweep in reverse topological order so chains die in one pass.
     for node in reversed(list(graph.nodes)):
-        if any(name in graph.outputs for name in node.outputs):
-            continue
-        if any(graph.consumers(name) for name in node.outputs):
+        if any(name in outputs or uses[name] for name in node.outputs):
             continue
         graph.remove_node(node)
+        uses.subtract(node.inputs)
         changed = True
     return changed
 

@@ -13,6 +13,7 @@ Activations are NHWC; convolution weights HWIO; depthwise weights HWC.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
@@ -206,11 +207,12 @@ def lstm_step_project(x_seq: np.ndarray, wx: np.ndarray) -> np.ndarray:
     """Whole-sequence input projection for ``lstm_step``: every step's gate
     contribution from the (shared) input sequence, ``x_seq @ wx``.
 
-    Part of the op's *reference semantics*: each ``lstm_step`` node projects
-    the full sequence and uses only its own row.  A fused kernel (codegen's
-    ``SeqFuseStep``) may compute this once per chain and slice —
-    the arrays and the matmul call are identical, so the result is
-    bit-identical to the per-node reference.
+    Part of the op's *reference semantics*: each ``lstm_step`` node's
+    result is its own row of the full projection.  Whoever computes it
+    may do so once per sequence and slice — codegen's ``SeqFuseStep`` once
+    per chain, the graph walks once per walk (:func:`walk_lstm_step`) —
+    because the arrays and the matmul call are identical, so the result
+    is bit-identical to projecting per node.
     """
     width = x_seq.shape[-1]
     flat = np.asarray(x_seq).reshape(-1, width) @ wx
@@ -245,12 +247,44 @@ def lstm_step(
     ``concat([x, h])``), the input and recurrent weights are split: ``wx``
     is ``(in, 4 * hidden)`` applied to the whole input sequence ``x_seq``
     (``(time, in)`` or ``(batch, time, in)``), ``wh`` is
-    ``(hidden, 4 * hidden)`` applied to ``h_prev``.  The reference projects
-    the entire sequence on every step — the honest unfused formulation, like
-    recomputing attention scores per query — and uses row ``t``.
+    ``(hidden, 4 * hidden)`` applied to ``h_prev``.  Step ``t`` is row
+    ``t`` of the whole-sequence projection combined with the recurrent
+    half.  Called alone, this projects the entire sequence for that one
+    row; the graph walks share one projection across a chain's steps
+    (:func:`walk_lstm_step`).
     """
     xp = lstm_step_project(x_seq, wx)
     return lstm_step_combine(xp[..., t, :], wh, bias, h_prev, c_prev)
+
+
+#: One walk's ``lstm_step`` input projections, keyed by the ``(x_seq, wx)``
+#: tensor names.
+Projections = dict[tuple[str, str], np.ndarray]
+
+
+def walk_lstm_step(
+    projections: Projections,
+    inputs: Sequence[str],
+    attrs: dict[str, Any],
+    ins: list[np.ndarray],
+) -> list[np.ndarray]:
+    """``lstm_step`` inside one graph walk: each ``(x_seq, wx)`` pair is
+    projected once, on its first step, and every later step slices it.
+
+    Within one walk a tensor name holds one value, so a later step would
+    call :func:`lstm_step_project` on the very arrays the first one did;
+    the outputs are the bytes :func:`lstm_step` gives.  ``projections`` is
+    the walk's own dict: the caller makes it empty at the start of a walk
+    and drops it at the end, so nothing outlives one walk.
+    """
+    key = (inputs[0], inputs[1])
+    xp = projections.get(key)
+    if xp is None:
+        xp = projections[key] = lstm_step_project(ins[0], ins[1])
+    h, c = lstm_step_combine(
+        xp[..., int(attrs["t"]), :], ins[2], ins[3], ins[4], ins[5]
+    )
+    return [h, c]
 
 
 def attention(query: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -327,9 +361,13 @@ def execute_float(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, np.nd
         if name not in feeds:
             raise GraphError(f"missing feed for graph input {name!r}")
         values[name] = np.asarray(feeds[name])
+    projections: Projections = {}
     for node in graph.nodes:
         ins = [values[name] for name in node.inputs]
-        outs = execute_node(graph, node, ins)
+        if node.op == "lstm_step":
+            outs = walk_lstm_step(projections, node.inputs, node.attrs, ins)
+        else:
+            outs = execute_node(graph, node, ins)
         for name, value in zip(node.outputs, outs, strict=False):
             values[name] = value
     return {name: values[name] for name in graph.outputs}

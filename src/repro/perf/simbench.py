@@ -104,9 +104,9 @@ def compile_zoo_model(model_key: str = "mobilenet_v1"):
         # weights, far too slow to walk per-node in CI.  This keeps the
         # real topology — unrolled lstm_step encoder, attention decoder,
         # embeddings and the softmax/mean float tails — at a scale where
-        # the encoder's redundant per-step sequence projection (what
-        # Tier-3 chain fusion eliminates) dominates the interpreter
-        # walk, as it does at the paper's 1024-wide full size.  The wide
+        # the encoder's per-step sequence projection (what Tier-3 chain
+        # fusion computes once per chain) dominates an unfused step
+        # program, as it does at the paper's 1024-wide full size.  The wide
         # hidden matters: the projection is BLAS-bound (grows with h**2)
         # while the per-step costs both tiers share are numpy-call-
         # overhead-bound, so a narrow build understates the tier gap.

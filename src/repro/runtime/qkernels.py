@@ -45,7 +45,7 @@ from repro.dtypes import (
     to_bfloat16,
 )
 from repro.graph.gir import Graph, GraphError, Node
-from repro.graph.reference import execute_op
+from repro.graph.reference import Projections, execute_op, walk_lstm_step
 from repro.ncore.out import RequantSpec
 
 _ADD_SHIFT = 20  # fixed-point headroom for elementwise rescaling
@@ -472,10 +472,18 @@ def run_nodes(graph: Graph, nodes: Iterable[Node], values: dict[str, np.ndarray]
 
     The one per-node walk — bind, look up, call: the whole graph for
     :func:`execute_quantized`, one segment at a time for the executor and
-    its Tier-3 oracle.
+    its Tier-3 oracle.  Float ``lstm_step`` nodes share one input
+    projection per sequence for the length of this call
+    (:func:`repro.graph.reference.walk_lstm_step`).
     """
+    projections: Projections = {}
     for node in nodes:
-        bind(graph, node).run(values)
+        bound = bind(graph, node)
+        if bound.op == "lstm_step" and bound.is_float:
+            ins = [values[name] for name in bound.inputs]
+            bound.store(values, walk_lstm_step(projections, bound.inputs, bound.attrs, ins))
+        else:
+            bound.run(values)
 
 
 def execute_quantized(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

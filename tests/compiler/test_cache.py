@@ -101,6 +101,21 @@ class TestDiskTier:
         assert fresh.lookup(result.key) is None
         assert not path.exists()
 
+    def test_reassigned_weights_miss_the_disk_artifact(self, tmp_path):
+        from tests.compiler.test_fingerprint import fc_graph
+
+        stored = compile_graph(fc_graph(1.0), cache=CompileCache(directory=tmp_path))
+        assert not stored.cache_hit
+        g = fc_graph(1.0)
+        compile_graph(g, cache=None)  # digests the all-ones weights
+        g.tensor("w").data = np.zeros((8, 4), np.float32)
+        g.tensor("w").data = np.full((8, 4), 7.0, np.float32)
+        result = compile_graph(g, cache=CompileCache(directory=tmp_path))
+        assert not result.cache_hit
+        assert result.key != stored.key
+        served = result.model.graph.tensor("w").data
+        assert np.array_equal(served, np.full((8, 4), 7.0, np.float32))
+
     def test_clear_disk(self, tmp_path):
         cache = CompileCache(directory=tmp_path)
         compile_graph(small_cnn(), cache=cache)

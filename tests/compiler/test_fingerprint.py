@@ -1,10 +1,26 @@
 """Content fingerprints: stable across rebuilds, sensitive to every input."""
 
+import gc
+import pickle
+import weakref
+
 import numpy as np
 
 from repro.compiler import compile_key, fingerprint_config, fingerprint_graph
+from repro.graph.gir import Graph, Node, Tensor, TensorType
 from repro.ncore.config import NcoreConfig
 from tests.quantize.test_convert import small_cnn
+
+
+def fc_graph(fill: float) -> Graph:
+    """One fully-connected layer whose weights are all ``fill``."""
+    g = Graph("fc")
+    g.add_input("x", TensorType((1, 8)))
+    g.add_constant("w", np.full((8, 4), fill, np.float32))
+    g.add_tensor(Tensor("y", TensorType((1, 4))))
+    g.add_node(Node("fc", "fully_connected", ["x", "w"], ["y"]))
+    g.mark_output("y")
+    return g
 
 
 class TestGraphFingerprint:
@@ -42,6 +58,48 @@ class TestGraphFingerprint:
         qg2 = quantize_graph(g, calibrate(g, calibration_batches(seed=6)))
         # Same structure, different calibration -> different scales -> keys.
         assert fingerprint_graph(qg1) != fingerprint_graph(qg2)
+
+
+class TestConstantDigestMemo:
+    def test_reassigned_weights_never_reuse_a_freed_arrays_digest(self):
+        # The second reassignment frees an array of the same size as the
+        # first, so the new one is typically handed the digested array's
+        # old id(): an id-stamped memo served the all-ones digest here.
+        g = fc_graph(1.0)
+        ones = fingerprint_graph(g)
+        g.tensor("w").data = np.zeros((8, 4), np.float32)
+        g.tensor("w").data = np.full((8, 4), 7.0, np.float32)
+        assert fingerprint_graph(g) == fingerprint_graph(fc_graph(7.0)) != ones
+
+    def test_memo_is_reused_while_the_array_stays_frozen(self):
+        g = fc_graph(1.0)
+        first = fingerprint_graph(g)
+        weights = g.tensor("w").data
+        assert not weights.flags.writeable
+        memo = g.tensor("w")._content_digest
+        assert fingerprint_graph(g) == first
+        assert g.tensor("w")._content_digest is memo
+
+    def test_an_unfrozen_array_is_hashed_afresh(self):
+        g = fc_graph(1.0)
+        before = fingerprint_graph(g)
+        weights = g.tensor("w").data
+        weights.flags.writeable = True
+        weights[0, 0] = 2.0
+        assert fingerprint_graph(g) != before
+
+    def test_memo_keeps_no_replaced_array_alive(self):
+        g = fc_graph(1.0)
+        fingerprint_graph(g)
+        ones = weakref.ref(g.tensor("w").data)
+        g.tensor("w").data = np.full((8, 4), 7.0, np.float32)
+        gc.collect()
+        assert ones() is None
+
+    def test_a_pickled_graph_keeps_its_fingerprint(self):
+        g = fc_graph(1.0)
+        before = fingerprint_graph(g)
+        assert fingerprint_graph(pickle.loads(pickle.dumps(g))) == before
 
 
 class TestCompileKey:
