@@ -1,15 +1,27 @@
-"""Regression guard: the trace-fused tier must stay well ahead of the
-interpreter on the Fig. 6 fused inner loop.
+"""Regression guard: the Fig. 6 fused inner loop must stay fused, and the
+trace-fused tier well ahead of the interpreter on it.
 
-The measured advantage on an idle machine is >10x; the guard asserts a
-conservative 5x so CI noise and slower runners never flake it, while any
-change that quietly disables fusion (a rejected trace, a fallback on the
-hot loop) still fails loudly.
+``test_fig6_loop_fuses`` is the exact check against a change that quietly
+disables fusion: one compiled trace, one hit, all 512 trips fused, no
+rejection and no fallback.  ``test_fastpath_speedup_guard`` times both
+tiers.  Its floor is 0.8x the lowest of 36 readings against the
+interpreter that decodes once and runs the 8-bit MAC in int32
+(4.41-6.87x on a 2-vCPU host; CHANGES.md lists them), rounded down: a
+copy whose trace is rejected reads 0.7-1.0x and fails both tests.
 """
 
-from repro.perf.simbench import measure_inner_loop
+from repro.perf.simbench import FIG6_ITERATIONS, fig6_machine, measure_inner_loop
 
-GUARD_SPEEDUP = 5.0
+GUARD_SPEEDUP = 3.5
+
+
+def test_fig6_loop_fuses():
+    machine, program = fig6_machine()
+    machine.execute_program(program)
+    stats = machine.fastpath_stats
+    assert (stats["compiled"], stats["rejected"]) == (1, 0), stats
+    assert (stats["hits"], stats["fallbacks"]) == (1, 0), stats
+    assert stats["fused_trips"] == FIG6_ITERATIONS == 512, stats
 
 
 def test_fastpath_speedup_guard():

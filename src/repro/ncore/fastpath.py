@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Any, Sequence, Union
 import numpy as np
 import numpy.typing as npt
 
-from repro.dtypes import ACC_MAX, NcoreDType
+from repro.dtypes import NcoreDType
 from repro.isa.instruction import (
     Instruction,
     NDUOpcode,
@@ -49,7 +49,7 @@ from repro.isa.instruction import (
 from repro.isa.operands import NUM_ADDR_REGS, Operand, OperandKind
 from repro.ncore.config import CHA_NCORE
 from repro.ncore.ndu import BROADCAST_GROUP
-from repro.ncore.npu import COMBINE
+from repro.ncore.npu import COMBINE, NARROW_OPCODES, proven_bound
 from repro.obs import Observation, note_stat
 
 if TYPE_CHECKING:
@@ -69,11 +69,11 @@ _DLAST = 4
 #: get proportionally fewer trips per block so memory stays bounded.
 _BLOCK_TARGET_BYTES = 1024 * CHA_NCORE.row_bytes
 
-#: Fewest trips worth fusing.  A fused repeat costs a flat ~170 us (trace
-#: compile at load, preflight, evaluator) against ~44 us per interpreted
-#: trip: measured on the Fig. 6 body, 0.85x at 3 trips, break-even at 4
-#: (sweep in docs/simulator-performance.md).  Read where a trip count is
-#: known: ``compile_program`` and ``Ncore._execute_instruction``.
+#: Fewest trips fused.  A fused repeat costs a flat ~185 us (trace compile
+#: at load, preflight, evaluator) against ~17 us per interpreted trip, so
+#: the break-even on the Fig. 6 body is about 10 trips (sweep in
+#: docs/simulator-performance.md); 4 is kept for the ledger's exact rows.
+#: Read where a trip count is known: ``compile_program`` and ``Ncore._execute_instruction``.
 MIN_FUSED_TRIPS = 4
 
 
@@ -98,10 +98,8 @@ TRACE_NDU_OPCODES = frozenset(
 TRACE_SEQ_OPCODES = frozenset({SeqOpcode.NOP})
 
 # The NPU issue of Fig. 6's inner loop and the NKL kernels: an
-# accumulating arithmetic or pooling fold over 8-bit integer lanes.
-_TRACE_NPU_OPCODES = frozenset(
-    {NPUOpcode.MAC, NPUOpcode.ADD, NPUOpcode.SUB, NPUOpcode.MIN, NPUOpcode.MAX}
-)
+# accumulating arithmetic or pooling fold over 8-bit integer lanes, the
+# issues the NPU's saturation proof covers.
 _TRACE_NPU_DTYPES = frozenset({NcoreDType.UINT8, NcoreDType.INT8})
 
 
@@ -124,7 +122,7 @@ def fusion_blockers(instruction: Instruction) -> tuple[str, ...]:
         # CMPGT rewrites a predicate register mid-trace; the logical ops
         # and a non-accumulating issue replace the accumulator instead of
         # folding into it.
-        if npu.opcode not in _TRACE_NPU_OPCODES:
+        if npu.opcode not in NARROW_OPCODES:
             reasons.append(f"npu.{npu.opcode.value}")
         if not npu.accumulate:
             reasons.append("npu.noacc")
@@ -526,20 +524,6 @@ class _Evaluator:
         return self.eval(plan.expr)[n - 1].copy()
 
 
-def _bound(spec: _NpuSpec, machine: "Ncore") -> int:
-    """A static bound on the magnitude of any one combined lane value."""
-    lane = 128 if spec.signed else 255
-    dbound = wbound = lane
-    if spec.zero_offset:
-        dbound += abs(machine.data_zero_offset)
-        wbound += abs(machine.weight_zero_offset)
-    if spec.opcode is NPUOpcode.MAC:
-        return dbound * wbound
-    if spec.opcode is NPUOpcode.ADD or spec.opcode is NPUOpcode.SUB:
-        return dbound + wbound
-    return max(dbound, wbound)
-
-
 def _combined(ev: _Evaluator, spec: _NpuSpec, bound: int) -> Array:
     """The NPU issue's per-trip combined values, exact integers in the
     narrowest dtype that holds every value under ``bound`` (``bound``
@@ -570,23 +554,18 @@ def _combined(ev: _Evaluator, spec: _NpuSpec, bound: int) -> Array:
 
 def _accumulated(ev: _Evaluator, spec: _NpuSpec) -> Array | None:
     """The accumulator after the block's trips of the NPU issue, or None
-    when the static no-overflow bound fails (the interpreter then runs
-    the rest of the repeat, saturating where it must).
-
-    Under the bound no clip can fire — clip is the identity on in-range
-    accumulators — so the order-free int32 sum (or min/max reduction)
-    of the trips equals the interpreter's sequential saturating fold.
+    when the NPU's saturation proof (:func:`repro.ncore.npu.proven_bound`)
+    fails for the block (the interpreter then runs the rest of the repeat,
+    saturating where it must).  Under the proof the order-free int32 sum
+    (or min/max reduction) equals the sequential saturating fold.
     """
-    acc = ev.m.acc_int
-    bound = _bound(spec, ev.m)
-    summing = spec.opcode not in (NPUOpcode.MIN, NPUOpcode.MAX)
-    peak = bound
-    if summing:
-        peak = max(-int(acc.min()), int(acc.max())) + ev.nb * bound
-    if peak > ACC_MAX:
+    m, acc = ev.m, ev.m.acc_int
+    zeros = (m.data_zero_offset, m.weight_zero_offset) if spec.zero_offset else (0, 0)
+    bound = proven_bound(spec.opcode, spec.signed, *zeros, acc, ev.nb)
+    if bound is None:
         return None
     comb = _combined(ev, spec, bound)
-    if summing:
+    if spec.opcode not in (NPUOpcode.MIN, NPUOpcode.MAX):
         return acc + comb.sum(axis=0, dtype=np.int32)
     fold = COMBINE[spec.opcode]
     return fold(acc, fold.reduce(comb, axis=0)).astype(np.int32, copy=False)

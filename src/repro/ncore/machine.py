@@ -21,11 +21,18 @@ Execution semantics of one instruction issue (one clock for 8-bit work):
 4. The OUT unit requantizes the post-NPU accumulator and/or stores.
 5. Post-increments on address registers are applied, so a hardware-repeated
    instruction streams through rows one iteration per clock.
+
+``load_program`` decodes each instruction once: its NDU / NPU / OUT fields
+bind their handlers through the opcode table ``_HANDLERS``, and each issue
+calls them in pipeline order.  An 8-bit arithmetic or pooling issue runs in
+int32 when the NPU's saturation proof clears it (``npu.execute_int8``),
+otherwise by the saturating int64 spec (``npu.execute_int``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -81,6 +88,14 @@ class MachineRunResult:
     dma_stall_cycles: int = 0
 
 
+#: The (address register, post-increment) pairs one issue collects.
+_Increments = list[tuple[int, int]]
+#: (handler, operand) pairs in pipeline order: an issue's units, an NDU unit's ops.
+_Units = tuple[tuple[Callable[..., None], Any], ...]
+#: One instruction decoded once (:func:`_decode`), with its clocks per issue.
+_Decoded = tuple[Instruction, _Units, int]
+
+
 @dataclass
 class _LoopFrame:
     body_start: int
@@ -114,7 +129,9 @@ class Ncore:
         if not isinstance(fastpath, bool):
             raise TypeError(f"fastpath must be a bool, not {fastpath!r}")
         self.fastpath = fastpath
-        # One fused-trace table per IRAM bank, rebuilt on load_program.
+        # One decoded-instruction and one fused-trace table per IRAM bank,
+        # rebuilt on load_program.
+        self._decoded: list[list[_Decoded]] = [[], []]
         self._fastpath_tables: list[dict[int, fastpath_mod.FusedTrace]] = [{}, {}]
         self.fastpath_stats: dict[str, int] = {
             "compiled": 0,
@@ -271,6 +288,11 @@ class Ncore:
         """
         inactive = self.iram.active_bank ^ 1
         self.iram.load_bank(inactive, program, running=self.running)
+        # Emitted programs share one object per distinct instruction line.
+        decoded: dict[int, _Decoded] = {}
+        self._decoded[inactive] = [
+            decoded.get(id(ins)) or decoded.setdefault(id(ins), _decode(ins)) for ins in program
+        ]
         self._fastpath_tables[inactive] = (
             fastpath_mod.compile_program(
                 program, self.config, self.fastpath_stats, self.obs
@@ -286,12 +308,8 @@ class Ncore:
     # Operand resolution
     # ------------------------------------------------------------------
 
-    def _raw_row(
-        self,
-        operand: Operand,
-        dlast_snapshot: np.ndarray,
-        increments: list[tuple[int, int]],
-    ) -> np.ndarray:
+    def _raw_row(self, operand: Operand, dlast_snapshot: np.ndarray,
+                 increments: _Increments) -> np.ndarray:
         """Fetch one raw 4096-byte row for an NDU or 8-bit NPU source.
 
         NDU-register and DLAST sources are returned as views, not copies:
@@ -311,27 +329,22 @@ class Ncore:
                     row, 1, self.total_cycles, self.pc,
                 )
             return ram.read_row(row)
-        if kind is OperandKind.IMMEDIATE:
-            return np.full(self.config.row_bytes, operand.index, dtype=np.uint8)
         if kind is OperandKind.NDU_REG:
             return self.ndu_regs[operand.index]
+        if kind is OperandKind.DLAST:
+            return dlast_snapshot
+        if kind is OperandKind.IMMEDIATE:
+            return np.full(self.config.row_bytes, operand.index, dtype=np.uint8)
         if kind is OperandKind.OUT_LOW:
             return self.out_low.copy()
         if kind is OperandKind.OUT_HIGH:
             return self.out_high.copy()
-        if kind is OperandKind.DLAST:
-            return dlast_snapshot
         if kind is OperandKind.ZERO:
             return np.zeros(self.config.row_bytes, dtype=np.uint8)
         raise ExecutionError(f"operand kind {kind.name} is not a row source")
 
-    def _npu_lanes(
-        self,
-        operand: Operand,
-        dtype: NcoreDType,
-        dlast_snapshot: np.ndarray,
-        increments: list[tuple[int, int]],
-    ) -> np.ndarray:
+    def _npu_lanes(self, operand: Operand, dtype: NcoreDType, dlast_snapshot: np.ndarray,
+                   increments: _Increments) -> np.ndarray:
         """Fetch and interpret one NPU operand as lane values."""
         info = dtype_info(dtype)
         if info.bytes_per_element == 1:
@@ -370,41 +383,12 @@ class Ncore:
     # Unit execution
     # ------------------------------------------------------------------
 
-    def _execute_ndu_ops(
-        self,
-        ops: tuple[NDUOp, ...],
-        dlast_snapshot: np.ndarray,
-        increments: list[tuple[int, int]],
-    ) -> None:
-        if not ops:
-            return
+    def _execute_ndu_ops(self, ops: _Units, dlast_snapshot: np.ndarray,
+                         increments: _Increments) -> None:
         # Every op reads pre-instruction state: all reads (sources, masks,
         # merge's previous value) happen in this loop, before any commit.
-        results: list[tuple[int, np.ndarray]] = []
-        for op in ops:
-            src = self._raw_row(op.src, dlast_snapshot, increments)
-            if op.opcode is NDUOpcode.BYPASS:
-                result = ndu_unit.bypass(src)
-            elif op.opcode is NDUOpcode.ROTATE:
-                result = ndu_unit.rotate(src, op.amount, op.direction)
-            elif op.opcode is NDUOpcode.BROADCAST64:
-                index = self.addr_regs[op.index_reg]
-                result = ndu_unit.broadcast64(src, index)
-                if op.index_increment:
-                    increments.append((op.index_reg, 1))
-            elif op.opcode is NDUOpcode.EXPAND:
-                # The decompressor fills elided positions with the weight
-                # zero offset, so pruned quantized weights expand to the
-                # code the NPU's offset subtraction maps to zero.
-                result = ndu_unit.expand(
-                    src, self.config.row_bytes, zero=self.weight_zero_offset
-                )
-            elif op.opcode is NDUOpcode.MERGE:
-                mask = self._raw_row(op.src2, dlast_snapshot, increments)
-                result = ndu_unit.masked_merge(src, self.ndu_regs[op.dst], mask)
-            else:  # pragma: no cover - enum is closed
-                raise ExecutionError(f"unknown NDU opcode {op.opcode}")
-            results.append((op.dst, result))
+        results = [(op.dst, handler(self, op, self._raw_row(op.src, dlast_snapshot, increments),
+                                    dlast_snapshot, increments)) for handler, op in ops]
         for dst, result in results:
             self.ndu_regs[dst] = result
             if dst == 0:
@@ -416,14 +400,22 @@ class Ncore:
                 # written in place.
                 self.dlast = result
 
-    def _execute_npu(
-        self,
-        op: NPUOp,
-        dlast_snapshot: np.ndarray,
-        increments: list[tuple[int, int]],
-    ) -> None:
-        if op.opcode is NPUOpcode.NOP:
-            return
+    def _broadcast64(self, op: NDUOp, src: np.ndarray, dlast_snapshot: np.ndarray,
+                     increments: _Increments) -> np.ndarray:
+        if op.index_increment:
+            increments.append((op.index_reg, 1))
+        return ndu_unit.broadcast64(src, self.addr_regs[op.index_reg])
+
+    def _execute_int8(self, op: NPUOp, dlast_snapshot: np.ndarray, increments: _Increments) -> None:
+        """An 8-bit issue :func:`repro.ncore.npu.execute_int8` covers."""
+        data = self._raw_row(op.data, dlast_snapshot, increments)
+        weight = self._raw_row(op.weight, dlast_snapshot, increments)
+        zeros = (self.data_zero_offset, self.weight_zero_offset) if op.zero_offset else (0, 0)
+        self.acc_int = npu_unit.execute_int8(op, data, weight, *zeros, self.acc_int)
+        if op.opcode is NPUOpcode.MAC:
+            self._count_macs()
+
+    def _execute_npu(self, op: NPUOp, dlast_snapshot: np.ndarray, increments: _Increments) -> None:
         info = dtype_info(op.dtype)
         data = self._npu_lanes(op.data, op.dtype, dlast_snapshot, increments)
         weight = self._npu_lanes(op.weight, op.dtype, dlast_snapshot, increments)
@@ -451,48 +443,40 @@ class Ncore:
         else:
             self.acc_int = npu_unit.execute_int(op, data, weight, self.acc_int, mask)
         if op.opcode is NPUOpcode.MAC:
-            self.total_macs += self.config.lanes
-            if self.perf_counters["macs"].add(self.config.lanes):
-                self._pending_break = "perf_counter"
+            self._count_macs()
 
-    def _execute_out(self, op: OutOp, increments: list[tuple[int, int]]) -> None:
-        if op.opcode is OutOpcode.NOP:
-            return
-        if op.opcode is OutOpcode.REQUANT:
-            info = dtype_info(op.dtype)
-            if info.is_float:
-                self.out_low, self.out_high = out_unit.float_output_rows(
-                    self.acc_float, self.float_scale, op.activation
-                )
-            else:
-                values = out_unit.requantize_lanes(
-                    self.acc_int,
-                    self.requant_multiplier,
-                    self.requant_shift,
-                    self.requant_offset,
-                    op.dtype,
-                )
-                values = out_unit.apply_integer_activation(
-                    values,
-                    op.activation,
-                    self.requant_offset,
-                    self.act_qmax,
-                    self.act_lut,
-                    op.dtype,
-                )
-                self.out_low, self.out_high = out_unit.narrow_to_rows(values, op.dtype)
-            return
-        if op.opcode is OutOpcode.STORE:
-            row = self.addr_regs[op.dst_addr_reg]
-            source = self.out_high if op.source_high else self.out_low
-            if self._san is not None:
-                self._san.on_row_write("data", row, 1, self.total_cycles, self.pc)
-            self.data_ram.write_row(row, source)
-            if op.dst_increment:
-                increments.append((op.dst_addr_reg, 1))
-            return
-        # STORE_ACC: spill the raw 32-bit accumulators as four rows, byte
-        # j of every lane in row (base + j).
+    def _count_macs(self) -> None:
+        self.total_macs += self.config.lanes
+        if self.perf_counters["macs"].add(self.config.lanes):
+            self._pending_break = "perf_counter"
+
+    def _requant(self, op: OutOp, dlast_snapshot: np.ndarray, increments: _Increments) -> None:
+        if dtype_info(op.dtype).is_float:
+            self.out_low, self.out_high = out_unit.float_output_rows(
+                self.acc_float, self.float_scale, op.activation
+            )
+        else:
+            values = out_unit.requantize_lanes(
+                self.acc_int, self.requant_multiplier, self.requant_shift, self.requant_offset,
+                op.dtype,
+            )
+            values = out_unit.apply_integer_activation(
+                values, op.activation, self.requant_offset, self.act_qmax, self.act_lut, op.dtype
+            )
+            self.out_low, self.out_high = out_unit.narrow_to_rows(values, op.dtype)
+
+    def _store(self, op: OutOp, dlast_snapshot: np.ndarray, increments: _Increments) -> None:
+        row = self.addr_regs[op.dst_addr_reg]
+        source = self.out_high if op.source_high else self.out_low
+        if self._san is not None:
+            self._san.on_row_write("data", row, 1, self.total_cycles, self.pc)
+        self.data_ram.write_row(row, source)
+        if op.dst_increment:
+            increments.append((op.dst_addr_reg, 1))
+
+    def _store_acc(self, op: OutOp, dlast_snapshot: np.ndarray, increments: _Increments) -> None:
+        # Spill the raw 32-bit accumulators as four rows, byte j of every
+        # lane in row (base + j).
         base = self.addr_regs[op.dst_addr_reg]
         if self._san is not None:
             self._san.on_row_write("data", base, 4, self.total_cycles, self.pc)
@@ -510,6 +494,9 @@ class Ncore:
         """Execute a sequencer op; returns the next pc."""
         opcode = seq.opcode
         if opcode is SeqOpcode.NOP:
+            return pc + 1
+        if opcode is SeqOpcode.SET_ADDR:
+            self.addr_regs[seq.arg] = seq.arg2
             return pc + 1
         if opcode is SeqOpcode.HALT:
             self.halted = True
@@ -529,9 +516,6 @@ class Ncore:
             if frame.remaining > 0:
                 return frame.body_start
             self.loop_stack.pop()
-            return pc + 1
-        if opcode is SeqOpcode.SET_ADDR:
-            self.addr_regs[seq.arg] = seq.arg2
             return pc + 1
         if opcode is SeqOpcode.ADD_ADDR:
             self.addr_regs[seq.arg] += seq.arg2
@@ -573,8 +557,9 @@ class Ncore:
     # Top-level run loop
     # ------------------------------------------------------------------
 
-    def _execute_instruction(self, instruction: Instruction) -> bool:
-        """Execute the hardware-repeated issues of one instruction.
+    def _execute_instruction(self, instruction: Instruction, units: _Units, cycles: int) -> bool:
+        """Execute the hardware-repeated issues of one decoded instruction,
+        ``cycles`` clocks each.
 
         Returns False when a breakpoint (perf-counter wraparound or n-step)
         pauses execution *mid-repeat*; the remaining iterations resume on
@@ -585,7 +570,6 @@ class Ncore:
             raise ExecutionError(
                 "sequencer ops cannot be combined with a hardware repeat count"
             )
-        issue_cycles = instruction.issue_cycles()
         start = 0
         if self._resume_repeat is not None and self._resume_repeat[0] == self.pc:
             start = self._resume_repeat[1]
@@ -606,19 +590,17 @@ class Ncore:
                     note_stat(self.obs, "ncore.fastpath", self.fastpath_stats, "fallbacks")
             else:
                 note_stat(self.obs, "ncore.fastpath", self.fastpath_stats, "fallbacks")
+        cycle_counter = self.perf_counters["cycles"]
         for iteration in range(start, instruction.repeat):
-            increments: list[tuple[int, int]] = []
+            increments: _Increments = []
             dlast_snapshot = self.dlast
-            self._execute_ndu_ops(instruction.ndu_ops, dlast_snapshot, increments)
-            if instruction.npu is not None:
-                self._execute_npu(instruction.npu, dlast_snapshot, increments)
-            if instruction.out is not None:
-                self._execute_out(instruction.out, increments)
+            for handler, op in units:
+                handler(self, op, dlast_snapshot, increments)
             for reg, amount in increments:
                 self.addr_regs[reg] += amount
-            self.total_cycles += issue_cycles
+            self.total_cycles += cycles
             self.total_issues += 1
-            if self.perf_counters["cycles"].add(issue_cycles):
+            if cycle_counter.add(cycles):
                 self._pending_break = "perf_counter"
             if (self.n_step is not None and self._next_step_break is not None
                     and self.total_cycles >= self._next_step_break):
@@ -656,14 +638,17 @@ class Ncore:
             self._next_step_break = self.total_cycles + self.n_step
         self.running = True
         stop_reason = "halt"
+        table = self._decoded[self.iram.active_bank]
         try:
             while not self.halted:
                 if self.total_cycles - start_cycles >= budget_cycles:
                     stop_reason = "cycle_budget"
                     break
-                instruction = self.iram.fetch(self.pc)
                 pc = self.pc
-                completed = self._execute_instruction(instruction)
+                instruction, units, cycles = (
+                    table[pc] if 0 <= pc < len(table) else _decode(self.iram.fetch(pc))  # ROM
+                )
+                completed = self._execute_instruction(instruction, units, cycles)
                 if not completed:
                     # Paused mid-repeat: the pc stays put; the remaining
                     # iterations resume on the next step() call.
@@ -754,3 +739,43 @@ class Ncore:
 
     def read_weight_ram(self, offset: int, length: int) -> bytes:
         return self.weight_ram.read_bytes(offset, length)
+
+
+#: Opcode -> handler; NDU handlers get the op's source row already read.
+_HANDLERS: dict[Any, Callable[..., Any]] = {
+    NDUOpcode.BYPASS: lambda m, op, src, *_: ndu_unit.bypass(src),
+    NDUOpcode.ROTATE: lambda m, op, src, *_: ndu_unit.rotate(src, op.amount, op.direction),
+    NDUOpcode.BROADCAST64: Ncore._broadcast64,
+    # The decompressor fills elided positions with the weight zero offset,
+    # so pruned quantized weights expand to the code the NPU's offset
+    # subtraction maps to zero.
+    NDUOpcode.EXPAND: lambda m, op, src, *_: ndu_unit.expand(
+        src, m.config.row_bytes, zero=m.weight_zero_offset
+    ),
+    NDUOpcode.MERGE: lambda m, op, src, dlast, increments: ndu_unit.masked_merge(
+        src, m.ndu_regs[op.dst], m._raw_row(op.src2, dlast, increments)
+    ),
+    OutOpcode.REQUANT: Ncore._requant,
+    OutOpcode.STORE: Ncore._store,
+    OutOpcode.STORE_ACC: Ncore._store_acc,
+}
+
+
+def _decode(instruction: Instruction) -> _Decoded:
+    """Bind each unit field's handler once; the issue loop calls them in
+    pipeline order.  Nothing is read from machine state here, so a
+    malformed field still raises at its issue."""
+    units: list[tuple[Callable[..., None], Any]] = []
+    if instruction.ndu_ops:
+        ops = tuple((_HANDLERS[op.opcode], op) for op in instruction.ndu_ops)
+        units.append((Ncore._execute_ndu_ops, ops))
+    npu = instruction.npu
+    if npu is not None and npu.opcode is not NPUOpcode.NOP:
+        narrow = (npu.dtype in (NcoreDType.UINT8, NcoreDType.INT8) and npu.predicate is None
+                  and npu.opcode in npu_unit.NARROW_OPCODES and not npu.data_shift
+                  and not npu.from_neighbor)  # what npu.execute_int8 covers
+        units.append((Ncore._execute_int8 if narrow else Ncore._execute_npu, npu))
+    out = instruction.out
+    if out is not None and out.opcode is not OutOpcode.NOP:
+        units.append((_HANDLERS[out.opcode], out))
+    return instruction, tuple(units), instruction.issue_cycles()

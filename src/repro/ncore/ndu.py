@@ -50,7 +50,7 @@ def broadcast64(row: np.ndarray, byte_index: int) -> np.ndarray:
         raise ValueError("row size must be a multiple of the broadcast group")
     index = byte_index % BROADCAST_GROUP
     groups = row.reshape(-1, BROADCAST_GROUP)
-    return np.repeat(groups[:, index], BROADCAST_GROUP)
+    return groups[:, index].repeat(BROADCAST_GROUP)
 
 
 def expand(row: np.ndarray, width: int, zero: int = 0) -> np.ndarray:

@@ -8,21 +8,27 @@ adjacent slice's NPU with wraparound ("slide").
 
 These are pure functions over integer lane arrays; bf16 lanes use a
 float32 accumulator (hardware floating-point MACs keep a wide accumulator,
-modelled here as IEEE float32).
+modelled here as IEEE float32).  :func:`execute_int` (int64, saturating)
+is the spec; its one saturation proof, :func:`proven_bound`, lets the int32
+:func:`execute_int8` and :mod:`repro.ncore.fastpath` skip the clip.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Any
 
-from repro.dtypes import ACC_MAX, ACC_MIN
+import numpy as np
+import numpy.typing as npt
+
+from repro.dtypes import ACC_MAX, ACC_MIN, NcoreDType
 from repro.isa.instruction import NPUOp, NPUOpcode
 from repro.ncore.errors import ExecutionError
 
 SLICE_LANES = 256  # lanes per slice; the granularity of neighbour forwarding
+Array = npt.NDArray[Any]
 
 
-def slide_from_neighbor(lanes: np.ndarray) -> np.ndarray:
+def slide_from_neighbor(lanes: Array) -> Array:
     """Forward each slice's data to the next slice, wrapping last -> first.
 
     Lane *l* receives the value lane *l - 256* held, so data "slides"
@@ -47,8 +53,9 @@ COMBINE: dict[NPUOpcode, np.ufunc] = {
 
 _LOGICAL = frozenset({NPUOpcode.AND, NPUOpcode.OR, NPUOpcode.XOR})
 
-#: The opcodes defined on bf16 lanes (logical ops are integer-only).
-FLOAT_OPCODES = frozenset(COMBINE) - _LOGICAL
+#: The opcodes defined on bf16 lanes (logical ops are integer-only), which
+#: are also the arithmetic and pooling folds the saturation proof covers.
+FLOAT_OPCODES = NARROW_OPCODES = frozenset(COMBINE) - _LOGICAL
 
 
 def fold_class(opcode: NPUOpcode, accumulate: bool) -> str:
@@ -64,11 +71,11 @@ def fold_class(opcode: NPUOpcode, accumulate: bool) -> str:
 
 def execute_int(
     op: NPUOp,
-    data: np.ndarray,
-    weight: np.ndarray,
-    acc: np.ndarray,
-    predicate_mask: np.ndarray | None,
-) -> np.ndarray:
+    data: Array,
+    weight: Array,
+    acc: Array,
+    predicate_mask: Array | None,
+) -> Array:
     """One integer NPU operation; returns the new accumulator.
 
     ``data``/``weight`` are already sign-interpreted int32 lane arrays with
@@ -78,10 +85,10 @@ def execute_int(
     combine = COMBINE.get(op.opcode)
     if combine is None:
         raise ValueError(f"not an integer ALU opcode: {op.opcode}")
-    combined = combine(data, weight, dtype=np.int64)
+    combined: Array = combine(data, weight, dtype=np.int64)
     klass = fold_class(op.opcode, op.accumulate)
     if klass == "minmax":
-        new_acc = combine(acc, combined, out=combined)
+        new_acc: Array = combine(acc, combined, out=combined)
     else:
         if klass == "sum":
             combined += acc
@@ -92,17 +99,64 @@ def execute_int(
     return new_acc
 
 
+def proven_bound(opcode: NPUOpcode, signed: bool, data_zero: int, weight_zero: int,
+                 acc: Array, issues: int) -> int | None:
+    """The saturation proof: a bound on any combined lane value of an 8-bit
+    (int8 when ``signed``) :data:`NARROW_OPCODES` issue subtracting these
+    zero offsets, or None when ``issues`` such issues could saturate
+    ``acc`` (MAC / ADD / SUB move it by up to the bound each).  Under the
+    proof the spec's clip is idle: an int32 fold in any order equals it."""
+    dbound = (128 if signed else 255) + abs(data_zero)
+    wbound = (128 if signed else 255) + abs(weight_zero)
+    if opcode is NPUOpcode.MAC:
+        bound = dbound * wbound
+    elif opcode is NPUOpcode.ADD or opcode is NPUOpcode.SUB:
+        bound = dbound + wbound
+    else:
+        bound = max(dbound, wbound)
+        return bound if bound <= ACC_MAX else None
+    peak = max(-int(acc.min()), int(acc.max())) + issues * bound
+    return bound if peak <= ACC_MAX else None
+
+
+def execute_int8(op: NPUOp, data: Array, weight: Array, data_zero: int,
+                 weight_zero: int, acc: Array) -> Array:
+    """One unpredicated 8-bit :data:`NARROW_OPCODES` issue without
+    ``data_shift`` or neighbour forwarding, from its raw rows and the zero
+    offsets it subtracts (0 without ``zero_offset``): in int32 under
+    :func:`proven_bound`, else by the saturating spec :func:`execute_int`.
+    """
+    signed = op.dtype is NcoreDType.INT8
+    if signed:
+        data, weight = data.view(np.int8), weight.view(np.int8)
+    data, weight = data.astype(np.int32), weight.astype(np.int32)
+    if proven_bound(op.opcode, signed, data_zero, weight_zero, acc, 1) is None:
+        return execute_int(op, data - data_zero, weight - weight_zero, acc, None)
+    # The bound covers the offsets, so nothing below wraps.
+    if data_zero or weight_zero:
+        data -= data_zero
+        weight -= weight_zero
+    combine = COMBINE[op.opcode]
+    combined: Array = combine(data, weight, out=data)
+    klass = fold_class(op.opcode, op.accumulate)
+    if klass == "sum":
+        combined += acc
+    elif klass == "minmax":
+        combine(combined, acc, out=combined)
+    return combined
+
+
 def execute_float(
     op: NPUOp,
-    data: np.ndarray,
-    weight: np.ndarray,
-    acc: np.ndarray,
-    predicate_mask: np.ndarray | None,
-) -> np.ndarray:
+    data: Array,
+    weight: Array,
+    acc: Array,
+    predicate_mask: Array | None,
+) -> Array:
     """One bfloat16 NPU operation on the float32 accumulator."""
     if op.opcode not in FLOAT_OPCODES:
         raise ExecutionError(f"opcode {op.opcode} is not defined for bf16 lanes")
-    combined = COMBINE[op.opcode](data, weight)
+    combined: Array = COMBINE[op.opcode](data, weight)
     klass = fold_class(op.opcode, op.accumulate)
     if klass == "replace":
         new_acc = combined.astype(np.float32)
@@ -115,6 +169,6 @@ def execute_float(
     return new_acc
 
 
-def compare_gt(data: np.ndarray, weight: np.ndarray) -> np.ndarray:
+def compare_gt(data: Array, weight: Array) -> Array:
     """CMPGT: compute the per-lane predicate ``data > weight``."""
     return data > weight
