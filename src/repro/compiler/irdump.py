@@ -32,8 +32,9 @@ def _format_attr(value: Any) -> str:
 def _step_label(step: KernelStep) -> str:
     """A macro-kernel step in the codegen section: its op — a ``conv2d``
     with the form codegen chose, every :class:`ConvStep` with the dtype it
-    accumulates in (``f32/f64``: per-tap blocks / their sum) and the static
-    bound that proves it exact; a fused LSTM chain with its length."""
+    accumulates in (``f32/f64``: per-tap blocks / their sum), the static
+    bound that proves it exact and the rung its epilogue runs on; a fused
+    LSTM chain with its length."""
     from repro.ncore.codegen import CellFuseStep, ConvStep, SeqFuseStep, exact_dtype
 
     if isinstance(step, ConvStep):
@@ -43,7 +44,8 @@ def _step_label(step: KernelStep) -> str:
             for dtype in (step.weights.dtype, np.dtype(exact_dtype(step.acc_bound)))
         )
         bound = math.log2(max(step.acc_bound, 1))
-        return f"{step.op}{form} {'/'.join(dtypes)} bound=2^{bound:.1f}"
+        rung = step._epilogue.rung
+        return f"{step.op}{form} {'/'.join(dtypes)} bound=2^{bound:.1f} epilogue={rung}"
     if isinstance(step, (SeqFuseStep, CellFuseStep)):
         return f"{step.op} x{len(step.chain)}"
     return step.op

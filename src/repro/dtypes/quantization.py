@@ -206,12 +206,49 @@ def rounding_right_shift(x: np.ndarray, shift: int) -> np.ndarray:
     return out
 
 
-#: Elements the OUT-unit epilogue holds at a time: two int64 scratch blocks
-#: (2 x 256 KiB) stay cache-resident across its 12 in-place passes.  Per
-#: element on 56x56x64 and 112x112x64 accumulators, quiet host: 4 K 6.4-8.4,
-#: 8 K 5.8, 16 K 4.7, 32 K 4.2, 64 K 4.4, 128 K 4.7, 256 K 5.4, one
-#: whole-array block 5.0-5.4 ns (8-11 with the other core busy).
+#: Elements the OUT-unit epilogue holds at a time: its scratch (int64
+#: blocks, or the float64 rung's block and dense per-lane tiles) stays
+#: cache-resident across the in-place passes.  Measurements:
+#: docs/simulator-performance.md, "Block size".
 _EPILOGUE_BLOCK = 1 << 15
+
+#: Every integer of smaller magnitude is exact in float64.
+_F64_EXACT = 1 << 53
+
+
+def _f64_rung(
+    bound: int, multiplier: np.ndarray, right: np.ndarray, nudge: np.ndarray,
+    bias: np.ndarray | None, offset: np.ndarray, low: int,
+) -> tuple[np.ndarray, ...] | None:
+    """The float64 rung's per-lane constants, or ``None`` where its proof
+    fails: ``(scale, const)``, plus ``(threshold, half)`` when some lane
+    keeps the sign word.
+
+    With ``u = 2**-(31 + s)`` and ``K = b*m + 2**30 + nudge * 2**31``, the
+    nested-floor identity makes ``floor(a * (m*u) + K*u)`` the high-mul and
+    the rounding shift in one (proofs: docs/simulator-performance.md); the
+    sum is exact when ``bound*|m| + |K| < 2**53``.  RoundingDivideByPOT's
+    sign word subtracts ``2**-s`` where ``y < z + 1/2``.  It is kept on
+    lanes with ``s > 0`` whose clamp reaches below the offset, branch-free:
+    ``const`` there is ``K*u - 2**-s/2``, and the loop adds
+    ``copysign(2**-s/2, y - z - 1/2)``.  Both sums must be exact as well,
+    so those lanes carry a ``2**31`` margin.  The caller has proved ``bound
+    + |b| < 2**31``; with ``|m| < 2**31`` and ``|nudge| < 2**21`` checked
+    first, no term leaves int64.
+    """
+    if (np.abs(multiplier) >= 1 << 31).any() or (np.abs(nudge) >= 1 << 21).any():
+        return None
+    const = (nudge << 31) + (1 << 30)
+    if bias is not None:
+        const = const + bias * multiplier
+    signword = (right > 0) & (low < offset)
+    reach = bound * np.abs(multiplier) + np.abs(const) + np.where(signword, 1 << 31, 0)
+    if (reach >= _F64_EXACT).any():
+        return None
+    unit = np.ldexp(1.0, -31 - right)
+    half = np.where(signword, unit * (1 << 30), 0.0)
+    constants = (multiplier * unit, const * unit - half)
+    return constants + ((nudge << 31) * unit - half, half) if signword.any() else constants
 
 
 def requantize(
@@ -262,7 +299,10 @@ class Requantizer:
     below ``2**31`` and no lane shifts left, the accumulator can never
     saturate, so the three 32-bit saturation passes are skipped and the
     bias rides in the high-mul's rounding constant:
-    ``(a + b) * m + 2**30 == a * m + (b * m + 2**30)``."""
+    ``(a + b) * m + 2**30 == a * m + (b * m + 2**30)``.  Where, on top of
+    that, every lane's numerator stays below ``2**53`` (:func:`_f64_rung`),
+    the epilogue runs in float64 instead.  ``rung`` names the loop that
+    runs: ``"f64"`` or ``"int64"``; without a bound no proof is tried."""
 
     def __init__(
         self,
@@ -279,31 +319,49 @@ class Requantizer:
         info = dtype_info(dtype)
         multiplier = np.asarray(multiplier, dtype=np.int64)
         shift = np.asarray(shift, dtype=np.int64)
+        offset = np.asarray(offset, dtype=np.int64)
         self.lanes = np.broadcast(multiplier, shift, offset, 0 if bias is None else bias).size
         left, right = np.maximum(-shift, 0), np.maximum(shift, 0)
         self.mask = None if right.all() else -(right > 0).astype(np.int64)
-        self.nudge = ((np.int64(1) << right) >> 1) + (np.asarray(offset, dtype=np.int64) << right)
-        proved = bound is not None and not left.any()
-        if proved and bias is not None:
-            bound += int(np.abs(bias, dtype=np.int64).max(initial=0))
-        self.proved = proved = proved and bound < -ACC_MIN
-        # |a + b| < 2**31 and m < 2**31: neither side of the identity leaves int64.
-        self.half = bias * multiplier + (1 << 30) if proved and bias is not None else 1 << 30
+        self.nudge = ((np.int64(1) << right) >> 1) + (offset << right)
         self.low, self.high = (info.min_value, info.max_value) if clamp is None else clamp
         self.out_dtype = info.numpy_dtype if out_dtype is None else out_dtype
         self.multiplier, self.right, self.bias = multiplier, right, bias
         self.left = left if left.any() else None
+        reach: int | None = None  # max |a + b|, where no lane shifts left
+        if bound is not None and not left.any():
+            reach = bound
+            if bias is not None:
+                reach += int(np.abs(bias, dtype=np.int64).max(initial=0))
+        self.proved = proved = reach is not None and reach < -ACC_MIN
+        # |a + b| < 2**31 and m < 2**31: neither side of the identity leaves int64.
+        self.half = bias * multiplier + (1 << 30) if proved and bias is not None else 1 << 30
+        self.lane_constants = (
+            _f64_rung(bound, multiplier, right, self.nudge, bias, offset, self.low)
+            if proved else None
+        )
+        self.rung = "int64" if self.lane_constants is None else "f64"
 
     def __call__(self, acc: np.ndarray) -> np.ndarray:
         acc = np.asarray(acc)
         lanes = self.lanes
         if lanes != 1 and lanes != acc.shape[-1]:
             raise ValueError(f"{lanes} requantization lanes for accumulator shape {acc.shape}")
-        proved, bias, left = self.proved, self.bias, self.left
         flat = acc.reshape(-1, lanes)
         out = np.empty(flat.shape, self.out_dtype)
         step = max(1, _EPILOGUE_BLOCK // lanes)
-        scratch = np.empty((2, min(step, len(flat)), lanes), dtype=np.int64)
+        block = (min(step, len(flat)), lanes)
+        if self.lane_constants is None:
+            self._int64_blocks(flat, out, step, block)
+        else:
+            self._f64_blocks(flat, out, step, block)
+        return out.reshape(acc.shape)
+
+    def _int64_blocks(
+        self, flat: np.ndarray, out: np.ndarray, step: int, block: tuple[int, int]
+    ) -> None:
+        proved, bias, left = self.proved, self.bias, self.left
+        scratch = np.empty((2, *block), dtype=np.int64)
         for start in range(0, len(flat), step):
             rows = flat[start : start + step]
             x, sign = scratch[:, : len(rows)]
@@ -323,4 +381,33 @@ class Requantizer:
                 np.minimum(x, ACC_MAX, out=x)
             _rounding_shift(x, sign, self.right, self.nudge, self.mask)
             np.clip(x, self.low, self.high, out=out[start : start + step], casting="unsafe")
-        return out.reshape(acc.shape)
+
+    def _f64_blocks(
+        self, flat: np.ndarray, out: np.ndarray, step: int, block: tuple[int, int]
+    ) -> None:
+        # One allocation: the float64 block (two with the sign word), then
+        # the per-lane constants as dense (rows, lanes) tiles.  A broadcast
+        # (lanes,) operand costs a pass about twice what a dense one does.
+        constants = self.lane_constants
+        work = 2 if len(constants) > 2 else 1
+        scratch = np.empty((work + len(constants), *block))
+        for tile, value in zip(scratch[work:], constants, strict=True):
+            tile[...] = value
+        scale, const, *signword = scratch[work:]
+        floor = self.low < 0  # else the narrowing cast's truncation is the floor
+        for start in range(0, len(flat), step):
+            rows = flat[start : start + step]
+            n = len(rows)
+            y = scratch[0, :n]
+            np.copyto(y, rows)  # a cast, then a same-type multiply: cheaper than a mixed one
+            y *= scale[:n]
+            y += const[:n]
+            if signword:
+                threshold, half = signword
+                sign = scratch[1, :n]
+                np.subtract(y, threshold[:n], out=sign)
+                np.copysign(half[:n], sign, out=sign)
+                y += sign
+            if floor:
+                np.floor(y, out=y)
+            np.clip(y, self.low, self.high, out=out[start : start + step], casting="unsafe")

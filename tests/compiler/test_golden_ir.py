@@ -8,7 +8,7 @@ Three layers of pinning:
   graphs, reusing the ``get_system`` cache the perf tests already warm;
 - the form and accumulation dtype the O2 ``codegen`` stage picks for every
   matmul step and LSTM chain — the rules ``docs/simulator-performance.md``
-  measured, restated.
+  measured, restated — and the rung each step's epilogue runs on.
 
 If a pass, the partitioner or the lowering changes what it produces for
 the paper's four models, these numbers move and the change has to be
@@ -45,6 +45,15 @@ BACKEND_GOLDEN = {
 }
 
 STAGE_ORDER = ["input", "partition", "verify", "plan", "lower", "finalize"]
+
+# model -> (ConvSteps whose OUT-unit epilogue runs on the float64 rung,
+# ConvSteps), on the ledger's recipe (calibration seed 1).  A record, not a
+# bound: each step left on int64 has a bound * multiplier past 2**53.
+EPILOGUE_RUNG_GOLDEN = {
+    "mobilenet_v1": (28, 28),
+    "ssd_mobilenet_v1": (46, 47),
+    "resnet50_v15": (36, 54),
+}
 
 
 @pytest.mark.parametrize("key", sorted(OPTIMIZE_GOLDEN))
@@ -89,6 +98,23 @@ def test_quantize_without_optimize_reaches_the_same_backend_counts(key):
     assert Counter(node.op for node in result.model.graph.nodes) == Counter(
         node.op for node in get_system(key).compiled.graph.nodes
     )
+
+
+@pytest.mark.parametrize("key", sorted(EPILOGUE_RUNG_GOLDEN))
+def test_epilogue_rungs_are_recorded(key):
+    info = PAPER_CHARACTERISTICS[key]
+    graph = info.build()
+    ranges = calibrate(graph, [info.sample_input(graph, seed=1)])
+    kset = compile_graph(
+        quantize_graph(graph, ranges), pipeline="O2", name=key, cache=None
+    ).macro_kernels
+    rungs = Counter(
+        step._epilogue.rung
+        for kernel in kset.kernels.values()
+        for step in kernel.steps
+        if isinstance(step, ConvStep)
+    )
+    assert (rungs["f64"], sum(rungs.values())) == EPILOGUE_RUNG_GOLDEN[key], rungs
 
 
 @pytest.mark.parametrize("key", sorted(BACKEND_GOLDEN))

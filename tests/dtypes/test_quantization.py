@@ -17,6 +17,7 @@ from repro.dtypes import (
     requantize,
     rounding_right_shift,
 )
+from repro.dtypes import quantization
 from repro.ncore.out import RequantSpec, requantize_lanes
 from tests.helpers import quant_range
 
@@ -460,3 +461,209 @@ class TestAgainstGemmlowp:
         # qadd / qrequant shift 2**-20-unit totals far wider than int32.
         out = rounding_right_shift(np.array([value], dtype=np.int64), shift)
         assert int(out[0]) == gemmlowp_rounding_divide_by_pot(value, shift)
+
+
+def f64_rung_holds(bound, mults, shifts, offsets, bias, low) -> bool:
+    """The float64 rung's proof restated in Python ints, lane by lane:
+    range-proved (no left shift, ``bound + max|b| < 2**31``), ``|m| <
+    2**31``, ``|nudge| < 2**21`` and ``bound*|m| + |K| < 2**53`` — plus
+    ``2**31`` on lanes that keep the sign word (``s > 0``, clamp below z)."""
+    lanes = np.broadcast(mults, shifts, offsets, 0 if bias is None else bias).size
+    mults, shifts, offsets, biases = (
+        [int(v) for v in np.broadcast_to(np.asarray(a), (lanes,))]
+        for a in (mults, shifts, offsets, 0 if bias is None else bias)
+    )
+    if min(shifts) < 0 or bound + max(abs(b) for b in biases) >= 1 << 31:
+        return False
+    for m, s, z, b in zip(mults, shifts, offsets, biases, strict=True):
+        nudge = (1 << s >> 1) + (z << s)
+        if abs(m) >= 1 << 31 or abs(nudge) >= 1 << 21:
+            return False
+        k = b * m + (1 << 30) + (nudge << 31)
+        if bound * abs(m) + abs(k) + ((1 << 31) if s > 0 and low < z else 0) >= 1 << 53:
+            return False
+    return True
+
+
+def rung_accumulators(multiplier: int, shift: int, reach: int) -> list[int]:
+    """``boundary_accumulators`` widened to +-2 around each point, with
+    every value past ``reach`` replaced by the ends ``+-reach``."""
+    accs = [a + d for a in boundary_accumulators(multiplier, shift) for d in (-2, -1, 0, 1, 2)]
+    return [a if abs(a) <= reach else (reach if a > 0 else -reach) for a in accs]
+
+
+RUNG_OFFSETS = {NcoreDType.UINT8: 5, NcoreDType.INT8: -3, NcoreDType.INT16: 1000}
+
+
+def clamp_for(activation: str, offset: int, dtype) -> tuple[int, int] | None:
+    high = int(dtype_info(dtype).max_value)
+    return {"none": None, "relu": (offset, high), "relu6": (offset, min(offset + 40, high))}[
+        activation
+    ]
+
+
+class TestF64Rung:
+    """The epilogue's float64 rung against the gemmlowp oracle, and which
+    rung runs (``Requantizer.rung``) against the proof restated above."""
+
+    @pytest.mark.parametrize("activation", ["none", "relu", "relu6"])
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["nobias", "bias"])
+    @pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: d.value)
+    @pytest.mark.parametrize("per_lane", [False, True], ids=["tensor", "lane"])
+    def test_boundary_sweep(self, per_lane, dtype, with_bias, activation):
+        # Every tie of the high-mul and the rounding shift, +-2 around it,
+        # and +-2**20.  Per lane: shift == 0 lanes next to shifting ones;
+        # per tensor: scalar registers, one (multiplier, shift) at a time.
+        pairs = [(m, s) for s in (0, 1, 5, 10) for m in MULTIPLIERS]
+        offset = RUNG_OFFSETS[dtype]
+        clamp = clamp_for(activation, offset, dtype)
+        for group in [pairs] if per_lane else [[pair] for pair in pairs]:
+            mults = np.array([m for m, _ in group], dtype=np.int64)
+            shifts = np.array([s for _, s in group], dtype=np.int64)
+            total = np.array([rung_accumulators(m, s, 1 << 20) for m, s in group]).T
+            bias = (np.arange(len(group)) * 65_537 - (1 << 19)) if with_bias else None
+            acc = total if bias is None else total - bias  # the ties land on acc + bias
+            want = oracle_lanes(total, mults, shifts, [offset] * len(group), dtype)
+            if clamp is not None:
+                want = np.clip(want, *clamp)
+            registers = (mults, shifts) if per_lane else (int(mults[0]), int(shifts[0]))
+            epilogue = Requantizer(
+                *registers, offset, dtype, bias=bias, clamp=clamp, bound=int(np.abs(acc).max())
+            )
+            assert epilogue.rung == "f64"
+            for form in (np.float32, np.float64, np.int32, np.int64):
+                got = epilogue(acc.astype(form))
+                assert got.dtype == dtype_info(dtype).numpy_dtype
+                np.testing.assert_array_equal(got, want, f"{group} {np.dtype(form).name}")
+
+    @given(
+        st.lists(st.integers(-(1 << 20), 1 << 20), min_size=1, max_size=12),
+        st.lists(
+            st.tuples(
+                st.integers(INT32_MIN, INT32_MAX), st.integers(0, 12), st.integers(-128, 127)
+            ),
+            min_size=1, max_size=6,
+        ),
+        st.one_of(st.none(), st.integers(0, 1 << 20)),
+        st.sampled_from(["none", "relu", "relu6"]),
+        st.sampled_from(INT_DTYPES),
+    )
+    def test_random_lanes_in_the_rung_regime(self, values, lanes, bias_reach, activation, dtype):
+        # Either sign of multiplier, shift == 0 lanes, an offset per lane
+        # and a clamp at the first lane's: some lanes keep the sign word.
+        mults = np.array([m for m, _, _ in lanes], dtype=np.int64)
+        shifts = np.array([s for _, s, _ in lanes], dtype=np.int64)
+        offsets = np.array([z for _, _, z in lanes], dtype=np.int64)
+        if dtype is NcoreDType.UINT8:
+            offsets += 128
+        acc = np.resize(np.array(values, dtype=np.int64), (len(values), len(lanes)))
+        bias = None
+        if bias_reach is not None:
+            bias = (np.arange(len(lanes)) % 3 - 1) * bias_reach
+        clamp = clamp_for(activation, int(offsets[0]), dtype)
+        want = oracle_lanes(acc if bias is None else acc + bias, mults, shifts, offsets, dtype)
+        if clamp is not None:
+            want = np.clip(want, *clamp)
+        bound = int(np.abs(acc).max())
+        epilogue = Requantizer(mults, shifts, offsets, dtype, bias=bias, clamp=clamp, bound=bound)
+        low = int(dtype_info(dtype).min_value) if clamp is None else clamp[0]
+        holds = f64_rung_holds(bound, mults, shifts, offsets, bias, low)
+        assert epilogue.rung == ("f64" if holds else "int64")
+        for form in (np.float32, np.float64, np.int64):
+            np.testing.assert_array_equal(epilogue(acc.astype(form)), want)
+
+    @pytest.mark.parametrize("clamp", [None, (1000, 32767)], ids=["full", "relu"])
+    @pytest.mark.parametrize("shift", [0, 1, 5, 10])
+    def test_one_unit_below_a_floor(self, shift, clamp):
+        # Lanes whose a * m + K sits one below a multiple of 2**(31 + s): the
+        # exact y is 2**-(31 + s) under an integer, so any rounding in the
+        # rung would lift its floor.  m = (-1 - K) / a mod 2**(31 + s), kept
+        # where it is a mantissa; a < 2**(14 + s) keeps y inside int16.
+        z = 1000
+        nudge = (1 << shift >> 1) + (z << shift)
+        k, modulus = (1 << 30) + (nudge << 31), 1 << (31 + shift)
+        lanes = []
+        for a in range(3, 1 << (14 + shift), 2):
+            m = (-1 - k) * pow(a, -1, modulus) % modulus
+            if 1 << 30 <= m < 1 << 31:
+                lanes.append((a, m))
+            if len(lanes) == 8:
+                break
+        accs = np.array([a for a, _ in lanes], dtype=np.int64)
+        mults = np.array([m for _, m in lanes], dtype=np.int64)
+        assert len(lanes) == 8 and not ((accs * mults + k + 1) % modulus).any()
+        acc = np.stack([accs - 1, accs, accs + 1])
+        want = oracle_lanes(acc, mults, [shift] * 8, [z] * 8, NcoreDType.INT16)
+        assert (np.abs(want) < 32767).all()  # nothing saturates
+        if clamp is not None:
+            want = np.clip(want, *clamp)
+        epilogue = Requantizer(
+            mults, shift, z, NcoreDType.INT16, clamp=clamp, bound=int(np.abs(acc).max())
+        )
+        assert epilogue.rung == "f64"
+        for form in (np.float32, np.float64, np.int64):
+            np.testing.assert_array_equal(epilogue(acc.astype(form)), want)
+
+    # (bound + b) * m + 2**30 + nudge * 2**31 [+ 2**31] == limit, found by a
+    # divisor search; s = 1, so nudge = 1 + 2 z.
+    EDGES = {
+        # clamp at z: no sign word.
+        "relu-below": (2**53 - 1, 1_983_717_597, 4, 4_540_555, (4, 255), "f64"),
+        "relu-at": (2**53, 1 << 30, 0, (1 << 23) - 3, (0, 255), "int64"),
+        # uint8's own range reaches below z: the sign word and its margin.
+        "full-below": (2**53 - 1, 1_965_358_657, 1, 4_582_975, None, "f64"),
+        "full-at": (2**53, 1 << 30, 1, (1 << 23) - 9, None, "int64"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EDGES))
+    def test_the_2_53_edge(self, case):
+        limit, m, z, reach, clamp, rung = self.EDGES[case]
+        b = 1_000
+        bound = reach - b
+        low = 0 if clamp is None else clamp[0]
+        margin = (1 << 31) if low < z else 0
+        nudge = 1 + 2 * z
+        assert bound * m + (b * m + (1 << 30) + (nudge << 31)) + margin == limit
+        bias = np.array([b])
+        epilogue = Requantizer(m, 1, z, NcoreDType.UINT8, bias=bias, clamp=clamp, bound=bound)
+        assert epilogue.rung == rung
+        assert f64_rung_holds(bound, m, 1, z, bias, low) == (rung == "f64")
+        acc = np.array(
+            [-bound, bound, 0, 1, -1, *rung_accumulators(m, 1, bound)], dtype=np.int64
+        )[:, None]
+        want = oracle_lanes(acc + b, [m], [1], [z], NcoreDType.UINT8)
+        if clamp is not None:
+            want = np.clip(want, *clamp)
+        for form in (np.float64, np.int64):
+            np.testing.assert_array_equal(epilogue(acc.astype(form)), want)
+
+    def test_what_fails_the_proof(self):
+        # A nudge of 2**21 fails it on its own: the rest of the sum is far
+        # below 2**53.  So do a left shift and a bound + bias of 2**31.
+        assert Requantizer(1 << 30, 21, 0, NcoreDType.INT16, bound=1).rung == "f64"
+        assert Requantizer(1 << 30, 22, 0, NcoreDType.INT16, bound=1).rung == "int64"
+        assert Requantizer(1 << 30, [3, -1], 0, NcoreDType.INT16, bound=1).rung == "int64"
+        bias = np.array([(1 << 31) - 8])  # with m = 1, far below 2**53 too
+        assert Requantizer(1, 3, 0, NcoreDType.INT16, bias=bias, bound=7).rung == "f64"
+        assert Requantizer(1, 3, 0, NcoreDType.INT16, bias=bias, bound=8).rung == "int64"
+        # |m| = 2**31 (the machine's INT32_MIN range register).
+        assert Requantizer(INT32_MIN, 3, 0, NcoreDType.INT16, bound=1).rung == "int64"
+
+    def test_without_a_bound_no_proof_is_computed(self, monkeypatch):
+        # The machine's REQUANT builds a Requantizer on every issue: without
+        # a bound the constructor must not pay for the float64 proof.
+        def no_proof(*args):
+            raise AssertionError("the float64 proof ran without a bound")
+
+        monkeypatch.setattr(quantization, "_f64_rung", no_proof)
+        mults = np.array([1 << 30, 1518500250, 1234567891], dtype=np.int64)
+        shifts = np.array([0, 3, 12], dtype=np.int64)
+        acc = np.array([[5, -7, 1 << 20], [-(1 << 31), 0, (1 << 31) - 1]], dtype=np.int64)
+        epilogue = Requantizer(mults, shifts, 3, NcoreDType.INT8)
+        assert epilogue.rung == "int64" and not epilogue.proved
+        want = oracle_lanes(acc, mults, shifts, [3] * 3, NcoreDType.INT8)
+        np.testing.assert_array_equal(epilogue(acc), want)
+        got = requantize_lanes(acc, mults, shifts, np.full(3, 3), NcoreDType.INT8)
+        np.testing.assert_array_equal(got, want)
+        spec = RequantSpec(3, NcoreDType.INT8, lane_mults=mults, lane_shifts=shifts)
+        np.testing.assert_array_equal(spec.apply(acc), want)
