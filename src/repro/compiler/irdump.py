@@ -20,7 +20,7 @@ from repro.graph.gir import Graph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.compiler.stages import CompilerContext
-    from repro.ncore.codegen import KernelStep
+    from repro.ncore.codegen import NodeStep
 
 
 def _format_attr(value: Any) -> str:
@@ -29,13 +29,12 @@ def _format_attr(value: Any) -> str:
     return str(value)
 
 
-def _step_label(step: KernelStep) -> str:
+def _step_label(step: NodeStep) -> str:
     """A macro-kernel step in the codegen section: its op — a ``conv2d``
     with the form codegen chose, every :class:`ConvStep` with the dtype it
     accumulates in (``f32/f64``: per-tap blocks / their sum), the static
-    bound that proves it exact and the rung its epilogue runs on; a fused
-    LSTM chain with its length."""
-    from repro.ncore.codegen import CellFuseStep, ConvStep, SeqFuseStep, exact_dtype
+    bound that proves it exact and the rung its epilogue runs on."""
+    from repro.ncore.codegen import ConvStep, exact_dtype
 
     if isinstance(step, ConvStep):
         form = f":{'per-tap' if step.per_tap else 'im2col'}" if step.op == "conv2d" else ""
@@ -46,8 +45,6 @@ def _step_label(step: KernelStep) -> str:
         bound = math.log2(max(step.acc_bound, 1))
         rung = step._epilogue.rung
         return f"{step.op}{form} {'/'.join(dtypes)} bound=2^{bound:.1f} epilogue={rung}"
-    if isinstance(step, (SeqFuseStep, CellFuseStep)):
-        return f"{step.op} x{len(step.chain)}"
     return step.op
 
 

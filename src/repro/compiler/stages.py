@@ -242,7 +242,7 @@ def _run_codegen(ctx: CompilerContext) -> dict[str, Any]:
         raise CompilerError("codegen stage needs partitioned segments; run 'partition' first")
     # Imported lazily: repro.ncore.codegen pulls in the runtime kernels,
     # which import back into repro.compiler during package init.
-    from repro.ncore.codegen import NodeStep, codegen_model
+    from repro.ncore.codegen import codegen_model
 
     stats: dict[str, Any] = {}
     kset = codegen_model(
@@ -257,19 +257,16 @@ def _run_codegen(ctx: CompilerContext) -> dict[str, Any]:
     stats.setdefault("uncovered_segments", 0)
     # Float-region coverage: how much of the graph's float family (bf16
     # LSTM region, x86 float tails) the Tier-3 artifacts actually cover —
-    # fused LSTM chains and float-region bound nodes, not counting the
-    # dequantize that ends a quantized segment.
+    # float-region bound nodes, not counting the dequantize that ends a
+    # quantized segment.
     stats["coverage"] = round(kset.coverage_fraction(len(ctx.segments)), 4)
-    steps = [step for kernel in kset.kernels.values() for step in kernel.steps]
-    fused_chains = sum(not isinstance(step, NodeStep) for step in steps)
-    float_steps = fused_chains + sum(
-        isinstance(step, NodeStep) and step.bound.is_float and step.op != "dequantize"
-        for step in steps
+    float_steps = sum(
+        step.bound.is_float and step.op != "dequantize"
+        for kernel in kset.kernels.values()
+        for step in kernel.steps
     )
     if float_steps:
         stats["float_steps"] = float_steps
-    if fused_chains:
-        stats["fused_chains"] = fused_chains
     return stats
 
 

@@ -208,11 +208,10 @@ def lstm_step_project(x_seq: np.ndarray, wx: np.ndarray) -> np.ndarray:
     contribution from the (shared) input sequence, ``x_seq @ wx``.
 
     Part of the op's *reference semantics*: each ``lstm_step`` node's
-    result is its own row of the full projection.  Whoever computes it
-    may do so once per sequence and slice — codegen's ``SeqFuseStep`` once
-    per chain, the graph walks once per walk (:func:`walk_lstm_step`) —
-    because the arrays and the matmul call are identical, so the result
-    is bit-identical to projecting per node.
+    result is its own row of the full projection.  A walk may compute it
+    once per sequence and slice (:func:`walk_lstm_step`, the one place
+    that does), because the arrays and the matmul call are identical, so
+    the result is bit-identical to projecting per node.
     """
     width = x_seq.shape[-1]
     flat = np.asarray(x_seq).reshape(-1, width) @ wx
@@ -250,8 +249,9 @@ def lstm_step(
     ``(hidden, 4 * hidden)`` applied to ``h_prev``.  Step ``t`` is row
     ``t`` of the whole-sequence projection combined with the recurrent
     half.  Called alone, this projects the entire sequence for that one
-    row; the graph walks share one projection across a chain's steps
-    (:func:`walk_lstm_step`).
+    row; every graph walk — ``execute_float`` and, through
+    ``qkernels.BoundNode.run``, the per-node walk and the macro-kernels —
+    shares one projection across a chain's steps (:func:`walk_lstm_step`).
     """
     xp = lstm_step_project(x_seq, wx)
     return lstm_step_combine(xp[..., t, :], wh, bias, h_prev, c_prev)
@@ -275,7 +275,9 @@ def walk_lstm_step(
     call :func:`lstm_step_project` on the very arrays the first one did;
     the outputs are the bytes :func:`lstm_step` gives.  ``projections`` is
     the walk's own dict: the caller makes it empty at the start of a walk
-    and drops it at the end, so nothing outlives one walk.
+    (one ``execute_float`` call, one ``qkernels.run_nodes`` call, one
+    ``MacroKernel.run``) and drops it at the end, so nothing outlives one
+    walk.
     """
     key = (inputs[0], inputs[1])
     xp = projections.get(key)
@@ -351,8 +353,8 @@ def _iou(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def execute_float(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Execute a graph in float32, returning its output tensors."""
+def seed_values(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The environment a graph walk starts from: constants plus feeds."""
     values: dict[str, np.ndarray] = {}
     for name, tensor in graph.tensors.items():
         if tensor.is_constant:
@@ -361,6 +363,12 @@ def execute_float(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, np.nd
         if name not in feeds:
             raise GraphError(f"missing feed for graph input {name!r}")
         values[name] = np.asarray(feeds[name])
+    return values
+
+
+def execute_float(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Execute a graph in float32, returning its output tensors."""
+    values = seed_values(graph, feeds)
     projections: Projections = {}
     for node in graph.nodes:
         ins = [values[name] for name in node.inputs]

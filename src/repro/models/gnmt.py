@@ -145,7 +145,8 @@ def build_gnmt(
     # ---- encoder: `layers` stacked LSTMs over the source sequence ----
     # Each layer runs `lstm_step` over the whole (batch, time, hidden) input
     # sequence: the input-side gate projection is shared per layer, which is
-    # what codegen's chain fusion amortizes across the timestep chain.
+    # what every walk computes once and slices per timestep
+    # (`reference.walk_lstm_step`).
     enc_weights = [lstm_seq_weights(f"enc{l}", hidden) for l in range(layers)]
     x_seq = src_embedded
     for l in range(layers):

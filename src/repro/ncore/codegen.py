@@ -27,7 +27,7 @@ make the quantized matmuls fast without breaking it:
 - **One collapse per op.**  Depthwise is one einsum over a sliding
   window, fully-connected one matmul; ``conv2d`` has two forms — im2col
   (one tensordot) and per-tap (``kh * kw`` matmuls) — selected per node
-  by :data:`_PER_TAP_MIN_CIN`.  LSTM timestep chains are always fused.
+  by :data:`_PER_TAP_MIN_CIN`.
 
 The per-node interpreter stays on as the oracle: the
 :class:`KernelDispatcher` verifies a macro-kernel's outputs against it on
@@ -35,31 +35,28 @@ the first dispatch of each (kernel, input shapes) (``oracle="first"``,
 the default policy), or on every dispatch (``oracle="always"``).
 
 Only what is genuinely a second implementation lives here as its own
-step class — the checks the oracle really makes: :class:`ConvStep`
+step class — the check the oracle really makes: :class:`ConvStep`
 (float-BLAS accumulation under a per-kernel proof and the range-proved
 epilogue vs the fully saturating ``qconv2d`` / ``qdepthwise`` /
 ``qfully_connected``, which accumulate in int64 or in float64 under their
-own dtype-range proof) and
-:class:`SeqFuseStep` / :class:`CellFuseStep` (chains of ``lstm_step`` or
-same-weight ``lstm_cell`` nodes threading h/c state, computing each
-chain's whole-sequence input projection once instead of once per
-timestep, vs node-by-node LSTM).  Every other node — the rest of the
-quantized family and the whole **bf16 float region** (GNMT's LSTM /
-attention graph and the x86-resident float tails) — lowers to the generic
-:class:`NodeStep`: a :class:`repro.runtime.qkernels.BoundNode` run through
-the same op table, with the same bf16 write-back rounding, as the per-node
-walk — the same function by construction, not an independent check
-(``docs/simulator-performance.md`` has the table).  Bound nodes bake no
-weights; they read constants from the executor-seeded environment, keeping
-the pickled artifact small.  Only :class:`ConvStep` bakes zero-offset
-weights.
+own dtype-range proof).  Every other node — the rest of the quantized
+family and the whole **bf16 float region** (GNMT's LSTM / attention graph
+and the x86-resident float tails) — lowers to the generic
+:class:`NodeStep`: a :class:`repro.runtime.qkernels.BoundNode` run the way
+the per-node walk runs it (:meth:`BoundNode.run`: the same op table, the
+same bf16 write-back rounding, and for ``lstm_step`` the same one
+projection per sequence per run) — the same function by construction,
+not an independent check (``docs/simulator-performance.md`` has the
+table).  Bound nodes bake no weights; they read constants from the
+executor-seeded environment, keeping the pickled artifact small.  Only
+:class:`ConvStep` bakes zero-offset weights.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 import numpy.typing as npt
@@ -68,7 +65,7 @@ from repro.dtypes import QuantParams, Requantizer
 from repro.graph.gir import Graph, Node
 from repro.graph.loadable import NcoreLoadable
 from repro.graph.partitioner import Segment
-from repro.graph.reference import lstm_cell, lstm_step_combine, lstm_step_project
+from repro.graph.reference import Projections
 from repro.ncore.out import RequantSpec
 from repro.obs import NULL_OBSERVATION, Observation, note_stat
 
@@ -122,26 +119,19 @@ class CodegenDivergence(AssertionError):
 
 
 @dataclass(frozen=True)
-class KernelStep:
-    """One step of a macro-kernel's program: reads names from the environment,
-    writes names back.  ``node`` / ``op`` label it (IR dumps, stats)."""
+class NodeStep:
+    """One step of a macro-kernel's program — reads names from the
+    environment, writes names back; ``node`` / ``op`` label it (IR dumps,
+    stats).  The generic step is one bound node, run the way the per-node
+    walk runs it (:meth:`BoundNode.run`, with the run's one
+    ``projections`` dict)."""
 
     node: str
     op: str
-
-    def run(self, env: Env) -> None:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class NodeStep(KernelStep):
-    """The generic step: one bound node, run through the op table the
-    per-node walk runs it through (:meth:`BoundNode.run`)."""
-
     bound: BoundNode
 
-    def run(self, env: Env) -> None:
-        self.bound.run(env)
+    def run(self, env: Env, projections: Projections) -> None:
+        self.bound.run(env, projections)
 
 
 @dataclass(frozen=True)
@@ -240,50 +230,11 @@ class ConvStep(NodeStep):
         # The epilogue is derived from the fields: rebuilt, never pickled.
         return {k: v for k, v in self.__dict__.items() if k != "_epilogue"}
 
-    def run(self, env: Env) -> None:
+    def run(self, env: Env, projections: Projections) -> None:
         # The float -> int64 cast, the bias and the activation clamp happen
         # block by block inside the OUT-unit epilogue.
         acc = self._accumulate(env[self.bound.inputs[0]])
         env[self.bound.outputs[0]] = self._epilogue(acc)
-
-
-@dataclass(frozen=True)
-class SeqFuseStep(KernelStep):
-    """A fused chain of ``lstm_step`` nodes sharing (x_seq, wx, wh, bias).
-
-    Computes the whole-sequence input projection **once** — the very same
-    :func:`repro.graph.reference.lstm_step_project` call on the very same
-    arrays each per-node reference makes — then threads the rounded h/c
-    state through the per-step recurrent combines.  Because the projection
-    and combine are the reference's own functions over identical operands,
-    the chain's outputs are bit-identical to running it node by node; the
-    fused form just stops re-projecting the sequence ``len(chain)`` times
-    and dispatching ``len(chain)`` steps.
-    """
-
-    #: The fused nodes, in chain order.
-    chain: tuple[BoundNode, ...]
-
-    def run(self, env: Env) -> None:
-        x_seq, wx, wh, bias, h, c = (env[name] for name in self.chain[0].inputs)
-        xp = lstm_step_project(x_seq, wx)
-        for bound in self.chain:
-            t = int(bound.attrs["t"])
-            h, c = bound.store(env, lstm_step_combine(xp[..., t, :], wh, bias, h, c))
-
-
-@dataclass(frozen=True)
-class CellFuseStep(KernelStep):
-    """A fused chain of same-weight ``lstm_cell`` nodes threading h/c
-    state: one step object per chain instead of one per timestep."""
-
-    #: The fused nodes, in chain order.
-    chain: tuple[BoundNode, ...]
-
-    def run(self, env: Env) -> None:
-        _, weights, bias, h, c = (env[name] for name in self.chain[0].inputs)
-        for bound in self.chain:
-            h, c = bound.store(env, lstm_cell(env[bound.inputs[0]], weights, bias, h, c))
 
 
 # ----------------------------------------------------------------------
@@ -299,19 +250,21 @@ class MacroKernel:
     ``compute_cycles`` is the cycle-exact count recorded from the
     segment's Loadable at codegen time — the executor's timing model
     keeps using the Loadable schedules, so perf reports are byte-identical
-    whichever tier executes.
+    whichever tier executes.  One :meth:`run` is one walk: its steps
+    share one ``lstm_step`` projection dict, dropped when it returns.
     """
 
     name: str
     segment_index: int
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    steps: tuple[KernelStep, ...]
+    steps: tuple[NodeStep, ...]
     compute_cycles: int = 0
 
     def run(self, env: Env) -> None:
+        projections: Projections = {}
         for step in self.steps:
-            step.run(env)
+            step.run(env, projections)
 
 
 @dataclass
@@ -442,52 +395,6 @@ def _lower(graph: Graph, node: Node) -> NodeStep:
     return NodeStep(node.name, node.op, bound)
 
 
-#: The fusable LSTM ops -> (fused step class, the input positions every
-#: node of a chain shares, the position of the h-state input; c follows h).
-_LSTM_CHAINS: dict[str, tuple[type[SeqFuseStep] | type[CellFuseStep], slice, int]] = {
-    "lstm_step": (SeqFuseStep, slice(0, 4), 4),  # (x_seq, wx, wh, bias), h, c
-    "lstm_cell": (CellFuseStep, slice(1, 3), 3),  # x, (weights, bias), h, c
-}
-
-
-def _chain_run(steps: Sequence[NodeStep], start: int) -> list[NodeStep]:
-    """The maximal run of steps from ``start`` that one fused step can
-    replace: the same LSTM op over the same shared operands, each node's
-    h/c inputs being the previous node's outputs."""
-    run = [steps[start]]
-    if run[0].op in _LSTM_CHAINS:
-        _, shared, h = _LSTM_CHAINS[run[0].op]
-        for step in steps[start + 1:]:
-            prev, bound = run[-1].bound, step.bound
-            if not (
-                bound.op == prev.op
-                and bound.inputs[shared] == prev.inputs[shared]
-                and bound.inputs[h:h + 2] == prev.outputs[:2]
-            ):
-                break
-            run.append(step)
-    return run
-
-
-def _fuse_lstm_chains(steps: Sequence[NodeStep]) -> list[KernelStep]:
-    """The program with every maximal consecutive run (length >= 2) of
-    same-weight LSTM steps with threaded h/c state collapsed into one
-    fused step; everything else unchanged."""
-    fused: list[KernelStep] = []
-    i = 0
-    while i < len(steps):
-        run = _chain_run(steps, i)
-        if len(run) >= 2:
-            fused.append(_LSTM_CHAINS[run[0].op][0](
-                f"{run[0].node}..{run[-1].node}", run[0].op,
-                tuple(step.bound for step in run),
-            ))
-        else:
-            fused.append(run[0])
-        i += len(run)
-    return fused
-
-
 def compile_segment(
     graph: Graph,
     segment: Segment,
@@ -503,13 +410,12 @@ def compile_segment(
     """
     if not segment.nodes:
         raise UnsupportedSegment("empty segment")
-    steps = _fuse_lstm_chains([_lower(graph, node) for node in segment.nodes])
     return MacroKernel(
         name=name,
         segment_index=index,
         inputs=tuple(segment.input_tensors(graph)),
         outputs=tuple(segment.output_tensors(graph)),
-        steps=tuple(steps),
+        steps=tuple(_lower(graph, node) for node in segment.nodes),
         compute_cycles=loadable.compute_cycles if loadable is not None else 0,
     )
 
@@ -609,17 +515,14 @@ class KernelDispatcher:
 
 
 __all__ = [
-    "CellFuseStep",
     "CodegenDivergence",
     "ConvStep",
     "KernelDispatcher",
-    "KernelStep",
     "MacroKernel",
     "MacroKernelSet",
     "NodeStep",
     "ORACLE_MODES",
     "RequantSpec",
-    "SeqFuseStep",
     "UnsupportedSegment",
     "codegen_model",
     "compile_segment",

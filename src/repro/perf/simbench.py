@@ -103,13 +103,11 @@ def compile_zoo_model(model_key: str = "mobilenet_v1"):
         # MobileNet below): full 1024-wide 8-layer GNMT holds 131 M bf16
         # weights, far too slow to walk per-node in CI.  This keeps the
         # real topology — unrolled lstm_step encoder, attention decoder,
-        # embeddings and the softmax/mean float tails — at a scale where
-        # the encoder's per-step sequence projection (what Tier-3 chain
-        # fusion computes once per chain) dominates an unfused step
-        # program, as it does at the paper's 1024-wide full size.  The wide
-        # hidden matters: the projection is BLAS-bound (grows with h**2)
-        # while the per-step costs both tiers share are numpy-call-
-        # overhead-bound, so a narrow build understates the tier gap.
+        # embeddings and the softmax/mean float tails — at a width where
+        # the float region's matmuls, not numpy call overhead, carry the
+        # query, as they do at the paper's 1024-wide full size: the
+        # encoder's sequence projection (once per walk) and the recurrent
+        # matmuls grow with h**2, the per-step call costs do not.
         graph = info.build(
             seq_len=288, hidden=512, layers=2,
             vocab=4096,  # row-bytes-ok: reduced BPE vocab, not a row size

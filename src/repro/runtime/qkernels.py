@@ -45,7 +45,7 @@ from repro.dtypes import (
     to_bfloat16,
 )
 from repro.graph.gir import Graph, GraphError, Node
-from repro.graph.reference import Projections, execute_op, walk_lstm_step
+from repro.graph.reference import Projections, execute_op, seed_values, walk_lstm_step
 from repro.ncore.out import RequantSpec
 
 _ADD_SHIFT = 20  # fixed-point headroom for elementwise rescaling
@@ -309,13 +309,20 @@ class BoundNode:
         env.update(zip(self.outputs, stored, strict=False))
         return stored
 
-    def run(self, env: dict[str, np.ndarray]) -> None:
-        """Look the op up in its table and run it against ``env`` in place."""
+    def run(self, env: dict[str, np.ndarray], projections: Projections) -> None:
+        """Run the node against ``env`` in place: a float ``lstm_step``
+        through :func:`repro.graph.reference.walk_lstm_step`, sharing one
+        input projection per sequence through the caller's per-call
+        ``projections``; every other op through its table."""
+        ins = [env[name] for name in self.inputs]
+        if self.is_float and self.op == "lstm_step":
+            self.store(env, walk_lstm_step(projections, self.inputs, self.attrs, ins))
+            return
         kernel = (FLOAT_KERNELS if self.is_float else INT8_KERNELS).get(self.op)
         if kernel is None:
             family = "float" if self.is_float else "quantized"
             raise GraphError(f"op {self.op!r} has no {family} kernel")
-        self.store(env, kernel(self, [env[name] for name in self.inputs]))
+        self.store(env, kernel(self, ins))
 
 
 def _require_qp(qp: QuantParams | None, name: str) -> QuantParams:
@@ -433,7 +440,9 @@ WALK_ONLY_OPS = frozenset(
 #: The float region (bf16 / float32): ``dequantize`` out of the quantized
 #: family, and the float reference semantics verbatim for everything else
 #: — GNMT's hot ops first, then the x86-resident tails and the attention
-#: composite, then the walk-only forms above.
+#: composite, then the walk-only forms above.  ``lstm_step``'s entry only
+#: declares the op covered: :meth:`BoundNode.run` runs it through
+#: ``walk_lstm_step``.
 FLOAT_KERNELS: dict[str, Kernel] = {
     "dequantize": lambda b, ins: [dequantize(ins[0], b.in_qp(0))],
     **dict.fromkeys(
@@ -454,36 +463,17 @@ FLOAT_KERNELS: dict[str, Kernel] = {
 # ----------------------------------------------------------------------
 
 
-def seed_values(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The environment a graph walk starts from: constants plus feeds."""
-    values: dict[str, np.ndarray] = {}
-    for name, tensor in graph.tensors.items():
-        if tensor.is_constant:
-            values[name] = tensor.data
-    for name in graph.inputs:
-        if name not in feeds:
-            raise GraphError(f"missing feed for graph input {name!r}")
-        values[name] = np.asarray(feeds[name])
-    return values
-
-
 def run_nodes(graph: Graph, nodes: Iterable[Node], values: dict[str, np.ndarray]) -> None:
     """Run ``nodes`` in order against ``values``, in place.
 
-    The one per-node walk — bind, look up, call: the whole graph for
+    The one per-node walk — bind, run: the whole graph for
     :func:`execute_quantized`, one segment at a time for the executor and
-    its Tier-3 oracle.  Float ``lstm_step`` nodes share one input
-    projection per sequence for the length of this call
-    (:func:`repro.graph.reference.walk_lstm_step`).
+    its Tier-3 oracle.  One projection dict serves the whole call
+    (:meth:`BoundNode.run`).
     """
     projections: Projections = {}
     for node in nodes:
-        bound = bind(graph, node)
-        if bound.op == "lstm_step" and bound.is_float:
-            ins = [values[name] for name in bound.inputs]
-            bound.store(values, walk_lstm_step(projections, bound.inputs, bound.attrs, ins))
-        else:
-            bound.run(values)
+        bind(graph, node).run(values, projections)
 
 
 def execute_quantized(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -7,8 +7,9 @@ Three layers of pinning:
 - the backend stages (partition/plan/lower) over the converted benchmark
   graphs, reusing the ``get_system`` cache the perf tests already warm;
 - the form and accumulation dtype the O2 ``codegen`` stage picks for every
-  matmul step and LSTM chain — the rules ``docs/simulator-performance.md``
-  measured, restated — and the rung each step's epilogue runs on.
+  matmul step — the rules ``docs/simulator-performance.md`` measured,
+  restated — one step per node of every covered segment, and the rung
+  each step's epilogue runs on.
 
 If a pass, the partitioner or the lowering changes what it produces for
 the paper's four models, these numbers move and the change has to be
@@ -22,7 +23,7 @@ import pytest
 
 from repro.compiler import compile_graph, optimize_graph
 from repro.models import PAPER_CHARACTERISTICS
-from repro.ncore.codegen import _LSTM_CHAINS, ConvStep, NodeStep
+from repro.ncore.codegen import ConvStep
 from repro.perf.system import get_system
 from repro.quantize import calibrate, quantize_graph
 
@@ -135,13 +136,17 @@ def test_codegen_form_rule_is_pinned(key):
     """One program per segment, its forms a function of op and weight
     shape: im2col for the cin-3 stems, per-tap for every windowed conv2d
     with cin >= 64 (the zoo has none in between), never per-tap for
-    depthwise / FC, and no fusable LSTM chain left unfused."""
+    depthwise / FC, and one step per node of the segment, in its order."""
     system = get_system(key)
-    kset = compile_graph(
+    result = compile_graph(
         system.compiled.graph, config=system.config, pipeline="O2",
         name=key, cache=None,
-    ).macro_kernels
-    for kernel in kset.kernels.values():
+    )
+    kset = result.macro_kernels
+    for index, kernel in kset.kernels.items():
+        assert [step.node for step in kernel.steps] == [
+            node.name for node in result.model.segments[index].nodes
+        ], kernel.name
         for step in kernel.steps:
             if not isinstance(step, ConvStep):
                 continue
@@ -153,24 +158,11 @@ def test_codegen_form_rule_is_pinned(key):
             cin = step.weights.shape[2]
             assert cin == 3 or cin >= 64, step.node
             assert step.per_tap == (cin >= 64), step.node
-        # Two adjacent bare LSTM nodes may not be a chain codegen could
-        # have fused: shared operands equal and h/c threaded through.
-        for prev, step in zip(kernel.steps, kernel.steps[1:], strict=False):
-            if not (isinstance(prev, NodeStep) and isinstance(step, NodeStep)):
-                continue
-            if prev.op != step.op or step.op not in _LSTM_CHAINS:
-                continue
-            _, shared, h = _LSTM_CHAINS[step.op]
-            a, b = prev.bound, step.bound
-            assert not (
-                b.inputs[shared] == a.inputs[shared] and b.inputs[h:h + 2] == a.outputs[:2]
-            ), (prev.node, step.node)
     if key == "gnmt":
         lstm_steps = sum(node.op == "lstm_step" for node in system.compiled.graph.nodes)
-        fused = sum(
-            len(step.chain)
+        covered = sum(
+            step.op == "lstm_step"
             for kernel in kset.kernels.values()
             for step in kernel.steps
-            if not isinstance(step, NodeStep)
         )
-        assert fused == lstm_steps > 0
+        assert covered == lstm_steps > 0

@@ -249,7 +249,7 @@ def _assert_equal_to_the_walk(case, step):
     walked = seed_values(case.graph, case.feeds)
     run_nodes(case.graph, case.graph.nodes, walked)
     env = seed_values(case.graph, case.feeds)
-    step.run(env)
+    step.run(env, {})
     assert env["out0"].dtype == walked["out0"].dtype
     assert env["out0"].tobytes() == np.asarray(walked["out0"]).tobytes()
     return np.asarray(walked["out0"])

@@ -2,9 +2,9 @@
 
 The quantized zoo gets its bit-exactness contract from
 ``test_codegen.py``; this file pins the same contract for the float
-lowering family — ``lstm_cell`` / ``lstm_step`` macro-steps, the chain
-fusion that computes each encoder layer's sequence projection once per
-chain, embedding gathers, slice/concat/reshape
+lowering family — ``lstm_cell`` / ``lstm_step`` macro-steps (one
+projection of each encoder layer's sequence per macro-kernel run),
+embedding gathers, slice/concat/reshape
 plumbing and the x86-resident float tails (batch_norm, softmax, mean).
 Float outputs follow the interpreter's write-back semantics exactly:
 anything typed bfloat16 is rounded through ``to_bfloat16`` after every
@@ -15,10 +15,9 @@ import numpy as np
 import pytest
 
 from repro.compiler import compile_graph, optimize_graph
-from repro.graph.gir import Node
 from repro.models.common import GraphBuilder
 from repro.models.gnmt import build_gnmt
-from repro.ncore.codegen import NodeStep, SeqFuseStep
+from repro.ncore.codegen import NodeStep
 from repro.quantize import convert_to_bf16
 from repro.runtime import NcoreExecutor, execute_quantized
 
@@ -53,29 +52,21 @@ class TestFloatCoverage:
         stats = {s.stage: s for s in compiled.stats}["codegen"].changes
         assert stats["coverage"] == 1.0
         assert stats["float_steps"] > 0
-        assert stats["fused_chains"] >= 1
 
-    def test_encoder_kernel_grows_a_seqfuse_variant(self, compiled):
-        # Fusion is a lowering step of the one program, not a variant.
+    def test_encoder_kernel_runs_each_node_once(self, compiled):
         segments = compiled.model.segments
-        fused = [
+        lstm = [
             (index, kernel)
             for index, kernel in compiled.macro_kernels.kernels.items()
-            if any(isinstance(s, SeqFuseStep) for s in kernel.steps)
+            if any(s.op == "lstm_step" for s in kernel.steps)
         ]
-        assert fused, "expected the LSTM-bearing segment to fuse its chains"
-        for index, kernel in fused:
-            # Fusion collapses chains into single steps; every node of the
-            # segment is still run exactly once.
-            assert len(kernel.steps) < len(segments[index].nodes)
-            # The decoder's cells are not consecutive (attention sits
-            # between them): they stay one bound node each.
-            assert any(s.op == "lstm_cell" and isinstance(s, NodeStep) for s in kernel.steps)
-            ran = [
-                bound.outputs
-                for s in kernel.steps
-                for bound in (s.chain if not isinstance(s, NodeStep) else (s.bound,))
-            ]
+        assert lstm, "expected the LSTM-bearing segment to be covered"
+        for index, kernel in lstm:
+            # One bound node per node of the segment, in its order: the
+            # encoder's steps and the decoder's cells alike.
+            assert {type(s) for s in kernel.steps} == {NodeStep}
+            assert any(s.op == "lstm_cell" for s in kernel.steps)
+            ran = [s.bound.outputs for s in kernel.steps]
             assert ran == [tuple(n.outputs) for n in segments[index].nodes]
 
     def test_x86_embedding_segment_is_covered(self, compiled):
@@ -174,8 +165,8 @@ class TestFloatObservability:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(64).astype(np.float32)
         env = {"x": x}
-        BoundNode("identity", ("x",), ("y",), bf16_outputs=("y",), is_float=True).run(env)
-        BoundNode("identity", ("x",), ("z",), is_float=True).run(env)
+        BoundNode("identity", ("x",), ("y",), bf16_outputs=("y",), is_float=True).run(env, {})
+        BoundNode("identity", ("x",), ("z",), is_float=True).run(env, {})
         assert np.array_equal(env["y"], to_bfloat16(x))
         assert np.array_equal(env["z"], x)
 
@@ -184,11 +175,10 @@ class TestFloatStepExports:
     def test_float_family_is_public(self):
         from repro.ncore import codegen
 
-        for name in ("NodeStep", "SeqFuseStep", "CellFuseStep"):
-            assert name in codegen.__all__
-        # The float family has no step classes of its own: bound nodes plus
-        # the two chain fusions.
+        assert "NodeStep" in codegen.__all__
+        # The float family has no step classes of its own: it is bound
+        # nodes, and ConvStep is the one other step.
         assert sorted(n for n in codegen.__all__ if n.endswith("Step")) == [
-            "CellFuseStep", "ConvStep", "KernelStep", "NodeStep", "SeqFuseStep",
+            "ConvStep", "NodeStep",
         ]
         assert issubclass(codegen.ConvStep, NodeStep)

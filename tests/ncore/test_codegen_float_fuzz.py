@@ -2,8 +2,8 @@
 
 The bf16 counterpart of ``test_codegen_fuzz``: seeded random — but
 legal — float graphs built from the float-region op vocabulary
-(embedding gathers, ``lstm_step`` chains that exercise seqfuse,
-per-timestep ``lstm_cell`` chains that exercise cellfuse,
+(embedding gathers, ``lstm_step`` chains sharing one sequence
+projection, per-timestep ``lstm_cell`` chains of back-to-back cells,
 slice/concat/reshape plumbing, fc/softmax/batch_norm/mean tails), each
 converted to bfloat16, compiled at O2 and executed on both the per-node
 interpreter and the Tier-3 macro-kernel dispatcher.  Every output must
@@ -11,13 +11,14 @@ match byte-for-byte, on the oracle-checked first dispatch and in the
 steady state.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.compiler import compile_graph
 from repro.graph.gir import Graph, Node
 from repro.models.common import GraphBuilder
-from repro.ncore.codegen import CellFuseStep, SeqFuseStep
 from repro.quantize import convert_to_bf16
 from repro.runtime import NcoreExecutor, execute_quantized
 
@@ -77,7 +78,7 @@ def _lstm_cell_layer(b: GraphBuilder, x_seq: str, hidden: int, rng) -> list[str]
     bias = b.constant("bias", (rng.normal(size=4 * hidden) * 0.1).astype(np.float32))
     h, c = _zeros(b, hidden), _zeros(b, hidden)
     # Slices first, cells back-to-back: consecutive same-weight cells
-    # threading h/c are what the cellfuse run detector collapses.
+    # threading h/c, one step each.
     xs = [_slice_t(b, x_seq, t) for t in range(seq)]
     outs = []
     for x in xs:
@@ -165,10 +166,13 @@ def test_float_tier3_matches_the_interpreter(seed):
         executor.close()
 
 
-def test_fuzz_population_exercises_both_fusions():
-    """The corpus is not vacuous: both fusion families appear, and the
-    float region is near-fully covered across the population."""
-    seqfuse = cellfuse = covered = total = 0
+def test_fuzz_population_exercises_both_lstm_chains():
+    """The corpus is not vacuous: ``lstm_step`` and ``lstm_cell`` chains
+    (adjacent steps of one op, each taking the previous one's h/c) both
+    reach the macro-kernels, and the float region is near-fully covered
+    across the population."""
+    chains = Counter()
+    covered = total = 0
     for seed in range(GRAPHS):
         graph = convert_to_bf16(random_float_graph(seed))
         result = compile_graph(graph, cache=None, pipeline="O2")
@@ -176,11 +180,9 @@ def test_fuzz_population_exercises_both_fusions():
         covered += kset.covered_segments
         total += len(result.model.segments)
         for kernel in kset.kernels.values():
-            for step in kernel.steps:
-                if isinstance(step, SeqFuseStep):
-                    seqfuse += 1
-                elif isinstance(step, CellFuseStep):
-                    cellfuse += 1
-    assert seqfuse > 0, "no seqfuse chains in the corpus"
-    assert cellfuse > 0, "no cellfuse chains in the corpus"
+            for prev, step in zip(kernel.steps, kernel.steps[1:], strict=False):
+                if step.op == prev.op and step.bound.inputs[-2:] == prev.bound.outputs:
+                    chains[step.op] += 1
+    assert chains["lstm_step"] > 0, "no lstm_step chains in the corpus"
+    assert chains["lstm_cell"] > 0, "no lstm_cell chains in the corpus"
     assert covered / total > 0.8

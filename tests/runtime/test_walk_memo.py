@@ -1,10 +1,12 @@
 """The graph walks' ``lstm_step`` projection memo is invisible.
 
-``execute_float`` and ``run_nodes`` project each ``(x_seq, wx)`` pair once
-per call (``repro.graph.reference.walk_lstm_step``) instead of once per
-step.  These tests hold the memoized walks to the unmemoized per-node
-``execute_op`` byte for byte, on hand-built chains whose keys share one
-half but not the other, and check that no projection outlives its call.
+``execute_float``, ``run_nodes`` and a compiled macro-kernel's
+``MacroKernel.run`` project each ``(x_seq, wx)`` pair once per call
+(``repro.graph.reference.walk_lstm_step``, which the last two reach
+through ``qkernels.BoundNode.run``) instead of once per step.  These tests
+hold the memoized walks to the unmemoized per-node ``execute_op`` byte
+for byte, on hand-built chains whose keys share one half but not the
+other, and check that no projection outlives its call.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import pytest
 
 from repro.graph import reference
 from repro.graph.gir import Graph, Node, Tensor, TensorType
+from repro.compiler import compile_graph
 from repro.graph.reference import execute_float, execute_node, execute_op
 from repro.models.gnmt import build_gnmt
 from repro.quantize import convert_to_bf16
@@ -78,7 +81,7 @@ def _per_node_quantized(graph, feeds):
             ins = [values[name] for name in node.inputs]
             bound.store(values, execute_op(node.op, node.attrs, ins))
         else:
-            bound.run(values)
+            bound.run(values, {})
     return {name: values[name] for name in graph.outputs}
 
 
@@ -88,6 +91,21 @@ def _per_node_float(graph, feeds):
     for node in graph.nodes:
         outs = execute_node(graph, node, [values[name] for name in node.inputs])
         values.update(zip(node.outputs, outs, strict=False))
+    return {name: values[name] for name in graph.outputs}
+
+
+def _macro_kernel(graph):
+    """``graph`` compiled at O2: its graph and its one macro-kernel."""
+    model = compile_graph(graph, cache=None, pipeline="O2").model
+    assert model.macro_kernels is not None
+    (kernel,) = model.macro_kernels.kernels.values()
+    assert len(model.segments) == 1
+    return model.graph, kernel
+
+
+def _run_kernel(graph, kernel, feeds):
+    values = seed_values(graph, feeds)
+    kernel.run(values)
     return {name: values[name] for name in graph.outputs}
 
 
@@ -158,16 +176,27 @@ class TestHandBuiltChains:
             execute_quantized(graph, feeds), _per_node_quantized(graph, feeds)
         )
 
+    @pytest.mark.parametrize("keys", sorted(CHAIN_KEYS))
+    def test_bf16_macro_kernel_matches_the_per_node_walk(self, keys):
+        graph, kernel = _macro_kernel(convert_to_bf16(_chains(*CHAIN_KEYS[keys])))
+        feeds = _feeds(graph)
+        _assert_same_bytes(
+            _run_kernel(graph, kernel, feeds), _per_node_quantized(graph, feeds)
+        )
+
     @pytest.mark.parametrize(
         "keys, distinct", [("shared-x", 2), ("shared-wx", 2), ("shared-both", 1)]
     )
     def test_one_projection_per_key_per_walk(self, keys, distinct, count_projections):
         graph = _chains(*CHAIN_KEYS[keys])
         feeds = _feeds(graph)
+        compiled, kernel = _macro_kernel(graph)
         execute_float(graph, feeds)
         assert len(count_projections) == distinct
         execute_quantized(graph, feeds)
         assert len(count_projections) == 2 * distinct
+        _run_kernel(compiled, kernel, feeds)
+        assert len(count_projections) == 3 * distinct
 
 
 class TestNothingOutlivesTheWalk:
@@ -178,6 +207,11 @@ class TestNothingOutlivesTheWalk:
         assert len(count_projections) == 2
         run_nodes(graph, graph.nodes, dict(values))
         assert len(count_projections) == 4
+        _, kernel = _macro_kernel(graph)
+        kernel.run(dict(values))
+        assert len(count_projections) == 6
+        kernel.run(dict(values))
+        assert len(count_projections) == 8
 
     def test_new_feeds_under_the_same_names_are_projected_afresh(self):
         graph = _chains(*CHAIN_KEYS["shared-wx"])
