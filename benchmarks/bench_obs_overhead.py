@@ -24,7 +24,6 @@ from bench_simulator import build_machine
 
 from repro import obs
 from repro.obs.context import mint_trace
-from repro.perf.simbench import fig6_machine
 
 REPEATS = 30
 OVERHEAD_BUDGET = 0.02
@@ -50,8 +49,8 @@ def _timed_pair():
     measures steady-state instrumentation (the serving case: one registry
     per run, warm metric objects), not first-touch metric creation.
     """
-    null_machine, program = fig6_machine()
-    live_machine, _ = fig6_machine(obs=obs.observe())
+    null_machine, program = build_machine()
+    live_machine, _ = build_machine(obs=obs.observe())
 
     def run(machine):
         machine.reset()

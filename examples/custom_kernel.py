@@ -13,7 +13,8 @@ import numpy as np
 from repro.dtypes import NcoreDType, QuantParams
 from repro.isa import disassemble, encode
 from repro.ncore import Ncore
-from repro.nkl.programs import emit_matmul_program, reference_matmul_uint8
+from repro.nkl.programs import emit_tiled_matmul_program
+from repro.runtime.qkernels import qfully_connected
 
 
 def main() -> None:
@@ -26,7 +27,7 @@ def main() -> None:
     out_qp = QuantParams(0.08, 10, NcoreDType.UINT8)
 
     machine = Ncore()
-    program, result = emit_matmul_program(
+    program, result = emit_tiled_matmul_program(
         machine, data, weights, in_qp, w_qp, out_qp, activation="relu"
     )
 
@@ -45,7 +46,7 @@ def main() -> None:
 
     print("\n== golden-model check (numpy quantized reference) ==")
     out = result.read(machine)
-    expected = reference_matmul_uint8(data, weights, in_qp, w_qp, out_qp, "relu")
+    expected = qfully_connected(data, weights, None, in_qp, w_qp, out_qp, "relu")
     match = np.array_equal(out, expected)
     print(f"   bit-exact match: {match}")
     assert match

@@ -320,41 +320,6 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-#: The DMA + MAC-loop microkernel, as named regions: stage one weight row
-#: through DMA (via the coherent L3 path), run a short MAC loop, write the
-#: requantized row back.  ``repro run --trace`` profiles the regions;
-#: ``repro run --sanitize`` verifies the joined program.
-_MICROKERNEL = (
-    ("stage_weights", "dmastart 0\ndmawait 1"),
-    ("compute",
-     "setaddr a0, 0\nsetaddr a3, 0\nsetaddr a5, 0\n"
-     "loop 16 {\n"
-     "  bypass n0, dram[a0]\n"
-     "  broadcast64 n1, wtram[a3], a5, inc\n"
-     "  mac.uint8 n0, n1\n"
-     "}"),
-    ("writeback", "setaddr a6, 64\nrequant.uint8 relu\nstore a6"),
-)
-
-
-def _microkernel_dma() -> dict:
-    """The microkernel's DMA descriptor table."""
-    from repro.ncore import DmaDescriptor
-
-    return {0: DmaDescriptor(False, True, ram_row=0, rows=1, dram_addr=0, through_l3=True)}
-
-
-def _stage_microkernel(machine, dram_address: int) -> None:
-    """Stage the microkernel's operands on ``machine``: one payload row in
-    system memory at ``dram_address`` (the DMA source, window offset 0) and
-    in data RAM row 0, plus the descriptor table."""
-    payload = np.tile(np.arange(64, dtype=np.uint8), 64).tobytes()
-    machine.memory.write(dram_address, payload)
-    for index, descriptor in _microkernel_dma().items():
-        machine.set_dma_descriptor(index, descriptor)
-    machine.write_data_ram(0, payload)
-
-
 def _sanitize_run(executor, compiled, result, feeds) -> int:
     """The ``repro run --sanitize`` verification pass; returns an exit code.
 
@@ -374,6 +339,7 @@ def _sanitize_run(executor, compiled, result, feeds) -> int:
     )
     from repro.analyze.diagnostics import diag
     from repro.isa import assemble
+    from repro.nkl import catalog
     from repro.sanitize import check_determinism, oracle_compare
     from repro.sanitize.sanitizer import DIVERGENCE
 
@@ -395,17 +361,17 @@ def _sanitize_run(executor, compiled, result, feeds) -> int:
     # 3. The microkernel on the executor's machine: verified statically
     # before anything executes it.
     machine = executor.mapping.machine()
-    source = "\n".join(region for _, region in _MICROKERNEL) + "\nhalt"
+    source = "\n".join(region for _, region in catalog.MICROKERNEL) + "\nhalt"
     program = assemble(source)
     kernel = analyze_program(program, machine.config, name="microkernel")
     kernel.merge(analyze_program_hazards(
-        program, _microkernel_dma(), machine.config, name="microkernel",
+        program, catalog.MICROKERNEL_DMA, machine.config, name="microkernel",
     ))
     report.merge(kernel)
     if kernel.ok:
         def setup(fresh) -> None:
             fresh.dma_read.configure_window(0)
-            _stage_microkernel(fresh, 0)
+            catalog.stage_microkernel(fresh, 0)
 
         report.merge(check_determinism(
             source, config=machine.config, setup=setup, name=compiled.name,
@@ -414,7 +380,7 @@ def _sanitize_run(executor, compiled, result, feeds) -> int:
         # host's staging writes included.
         sanitizer = machine.arm_sanitizer(True)
         try:
-            _stage_microkernel(machine, executor.driver.dma_address_for(0))
+            catalog.stage_microkernel(machine, executor.driver.dma_address_for(0))
             machine.execute_program(program)
             report.merge(sanitizer.report)
             checked = (sanitizer.stats["reads_checked"]
@@ -586,13 +552,14 @@ def _trace_microkernel(executor) -> None:
     the trace carries genuine simulator event streams (event log, DMA
     engine, cache) and not just the NKL cycle schedule."""
     from repro.isa import assemble
+    from repro.nkl import catalog
     from repro.runtime.profiler import Profiler
 
     machine = executor.mapping.machine()
-    _stage_microkernel(machine, executor.driver.dma_address_for(0))
+    catalog.stage_microkernel(machine, executor.driver.dma_address_for(0))
     profiler = Profiler(machine)
     program = profiler.instrument(
-        [(name, assemble(region)) for name, region in _MICROKERNEL]
+        [(name, assemble(region)) for name, region in catalog.MICROKERNEL]
     )
     profiler.run(program)
 

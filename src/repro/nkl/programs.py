@@ -2,10 +2,10 @@
 
 These builders emit *real* Ncore instruction programs for the W x K mapping
 (Fig. 6 / Fig. 7) and the data-layout helpers that tile tensors into
-4096-byte rows.  They are executed on the instruction-level simulator in
-tests and examples and checked bit-exactly against the numpy quantized
-reference — proving that the NKL's schedules are implementable in the ISA,
-not just countable.
+4096-byte rows.  :mod:`repro.nkl.catalog` runs each at a zoo-layer shape on
+the instruction-level simulator, bit-exactly against the numpy quantized
+kernel of :mod:`repro.runtime.qkernels` — proving that the NKL's schedules
+are implementable in the ISA, not just countable.
 
 Layout convention (the "internal data layout optimized for Ncore"):
 
@@ -18,8 +18,9 @@ Layout convention (the "internal data layout optimized for Ncore"):
   output channel g at reduction index idx; ``broadcast64`` walks idx.
 
 Each emitter stages RAM through the bus interface with numpy-built blocks,
-one write per :data:`STAGE_ROWS` rows, and emits its program as assembly
-text for :func:`repro.isa.assemble`.
+one write per :data:`STAGE_ROWS` rows, programs the OUT unit's
+configuration registers, and emits its program as assembly text for
+:func:`repro.isa.assemble`.
 """
 
 from __future__ import annotations
@@ -28,28 +29,65 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dtypes import ChannelQuantParams, QuantParams, quantize_multiplier
+from repro.dtypes import ChannelQuantParams, QuantParams, quantize, quantize_multiplier
 from repro.isa import Instruction, SeqOp, SeqOpcode, assemble
 from repro.ncore import Ncore
 from repro.ncore.config import CHA_NCORE
 from repro.nkl.schedule import BROADCAST_GROUP
 
-# The shipped CHA geometry; per-machine programs read the same quantities
-# from ``machine.config`` so a narrower or wider Ncore stages correctly.
+# The shipped CHA row width; per-machine programs read it from
+# ``machine.config`` so a narrower or wider Ncore stages correctly.
 ROW_BYTES = CHA_NCORE.row_bytes
-GROUPS = CHA_NCORE.broadcast_groups  # 64 groups per row in CHA
 
 
 class ProgramShapeError(ValueError):
     """The shape does not fit this program template's constraints."""
 
 
-def _configure_activation(machine: Ncore, activation: str, output_qp: QuantParams) -> str:
-    """Program the activation-related config registers; returns the
-    assembly suffix for the requant statement."""
-    if activation == "relu6":
-        from repro.dtypes import quantize
+def _configure_out(
+    machine: Ncore,
+    input_qp: QuantParams,
+    weight_qp: QuantParams | ChannelQuantParams,
+    output_qp: QuantParams,
+    activation: str,
+    channels: int | None,
+) -> str:
+    """Program the OUT unit through the slave interface, as the runtime
+    does: zero offsets, requantize M = s_in * s_w / s_out and the activation
+    clamp.  Returns the assembly suffix of the ``requant`` statement.
 
+    Per-channel weight parameters program the per-lane registers (section
+    IV-D.5): lane (g * 64 + m) carries output column g's M.  ``channels`` is
+    the column count of a template whose weight axis 1 lands column g in
+    broadcast group g (the W x K matmul); ``None`` takes per-tensor only.
+    """
+    if isinstance(weight_qp, ChannelQuantParams):
+        if channels is None:
+            raise ProgramShapeError("this template takes per-tensor weight parameters")
+        if weight_qp.axis != 1 or weight_qp.num_channels != channels:
+            raise ProgramShapeError("per-channel params must cover the N axis")
+        if channels > machine.config.broadcast_groups:
+            raise ProgramShapeError("per-channel params cover one pass of output columns")
+        if len(set(weight_qp.zero_points)) != 1:
+            raise ProgramShapeError(
+                "the scalar weight zero-offset register needs one shared zero point"
+            )
+        mults = np.full(machine.config.lanes, 1 << 30, dtype=np.int64)
+        shifts = np.full(machine.config.lanes, -1, dtype=np.int64)
+        for g, scale in enumerate(weight_qp.scales):
+            group = slice(g * BROADCAST_GROUP, (g + 1) * BROADCAST_GROUP)
+            mults[group], shifts[group] = quantize_multiplier(
+                input_qp.scale * scale / output_qp.scale
+            )
+        weight_zero = weight_qp.zero_points[0]
+    else:
+        mults, shifts = quantize_multiplier(
+            input_qp.scale * weight_qp.scale / output_qp.scale
+        )
+        weight_zero = weight_qp.zero_point
+    machine.set_requant(mults, shifts, output_qp.zero_point)
+    machine.set_zero_offsets(data=input_qp.zero_point, weight=weight_zero)
+    if activation == "relu6":
         machine.set_act_qmax(int(quantize(np.array(6.0), output_qp)))
     return {"none": "", "relu": " relu", "relu6": " relu6"}[activation]
 
@@ -112,7 +150,7 @@ def _pack_reduction_rows(cols: np.ndarray, row_bytes: int) -> np.ndarray:
         for start in range(0, cols.shape[0], BROADCAST_GROUP)
     ])
 
-#: The data-RAM row a W x K pass (matmul, 1-D rotate conv) stores into.
+#: The data-RAM row the 1-D rotate conv pass stores into.
 WK_OUTPUT_ROW = 64
 
 
@@ -130,100 +168,8 @@ class WkPassResult:
         row = np.frombuffer(
             machine.read_data_ram(self.output_row * row_bytes, row_bytes), np.uint8
         )
-        out = np.empty((self.spatial, self.out_channels), dtype=np.uint8)
-        for k in range(self.out_channels):
-            out[:, k] = row[k * BROADCAST_GROUP : k * BROADCAST_GROUP + self.spatial]
-        return out
-
-
-def emit_matmul_program(
-    machine: Ncore,
-    data: np.ndarray,
-    weights: np.ndarray,
-    input_qp: QuantParams,
-    weight_qp: QuantParams,
-    output_qp: QuantParams,
-    activation: str = "none",
-) -> tuple[list[Instruction], WkPassResult]:
-    """Lay out and emit a quantized matmul (M<=64, C<=2048, N<=64).
-
-    ``data`` is the quantized (M, C) activation matrix, staged from data
-    row 0; ``weights`` the quantized (C, N) matrix, from weight row 0.
-    The result lands in data row :data:`WK_OUTPUT_ROW`.  Each reduction
-    step c is one fused (bypass + broadcast64 + MAC) instruction — one
-    clock per c, exactly the Fig. 6 inner-loop form.  Zero offsets and the
-    requantization config are programmed through the slave interface, as
-    the runtime does.
-    """
-    m, c = data.shape
-    c2, n = weights.shape
-    row_bytes = machine.config.row_bytes
-    groups = machine.config.broadcast_groups
-    if c != c2:
-        raise ProgramShapeError("matmul reduction dims disagree")
-    if m > BROADCAST_GROUP or n > groups:
-        raise ProgramShapeError(
-            f"one pass handles at most {BROADCAST_GROUP} rows x {groups} columns"
-        )
-    if c > machine.config.sram_rows:
-        raise ProgramShapeError("reduction depth exceeds data RAM rows")
-    # Stage data: one row per reduction index c, M values tiled.
-    _stage_rows(machine.write_data_ram, 0, _data_tiles(data), row_bytes)
-    # Stage weights: weight rows pack (N x 64) reduction slices.
-    weight_rows = -(-c // BROADCAST_GROUP)
-    _stage_rows(
-        machine.write_weight_ram, 0, _pack_reduction_rows(weights, row_bytes), row_bytes
-    )
-    # Requantization config: M = s_in * s_w / s_out.  Per-channel weight
-    # parameters program the per-lane registers: lane (g*64 + m) carries
-    # output column g's multiplier/shift (section IV-D.5's per-lane
-    # range/scale/offset).
-    if isinstance(weight_qp, ChannelQuantParams):
-        if weight_qp.axis != 1 or weight_qp.num_channels != n:
-            raise ProgramShapeError("per-channel params must cover the N axis")
-        if len(set(weight_qp.zero_points)) != 1:
-            raise ProgramShapeError(
-                "the scalar weight zero-offset register needs one shared zero point"
-            )
-        lanes = machine.config.lanes
-        mults = np.full(lanes, 1 << 30, dtype=np.int64)
-        shifts = np.full(lanes, -1, dtype=np.int64)
-        for g, scale in enumerate(weight_qp.scales):
-            m_g, s_g = quantize_multiplier(
-                input_qp.scale * scale / output_qp.scale
-            )
-            mults[g * BROADCAST_GROUP : (g + 1) * BROADCAST_GROUP] = m_g
-            shifts[g * BROADCAST_GROUP : (g + 1) * BROADCAST_GROUP] = s_g
-        machine.set_requant(mults, shifts, output_qp.zero_point)
-        weight_zero = weight_qp.zero_points[0]
-    else:
-        mult, shift = quantize_multiplier(
-            input_qp.scale * weight_qp.scale / output_qp.scale
-        )
-        machine.set_requant(mult, shift, output_qp.zero_point)
-        weight_zero = weight_qp.zero_point
-    machine.set_zero_offsets(data=input_qp.zero_point, weight=weight_zero)
-    act = _configure_activation(machine, activation, output_qp)
-    lines = ["setaddr a0, 0", "setaddr a5, 0"]
-    # One fused instruction per 64-deep reduction chunk.
-    for r in range(weight_rows):
-        chunk = min(BROADCAST_GROUP, c - r * BROADCAST_GROUP)
-        lines += [
-            f"setaddr a3, {r}",
-            "setaddr a5, 0",
-            f"loop {chunk} {{",
-            "  bypass n0, dram[a0++]",
-            "  broadcast64 n1, wtram[a3], a5, inc",
-            "  mac.uint8 n0, n1, zoff",
-            "}",
-        ]
-    lines += [
-        f"setaddr a6, {WK_OUTPUT_ROW}",
-        f"requant.uint8{act}",
-        "store a6",
-        "halt",
-    ]
-    return assemble("\n".join(lines)), WkPassResult(WK_OUTPUT_ROW, m, n)
+        # Group k holds output channel k's spatial values.
+        return row.reshape(-1, BROADCAST_GROUP)[: self.out_channels, : self.spatial].T.copy()
 
 
 def emit_conv1d_rotate_program(
@@ -252,11 +198,7 @@ def emit_conv1d_rotate_program(
         raise ProgramShapeError(f"at most {groups} output channels per pass")
     machine.write_data_ram(0, tile_data_row(data, row_bytes).tobytes())
     machine.write_weight_ram(0, pack_weight_row(weights, row_bytes).tobytes())
-    mult, shift = quantize_multiplier(
-        input_qp.scale * weight_qp.scale / output_qp.scale
-    )
-    machine.set_zero_offsets(data=input_qp.zero_point, weight=weight_qp.zero_point)
-    machine.set_requant(mult, shift, output_qp.zero_point)
+    _configure_out(machine, input_qp, weight_qp, output_qp, "none", None)
     source = f"""
     setaddr a0, 0
     setaddr a3, 0
@@ -273,35 +215,6 @@ def emit_conv1d_rotate_program(
     halt
     """
     return assemble(source), WkPassResult(WK_OUTPUT_ROW, w_out, k)
-
-
-def reference_matmul_uint8(
-    data: np.ndarray,
-    weights: np.ndarray,
-    input_qp: QuantParams,
-    weight_qp: QuantParams,
-    output_qp: QuantParams,
-    activation: str = "none",
-) -> np.ndarray:
-    """The numpy golden model for the quantized matmul pass."""
-    from repro.dtypes import requantize
-
-    acc = (data.astype(np.int64) - input_qp.zero_point) @ (
-        weights.astype(np.int64) - weight_qp.zero_point
-    )
-    mult, shift = quantize_multiplier(
-        input_qp.scale * weight_qp.scale / output_qp.scale
-    )
-    out = requantize(
-        acc.astype(np.int64).clip(-(2**31), 2**31 - 1).astype(np.int32),
-        mult,
-        shift,
-        output_qp.zero_point,
-        output_qp.dtype,
-    )
-    if activation == "relu":
-        out = np.maximum(out, output_qp.zero_point)
-    return out
 
 
 @dataclass
@@ -325,16 +238,22 @@ def emit_tiled_matmul_program(
     data: np.ndarray,
     weights: np.ndarray,
     input_qp: QuantParams,
-    weight_qp: QuantParams,
+    weight_qp: QuantParams | ChannelQuantParams,
     output_qp: QuantParams,
     activation: str = "none",
 ) -> tuple[list[Instruction], TiledMatmulResult]:
     """A full quantized matmul of arbitrary (M, C, N) via 64x64 passes.
 
-    The W x K template handles one 64-row x 64-column tile per pass
-    (Fig. 7); larger problems tile the output space, exactly how the NKL's
-    channel/spatial passes cover a convolution.  Data rows for the tiles
-    share the per-c staging; weight rows are packed per n-tile.
+    ``data`` is the quantized (M, C) activation matrix and ``weights`` the
+    quantized (C, N) matrix.  The W x K template handles one 64-row x
+    64-column tile per pass (Fig. 7); larger problems tile the output
+    space, exactly how the NKL's channel/spatial passes cover a
+    convolution.  Data rows for the tiles share the per-c staging; weight
+    rows are packed per n-tile.  Each reduction step c is one fused
+    (bypass + broadcast64 + MAC) instruction — one clock per c, the Fig. 6
+    inner-loop form.  Per-channel weight parameters (``ChannelQuantParams``
+    over the N axis) program the per-lane requantize registers, so they
+    cover one n-tile (N <= 64).
     """
     m, c = data.shape
     c2, n = weights.shape
@@ -345,9 +264,7 @@ def emit_tiled_matmul_program(
     weight_rows_per_tile = -(-c // BROADCAST_GROUP)
     m_tiles = -(-m // BROADCAST_GROUP)
     n_tiles = -(-n // groups)
-    data_rows_per_tile = c
-    needed_rows = m_tiles * data_rows_per_tile + m_tiles * n_tiles  # data + outputs
-    if needed_rows > machine.config.sram_rows:
+    if m_tiles * (c + n_tiles) > machine.config.sram_rows:  # data + output rows
         raise ProgramShapeError("problem exceeds the data RAM")
     # Stage data: per m-tile, one row per reduction index.
     for mt in range(m_tiles):
@@ -362,16 +279,10 @@ def emit_tiled_matmul_program(
             _pack_reduction_rows(cols, row_bytes),
             row_bytes,
         )
-    mult, shift = quantize_multiplier(
-        input_qp.scale * weight_qp.scale / output_qp.scale
-    )
-    machine.set_zero_offsets(data=input_qp.zero_point, weight=weight_qp.zero_point)
-    machine.set_requant(mult, shift, output_qp.zero_point)
-    act = _configure_activation(machine, activation, output_qp)
-    output_base = m_tiles * c
+    act = _configure_out(machine, input_qp, weight_qp, output_qp, activation, n)
     lines: list[str] = []
     tiles: list[tuple[int, int, WkPassResult]] = []
-    out_row = output_base
+    out_row = m_tiles * c  # the output rows follow the data rows
     for mt in range(m_tiles):
         m_size = min(BROADCAST_GROUP, m - mt * BROADCAST_GROUP)
         for nt in range(n_tiles):
@@ -403,17 +314,12 @@ def emit_tiled_matmul_program(
     return assemble("\n".join(lines)), TiledMatmulResult(tiles, m, n)
 
 
-def emit_max_pool_rows_program(
-    machine: Ncore,
-    rows: np.ndarray,
+def _fold_rows_program(
+    machine: Ncore, rows: np.ndarray, op: str, multiplier: int, shift: int
 ) -> tuple[list[Instruction], int]:
-    """Row-wise max reduction: out[j] = max_i rows[i][j].
-
-    The pooling idiom on the NPU: MAX folds each streamed row against the
-    accumulator (section IV-D.4 lists min/max among the NPU operations).
-    Returns the program and the output row index (one past a gap row
-    after the inputs).
-    """
+    """Fold each streamed row into the accumulators with ``op``, then
+    requantize by ``(multiplier, shift)``.  Returns the program and the
+    output row index (one past a gap row after the inputs)."""
     rows = np.asarray(rows, dtype=np.uint8)
     count, width = rows.shape
     row_bytes = machine.config.row_bytes
@@ -421,12 +327,12 @@ def emit_max_pool_rows_program(
         raise ProgramShapeError(f"pooling rows must be full {row_bytes}-byte rows")
     output_row = count + 1
     _stage_rows(machine.write_data_ram, 0, rows, row_bytes)
-    machine.set_requant(1 << 30, -1, 0)  # identity requant
+    machine.set_requant(multiplier, shift, 0)
     source = f"""
     setaddr a0, 0
     mac.uint8 zero, zero, noacc     ; clear accumulators
     loop {count} {{
-      max.uint8 dram[a0++], zero
+      {op}.uint8 dram[a0++], zero
     }}
     setaddr a6, {output_row}
     requant.uint8
@@ -434,6 +340,19 @@ def emit_max_pool_rows_program(
     halt
     """
     return assemble(source), output_row
+
+
+def emit_max_pool_rows_program(
+    machine: Ncore,
+    rows: np.ndarray,
+) -> tuple[list[Instruction], int]:
+    """Row-wise max reduction: out[j] = max_i rows[i][j].
+
+    The pooling idiom on the NPU: MAX folds each streamed row against the
+    accumulator (section IV-D.4 lists min/max among the NPU operations),
+    and the requantize is the identity.
+    """
+    return _fold_rows_program(machine, rows, "max", 1 << 30, -1)
 
 
 def emit_elementwise_add_program(
@@ -480,15 +399,11 @@ class Conv2dResult:
 
     def read(self, machine: Ncore) -> np.ndarray:
         row_bytes = machine.config.row_bytes
-        out = np.empty((1, self.h_out, self.w_out, self.out_channels), dtype=np.uint8)
-        for y in range(self.h_out):
-            row = np.frombuffer(
-                machine.read_data_ram((self.output_base + y) * row_bytes, row_bytes),
-                np.uint8,
-            )
-            for k in range(self.out_channels):
-                out[0, y, :, k] = row[k * BROADCAST_GROUP : k * BROADCAST_GROUP + self.w_out]
-        return out
+        rows = np.frombuffer(machine.read_data_ram(
+            self.output_base * row_bytes, self.h_out * row_bytes), np.uint8)
+        # Row y, group k holds output row y of channel k.
+        groups = rows.reshape(1, self.h_out, -1, BROADCAST_GROUP)
+        return groups[:, :, : self.out_channels, : self.w_out].transpose(0, 1, 3, 2).copy()
 
 
 def emit_conv2d_program(
@@ -523,7 +438,8 @@ def emit_conv2d_program(
     from :mod:`repro.nkl.schedule`, not from this program: it runs one
     output row per pass and issues a ``setaddr`` + ``bypass`` latch per
     (filter row, in-channel), so it takes ~3x the schedule's cycles (3 089
-    against 970 for a 28 x 28, 7 -> 64 3x3 conv).
+    against 970 for a 28 x 28, 7 -> 64 3x3 conv, the catalog's
+    ``conv3x3_s1``; ``tests/nkl/test_catalog.py`` pins both numbers).
     """
     kh, kw, cin, cout = weights.shape
     (pt, pb), (pl, pr) = padding
@@ -572,12 +488,7 @@ def emit_conv2d_program(
     r_idx, c_idx, s_idx = np.array(tap_order).T
     taps = weights[r_idx, s_idx, c_idx, :]  # (len(tap_order), cout)
     machine.write_weight_ram(0, pack_weight_row(taps.T, row_bytes).tobytes())
-    mult, shift = quantize_multiplier(
-        input_qp.scale * weight_qp.scale / output_qp.scale
-    )
-    machine.set_zero_offsets(data=input_qp.zero_point, weight=weight_qp.zero_point)
-    machine.set_requant(mult, shift, output_qp.zero_point)
-    act = _configure_activation(machine, activation, output_qp)
+    act = _configure_out(machine, input_qp, weight_qp, output_qp, activation, None)
     output_base = h_pad * cin * sw
     lines = ["setaddr a3, 0"]
     for y in range(h_out):
@@ -711,12 +622,7 @@ def emit_depthwise_program(
     # Weight row: byte [g*64 + (r*kw + s)] holds weight[r, s, g].
     taps = weights.reshape(kh * kw, c)
     machine.write_weight_ram(0, pack_weight_row(taps.T, row_bytes).tobytes())
-    mult, shift = quantize_multiplier(
-        input_qp.scale * weight_qp.scale / output_qp.scale
-    )
-    machine.set_zero_offsets(data=input_qp.zero_point, weight=weight_qp.zero_point)
-    machine.set_requant(mult, shift, output_qp.zero_point)
-    act = _configure_activation(machine, activation, output_qp)
+    act = _configure_out(machine, input_qp, weight_qp, output_qp, activation, None)
     output_base = h_pad
     lines = ["setaddr a3, 0"]
     for y in range(h_out):
@@ -754,24 +660,4 @@ def emit_avg_pool_program(
     and output share quantization parameters, so plain code averaging is
     exact up to the requantizer's rounding).
     """
-    rows = np.asarray(rows, dtype=np.uint8)
-    count, width = rows.shape
-    row_bytes = machine.config.row_bytes
-    if width != row_bytes:
-        raise ProgramShapeError(f"pooling rows must be full {row_bytes}-byte rows")
-    output_row = count + 1
-    _stage_rows(machine.write_data_ram, 0, rows, row_bytes)
-    mult, shift = quantize_multiplier(1.0 / count)
-    machine.set_requant(mult, shift, 0)
-    source = f"""
-    setaddr a0, 0
-    mac.uint8 zero, zero, noacc     ; clear accumulators
-    loop {count} {{
-      add.uint8 dram[a0++], zero
-    }}
-    setaddr a6, {output_row}
-    requant.uint8
-    store a6
-    halt
-    """
-    return assemble(source), output_row
+    return _fold_rows_program(machine, rows, "add", *quantize_multiplier(1.0 / len(rows)))

@@ -61,10 +61,10 @@ class TestCleanPrograms:
 
     def test_real_matmul_program_is_clean(self):
         from repro.ncore import Ncore
-        from repro.nkl.programs import emit_matmul_program
+        from repro.nkl.programs import emit_tiled_matmul_program
 
         qp = QuantParams(scale=0.02, zero_point=128)
-        program, _ = emit_matmul_program(
+        program, _ = emit_tiled_matmul_program(
             Ncore(),
             np.ones((8, 32), np.uint8),
             np.ones((32, 8), np.uint8),

@@ -22,12 +22,12 @@ from repro.isa.instruction import (
     RowAccess,
     SeqOpcode,
 )
-from tests.helpers import data_ram, weight_ram
+from tests.helpers import catalog_emitters, data_ram, weight_ram
 from repro.ncore import Ncore
+from repro.nkl.programs import run_streamed
 from repro.sanitize.sanitizer import Sanitizer
 
 from tests.analyze.test_program_rules import _forge
-from tests.ncore.test_fastpath import NKL_EMITTERS
 from tests.ncore.test_fastpath_fuzz import _configured_machine, _random_program
 
 
@@ -72,11 +72,21 @@ def _check_every_issue(machine, program):
     return issues
 
 
-@pytest.mark.parametrize("name", sorted(NKL_EMITTERS))
+@pytest.mark.parametrize("name", sorted(catalog_emitters()))
 def test_nkl_programs_touch_what_the_table_says(name):
+    # The emitter's catalog kind, streamed through the IRAM banks as
+    # ``run_streamed`` loads it, each bank chunk single-stepped.
     machine = Ncore(fastpath=False)
-    program, _ = NKL_EMITTERS[name](machine)
-    assert _check_every_issue(machine, program) >= len(program)
+    program, _ = catalog_emitters()[name].emit(machine)
+    issues = []
+
+    def execute_program(chunk):
+        issues.append(_check_every_issue(machine, chunk))
+        return machine.step(0)
+
+    machine.execute_program = execute_program
+    assert run_streamed(machine, program).halted
+    assert sum(issues) >= len(program)
 
 
 @pytest.mark.parametrize("batch", range(4))

@@ -24,12 +24,11 @@ from repro.nkl.programs import (
     emit_conv2d_program,
     emit_depthwise_program,
     emit_elementwise_add_program,
-    emit_matmul_program,
     emit_max_pool_rows_program,
     emit_tiled_matmul_program,
     run_streamed,
 )
-from repro.perf.simbench import fig6_machine
+from tests.helpers import catalog_emitters, catalog_kinds, fig6_machine
 
 
 def qp(scale, zp):
@@ -113,7 +112,7 @@ class TestIsaSuiteDifferential:
         weights = rng.integers(0, 255, size=(96, 32)).astype(np.uint8)
 
         def emit(machine):
-            program, _ = emit_matmul_program(
+            program, _ = emit_tiled_matmul_program(
                 machine, data, weights, qp(0.02, 128), qp(0.015, 120), qp(0.2, 3)
             )
             return program
@@ -127,7 +126,7 @@ class TestIsaSuiteDifferential:
         weights = rng.integers(0, 255, size=(40, 8)).astype(np.uint8)
 
         def emit(machine):
-            program, _ = emit_matmul_program(
+            program, _ = emit_tiled_matmul_program(
                 machine, data, weights, qp(0.02, 128), qp(0.02, 128),
                 qp(0.02, 100), "relu",
             )
@@ -302,42 +301,14 @@ class TestFig6Loop:
         assert fast.fastpath_stats["fused_trips"] == 24
 
 
-def _u8(*shape):
-    return np.ones(shape, dtype=np.uint8)
-
-
-_Q = qp(0.02, 128)
-
-#: One small call per ``emit_*`` of ``repro.nkl.programs`` — the inventory
-#: every per-emitter test iterates (a new emitter must be added here).
-NKL_EMITTERS = {
-    "emit_matmul_program": lambda m: nkl_programs.emit_matmul_program(
-        m, _u8(4, 8), _u8(8, 4), _Q, _Q, _Q),
-    "emit_conv1d_rotate_program": lambda m: nkl_programs.emit_conv1d_rotate_program(
-        m, _u8(12), _u8(4, 3), _Q, _Q, _Q),
-    "emit_tiled_matmul_program": lambda m: nkl_programs.emit_tiled_matmul_program(
-        m, _u8(80, 130), _u8(130, 70), _Q, _Q, _Q),
-    "emit_max_pool_rows_program": lambda m: nkl_programs.emit_max_pool_rows_program(
-        m, _u8(4, 4096)),
-    "emit_avg_pool_program": lambda m: nkl_programs.emit_avg_pool_program(
-        m, _u8(4, 4096)),
-    "emit_elementwise_add_program": lambda m: nkl_programs.emit_elementwise_add_program(
-        m, _u8(4096), _u8(4096), _Q, _Q),
-    "emit_conv2d_program": lambda m: nkl_programs.emit_conv2d_program(
-        m, _u8(1, 6, 6, 2), _u8(3, 3, 2, 4), _Q, _Q, _Q, stride=(2, 2)),
-    "emit_depthwise_program": lambda m: nkl_programs.emit_depthwise_program(
-        m, _u8(1, 6, 6, 4), _u8(3, 3, 4), _Q, _Q, _Q),
-}
-
-
 def test_nkl_emitters_emit_no_hardware_loop():
     # The measured fact single-form fusion rests on: every NKL emitter
     # spells its loops as hardware repeats.  A looping emitter must reopen
     # that decision here instead of silently interpreting.
-    assert set(NKL_EMITTERS) == {n for n in dir(nkl_programs) if n.startswith("emit_")}
-    for name, emit in NKL_EMITTERS.items():
-        program, _ = emit(Ncore(fastpath=False))
-        assert all(i.seq.opcode is not SeqOpcode.LOOP_BEGIN for i in program), name
+    assert set(catalog_emitters()) == {n for n in dir(nkl_programs) if n.startswith("emit_")}
+    for kind in catalog_kinds():
+        program, _ = kind.emit(Ncore(fastpath=False))
+        assert all(i.seq.opcode is not SeqOpcode.LOOP_BEGIN for i in program), kind.name
 
 
 @pytest.mark.parametrize("body, blockers", [

@@ -16,11 +16,11 @@ from repro.ncore import Ncore
 from repro.nkl.programs import (
     ProgramShapeError,
     emit_conv1d_rotate_program,
-    emit_matmul_program,
+    emit_tiled_matmul_program,
     pack_weight_row,
-    reference_matmul_uint8,
     tile_data_row,
 )
+from repro.runtime.qkernels import qfully_connected
 
 
 def qp(scale, zp):
@@ -52,7 +52,7 @@ class TestLayoutHelpers:
 
 class TestMatmulProgram:
     def _run(self, machine, data, weights, in_qp, w_qp, out_qp, activation="none"):
-        program, result = emit_matmul_program(
+        program, result = emit_tiled_matmul_program(
             machine, data, weights, in_qp, w_qp, out_qp, activation
         )
         run = machine.execute_program(program)
@@ -65,7 +65,7 @@ class TestMatmulProgram:
         weights = rng.integers(0, 255, size=(16, 4)).astype(np.uint8)
         in_qp, w_qp, out_qp = qp(0.02, 128), qp(0.01, 110), qp(0.05, 7)
         out, _ = self._run(machine, data, weights, in_qp, w_qp, out_qp)
-        expected = reference_matmul_uint8(data, weights, in_qp, w_qp, out_qp)
+        expected = qfully_connected(data, weights, None, in_qp, w_qp, out_qp)
         np.testing.assert_array_equal(out, expected)
 
     def test_deep_reduction_spans_weight_rows(self, machine):
@@ -75,7 +75,7 @@ class TestMatmulProgram:
         weights = rng.integers(0, 255, size=(150, 64)).astype(np.uint8)
         in_qp, w_qp, out_qp = qp(0.004, 128), qp(0.004, 128), qp(0.02, 0)
         out, _ = self._run(machine, data, weights, in_qp, w_qp, out_qp)
-        expected = reference_matmul_uint8(data, weights, in_qp, w_qp, out_qp)
+        expected = qfully_connected(data, weights, None, in_qp, w_qp, out_qp)
         np.testing.assert_array_equal(out, expected)
 
     def test_relu_activation(self, machine):
@@ -84,7 +84,7 @@ class TestMatmulProgram:
         weights = rng.integers(0, 255, size=(8, 4)).astype(np.uint8)
         in_qp, w_qp, out_qp = qp(0.02, 128), qp(0.02, 128), qp(0.02, 100)
         out, _ = self._run(machine, data, weights, in_qp, w_qp, out_qp, "relu")
-        expected = reference_matmul_uint8(data, weights, in_qp, w_qp, out_qp, "relu")
+        expected = qfully_connected(data, weights, None, in_qp, w_qp, out_qp, "relu")
         np.testing.assert_array_equal(out, expected)
         assert (out >= 100).all()  # clamped at the output zero point
 
@@ -95,16 +95,18 @@ class TestMatmulProgram:
         weights = np.zeros((32, 8), dtype=np.uint8)
         in_qp = w_qp = out_qp = qp(1.0, 0)
         _, run = self._run(machine, data, weights, in_qp, w_qp, out_qp)
-        # setup(2) + per-chunk setup(2) + 32 fused + out setup(1) +
-        # requant(1) + store(1) + halt(1)
+        # clear + setaddr(2) + per-chunk setup(2) + 32 fused + out setup(1)
+        # + requant(1) + store(1) + halt(1)
         assert run.cycles == 2 + 2 + 32 + 1 + 1 + 1 + 1
 
     def test_shape_limits_enforced(self, machine):
+        # One reduction row per c plus an output row exceeds the data RAM.
+        rows = machine.config.sram_rows
         with pytest.raises(ProgramShapeError):
-            emit_matmul_program(
+            emit_tiled_matmul_program(
                 machine,
-                np.zeros((65, 8), np.uint8),
-                np.zeros((8, 4), np.uint8),
+                np.zeros((1, rows), np.uint8),
+                np.zeros((rows, 4), np.uint8),
                 qp(1, 0), qp(1, 0), qp(1, 0),
             )
 
@@ -121,12 +123,12 @@ class TestMatmulProgram:
         data = rng.integers(0, 255, size=(m, c)).astype(np.uint8)
         weights = rng.integers(0, 255, size=(c, n)).astype(np.uint8)
         in_qp, w_qp, out_qp = qp(0.02, 128), qp(0.015, 120), qp(0.21, 3)
-        program, result = emit_matmul_program(
+        program, result = emit_tiled_matmul_program(
             machine, data, weights, in_qp, w_qp, out_qp
         )
         machine.execute_program(program)
         out = result.read(machine)
-        expected = reference_matmul_uint8(data, weights, in_qp, w_qp, out_qp)
+        expected = qfully_connected(data, weights, None, in_qp, w_qp, out_qp)
         np.testing.assert_array_equal(out, expected)
 
 

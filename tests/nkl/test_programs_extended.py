@@ -6,10 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dtypes import NcoreDType, QuantParams, dequantize, quantize_multiplier, requantize
+from repro.dtypes import (
+    ChannelQuantParams,
+    NcoreDType,
+    QuantParams,
+    dequantize,
+    quantize_multiplier,
+    requantize,
+)
 from repro.ncore import Ncore
 from repro.nkl.programs import (
     ProgramShapeError,
+    emit_conv1d_rotate_program,
+    emit_conv2d_program,
+    emit_depthwise_program,
     emit_elementwise_add_program,
     emit_max_pool_rows_program,
     emit_tiled_matmul_program,
@@ -306,27 +316,29 @@ class TestAvgPoolProgram:
         assert (out == 20).all()
 
 
+def _channel_qp(n):
+    """Per-output-column weight parameters over a (C, N) matrix's N axis."""
+    return ChannelQuantParams(
+        scales=tuple(0.005 * (1 + g) for g in range(n)),
+        zero_points=(128,) * n,
+        axis=1,
+    )
+
+
 class TestPerChannelRequantOnMachine:
     """Per-channel weight quantization through the OUT unit's per-lane
     registers, bit-exact against the per-channel fast model."""
 
     def test_per_channel_matmul_matches_fast_model(self):
-        from repro.dtypes import ChannelQuantParams
-        from repro.nkl.programs import emit_matmul_program
-
         rng = np.random.default_rng(11)
         m, c, n = 16, 24, 8
         data = rng.integers(0, 255, size=(m, c)).astype(np.uint8)
         weights = rng.integers(0, 255, size=(c, n)).astype(np.uint8)
         in_qp = qp(0.02, 128)
-        w_qp = ChannelQuantParams(
-            scales=tuple(0.005 * (1 + g) for g in range(n)),
-            zero_points=(128,) * n,
-            axis=1,
-        )
+        w_qp = _channel_qp(n)
         out_qp = qp(0.3, 9)
         machine = Ncore()
-        program, result = emit_matmul_program(
+        program, result = emit_tiled_matmul_program(
             machine, data, weights, in_qp, w_qp, out_qp
         )
         machine.execute_program(program)
@@ -334,14 +346,38 @@ class TestPerChannelRequantOnMachine:
         np.testing.assert_array_equal(result.read(machine), expected)
 
     def test_mismatched_channel_count_rejected(self):
-        from repro.dtypes import ChannelQuantParams
-        from repro.nkl.programs import ProgramShapeError, emit_matmul_program
-
         w_qp = ChannelQuantParams((0.1, 0.2), (0, 0), axis=1)
         with pytest.raises(ProgramShapeError):
-            emit_matmul_program(
+            emit_tiled_matmul_program(
                 Ncore(),
                 np.zeros((4, 8), np.uint8),
                 np.zeros((8, 4), np.uint8),  # 4 columns, 2 channel params
                 qp(1, 0), w_qp, qp(1, 0),
             )
+
+
+_Q = qp(0.02, 128)
+
+#: emitter -> a call with per-channel weight parameters; only the W x K
+#: matmul maps its weight axis 1 onto the per-lane registers, and only
+#: for one pass of output columns.
+_PER_CHANNEL_CALLS = {
+    "emit_tiled_matmul_program": lambda m: emit_tiled_matmul_program(
+        m, np.ones((4, 8), np.uint8), np.ones((8, 70), np.uint8), _Q, _channel_qp(70), _Q),
+    "emit_conv2d_program": lambda m: emit_conv2d_program(
+        m, np.ones((1, 6, 6, 2), np.uint8), np.ones((3, 3, 2, 4), np.uint8),
+        _Q, _channel_qp(4), _Q),
+    "emit_depthwise_program": lambda m: emit_depthwise_program(
+        m, np.ones((1, 6, 6, 4), np.uint8), np.ones((3, 3, 4), np.uint8),
+        _Q, _channel_qp(4), _Q),
+    "emit_conv1d_rotate_program": lambda m: emit_conv1d_rotate_program(
+        m, np.ones(12, np.uint8), np.ones((4, 3), np.uint8), _Q, _channel_qp(4), _Q),
+}
+
+
+@pytest.mark.parametrize("emitter", sorted(_PER_CHANNEL_CALLS))
+def test_per_channel_params_beyond_the_template_raise_a_shape_error(emitter):
+    # Not an AttributeError on ``weight_qp.scale``: the shape error names
+    # what the template cannot map.
+    with pytest.raises(ProgramShapeError):
+        _PER_CHANNEL_CALLS[emitter](Ncore())

@@ -24,7 +24,6 @@ from repro.nkl.programs import (
     emit_conv2d_program,
     emit_depthwise_program,
     emit_elementwise_add_program,
-    emit_matmul_program,
     emit_max_pool_rows_program,
     emit_tiled_matmul_program,
 )
@@ -60,7 +59,7 @@ def _depthwise(machine, rng):
 
 
 def _matmul(machine, rng):
-    return emit_matmul_program(
+    return emit_tiled_matmul_program(
         machine, _u8(rng, 20, 130), _u8(rng, 130, 30), X_QP, W_QP, OUT_QP, "relu"
     )
 
@@ -72,7 +71,7 @@ def _matmul_per_channel(machine, rng):
         axis=1,
         dtype=NcoreDType.UINT8,
     )
-    return emit_matmul_program(
+    return emit_tiled_matmul_program(
         machine, _u8(rng, 20, 70), _u8(rng, 70, 30), X_QP, weight_qp, OUT_QP
     )
 

@@ -47,7 +47,7 @@ class TestQFullyConnectedVsMachine:
     @given(st.integers(2, 12), st.integers(1, 80), st.integers(1, 12), st.integers(0, 10**6))
     def test_bit_exact_against_simulator(self, m, c, n, seed):
         from repro.ncore import Ncore
-        from repro.nkl.programs import emit_matmul_program
+        from repro.nkl.programs import emit_tiled_matmul_program
 
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 255, size=(m, c)).astype(np.uint8)
@@ -55,7 +55,9 @@ class TestQFullyConnectedVsMachine:
         in_qp, w_qp, out_qp = qp(0.02, 128), qp(0.01, 99), qp(0.07, 11)
         fast = qfully_connected(data, weights, None, in_qp, w_qp, out_qp)
         machine = Ncore()
-        program, result = emit_matmul_program(machine, data, weights, in_qp, w_qp, out_qp)
+        program, result = emit_tiled_matmul_program(
+            machine, data, weights, in_qp, w_qp, out_qp
+        )
         machine.execute_program(program)
         np.testing.assert_array_equal(fast, result.read(machine))
 

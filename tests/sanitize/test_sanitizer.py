@@ -214,14 +214,15 @@ class TestCliSanitize:
         self, capsys, monkeypatch
     ):
         from repro import cli
+        from repro.nkl import catalog
 
         # Point the MAC loop's data address past the 2048-row data RAM: the
         # program verifier rejects the kernel, so nothing executes it.
         regions = [
             (name, region.replace("setaddr a0, 0", "setaddr a0, 3000"))
-            for name, region in cli._MICROKERNEL
+            for name, region in catalog.MICROKERNEL
         ]
-        monkeypatch.setattr(cli, "_MICROKERNEL", tuple(regions))
+        monkeypatch.setattr(catalog, "MICROKERNEL", tuple(regions))
         assert cli.main(["run", "mobilenet_v1", "--sanitize"]) == 1
         out = capsys.readouterr().out
         assert "isa.sram-bounds" in out

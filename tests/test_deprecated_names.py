@@ -19,7 +19,10 @@ windows, rate meter and SLO monitor (one latency histogram is the record)
 and the process-wide attribution collector, then the fast path's 16-bit
 and bf16 lane sources and the ``Instruction``-side copy of its legality
 rule (``repro.ncore.fastpath.fusion_blockers`` is the one statement of
-it).  These tests grep the tree so a stray reference
+it), then the copies of the machine's programs: the simulator-benchmark
+module, the single-pass matmul emitter and its golden model, and the
+CLI's and the debug example's microkernels (``repro.nkl.catalog`` holds
+every program the machine runs outside the tests).  These tests grep the tree so a stray reference
 (or a reintroduced alias) fails loudly rather than resurrecting an old name.
 """
 
@@ -198,6 +201,28 @@ def test_one_fusion_legality_rule():
         re.compile(r"_LaneSource|compile_repeat"), _tree_files("src", "examples", "docs")
     )
     assert not offenders, "removed fast-path name resurfaced:\n" + "\n".join(offenders)
+
+
+def test_one_program_catalog():
+    gone = re.compile(
+        r"repro\.perf\.simbench|emit_matmul_program|reference_matmul_uint8"
+        r"|cli\._MICROKERNEL|_microkernel_dma|_stage_microkernel|debug_tracing\.KERNEL"
+    )
+    ledger = ROOT / "benchmarks" / "ledger"
+    files = [
+        path for path in _tree_files("src", "tests", "benchmarks", "examples", "docs")
+        if ledger not in path.parents and path != Path(__file__).resolve()
+    ]
+    offenders = _grep(gone, files)
+    assert not offenders, "removed program copy resurfaced:\n" + "\n".join(offenders)
+    # The Fig. 6 loop body and the microkernel's MAC: one source text each,
+    # outside the frozen ledger, the tests and the power-on self-test ROM.
+    programs = [path for path in _tree_files("src", "benchmarks", "examples")
+                if ledger not in path.parents and path.suffix == ".py"
+                and path != SRC / "runtime" / "selftest.py"]
+    for body in (r"mac\.uint8 dlast, n1\b(?!,)", r"mac\.uint8 n0, n1\b(?!,)"):
+        found = _grep(re.compile(body), programs)
+        assert len(found) == 1 and found[0].startswith("src/repro/nkl/catalog.py"), found
 
 
 @pytest.mark.parametrize("owner, name", [
