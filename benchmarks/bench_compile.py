@@ -13,7 +13,7 @@ Run:  python -m pytest benchmarks/bench_compile.py -q
 
 import time
 
-from repro.compiler import CompileCache, compile_graph, optimize_graph
+from repro.compiler import CompileCache, compile_graph
 from repro.models import PAPER_CHARACTERISTICS
 
 MODEL_KEY = "resnet50_v15"
@@ -23,9 +23,7 @@ REPEATS = 3
 
 def _quantized_resnet():
     info = PAPER_CHARACTERISTICS[MODEL_KEY]
-    graph = info.build()
-    optimize_graph(graph, in_place=True)
-    return info.convert(graph, seed=0)
+    return info.convert(info.build(), seed=0)
 
 
 def _cold_and_cached_seconds(graph):

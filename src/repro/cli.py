@@ -202,50 +202,24 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
-def _zoo_pipeline(info, opt_level: str, seed: int):
-    """Compose the zoo compile pipeline: optimize -> quantize -> backend.
+def _resolve_target(target: str, seed: int):
+    """Resolve a ``compile`` / ``run`` / ``lint`` target into (name, graph).
 
-    Zoo models follow the benchmark path — GCL optimization on the float
-    graph, then PTQ conversion (uint8; bf16 for GNMT), then the backend
-    stages.  Built as a custom :class:`~repro.compiler.Pipeline` so the
-    quantize step shows up in ``--dump-ir`` and stage stats like any
-    other stage.  The calibration seed is part of the pipeline id (and
-    therefore the cache key): different calibration data is a different
-    artifact.
-    """
-    from repro.compiler import Pipeline, Stage, get_pipeline
-
-    def quantize(ctx):
-        nodes_before = len(ctx.graph.nodes)
-        ctx.graph = info.convert(ctx.graph, seed=seed)
-        return {"mode": info.precision, "nodes_before": nodes_before,
-                "nodes_after": len(ctx.graph.nodes)}
-
-    preset = get_pipeline(opt_level)
-    stages = [s for s in preset.stages if s.name == "optimize"]
-    stages.append(Stage("quantize", quantize, "PTQ conversion (Table V path)"))
-    stages.extend(s for s in preset.stages if s.name != "optimize")
-    return Pipeline(f"zoo-{opt_level}-s{seed}", stages)
-
-
-def _resolve_target(target: str, pipeline_id: str, seed: int):
-    """Resolve a ``compile`` / ``run`` target into (name, graph, pipeline).
-
-    A zoo model key (or unique prefix) builds the float graph and compiles
-    through :func:`_zoo_pipeline`, so ``O0`` (``--no-optimize``) skips
-    optimization in both commands; anything else is loaded as a serialized
-    GIR and compiled with the ``pipeline_id`` preset.  Raises
-    ``FileNotFoundError`` when the target is neither.
+    A zoo model key (or unique prefix) gives the submission-precision
+    graph, ``info.convert(info.build(), seed=seed)`` (uint8 PTQ; bf16 for
+    GNMT) — the graph every zoo compile starts from; anything else is
+    loaded as a serialized GIR.  Raises ``FileNotFoundError`` when the
+    target is neither.
     """
     from repro.models import PAPER_CHARACTERISTICS
 
     key = _resolve_model_key(target)
     if key is not None:
         info = PAPER_CHARACTERISTICS[key]
-        return key, info.build(), _zoo_pipeline(info, pipeline_id, seed)
+        return key, info.convert(info.build(), seed=seed)
     from repro.graph.frontends import load_graph
 
-    return target, load_graph(target), pipeline_id
+    return target, load_graph(target)
 
 
 def _unknown_target(target: str) -> int:
@@ -287,9 +261,8 @@ def _cmd_compile(args) -> int:
     from repro.ncore.config import CHA_NCORE
     from repro.soc import CHA_SOC
 
-    pipeline_id = "O0" if args.no_optimize else args.opt_level
     try:
-        name, graph, pipeline = _resolve_target(args.target, pipeline_id, args.seed)
+        name, graph = _resolve_target(args.target, args.seed)
     except FileNotFoundError:
         return _unknown_target(args.target)
     if args.cache_dir:
@@ -300,8 +273,8 @@ def _cmd_compile(args) -> int:
         cache = USE_DEFAULT_CACHE
     observation = obs.observe() if args.dump_ir is not None else obs.NULL_OBSERVATION
     result = compile_graph(
-        graph, pipeline=pipeline, name=name, cache=cache,
-        collect_ir=args.dump_ir is not None, obs=observation,
+        graph, pipeline="O0" if args.no_optimize else args.opt_level, name=name,
+        cache=cache, collect_ir=args.dump_ir is not None, obs=observation,
     )
     compiled = result.model
     print(compiled.summary())
@@ -309,8 +282,7 @@ def _cmd_compile(args) -> int:
     cycles = compiled.ncore_cycles(CHA_SOC.ncore_dma_bandwidth / clock_hz)
     print(f"Ncore portion: {cycles:,} cycles "
           f"({cycles / clock_hz * 1e6:.1f} us at {clock_hz / 1e9:g} GHz)")
-    if result.cache_hit:
-        print(f"  cache hit ({result.key[:16]}...)")
+    print(f"  key: {result.key[:16]}{' (cache hit)' if result.cache_hit else ''}")
     for stats in result.stats:
         print(f"  {stats.summary()}")
     if args.dump_ir is not None:
@@ -406,9 +378,7 @@ def _cmd_run(args) -> int:
     from repro.soc import CHA_SOC, ChaSoc
 
     try:
-        name, graph, pipeline = _resolve_target(
-            args.path, "O0" if args.no_optimize else "O2", args.seed
-        )
+        name, graph = _resolve_target(args.path, args.seed)
     except FileNotFoundError:
         return _unknown_target(args.path)
     observation = (
@@ -418,7 +388,8 @@ def _cmd_run(args) -> int:
     # A run compiles once: the in-memory cache could only leak what an
     # earlier call in the same process compiled (and its spans) into this one.
     compiled = compile_graph(
-        graph, pipeline=pipeline, name=name, cache=None, obs=observation
+        graph, pipeline="O0" if args.no_optimize else "O2", name=name, cache=None,
+        obs=observation,
     ).model
     executor = NcoreExecutor(
         compiled, soc=ChaSoc(obs=observation), verify=False, policy=args.tier
@@ -465,27 +436,6 @@ def _cmd_run(args) -> int:
     return exit_code
 
 
-def _lint_target_graph(target: str, seed: int):
-    """Resolve a lint target into (display name, converted graph).
-
-    Zoo model keys follow the benchmark path (GCL pipeline + int8
-    quantization, bf16 for GNMT); anything else is treated as a serialized
-    GIR path and linted as-is.
-    """
-    from repro.compiler import optimize_graph
-    from repro.models import PAPER_CHARACTERISTICS
-
-    key = _resolve_model_key(target)
-    if key is not None:
-        info = PAPER_CHARACTERISTICS[key]
-        graph = info.build()
-        optimize_graph(graph, in_place=True)
-        return key, info.convert(graph, seed=seed)
-    from repro.graph.frontends import load_graph
-
-    return target, load_graph(target)
-
-
 def _cmd_lint(args) -> int:
     from repro.analyze import (
         AnalysisReport,
@@ -499,7 +449,7 @@ def _cmd_lint(args) -> int:
     from repro.compiler import compile_graph
 
     try:
-        name, graph = _lint_target_graph(args.target, args.seed)
+        name, graph = _resolve_target(args.target, args.seed)
     except FileNotFoundError:
         return _unknown_target(args.target)
     if args.graph_only and (args.hazards or args.dot):
@@ -512,7 +462,7 @@ def _cmd_lint(args) -> int:
     else:
         # Lint the full artifact stack: compile without the strict gate so
         # every finding is reported here instead of raised mid-lowering.
-        compiled = compile_graph(graph, pipeline="O0", name=name, verify=False).model
+        compiled = compile_graph(graph, name=name, verify=False).model
         report = analyze_model(compiled, suppress=suppress)
         if args.dot:
             graphs = [

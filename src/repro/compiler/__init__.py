@@ -5,8 +5,8 @@ compiler: GCL graph optimization, delegate partitioning, NKL lowering
 and scratchpad memory planning feed a single Ncore Loadable.  This
 package is that compiler's driver:
 
-- a registry of named :class:`Stage` objects and composable
-  :class:`Pipeline` presets (``O0``/``O1``/``O2``);
+- three fixed :class:`Pipeline` presets (``O0``/``O1``/``O2``) of
+  named stages;
 - per-stage ``repro.obs`` spans and change-stats (nodes folded/fused,
   sweeps to fixed point, SRAM bytes planned) on the
   :class:`CompilerContext`;
@@ -31,7 +31,6 @@ from repro.compiler.driver import (
     CompileResult,
     USE_DEFAULT_CACHE,
     compile_graph,
-    optimize_graph,
 )
 from repro.compiler.fingerprint import (
     CACHE_FORMAT_VERSION,
@@ -44,16 +43,11 @@ from repro.compiler.pipeline import (
     INPUT_SNAPSHOT,
     Pipeline,
     get_pipeline,
-    register_pipeline,
 )
 from repro.compiler.stages import (
     CompilerContext,
     CompilerError,
-    Stage,
     StageStats,
-    get_stage,
-    optimize_stage,
-    register_stage,
 )
 
 __all__ = [
@@ -65,7 +59,6 @@ __all__ = [
     "CompilerError",
     "INPUT_SNAPSHOT",
     "Pipeline",
-    "Stage",
     "StageStats",
     "USE_DEFAULT_CACHE",
     "compile_graph",
@@ -76,12 +69,7 @@ __all__ = [
     "fingerprint_graph",
     "get_compile_cache",
     "get_pipeline",
-    "get_stage",
     "install_cache",
     "ir_diff",
-    "optimize_graph",
-    "optimize_stage",
-    "register_pipeline",
-    "register_stage",
     "set_compile_cache",
 ]

@@ -7,8 +7,8 @@ analyze-verify -> NKL lowering -> memory plan -> CompiledModel*:
   serves byte-identical recompiles from the content-addressed
   :class:`~repro.compiler.cache.CompileCache` (the compile-once/run-many
   front end MLPerf and serving runs depend on);
-- unless the caller opts into ``in_place``, optimization runs on a
-  private copy, so handing a graph to the compiler never rewrites it;
+- optimization runs on a private copy, so handing a graph to the
+  compiler never rewrites it;
 - every stage runs under a ``repro.obs`` span with change-stats recorded
   on the returned context, and ``collect_ir`` captures per-stage textual
   IR snapshots for ``repro compile --dump-ir``.
@@ -25,8 +25,8 @@ from repro.ncore.config import NcoreConfig
 from repro.obs import NULL_OBSERVATION, Observation
 from repro.compiler.cache import CompileCache, get_compile_cache
 from repro.compiler.fingerprint import compile_key
-from repro.compiler.pipeline import Pipeline, get_pipeline
-from repro.compiler.stages import CompilerContext, CompilerError, StageStats
+from repro.compiler.pipeline import get_pipeline
+from repro.compiler.stages import CompilerContext, StageStats
 
 if TYPE_CHECKING:
     from repro.ncore.codegen import MacroKernelSet
@@ -68,14 +68,14 @@ def compile_graph(
     graph: Graph,
     *,
     config: NcoreConfig | None = None,
-    pipeline: str | Pipeline = "default",
+    pipeline: str = "O2",
     name: str | None = None,
     verify: bool = True,
     cache: CompileCache | None | _UseDefaultCache = USE_DEFAULT_CACHE,
     collect_ir: bool = False,
     obs: Observation = NULL_OBSERVATION,
 ) -> CompileResult:
-    """Compile ``graph`` through a named (or custom) staged pipeline.
+    """Compile ``graph`` through the ``pipeline`` preset (``O0``/``O1``/``O2``).
 
     ``cache`` defaults to the process-wide compile cache; pass ``None``
     to force a full compile.  ``collect_ir`` bypasses the cache (its
@@ -123,7 +123,6 @@ def compile_graph(
         config=config,
         name=effective_name,
         verify=verify,
-        pipeline_id=pipeline_obj.id,
         collect_ir=collect_ir,
         obs=obs,
     )
@@ -133,11 +132,7 @@ def compile_graph(
     ) as span:
         pipeline_obj.run(ctx)
         model = ctx.model
-        if model is None:
-            raise CompilerError(
-                f"pipeline {pipeline_obj.id!r} produced no CompiledModel; "
-                "it must end with a 'finalize' stage"
-            )
+        assert model is not None  # every preset ends with finalize
         model.compile_info = {
             "key": key,
             "pipeline": pipeline_obj.id,
@@ -160,28 +155,8 @@ def compile_graph(
     )
 
 
-def optimize_graph(graph: Graph, *, in_place: bool = False) -> Graph:
-    """Run just the GCL optimize stage (no lowering).
-
-    The front-end half of the driver for callers that optimize a float
-    graph before quantization (``perf.system``, the lint CLI) — the same
-    registered stage the full pipelines run, unobserved: it is setup,
-    not a compile.  Returns the optimized
-    graph: the caller's object with ``in_place=True``, a copy otherwise.
-    """
-    from repro.compiler.stages import get_stage
-
-    working = graph if in_place else graph.copy()
-    ctx = CompilerContext(
-        graph=working, config=NcoreConfig(), name=graph.name, pipeline_id="optimize-only",
-    )
-    get_stage("optimize").run(ctx)
-    return working
-
-
 __all__ = [
     "CompileResult",
     "USE_DEFAULT_CACHE",
     "compile_graph",
-    "optimize_graph",
 ]

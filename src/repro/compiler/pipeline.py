@@ -1,8 +1,9 @@
-"""Named compilation pipelines and the instrumented stage executor.
+"""The three compilation presets and the instrumented stage executor.
 
-A :class:`Pipeline` is an ordered tuple of registered stages with an
+A :class:`Pipeline` is a fixed, ordered tuple of named stages with an
 identity that participates in the compile-cache key — two compiles of the
-same graph under different pipelines are different artifacts.  Presets:
+same graph under different presets are different artifacts.  There are
+exactly three:
 
 - ``O0`` — no graph optimization: partition, verify, plan, lower.
 - ``O1`` — structural fusions only (pad/BN/bias/activation), single
@@ -12,8 +13,8 @@ same graph under different pipelines are different artifacts.  Presets:
   paper's submission flow and the default.
 
 ``Pipeline.run`` is where cross-cutting instrumentation lives: every
-stage executes under a ``repro.obs`` span on the ``compiler`` track, its
-change-stats land on the context (and on the span), and — when the
+stage executes under a ``repro.obs`` span on the ``compiler`` track,
+its change-stats land on the context (and on the span), and — when the
 context collects IR — a textual snapshot is taken after each stage for
 ``--dump-ir`` and the golden-IR tests.
 """
@@ -21,6 +22,8 @@ context collects IR — a textual snapshot is taken after each stage for
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.graph.passes import PassManager, default_pipeline
 from repro.graph.passes import fold_batch_norm, fuse_activations, fuse_bias_add, fuse_pad
@@ -28,64 +31,60 @@ from repro.compiler.irdump import dump_context
 from repro.compiler.stages import (
     CompilerContext,
     CompilerError,
-    Stage,
     StageStats,
-    get_stage,
-    optimize_stage,
+    _run_codegen,
+    _run_finalize,
+    _run_lower,
+    _run_optimize,
+    _run_partition,
+    _run_plan,
+    _run_verify,
 )
 
 #: Snapshot name for the pre-pipeline state of the graph.
 INPUT_SNAPSHOT = "input"
 
+StageFn = Callable[[CompilerContext], dict[str, Any]]
 
+
+@dataclass(frozen=True)
 class Pipeline:
-    """An ordered, identified sequence of compilation stages."""
+    """One preset: its id and its ordered ``(stage name, stage)`` pairs."""
 
-    def __init__(self, id: str, stages: tuple[Stage, ...] | list[Stage],
-                 description: str = "") -> None:
-        self.id = id
-        self.stages = tuple(stages)
-        self.description = description
-        if not self.stages:
-            raise CompilerError(f"pipeline {id!r} has no stages")
+    id: str
+    stages: tuple[tuple[str, StageFn], ...]
 
     def stage_names(self) -> list[str]:
-        return [stage.name for stage in self.stages]
+        return [name for name, _ in self.stages]
 
     @property
     def mutates_graph(self) -> bool:
-        """Whether any stage rewrites the input graph (optimize does)."""
-        return any(stage.name == "optimize" for stage in self.stages)
-
-    # ------------------------------------------------------------------
+        """Whether a stage rewrites the input graph (optimize does)."""
+        return "optimize" in self.stage_names()
 
     def run(self, ctx: CompilerContext) -> CompilerContext:
         """Execute every stage in order with spans, stats and snapshots."""
         tracer, metrics = ctx.obs
-        ctx.pipeline_id = self.id
-        if ctx.collect_ir and INPUT_SNAPSHOT not in ctx.snapshots:
+        if ctx.collect_ir:
             ctx.snapshots[INPUT_SNAPSHOT] = dump_context(ctx)
-        for stage in self.stages:
+        for name, stage in self.stages:
             start = time.perf_counter()
             with tracer.span(
-                f"compiler.{stage.name}", track="compiler",
+                f"compiler.{name}", track="compiler",
                 model=ctx.name, pipeline=self.id,
             ) as span:
-                changes = stage.run(ctx)
+                changes = stage(ctx)
                 span.set(**changes)
             seconds = time.perf_counter() - start
-            ctx.stats.append(StageStats(stage.name, seconds, changes))
+            ctx.stats.append(StageStats(name, seconds, changes))
             if metrics.enabled:
-                metrics.counter(f"compiler.stage.{stage.name}.runs").inc()
+                metrics.counter(f"compiler.stage.{name}.runs").inc()
                 metrics.histogram(
-                    f"compiler.stage.{stage.name}.seconds", unit="s"
+                    f"compiler.stage.{name}.seconds", unit="s"
                 ).observe(seconds)
             if ctx.collect_ir:
-                ctx.snapshots[stage.name] = dump_context(ctx)
+                ctx.snapshots[name] = dump_context(ctx)
         return ctx
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Pipeline({self.id!r}, stages={self.stage_names()})"
 
 
 def _light_manager() -> PassManager:
@@ -96,58 +95,43 @@ def _light_manager() -> PassManager:
     )
 
 
-_BACKEND = ("partition", "verify", "plan", "lower", "finalize")
-
-#: The O2 backend additionally runs Tier-3 codegen after lowering, so
-#: the cycle-exact Loadable costs exist to stamp onto each MacroKernel.
-_BACKEND_O2 = ("partition", "verify", "plan", "lower", "codegen", "finalize")
-
-_PIPELINES: dict[str, Pipeline] = {}
+def _optimize(manager_factory: Callable[[], PassManager]) -> tuple[str, StageFn]:
+    return "optimize", lambda ctx: _run_optimize(ctx, manager_factory())
 
 
-def register_pipeline(pipeline: Pipeline) -> Pipeline:
-    if pipeline.id in _PIPELINES:
-        raise CompilerError(f"pipeline {pipeline.id!r} is already registered")
-    _PIPELINES[pipeline.id] = pipeline
-    return pipeline
+_BACKEND: tuple[tuple[str, StageFn], ...] = (
+    ("partition", _run_partition),
+    ("verify", _run_verify),
+    ("plan", _run_plan),
+    ("lower", _run_lower),
+)
+_FINALIZE: tuple[str, StageFn] = ("finalize", _run_finalize)
+
+#: O2 additionally runs Tier-3 codegen after lowering, so the
+#: cycle-exact Loadable costs exist to stamp onto each MacroKernel.
+_PRESETS = {
+    "O0": Pipeline("O0", _BACKEND + (_FINALIZE,)),
+    "O1": Pipeline("O1", (_optimize(_light_manager),) + _BACKEND + (_FINALIZE,)),
+    "O2": Pipeline(
+        "O2",
+        (_optimize(default_pipeline),) + _BACKEND
+        + (("codegen", _run_codegen), _FINALIZE),
+    ),
+}
 
 
-def get_pipeline(spec: str | Pipeline) -> Pipeline:
-    """Resolve a pipeline by instance, id, or the ``default`` alias."""
-    if isinstance(spec, Pipeline):
-        return spec
-    key = "O2" if spec == "default" else spec
+def get_pipeline(preset: str) -> Pipeline:
+    """The preset named ``O0``, ``O1`` or ``O2``."""
     try:
-        return _PIPELINES[key]
+        return _PRESETS[preset]
     except KeyError:
         raise CompilerError(
-            f"unknown pipeline {spec!r}; registered: {sorted(_PIPELINES)} "
-            "(or pass a Pipeline instance)"
+            f"unknown pipeline {preset!r}; presets: {', '.join(_PRESETS)}"
         ) from None
-
-
-register_pipeline(Pipeline(
-    "O0",
-    tuple(get_stage(name) for name in _BACKEND),
-    "no graph optimization (pre-optimized or raw graphs)",
-))
-register_pipeline(Pipeline(
-    "O1",
-    (optimize_stage(_light_manager, "structural fusions, single sweep"),)
-    + tuple(get_stage(name) for name in _BACKEND),
-    "structural fusions only, bounded sweeps",
-))
-register_pipeline(Pipeline(
-    "O2",
-    (optimize_stage(default_pipeline, "full GCL pipeline to fixed point"),)
-    + tuple(get_stage(name) for name in _BACKEND_O2),
-    "full GCL optimization to a fixed point + Tier-3 codegen (default)",
-))
 
 
 __all__ = [
     "INPUT_SNAPSHOT",
     "Pipeline",
     "get_pipeline",
-    "register_pipeline",
 ]

@@ -3,22 +3,22 @@
 The paper's toolflow (section V-B, Fig. 8) is one staged pipeline: GCL
 graph optimization, delegate partitioning, NKL lowering and scratchpad
 memory planning feed a single Ncore Loadable.  This module factors that
-flow into named, registered :class:`Stage` objects over a shared
-:class:`CompilerContext`, so pipelines (``repro.compiler.pipeline``) can
-compose, reorder and instrument them — every stage reports change-stats
-(nodes folded, segments cut, SRAM bytes planned) that the driver records
-on the context and emits as ``repro.obs`` spans.
+flow into named stage functions over a shared :class:`CompilerContext`,
+which the fixed presets of ``repro.compiler.pipeline`` run in order —
+every stage reports change-stats (nodes folded, segments cut, SRAM bytes
+planned) that the pipeline records on the context and emits as
+``repro.obs`` spans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.graph.gir import Graph
 from repro.graph.loadable import CompiledModel, NcoreLoadable
 from repro.graph.partitioner import Segment, ncore_coverage, partition
-from repro.graph.passes import PassManager, default_pipeline
+from repro.graph.passes import PassManager
 from repro.graph.planner import MemoryPlan, plan_memory
 from repro.ncore.config import NcoreConfig
 from repro.nkl.lower import lower_segment
@@ -29,7 +29,7 @@ if TYPE_CHECKING:
 
 
 class CompilerError(RuntimeError):
-    """A stage was asked to run against a context it cannot handle."""
+    """A compile was asked for something no preset provides."""
 
 
 @dataclass
@@ -60,7 +60,6 @@ class CompilerContext:
     config: NcoreConfig
     name: str
     verify: bool = True
-    pipeline_id: str = "custom"
     collect_ir: bool = False
     obs: Observation = NULL_OBSERVATION
     segments: list[Segment] = field(default_factory=list)
@@ -72,32 +71,13 @@ class CompilerContext:
     snapshots: dict[str, str] = field(default_factory=dict)
 
 
-StageFn = Callable[[CompilerContext], dict[str, Any]]
-
-
-@dataclass(frozen=True)
-class Stage:
-    """One named pipeline step; ``fn`` mutates the context and returns
-    its change-stats dictionary."""
-
-    name: str
-    fn: StageFn
-    description: str = ""
-
-    def run(self, ctx: CompilerContext) -> dict[str, Any]:
-        return self.fn(ctx)
-
-
 # ----------------------------------------------------------------------
 # Built-in stages (the section V-B flow)
 # ----------------------------------------------------------------------
 
 
-def _run_optimize(
-    ctx: CompilerContext, manager_factory: Callable[[], PassManager] | None = None
-) -> dict[str, Any]:
+def _run_optimize(ctx: CompilerContext, manager: PassManager) -> dict[str, Any]:
     """GCL graph optimization: run a pass pipeline to its fixed point."""
-    manager = manager_factory() if manager_factory is not None else default_pipeline()
     nodes_before = len(ctx.graph.nodes)
     sweeps = manager.run(ctx.graph)
     changes: dict[str, Any] = {
@@ -143,7 +123,7 @@ def _run_partition(ctx: CompilerContext) -> dict[str, Any]:
 def _run_verify(ctx: CompilerContext) -> dict[str, Any]:
     """Inter-stage gate: the ``repro.analyze`` GIR verifier.
 
-    Honors ``ctx.verify`` — a pipeline may carry the gate while a caller
+    Honors ``ctx.verify`` — every preset carries the gate, and a caller
     opts out with ``compile_graph(verify=False)``.
     """
     if not ctx.verify:
@@ -157,8 +137,6 @@ def _run_verify(ctx: CompilerContext) -> dict[str, Any]:
 
 def _run_plan(ctx: CompilerContext) -> dict[str, Any]:
     """Scratchpad memory planning for every Ncore segment."""
-    if not ctx.segments:
-        raise CompilerError("plan stage needs partitioned segments; run 'partition' first")
     data_rows = 0
     weight_rows = 0
     pinned = 0
@@ -188,12 +166,8 @@ def _run_plan(ctx: CompilerContext) -> dict[str, Any]:
 def _run_lower(ctx: CompilerContext) -> dict[str, Any]:
     """NKL lowering: every Ncore segment becomes a Loadable.
 
-    Consumes the ``plan`` stage's memory plans when present (the staged
-    path); falls back to planning inside ``lower_segment`` otherwise, so
-    a custom pipeline without an explicit plan stage still compiles.
+    Consumes the ``plan`` stage's memory plans.
     """
-    if not ctx.segments:
-        raise CompilerError("lower stage needs partitioned segments; run 'partition' first")
     from repro.analyze import analyze_loadable, enforce
 
     metrics = ctx.obs.metrics
@@ -206,7 +180,7 @@ def _run_lower(ctx: CompilerContext) -> dict[str, Any]:
         name = f"{ctx.name}_seg{index}"
         loadable = lower_segment(
             ctx.graph, segment, ctx.config, name=name, verify=False,
-            plan=ctx.memory_plans.get(index),
+            plan=ctx.memory_plans[index],
         )
         if ctx.verify:
             # The Loadable verifier gate, with its hazard findings counted.
@@ -238,8 +212,6 @@ def _run_codegen(ctx: CompilerContext) -> dict[str, Any]:
     recorded with a reason and keep the per-node interpreter at runtime —
     coverage is best-effort, bit-exactness is not.
     """
-    if not ctx.segments:
-        raise CompilerError("codegen stage needs partitioned segments; run 'partition' first")
     # Imported lazily: repro.ncore.codegen pulls in the runtime kernels,
     # which import back into repro.compiler during package init.
     from repro.ncore.codegen import codegen_model
@@ -272,8 +244,6 @@ def _run_codegen(ctx: CompilerContext) -> dict[str, Any]:
 
 def _run_finalize(ctx: CompilerContext) -> dict[str, Any]:
     """Assemble the :class:`CompiledModel` from the staged artifacts."""
-    if not ctx.segments:
-        raise CompilerError("finalize stage needs partitioned segments")
     model = CompiledModel(
         name=ctx.name, graph=ctx.graph, segments=ctx.segments,
         macro_kernels=ctx.macro_kernels,
@@ -287,59 +257,8 @@ def _run_finalize(ctx: CompilerContext) -> dict[str, Any]:
     }
 
 
-def optimize_stage(
-    manager_factory: Callable[[], PassManager] | None = None,
-    description: str = "GCL graph optimization to a fixed point",
-) -> Stage:
-    """An ``optimize`` stage bound to a specific pass-pipeline factory
-    (presets use this to differ without new stage names)."""
-
-    def fn(ctx: CompilerContext) -> dict[str, Any]:
-        return _run_optimize(ctx, manager_factory)
-
-    return Stage("optimize", fn, description)
-
-
-# ----------------------------------------------------------------------
-# Stage registry
-# ----------------------------------------------------------------------
-
-_STAGES: dict[str, Stage] = {}
-
-
-def register_stage(stage: Stage) -> Stage:
-    """Register a stage under its name for name-based pipeline composition."""
-    if stage.name in _STAGES:
-        raise CompilerError(f"stage {stage.name!r} is already registered")
-    _STAGES[stage.name] = stage
-    return stage
-
-
-def get_stage(name: str) -> Stage:
-    try:
-        return _STAGES[name]
-    except KeyError:
-        raise CompilerError(
-            f"unknown stage {name!r}; registered: {sorted(_STAGES)}"
-        ) from None
-
-
-register_stage(optimize_stage())
-register_stage(Stage("partition", _run_partition, "delegate split into Ncore/x86 segments"))
-register_stage(Stage("verify", _run_verify, "repro.analyze GIR verification gate"))
-register_stage(Stage("plan", _run_plan, "scratchpad memory planning"))
-register_stage(Stage("lower", _run_lower, "NKL lowering to Ncore Loadables"))
-register_stage(Stage("codegen", _run_codegen, "Tier-3 AOT macro-kernel codegen"))
-register_stage(Stage("finalize", _run_finalize, "assemble the CompiledModel"))
-
-
 __all__ = [
     "CompilerContext",
     "CompilerError",
-    "Stage",
-    "StageFn",
     "StageStats",
-    "get_stage",
-    "optimize_stage",
-    "register_stage",
 ]

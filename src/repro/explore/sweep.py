@@ -28,7 +28,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.analyze import AnalysisError
-from repro.compiler import CompileCache, CompilerError, compile_graph, optimize_graph
+from repro.compiler import CompileCache, CompilerError, compile_graph
 from repro.explore.energy import area_model, energy_model
 from repro.explore.space import DesignPoint
 from repro.graph.gir import Graph
@@ -180,10 +180,9 @@ class SweepResult:
 
 
 def _prepare_model(key: str) -> tuple[Graph, int, int]:
-    """Build + optimize + quantize once; returns (graph, macs, io_bytes)."""
+    """Build + quantize once; returns (graph, macs, io_bytes)."""
     info = PAPER_CHARACTERISTICS[key]
     graph = info.build()
-    optimize_graph(graph, in_place=True)
     converted = info.convert(graph, seed=100)
     macs = int(graph.count_macs())
     io_bytes = 0

@@ -178,11 +178,13 @@ def build_gnmt(
             x = h
         states = new_states
         # Attention over the encoder states, queried by the top layer; the
-        # context feeds the *next* step's first-layer input.
-        context = b._act(b._name("context"), (batch, hidden))
-        b.g.add_node(
-            Node(b._name("attention"), "attention", [x, encoder_states], [context])
-        )
+        # context feeds the *next* step's first-layer input, so the last
+        # step has none.
+        if t + 1 < seq_len:
+            context = b._act(b._name("context"), (batch, hidden))
+            b.g.add_node(
+                Node(b._name("attention"), "attention", [x, encoder_states], [context])
+            )
         logits_steps.append(b.reshape(x, (batch, 1, hidden)))
     decoder_out = b.concat(logits_steps, axis=1)
 

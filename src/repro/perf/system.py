@@ -19,7 +19,7 @@ import functools
 
 import numpy as np
 
-from repro.compiler import compile_graph, optimize_graph
+from repro.compiler import compile_graph
 from repro.graph.loadable import CompiledModel
 from repro.models import PAPER_CHARACTERISTICS, ModelInfo
 from repro.ncore.config import NcoreConfig
@@ -51,11 +51,9 @@ class BenchmarkSystem:
         self.soc_config = SocConfig()
         self.core = X86Core(clock_hz=DEFAULT_CLOCK_HZ)
 
-        graph = self.info.build()
-        optimize_graph(graph, in_place=True)
-        converted = self.info.convert(graph, seed=100)
+        converted = self.info.convert(self.info.build(), seed=100)
         self.compiled: CompiledModel = compile_graph(
-            converted, config=self.config, pipeline="O0", name=model_key
+            converted, config=self.config, name=model_key
         ).model
 
     # ------------------------------------------------------------------

@@ -274,9 +274,9 @@ def quantize_graph(
     ``graph`` is left untouched: conversion works on a copy on which the
     conv-absorbing float passes (``fuse_pad``, ``fold_batch_norm``,
     ``fuse_bias_add``) have run first, as the GCL runs them before the
-    Delegate partitions, so *quantize -> compile* and *optimize -> quantize
-    -> compile* produce the same segments.  ``calibration`` is the
-    un-optimised graph's: each absorbing conv's output is quantized with
+    Delegate partitions, so the zoo recipe — quantize, then compile —
+    gets the segments an optimize-first order would.  ``calibration`` is
+    the un-optimised graph's: each absorbing conv's output is quantized with
     the range of the tensor it replaced.  A ``batch_norm`` / ``pad`` no
     conv can absorb (two consumers, non-conv producer) stays a float
     island between ``dequantize`` / ``quantize``.

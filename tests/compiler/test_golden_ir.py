@@ -1,11 +1,14 @@
 """Golden-IR snapshots: stage-by-stage counts pinned for the model zoo.
 
-Three layers of pinning:
+Four layers of pinning:
 
 - the float-graph optimize stage (GCL folding/fusion) per model — cheap,
   graphs are built fresh;
 - the backend stages (partition/plan/lower) over the converted benchmark
   graphs, reusing the ``get_system`` cache the perf tests already warm;
+- one artifact per zoo key: the benchmark system, the CLI and the recipe
+  ``compile_graph(info.convert(info.build(), seed=s))`` compile the same
+  graph under the same key;
 - the form and accumulation dtype the O2 ``codegen`` stage picks for every
   matmul step — the rules ``docs/simulator-performance.md`` measured,
   restated — one step per node of every covered segment, and the rung
@@ -21,7 +24,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.compiler import compile_graph, optimize_graph
+from repro.cli import _resolve_target
+from repro.compiler import compile_graph, fingerprint_graph
+from repro.graph.passes import default_pipeline
 from repro.models import PAPER_CHARACTERISTICS
 from repro.ncore.codegen import ConvStep
 from repro.perf.system import get_system
@@ -32,7 +37,7 @@ OPTIMIZE_GOLDEN = {
     "mobilenet_v1": (84, 30),
     "resnet50_v15": (163, 73),
     "ssd_mobilenet_v1": (133, 63),
-    "gnmt": (409, 408),
+    "gnmt": (408, 408),
 }
 
 # model -> (converted nodes, segments, ncore segments, kernels)
@@ -62,9 +67,8 @@ def test_optimize_stage_node_counts(key):
     expected_before, expected_after = OPTIMIZE_GOLDEN[key]
     graph = PAPER_CHARACTERISTICS[key].build()
     assert len(graph.nodes) == expected_before
-    optimized = optimize_graph(graph)
-    assert len(optimized.nodes) == expected_after
-    assert len(graph.nodes) == expected_before  # input graph untouched
+    default_pipeline().run(graph)
+    assert len(graph.nodes) == expected_after
 
 
 @pytest.mark.parametrize("key", sorted(BACKEND_GOLDEN))
@@ -83,22 +87,24 @@ def test_backend_stage_counts(key):
     assert list(result.snapshots) == STAGE_ORDER
 
 
-@pytest.mark.parametrize("key", sorted(set(BACKEND_GOLDEN) - {"gnmt"}))
-def test_quantize_without_optimize_reaches_the_same_backend_counts(key):
-    """The ledger-order recipe (calibrate -> quantize_graph -> O2, no prior
-    ``optimize``): PTQ folds pad / batch_norm / bias_add into the convs
-    itself, so the counts are the benchmark path's."""
+@pytest.mark.parametrize("key", sorted(BACKEND_GOLDEN))
+def test_one_artifact_per_zoo_key(key):
+    """``BenchmarkSystem`` (every paper number) compiles the recipe's graph
+    at the default preset, and ``repro compile|run|lint`` start from the
+    same converted graph: one zoo artifact, whoever builds it."""
     nodes, segments, ncore, _ = BACKEND_GOLDEN[key]
     info = PAPER_CHARACTERISTICS[key]
-    graph = info.build()
-    ranges = calibrate(graph, [info.sample_input(graph, seed=0)])
-    result = compile_graph(quantize_graph(graph, ranges), pipeline="O2", name=key, cache=None)
-    assert len(result.model.graph.nodes) == nodes
-    part = {s.stage: s for s in result.stats}["partition"].changes
-    assert (part["segments"], part["ncore_segments"]) == (segments, ncore)
-    assert Counter(node.op for node in result.model.graph.nodes) == Counter(
-        node.op for node in get_system(key).compiled.graph.nodes
+    system = get_system(key)
+    converted = info.convert(info.build(), seed=100)
+    recipe = compile_graph(converted, config=system.config, name=key)
+    assert system.compiled.compile_info["key"] == recipe.key
+    part = system.compiled.compile_info["stages"]["partition"]
+    assert (len(system.compiled.graph.nodes), part["segments"], part["ncore_segments"]) == (
+        nodes, segments, ncore,
     )
+    name, cli_graph = _resolve_target(key, 100)
+    assert name == key
+    assert fingerprint_graph(cli_graph) == fingerprint_graph(converted)
 
 
 @pytest.mark.parametrize("key", sorted(EPILOGUE_RUNG_GOLDEN))

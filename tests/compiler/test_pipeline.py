@@ -1,4 +1,4 @@
-"""The staged pipeline: presets, composition, instrumentation, IR dumps."""
+"""The staged pipeline: presets, instrumentation, IR dumps."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,11 @@ from repro import obs
 from repro.compiler import (
     CompilerContext,
     CompilerError,
-    Pipeline,
     compile_graph,
     get_pipeline,
-    get_stage,
     ir_diff,
-    optimize_graph,
-    optimize_stage,
 )
+from repro.compiler.stages import _run_optimize
 from repro.graph.passes import PassManager, default_pipeline
 from repro.ncore.config import NcoreConfig
 from tests.quantize.test_convert import small_cnn
@@ -49,7 +46,8 @@ class TestPresets:
         assert [get_pipeline(k).id for k in ("O0", "O1", "O2")] == ["O0", "O1", "O2"]
 
     def test_default_is_o2(self):
-        assert get_pipeline("default").id == "O2"
+        result = compile_graph(small_cnn(), cache=None)
+        assert result.model.compile_info["pipeline"] == "O2"
 
     def test_o0_has_no_optimize_stage(self):
         assert "optimize" not in get_pipeline("O0").stage_names()
@@ -74,38 +72,6 @@ class TestPresets:
         assert "constant_fold" not in changes["pass_changes"]
 
 
-class TestComposition:
-    def test_from_stage_names(self):
-        custom = Pipeline("just-backend", tuple(
-            get_stage(name) for name in ("partition", "verify", "plan", "lower", "finalize")
-        ))
-        result = compile_graph(small_cnn(), pipeline=custom, cache=None)
-        assert result.pipeline_id == "just-backend"
-        assert result.model.ncore_segments
-
-    def test_unknown_stage_errors(self):
-        with pytest.raises(CompilerError, match="unknown stage"):
-            get_stage("transmogrify")
-
-    def test_empty_pipeline_rejected(self):
-        with pytest.raises(CompilerError, match="no stages"):
-            Pipeline("empty", ())
-
-    def test_registry_lists_core_stages(self):
-        names = ("optimize", "partition", "verify", "plan", "lower", "codegen", "finalize")
-        assert tuple(get_stage(name).name for name in names) == names
-
-    def test_plan_before_partition_errors(self):
-        bad = Pipeline("bad-order", (get_stage("plan"), get_stage("finalize")))
-        with pytest.raises(CompilerError, match="partition"):
-            compile_graph(small_cnn(), pipeline=bad, cache=None)
-
-    def test_pipeline_without_finalize_errors(self):
-        headless = Pipeline("headless", (get_stage("partition"), get_stage("lower")))
-        with pytest.raises(CompilerError, match="finalize"):
-            compile_graph(small_cnn(), pipeline=headless, cache=None)
-
-
 class TestMutationContract:
     def test_compile_does_not_mutate_the_callers_graph(self):
         g = bn_graph()
@@ -113,18 +79,6 @@ class TestMutationContract:
         result = compile_graph(g, cache=None)
         assert len(g.nodes) == nodes_before  # caller's graph untouched
         assert len(result.model.graph.nodes) < nodes_before  # copy optimized
-
-    def test_optimize_graph_returns_a_copy(self):
-        g = bn_graph()
-        optimized = optimize_graph(g)
-        assert optimized is not g
-        assert any(n.op == "batch_norm" for n in g.nodes)
-        assert not any(n.op == "batch_norm" for n in optimized.nodes)
-
-    def test_optimize_graph_in_place(self):
-        g = bn_graph()
-        assert optimize_graph(g, in_place=True) is g
-        assert not any(n.op == "batch_norm" for n in g.nodes)
 
 
 class TestInstrumentation:
@@ -189,7 +143,7 @@ class TestPassManagerStats:
         manager = PassManager(default_pipeline().passes, max_sweeps=1)
         tracer, metrics = observation = obs.observe()
         ctx = CompilerContext(graph=g, config=NcoreConfig(), name=g.name, obs=observation)
-        optimize_stage(lambda: manager).run(ctx)
+        _run_optimize(ctx, manager)
         assert manager.last_stats.reached_fixed_point is False
         marks = [i for i in tracer.instants
                  if i.name == "passes.max_sweeps_exhausted"]

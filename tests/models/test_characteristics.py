@@ -76,10 +76,22 @@ class TestModelStructure:
     def test_gnmt_unrolled_length(self):
         g = PAPER_CHARACTERISTICS["gnmt"].build()
         # 4 encoder layers x 25 sequence-projected steps, 4 decoder layers
-        # x 25 cells.
+        # x 25 cells; the attention context feeds the next step, so the
+        # last step has none.
         assert len(g.find_nodes("lstm_step")) == 4 * 25
         assert len(g.find_nodes("lstm_cell")) == 4 * 25
-        assert len(g.find_nodes("attention")) == 25
+        assert len(g.find_nodes("attention")) == 24
+
+    @pytest.mark.parametrize("key", sorted(PAPER_CHARACTERISTICS))
+    def test_raw_build_has_no_findings(self, key):
+        # Not even a warning: a dead node is MACs the model counts and no
+        # output uses.
+        from repro.analyze import analyze_graph
+
+        info = PAPER_CHARACTERISTICS[key]
+        kwargs = {"seq_len": 4, "hidden": 16, "vocab": 32} if key == "gnmt" else {}
+        report = analyze_graph(info.build(**kwargs))
+        assert [d.rule for d in report.diagnostics] == []
 
     def test_models_validate_and_infer_shapes(self):
         from repro.analyze import analyze_graph

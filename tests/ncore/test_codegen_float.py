@@ -14,7 +14,7 @@ step, so the dispatcher's byte comparison is meaningful.
 import numpy as np
 import pytest
 
-from repro.compiler import compile_graph, optimize_graph
+from repro.compiler import compile_graph
 from repro.models.common import GraphBuilder
 from repro.models.gnmt import build_gnmt
 from repro.ncore.codegen import NodeStep
@@ -23,9 +23,9 @@ from repro.runtime import NcoreExecutor, execute_quantized
 
 
 def tiny_gnmt(seq_len=4, hidden=32, layers=2, vocab=100):
-    graph = build_gnmt(seq_len=seq_len, hidden=hidden, layers=layers, vocab=vocab)
-    optimize_graph(graph, in_place=True)
-    return convert_to_bf16(graph)
+    return convert_to_bf16(
+        build_gnmt(seq_len=seq_len, hidden=hidden, layers=layers, vocab=vocab)
+    )
 
 
 def gnmt_feeds(graph, seed=7):

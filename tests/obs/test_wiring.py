@@ -179,8 +179,7 @@ RUN_TRACE_SPANS = {
     ("compiler.codegen", "compiler"), ("compiler.compile", "compiler"),
     ("compiler.finalize", "compiler"), ("compiler.lower", "compiler"),
     ("compiler.optimize", "compiler"), ("compiler.partition", "compiler"),
-    ("compiler.plan", "compiler"), ("compiler.quantize", "compiler"),
-    ("compiler.verify", "compiler"),
+    ("compiler.plan", "compiler"), ("compiler.verify", "compiler"),
     ("compute", "ncore"), ("ncore.run", "ncore"), ("stage_weights", "ncore"),
     ("writeback", "ncore"),
     ("conv2d", "ncore.kernels"), ("depthwise_conv2d", "ncore.kernels"),
@@ -198,7 +197,7 @@ RUN_TRACE_COUNTERS = {
     "compiler.compiles",
     *(f"compiler.stage.{stage}.runs" for stage in (
         "codegen", "finalize", "lower", "optimize", "partition", "plan",
-        "quantize", "verify",
+        "verify",
     )),
     "delegate.inferences", "delegate.transitions",
     "dma.bytes_moved", "dma.dma_read.bytes", "dma.transfers",
@@ -230,7 +229,7 @@ class TestRunTraceSurface:
                    if e["ph"] == "M" and e["name"] == "thread_name"}
         spans = {(e["name"], threads[e["pid"], e["tid"]]) for e in events if e["ph"] == "X"}
         counters = {e["name"] for e in events if e["ph"] == "C"}
-        assert len(RUN_TRACE_SPANS) == 25 and len(RUN_TRACE_COUNTERS) == 38
+        assert len(RUN_TRACE_SPANS) == 24 and len(RUN_TRACE_COUNTERS) == 37
         assert spans == RUN_TRACE_SPANS
         assert counters == RUN_TRACE_COUNTERS
 

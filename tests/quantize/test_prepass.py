@@ -11,8 +11,9 @@ import collections
 import numpy as np
 import pytest
 
-from repro.compiler import compile_graph, optimize_graph
+from repro.compiler import compile_graph
 from repro.graph import Graph, Node, Tensor, TensorType, execute_float
+from repro.graph.passes import default_pipeline
 from repro.models import PAPER_CHARACTERISTICS
 from repro.quantize import calibrate, quantize_graph
 from repro.runtime import execute_quantized
@@ -26,7 +27,7 @@ def compiled_shape(key, optimize_first):
     info = PAPER_CHARACTERISTICS[key]
     graph = info.build()
     if optimize_first:
-        graph = optimize_graph(graph)
+        default_pipeline().run(graph)
     ranges = calibrate(graph, [info.sample_input(graph, seed=1)])
     model = compile_graph(
         quantize_graph(graph, ranges), pipeline="O2", name=key, cache=None

@@ -82,11 +82,9 @@ def _walk_case(kind):
         g = small_cnn()
         feeds = calibration_batches(count=1, seed=17)[0]
         return quantize_graph(g, calibrate(g, calibration_batches())), feeds
-    from repro.compiler import optimize_graph
     from repro.models import build_gnmt
 
     g = build_gnmt(seq_len=4, hidden=32, layers=2, vocab=100)
-    optimize_graph(g, in_place=True)
     rng = np.random.default_rng(7)
     feeds = {
         name: rng.integers(0, 90, size=g.tensor(name).shape).astype(np.int32)

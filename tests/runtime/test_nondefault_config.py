@@ -90,15 +90,10 @@ class TestNonDefaultConfig:
         executor below owns a matching Ncore, so construction must not
         raise (it did when verify always used ``NcoreConfig()``).
         """
-        from repro.compiler import optimize_graph
         from repro.models import PAPER_CHARACTERISTICS
 
         info = PAPER_CHARACTERISTICS["mobilenet_v1"]
-        graph = info.build()
-        optimize_graph(graph, in_place=True)
-        quantized = quantize_graph(
-            graph, calibrate(graph, [info.sample_input(graph, seed=100)])
-        )
+        quantized = info.convert(info.build(), seed=100)
         config = NcoreConfig(slices=8, sram_rows=4096)
         result = compile_graph(quantized, config=config, name="mnv1_tall", cache=None)
         plan = result.model.loadables[result.model.ncore_segments[0]].memory_plan

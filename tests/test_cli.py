@@ -139,11 +139,19 @@ class TestCompileAndRun:
         assert "Ncore portion" in out
 
     def test_compile_zoo_key_runs_quantized_pipeline(self, capsys):
+        # The zoo recipe: PTQ conversion, then the O2 compile.
+        from repro.compiler import compile_graph
+        from repro.models import PAPER_CHARACTERISTICS
+
         assert main(["compile", "mobilenet_v1", "--no-cache"]) == 0
         out = capsys.readouterr().out
-        assert "quantize:" in out
-        assert "mode=uint8" in out
-        assert "Ncore portion" in out
+        info = PAPER_CHARACTERISTICS["mobilenet_v1"]
+        recipe = compile_graph(
+            info.convert(info.build(), seed=0), name="mobilenet_v1", cache=None
+        )
+        summary = recipe.model.summary()
+        assert out.startswith(summary + "\nNcore portion")
+        assert f"  key: {recipe.key[:16]}\n" in out
 
     def test_compile_unknown_target_errors(self, capsys):
         assert main(["compile", "/nonexistent/graph"]) == 2
@@ -163,8 +171,8 @@ class TestCompileAndRun:
         assert first == second
 
     def test_run_no_optimize_skips_the_optimize_stage(self, tmp_path, capsys):
-        # As for ``compile --no-optimize``: the zoo graph reaches PTQ and the
-        # backend unoptimized (a cache hit records the pipeline instead).
+        # As for ``compile --no-optimize``: the converted zoo graph reaches
+        # the backend unoptimized.
         import json
 
         out_path = tmp_path / "o0.trace.json"
@@ -174,7 +182,7 @@ class TestCompileAndRun:
         records = [e for e in events
                    if e["ph"] in ("X", "i") and e["name"].startswith("compiler.")]
         assert "compiler.optimize" not in {e["name"] for e in records}
-        assert {e["args"].get("pipeline") for e in records} >= {"zoo-O0-s0"}
+        assert {e["args"].get("pipeline") for e in records} >= {"O0"}
 
 
 class TestTrace:

@@ -169,6 +169,21 @@ def test_one_command_per_job():
     assert not offenders, "removed command or name resurfaced:\n" + "\n".join(offenders)
 
 
+def test_one_zoo_recipe_and_three_presets():
+    # A zoo model is converted, then compiled: the pre-quantize optimize
+    # helper, the CLI's custom zoo pipeline and the stage / pipeline
+    # registries that composed it went with the second order.
+    pattern = re.compile(
+        r"\boptimize_graph\b|\bregister_stage\b|\bget_stage\b|\bregister_pipeline\b"
+        r"|\boptimize_stage\b|compiler\.Stage\b|_zoo_pipeline|_lint_target_graph"
+        r"|zoo-O\d|pipeline=\"default\""
+    )
+    files = _tree_files("src", "tests", "benchmarks", "examples", "docs")
+    files.remove(Path(__file__).resolve())
+    offenders = _grep(pattern, files)
+    assert not offenders, "removed compiler name resurfaced:\n" + "\n".join(offenders)
+
+
 def test_one_record_of_serving_completions():
     # ``repro serve`` reads one latency histogram: the windowed
     # aggregations and ``--window`` went, and cycle attribution is pure
