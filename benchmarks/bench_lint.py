@@ -1,7 +1,7 @@
 """Wall-time guard for the static-analysis gate.
 
-The ``repro.analyze`` pass stack runs strict on every ``compile_graph`` /
-``lower_segment`` call, so it must stay cheap relative to compilation
+The ``repro.analyze`` pass stack runs strict on every ``compile_graph``
+call, so it must stay cheap relative to compilation
 itself.  This benchmark holds the *full* analyzer stack — GIR rules plus
 every segment's loadable and instruction-program rules — for the largest
 zoo CNN (ResNet-50-v1.5, quantized through the benchmark path) under a

@@ -1,19 +1,21 @@
 """Happens-before hazard analyzer over DMA schedules and compute order.
 
-The Loadable verifier (``loadable_rules``) checks pairwise prefetch timing;
-this module builds the *whole-schedule* happens-before graph — DMA
-transfers per engine, DMA_WAIT synchronization edges, kernel/segment
-execution order — and runs interval analysis over SRAM row ranges to find
-the orderings the schedule never established: RAW (a read may observe an
-in-flight DMA write), WAR (a write lands in rows still being read out),
-WAW (two unordered writes to the same rows), dead transfers nothing ever
-consumes, and cycles in the happens-before relation itself.
+The Loadable verifier (``loadable_rules``) checks placements, dataflow and
+prefetch indices; this module builds the *whole-schedule* happens-before
+graph — DMA transfers per engine, DMA_WAIT synchronization edges,
+kernel/segment execution order — and runs interval analysis over SRAM row
+ranges to find the orderings the schedule never established: RAW (a read
+may observe an in-flight DMA write), WAR (a write lands in rows still being
+read out), WAW (two unordered writes to the same rows), dead transfers
+nothing ever consumes, and cycles in the happens-before relation itself.
 
 Two entry points share the rule set and the :class:`HazardGraph` model:
 
 - :func:`analyze_loadable_hazards` works on a compiled
-  :class:`~repro.graph.loadable.NcoreLoadable` (prefetch schedule versus
-  kernel order, rows from the memory plan), and
+  :class:`~repro.graph.loadable.NcoreLoadable`: the prefetch schedule
+  versus kernel order, over the rows each
+  :class:`~repro.graph.planner.Prefetch` records (the planner alone
+  decides where a transfer lands), and
 - :func:`analyze_program_hazards` works on an assembled instruction
   program plus its DMA descriptor table, over the program verifier's
   :class:`~repro.analyze.program_rules.AddressWalk`.
@@ -214,28 +216,8 @@ def _base(tensor: str) -> str:
     return tensor.split("#chunk", 1)[0]
 
 
-def _landing_rows(
-    loadable: NcoreLoadable, position: int, prefetch: Prefetch,
-    config: NcoreConfig | None,
-) -> RowRange | None:
-    """The rows prefetch ``position`` actually writes.
-
-    The streaming planner double-buffers: transfer *i* lands at buffer
-    half ``i % 2`` (``weight_allocs`` records only the first chunk's
-    placement), every chunk of one tensor being the same height.
-    """
-    plan = loadable.memory_plan
-    alloc = plan.weight_allocs.get(_base(prefetch.tensor))
-    if alloc is None:
-        return None
-    if plan.weights_pinned:
-        return alloc
-    half = (config or NcoreConfig()).sram_rows // 2
-    return RowRange(half * (position % 2), alloc.rows)
-
-
 def build_loadable_hazard_graph(
-    graph: Graph, loadable: NcoreLoadable, config: NcoreConfig | None = None
+    graph: Graph, loadable: NcoreLoadable
 ) -> HazardGraph:
     """The happens-before graph of one compiled segment.
 
@@ -256,10 +238,9 @@ def build_loadable_hazard_graph(
         previous = node_id
     previous_dma: str | None = None
     for position, prefetch in enumerate(plan.prefetches):
-        rows = _landing_rows(loadable, position, prefetch, config)
         dma_id = hb.add_node(
             f"p{position}", "dma", f"prefetch {prefetch.tensor}",
-            ram="weight", rows=rows,
+            ram="weight", rows=prefetch.rows,
         )
         if previous_dma is not None:
             hb.add_edge(previous_dma, dma_id, "engine")
@@ -272,23 +253,28 @@ def build_loadable_hazard_graph(
 
 
 def analyze_loadable_hazards(
-    graph: Graph,
-    loadable: NcoreLoadable,
-    config: NcoreConfig | None = None,
+    graph: Graph, loadable: NcoreLoadable
 ) -> list[Diagnostic]:
     """Whole-schedule hazard analysis over one compiled segment."""
     findings: list[Diagnostic] = []
     segment = loadable.segment
     plan = loadable.memory_plan
     num_nodes = len(segment.nodes)
-    hb = build_loadable_hazard_graph(graph, loadable, config)
-    cycle = hb.find_cycle()
-    if cycle is not None:
+    hb = build_loadable_hazard_graph(graph, loadable)
+    while (cycle := hb.find_cycle()) is not None:
+        # Kernel order only runs forward: every cycle passes a transfer.
+        # Report that one, then cut it out to find the next.
+        position = next(int(n[1:]) for n in cycle if n.startswith("p"))
+        prefetch = plan.prefetches[position]
+        hb.edges = [e for e in hb.edges if f"p{position}" not in e[:2]]
         findings.append(diag(
             HB_CYCLE,
-            "the happens-before graph has a cycle: " + " -> ".join(cycle),
-            artifact=loadable.name, element="schedule",
-            hint="a prefetch is ordered after the kernel that consumes it",
+            f"prefetch of {prefetch.tensor!r} (queue slot {position}) is "
+            "ordered after a kernel that needs it; the happens-before graph "
+            "has a cycle: " + " -> ".join(cycle),
+            artifact=loadable.name, element=prefetch.tensor, index=position,
+            hint="issue_at_node must not exceed needed_at_node, and the "
+                 "queue must follow consumption order",
         ))
 
     # First consumer of every constant, and the set of consumed tensors.
@@ -300,10 +286,9 @@ def analyze_loadable_hazards(
             consumed_by_nodes.add(base)
             first_consumer.setdefault(base, index)
 
-    windows: list[tuple[int, Prefetch, RowRange]] = []
+    windows: list[tuple[int, Prefetch]] = []
     for position, prefetch in enumerate(plan.prefetches):
         base = _base(prefetch.tensor)
-        rows = _landing_rows(loadable, position, prefetch, config)
         if base not in consumed_by_nodes:
             findings.append(diag(
                 DEAD_WRITE,
@@ -326,34 +311,35 @@ def analyze_loadable_hazards(
                 artifact=loadable.name, element=prefetch.tensor, index=position,
                 hint="needed_at_node must not exceed the first consumer",
             ))
-        if rows is None:
-            continue  # ldb.missing-weights reports the unplaced base tensor
-        windows.append((position, prefetch, rows))
+        windows.append((position, prefetch))
 
-    # WAR across the FIFO: transfer B (later in queue) overwrites rows of
-    # transfer A whose data a *later* kernel still needs.  Same-node and
-    # in-order consumption are serialized by the queue + the NKL's
-    # in-kernel chunk waits; only a needed-order inversion races.
-    # (ldb.dma-hazard reports the too-early-issue case; prefetch-vs-
-    # prefetch WAW cannot happen at this level — one engine, one queue.)
-    for i, (pos_a, pf_a, rows_a) in enumerate(windows):
-        for pos_b, pf_b, rows_b in windows[i + 1:]:
-            if _base(pf_a.tensor) == _base(pf_b.tensor):
-                continue  # chunks of one layer are serialized by the NKL
-            if not _overlap(rows_a, rows_b):
+    # WAR, the one transfer-overwrite rule: transfer B, queued after A,
+    # lands on rows of A's and is issued before A's consumer has run
+    # (``issue_at_node`` <= A's ``needed_at_node``).  Chunks of one tensor
+    # and transfers one kernel consumes are serialized by the NKL's
+    # in-kernel waits; prefetch-vs-prefetch WAW cannot happen at this
+    # level — one engine, one queue.
+    for i, (pos_a, pf_a) in enumerate(windows):
+        rows_a = pf_a.rows
+        for pos_b, pf_b in windows[i + 1:]:
+            rows_b = pf_b.rows
+            if (_base(pf_a.tensor) == _base(pf_b.tensor)
+                    or pf_a.needed_at_node == pf_b.needed_at_node
+                    or not _overlap(rows_a, rows_b)
+                    or pf_b.issue_at_node > pf_a.needed_at_node):
                 continue
-            if pf_a.needed_at_node > pf_b.needed_at_node:
-                findings.append(diag(
-                    WAR,
-                    f"prefetch of {pf_b.tensor!r} (queue slot {pos_b}, "
-                    f"needed at node {pf_b.needed_at_node}) overwrites rows "
-                    f"[{max(rows_a.start, rows_b.start)}, "
-                    f"{min(rows_a.end, rows_b.end)}) of {pf_a.tensor!r} "
-                    f"(queue slot {pos_a}), which kernel "
-                    f"{pf_a.needed_at_node} still reads afterwards",
-                    artifact=loadable.name, element=pf_b.tensor, index=pos_b,
-                    hint="prefetch queue order must follow consumption order",
-                ))
+            findings.append(diag(
+                WAR,
+                f"prefetch of {pf_b.tensor!r} (queue slot {pos_b}, issued "
+                f"before node {pf_b.issue_at_node}) overwrites rows "
+                f"[{max(rows_a.start, rows_b.start)}, "
+                f"{min(rows_a.end, rows_b.end)}) of {pf_a.tensor!r} "
+                f"(queue slot {pos_a}), which kernel "
+                f"{pf_a.needed_at_node} has not read yet",
+                artifact=loadable.name, element=pf_b.tensor, index=pos_b,
+                hint=f"issue it after node {pf_a.needed_at_node} or land it "
+                     "in rows no pending kernel reads",
+            ))
     return findings
 
 

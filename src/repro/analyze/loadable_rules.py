@@ -3,10 +3,13 @@
 Re-checks every :class:`~repro.graph.loadable.NcoreLoadable` against its
 :class:`~repro.graph.planner.MemoryPlan` and the target
 :class:`~repro.ncore.config.NcoreConfig` *without executing it*: scratchpad
-placements must fit the RAMs, no kernel may read a scratchpad region no DMA
-or earlier kernel has written, simultaneously-live allocations must not
-overlap, and the weight-prefetch schedule must neither arrive late nor
-overwrite rows still being consumed (DMA-write vs compute-read hazards).
+placements and the rows every weight prefetch lands in must fit the RAMs,
+no kernel may read a scratchpad region no DMA or earlier kernel has
+written, simultaneously-live allocations must not overlap, and every
+prefetch must name nodes of the segment.  The prefetch schedule's ordering
+faults (a transfer issued after its consumer, or overwriting rows a kernel
+has not read yet) are the happens-before analyzer's ``hazard.*`` rules,
+run from the same :func:`analyze_loadable` gate.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from repro.graph.gir import Graph
 from repro.graph.loadable import CompiledModel, NcoreLoadable
-from repro.graph.planner import Prefetch, RowRange, _live_ranges
+from repro.graph.planner import RowRange, _live_ranges
 from repro.ncore.config import NcoreConfig
 
 from repro.analyze.hazard import analyze_loadable_hazards
@@ -30,8 +33,8 @@ from repro.analyze.diagnostics import (
 
 SRAM_OVERFLOW = register_rule(
     "ldb.sram-overflow", Severity.ERROR, "allocation outside the scratchpad",
-    "A planned row range ends beyond the RAM's row capacity; on silicon the "
-    "access wraps or faults.",
+    "A planned row range, or the rows a weight prefetch lands in, ends "
+    "beyond the RAM's row capacity; on silicon the access wraps or faults.",
 )
 ALLOC_OVERLAP = register_rule(
     "ldb.alloc-overlap", Severity.ERROR, "overlapping live allocations",
@@ -53,20 +56,10 @@ MISSING_WEIGHTS = register_rule(
     "A kernel's constant operand has no weight-RAM allocation (and, when "
     "streaming, no prefetch), so the kernel would read stale weight rows.",
 )
-LATE_PREFETCH = register_rule(
-    "ldb.late-prefetch", Severity.ERROR, "weight DMA scheduled after its use",
-    "A prefetch is issued after the kernel that needs it; the compute would "
-    "consume rows the DMA has not written yet.",
-)
 PREFETCH_RANGE = register_rule(
     "ldb.prefetch-range", Severity.ERROR, "prefetch indexes outside the segment",
     "A prefetch's issue or needed node index does not name a node of the "
     "segment.",
-)
-DMA_HAZARD = register_rule(
-    "ldb.dma-hazard", Severity.ERROR, "DMA write races a compute read",
-    "A weight prefetch overwrites scratchpad rows before the previous "
-    "occupant of those rows has been consumed.",
 )
 KERNEL_MISMATCH = register_rule(
     "ldb.kernel-mismatch", Severity.ERROR, "kernels disagree with the segment",
@@ -77,10 +70,6 @@ KERNEL_MISMATCH = register_rule(
 _ERROR_KEY = "__analyze_internal__"
 
 
-def _overlap(a: RowRange, b: RowRange) -> bool:
-    return a.start < b.end and b.start < a.end
-
-
 #: Pairs one block of :func:`_live_clashes` tests at once: its boolean
 #: temporaries stay near a megabyte whatever the plan's size.
 _BLOCK_PAIRS = 1 << 18
@@ -89,9 +78,8 @@ _BLOCK_PAIRS = 1 << 18
 def _live_clashes(
     rows: list[RowRange], lives: list[tuple[int, int]]
 ) -> list[tuple[int, int]]:
-    """Every index pair ``(i, j)``, ``i < j``, whose row ranges overlap (as
-    :func:`_overlap`) and whose inclusive live ranges intersect, in
-    ascending order.
+    """Every index pair ``(i, j)``, ``i < j``, whose half-open row ranges
+    overlap and whose inclusive live ranges intersect, in ascending order.
 
     Both interval tests run at once as numpy comparisons, a block of
     ``i`` against every later ``j`` at a time: most row-sharing pairs of
@@ -124,16 +112,22 @@ def _check_allocs(
 ) -> list[Diagnostic]:
     findings: list[Diagnostic] = []
     plan = loadable.memory_plan
+
+    def check(what: str, rng: RowRange, element: str, index: int | None) -> None:
+        if rng.start < 0 or rng.end > config.sram_rows:
+            findings.append(diag(
+                SRAM_OVERFLOW,
+                f"{what} spans rows [{rng.start}, {rng.end}) but the RAM "
+                f"has {config.sram_rows} rows",
+                artifact=loadable.name, element=element, index=index,
+            ))
+
     for ram, allocs in (("data RAM", plan.data_allocs), ("weight RAM", plan.weight_allocs)):
         for tensor, rng in allocs.items():
-            if rng.start < 0 or rng.end > config.sram_rows:
-                findings.append(diag(
-                    SRAM_OVERFLOW,
-                    f"{ram} allocation for {tensor!r} spans rows "
-                    f"[{rng.start}, {rng.end}) but the RAM has "
-                    f"{config.sram_rows} rows",
-                    artifact=loadable.name, element=tensor,
-                ))
+            check(f"{ram} allocation for {tensor!r}", rng, tensor, None)
+    for position, prefetch in enumerate(plan.prefetches):
+        check(f"prefetch of {prefetch.tensor!r} into the weight RAM",
+              prefetch.rows, prefetch.tensor, position)
     return findings
 
 
@@ -257,54 +251,6 @@ def _check_prefetches(
                 f"segment has {num_nodes} node(s)",
                 artifact=loadable.name, element=prefetch.tensor, index=position,
             ))
-            continue
-        if prefetch.issue_at_node > prefetch.needed_at_node:
-            findings.append(diag(
-                LATE_PREFETCH,
-                f"prefetch of {prefetch.tensor!r} is issued before node "
-                f"{prefetch.issue_at_node} but needed by node "
-                f"{prefetch.needed_at_node}",
-                artifact=loadable.name, element=prefetch.tensor, index=position,
-                hint="issue_at_node must not exceed needed_at_node",
-            ))
-    findings.extend(_check_dma_hazards(loadable, plan.prefetches))
-    return findings
-
-
-def _rows_of(loadable: NcoreLoadable, prefetch: Prefetch) -> RowRange | None:
-    base = prefetch.tensor.split("#chunk", 1)[0]
-    return loadable.memory_plan.weight_allocs.get(base)
-
-
-def _check_dma_hazards(
-    loadable: NcoreLoadable, prefetches: list[Prefetch]
-) -> list[Diagnostic]:
-    """A later prefetch into rows whose previous occupant is still unread.
-
-    Chunks of one tiled layer (same ``needed_at_node``) are consumed
-    back-to-back within the layer and are serialized by the NKL itself, so
-    only prefetches needed by *different* nodes can race.
-    """
-    findings: list[Diagnostic] = []
-    for i, earlier in enumerate(prefetches):
-        rows_a = _rows_of(loadable, earlier)
-        if rows_a is None:
-            continue
-        for position, later in enumerate(prefetches[i + 1:], start=i + 1):
-            if later.needed_at_node <= earlier.needed_at_node:
-                continue
-            rows_b = _rows_of(loadable, later)
-            if rows_b is None or not _overlap(rows_a, rows_b):
-                continue
-            if later.issue_at_node < earlier.needed_at_node:
-                findings.append(diag(
-                    DMA_HAZARD,
-                    f"prefetch of {later.tensor!r} (issued before node "
-                    f"{later.issue_at_node}) overwrites rows "
-                    f"[{rows_b.start}, {rows_b.end}) while {earlier.tensor!r} "
-                    f"is still needed at node {earlier.needed_at_node}",
-                    artifact=loadable.name, element=later.tensor, index=position,
-                ))
     return findings
 
 
@@ -340,9 +286,9 @@ def analyze_loadable(
     report.extend(_check_prefetches(loadable))
     if loadable.kernels:  # empty before lowering finishes; nothing to check
         report.extend(_check_kernels(loadable))
-    # Whole-schedule happens-before analysis (hazard.* rules) rides the
-    # same compile gate as the pairwise checks above.
-    report.extend(analyze_loadable_hazards(graph, loadable, config))
+    # Whole-schedule happens-before analysis (hazard.* rules: the late-
+    # prefetch and transfer-overwrite checks) rides the same gate.
+    report.extend(analyze_loadable_hazards(graph, loadable))
     if suppress:
         report = report.suppress(suppress)
     return report

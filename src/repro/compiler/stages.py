@@ -179,7 +179,7 @@ def _run_lower(ctx: CompilerContext) -> dict[str, Any]:
             continue
         name = f"{ctx.name}_seg{index}"
         loadable = lower_segment(
-            ctx.graph, segment, ctx.config, name=name, verify=False,
+            ctx.graph, segment, ctx.config, name=name,
             plan=ctx.memory_plans[index],
         )
         if ctx.verify:

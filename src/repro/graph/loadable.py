@@ -63,8 +63,13 @@ class NcoreLoadable:
         """Cycle estimate with weight DMA overlapped against compute.
 
         Pinned weights cost a one-time preload (not counted per inference).
-        Streamed weights prefetch one layer ahead; a layer stalls only when
-        its weight DMA outlives the previous layer's compute.
+        Streamed weights are assumed to prefetch one layer ahead: a layer
+        stalls only when its weight DMA outlives the previous layer's
+        compute.  The model reads each kernel's weight bytes, not the
+        plan's prefetch schedule, so it keeps that overlap even for a
+        transfer the planner issues at its own node (a layer tiled across
+        both buffer halves, and the layer after it), which on the schedule
+        cannot overlap the previous layer at all.
         """
         total = 0
         previous_compute = 0

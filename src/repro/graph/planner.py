@@ -12,6 +12,14 @@ The planner allocates activation tensors to data-RAM rows with a linear-scan
 allocator over tensor live ranges, and decides per-model between *pinned*
 weights (everything resident in the 8 MB weight RAM) and *streamed* weights
 (double-buffered, with an as-early-as-possible prefetch schedule).
+
+Where a streamed transfer lands is decided here and nowhere else: every
+:class:`Prefetch` records the weight-RAM rows it writes, and the analyzers
+read those rows rather than re-deriving the double buffer.  Consecutive
+weight-consuming nodes alternate buffer halves, so a transfer issued one
+node ahead fills the half the running kernel is not reading; where that
+cannot hold (a layer tiled across both halves, and the layer after it) the
+transfer issues at its own node instead.
 """
 
 from __future__ import annotations
@@ -41,12 +49,14 @@ class RowRange:
 
 @dataclass(frozen=True)
 class Prefetch:
-    """One scheduled weight DMA: issue before ``issue_at_node`` executes."""
+    """One scheduled weight DMA: issue before ``issue_at_node`` executes,
+    writing weight-RAM ``rows``."""
 
     tensor: str
     issue_at_node: int  # index into the segment's node list
     needed_at_node: int
     num_bytes: int
+    rows: RowRange
 
 
 @dataclass
@@ -180,23 +190,41 @@ def plan_memory(
         # matrices need it).
         plan.weights_pinned = False
         half = config.sram_rows // 2
+        by_node: dict[int, list[str]] = {}
         for index, name in weight_tensors:
-            rows = weight_rows[name]
-            chunks = max(1, -(-rows // half))
-            chunk_rows = -(-rows // chunks)
-            chunk_bytes = -(-graph.tensor(name).type.num_bytes // chunks)
-            for chunk in range(chunks):
-                buffer_base = 0 if (len(plan.prefetches) % 2 == 0) else half
-                plan.weight_allocs.setdefault(name, RowRange(buffer_base, chunk_rows))
-                plan.prefetches.append(
-                    Prefetch(
-                        tensor=name if chunks == 1 else f"{name}#chunk{chunk}",
-                        # As early as possible: one layer ahead (the other
-                        # buffer half is still in use before that).
-                        issue_at_node=max(0, index - 1),
-                        needed_at_node=index,
-                        num_bytes=chunk_bytes,
+            by_node.setdefault(index, []).append(name)
+        # free_at[h]: the first node at which no earlier node reads half h.
+        free_at = [0, 0]
+        side, issue = 1, 0
+        for index, names in by_node.items():
+            # Each weight-consuming node packs its constants into the half
+            # the previous one did not end in.
+            side, cursor = 1 - side, 0
+            earlier = list(free_at)
+            for name in names:
+                rows = weight_rows[name]
+                chunks = max(1, -(-rows // half))
+                chunk_rows = -(-rows // chunks)
+                chunk_bytes = -(-graph.tensor(name).type.num_bytes // chunks)
+                for chunk in range(chunks):
+                    if cursor + chunk_rows > half:
+                        side, cursor = 1 - side, 0  # spill into the other half
+                    landing = RowRange(side * half + cursor, chunk_rows)
+                    cursor += chunk_rows
+                    plan.weight_allocs.setdefault(name, landing)
+                    # As early as possible: one layer ahead, unless an
+                    # earlier node still reads this half then; never ahead
+                    # of the transfer queued before it (one DMA engine).
+                    issue = max(index - 1, earlier[side], issue)
+                    free_at[side] = index + 1
+                    plan.prefetches.append(
+                        Prefetch(
+                            tensor=name if chunks == 1 else f"{name}#chunk{chunk}",
+                            issue_at_node=issue,
+                            needed_at_node=index,
+                            num_bytes=chunk_bytes,
+                            rows=landing,
+                        )
                     )
-                )
         plan.weight_rows_used = config.sram_rows
     return plan

@@ -145,7 +145,6 @@ def lower_segment(
     config: NcoreConfig | None = None,
     name: str = "segment",
     compress_sparse_weights: bool = False,
-    verify: bool = True,
     plan: MemoryPlan | None = None,
 ) -> NcoreLoadable:
     """Compile one Ncore segment into a loadable.
@@ -154,11 +153,9 @@ def lower_segment(
     the NDU decompress them inline, shrinking the DMA traffic (and the
     streaming stalls) for sparse models at no NPU cost.
 
-    ``verify`` (the default) runs the ``repro.analyze`` Loadable verifier
-    over the result and raises
-    :class:`~repro.analyze.AnalysisError` on error-severity findings —
-    an illegal DMA schedule or uninitialized scratchpad read is rejected
-    here, at compile time, instead of hanging the machine mid-run.
+    Lowering does not verify: the compiler's ``lower`` stage runs the
+    ``repro.analyze`` Loadable verifier over the result and rejects an
+    illegal DMA schedule or uninitialized scratchpad read at compile time.
 
     ``plan`` supplies a precomputed memory plan (the staged compiler
     driver's ``plan`` stage); when None, planning happens here.
@@ -190,8 +187,4 @@ def lower_segment(
             )
         )
     loadable.weight_image_bytes = sum(k.weight_bytes for k in loadable.kernels)
-    if verify:
-        from repro.analyze import analyze_loadable, enforce
-
-        enforce(analyze_loadable(graph, loadable, config), context=name)
     return loadable

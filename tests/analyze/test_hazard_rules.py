@@ -1,9 +1,9 @@
 """One seeded violation per ``hazard.*`` happens-before rule.
 
 Mirrors the loadable-rule test pattern: lower a small quantized segment
-with ``verify=False`` (or assemble a tiny program), then mutate the
-prefetch schedule / reorder the DMA instructions to carry exactly the
-ordering defect each rule targets.
+(lowering does not verify) or assemble a tiny program, then mutate the
+prefetch schedule — each transfer with explicit landing rows — or reorder
+the DMA instructions to carry exactly the ordering defect each rule targets.
 """
 
 import numpy as np
@@ -26,6 +26,7 @@ from repro.graph.planner import Prefetch, RowRange
 from repro.isa import assemble
 from repro.isa.instruction import DMAOp
 from repro.models import MODEL_BUILDERS
+from repro.ncore.config import NcoreConfig
 from repro.nkl.lower import lower_segment
 from tests.helpers import by_rule
 
@@ -36,6 +37,11 @@ QP = QuantParams(scale=0.05, zero_point=128)
 # one-row transfer, both at window address 0.
 INBOUND = {0: DMAOp(False, False, 0, 1, 0, False)}
 OUTBOUND = {0: DMAOp(True, False, 0, 1, 0, False)}
+
+# Landing rows of a seeded prefetch: the first weight row, and the first
+# row of the upper buffer half.
+ROW0 = RowRange(0, 1)
+HALF = NcoreConfig().sram_rows // 2
 
 
 def _find(report, rule_id):
@@ -67,7 +73,7 @@ def _fc_chain():
 def _lower(graph):
     (segment,) = partition(graph)
     assert segment.target == "ncore"
-    return segment, lower_segment(graph, segment, verify=False)
+    return segment, lower_segment(graph, segment)
 
 
 class TestLoadableClean:
@@ -91,7 +97,7 @@ class TestLoadableHazards:
         _, loadable = _lower(graph)
         # w1 is consumed by fc1 (node 0) but the data edge only lands
         # before fc2 (node 1): fc1 reads rows still being written.
-        loadable.memory_plan.prefetches = [Prefetch("w1", 0, 1, 64 * 64)]
+        loadable.memory_plan.prefetches = [Prefetch("w1", 0, 1, 64 * 64, ROW0)]
         finding = _find(analyze_loadable(graph, loadable), "hazard.raw")
         assert finding.location.element == "w1"
 
@@ -102,10 +108,9 @@ class TestLoadableHazards:
         # Overlapping landing zones, and the queue delivers w2 (needed at
         # node 1) before w1 (needed at node 0): the later transfer lands
         # in rows whose data a later kernel still reads.
-        plan.weight_allocs = {"w1": RowRange(0, 4), "w2": RowRange(2, 4)}
         plan.prefetches = [
-            Prefetch("w2", 0, 1, 64 * 64),
-            Prefetch("w1", 0, 0, 64 * 64),
+            Prefetch("w2", 0, 1, 64 * 64, RowRange(2, 4)),
+            Prefetch("w1", 0, 0, 64 * 64, RowRange(0, 4)),
         ]
         finding = _find(analyze_loadable(graph, loadable), "hazard.war")
         assert finding.location.element == "w1"
@@ -115,12 +120,12 @@ class TestLoadableHazards:
         _, loadable = _lower(graph)
         plan = loadable.memory_plan
         plan.weights_pinned = False
-        # Streaming double-buffer: queue slots 0 and 2 land in the same
-        # buffer half, and slot 2's chunk is needed before slot 0's.
+        # Queue slots 0 and 2 land in the same buffer half, and slot 2's
+        # chunk is needed before slot 0's.
         plan.prefetches = [
-            Prefetch("w2", 0, 1, 64 * 64),
-            Prefetch("w1#chunk0", 0, 0, 32 * 64),
-            Prefetch("w1#chunk1", 0, 0, 32 * 64),
+            Prefetch("w2", 0, 1, 64 * 64, RowRange(0, 1)),
+            Prefetch("w1#chunk0", 0, 0, 32 * 64, RowRange(HALF, 1)),
+            Prefetch("w1#chunk1", 0, 0, 32 * 64, RowRange(0, 1)),
         ]
         report = analyze_loadable(graph, loadable)
         finding = _find(report, "hazard.war")
@@ -131,19 +136,39 @@ class TestLoadableHazards:
         _, loadable = _lower(graph)
         plan = loadable.memory_plan
         plan.weights_pinned = False
-        # Adjacent queue slots alternate buffer halves — a needed-order
-        # inversion between them is serialized by the double buffer.
+        # Adjacent queue slots land in different buffer halves — a
+        # needed-order inversion between them overwrites nothing.
         plan.prefetches = [
-            Prefetch("w2", 0, 1, 64 * 64),
-            Prefetch("w1", 0, 0, 64 * 64),
+            Prefetch("w2", 0, 1, 64 * 64, RowRange(0, 1)),
+            Prefetch("w1", 0, 0, 64 * 64, RowRange(HALF, 1)),
         ]
         report = analyze_loadable(graph, loadable)
         assert not by_rule(report, "hazard.war")
 
+    def test_war_issued_at_the_earlier_consumer(self):
+        graph = _fc_chain()
+        _, loadable = _lower(graph)
+        plan = loadable.memory_plan
+        plan.weights_pinned = False
+        # w2 issues before node 0 runs — the very node that reads w1 —
+        # into w1's rows: in consumption order, and not strictly before
+        # w1's consumer, yet it overwrites rows fc1 has not read.
+        plan.prefetches = [
+            Prefetch("w1", 0, 0, 64 * 64, ROW0),
+            Prefetch("w2", 0, 1, 64 * 64, ROW0),
+        ]
+        report = analyze_loadable(graph, loadable)
+        assert _rules(report) == {"hazard.war"}
+        finding = _find(report, "hazard.war")
+        assert (finding.location.element, finding.location.index) == ("w2", 1)
+        # Issued at its own node, after fc1 has run, it is safe.
+        plan.prefetches[1] = Prefetch("w2", 1, 1, 64 * 64, ROW0)
+        assert len(analyze_loadable(graph, loadable)) == 0
+
     def test_dead_write_prefetch_of_unconsumed_tensor(self):
         graph = _fc_chain()
         _, loadable = _lower(graph)
-        loadable.memory_plan.prefetches.append(Prefetch("ghost", 0, 0, 4096))
+        loadable.memory_plan.prefetches.append(Prefetch("ghost", 0, 0, 4096, ROW0))
         finding = _find(analyze_loadable(graph, loadable), "hazard.dead-write")
         assert finding.location.element == "ghost"
 
@@ -153,16 +178,28 @@ class TestLoadableHazards:
         # Issued after kernel 1 but needed before kernel 0: the program
         # edge k1 -> p and the data edge p -> k0 close a cycle with the
         # kernel order edge k0 -> k1.
-        loadable.memory_plan.prefetches = [Prefetch("w1", 2, 0, 64 * 64)]
+        loadable.memory_plan.prefetches = [Prefetch("w1", 2, 0, 64 * 64, ROW0)]
         finding = _find(analyze_loadable(graph, loadable), "hazard.hb-cycle")
         assert "p0" in finding.message
+
+    def test_hb_cycle_reports_every_late_prefetch(self):
+        graph = _fc_chain()
+        _, loadable = _lower(graph)
+        loadable.memory_plan.prefetches = [
+            Prefetch("w1", 1, 0, 64 * 64, ROW0),
+            Prefetch("w2", 2, 1, 64 * 64, RowRange(1, 1)),
+        ]
+        findings = by_rule(analyze_loadable(graph, loadable), "hazard.hb-cycle")
+        assert sorted((f.location.element, f.location.index) for f in findings) == [
+            ("w1", 0), ("w2", 1),
+        ]
 
 
 class TestLoadableGraph:
     def test_graph_has_kernel_and_dma_nodes(self):
         graph = _fc_chain()
         _, loadable = _lower(graph)
-        loadable.memory_plan.prefetches = [Prefetch("w1", 0, 0, 64 * 64)]
+        loadable.memory_plan.prefetches = [Prefetch("w1", 0, 0, 64 * 64, ROW0)]
         hb = build_loadable_hazard_graph(graph, loadable)
         kinds = {node.kind for node in hb.nodes}
         assert {"kernel", "dma"} <= kinds

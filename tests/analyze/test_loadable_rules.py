@@ -1,8 +1,9 @@
 """One seeded violation per Loadable analyzer rule.
 
-Each test lowers a small quantized segment with ``verify=False`` and then
-mutates the memory plan / prefetch schedule / kernel list to carry exactly
-the defect the rule targets.
+Each test lowers a small quantized segment (lowering does not verify) and
+then mutates the memory plan / prefetch schedule / kernel list to carry
+exactly the defect the rule targets.  The prefetch schedule's ordering
+faults are ``hazard.*`` rules of the same :func:`analyze_loadable` gate.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.compiler import compile_graph
 from repro.dtypes import NcoreDType, QuantParams
 from repro.graph.gir import Graph, Node, Tensor, TensorType
 from repro.graph.partitioner import Segment, partition
+from repro.compiler.stages import CompilerContext, _run_lower, _run_plan
 from repro.graph.planner import Prefetch, RowRange, _live_ranges
 from repro.ncore.config import NcoreConfig
 from repro.nkl.lower import lower_segment
@@ -60,7 +62,7 @@ def _fc_chain():
 def _lower(graph):
     (segment,) = partition(graph)
     assert segment.target == "ncore"
-    return segment, lower_segment(graph, segment, verify=False)
+    return segment, lower_segment(graph, segment)
 
 
 class TestCleanLoadable:
@@ -85,6 +87,19 @@ class TestMemoryRules:
         finding = _find(analyze_loadable(graph, loadable), "ldb.sram-overflow")
         assert finding.location.element == "y"
 
+    def test_prefetch_lands_past_the_weight_ram(self):
+        graph = _fc_chain()
+        _, loadable = _lower(graph)
+        plan = loadable.memory_plan
+        plan.weights_pinned = False
+        rows = NcoreConfig().sram_rows
+        plan.prefetches = [
+            Prefetch("w1", 0, 0, 64 * 64, RowRange(0, 1)),
+            Prefetch("w2", 1, 1, 64 * 64, RowRange(rows, 1)),  # one row too far
+        ]
+        findings = by_rule(analyze_loadable(graph, loadable), "ldb.sram-overflow")
+        assert [(f.location.element, f.location.index) for f in findings] == [("w2", 1)]
+
     def test_alloc_overlap(self):
         graph = _relu_chain()
         _, loadable = _lower(graph)
@@ -107,7 +122,7 @@ class TestMemoryRules:
         reversed_segment = Segment(
             "ncore", [graph.node("relu2"), graph.node("relu1")]
         )
-        loadable = lower_segment(graph, reversed_segment, verify=False)
+        loadable = lower_segment(graph, reversed_segment)
         finding = _find(
             analyze_loadable(graph, loadable), "ldb.uninitialized-read"
         )
@@ -193,7 +208,7 @@ class TestWeightRules:
         _, loadable = _lower(graph)
         plan = loadable.memory_plan
         plan.weights_pinned = False
-        plan.prefetches = [Prefetch("w1", 0, 0, 64)]  # w2 never prefetched
+        plan.prefetches = [Prefetch("w1", 0, 0, 64, RowRange(0, 1))]  # w2 never prefetched
         finding = _find(analyze_loadable(graph, loadable), "ldb.missing-weights")
         assert finding.location.element == "fc2"
 
@@ -203,10 +218,11 @@ class TestWeightRules:
         plan = loadable.memory_plan
         plan.weights_pinned = False
         plan.prefetches = [
-            Prefetch("w1", 0, 0, 64),
-            Prefetch("w2", 2, 1, 64),  # issued after the node that needs it
+            Prefetch("w1", 0, 0, 64, RowRange(0, 1)),
+            # issued after the node that needs it
+            Prefetch("w2", 2, 1, 64, RowRange(1, 1)),
         ]
-        finding = _find(analyze_loadable(graph, loadable), "ldb.late-prefetch")
+        finding = _find(analyze_loadable(graph, loadable), "hazard.hb-cycle")
         assert finding.location.element == "w2"
         assert finding.location.index == 1
 
@@ -216,8 +232,8 @@ class TestWeightRules:
         plan = loadable.memory_plan
         plan.weights_pinned = False
         plan.prefetches = [
-            Prefetch("w1", 0, 0, 64),
-            Prefetch("w2", 0, 7, 64),  # segment has only 3 nodes
+            Prefetch("w1", 0, 0, 64, RowRange(0, 1)),
+            Prefetch("w2", 0, 7, 64, RowRange(1, 1)),  # segment has only 3 nodes
         ]
         finding = _find(analyze_loadable(graph, loadable), "ldb.prefetch-range")
         assert finding.location.element == "w2"
@@ -227,13 +243,12 @@ class TestWeightRules:
         _, loadable = _lower(graph)
         plan = loadable.memory_plan
         plan.weights_pinned = False
-        plan.weight_allocs = {"w1": RowRange(0, 4), "w2": RowRange(2, 4)}
         plan.prefetches = [
-            Prefetch("w1", 0, 1, 64),
+            Prefetch("w1", 0, 1, 64, RowRange(0, 4)),
             # issued (before node 0) while w1's rows are still unread
-            Prefetch("w2", 0, 2, 64),
+            Prefetch("w2", 0, 2, 64, RowRange(2, 4)),
         ]
-        finding = _find(analyze_loadable(graph, loadable), "ldb.dma-hazard")
+        finding = _find(analyze_loadable(graph, loadable), "hazard.war")
         assert finding.location.element == "w2"
 
 
@@ -254,13 +269,21 @@ class TestKernelRules:
 class TestPipelineGate:
     """The acceptance criterion: illegal artifacts fail at compile time."""
 
-    def test_lower_segment_rejects_bad_dataflow(self):
+    @staticmethod
+    def _lower_stage(graph, segment, verify):
+        ctx = CompilerContext(graph, NcoreConfig(), "gate", verify=verify)
+        ctx.segments = [segment]
+        _run_plan(ctx)
+        _run_lower(ctx)
+        return ctx
+
+    def test_lower_stage_rejects_bad_dataflow(self):
         graph = _relu_chain()
         reversed_segment = Segment(
             "ncore", [graph.node("relu2"), graph.node("relu1")]
         )
         with pytest.raises(AnalysisError) as exc_info:
-            lower_segment(graph, reversed_segment)  # strict by default
+            self._lower_stage(graph, reversed_segment, verify=True)
         assert "ldb.uninitialized-read" in str(exc_info.value)
 
     def test_compile_model_rejects_bad_graph(self):
@@ -276,8 +299,8 @@ class TestPipelineGate:
         reversed_segment = Segment(
             "ncore", [graph.node("relu2"), graph.node("relu1")]
         )
-        loadable = lower_segment(graph, reversed_segment, verify=False)
-        assert loadable.kernels  # lowered despite the bad schedule
+        ctx = self._lower_stage(graph, reversed_segment, verify=False)
+        assert ctx.loadables[0].kernels  # lowered despite the bad schedule
 
     def test_compile_model_clean_path(self):
         graph = _relu_chain()

@@ -125,8 +125,10 @@ def test_epilogue_rungs_are_recorded(key):
 
 
 @pytest.mark.parametrize("key", sorted(BACKEND_GOLDEN))
-def test_staged_compile_matches_benchmark_artifact(key):
-    """The staged O0 pipeline reproduces the benchmark path's cycles."""
+def test_o0_relowering_of_the_o2_graph_keeps_cycles(key):
+    """Re-lowering the benchmark artifact's graph — already optimized, as
+    ``BenchmarkSystem`` compiles at O2 — through the O0 pipeline keeps the
+    artifact's Ncore cycles."""
     system = get_system(key)
     result = compile_graph(
         system.compiled.graph, config=system.config, pipeline="O0",

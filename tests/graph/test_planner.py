@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.analyze import analyze_loadable
 from repro.graph import Graph, Node, Tensor, TensorType, partition, plan_memory
 from repro.graph.planner import PlanningError, RowRange
 from repro.ncore import NcoreConfig
+from repro.nkl import lower_segment
 
 
 def chain_graph(layers=3, features=1024, weight_mb_per_layer=1.0):
@@ -30,6 +32,22 @@ def chain_graph(layers=3, features=1024, weight_mb_per_layer=1.0):
         g.add_node(Node(f"fc{i}", "fully_connected", [prev, w], [out]))
         prev = out
         features = g.tensors[w].data.shape[1]
+    g.mark_output(prev)
+    return g
+
+
+def biased_chain(widths=(64,) * 7):
+    """fc chain, ``widths[i] -> widths[i + 1]`` features at layer ``i``,
+    where every layer reads a weight and a bias constant."""
+    g = Graph("biased")
+    g.add_input("x", TensorType((1, widths[0])))
+    prev = "x"
+    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+        g.add_constant(f"w{i}", np.zeros((fan_in, fan_out), np.float32))
+        g.add_constant(f"b{i}", np.zeros((fan_out,), np.float32))
+        g.add_tensor(Tensor(f"t{i}", TensorType((1, fan_out))))
+        g.add_node(Node(f"fc{i}", "fully_connected", [prev, f"w{i}", f"b{i}"], [f"t{i}"]))
+        prev = f"t{i}"
     g.mark_output(prev)
     return g
 
@@ -117,6 +135,62 @@ class TestWeightPinning:
             if g.tensor(n).is_constant
         )
         assert total >= weight_bytes
+
+
+class TestDoubleBuffer:
+    # 64x64 float32 weights are 4 rows, biases 1 row: 30 rows of weights
+    # through a 16-row RAM, so the chain streams through two 8-row halves.
+    CONFIG = NcoreConfig(sram_rows=16)
+
+    def _streamed(self):
+        g = biased_chain()
+        (segment,) = partition(g)
+        plan = plan_memory(g, segment, self.CONFIG)
+        assert not plan.weights_pinned
+        return g, segment, plan
+
+    def test_consecutive_layers_alternate_halves(self):
+        _, _, plan = self._streamed()
+        half = self.CONFIG.sram_rows // 2
+        halves: dict[int, set[int]] = {}
+        for prefetch in plan.prefetches:
+            # Every transfer lies within one half of the weight RAM.
+            side = prefetch.rows.start // half
+            assert prefetch.rows.end <= (side + 1) * half
+            halves.setdefault(prefetch.needed_at_node, set()).add(side)
+        assert list(halves) == list(range(6))
+        # One node's weight and bias share a half; neighbours differ.
+        assert all(len(sides) == 1 for sides in halves.values())
+        sides = [next(iter(halves[node])) for node in range(6)]
+        assert sides == [0, 1, 0, 1, 0, 1]
+        # Alternation keeps every transfer one layer ahead.
+        assert [p.issue_at_node for p in plan.prefetches] == [
+            max(0, p.needed_at_node - 1) for p in plan.prefetches
+        ]
+
+    def test_streamed_chain_analyzes_clean(self):
+        g, segment, plan = self._streamed()
+        loadable = lower_segment(g, segment, self.CONFIG, plan=plan)
+        report = analyze_loadable(g, loadable, self.CONFIG)
+        assert len(report) == 0, [d.render() for d in report]
+
+    def test_tiled_layers_issue_where_their_half_is_free(self):
+        # 64x384 and 384x64 float32 weights are 24 rows each, tiled into
+        # three 8-row chunks that alternate halves (each bias spills).
+        g = biased_chain((64, 64, 384, 64))
+        (segment,) = partition(g)
+        plan = plan_memory(g, segment, self.CONFIG)
+        loadable = lower_segment(g, segment, self.CONFIG, plan=plan)
+        assert len(analyze_loadable(g, loadable, self.CONFIG)) == 0
+        # fc1's first chunk looks ahead into the half fc0 does not read;
+        # its spill into fc0's half waits for fc0 to run, and nothing
+        # queued behind that transfer issues earlier.  fc1 fills both
+        # halves, so fc2 cannot look ahead at all.
+        assert [(p.tensor, p.issue_at_node) for p in plan.prefetches] == [
+            ("w0", 0), ("b0", 0),
+            ("w1#chunk0", 0), ("w1#chunk1", 1), ("w1#chunk2", 1), ("b1", 1),
+            ("w2#chunk0", 2), ("w2#chunk1", 2), ("w2#chunk2", 2), ("b2", 2),
+        ]
 
 
 class TestRowRange:
