@@ -13,7 +13,8 @@ Layout convention (the "internal data layout optimized for Ncore"):
 - *Data rows*: one row per input channel c; the 64-byte spatial tile of
   channel c is repeated across all 64 groups (periodic tiling is what lets
   a full-row rotation slide the spatial window for every output channel at
-  once, as in Fig. 6).
+  once, as in Fig. 6).  The window programs pack ``64 // tile_w`` input
+  rows into that tile, one ``tile_w``-lane slot per output row (Fig. 7).
 - *Weight rows*: byte (g * 64 + idx) of a weight row holds the weight for
   output channel g at reduction index idx; ``broadcast64`` walks idx.
 
@@ -390,20 +391,81 @@ def emit_elementwise_add_program(
 
 @dataclass
 class Conv2dResult:
-    """Result placement of a small 2-D convolution."""
+    """Result placement of a row-packed window program (Fig. 7).
+
+    Pass p stores one row at ``output_base + p``: slot s of group k (its
+    lanes ``s * tile_w`` on) holds output row ``p * slots + s`` of channel
+    k, ``slots = 64 // tile_w``.  Both window emitters return one.
+    """
 
     output_base: int
     h_out: int
     w_out: int
     out_channels: int
+    tile_w: int
 
     def read(self, machine: Ncore) -> np.ndarray:
+        """The (1, h_out, w_out, out_channels) result, unpacked from the slots."""
         row_bytes = machine.config.row_bytes
+        slots = BROADCAST_GROUP // self.tile_w
+        passes = -(-self.h_out // slots)
         rows = np.frombuffer(machine.read_data_ram(
-            self.output_base * row_bytes, self.h_out * row_bytes), np.uint8)
-        # Row y, group k holds output row y of channel k.
-        groups = rows.reshape(1, self.h_out, -1, BROADCAST_GROUP)
-        return groups[:, :, : self.out_channels, : self.w_out].transpose(0, 1, 3, 2).copy()
+            self.output_base * row_bytes, passes * row_bytes), np.uint8)
+        tiles = rows.reshape(passes, -1, slots, self.tile_w)
+        out = tiles[:, : self.out_channels, :, : self.w_out].transpose(0, 2, 3, 1)
+        return out.reshape(1, -1, self.w_out, self.out_channels)[:, : self.h_out].copy()
+
+
+def _pack_rows(h_out: int, tile_reach: int, kh: int, stride: int) -> tuple[int, np.ndarray]:
+    """Fig. 7's row packing for a window ``tile_reach`` columns wide.
+
+    A slot is ``tile_w`` lanes, the power of two covering the reach, and
+    a 64-lane group carries ``64 // tile_w`` slots, one output row each.
+    Returns ``tile_w`` and the (passes, kh, slots) input-row grid: latch r
+    of pass p holds, in slot s, input row ``(p * slots + s) * stride + r``.
+    """
+    tile_w = min(1 << (tile_reach - 1).bit_length(), BROADCAST_GROUP)
+    slots = BROADCAST_GROUP // tile_w
+    out_rows = np.arange(-(-h_out // slots) * slots).reshape(-1, 1, slots)
+    return tile_w, out_rows * stride + np.arange(kh).reshape(1, kh, 1)
+
+
+_TAP = "broadcast64 n1, wtram[a3], a5, inc | mac.uint8 dlast, n1, zoff"
+_SLIDE, _LATCH = "rotl n0, n0, 1", "bypass n0, dram[a0++]"
+
+
+def _window_program(
+    latch_taps: list[int], passes: int, output_base: int, act: str
+) -> list[Instruction]:
+    """The packed window program: ``passes`` passes over the latch rows
+    staged consecutively from data row 0 (``latch_taps``: the tap count of
+    each latch of a pass, in staging and weight order).
+
+    Every tap is one Fig. 6 word: broadcast the next weight byte, MAC
+    ``dlast``, and slide the latched row one lane (``rotl``); a latch's
+    taps but its last are one hardware repeat.  The last tap latches the
+    next staged row instead (``bypass n0, dram[a0++]``: the MAC still
+    reads the row ``dlast`` held entering the cycle), so a latch costs no
+    issue of its own — the first is primed once, a pass's last tap
+    latches the next pass's first row, and the program's last tap latches
+    nothing.  A pass is the accumulator clear, the weight-index reset,
+    one word per tap, then one ``requant`` + ``store a6, inc`` for all
+    its output rows.
+    """
+    def latch(taps: int, last_word: str) -> str:
+        slides = f"loop {taps - 1} {{\n{_TAP}\n{_SLIDE}\n}}\n" if taps > 1 else ""
+        return slides + last_word
+
+    def pass_text(last: bool) -> str:
+        words = [latch(taps, f"{_TAP} | {_LATCH}") for taps in latch_taps]
+        if last:
+            words[-1] = latch(latch_taps[-1], _TAP)
+        lines = ["mac.uint8 zero, zero, noacc", "setaddr a5, 0", *words]
+        return "\n".join(lines + [f"requant.uint8{act}", "store a6, inc"])
+
+    prologue = f"setaddr a0, 0\nsetaddr a3, 0\nsetaddr a6, {output_base}\n{_LATCH}"
+    body = [prologue] + [pass_text(False)] * (passes - 1) + [pass_text(True), "halt"]
+    return assemble("\n".join(body))
 
 
 def emit_conv2d_program(
@@ -419,11 +481,18 @@ def emit_conv2d_program(
 ) -> tuple[list[Instruction], Conv2dResult]:
     """A full 2-D quantized convolution (stride 1 or 2) on the W x K mapping.
 
-    Combines both Fig. 6 idioms: per (filter_y, in_channel, x-phase) the
-    input tile is latched once, then each filter_x tap in that phase is one
-    fused (broadcast64 + MAC dlast + rotate) instruction; the accumulators
-    integrate across all (filter_y, in_channel) pairs before one
-    requantize + store per output row.
+    Group k accumulates output channel k; its 64 lanes hold ``64 //
+    tile_w`` slots of ``tile_w`` lanes (Fig. 7's row packing; ``tile_w``
+    covers ``w_out`` plus the rotation reach, where
+    :func:`repro.nkl.schedule.conv2d_schedule` rounds ``w_out`` alone),
+    and slot s of pass p computes output row ``p * slots + s``.  A latch
+    row serves one (filter row, in-channel, x-phase) of one pass: its
+    64-byte tile, slot s holding that input row's phase columns, repeats
+    across every group.  The latch rows are staged in the order the
+    program walks them, so each latch rides in the previous tap's word
+    and every tap is one clock (see :func:`_window_program`): a pass
+    takes ``kh * kw * cin`` MAC clocks plus a 4-clock epilogue, and the
+    program 5 clocks more (4 of setup, the halt).
 
     Strided convolutions stage *phase tiles* — the GCL's "data and code
     transformations such that the vector loads and stores operate on
@@ -431,15 +500,10 @@ def emit_conv2d_program(
     p, p+sw, p+2*sw, ...; tap s then reads phase (s % sw) rotated by
     (s // sw), so the inner loop keeps its one-clock-per-tap form.
 
-    Constraints of this single-pass template: output width <= 64,
-    kh * kw * cin <= 64 (the weight row indexes all taps of one output
-    channel), out_channels <= 64.  Larger shapes tile across passes (see
-    the schedule model).  The cycle counts the paper tables report come
-    from :mod:`repro.nkl.schedule`, not from this program: it runs one
-    output row per pass and issues a ``setaddr`` + ``bypass`` latch per
-    (filter row, in-channel), so it takes ~3x the schedule's cycles (3 089
-    against 970 for a 28 x 28, 7 -> 64 3x3 conv, the catalog's
-    ``conv3x3_s1``; ``tests/nkl/test_catalog.py`` pins both numbers).
+    Constraints of this single-channel-pass template: output width plus
+    the rotation reach <= 64, kh * kw * cin <= 64 (the weight row indexes
+    all taps of one output channel), out_channels <= 64.  Larger shapes
+    tile across passes (see the schedule model).
     """
     kh, kw, cin, cout = weights.shape
     (pt, pb), (pl, pr) = padding
@@ -462,19 +526,26 @@ def emit_conv2d_program(
     groups = machine.config.broadcast_groups
     if cout > groups:
         raise ProgramShapeError(f"at most {groups} output channels per pass")
-    # Stage padded input as phase tiles: one row per (y, c, phase).
+    tile_w, in_rows = _pack_rows(h_out, tile_reach, kh, sh)
+    phases = range(min(sw, kw))  # the x-phases that have a tap
+    passes = len(in_rows)
+    output_base = passes * kh * cin * len(phases)  # the latch rows come first
+    if output_base + passes > machine.config.sram_rows:
+        raise ProgramShapeError("latch and output rows exceed the data RAM")
+    # Padded input, zp-filled down to the last row the last pass reads.
     zp = input_qp.zero_point & 0xFF
-    padded = np.full((h_pad, w_pad, cin), zp, dtype=np.uint8)
+    padded = np.full((max(h_pad, in_rows.max() + 1), w_pad, cin), zp, dtype=np.uint8)
     padded[pt : pt + h, pl : pl + w, :] = x[0]
-    def data_row(y, c, phase):
-        return (y * cin + c) * sw + phase
-    # Phase p's tile holds columns p, p+sw, ... (at most 64), zp-filled.
-    tiles = np.full((h_pad, cin, sw, BROADCAST_GROUP), zp, dtype=np.uint8)
-    for phase in range(sw):
-        cols = padded[:, phase::sw, :][:, :BROADCAST_GROUP, :]
+    # Phase p's slot holds columns p, p+sw, ... (tile_w of them), zp-filled.
+    tiles = np.full((len(padded), cin, len(phases), tile_w), zp, dtype=np.uint8)
+    for phase in phases:
+        cols = padded[:, phase::sw, :][:, :tile_w, :]
         tiles[:, :, phase, : cols.shape[1]] = cols.transpose(0, 2, 1)
+    # Latch rows in walk order (pass, filter_y, in_channel, phase); the
+    # slots of one latch fill its 64-byte tile.
+    latches = tiles[in_rows].transpose(0, 1, 3, 4, 2, 5)
     _stage_rows(
-        machine.write_data_ram, 0, tiles.reshape(-1, BROADCAST_GROUP), row_bytes
+        machine.write_data_ram, 0, latches.reshape(-1, BROADCAST_GROUP), row_bytes
     )
     # Stage weights in the exact order the broadcast index walks them:
     # (filter_y, in_channel, phase, taps within the phase ascending).
@@ -482,41 +553,16 @@ def emit_conv2d_program(
         (r, c, s_tap)
         for r in range(kh)
         for c in range(cin)
-        for phase in range(sw)
+        for phase in phases
         for s_tap in range(phase, kw, sw)
     ]
     r_idx, c_idx, s_idx = np.array(tap_order).T
     taps = weights[r_idx, s_idx, c_idx, :]  # (len(tap_order), cout)
     machine.write_weight_ram(0, pack_weight_row(taps.T, row_bytes).tobytes())
     act = _configure_out(machine, input_qp, weight_qp, output_qp, activation, None)
-    output_base = h_pad * cin * sw
-    lines = ["setaddr a3, 0"]
-    for y in range(h_out):
-        lines.append("mac.uint8 zero, zero, noacc   ; clear accumulators")
-        lines.append("setaddr a5, 0")
-        for r in range(kh):
-            for c in range(cin):
-                for phase in range(sw):
-                    taps = list(range(phase, kw, sw))
-                    if not taps:
-                        continue
-                    lines += [
-                        f"setaddr a0, {data_row(y * sh + r, c, phase)}",
-                        "bypass n0, dram[a0]",
-                        f"loop {len(taps)} {{",
-                        "  broadcast64 n1, wtram[a3], a5, inc",
-                        "  mac.uint8 dlast, n1, zoff",
-                        "  rotl n0, n0, 1",
-                        "}",
-                    ]
-        lines += [
-            f"setaddr a6, {output_base + y}",
-            f"requant.uint8{act}",
-            "store a6",
-        ]
-    lines.append("halt")
-    program = assemble("\n".join(lines))
-    return program, Conv2dResult(output_base, h_out, w_out, cout)
+    latch_taps = [len(range(phase, kw, sw)) for phase in phases] * (kh * cin)
+    program = _window_program(latch_taps, passes, output_base, act)
+    return program, Conv2dResult(output_base, h_out, w_out, cout, tile_w)
 
 
 def _bank_cut(program: list[Instruction], position: int, room: int) -> int:
@@ -587,12 +633,15 @@ def emit_depthwise_program(
     """A depthwise 2-D convolution (stride 1) on the per-channel-group map.
 
     Depthwise layers assign each 64-lane group its *own* channel (the
-    mapping behind :func:`repro.nkl.schedule.depthwise_schedule`): a data
-    row holds channel g's padded input row in group g, so one fused
-    (broadcast + MAC dlast + rotate) instruction advances every channel's
-    filter tap simultaneously — kh * kw clocks per output row regardless
-    of the channel count, the property that makes depthwise layers cheap
-    in cycles but weak in MACs/cycle (the MobileNet utilization story).
+    mapping behind :func:`repro.nkl.schedule.depthwise_schedule`): latch
+    row r of pass p holds, in slot s of group g, channel g's padded input
+    row ``p * slots + s + r`` (the slots as in
+    :func:`emit_conv2d_program`).  One fused word advances every channel's
+    filter tap for every packed output row at once — kh * kw clocks per
+    pass regardless of the channel count, the property that makes
+    depthwise layers cheap in cycles but weak in MACs/cycle (the MobileNet
+    utilization story).  The latches ride in the taps' words as in
+    :func:`_window_program`.
     """
     kh, kw, c = weights.shape
     (pt, pb), (pl, pr) = padding
@@ -610,43 +659,24 @@ def emit_depthwise_program(
         raise ProgramShapeError(f"at most {groups} channels per pass")
     if kh * kw > BROADCAST_GROUP:
         raise ProgramShapeError("kh * kw must fit one weight index range")
+    tile_w, in_rows = _pack_rows(h_out, w_pad, kh, 1)
+    passes = len(in_rows)
+    output_base = passes * kh  # the latch rows come first
+    if output_base + passes > machine.config.sram_rows:
+        raise ProgramShapeError("latch and output rows exceed the data RAM")
     zp = input_qp.zero_point & 0xFF
-    padded = np.full((h_pad, w_pad, c), zp, dtype=np.uint8)
-    padded[pt : pt + h, pl : pl + w, :] = x[0]
-    # Data rows: group g of row y holds channel g's padded input row.
-    for start in range(0, h_pad, STAGE_ROWS):
-        band = padded[start : start + STAGE_ROWS]
-        rows = np.full((len(band), groups, BROADCAST_GROUP), zp, dtype=np.uint8)
-        rows[:, :c, :w_pad] = band.transpose(0, 2, 1)
-        machine.write_data_ram(start * row_bytes, rows.tobytes())
+    # padded[y, g, :w_pad] is channel g's padded input row y, zp-filled
+    # down to the last row the last pass reads.
+    padded = np.full((max(h_pad, in_rows.max() + 1), groups, tile_w), zp, dtype=np.uint8)
+    padded[pt : pt + h, :c, pl : pl + w] = x[0].transpose(0, 2, 1)
+    latches = padded[in_rows].transpose(0, 1, 3, 2, 4)  # (pass, r, group, slot, lane)
+    _stage_rows(machine.write_data_ram, 0, latches.reshape(-1, row_bytes), row_bytes)
     # Weight row: byte [g*64 + (r*kw + s)] holds weight[r, s, g].
     taps = weights.reshape(kh * kw, c)
     machine.write_weight_ram(0, pack_weight_row(taps.T, row_bytes).tobytes())
     act = _configure_out(machine, input_qp, weight_qp, output_qp, activation, None)
-    output_base = h_pad
-    lines = ["setaddr a3, 0"]
-    for y in range(h_out):
-        lines.append("mac.uint8 zero, zero, noacc   ; clear accumulators")
-        lines.append("setaddr a5, 0")
-        for r in range(kh):
-            lines += [
-                f"setaddr a0, {y + r}",
-                "bypass n0, dram[a0]",
-                f"loop {kw} {{",
-                "  broadcast64 n1, wtram[a3], a5, inc",
-                "  mac.uint8 dlast, n1, zoff",
-                "  rotl n0, n0, 1",
-                "}",
-            ]
-        lines += [
-            f"setaddr a6, {output_base + y}",
-            f"requant.uint8{act}",
-            "store a6",
-        ]
-    lines.append("halt")
-    # Results: group g carries channel g -> reuse Conv2dResult with
-    # out_channels = c (its reader indexes groups by channel).
-    return assemble("\n".join(lines)), Conv2dResult(output_base, h_out, w_out, c)
+    program = _window_program([kw] * kh, passes, output_base, act)
+    return program, Conv2dResult(output_base, h_out, w_out, c, tile_w)
 
 
 def emit_avg_pool_program(

@@ -191,9 +191,10 @@ class TestConv2dProgram:
         run, machine = self._check(
             h=4, w=4, cin=2, cout=4, k=3, padding=((1, 1), (1, 1)), seed=7
         )
-        # Fused MAC issues = h_out * kh * cin * kw taps, plus one
-        # accumulator-clear MAC per output row, one clock each.
-        assert machine.total_macs == (4 * 3 * 2 * 3 + 4) * 4096
+        # Fused MAC issues = passes * kh * cin * kw taps, plus one
+        # accumulator-clear MAC per pass, one clock each.  The 4-wide
+        # output packs into 8-lane slots, so its 4 rows are one pass.
+        assert machine.total_macs == (1 * 3 * 2 * 3 + 1) * 4096
 
     def test_stride2_stem_like(self):
         # The classic stem: 3x3 stride-2 with SAME padding.
@@ -274,7 +275,7 @@ class TestDepthwiseProgram:
                     seed=3, activation="relu6")
 
     def test_channel_count_does_not_change_cycles(self):
-        # The depthwise property: kh*kw taps per output row, independent
+        # The depthwise property: kh*kw taps per pass, independent
         # of the channel count — exactly why its MACs/cycle is low.
         run_few, _ = self._check(h=6, w=6, c=4, k=3, padding=((1, 1), (1, 1)))
         run_many, _ = self._check(h=6, w=6, c=64, k=3, padding=((1, 1), (1, 1)))

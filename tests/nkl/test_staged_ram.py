@@ -6,7 +6,9 @@ writes a byte no program reads (or a register no case exercises) slips
 past them.  Here every emitter runs at a fixed seeded shape and the
 SHA-256 of the whole data RAM, the whole weight RAM and the requant /
 zero-offset / activation registers must equal the digest recorded from
-the per-row, per-element staging these emitters used to do.  Shapes are
+the per-row, per-element staging these emitters used to do (the conv and
+depthwise digests from a per-element staging of their row-packed latch
+layout, cross-checked against the vectorized one).  Shapes are
 chosen so the staging crosses block boundaries (more than 64 rows) and
 leaves partial tiles (M, N and the reduction not multiples of 64).
 """
@@ -106,23 +108,23 @@ def _eltwise_add(machine, rng):
 CASES = {
     "conv3x3_s1": (
         _conv(12, 20, 7, 40, 3, 1, SAME, "relu"),
-        "049055305021c13a64c442c08f2597ba69b1ce9e2723966840e47b244d6a98b5",
+        "e2f7e39ad45c4c9d7f2e2f70e2fe0a177aa5c0aa64b94f910e0c9d672b2f4e28",
     ),
     "conv3x3_s2": (
         _conv(10, 40, 3, 32, 3, 2, ((0, 1), (0, 1)), "relu"),
-        "b422edd93dc6f577209029090094e76fe456eab1f0de6571dae8e037a37f1892",
+        "42c0b56a22f527f6bd53aceb1c83c76a9f7bed60b233e67343c5d27a938fc3f6",
     ),
     "conv1x1": (
         _conv(3, 5, 64, 64, 1, 1, ((0, 0), (0, 0)), "none"),
-        "6729b7b4868cbd525094de1cbf0d9840b2eecc7c471163468fd27d6430dce182",
+        "5562c0400c7cfb66c39fea5591a339d535f034e33758dcde31142797366e6ef3",
     ),
     "conv5x5_s2_relu6": (
         _conv(9, 30, 2, 17, 5, 2, ((2, 2), (2, 2)), "relu6"),
-        "eed434670ead563d7e905fc22163f1d6276460aabeb4e099cc82cc71bfa44926",
+        "ae6eec5bdf6a08bb57c69cead79c6e8c6df42801eef16851e8365ff1ab3ebed5",
     ),
     "depthwise3x3": (
         _depthwise,
-        "a507d88b47e1df5803295de6d8c3ab874b32bf0494931ee6e1bb59c3b9256235",
+        "98564fb495354462d8418eef40b2011c5a9d182d6e9ac69dc3e802f029bffaf3",
     ),
     "matmul": (
         _matmul,
