@@ -141,8 +141,9 @@ class Ncore:
             "fallbacks": 0,
             "fused_trips": 0,
         }
-        # Recycled block temporaries (see _Evaluator.scratch); purely an
-        # allocation cache, never part of architectural state.
+        # Recycled fused-block temporaries (npu.scratch, filled by the fast
+        # path and npu.fold_int8); purely an allocation cache, never part
+        # of architectural state.
         self._fastpath_scratch: dict[object, np.ndarray] = {}
         cfg = self.config
         self.data_ram = RowMemory(cfg.sram_rows, cfg.row_bytes, "data_ram")

@@ -10,7 +10,8 @@ These are pure functions over integer lane arrays; bf16 lanes use a
 float32 accumulator (hardware floating-point MACs keep a wide accumulator,
 modelled here as IEEE float32).  :func:`execute_int` (int64, saturating)
 is the spec; its one saturation proof, :func:`proven_bound`, lets the int32
-:func:`execute_int8` and :mod:`repro.ncore.fastpath` skip the clip.
+:func:`execute_int8` (one issue) and :func:`fold_int8` (a block of issues,
+for :mod:`repro.ncore.fastpath`) skip the clip.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ def slide_from_neighbor(lanes: Array) -> Array:
 
 
 #: The one spelling of each ALU opcode's combining function.  The
-#: interpreter applies it to one issue's lanes, the trace-fused path
-#: (:mod:`repro.ncore.fastpath`) to a whole block of trips at once.
+#: interpreter applies it to one issue's lanes, :func:`fold_int8` to a
+#: (issues, lanes) block of them at once.
 COMBINE: dict[NPUOpcode, np.ufunc] = {
     NPUOpcode.MAC: np.multiply,
     NPUOpcode.ADD: np.add,
@@ -144,6 +145,64 @@ def execute_int8(op: NPUOp, data: Array, weight: Array, data_zero: int,
     elif klass == "minmax":
         combine(combined, acc, out=combined)
     return combined
+
+
+def scratch(pool: dict[object, Array], tag: object, shape: tuple[int, ...],
+            dtype: Any) -> Array:
+    """``pool``'s reusable buffer for this (tag, shape, dtype) slot.
+
+    Block evaluation needs multi-MB temporaries on every call; recycling
+    them keeps the pages warm.  Callers overwrite the buffer fully and
+    never publish it into machine state without copying.
+    """
+    key = (tag, shape, np.dtype(dtype).str)
+    buf = pool.get(key)
+    if buf is None:
+        buf = pool[key] = np.empty(shape, dtype=dtype)
+    return buf
+
+
+def fold_int8(op: NPUOp, data: Array, weight: Array, data_zero: int, weight_zero: int,
+              acc: Array, pool: dict[object, Array]) -> Array | None:
+    """The accumulator after one accumulating :func:`execute_int8` issue
+    per row of the (issues, lanes) raw ``data`` / ``weight`` rows, or None
+    when :func:`proven_bound` fails for that many issues.
+
+    Under the proof the order-free int32 sum (or min/max reduction)
+    equals the sequential saturating fold, so every issue combines at
+    once, in the narrowest dtype holding every value under the bound
+    (SIMD throughput scales with element width; the 8-bit lanes widen
+    once, inside the combining ufunc), into ``pool``'s buffers.
+    """
+    signed = op.dtype is NcoreDType.INT8
+    bound = proven_bound(op.opcode, signed, data_zero, weight_zero, acc, len(data))
+    if bound is None:
+        return None
+    if signed:
+        data, weight = data.view(np.int8), weight.view(np.int8)
+    offsets = bool(data_zero or weight_zero)
+    cdtype: type
+    if not (signed or offsets) and op.opcode is not NPUOpcode.SUB and bound <= 65535:
+        cdtype = np.uint16
+    elif bound <= 32767:
+        cdtype = np.int16
+    else:
+        cdtype = np.int32
+    if offsets:
+        # subtract() with an explicit dtype casts the operands first, so
+        # the narrow lanes widen exactly once.
+        data = np.subtract(data, data_zero, dtype=cdtype,
+                           out=scratch(pool, "data", data.shape, cdtype))
+        weight = np.subtract(weight, weight_zero, dtype=cdtype,
+                             out=scratch(pool, "weight", weight.shape, cdtype))
+    combine = COMBINE[op.opcode]
+    out = data if offsets else scratch(pool, "combine", data.shape, cdtype)
+    combined: Array = combine(data, weight, dtype=cdtype, out=out)
+    if fold_class(op.opcode, op.accumulate) == "sum":
+        total: Array = acc + combined.sum(axis=0, dtype=np.int32)
+        return total
+    folded: Array = combine(acc, combine.reduce(combined, axis=0))
+    return folded.astype(np.int32, copy=False)
 
 
 def execute_float(

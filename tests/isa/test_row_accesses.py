@@ -1,12 +1,12 @@
 """``Instruction.row_accesses`` / ``addr_steps`` against the golden model.
 
 The interpreter (``Ncore(fastpath=False)``) stays the executable reference
-for what an issue touches; the ISA's table is what the trace compiler, the
-program verifier and the hazard analyzer read.  Here every issue of real
-and random programs runs under a recording sanitizer, one issue per
-``step()``: the rows the machine reports must be the table's, evaluated at
-the pre-issue address registers, and the registers must move by
-``addr_steps()``.
+for what an issue touches; the ISA's table is what the fast path's
+``FusedTrace``, the program verifier and the hazard analyzer read.  Here
+every issue of real and random programs runs under a recording sanitizer,
+one issue per ``step()``: the rows the machine reports must be the
+table's, evaluated at the pre-issue address registers, and the registers
+must move by ``addr_steps()``.
 """
 
 import dataclasses

@@ -324,12 +324,67 @@ def test_nkl_emitters_emit_no_hardware_loop():
     ("mac.uint8 dram[a0]>>1, wtram[a1]", ("npu.data-shift",)),
     ("mac.uint8 dram[a0], wtram[a1], neighbor", ("npu.from-neighbor",)),
     ("mac.uint8 dram[a0], wtram[a1] | requant.uint8", ("out.requant",)),
+    # An NDU op streams a RAM row or rotates its own register; the NPU
+    # reads RAM, zero, a register after commit or dlast.
+    ("rotl n0, n0, 1 | rotr n2, wtram[a1], 3 | mac.int8 dlast, n2", ()),
+    ("bypass n1, n0", ("ndu.source.NDU_REG",)),
+    ("rotl n1, n0, 1", ("ndu.source.NDU_REG",)),
+    ("bypass n1, n1", ("ndu.source.NDU_REG",)),
+    ("broadcast64 n1, n1, a5, inc", ("ndu.source.NDU_REG",)),
+    ("bypass n1, zero", ("ndu.source.ZERO",)),
+    ("bypass n1, dlast", ("ndu.source.DLAST",)),
+    ("bypass n1, #3", ("ndu.source.IMMEDIATE",)),
+    ("bypass n1, out_lo", ("ndu.source.OUT_LOW",)),
+    ("add.uint8 dram[a0], #3", ("npu.source.IMMEDIATE",)),
+    ("max.uint8 out_hi, zero", ("npu.source.OUT_HIGH",)),
 ])
 def test_fusion_blockers_name_every_unfused_form(body, blockers):
-    # The one legality rule: only the 8-bit accumulating trip fuses, and
-    # each reject names what keeps the repeat on the interpreter.
+    # The one legality rule: only the 8-bit accumulating trip over
+    # streamed or self-rotating rows fuses, and each reject names what
+    # keeps the repeat on the interpreter.
     (instruction,) = assemble(f"loop 8 {{\n  {body}\n}}")
     assert fastpath_mod.fusion_blockers(instruction) == blockers
+
+
+def _repeat_program(body, trips):
+    def emit(machine):
+        row = machine.config.row_bytes
+        machine.write_data_ram(0, bytes(np.arange(80 * row, dtype=np.uint8)))
+        machine.write_weight_ram(0, bytes(np.arange(80 * row, dtype=np.uint8)[::-1]))
+        machine.set_zero_offsets(3, 5)
+        return assemble(
+            "setaddr a0, 0\nsetaddr a1, 0\nsetaddr a5, 7\nbypass n0, dram[a0++]\n"
+            f"loop {trips} {{\n  {body}\n}}\nhalt"
+        )
+
+    return emit
+
+
+@pytest.mark.parametrize("body", [
+    "rotr n0, n0, 5 | rotl n2, wtram[a1++], 7 | mac.int8 dlast, n2",
+    "rotl n1, dram[a0++], 64 | rotl n2, n2, 3 | min.uint8 n1, n2",
+    "broadcast64 n3, dram[a0], a5, inc | rotr n0, n0, 64 | sub.uint8 n3, n0, zoff",
+])
+def test_both_register_forms_fuse_identically(body):
+    # Streams (a rotated or broadcast RAM row) and self-rotations either
+    # way, read by the NPU directly, after commit and through dlast.
+    fast, _ = _differential(_repeat_program(body, 70))
+    stats = fast.fastpath_stats
+    assert (stats["compiled"], stats["hits"], stats["fused_trips"]) == (1, 1, 70), stats
+
+
+@pytest.mark.parametrize("body", [
+    "rotl n1, n0, 1 | mac.uint8 n1, wtram[a1]",
+    "bypass n1, n0 | rotl n0, n0, 2 | add.uint8 dlast, n1",
+    "bypass n2, #7 | mac.uint8 dram[a0++], n2, zoff",
+])
+def test_rejected_forms_run_identically_on_the_interpreter(body):
+    # A form the source rule rejects is compiled to nothing, counts as
+    # rejected, and leaves the state the interpreter's.
+    fast, _ = _differential(_repeat_program(body, 12))
+    stats = fast.fastpath_stats
+    assert (stats["compiled"], stats["rejected"], stats["hits"]) == (0, 1, 0), stats
+    assert stats["misses"] == 1, stats
 
 
 class TestBf16NonFinite:
