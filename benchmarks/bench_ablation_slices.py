@@ -30,7 +30,9 @@ def resnet_cycles_at_width(lanes: int) -> int:
         s = conv2d_schedule(cin, cout, h, w, k, k)
         width_factor = 4096 / lanes
         passes = max(1, round(s.passes * width_factor))
-        total += repeats * (s.setup_cycles + passes * (s.inner_cycles + s.epilogue_cycles))
+        total += repeats * (
+            s.setup_cycles + s.bank_halts + passes * (s.inner_cycles + s.epilogue_cycles)
+        )
     return total
 
 

@@ -13,6 +13,11 @@ Each kernel has two coupled products derived from one schedule:
 - an *instruction program* emitted for representative shapes and validated
   on the instruction-level simulator against numpy (see
   :mod:`repro.nkl.programs`).
+
+For the window kernels (conv, depthwise) both come from one pass plan,
+:func:`repro.nkl.schedule.pass_plan`: the Fig. 7 rounding of ``w_out``
+plus the filter's rotation reach, and the program's words.  The schedule
+counts the cycles of exactly the program the emitter runs.
 """
 
 from repro.nkl.lower import UnsupportedOpError, lower_segment

@@ -46,14 +46,15 @@ def _schedule_node(
 ) -> KernelSchedule:
     dtype = _node_dtype(graph, node)
     out_shape = graph.tensor(node.outputs[0]).shape
+    stride = node.attr("stride", (1, 1))[1]  # the width stride sets the reach
     if node.op == "conv2d":
         w = graph.tensor(node.inputs[1]).shape  # (kh, kw, cin, cout)
         n, h, wd, k = out_shape
-        return conv2d_schedule(w[2], k, h, wd, w[0], w[1], dtype, batch=n, config=config)
+        return conv2d_schedule(w[2], k, h, wd, w[0], w[1], dtype, n, stride, config)
     if node.op == "depthwise_conv2d":
         w = graph.tensor(node.inputs[1]).shape  # (kh, kw, c)
         n, h, wd, c = out_shape
-        return depthwise_schedule(c, h, wd, w[0], w[1], dtype, batch=n, config=config)
+        return depthwise_schedule(c, h, wd, w[0], w[1], dtype, n, stride, config)
     if node.op == "fully_connected":
         w = graph.tensor(node.inputs[1]).shape  # (in, out)
         rows = int(np.prod(out_shape[:-1]))

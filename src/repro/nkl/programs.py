@@ -34,15 +34,11 @@ from repro.dtypes import ChannelQuantParams, QuantParams, quantize, quantize_mul
 from repro.isa import Instruction, SeqOp, SeqOpcode, assemble
 from repro.ncore import Ncore
 from repro.ncore.config import CHA_NCORE
-from repro.nkl.schedule import BROADCAST_GROUP
+from repro.nkl.schedule import BROADCAST_GROUP, PassPlan, ProgramShapeError, pass_plan
 
 # The shipped CHA row width; per-machine programs read it from
 # ``machine.config`` so a narrower or wider Ncore stages correctly.
 ROW_BYTES = CHA_NCORE.row_bytes
-
-
-class ProgramShapeError(ValueError):
-    """The shape does not fit this program template's constraints."""
 
 
 def _configure_out(
@@ -394,40 +390,24 @@ class Conv2dResult:
     """Result placement of a row-packed window program (Fig. 7).
 
     Pass p stores one row at ``output_base + p``: slot s of group k (its
-    lanes ``s * tile_w`` on) holds output row ``p * slots + s`` of channel
-    k, ``slots = 64 // tile_w``.  Both window emitters return one.
+    lanes ``s * plan.tile_w`` on) holds output row ``p * plan.slots + s``
+    of channel k.  :func:`_window_program` returns one for both window
+    emitters.
     """
 
     output_base: int
-    h_out: int
-    w_out: int
     out_channels: int
-    tile_w: int
+    plan: PassPlan
 
     def read(self, machine: Ncore) -> np.ndarray:
         """The (1, h_out, w_out, out_channels) result, unpacked from the slots."""
         row_bytes = machine.config.row_bytes
-        slots = BROADCAST_GROUP // self.tile_w
-        passes = -(-self.h_out // slots)
+        plan = self.plan
         rows = np.frombuffer(machine.read_data_ram(
-            self.output_base * row_bytes, passes * row_bytes), np.uint8)
-        tiles = rows.reshape(passes, -1, slots, self.tile_w)
-        out = tiles[:, : self.out_channels, :, : self.w_out].transpose(0, 2, 3, 1)
-        return out.reshape(1, -1, self.w_out, self.out_channels)[:, : self.h_out].copy()
-
-
-def _pack_rows(h_out: int, tile_reach: int, kh: int, stride: int) -> tuple[int, np.ndarray]:
-    """Fig. 7's row packing for a window ``tile_reach`` columns wide.
-
-    A slot is ``tile_w`` lanes, the power of two covering the reach, and
-    a 64-lane group carries ``64 // tile_w`` slots, one output row each.
-    Returns ``tile_w`` and the (passes, kh, slots) input-row grid: latch r
-    of pass p holds, in slot s, input row ``(p * slots + s) * stride + r``.
-    """
-    tile_w = min(1 << (tile_reach - 1).bit_length(), BROADCAST_GROUP)
-    slots = BROADCAST_GROUP // tile_w
-    out_rows = np.arange(-(-h_out // slots) * slots).reshape(-1, 1, slots)
-    return tile_w, out_rows * stride + np.arange(kh).reshape(1, kh, 1)
+            self.output_base * row_bytes, plan.passes * row_bytes), np.uint8)
+        tiles = rows.reshape(plan.passes, -1, plan.slots, plan.tile_w)
+        out = tiles[:, : self.out_channels, :, : plan.w_out].transpose(0, 2, 3, 1)
+        return out.reshape(1, -1, plan.w_out, self.out_channels)[:, : plan.h_out].copy()
 
 
 _TAP = "broadcast64 n1, wtram[a3], a5, inc | mac.uint8 dlast, n1, zoff"
@@ -435,11 +415,14 @@ _SLIDE, _LATCH = "rotl n0, n0, 1", "bypass n0, dram[a0++]"
 
 
 def _window_program(
-    latch_taps: list[int], passes: int, output_base: int, act: str
-) -> list[Instruction]:
-    """The packed window program: ``passes`` passes over the latch rows
-    staged consecutively from data row 0 (``latch_taps``: the tap count of
-    each latch of a pass, in staging and weight order).
+    machine: Ncore, plan: PassPlan, act: str, channels: int
+) -> tuple[list[Instruction], Conv2dResult]:
+    """The packed window program: ``plan.passes`` passes over the latch
+    rows staged consecutively from data row 0, in the order of
+    ``plan.latch_taps`` (the tap count of each latch of a pass); the
+    output rows follow them.  It checks that the layer fits one program:
+    one 64-lane tile, one weight index range (a pass's taps), a channel
+    per broadcast group, and the data RAM.
 
     Every tap is one Fig. 6 word: broadcast the next weight byte, MAC
     ``dlast``, and slide the latched row one lane (``rotl``); a latch's
@@ -450,22 +433,33 @@ def _window_program(
     latches the next pass's first row, and the program's last tap latches
     nothing.  A pass is the accumulator clear, the weight-index reset,
     one word per tap, then one ``requant`` + ``store a6, inc`` for all
-    its output rows.
+    its output rows (:attr:`PassPlan.pass_words` counts them).
     """
+    groups = machine.config.broadcast_groups
+    if plan.x_tiles > 1:
+        raise ProgramShapeError("output width plus the rotation reach must fit one 64-lane tile")
+    if sum(plan.latch_taps) > BROADCAST_GROUP:
+        raise ProgramShapeError("a pass's taps must fit one weight index range")
+    if channels > groups:
+        raise ProgramShapeError(f"at most {groups} output channels per pass")
+    output_base = plan.passes * len(plan.latch_taps)
+    if output_base + plan.passes > machine.config.sram_rows:
+        raise ProgramShapeError("latch and output rows exceed the data RAM")
+
     def latch(taps: int, last_word: str) -> str:
         slides = f"loop {taps - 1} {{\n{_TAP}\n{_SLIDE}\n}}\n" if taps > 1 else ""
         return slides + last_word
 
     def pass_text(last: bool) -> str:
-        words = [latch(taps, f"{_TAP} | {_LATCH}") for taps in latch_taps]
+        words = [latch(taps, f"{_TAP} | {_LATCH}") for taps in plan.latch_taps]
         if last:
-            words[-1] = latch(latch_taps[-1], _TAP)
+            words[-1] = latch(plan.latch_taps[-1], _TAP)
         lines = ["mac.uint8 zero, zero, noacc", "setaddr a5, 0", *words]
         return "\n".join(lines + [f"requant.uint8{act}", "store a6, inc"])
 
     prologue = f"setaddr a0, 0\nsetaddr a3, 0\nsetaddr a6, {output_base}\n{_LATCH}"
-    body = [prologue] + [pass_text(False)] * (passes - 1) + [pass_text(True), "halt"]
-    return assemble("\n".join(body))
+    body = [prologue] + [pass_text(False)] * (plan.passes - 1) + [pass_text(True), "halt"]
+    return assemble("\n".join(body)), Conv2dResult(output_base, channels, plan)
 
 
 def emit_conv2d_program(
@@ -481,18 +475,16 @@ def emit_conv2d_program(
 ) -> tuple[list[Instruction], Conv2dResult]:
     """A full 2-D quantized convolution (stride 1 or 2) on the W x K mapping.
 
-    Group k accumulates output channel k; its 64 lanes hold ``64 //
-    tile_w`` slots of ``tile_w`` lanes (Fig. 7's row packing; ``tile_w``
-    covers ``w_out`` plus the rotation reach, where
-    :func:`repro.nkl.schedule.conv2d_schedule` rounds ``w_out`` alone),
-    and slot s of pass p computes output row ``p * slots + s``.  A latch
+    Group k accumulates output channel k; its 64 lanes hold the slots of
+    the layer's :func:`repro.nkl.schedule.pass_plan` (Fig. 7's row
+    packing: ``tile_w`` covers ``w_out`` plus the rotation reach), and
+    slot s of pass p computes output row ``p * slots + s``.  A latch
     row serves one (filter row, in-channel, x-phase) of one pass: its
     64-byte tile, slot s holding that input row's phase columns, repeats
     across every group.  The latch rows are staged in the order the
     program walks them, so each latch rides in the previous tap's word
-    and every tap is one clock (see :func:`_window_program`): a pass
-    takes ``kh * kw * cin`` MAC clocks plus a 4-clock epilogue, and the
-    program 5 clocks more (4 of setup, the halt).
+    and every tap is one clock (see :func:`_window_program`, whose
+    cycles :func:`repro.nkl.schedule.conv2d_schedule` counts).
 
     Strided convolutions stage *phase tiles* — the GCL's "data and code
     transformations such that the vector loads and stores operate on
@@ -516,22 +508,12 @@ def emit_conv2d_program(
     w_pad = w + pl + pr
     h_pad = h + pt + pb
     h_out, w_out = (h_pad - kh) // sh + 1, (w_pad - kw) // sw + 1
-    # Each phase tile holds w_out + the rotation reach for its taps.
-    tile_reach = w_out + (kw - 1) // sw
-    if tile_reach > BROADCAST_GROUP:
-        raise ProgramShapeError("output width must fit one 64-lane tile")
-    if kh * kw * cin > BROADCAST_GROUP:
-        raise ProgramShapeError("kh * kw * cin must fit one weight index range")
+    plan = pass_plan(h_out, w_out, kh, kw, sh, cin)
     row_bytes = machine.config.row_bytes
-    groups = machine.config.broadcast_groups
-    if cout > groups:
-        raise ProgramShapeError(f"at most {groups} output channels per pass")
-    tile_w, in_rows = _pack_rows(h_out, tile_reach, kh, sh)
-    phases = range(min(sw, kw))  # the x-phases that have a tap
-    passes = len(in_rows)
-    output_base = passes * kh * cin * len(phases)  # the latch rows come first
-    if output_base + passes > machine.config.sram_rows:
-        raise ProgramShapeError("latch and output rows exceed the data RAM")
+    act = _configure_out(machine, input_qp, weight_qp, output_qp, activation, None)
+    program, result = _window_program(machine, plan, act, cout)  # checks the fit before any staging
+    tile_w, in_rows = plan.tile_w, plan.rows()
+    phases = range(len(plan.phase_taps))  # the x-phases that have a tap
     # Padded input, zp-filled down to the last row the last pass reads.
     zp = input_qp.zero_point & 0xFF
     padded = np.full((max(h_pad, in_rows.max() + 1), w_pad, cin), zp, dtype=np.uint8)
@@ -559,10 +541,7 @@ def emit_conv2d_program(
     r_idx, c_idx, s_idx = np.array(tap_order).T
     taps = weights[r_idx, s_idx, c_idx, :]  # (len(tap_order), cout)
     machine.write_weight_ram(0, pack_weight_row(taps.T, row_bytes).tobytes())
-    act = _configure_out(machine, input_qp, weight_qp, output_qp, activation, None)
-    latch_taps = [len(range(phase, kw, sw)) for phase in phases] * (kh * cin)
-    program = _window_program(latch_taps, passes, output_base, act)
-    return program, Conv2dResult(output_base, h_out, w_out, cout, tile_w)
+    return program, result
 
 
 def _bank_cut(program: list[Instruction], position: int, room: int) -> int:
@@ -653,17 +632,10 @@ def emit_depthwise_program(
     h_out, w_out = h_pad - kh + 1, w_pad - kw + 1
     row_bytes = machine.config.row_bytes
     groups = machine.config.broadcast_groups
-    if w_pad > BROADCAST_GROUP:
-        raise ProgramShapeError("padded width must fit one 64-lane tile")
-    if c > groups:
-        raise ProgramShapeError(f"at most {groups} channels per pass")
-    if kh * kw > BROADCAST_GROUP:
-        raise ProgramShapeError("kh * kw must fit one weight index range")
-    tile_w, in_rows = _pack_rows(h_out, w_pad, kh, 1)
-    passes = len(in_rows)
-    output_base = passes * kh  # the latch rows come first
-    if output_base + passes > machine.config.sram_rows:
-        raise ProgramShapeError("latch and output rows exceed the data RAM")
+    plan = pass_plan(h_out, w_out, kh, kw, 1, 1)
+    act = _configure_out(machine, input_qp, weight_qp, output_qp, activation, None)
+    program, result = _window_program(machine, plan, act, c)  # checks the fit before any staging
+    tile_w, in_rows = plan.tile_w, plan.rows()
     zp = input_qp.zero_point & 0xFF
     # padded[y, g, :w_pad] is channel g's padded input row y, zp-filled
     # down to the last row the last pass reads.
@@ -674,9 +646,7 @@ def emit_depthwise_program(
     # Weight row: byte [g*64 + (r*kw + s)] holds weight[r, s, g].
     taps = weights.reshape(kh * kw, c)
     machine.write_weight_ram(0, pack_weight_row(taps.T, row_bytes).tobytes())
-    act = _configure_out(machine, input_qp, weight_qp, output_qp, activation, None)
-    program = _window_program([kw] * kh, passes, output_base, act)
-    return program, Conv2dResult(output_base, h_out, w_out, c, tile_w)
+    return program, result
 
 
 def emit_avg_pool_program(

@@ -87,15 +87,15 @@ def test_catalog_equals_the_ledger(ledger_workloads, seed):
 
 
 #: conv kind -> (its ``Ncore.total_cycles``, the closed-form schedule of
-#: the same shape, that schedule's cycles).  A record, not a bound: per
-#: pass the packed program and the schedule agree, so the remaining gap is
-#: the schedule's per-kernel setup (32 cycles against the program's 5)
-#: plus one halt per extra IRAM bank chunk of ``run_streamed``.
+#: the same shape and stride).  The schedule counts the program the
+#: emitter runs from the same pass plan: the taps and the 4-word epilogue
+#: of each pass, the 5 setup words and one halt per extra IRAM bank chunk
+#: of ``run_streamed`` (2, 0, 1, 0 here).
 CONV_SCHEDULES = {
-    "conv3x3_s1": (945, conv2d_schedule(7, 64, 28, 28, 3, 3), 970),
-    "conv3x3_s2": (253, conv2d_schedule(3, 32, 8, 56, 3, 3), 280),
-    "conv1x1": (278, conv2d_schedule(64, 64, 14, 14, 1, 1), 304),
-    "depthwise3x3": (187, depthwise_schedule(64, 28, 28, 3, 3), 214),
+    "conv3x3_s1": (945, conv2d_schedule(7, 64, 28, 28, 3, 3)),
+    "conv3x3_s2": (253, conv2d_schedule(3, 32, 8, 56, 3, 3, stride=2)),
+    "conv1x1": (278, conv2d_schedule(64, 64, 14, 14, 1, 1)),
+    "depthwise3x3": (187, depthwise_schedule(64, 28, 28, 3, 3)),
 }
 
 
@@ -103,7 +103,6 @@ CONV_SCHEDULES = {
 @pytest.mark.parametrize("seed", [1, 2])
 def test_conv_kinds_run_at_their_schedule(seed, fastpath):
     kinds = {k.name: k for k in catalog.build_kinds(np.random.default_rng(seed))}
-    for name, (cycles, schedule, schedule_cycles) in CONV_SCHEDULES.items():
+    for name, (cycles, schedule) in CONV_SCHEDULES.items():
         machine, _ = _run(kinds[name], fastpath=fastpath)
-        assert (machine.total_cycles, schedule.cycles) == (cycles, schedule_cycles), name
-        assert 0.85 <= cycles / schedule_cycles <= 1.05, name
+        assert machine.total_cycles == schedule.cycles == cycles, name

@@ -1,5 +1,6 @@
 """Tests for the NKL kernel schedules and the Fig. 7 cycle model."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from repro.nkl import (
     matmul_schedule,
     pool_schedule,
 )
+from repro.nkl.schedule import ProgramShapeError
 
 
 class TestConvSchedule:
@@ -26,7 +28,8 @@ class TestConvSchedule:
         assert s.macs == 64 * 64 * 256
 
     def test_utilization_at_most_one(self):
-        # Setup + epilogue overheads on a 256-cycle inner loop leave ~87%.
+        # Setup, epilogue and bank-halt overheads on a 256-cycle inner loop
+        # leave ~96%.
         s = conv2d_schedule(256, 64, 1, 64, 1, 1)
         assert 0.85 < s.utilization <= 1.0
         # A deeper reduction amortizes the overheads away.
@@ -38,6 +41,20 @@ class TestConvSchedule:
         # 14x14 output needs ceil(14/4)=4 spatial passes, not 14.
         s = conv2d_schedule(256, 64, 14, 14, 1, 1)
         assert s.passes == 4
+
+    def test_rotation_reach_widens_the_slot(self):
+        # A 7-wide output of a 3x3 filter reads 9 input columns: 16-lane
+        # slots, 4 rows per group, 2 passes.  A 1x1 filter (no reach) or
+        # stride 2 (reach 1: 8 columns) keeps 8-lane slots and 1 pass.
+        assert conv2d_schedule(512, 64, 7, 7, 3, 3).passes == 2
+        assert conv2d_schedule(512, 64, 7, 7, 1, 1).passes == 1
+        assert conv2d_schedule(512, 64, 7, 7, 3, 3, stride=2).passes == 1
+
+    def test_filter_reach_past_a_group_is_rejected(self):
+        # A 65-wide filter at stride 1 rotates 64 lanes: no slot holds it.
+        with pytest.raises(ProgramShapeError, match="65-wide filter"):
+            conv2d_schedule(1, 8, 1, 1, 1, 65)
+        assert conv2d_schedule(1, 8, 1, 1, 1, 65, stride=2).passes == 1
 
     def test_wide_output_tiles_by_64(self):
         s = conv2d_schedule(64, 64, 1, 224, 1, 1)

@@ -1,13 +1,16 @@
 """The row-packed window programs over a sweep of shapes.
 
-``emit_conv2d_program`` and ``emit_depthwise_program`` pack ``64 //
-tile_w`` output rows into each 64-lane group (Fig. 7) and latch each
-staged row in the previous tap's word (Fig. 6).  Every case here must be
-byte-equal to its ``qkernels`` reference on both machine modes, run one
-MAC clock per tap plus one accumulator clear per pass, and — on a sample
-— read no row the staging left uninitialized.  The widths sit on both
-sides of the 16 / 32 / 64-lane slot boundaries, and the heights leave a
-partial last pass.
+``emit_conv2d_program`` and ``emit_depthwise_program`` stage and emit
+from the layer's ``schedule.pass_plan``: they pack its slots of output
+rows into each 64-lane group (Fig. 7) and latch each staged row in the
+previous tap's word (Fig. 6).  Every case here must be byte-equal to its
+``qkernels`` reference on both machine modes, run one MAC clock per tap
+plus one accumulator clear per pass, run exactly the cycles that
+``conv2d_schedule`` / ``depthwise_schedule`` count for the same shape and
+stride, and — on a sample — read no row the staging left uninitialized.
+The widths sit on both sides of the 16 / 32 / 64-lane slot boundaries
+(``w_out`` plus the rotation reach), and the heights leave a partial last
+pass.
 """
 
 import numpy as np
@@ -21,6 +24,7 @@ from repro.nkl.programs import (
     emit_depthwise_program,
     run_streamed,
 )
+from repro.nkl.schedule import conv2d_schedule, depthwise_schedule
 from repro.runtime.qkernels import qconv2d, qdepthwise
 
 
@@ -83,12 +87,14 @@ DEPTHWISE_CASES = [
 SANITIZED = 4
 
 
-def _run(emit, reference, fastpath, sanitize=False):
+def _run(emit, reference, fastpath, schedule=None, sanitize=False):
     machine = Ncore(fastpath=fastpath)
     sanitizer = machine.arm_sanitizer(True) if sanitize else None
     program, result = emit(machine)
     assert run_streamed(machine, program).halted
     np.testing.assert_array_equal(result.read(machine), reference)
+    if schedule is not None:
+        assert machine.total_cycles == schedule(result.plan).cycles
     if sanitizer is not None:
         assert sanitizer.ok, [d.message for d in sanitizer.report]
         assert sanitizer.stats["reads_checked"] > 0
@@ -97,8 +103,7 @@ def _run(emit, reference, fastpath, sanitize=False):
 
 def _check_clocks(machine, result, taps):
     """One MAC clock per tap of each pass, plus one clear per pass."""
-    passes = -(-result.h_out // (64 // result.tile_w))
-    assert machine.total_macs == passes * (taps + 1) * machine.config.lanes
+    assert machine.total_macs == result.plan.passes * (taps + 1) * machine.config.lanes
 
 
 @pytest.mark.parametrize("index", range(len(CONV_CASES)))
@@ -120,8 +125,11 @@ def test_conv2d_packs_rows(index):
             stride=(stride, stride), activation="relu",
         )
 
+    def schedule(plan):
+        return conv2d_schedule(cin, cout, plan.h_out, plan.w_out, k, k, stride=stride)
+
     for fastpath in (False, True):
-        machine, result = _run(emit, reference, fastpath)
+        machine, result = _run(emit, reference, fastpath, schedule)
     _check_clocks(machine, result, k * k * cin)
     if index % SANITIZED == 0:
         _run(emit, reference, False, sanitize=True)
@@ -146,8 +154,11 @@ def test_depthwise_packs_rows(index):
             activation="relu6",
         )
 
+    def schedule(plan):
+        return depthwise_schedule(c, plan.h_out, plan.w_out, k, k)
+
     for fastpath in (False, True):
-        machine, result = _run(emit, reference, fastpath)
+        machine, result = _run(emit, reference, fastpath, schedule)
     _check_clocks(machine, result, k * k)
     if index % SANITIZED == 0:
         _run(emit, reference, False, sanitize=True)

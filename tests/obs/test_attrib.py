@@ -77,7 +77,7 @@ class TestCollector:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == count == len(records)
         assert [json.loads(line) for line in lines] == records
-        # The ROADMAP item 3 training schema keys.
+        # The training schema keys of a learned cycle predictor (ROADMAP, Parked).
         for key in ("model", "segment", "ops", "op_cycles", "dma_bytes",
                     "loop_trips", "macs", "total_cycles", "tier", "batch"):
             assert key in records[0]

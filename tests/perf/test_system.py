@@ -169,7 +169,8 @@ class TestWorkloadSplit:
 
     @pytest.mark.xfail(strict=True, reason=(
         "SSD's non-batchable NMS share caps its simulated Fig. 13 series at 2 "
-        "cores where the paper reads 5; a tracked fidelity gap (ROADMAP item 6)"
+        "cores where the paper reads 5; a tracked fidelity gap (ROADMAP: Drive the "
+        "paper error down with attributable terms)"
     ))
     def test_fig13_ssd_saturates_last(self):
         assert fig13_saturation("mobilenet_v1") <= fig13_saturation("ssd_mobilenet_v1")

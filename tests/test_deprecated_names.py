@@ -22,7 +22,10 @@ rule (``repro.ncore.fastpath.fusion_blockers`` is the one statement of
 it), then the copies of the machine's programs: the simulator-benchmark
 module, the single-pass matmul emitter and its golden model, and the
 CLI's and the debug example's microkernels (``repro.nkl.catalog`` holds
-every program the machine runs outside the tests).  These tests grep the tree so a stray reference
+every program the machine runs outside the tests), then the schedule's
+second Fig. 7 tiling rule (``repro.nkl.schedule.pass_plan`` is the one
+pass plan) and the ROADMAP item numbers that went stale at every
+re-anchor.  These tests grep the tree so a stray reference
 (or a reintroduced alias) fails loudly rather than resurrecting an old name.
 """
 
@@ -117,6 +120,8 @@ def test_removed_facade_and_tier_names_are_gone():
         # (``repro.perf.serving.ServerScenario`` is the one pipeline).
         r"|EngineExecutor|SessionHandle|QueryTicket|MachineTask|MachineRun\b"
         r"|amortize_overshoot|overshoot_cycles"
+        # The schedule's own tiling rule beside the emitters' pass plan.
+        r"|_spatial_tiling|_next_pow2"
     )
     offenders = _grep(pattern, _tree_files("src", "examples", "docs"))
     assert not offenders, "removed name resurfaced:\n" + "\n".join(offenders)
@@ -132,6 +137,12 @@ def test_one_generator_of_paper_numbers():
     files.remove(Path(__file__).resolve())
     offenders = _grep(pattern, files)
     assert not offenders, "second paper-table generator resurfaced:\n" + "\n".join(offenders)
+    # ROADMAP items are renumbered at every re-anchor: cite one by title.
+    ledger = ROOT / "benchmarks" / "ledger"  # frozen with its benchmark
+    files += [path for path in _tree_files("benchmarks") if ledger not in path.parents]
+    files += [ROOT / "tools" / "consumer_waivers.txt"]
+    stale = _grep(re.compile(r"ROADMAP items? \d|items? \d+\S* of ROADMAP"), files)
+    assert not stale, "numbered ROADMAP reference:\n" + "\n".join(stale)
 
 
 def test_test_only_names_are_gone():
