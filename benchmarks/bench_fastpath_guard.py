@@ -1,22 +1,33 @@
-"""Regression guard: the Fig. 6 fused inner loop must stay fused, and the
-trace-fused tier well ahead of the interpreter on it.
+"""Regression guard: the Fig. 6 fused inner loop and the conv programs'
+passes must stay fused, and the trace-fused tier well ahead of the
+interpreter on them.
 
 ``test_fig6_loop_fuses`` is the exact check against a change that quietly
 disables fusion: one compiled trace, one hit, all 512 trips fused, no
-rejection and no fallback.  ``test_fastpath_speedup_guard`` times both
-tiers.  Its floor is 0.8x the lowest of 36 readings against the
-interpreter that decodes once and runs the 8-bit MAC in int32
-(4.41-6.87x on a 2-vCPU host; CHANGES.md lists them), rounded down: a
-copy whose trace is rejected reads 0.7-1.0x and fails both tests.
+rejection and no fallback.  ``test_conv_passes_fuse`` is the same check
+on every catalog conv and depthwise kind: each pass is one run.
+``test_fastpath_speedup_guard`` and ``test_conv_speedup_guard`` time both
+tiers.  Each floor is 0.8x the lowest of its recorded readings, rounded
+down (CHANGES.md lists them, on a 2-vCPU host): the Fig. 6 loop's
+4.41-6.87x over 36 readings, conv3x3_s1's 1.88-3.53x over 20.  A copy
+whose traces are rejected reads about 1x on both and fails.
 """
 
 import time
 
+import numpy as np
 from bench_simulator import build_machine
 
-from repro.nkl.catalog import FIG6_TRIPS
+from repro.ncore import Ncore
+from repro.ncore.fastpath import fusion_blockers
+from repro.nkl.catalog import FIG6_TRIPS, build_kinds
+from repro.nkl.programs import run_streamed
 
 GUARD_SPEEDUP = 3.5
+GUARD_CONV_SPEEDUP = 1.5
+
+#: The catalog kinds whose programs are Fig. 7 passes of Fig. 6 taps.
+CONV_KINDS = ("conv3x3_s1", "conv3x3_s2", "conv1x1", "depthwise3x3")
 
 
 def measure_inner_loop(fastpath: bool) -> dict[str, float]:
@@ -57,4 +68,55 @@ def test_fastpath_speedup_guard():
     assert speedup >= GUARD_SPEEDUP, (
         f"fastpath only {speedup:.1f}x over the interpreter "
         f"(guard {GUARD_SPEEDUP}x) — did the Fig. 6 loop stop fusing?"
+    )
+
+
+def _conv_kinds():
+    return [kind for kind in build_kinds(np.random.default_rng(1)) if kind.name in CONV_KINDS]
+
+
+def test_conv_passes_fuse():
+    # One run per pass, two where an IRAM chunk cut falls between two of
+    # the pass's taps; every MAC trip but the accumulator clears fused.
+    kinds = _conv_kinds()
+    assert [kind.name for kind in kinds] == list(CONV_KINDS)
+    for kind in kinds:
+        machine = Ncore()
+        program, result = kind.emit(machine)
+        assert run_streamed(machine, program).halted
+        room = machine.iram.bank_instructions - 1
+        split = sum(not fusion_blockers(program[cut - 1]) and not fusion_blockers(program[cut])
+                    for cut in range(room, len(program), room))
+        passes = result.plan.passes
+        stats = machine.fastpath_stats
+        assert stats["hits"] == stats["compiled"] == passes + split, (kind.name, stats)
+        assert stats["fused_trips"] == machine.total_macs // machine.config.lanes - passes, (
+            kind.name, stats)
+        assert stats["misses"] == stats["fallbacks"] == stats["rejected"] == 0, (kind.name, stats)
+
+
+def measure_conv(fastpath: bool) -> dict[str, float]:
+    """Best-of-five wall time loading and running conv3x3_s1's program,
+    with the simulated cycles it ran."""
+    (kind,) = [kind for kind in _conv_kinds() if kind.name == "conv3x3_s1"]
+    best = float("inf")
+    machine = None
+    for _ in range(5):
+        machine = Ncore(fastpath=fastpath)
+        program, _ = kind.emit(machine)
+        start = time.perf_counter()
+        run_streamed(machine, program)
+        best = min(best, time.perf_counter() - start)
+    assert machine is not None
+    return {"seconds": best, "cycles": float(machine.total_cycles)}
+
+
+def test_conv_speedup_guard():
+    fast = measure_conv(fastpath=True)
+    interp = measure_conv(fastpath=False)
+    assert fast["cycles"] == interp["cycles"]
+    speedup = interp["seconds"] / fast["seconds"]
+    assert speedup >= GUARD_CONV_SPEEDUP, (
+        f"fastpath only {speedup:.1f}x over the interpreter on conv3x3_s1 "
+        f"(guard {GUARD_CONV_SPEEDUP}x) — did its passes stop fusing?"
     )

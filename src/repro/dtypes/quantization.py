@@ -257,8 +257,6 @@ def requantize(
     shift: npt.ArrayLike,
     offset: npt.ArrayLike,
     dtype: NcoreDType | str = NcoreDType.UINT8,
-    *,
-    out_dtype: npt.DTypeLike | None = None,
 ) -> np.ndarray:
     """Requantize 32-bit accumulators to a narrow integer type.
 
@@ -279,10 +277,10 @@ def requantize(
     right shift :func:`_rounding_shift` with the offset folded into its
     constant (proofs: docs/simulator-performance.md).  Work runs in place
     over row blocks of :data:`_EPILOGUE_BLOCK` elements in scratch owned by
-    the call, written straight into the result (``out_dtype``, default
-    *dtype*'s own numpy type).
+    the call, written straight into the result (*dtype*'s own numpy type;
+    :class:`Requantizer` takes another).
     """
-    return Requantizer(multiplier, shift, offset, dtype, out_dtype=out_dtype)(acc)
+    return Requantizer(multiplier, shift, offset, dtype)(acc)
 
 
 class Requantizer:

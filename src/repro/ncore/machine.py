@@ -8,13 +8,13 @@ simulator rebuilt from the paper's description.
 
 Execution semantics of one instruction issue (one clock for 8-bit work):
 
-1. ``dlast`` is snapshotted — the NPU's DLAST operand reads the value the
-   latch held *entering* the cycle, which is why Fig. 6's inner loop can
-   MAC the pre-rotation row while the NDU rotates it for the next
-   iteration.
+1. ``dlast`` is NDU register n0 as it stood when the issue began — the
+   NPU's DLAST operand reads that value, which is why Fig. 6's inner loop
+   can MAC the pre-rotation row while the NDU rotates it for the next
+   iteration (n0 is copied only when the issue both writes n0 and reads
+   DLAST after the commit).
 2. All NDU ops read their sources from pre-instruction state and commit to
-   distinct NDU registers; a write to NDU register n0 re-arms ``dlast``
-   with the new value (``dlast`` shadows n0).
+   distinct NDU registers.
 3. The NPU reads its operands (NDU registers observe the *new* values —
    the pipeline flows NDU -> NPU within a cycle) and updates the
    accumulators under optional predication.
@@ -26,7 +26,9 @@ Execution semantics of one instruction issue (one clock for 8-bit work):
 bind their handlers through the opcode table ``_HANDLERS``, and each issue
 calls them in pipeline order.  An 8-bit arithmetic or pooling issue runs in
 int32 when the NPU's saturation proof clears it (``npu.execute_int8``),
-otherwise by the saturating int64 spec (``npu.execute_int``).
+otherwise by the saturating int64 spec (``npu.execute_int``).  The fast
+path (:mod:`repro.ncore.fastpath`) takes over at the first pc of each run
+it compiled, for the whole run.
 """
 
 from __future__ import annotations
@@ -92,8 +94,9 @@ class MachineRunResult:
 _Increments = list[tuple[int, int]]
 #: (handler, operand) pairs in pipeline order: an issue's units, an NDU unit's ops.
 _Units = tuple[tuple[Callable[..., None], Any], ...]
-#: One instruction decoded once (:func:`_decode`), with its clocks per issue.
-_Decoded = tuple[Instruction, _Units, int]
+#: One instruction decoded once (:func:`_decode`), with its clocks per issue
+#: and whether an issue must copy n0 for its DLAST read.
+_Decoded = tuple[Instruction, _Units, int, bool]
 
 
 @dataclass
@@ -132,7 +135,7 @@ class Ncore:
         # One decoded-instruction and one fused-trace table per IRAM bank,
         # rebuilt on load_program.
         self._decoded: list[list[_Decoded]] = [[], []]
-        self._fastpath_tables: list[dict[int, fastpath_mod.FusedTrace]] = [{}, {}]
+        self._fastpath_tables: list[dict[int, fastpath_mod.FusedTrace | None]] = [{}, {}]
         self.fastpath_stats: dict[str, int] = {
             "compiled": 0,
             "rejected": 0,
@@ -212,7 +215,6 @@ class Ncore:
         lanes = cfg.lanes
         self.addr_regs = [0] * NUM_ADDR_REGS
         self.ndu_regs = np.zeros((NUM_NDU_REGS, cfg.row_bytes), dtype=np.uint8)
-        self.dlast = np.zeros(cfg.row_bytes, dtype=np.uint8)
         self.acc_int = np.zeros(lanes, dtype=np.int32)
         self.acc_float = np.zeros(lanes, dtype=np.float32)
         self.out_low = np.zeros(cfg.row_bytes, dtype=np.uint8)
@@ -224,6 +226,7 @@ class Ncore:
         self.requant_multiplier = np.full(lanes, 1 << 30, dtype=np.int64)
         self.requant_shift = np.full(lanes, -1, dtype=np.int64)  # identity
         self.requant_offset = np.zeros(lanes, dtype=np.int64)
+        self._requantizers: dict[NcoreDType, Any] = {}  # folded per register write
         self.float_scale = 1.0
         self.act_lut: np.ndarray | None = None
         self.act_qmax = 255
@@ -264,6 +267,7 @@ class Ncore:
         ).copy()
         self.requant_shift = np.broadcast_to(np.asarray(shift, dtype=np.int64), (lanes,)).copy()
         self.requant_offset = np.broadcast_to(np.asarray(offset, dtype=np.int64), (lanes,)).copy()
+        self._requantizers = {}
 
     def set_activation_lut(self, lut: np.ndarray) -> None:
         """Load the 256-entry tanh/sigmoid lookup table."""
@@ -392,14 +396,6 @@ class Ncore:
                                     dlast_snapshot, increments)) for handler, op in ops]
         for dst, result in results:
             self.ndu_regs[dst] = result
-            if dst == 0:
-                # dlast shadows NDU register n0 (Fig. 6's d0_mov_reg /
-                # d_last_latched pair): DLAST reads see the value n0 held
-                # entering the cycle, writes to n0 re-arm the latch.  The
-                # result is a fresh array that only dlast keeps (n0 got a
-                # copy above), and dlast is only ever rebound, never
-                # written in place.
-                self.dlast = result
 
     def _broadcast64(self, op: NDUOp, src: np.ndarray, dlast_snapshot: np.ndarray,
                      increments: _Increments) -> np.ndarray:
@@ -446,6 +442,24 @@ class Ncore:
         if op.opcode is NPUOpcode.MAC:
             self._count_macs()
 
+    def _run_fused(self, trace: fastpath_mod.FusedTrace, budget_cycles: int) -> bool:
+        """Run ``trace`` fused from its first word, if preflight proves it
+        exact, through the word after which ``step()``'s between-word
+        check of ``budget_cycles`` would stop; returns whether any trip
+        was committed."""
+        stats = self.fastpath_stats
+        if trace.preflight(self) is not None:
+            note_stat(self.obs, "ncore.fastpath", stats, "fallbacks")
+            return False
+        words = np.searchsorted(trace.word_cycles[:-1], budget_cycles)
+        limit = int(trace.word_ends[words])
+        done = trace.run(self, limit)
+        note_stat(self.obs, "ncore.fastpath", stats, "hits")
+        note_stat(self.obs, "ncore.fastpath", stats, "fused_trips", done)
+        if done < limit:  # saturation: interpret the rest
+            note_stat(self.obs, "ncore.fastpath", stats, "fallbacks")
+        return done > 0
+
     def _count_macs(self) -> None:
         self.total_macs += self.config.lanes
         if self.perf_counters["macs"].add(self.config.lanes):
@@ -457,10 +471,11 @@ class Ncore:
                 self.acc_float, self.float_scale, op.activation
             )
         else:
-            values = out_unit.requantize_lanes(
-                self.acc_int, self.requant_multiplier, self.requant_shift, self.requant_offset,
-                op.dtype,
-            )
+            requantizer = self._requantizers.get(op.dtype)
+            if requantizer is None:
+                requantizer = self._requantizers[op.dtype] = out_unit.lane_requantizer(
+                    self.requant_multiplier, self.requant_shift, self.requant_offset, op.dtype)
+            values = requantizer(self.acc_int)
             values = out_unit.apply_integer_activation(
                 values, op.activation, self.requant_offset, self.act_qmax, self.act_lut, op.dtype
             )
@@ -558,9 +573,10 @@ class Ncore:
     # Top-level run loop
     # ------------------------------------------------------------------
 
-    def _execute_instruction(self, instruction: Instruction, units: _Units, cycles: int) -> bool:
+    def _execute_instruction(self, instruction: Instruction, units: _Units, cycles: int,
+                             latch: bool) -> bool:
         """Execute the hardware-repeated issues of one decoded instruction,
-        ``cycles`` clocks each.
+        ``cycles`` clocks each (``latch``: copy n0 for DLAST first).
 
         Returns False when a breakpoint (perf-counter wraparound or n-step)
         pauses execution *mid-repeat*; the remaining iterations resume on
@@ -575,26 +591,10 @@ class Ncore:
         if self._resume_repeat is not None and self._resume_repeat[0] == self.pc:
             start = self._resume_repeat[1]
         self._resume_repeat = None
-        count = instruction.repeat - start
-        # Below the floor (a short repeat, or the short tail of a resumed
-        # one) the interpreter is faster: neither a hit nor a miss.
-        if self.fastpath and count >= fastpath_mod.MIN_FUSED_TRIPS:
-            entry = self._fastpath_tables[self.iram.active_bank].get(self.pc)
-            if entry is None:
-                note_stat(self.obs, "ncore.fastpath", self.fastpath_stats, "misses")
-            elif entry.preflight(self, count) is None:
-                done = entry.run(self, count)
-                start += done
-                note_stat(self.obs, "ncore.fastpath", self.fastpath_stats, "hits")
-                note_stat(self.obs, "ncore.fastpath", self.fastpath_stats, "fused_trips", done)
-                if done < count:  # saturation: interpret the rest
-                    note_stat(self.obs, "ncore.fastpath", self.fastpath_stats, "fallbacks")
-            else:
-                note_stat(self.obs, "ncore.fastpath", self.fastpath_stats, "fallbacks")
         cycle_counter = self.perf_counters["cycles"]
         for iteration in range(start, instruction.repeat):
             increments: _Increments = []
-            dlast_snapshot = self.dlast
+            dlast_snapshot = self.ndu_regs[0].copy() if latch else self.ndu_regs[0]
             for handler, op in units:
                 handler(self, op, dlast_snapshot, increments)
             for reg, amount in increments:
@@ -640,16 +640,23 @@ class Ncore:
         self.running = True
         stop_reason = "halt"
         table = self._decoded[self.iram.active_bank]
+        fused = self._fastpath_tables[self.iram.active_bank]
         try:
             while not self.halted:
                 if self.total_cycles - start_cycles >= budget_cycles:
                     stop_reason = "cycle_budget"
                     break
                 pc = self.pc
-                instruction, units, cycles = (
+                if pc in fused and self._resume_repeat is None:
+                    trace = fused[pc]
+                    if trace is None:
+                        note_stat(self.obs, "ncore.fastpath", self.fastpath_stats, "misses")
+                    elif self._run_fused(trace, budget_cycles - (self.total_cycles - start_cycles)):
+                        continue
+                instruction, units, cycles, latch = (
                     table[pc] if 0 <= pc < len(table) else _decode(self.iram.fetch(pc))  # ROM
                 )
-                completed = self._execute_instruction(instruction, units, cycles)
+                completed = self._execute_instruction(instruction, units, cycles, latch)
                 if not completed:
                     # Paused mid-repeat: the pc stays put; the remaining
                     # iterations resume on the next step() call.
@@ -767,10 +774,12 @@ def _decode(instruction: Instruction) -> _Decoded:
     pipeline order.  Nothing is read from machine state here, so a
     malformed field still raises at its issue."""
     units: list[tuple[Callable[..., None], Any]] = []
+    npu = instruction.npu
+    latch = (any(op.dst == 0 for op in instruction.ndu_ops) and npu is not None
+             and OperandKind.DLAST in (npu.data.kind, npu.weight.kind))
     if instruction.ndu_ops:
         ops = tuple((_HANDLERS[op.opcode], op) for op in instruction.ndu_ops)
         units.append((Ncore._execute_ndu_ops, ops))
-    npu = instruction.npu
     if npu is not None and npu.opcode is not NPUOpcode.NOP:
         narrow = (npu.dtype in (NcoreDType.UINT8, NcoreDType.INT8) and npu.predicate is None
                   and npu.opcode in npu_unit.NARROW_OPCODES and not npu.data_shift
@@ -779,4 +788,4 @@ def _decode(instruction: Instruction) -> _Decoded:
     out = instruction.out
     if out is not None and out.opcode is not OutOpcode.NOP:
         units.append((_HANDLERS[out.opcode], out))
-    return instruction, tuple(units), instruction.issue_cycles()
+    return instruction, tuple(units), instruction.issue_cycles(), latch

@@ -105,10 +105,13 @@ def proven_bound(opcode: NPUOpcode, signed: bool, data_zero: int, weight_zero: i
     """The saturation proof: a bound on any combined lane value of an 8-bit
     (int8 when ``signed``) :data:`NARROW_OPCODES` issue subtracting these
     zero offsets, or None when ``issues`` such issues could saturate
-    ``acc`` (MAC / ADD / SUB move it by up to the bound each).  Under the
-    proof the spec's clip is idle: an int32 fold in any order equals it."""
-    dbound = (128 if signed else 255) + abs(data_zero)
-    wbound = (128 if signed else 255) + abs(weight_zero)
+    ``acc`` (MAC / ADD / SUB move it by up to the bound each).  A lane
+    minus its offset ``z`` lies in ``[lo - z, hi - z]``, so its magnitude
+    is at most ``max(|lo - z|, |hi - z|)``.  Under the proof the spec's
+    clip is idle: an int32 fold in any order equals it."""
+    lo, hi = (-128, 127) if signed else (0, 255)
+    dbound = max(abs(lo - data_zero), abs(hi - data_zero))
+    wbound = max(abs(lo - weight_zero), abs(hi - weight_zero))
     if opcode is NPUOpcode.MAC:
         bound = dbound * wbound
     elif opcode is NPUOpcode.ADD or opcode is NPUOpcode.SUB:
@@ -149,30 +152,36 @@ def execute_int8(op: NPUOp, data: Array, weight: Array, data_zero: int,
 
 def scratch(pool: dict[object, Array], tag: object, shape: tuple[int, ...],
             dtype: Any) -> Array:
-    """``pool``'s reusable buffer for this (tag, shape, dtype) slot.
+    """``pool``'s reusable buffer for this (tag, dtype) slot, as ``shape``.
 
     Block evaluation needs multi-MB temporaries on every call; recycling
-    them keeps the pages warm.  Callers overwrite the buffer fully and
-    never publish it into machine state without copying.
+    them keeps the pages warm, and one buffer per slot, grown to the
+    largest shape asked, bounds the pool.  Callers overwrite the buffer
+    fully and never publish it into machine state without copying.
     """
-    key = (tag, shape, np.dtype(dtype).str)
+    key, size = (tag, np.dtype(dtype).str), int(np.prod(shape))
     buf = pool.get(key)
-    if buf is None:
-        buf = pool[key] = np.empty(shape, dtype=dtype)
-    return buf
+    if buf is None or buf.size < size:
+        buf = pool[key] = np.empty(size, dtype=dtype)
+    return buf[:size].reshape(shape)
 
 
 def fold_int8(op: NPUOp, data: Array, weight: Array, data_zero: int, weight_zero: int,
               acc: Array, pool: dict[object, Array]) -> Array | None:
     """The accumulator after one accumulating :func:`execute_int8` issue
-    per row of the (issues, lanes) raw ``data`` / ``weight`` rows, or None
-    when :func:`proven_bound` fails for that many issues.
+    per entry of the leading (issues) axis of the raw ``data`` / ``weight``
+    rows, or None when :func:`proven_bound` fails for that many issues.
+    The operands broadcast against each other and their issue slices
+    against ``acc`` (a ``(issues, groups, 1)`` operand is one byte per
+    broadcast group, never widened to the row).
 
     Under the proof the order-free int32 sum (or min/max reduction)
     equals the sequential saturating fold, so every issue combines at
     once, in the narrowest dtype holding every value under the bound
-    (SIMD throughput scales with element width; the 8-bit lanes widen
-    once, inside the combining ufunc), into ``pool``'s buffers.
+    (SIMD throughput scales with element width), into ``pool``'s buffers:
+    ``data`` less its offset widens once into the combine buffer, a
+    broadcast or offset ``weight`` widens alone, and the combine runs in
+    one dtype, in place.
     """
     signed = op.dtype is NcoreDType.INT8
     bound = proven_bound(op.opcode, signed, data_zero, weight_zero, acc, len(data))
@@ -180,24 +189,21 @@ def fold_int8(op: NPUOp, data: Array, weight: Array, data_zero: int, weight_zero
         return None
     if signed:
         data, weight = data.view(np.int8), weight.view(np.int8)
-    offsets = bool(data_zero or weight_zero)
     cdtype: type
+    offsets = bool(data_zero or weight_zero)
     if not (signed or offsets) and op.opcode is not NPUOpcode.SUB and bound <= 65535:
         cdtype = np.uint16
     elif bound <= 32767:
         cdtype = np.int16
     else:
         cdtype = np.int32
-    if offsets:
-        # subtract() with an explicit dtype casts the operands first, so
-        # the narrow lanes widen exactly once.
-        data = np.subtract(data, data_zero, dtype=cdtype,
-                           out=scratch(pool, "data", data.shape, cdtype))
+    out = scratch(pool, "combine", np.broadcast(data, weight).shape, cdtype)
+    np.subtract(data, data_zero, dtype=cdtype, out=out)
+    if weight_zero or weight.size < out.size:
         weight = np.subtract(weight, weight_zero, dtype=cdtype,
                              out=scratch(pool, "weight", weight.shape, cdtype))
     combine = COMBINE[op.opcode]
-    out = data if offsets else scratch(pool, "combine", data.shape, cdtype)
-    combined: Array = combine(data, weight, dtype=cdtype, out=out)
+    combined: Array = combine(out, weight, out=out)
     if fold_class(op.opcode, op.accumulate) == "sum":
         total: Array = acc + combined.sum(axis=0, dtype=np.int32)
         return total

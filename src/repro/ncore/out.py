@@ -25,27 +25,26 @@ from repro.dtypes import (
     Requantizer,
     dtype_info,
     quantize_multiplier,
-    requantize,
     to_bfloat16,
 )
 from repro.isa.instruction import Activation
 from repro.ncore.errors import ExecutionError
 
 
-def requantize_lanes(
-    acc: np.ndarray,
+def lane_requantizer(
     multiplier: np.ndarray,
     shift: np.ndarray,
     offset: np.ndarray,
     dtype: NcoreDType,
-) -> np.ndarray:
+) -> Requantizer:
     """Vectorised per-lane requantization (gemmlowp-compatible).
 
-    :func:`repro.dtypes.requantize` — the one kernel — with per-lane
-    multiplier / shift / offset arrays, returning int32 lanes saturated to
-    the target type's range (not yet narrowed to bytes).
+    :func:`repro.dtypes.requantize` — the one kernel — with the per-lane
+    multiplier / shift / offset registers folded once: calling it returns
+    int32 lanes saturated to the target type's range (not yet narrowed to
+    bytes).
     """
-    return requantize(acc, multiplier, shift, offset, dtype, out_dtype=np.int32)
+    return Requantizer(multiplier, shift, offset, dtype, out_dtype=np.int32)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ def state_digest(machine: Ncore) -> str:
     h.update(machine.weight_ram.data.tobytes())
     h.update(bytes(str(machine.addr_regs), "ascii"))
     h.update(machine.ndu_regs.tobytes())
-    h.update(machine.dlast.tobytes())
     h.update(machine.acc_int.tobytes())
     h.update(machine.acc_float.tobytes())
     h.update(machine.out_low.tobytes())

@@ -18,8 +18,8 @@ from repro.dtypes import (
     rounding_right_shift,
 )
 from repro.dtypes import quantization
-from repro.ncore.out import RequantSpec, requantize_lanes
-from tests.helpers import quant_range
+from repro.ncore.out import RequantSpec
+from tests.helpers import quant_range, requantize_lanes
 
 
 class TestQuantParams:

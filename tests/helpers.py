@@ -20,12 +20,19 @@ from repro.isa import Instruction
 from repro.isa.operands import Operand, OperandKind
 from repro.ncore import Ncore
 from repro.ncore.config import CHA_NCORE
+from repro.ncore.out import lane_requantizer
 from repro.nkl import catalog, programs
 from repro.soc import CHA_SOC
 
 #: Weight-DMA bytes per Ncore cycle on the shipped CHA point: 102.4 GB/s
 #: at 2.5 GHz, the rate cycle estimates of a default-config compile use.
 CHA_DMA_BYTES_PER_CYCLE = CHA_SOC.ncore_dma_bandwidth / CHA_NCORE.clock_hz
+
+
+def requantize_lanes(acc: np.ndarray, multiplier: np.ndarray, shift: np.ndarray,
+                     offset: np.ndarray, dtype) -> np.ndarray:
+    """One OUT-unit requantization with freshly folded lane registers."""
+    return lane_requantizer(multiplier, shift, offset, dtype)(acc)
 
 
 def data_ram(addr_reg: int, increment: bool = False) -> Operand:

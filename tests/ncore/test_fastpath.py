@@ -41,7 +41,6 @@ def _snapshot(m):
         "data_ram": m.data_ram.data.copy(),
         "weight_ram": m.weight_ram.data.copy(),
         "ndu_regs": m.ndu_regs.copy(),
-        "dlast": m.dlast.copy(),
         "acc_int": m.acc_int.copy(),
         "acc_float": m.acc_float.copy(),
         "out_low": m.out_low.copy(),
@@ -55,6 +54,7 @@ def _snapshot(m):
         "total_issues": m.total_issues,
         "total_macs": m.total_macs,
         "perf": {n: (c.value, c.wrapped) for n, c in m.perf_counters.items()},
+        "ram_reads": (m.data_ram.reads, m.weight_ram.reads),
     }
 
 
@@ -417,6 +417,149 @@ class TestBf16NonFinite:
         assert np.isnan(acc[0]) and np.isnan(acc[1])
         assert acc[2] == np.inf and acc[3] == -np.inf
         assert (acc[4:] == 3.0).all()  # 4 trips of (1.5 >> 1) * 1.0
+
+
+#: One Fig. 6 tap: broadcast the next weight byte, MAC the latch as it was.
+_TAP = "broadcast64 n1, wtram[a3], a5, inc | mac.uint8 dlast, n1, zoff"
+
+#: A straight-line pass in the conv programs' form, its latches mixing
+#: rotations and bypasses, left and right, from the latch and from RAM,
+#: with a third register riding along: 20 words, 33 trips.
+_PASS = [
+    f"loop 3 {{\n  {_TAP} | rotl n0, n0, 1\n}}",
+    f"{_TAP} | bypass n0, dram[a0++]",
+    f"loop 2 {{\n  {_TAP} | rotr n0, n0, 5 | rotl n2, n2, 3\n}}",
+    f"{_TAP} | rotl n0, dram[a0++], 7",
+    f"{_TAP} | rotr n2, wtram[a1++], 64",
+] * 4
+
+
+def _run_program(words, sat=None):
+    """Staged RAM and zero offsets, a primed latch, then ``words``."""
+    def emit(machine):
+        rng = np.random.default_rng(7)
+        row = machine.config.row_bytes
+        machine.write_data_ram(0, rng.integers(0, 256, 200 * row, np.uint8).tobytes())
+        machine.write_weight_ram(0, rng.integers(0, 256, 200 * row, np.uint8).tobytes())
+        machine.set_zero_offsets(128, 120)
+        if sat is not None:
+            machine.acc_int[: row // 2] = sat
+        return assemble(
+            "setaddr a0, 0\nsetaddr a1, 3\nsetaddr a3, 1\nsetaddr a5, 9\n"
+            "bypass n0, dram[a0++]\n" + "\n".join(words) + "\nhalt"
+        )
+
+    return emit
+
+
+def _trips(words):
+    return sum(i.repeat for i in assemble("\n".join(words)))
+
+
+class TestFusedRuns:
+    """A run is every straight-line word of one NPU issue form: it fuses
+    whole, and ends at each word that blocks it."""
+
+    def test_mixed_latch_pass_is_one_run(self):
+        fast, _ = _differential(_run_program(_PASS))
+        stats = fast.fastpath_stats
+        assert (stats["compiled"], stats["hits"], stats["fused_trips"]) == (1, 1, _trips(_PASS))
+        assert stats["misses"] == stats["fallbacks"] == stats["rejected"] == 0
+
+    @pytest.mark.parametrize("breaker", [
+        "requant.uint8",                              # out.requant
+        "store a6, inc",                              # out.store
+        "setaddr a5, 2",                              # seq.setaddr
+        "mac.uint8 zero, zero, noacc",                # npu.noacc
+        "bypass n2, n0 | mac.uint8 dlast, n1, zoff",  # ndu.source.NDU_REG
+        "add.int16 dram[a0], zero",                   # npu.int16
+        "mac.uint8 dlast, n1",                        # another NPU issue form
+        "rotl n1, n1, 1 | mac.uint8 dlast, n1, zoff",  # rotates the broadcast register
+        "broadcast64 n0, wtram[a3], a5 | mac.uint8 dlast, n1, zoff",  # a broadcast dlast
+    ])
+    def test_each_breaker_ends_the_run(self, breaker):
+        half = len(_PASS) // 2
+        fast, _ = _differential(_run_program([*_PASS[:half], breaker, *_PASS[half:]]))
+        stats = fast.fastpath_stats
+        assert (stats["compiled"], stats["hits"]) == (2, 2), stats
+        assert stats["fused_trips"] == _trips(_PASS), stats
+        assert stats["misses"] == stats["fallbacks"] == stats["rejected"] == 0, stats
+
+    def test_unevenly_advancing_stream_reads_each_row(self):
+        # The NPU's RAM row advances on one word in four trips: no stride
+        # describes it, so each trip's row is gathered.
+        words = ["loop 3 {\n  mac.uint8 dram[a0], wtram[a1++]\n}",
+                 "bypass n2, dram[a0++] | mac.uint8 dram[a0], wtram[a1++]"] * 3
+        fast, _ = _differential(_run_program(words))
+        stats = fast.fastpath_stats
+        assert (stats["hits"], stats["fused_trips"]) == (1, _trips(words)), stats
+
+    def test_an_iram_chunk_splits_a_run(self):
+        # 300 words: the bank chunk ends inside the run, which fuses as
+        # two runs, one per chunk, with the chunk's halt between them.
+        words = _PASS * 15
+        fast, _ = _differential(_run_program(words), streamed=True)
+        stats = fast.fastpath_stats
+        assert (stats["compiled"], stats["hits"]) == (2, 2), stats
+        assert stats["fused_trips"] == _trips(words), stats
+
+    def test_saturating_block_commits_the_blocks_before_it(self):
+        # 1 400 trips of 255 x 255 in two words: the first 1 024-trip block
+        # is proven, the second could saturate, so the interpreter resumes
+        # inside the second word and saturates the preloaded half.
+        words = ["loop 700 {\n  rotl n0, n0, 1 | mac.uint8 dram[a4], wtram[a4]\n}",
+                 "loop 700 {\n  rotr n0, n0, 3 | mac.uint8 dram[a4], wtram[a4]\n}"]
+
+        def emit(machine):
+            row = machine.config.row_bytes
+            program = _run_program(words, sat=ACC_MAX - 80_000_000)(machine)
+            machine.write_data_ram(0, bytes([255]) * row)
+            machine.write_weight_ram(0, bytes([255]) * row)
+            return program
+
+        fast, interp = _differential(emit)
+        stats = fast.fastpath_stats
+        assert (stats["hits"], stats["fallbacks"], stats["fused_trips"]) == (1, 1, 1024), stats
+        half = fast.config.row_bytes // 2
+        assert (interp.acc_int[:half] == ACC_MAX).all()
+
+    def _stepped(self, fastpath, configure, budget=100_000_000):
+        machine = Ncore(fastpath=fastpath)
+        program = _run_program(_PASS)(machine)
+        machine.load_program(program)
+        configure(machine)
+        trail = []
+        while not machine.halted:
+            result = machine.run(budget)
+            trail.append((result.stop_reason, machine.total_cycles, machine.pc))
+            if len(trail) > 10_000:  # pragma: no cover - runaway guard
+                pytest.fail("machine failed to make progress")
+        return machine, trail
+
+    @pytest.mark.parametrize("configure", [
+        # The instructions counter wraps on the run's eighth word.
+        lambda m: m.perf_counters["instructions"].configure(
+            offset=(1 << 48) - 12, break_on_wrap=True),
+        lambda m: setattr(m, "n_step", 7),
+    ], ids=["instructions_wrap", "n_step"])
+    def test_debug_stops_inside_a_run_match(self, configure):
+        fast_m, fast_trail = self._stepped(True, configure)
+        interp_m, interp_trail = self._stepped(False, configure)
+        assert fast_trail == interp_trail
+        assert fast_trail[0][0] in ("perf_counter", "n_step")
+        assert 5 <= fast_trail[0][2] < 5 + len(_PASS)  # the first stop lands inside the run
+        _assert_same_state(fast_m, interp_m)
+        assert fast_m.fastpath_stats["fallbacks"] >= 1
+
+    def test_budget_slices_inside_a_run_match(self):
+        # step() checks its budget between words, so a run fuses up to the
+        # word the interpreter would stop after, and no further.
+        fast_m, fast_trail = self._stepped(True, lambda m: None, budget=10)
+        interp_m, interp_trail = self._stepped(False, lambda m: None, budget=10)
+        assert fast_trail == interp_trail
+        assert fast_trail[0][0] == "cycle_budget" and 5 < fast_trail[0][2] < 5 + len(_PASS)
+        _assert_same_state(fast_m, interp_m)
+        assert fast_m.fastpath_stats["hits"] == 1
 
 
 class TestSaturationFallback:

@@ -3,7 +3,8 @@
 Hundreds of seeded random — but legal — programs built from the
 single-instruction vocabulary (rotates, broadcasts, bypasses, every NPU
 op over 8- and 16-bit lanes, pre-shifts, neighbour slides, requant/store,
-fused loops, hardware repeats), run on both execution tiers from
+fused loops, hardware repeats, straight-line runs of words sharing one
+NPU issue), run on both execution tiers from
 identical random RAM images and configuration registers.  Everything
 observable must match bit-for-bit; traces the fast path rejects (all but
 the 8-bit accumulating form) simply run on the interpreter and still
@@ -75,6 +76,32 @@ def _random_instruction(rng) -> str:
     return " | ".join(statements)
 
 
+def _random_run(rng) -> list[str]:
+    """A straight-line run: 2-6 words carrying one 8-bit accumulating NPU
+    issue, each with its own NDU ops (RAM streams, self-rotations and
+    broadcasts) and repeat count."""
+    flags = ", zoff" if rng.random() < 0.5 else ""
+    npu = (f"{rng.choice(['mac', 'add', 'sub', 'min', 'max'])}{rng.choice(['.uint8', '.int8'])} "
+           f"{rng.choice(_DATA_SOURCES)}, {rng.choice(_WEIGHT_SOURCES)}{flags}")
+    words = []
+    for _ in range(int(rng.integers(2, 7))):
+        ops = []
+        for reg in rng.permutation(3)[: int(rng.integers(0, 3))]:
+            kind = rng.integers(0, 4)
+            if kind == 0:
+                ops.append(f"bypass n{reg}, dram[a0++]")
+            elif kind == 1:
+                ops.append(f"{rng.choice(['rotl', 'rotr'])} n{reg}, n{reg}, {rng.integers(1, 65)}")
+            elif kind == 2:
+                ops.append(f"rotl n{reg}, wtram[a1++], {rng.integers(0, 65)}")
+            else:
+                ops.append(f"broadcast64 n{reg}, wtram[a1], a5, inc")
+        line = " | ".join([*ops, npu])
+        trips = int(rng.integers(1, 4))
+        words.append(f"loop {trips} {{\n  {line}\n}}" if trips > 1 else line)
+    return words
+
+
 def _random_program(rng) -> str:
     lines = [
         "setaddr a0, 0",
@@ -96,6 +123,8 @@ def _random_program(rng) -> str:
             for _ in range(int(rng.integers(1, 3))):
                 lines.append(_random_instruction(rng))
             lines.append("endloop")
+        elif roll < 0.9:
+            lines += _random_run(rng)
         else:
             lines.append(_random_instruction(rng))
         if rng.random() < 0.3:
@@ -144,9 +173,9 @@ def test_fuzz_exercises_both_fusion_kinds(monkeypatch):
     # Sanity: across the corpus the fast path actually fuses a meaningful
     # share of traces, and each fold it keeps — the accumulating sum
     # (MAC / ADD / SUB) and the min/max fold — commits at least one fused
-    # trip (the differential above would pass trivially if the generator
-    # only ever produced rejected traces).
-    folds = {"sum": 0, "minmax": 0}
+    # trip, as does a run of several words (the differential above would
+    # pass trivially if the generator only ever produced rejected traces).
+    folds = {"sum": 0, "minmax": 0, "words": 0}
     run = fastpath_mod.FusedTrace.run
 
     def counting_run(trace, machine, count):
@@ -154,6 +183,8 @@ def test_fuzz_exercises_both_fusion_kinds(monkeypatch):
         if done and trace.npu is not None:
             minmax = trace.npu.opcode in (NPUOpcode.MIN, NPUOpcode.MAX)
             folds["minmax" if minmax else "sum"] += 1
+        if done and len(trace.word_ends) > 1:
+            folds["words"] += 1
         return done
 
     monkeypatch.setattr(fastpath_mod.FusedTrace, "run", counting_run)
@@ -164,4 +195,4 @@ def test_fuzz_exercises_both_fusion_kinds(monkeypatch):
         machine.execute_program(assemble(source))
         hits += machine.fastpath_stats["hits"]
     assert hits > 10
-    assert folds["sum"] > 0 and folds["minmax"] > 0, folds
+    assert folds["sum"] > 0 and folds["minmax"] > 0 and folds["words"] > 0, folds

@@ -11,14 +11,14 @@ from repro.isa.instruction import Activation
 from repro.ncore import out as out_unit
 
 from tests.dtypes.test_quantization import oracle_lanes
-from tests.helpers import bf16_from_bits
+from tests.helpers import bf16_from_bits, requantize_lanes
 
 
 class TestRequantizeLanes:
     def test_identity(self):
         m, s = quantize_multiplier(1.0)
         acc = np.array([5, -3, 127], dtype=np.int32)
-        vals = out_unit.requantize_lanes(
+        vals = requantize_lanes(
             acc,
             np.full(3, m, np.int64),
             np.full(3, s, np.int64),
@@ -32,7 +32,7 @@ class TestRequantizeLanes:
         m1, s1 = quantize_multiplier(1.0)
         m2, s2 = quantize_multiplier(0.5)
         acc = np.array([100, 100], dtype=np.int32)
-        vals = out_unit.requantize_lanes(
+        vals = requantize_lanes(
             acc,
             np.array([m1, m2], np.int64),
             np.array([s1, s2], np.int64),
@@ -51,7 +51,7 @@ class TestRequantizeLanes:
         # scalar gemmlowp-style reference in repro.dtypes.
         m, s = quantize_multiplier(real_mult)
         lanes = acc.size
-        vals = out_unit.requantize_lanes(
+        vals = requantize_lanes(
             acc,
             np.full(lanes, m, np.int64),
             np.full(lanes, s, np.int64),
@@ -89,7 +89,7 @@ class TestEpilogueRegressions:
                         [-2, -100, -4, -1, -1, -1025, -1, -3]], dtype=np.int32)
         offsets = np.zeros(8, np.int64)
         want = oracle_lanes(acc, mults, shifts, offsets, NcoreDType.INT16)
-        got = out_unit.requantize_lanes(acc, mults, shifts, offsets, NcoreDType.INT16)
+        got = requantize_lanes(acc, mults, shifts, offsets, NcoreDType.INT16)
         np.testing.assert_array_equal(got, want)
         spec = out_unit.RequantSpec(0, NcoreDType.INT16, lane_mults=mults, lane_shifts=shifts)
         np.testing.assert_array_equal(spec.apply(acc), want)
@@ -195,7 +195,7 @@ class TestEpilogueRegressions:
             out = spec.apply(acc, bias)
             np.testing.assert_array_equal(acc, before)
             assert not np.shares_memory(out, acc)
-            lanes_out = out_unit.requantize_lanes(
+            lanes_out = requantize_lanes(
                 acc[0], mults, shifts, np.zeros(7, np.int64), NcoreDType.INT8
             )
             np.testing.assert_array_equal(acc, before)

@@ -7,7 +7,8 @@ previous tap's word (Fig. 6).  Every case here must be byte-equal to its
 ``qkernels`` reference on both machine modes, run one MAC clock per tap
 plus one accumulator clear per pass, run exactly the cycles that
 ``conv2d_schedule`` / ``depthwise_schedule`` count for the same shape and
-stride, and — on a sample — read no row the staging left uninitialized.
+stride (one case spans two IRAM chunks, so the chunk's halt is counted),
+and — on a sample — read no row the staging left uninitialized.
 The widths sit on both sides of the 16 / 32 / 64-lane slot boundaries
 (``w_out`` plus the rotation reach), and the heights leave a partial last
 pass.
@@ -67,6 +68,7 @@ CONV_CASES = [
     (11, 30, 3, 8, 3, 2, True),    # stride 2, reach 16
     (11, 62, 3, 8, 3, 2, True),    # stride 2, reach 32
     (7, 125, 1, 4, 3, 2, True),    # stride 2, reach 64
+    (29, 14, 7, 8, 3, 1, True),    # 8 passes of 63 taps: 373 words, two IRAM chunks
 ]
 
 #: (h, w, channels, k): the same widths on the per-channel-group map.
