@@ -3,9 +3,10 @@ passes must stay fused, and the trace-fused tier well ahead of the
 interpreter on them.
 
 ``test_fig6_loop_fuses`` is the exact check against a change that quietly
-disables fusion: one compiled trace, one hit, all 512 trips fused, no
-rejection and no fallback.  ``test_conv_passes_fuse`` is the same check
-on every catalog conv and depthwise kind: each pass is one run.
+disables fusion: one compiled trace, one hit, every issue but the halt
+fused (the 512 trips and the prologue), no rejection and no fallback.
+``test_conv_passes_fuse`` is the same check on every catalog conv and
+depthwise kind and on ``matmul_fc``: each IRAM chunk is one run.
 ``test_fastpath_speedup_guard`` and ``test_conv_speedup_guard`` time both
 tiers.  Each floor is 0.8x the lowest of its recorded readings, rounded
 down (CHANGES.md lists them, on a 2-vCPU host): the Fig. 6 loop's
@@ -28,6 +29,9 @@ GUARD_CONV_SPEEDUP = 1.5
 
 #: The catalog kinds whose programs are Fig. 7 passes of Fig. 6 taps.
 CONV_KINDS = ("conv3x3_s1", "conv3x3_s2", "conv1x1", "depthwise3x3")
+
+#: The kinds ``test_conv_passes_fuse`` holds to one run per IRAM chunk.
+RUN_KINDS = (*CONV_KINDS, "matmul_fc")
 
 
 def measure_inner_loop(fastpath: bool) -> dict[str, float]:
@@ -55,7 +59,7 @@ def test_fig6_loop_fuses():
     stats = machine.fastpath_stats
     assert (stats["compiled"], stats["rejected"]) == (1, 0), stats
     assert (stats["hits"], stats["fallbacks"]) == (1, 0), stats
-    assert stats["fused_trips"] == FIG6_TRIPS == 512, stats
+    assert stats["fused_trips"] == machine.total_issues - 1 == FIG6_TRIPS + 4, stats
 
 
 def test_fastpath_speedup_guard():
@@ -71,34 +75,31 @@ def test_fastpath_speedup_guard():
     )
 
 
-def _conv_kinds():
-    return [kind for kind in build_kinds(np.random.default_rng(1)) if kind.name in CONV_KINDS]
+def _kinds(names):
+    return [kind for kind in build_kinds(np.random.default_rng(1)) if kind.name in names]
 
 
 def test_conv_passes_fuse():
-    # One run per pass, two where an IRAM chunk cut falls between two of
-    # the pass's taps; every MAC trip but the accumulator clears fused.
-    kinds = _conv_kinds()
-    assert [kind.name for kind in kinds] == list(CONV_KINDS)
+    # One run per IRAM chunk: the passes with their clears, address writes,
+    # requants and stores; every issue but the chunks' halts fused.
+    kinds = _kinds(RUN_KINDS)
+    assert [kind.name for kind in kinds] == list(RUN_KINDS)
     for kind in kinds:
         machine = Ncore()
-        program, result = kind.emit(machine)
+        program, _ = kind.emit(machine)
         assert run_streamed(machine, program).halted
-        room = machine.iram.bank_instructions - 1
-        split = sum(not fusion_blockers(program[cut - 1]) and not fusion_blockers(program[cut])
-                    for cut in range(room, len(program), room))
-        passes = result.plan.passes
+        chunks = -(-len(program) // (machine.iram.bank_instructions - 1))
+        assert not any(fusion_blockers(ins) for ins in program[:-1]), kind.name
         stats = machine.fastpath_stats
-        assert stats["hits"] == stats["compiled"] == passes + split, (kind.name, stats)
-        assert stats["fused_trips"] == machine.total_macs // machine.config.lanes - passes, (
-            kind.name, stats)
+        assert stats["hits"] == stats["compiled"] == chunks, (kind.name, stats)
+        assert stats["fused_trips"] == machine.total_issues - chunks, (kind.name, stats)
         assert stats["misses"] == stats["fallbacks"] == stats["rejected"] == 0, (kind.name, stats)
 
 
 def measure_conv(fastpath: bool) -> dict[str, float]:
     """Best-of-five wall time loading and running conv3x3_s1's program,
     with the simulated cycles it ran."""
-    (kind,) = [kind for kind in _conv_kinds() if kind.name == "conv3x3_s1"]
+    (kind,) = _kinds(("conv3x3_s1",))
     best = float("inf")
     machine = None
     for _ in range(5):

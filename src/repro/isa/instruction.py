@@ -336,14 +336,15 @@ class Instruction:
             accesses.append(RowAccess("out", "data", out.dst_addr_reg, rows, step, True))
         return tuple(accesses)
 
-    def addr_steps(self) -> dict[int, int]:
+    def addr_steps(self, accesses: tuple[RowAccess, ...] | None = None) -> dict[int, int]:
         """Address register -> its total post-increment per issue.
 
-        Row steps of :meth:`row_accesses` plus the byte-index register of a
-        ``broadcast64 ... inc``; registers one issue leaves alone are absent.
+        Row steps of :meth:`row_accesses` (``accesses``, when the caller
+        has them) plus the byte-index register of a ``broadcast64 ...
+        inc``; registers one issue leaves alone are absent.
         """
         steps: dict[int, int] = {}
-        for access in self.row_accesses():
+        for access in self.row_accesses() if accesses is None else accesses:
             if access.step:
                 steps[access.reg] = steps.get(access.reg, 0) + access.step
         for op in self.ndu_ops:

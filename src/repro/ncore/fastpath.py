@@ -1,32 +1,35 @@
 """Fast-path execution tier for the Ncore simulator: trace-fused runs.
 
 The interpreter in :mod:`repro.ncore.machine` pays one Python dispatch per
-issue — the dominant cost of every simulated workload.  This module
-evaluates a *run*: a maximal straight-line sequence of 8-bit VLIW words
-that :func:`fusion_blockers` passes and that carry one NPU issue form,
-with at least :data:`MIN_FUSED_TRIPS` issues (trips) in all.  That is the
-loop the machine's programs run (paper §IV-B, Fig. 6: ``broadcast64 | mac
-dlast | rotl``, packed per Fig. 7 into short repeats and latch words); a
-lone hardware repeat is a run of one word.  Trips are evaluated as
-(trips, row_bytes) matrices, a block of trips per handful of numpy calls,
-producing **bit-identical, cycle-exact** machine state.  Multi-instruction
-``LOOP_BEGIN``…``LOOP_END`` loops are interpreted (a run in the body still
-fuses).
+issue.  This module evaluates a *run*: a maximal straight-line sequence of
+words that :func:`fusion_blockers` passes, with at least
+:data:`MIN_FUSED_TRIPS` issues (trips) in all.  Only sequencer control flow
+(a hardware loop, ``halt``, DMA, an event, a breakpoint) or an unsupported
+op ends a run, so one spans whole Fig. 7 passes: ``setaddr`` / ``addaddr``,
+the accumulator clear (a non-accumulating issue over ``zero, zero``), the
+Fig. 6 taps and latch words of one accumulating NPU issue form (§IV-B),
+and the OUT unit's integer ``requant`` and ``store`` (§IV-D.5).  Each
+catalog program runs as one run per IRAM chunk.  Trips are evaluated as
+(trips, row_bytes) matrices, producing **bit-identical, cycle-exact**
+machine state.
 
-The register model is one table, built at ``load_program``: after each
-trip, every NDU register the run writes is a *window* ``(source, shift)``.
-The source is the register's live row at run entry or a row of its RAM
-stream (relative to the entry address); the shift is a left rotation, or
-for ``broadcast64`` the byte index each 64-byte group broadcasts.  The NPU
-issue reads RAM rows, ``zero``, those registers after commit, or
-``dlast`` (n0 as the trip began), so each operand of a block is one
-gather over the table, or a strided view where its rows advance evenly —
-a broadcast register a ``(trips, groups, 1)`` operand, never widened —
-and :func:`repro.ncore.npu.fold_int8` folds the block.  Any trip the
-static model cannot prove exact (RAM bounds, pending ECC corrections,
-perf-counter wraparound breakpoints, n-step windows, a block whose
-accumulation could saturate) is interpreted, from a trip where the state
-equals the interpreter's.
+The model is a few tables built at ``load_program``.  After each trip,
+each address register is its entry or last ``setaddr`` value plus the
+steps since, and each NDU register the run writes is a *window*
+``(source, shift)``: its live row at entry or a row of its RAM stream,
+rotated left (``broadcast64``: the index register's byte).  The NPU reads
+RAM rows, ``zero``, those registers after commit, or ``dlast`` (n0 as the
+trip began), so each operand of a block is one gather, or a strided view
+where its rows advance evenly (a broadcast register a ``(trips, groups,
+1)`` operand, never widened), and :func:`repro.ncore.npu.fold_int8` folds
+the block.  Each clear starts an *epoch*: its accumulating trips fold into
+its own accumulator (the first epoch's is the live one), each ``requant``
+reads it as it stands, all of a run's requants are one call of the
+machine's per-lane requantizer, and its stores are one assignment.  Any
+trip the model cannot prove exact (RAM bounds, a stored row read back,
+pending ECC corrections, perf-counter wraparound breakpoints, n-step
+windows, a block whose accumulation could saturate) is interpreted, from
+a trip where the state equals the interpreter's.
 """
 
 from __future__ import annotations
@@ -36,13 +39,15 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 import numpy.typing as npt
 
-from repro.dtypes import NcoreDType
+from repro.dtypes import NcoreDType, dtype_info
 from repro.isa.instruction import (
+    Activation,
     Instruction,
     NDUOp,
     NDUOpcode,
     NPUOp,
     NPUOpcode,
+    OutOp,
     OutOpcode,
     RotateDirection,
     SeqOpcode,
@@ -59,20 +64,18 @@ if TYPE_CHECKING:
 
 Array = npt.NDArray[Any]
 
-#: Flat bytes of trip state per execution block: bounds peak matrix memory
-#: while keeping the vectorization factor high enough that numpy dominates
-#: dispatch cost.  Equals 1024 trips at the CHA row width; wider configs
-#: get proportionally fewer trips per block so memory stays bounded.
-_BLOCK_TARGET_BYTES = 1024 * CHA_NCORE.row_bytes
+#: Bytes of block scratch: a block of trips takes at most 4 bytes per lane
+#: and trip (the int16 products of both operands, or the float32 data), so
+#: 64 trips at the CHA row width, which keeps a block's working set inside
+#: a core's L2; wider configs get proportionally fewer trips per block.
+_BLOCK_TARGET_BYTES = 256 * CHA_NCORE.row_bytes
 
-#: Fewest trips a run fuses.  A fused run has a fixed cost (its table at
-#: load, preflight, block set-up), so with a fresh machine per run the
-#: break-even is about 20 trips, on the Fig. 6 body and on a line of
-#: one-trip latch words alike (sweep in docs/simulator-performance.md);
-#: identical runs of one program share a table.  4 is kept for the
-#: ledger's exact rows.  Read where a run's trip count is known:
-#: ``compile_program``.
-MIN_FUSED_TRIPS = 4
+#: Fewest trips a run fuses.  A fused run has a fixed cost (its tables at
+#: load, preflight, block set-up) that shorter runs do not earn back: 18 is
+#: above the catalog's short kinds (sweep in CHANGES.md) and at or below
+#: the ``repro run --trace`` microkernel's 19-trip run.  Read where a run's
+#: trip count is known: ``compile_program``.
+MIN_FUSED_TRIPS = 18
 
 
 # ----------------------------------------------------------------------
@@ -85,9 +88,10 @@ MIN_FUSED_TRIPS = 4
 # destination register's previous value through a runtime mask.
 TRACE_NDU_OPCODES = frozenset({NDUOpcode.BYPASS, NDUOpcode.ROTATE, NDUOpcode.BROADCAST64})
 
-# A run is straight-line code, and a repeat count cannot combine with an
-# active sequencer op (the machine raises).
-TRACE_SEQ_OPCODES = frozenset({SeqOpcode.NOP})
+# A run is straight-line code: the sequencer may only write address
+# registers, and a repeat count cannot combine with an active sequencer op
+# (the machine raises).
+TRACE_SEQ_OPCODES = frozenset({SeqOpcode.NOP, SeqOpcode.SET_ADDR, SeqOpcode.ADD_ADDR})
 
 # The NPU issue of Fig. 6's inner loop and the NKL kernels: an
 # accumulating arithmetic or pooling fold over 8-bit integer lanes, the
@@ -97,6 +101,10 @@ _TRACE_NPU_DTYPES = frozenset({NcoreDType.UINT8, NcoreDType.INT8})
 # Rows an NPU operand of a fused trip may read: a streamed RAM row, the
 # zero row, an NDU register after commit, or the dlast latch.
 _TRACE_NPU_SOURCES = RAM_KINDS | {OperandKind.ZERO, OperandKind.NDU_REG, OperandKind.DLAST}
+
+# The OUT unit's integer requantize clamps in the quantized domain (a LUT
+# activation reads a table the run does not model), and a row store.
+_TRACE_ACTIVATIONS = frozenset({Activation.NONE, Activation.RELU, Activation.RELU6})
 
 
 def _self_rotation(op: NDUOp) -> bool:
@@ -108,11 +116,14 @@ def fusion_blockers(instruction: Instruction) -> tuple[str, ...]:
     """Why ``instruction`` cannot be a word of a fused run.
 
     An empty tuple means every NDU op streams a RAM row or rotates its own
-    register, its NPU issue is the 8-bit accumulating form over the rows
-    :data:`_TRACE_NPU_SOURCES` names, and its sequencer field is ``NOP``.
-    Each entry names the blocking unit/op (``ndu.source.<KIND>`` /
-    ``npu.source.<KIND>`` for a row the trip cannot stream), so
-    diagnostics can say *why* a word stays on the interpreter.
+    register; its NPU issue, if any, is the 8-bit accumulating form over
+    the rows :data:`_TRACE_NPU_SOURCES` names or the accumulator clear; its
+    OUT op, if any, is an integer ``requant`` (no LUT activation) or a row
+    ``store``; and its sequencer field is ``NOP``, ``setaddr`` or
+    ``addaddr`` (unrepeated).  Each entry names the blocking unit/op
+    (``ndu.source.<KIND>`` / ``npu.source.<KIND>`` for a row the trip
+    cannot stream), so diagnostics can say *why* a word stays on the
+    interpreter.
     """
     reasons: list[str] = []
     for op in instruction.ndu_ops:
@@ -124,10 +135,12 @@ def fusion_blockers(instruction: Instruction) -> tuple[str, ...]:
     if npu is not None and npu.opcode is not NPUOpcode.NOP:
         # CMPGT rewrites a predicate register mid-trace; the logical ops
         # and a non-accumulating issue replace the accumulator instead of
-        # folding into it.
+        # folding into it, but for the clear: over ``zero, zero`` without
+        # offsets, every lane becomes 0.
         if npu.opcode not in NARROW_OPCODES:
             reasons.append(f"npu.{npu.opcode.value}")
-        if not npu.accumulate:
+        if not npu.accumulate and (npu.zero_offset or npu.data.kind is not OperandKind.ZERO
+                                   or npu.weight.kind is not OperandKind.ZERO):
             reasons.append("npu.noacc")
         if npu.dtype not in _TRACE_NPU_DTYPES:
             reasons.append(f"npu.{npu.dtype.value}")
@@ -143,18 +156,19 @@ def fusion_blockers(instruction: Instruction) -> tuple[str, ...]:
             if operand.kind not in _TRACE_NPU_SOURCES
         ]
     out = instruction.out
-    if out is not None and out.opcode is not OutOpcode.NOP:
-        # OUT ops read intermediate accumulator values (REQUANT) or
-        # write RAM rows that later iterations may read back (STORE).
+    if out is not None and out.opcode not in (OutOpcode.NOP, OutOpcode.STORE) and (
+            out.opcode is OutOpcode.STORE_ACC or dtype_info(out.dtype).is_float
+            or out.activation not in _TRACE_ACTIVATIONS):
         reasons.append(f"out.{out.opcode.value}")
-    if instruction.seq.opcode not in TRACE_SEQ_OPCODES:
-        reasons.append(f"seq.{instruction.seq.opcode.value}")
+    seq = instruction.seq.opcode
+    if seq not in TRACE_SEQ_OPCODES or (seq is not SeqOpcode.NOP and instruction.repeat > 1):
+        reasons.append(f"seq.{seq.value}")
     return tuple(reasons)
 
 
-def _left(op: NDUOp | None, row_bytes: int) -> int:
+def _left(op: NDUOp, row_bytes: int) -> int:
     """Bytes ``op`` moves toward lane 0: a left rotation, 0 if no rotation."""
-    if op is None or op.opcode is not NDUOpcode.ROTATE:
+    if op.opcode is not NDUOpcode.ROTATE:
         return 0
     return (op.amount if op.direction is RotateDirection.LEFT else -op.amount) % row_bytes
 
@@ -172,22 +186,27 @@ class _Word:
         self.instruction, self.repeat = instruction, instruction.repeat
         self.blockers = fusion_blockers(instruction)
         npu = instruction.npu
-        self.npu = npu if npu is not None and npu.opcode is not NPUOpcode.NOP else None
+        issues = npu is not None and npu.opcode is not NPUOpcode.NOP
+        self.clear = issues and npu is not None and not npu.accumulate
+        self.npu = npu if issues and npu is not None and npu.accumulate else None
         self.forms: dict[int, _Form] = {
             op.dst: (op.opcode is NDUOpcode.BROADCAST64,
                      None if _self_rotation(op) else (op.src.kind, op.src.index),
                      op.index_reg if op.opcode is NDUOpcode.BROADCAST64 else 0)
             for op in instruction.ndu_ops}
 
-    def joins(self, forms: dict[int, _Form], npu: NPUOp | None, first: bool) -> bool:
-        """Whether this word extends a run whose NPU issue is ``npu`` and
-        whose registers hold ``forms`` (updated when it does): a register
-        keeps one form, stream and index register, and a broadcast one is
-        written before the NPU first reads it (dlast reads n0 as the run
-        entered, so never a broadcast n0)."""
-        if self.blockers or (not first and self.npu != npu):
+    def joins(self, forms: dict[int, _Form], npu: NPUOp | None) -> bool:
+        """Whether this word extends a run whose accumulating NPU issue is
+        ``npu`` (None before its first) and whose registers hold ``forms``
+        (updated when it does): a run folds one accumulating issue form, a
+        register keeps one form, stream and index register, and a
+        broadcast one is written before the NPU first reads it (dlast reads
+        n0 as the trip began, so never a broadcast n0 first written in the
+        word that reads it)."""
+        if self.blockers or None not in (npu, self.npu) and self.npu != npu:
             return False
-        operands = () if npu is None else (npu.data, npu.weight)
+        reader = npu or self.npu
+        operands = () if reader is None else (reader.data, reader.weight)
         dlast = any(o.kind is OperandKind.DLAST for o in operands)
         added: dict[int, _Form] = {}
         for dst, form in self.forms.items():
@@ -195,7 +214,7 @@ class _Word:
             if known is None:
                 read = dlast and dst == 0 or any(
                     o.kind is OperandKind.NDU_REG and o.index == dst for o in operands)
-                if form[0] and read and (not first or dst == 0 and dlast):
+                if form[0] and read and (npu is not None or dst == 0 and dlast):
                     return False
             elif form[0] != known[0] or (None not in (form[1], known[1]) and form != known):
                 return False
@@ -212,40 +231,43 @@ class _Word:
 
 class _Register:
     """One NDU register a run writes: its window after each trip (index
-    t = after t trips, 0 = at entry).  ``src`` 0 is the live row, ``src``
-    k > 0 the stream row at entry address + ``rels[k - 1]``; ``shift`` is
-    the left rotation, or for a broadcast the index register's offset."""
+    t = after t trips, 0 = at entry).  ``at`` is the trip that wrote the
+    window's source row (-1: the live row); ``src`` 0 is the live row,
+    ``src`` k > 0 the k-th distinct stream row, read at trip
+    ``row_at[k - 1]``; ``shift`` is the left rotation (a broadcast reads
+    its index register at trip ``at``)."""
 
-    def __init__(self, dst: int, form: _Form, rel: Array, live: Array, shift: Array,
-                 row_bytes: int) -> None:
-        self.dst, self.shift = dst, shift
+    def __init__(self, dst: int, form: _Form, at: Array, shift: Array, offsets: Array,
+                 fixed: Array, row_bytes: int) -> None:
+        self.dst, self.at, self.shift = dst, at, shift
         self.broadcast, self.stream, self.index_reg = form
-        # Stream rows in the order the run reads them (offsets never
-        # decrease: every address step is a post-increment).
-        read = rel[~live]
-        new = np.concatenate(([True], read[1:] != read[:-1]))[: len(read)]
-        self.rels = read[new]
-        self.src = np.zeros(len(rel), dtype=np.intp)
-        self.src[~live] = np.cumsum(new)
+        # Stream rows in the order the run reads them, one per run of equal
+        # addresses (an address is its offset and whether a setaddr fixed it).
+        written = np.flatnonzero(at >= 0)
+        reg = 0 if self.stream is None else self.stream[1]
+        key = offsets[at[written], reg] * 2 + fixed[at[written], reg]
+        new = np.concatenate(([True], key[1:] != key[:-1]))[: len(key)]
+        self.row_at = at[written][new]
+        self.src = np.zeros(len(at), dtype=np.intp)
+        self.src[written] = np.cumsum(new)
         # A rotation window's first byte in the source rows, each extended
         # cyclically by ``width`` bytes and laid end to end.
         self.width = 0 if self.broadcast else int(shift.max())
         self.window = self.src * (row_bytes + self.width) + shift
 
-    def rows(self, m: "Ncore", entry: Sequence[int], src: int | None = None) -> Array:
+    def rows(self, m: "Ncore", addr: Array, src: int | None = None) -> Array:
         """Source row ``src``, or all of them — the live row, then the
         stream rows — each extended cyclically by ``width`` bytes."""
         live = m.ndu_regs[self.dst]
         if src == 0:
             return live
-        data = (m.data_ram if self.stream is None or self.stream[0] is OperandKind.DATA_RAM
-                else m.weight_ram).data
-        base = 0 if self.stream is None else entry[self.stream[1]]
+        kind, reg = self.stream or (OperandKind.DATA_RAM, 0)
+        data = (m.data_ram if kind is OperandKind.DATA_RAM else m.weight_ram).data
         if src is not None:
-            return data[base + int(self.rels[src - 1])]
-        rows = np.empty((len(self.rels) + 1, len(live) + self.width), np.uint8)
+            return data[addr[self.row_at[src - 1], reg]]
+        rows = np.empty((len(self.row_at) + 1, len(live) + self.width), np.uint8)
         rows[0, : len(live)] = live
-        np.take(data, base + self.rels, axis=0, out=rows[1:, : len(live)])
+        np.take(data, addr[self.row_at, reg], axis=0, out=rows[1:, : len(live)])
         filled = len(live)
         while filled < rows.shape[1]:
             more = min(filled, rows.shape[1] - filled)
@@ -259,124 +281,169 @@ class FusedTrace:
     block of trips at a time (see the module docstring).  It holds no pc:
     the machine dispatches it at the run's first word.
 
-    What a trip touches — the RAM rows it reads and how far each address
-    register steps — is the ISA's own table
+    What a trip touches — the RAM rows it reads and writes and how far
+    each address register steps — is the ISA's own table
     (:meth:`Instruction.row_accesses` / ``addr_steps``), not re-derived.
     """
 
-    def __init__(self, words: Sequence[_Word], row_bytes: int) -> None:
-        self.row_bytes, self.npu = row_bytes, words[0].npu
+    def __init__(self, words: Sequence[_Word], numbers: Sequence[int], row_bytes: int) -> None:
+        """The run of ``words[n]`` for each ``n`` of ``numbers``."""
+        self.row_bytes = row_bytes
         # A run repeats a few instruction objects: read each once.
-        index: dict[int, int] = {}
-        kinds = np.array([index.setdefault(id(word), len(index)) for word in words])
-        distinct = [word.instruction for word in {id(word): word for word in words}.values()]
-        repeats = np.array([ins.repeat for ins in distinct])[kinds]
+        used = sorted(set(numbers))
+        local = np.empty(used[-1] + 1, np.intp)
+        local[used] = np.arange(len(used))
+        kinds = local[list(numbers)]
+        distinct = [words[number] for number in used]
+        self.npu = next((word.npu for word in distinct if word.npu is not None), None)
+        repeats = np.array([word.repeat for word in distinct])[kinds]
         self.word_ends = np.cumsum(repeats)  # trips through each word
         self.trips = int(self.word_ends[-1])
-        dsts = sorted({op.dst for ins in distinct for op in ins.ndu_ops})
-        keys = sorted({(a.ram, a.reg) for ins in distinct for a in ins.row_accesses()})
-        # Per word: cycles, data and weight rows read, each address step;
-        # per written register whether the word streams a RAM row into it
-        # and its left rotation; per stream, the rows it reads.
+        per_trip = np.repeat(kinds, repeats)  # each trip's word
+        dsts = sorted({dst for word in distinct for dst in word.forms})
+        accesses = [word.instruction.row_accesses() for word in distinct]
+        keys = sorted({(a.ram, a.reg) for issue in accesses for a in issue if not a.write})
+        # Per word, from the ISA's own table, in three groups of columns:
+        # the summed ones (cycles, data and weight rows read, MAC lanes,
+        # rows stored, each address step, per written register its
+        # self-rotation); the ones whose last trip counts (each setaddr, per
+        # register whether the word streams a RAM row into it); then each
+        # setaddr value, the rotation of each streamed row, the rows each
+        # stream reads at once, and whether the word folds an accumulating
+        # issue, clears, or has an OUT op.
+        r, d = NUM_ADDR_REGS, len(dsts)
+        summed, latest = 5 + r + d, 5 + 2 * r + 2 * d
         columns: list[list[int]] = []
-        for ins in distinct:
-            accesses, steps = ins.row_accesses(), ins.addr_steps()
-            ops = {op.dst: op for op in ins.ndu_ops}
-            columns.append([
-                ins.issue_cycles(),
-                *(sum(a.rows for a in accesses if a.ram == ram) for ram in ("data", "weight")),
-                *(steps.get(reg, 0) for reg in range(NUM_ADDR_REGS)),
-                *(dst in ops and not _self_rotation(ops[dst]) for dst in dsts),
-                *(_left(ops.get(dst), row_bytes) for dst in dsts),
-                *(max((a.rows for a in accesses if (a.ram, a.reg) == key), default=0)
-                  for key in keys)])
-        per_trip = np.array(columns)[np.repeat(kinds, repeats)]
-        counts, d = 3 + NUM_ADDR_REGS, len(dsts)
-        totals = np.zeros((self.trips + 1, counts), np.int64)  # over the first t trips
-        np.cumsum(per_trip[:, :counts], axis=0, out=totals[1:])
-        self.cycles, self.reads, self.offsets = totals[:, 0], totals[:, 1:3].T, totals[:, 3:].T
+        for word, issue in zip(distinct, accesses, strict=True):
+            ins, seq = word.instruction, word.instruction.seq
+            reads = [a for a in issue if not a.write]
+            values = [ins.issue_cycles(),
+                      *(sum(a.rows for a in reads if a.ram == ram) for ram in ("data", "weight")),
+                      row_bytes if ins.npu is not None and ins.npu.opcode is NPUOpcode.MAC
+                      else 0, sum(a.rows for a in issue if a.write), *[0] * (3 * r + 3 * d)]
+            for reg, step in ins.addr_steps(issue).items():
+                values[5 + reg] = step
+            if seq.opcode is SeqOpcode.ADD_ADDR:
+                values[5 + seq.arg] += seq.arg2
+            elif seq.opcode is SeqOpcode.SET_ADDR:
+                values[summed + seq.arg], values[latest + seq.arg] = 1, seq.arg2
+            for op in ins.ndu_ops:
+                j, streams = dsts.index(op.dst), not _self_rotation(op)
+                values[summed + r + j] = streams
+                values[(latest + r if streams else 5 + r) + j] = _left(op, row_bytes)
+            values += [max((a.rows for a in reads if (a.ram, a.reg) == key), default=0)
+                       for key in keys]
+            columns.append([*values, word.npu is not None, word.clear, ins.out is not None])
+        table = np.repeat(np.array(columns, dtype=np.int64)[kinds], repeats, axis=0)
+        trips = np.arange(self.trips + 1)
+        sums = np.zeros((self.trips + 1, summed), np.int64)  # over the first t trips
+        np.cumsum(table[:, :summed], axis=0, out=sums[1:])
+        last = np.zeros((self.trips + 1, r + d), np.intp)  # trips through the last one
+        np.maximum.accumulate(np.where(table[:, summed:latest] > 0, trips[1:, None], 0),
+                              axis=0, out=last[1:])
+        self.cycles, self.reads, self.macs, self.writes = (
+            sums[:, 0], sums[:, 1:3].T, sums[:, 3], sums[:, 4])
         self.word_cycles = self.cycles[self.word_ends]
-        # The lowest and past-the-highest row each stream reads (offsets
-        # never decrease, so its first and last reads bound it).
-        self.spans: dict[tuple[str, int], tuple[int, int]] = {}
-        for (ram, reg), rows in zip(keys, per_trip[:, counts + 2 * d :].T, strict=True):
-            reading = rows.nonzero()[0]
-            self.spans[ram, reg] = (int(self.offsets[reg, reading[0]]),
-                                    int(self.offsets[reg, reading[-1]] + rows.max()))
-        mac = self.npu is not None and self.npu.opcode is NPUOpcode.MAC
-        self.macs_per_trip = row_bytes if mac else 0
+        # Each address register after t trips: ``offsets`` plus, unless a
+        # setaddr ``fixed`` it, its entry value.
+        stepped, setv = sums[:, 5 : 5 + r], table[:, latest : latest + r]
+        self.fixed = last[:, :r] > 0
+        flat = (last[:, :r] * r + np.arange(r)).ravel()
+        self.offsets = stepped + np.where(
+            self.fixed, (np.take(setv, flat - r) - np.take(stepped, flat)).reshape(-1, r), 0)
+        self.streams = {key: (rows.nonzero()[0], int(rows.max())) for key, rows in
+                        zip(keys, table[:, latest + r + d : -3].T, strict=True)}
+        self.acc_trips, clears, outs = (np.flatnonzero(flag) for flag in table[:, -3:].T)
+        ops = [(t, distinct[k].instruction.out)
+               for t, k in zip(outs.tolist(), per_trip[outs].tolist())]
+        requants = [(t, op) for t, op in ops if op is not None and op.opcode is OutOpcode.REQUANT]
+        stores = [(t, op) for t, op in ops if op is not None and op.opcode is OutOpcode.STORE]
+        self.requant_trips = np.array([t for t, _ in requants], dtype=np.intp)
+        self.requant_ops: list[OutOp] = [op for _, op in requants]
+        self.store_trips = np.array([t for t, _ in stores], dtype=np.intp)
+        self.store_regs = np.array([op.dst_addr_reg for _, op in stores], dtype=np.intp)
+        self.store_high = np.array([op.source_high for _, op in stores], dtype=np.intp)
+        # The data rows read after the first store (it must not read one back).
+        first = stores[0][0] if stores else self.trips
+        self.reread = {reg: reads[reads > first] for (ram, reg), (reads, _) in self.streams.items()
+                       if ram == "data" and reads[-1] > first}
+        # Epoch events in trip order: (trip, clear, acc trips folded before
+        # it) — a clear folds the trips before it, a requant its own too.
+        self.events = sorted(
+            [*zip(clears.tolist(), [True] * len(clears),
+                  np.searchsorted(self.acc_trips, clears).tolist()),
+             *zip(self.requant_trips.tolist(), [False] * len(requants),
+                  np.searchsorted(self.acc_trips, self.requant_trips, side="right").tolist())],
+            key=lambda event: (event[0], not event[1]))
         # Each written register's window after every trip: its last stream
-        # write (or the entry row) and the rotations since.
-        stream = per_trip[:, counts : counts + d].astype(bool)
-        left = per_trip[:, counts + d : counts + 2 * d]
-        last = np.maximum.accumulate(np.where(stream, np.arange(self.trips)[:, None], -1), axis=0)
-        written, at = last >= 0, np.maximum(last, 0)
-        turned = np.cumsum(np.where(stream, 0, left), axis=0)  # self-rotations through each trip
-        column = np.arange(d)
-        # Left rotations, kept below 8 rows' worth: windows over a source
+        # write ``at`` (or the entry row) and the rotations since.  Left
+        # rotations are kept below 8 rows' worth: windows over a source
         # extended that far stay a strided view over trips as long as the
         # shift grows evenly (Fig. 6's 64 bytes a trip, for 512 trips).
-        rotation = np.where(written, left[at, column] + turned - turned[at, column],
-                            turned) % (8 * row_bytes)
+        at, turned = last[:, r:] - 1, sums[:, 5 + r :]
+        flat = (at * d + np.arange(d)).ravel()
+        streamed = np.take(table[:, latest + r : latest + r + d], flat).reshape(at.shape)
+        rotation = (np.where(at >= 0, streamed, 0) + turned
+                    - np.take(turned, flat + d).reshape(at.shape)) % (8 * row_bytes)
         self.registers: dict[int, _Register] = {}
         for j, dst in enumerate(dsts):
-            forms = [word.forms[dst] for word in words if dst in word.forms]
+            forms = [word.forms[dst] for word in distinct if dst in word.forms]
             form = next((f for f in forms if f[1] is not None), forms[0])  # its stream, if any
-            broadcast, source, index_reg = form
-            rel = self.offsets[source[1], at[:, j]] if source is not None else at[:, j]
-            shift = self.offsets[index_reg, at[:, j]] if broadcast else rotation[:, j]
             self.registers[dst] = _Register(
-                dst, form, np.concatenate(([0], rel)), np.concatenate(([True], ~written[:, j])),
-                np.concatenate(([0], shift)), row_bytes)
+                dst, form, at[:, j], rotation[:, j], self.offsets, self.fixed, row_bytes)
         npu = self.npu
         self.operands = () if npu is None else (self._plan(npu.data), self._plan(npu.weight))
 
     def _plan(self, operand: Operand) -> tuple[Any, ...]:
-        """How a block reads one NPU operand: ``("zero",)``, ``("live",
-        reg)`` (a register the run leaves alone), ``("broadcast",
-        register, index)`` (its table at ``index`` per trip), or
-        ``("rows", table, base register, positions, stride)``: the rows of
-        a RAM (``table`` its kind) at entry address + ``positions``, or of
-        a register's windows (``table`` the register); ``stride`` when the
-        positions are evenly spaced, so a block is a view."""
-        kind, trips = operand.kind, np.arange(self.trips)
+        """How a block reads one NPU operand over the accumulating trips:
+        ``("zero",)``, ``("live", reg)`` (a register the run leaves alone),
+        ``("broadcast", register, index)`` (its windows ``index``),
+        ``("ram", kind, reg, trips)`` (the rows that address register holds
+        at those trips) or ``("window", register, positions)`` (its windows
+        over the extended source rows)."""
+        kind, trips = operand.kind, self.acc_trips
         register = self.registers.get(0 if kind is OperandKind.DLAST else operand.index)
-        table: OperandKind | _Register
-        reg: int | None
         if kind in RAM_KINDS:
-            table, reg, positions = kind, operand.index, self.offsets[operand.index, :-1]
-        elif kind is OperandKind.ZERO or register is None:
+            return ("ram", kind, operand.index, trips)
+        if kind is OperandKind.ZERO or register is None:
             return ("zero",) if kind is OperandKind.ZERO else ("live", operand.index)
-        else:
-            index = trips if kind is OperandKind.DLAST else trips + 1
-            src = register.src[index]
-            if register.broadcast:
-                return ("broadcast", register, index)
-            if src.all() and not register.shift[index].any():
-                # A copy of its stream row on every trip: read the RAM directly.
-                assert register.stream is not None
-                (table, reg), positions = register.stream, register.rels[src - 1]
-            else:
-                table, reg, positions = register, None, register.window[index]
-        steps = np.diff(positions)
-        even = not len(steps) or (steps == steps[0]).all()
-        stride = (int(steps[0]) if len(steps) else 0) if even else None
-        return ("rows", table, reg, positions, stride)
+        index = trips if kind is OperandKind.DLAST else trips + 1
+        if register.broadcast:
+            return ("broadcast", register, index)
+        if register.src[index].all() and not register.shift[index].any():
+            # A copy of its stream row on every trip: read the RAM directly.
+            assert register.stream is not None
+            return ("ram", *register.stream, register.at[index])
+        return ("window", register, register.window[index])
 
-    def preflight(self, machine: "Ncore") -> str | None:
+    def addresses(self, regs: Sequence[int]) -> Array:
+        """Every address register after each trip, from ``regs`` at entry."""
+        return self.offsets + np.where(self.fixed, 0, np.asarray(regs, dtype=np.int64))
+
+    def preflight(self, machine: "Ncore", addr: Array) -> str | None:
         """Why the run cannot be fused from the current state (None =
         safe).  Every check mirrors a condition under which the
         interpreter would deviate from the static model: pending ECC
-        corrections, RAM bounds faults, perf-counter wraparound
-        breakpoints and n-step windows landing inside the run."""
-        for (name, reg), (lo, hi) in self.spans.items():
+        corrections, RAM bounds faults, a stored row read back later in the
+        run, perf-counter wraparound breakpoints and n-step windows landing
+        inside the run."""
+        for (name, reg), (trips, rows) in self.streams.items():
             ram = machine.data_ram if name == "data" else machine.weight_ram
             if ram._injected:
                 return "ecc"
-            if machine.addr_regs[reg] + lo < 0 or machine.addr_regs[reg] + hi > ram.rows:
+            rows_read = addr[trips, reg]
+            if rows_read.min() < 0 or rows_read.max() + rows > ram.rows:
                 return "bounds"
+        if len(self.store_trips):
+            stored = addr[self.store_trips, self.store_regs]
+            if stored.min() < 0 or stored.max() >= machine.data_ram.rows:
+                return "bounds"
+            rows_stored = set(stored.tolist())
+            if any(not rows_stored.isdisjoint(addr[trips, reg].tolist())
+                   for reg, trips in self.reread.items()):
+                return "store"
         cycles = int(self.cycles[-1])
-        deltas = (("cycles", cycles), ("macs", self.macs_per_trip * self.trips),
+        deltas = (("cycles", cycles), ("macs", int(self.macs[-1])),
                   ("instructions", len(self.word_ends)))
         for name, delta in deltas:
             counter = machine.perf_counters[name]
@@ -388,52 +455,70 @@ class FusedTrace:
                 return "n_step"
         return None
 
-    def run(self, machine: "Ncore", limit: int) -> int:
+    def run(self, machine: "Ncore", limit: int, addr: Array) -> int:
         """Execute up to ``limit`` fused trips and commit them; returns
-        the trips committed.
+        the trips committed.  ``addr`` is :meth:`addresses` at entry.
 
         A short return means a block's accumulation could saturate: that
         block is not committed, so the machine state is exactly the
         interpreter's at that trip, and the interpreter runs the rest.
         """
-        m = machine
-        entry = list(m.addr_regs)
-        done = 0
-        npu = self.npu
-        if npu is None:
-            done = limit
-        else:
-            zeros = (m.data_zero_offset, m.weight_zero_offset) if npu.zero_offset else (0, 0)
-            per_block = max(1, _BLOCK_TARGET_BYTES // self.row_bytes)
-            cache: dict[int, Array] = {}
-            while done < limit:
-                block = slice(done, min(done + per_block, limit))
-                data, weight = (self._rows(m, plan, block, entry, cache) for plan in self.operands)
-                acc = fold_int8(npu, data, weight, *zeros, m.acc_int.reshape(-1, BROADCAST_GROUP),
-                                m._fastpath_scratch)
-                if acc is None:
-                    break
-                m.acc_int = acc.reshape(-1)
-                done = block.stop
+        m, npu = machine, self.npu
+        groups = self.row_bytes // BROADCAST_GROUP
+        acc = m.acc_int.reshape(groups, BROADCAST_GROUP)
+        done, ev = limit, 0
+        snapshots: list[Array] = []
+        events = [event for event in self.events if event[0] < limit]
+
+        def settle(folded: int) -> None:
+            """Apply the clears and requants whose trips are all folded."""
+            nonlocal acc, ev
+            while ev < len(events) and events[ev][2] <= folded:
+                if events[ev][1]:
+                    acc = np.zeros_like(acc)
+                else:
+                    snapshots.append(acc)
+                ev += 1
+
+        settle(0)
+        k, stop = 0, int(np.searchsorted(self.acc_trips, limit))
+        per_block = max(1, _BLOCK_TARGET_BYTES // (4 * self.row_bytes))
+        zeros = (m.data_zero_offset, m.weight_zero_offset) if npu and npu.zero_offset else (0, 0)
+        cache: dict[int, Any] = {}
+        while k < stop and npu is not None:
+            # One block of trips, within an epoch and before its next requant.
+            end = min(k + per_block, stop, *(event[2] for event in events[ev : ev + 1]))
+            folded = fold_int8(npu, *(self._rows(m, plan, k, end, addr, cache)
+                                      for plan in self.operands),
+                               *zeros, acc, m._fastpath_scratch)
+            if folded is None:  # the block could saturate: stop before its first trip
+                done = int(self.acc_trips[k])
+                break
+            acc, k = folded, end
+            settle(k)
         if not done:
             return 0
+        m.acc_int = acc.reshape(-1)
         # Commit the state after ``done`` trips (mid-word: the interpreter
-        # resumes the repeat).
+        # resumes the repeat): registers, addresses, the OUT registers and
+        # the stored rows, the last after every RAM read.
         for register in self.registers.values():
             src, shift = int(register.src[done]), int(register.shift[done])
             if src == 0 and (shift == 0 or register.broadcast):
                 continue  # not yet written, or back where it started
-            row, shift = register.rows(m, entry, src), shift % self.row_bytes
+            row, shift = register.rows(m, addr, src), shift % self.row_bytes
             m.ndu_regs[register.dst] = (
-                broadcast64(row, entry[register.index_reg] + shift) if register.broadcast
-                else np.concatenate((row[shift:], row[:shift])))
-        m.addr_regs[:] = [a + b for a, b in zip(entry, self.offsets[:, done].tolist(), strict=True)]
-        cycles, macs = int(self.cycles[done]), self.macs_per_trip * done
+                broadcast64(row, int(addr[register.at[done], register.index_reg]))
+                if register.broadcast else np.concatenate((row[shift:], row[:shift])))
+        self._requant_and_store(m, snapshots, done, addr)
+        m.addr_regs[:] = addr[done].tolist()
+        cycles, macs = int(self.cycles[done]), int(self.macs[done])
         m.total_cycles += cycles
         m.total_issues += done
         m.total_macs += macs
         m.data_ram.reads += int(self.reads[0, done])
         m.weight_ram.reads += int(self.reads[1, done])
+        m.data_ram.writes += int(self.writes[done])
         # preflight ruled out a wraparound breakpoint inside the run.
         m.perf_counters["cycles"].add(cycles)
         m.perf_counters["macs"].add(macs)
@@ -445,40 +530,82 @@ class FusedTrace:
         m._resume_repeat = (m.pc, into) if into else None
         return done
 
-    def _rows(self, m: "Ncore", plan: tuple[Any, ...], block: slice,
-              entry: Sequence[int], cache: dict[int, Array]) -> Array:
-        """One NPU operand over ``block``: (trips | 1, groups | 1, 64 | 1)."""
-        nb, groups = block.stop - block.start, self.row_bytes // BROADCAST_GROUP
+    def _requant_and_store(self, m: "Ncore", snapshots: list[Array], done: int,
+                           addr: Array) -> None:
+        """Requantize every snapshot of the accumulator at once, leave the
+        last in the OUT registers and write each store before trip
+        ``done`` (a store writes what the last ``requant`` before it left)."""
+        count, ops = len(snapshots), self.requant_ops[: len(snapshots)]
+        out = np.empty((count + 1, 2, self.row_bytes), np.uint8)
+        out[0] = m.out_low, m.out_high  # the OUT registers at entry
+        for op in dict.fromkeys(ops):
+            chosen = [i for i, each in enumerate(ops) if each == op]
+            low_high = m._requant_rows(op, np.stack([snapshots[i].reshape(-1) for i in chosen]))
+            out[[i + 1 for i in chosen]] = np.stack(low_high, axis=1)
+        if count:
+            m.out_low, m.out_high = out[count, 0].copy(), out[count, 1].copy()
+        stores = int(np.searchsorted(self.store_trips, done))
+        if not stores:
+            return
+        trips = self.store_trips[:stores]
+        rows = addr[trips, self.store_regs[:stores]].tolist()
+        source = np.searchsorted(self.requant_trips[:count], trips)
+        keep = list({row: i for i, row in enumerate(rows)}.values())  # the last store to a row wins
+        m.data_ram.data[[rows[i] for i in keep]] = out[source[keep], self.store_high[keep]]
+        for i in keep if m.data_ram._injected else ():
+            m.data_ram._injected.pop(rows[i], None)  # a fresh write re-encodes the ECC
+
+    def _rows(self, m: "Ncore", plan: tuple[Any, ...], start: int, stop: int,
+              addr: Array, cache: dict[int, Any]) -> Array:
+        """One NPU operand over accumulating trips ``start:stop``:
+        (trips | 1, groups | 1, 64 | 1)."""
+        nb, groups = stop - start, self.row_bytes // BROADCAST_GROUP
         shape = (nb, groups, BROADCAST_GROUP)
         if plan[0] == "zero":
             return np.broadcast_to(np.uint8(0), (nb, 1, 1))
         if plan[0] == "live":
             return np.broadcast_to(m.ndu_regs[plan[1]].reshape(1, groups, -1), shape)
         if plan[0] == "broadcast":
-            register, index = plan[1], plan[2][block]
+            register, index = plan[1], plan[2][start:stop]
             rows = cache.get(register.dst)
             if rows is None:
-                rows = cache[register.dst] = register.rows(m, entry).reshape(
+                rows = cache[register.dst] = register.rows(m, addr).reshape(
                     -1, groups, BROADCAST_GROUP)
-            lane = (entry[register.index_reg] + register.shift[index]) % BROADCAST_GROUP
-            return rows[register.src[index], :, lane][:, :, None]
-        _, table, reg, positions, stride = plan
-        if isinstance(table, _Register):
-            rows = cache.get(table.dst)
-            if rows is None:  # the windows over its extended source rows
-                flat = table.rows(m, entry).reshape(-1)
-                rows = cache[table.dst] = np.ndarray(
-                    (len(flat) - self.row_bytes + 1, self.row_bytes), np.uint8, flat, 0, (1, 1))
-            base = 0
+            lanes = addr[register.at[index], register.index_reg] % BROADCAST_GROUP
+            return rows[register.src[index], :, lanes][:, :, None]
+        if plan[0] == "window":
+            register = plan[1]
+            if register.dst not in cache:  # the windows over its extended source rows
+                source = register.rows(m, addr)
+                flat = source.reshape(-1)
+                cache[register.dst] = (np.ndarray(
+                    (len(flat) - self.row_bytes + 1, self.row_bytes), np.uint8, flat, 0, (1, 1)),
+                    self._tiled(source))
+            rows, tiled = cache[register.dst]
+            positions = plan[2][start:stop]
         else:
-            rows = (m.data_ram if table is OperandKind.DATA_RAM else m.weight_ram).data
-            base = entry[reg]
-        first = base + int(positions[block.start])
-        if stride is None:
-            return rows[base + positions[block]].reshape(shape)
+            _, kind, reg, trips = plan
+            rows = (m.data_ram if kind is OperandKind.DATA_RAM else m.weight_ram).data
+            if id(plan) not in cache:  # over the rows it reads
+                read = addr[trips, reg]
+                cache[id(plan)] = self._tiled(rows[read.min() : read.max() + 1])
+            tiled, positions = cache[id(plan)], addr[trips[start:stop], reg]
+        if tiled:  # each group's lanes are group 0's: read those alone
+            rows, shape = rows[:, :BROADCAST_GROUP], (nb, 1, BROADCAST_GROUP)
+        first = int(positions[0])
+        stride = int(positions[1] - first) if nb > 1 else 0
+        if stride < 0 or (nb > 2 and (np.diff(positions) != stride).any()):
+            return rows[positions].reshape(shape)
         if stride == 0:
-            return np.broadcast_to(rows[first].reshape(1, groups, -1), shape)
+            return np.broadcast_to(rows[first].reshape(1, -1, BROADCAST_GROUP), shape)
         return rows[first : first + stride * nb : stride].reshape(shape)
+
+    def _tiled(self, rows: Array) -> bool:
+        """Whether each of ``rows`` repeats its first 64 bytes across the
+        row (the NKL's data layout), so every broadcast group reads the same
+        lanes."""
+        words = rows[:, : self.row_bytes].view(np.uint64).reshape(len(rows), -1, 8)
+        return np.array_equal(words[:, 1], words[:, 0]) and bool((words == words[:, :1]).all())
 
 
 def compile_program(
@@ -489,33 +616,45 @@ def compile_program(
 ) -> dict[int, FusedTrace | None]:
     """Compile every run worth fusing (at least ``MIN_FUSED_TRIPS`` trips),
     keyed by its first pc; a word of ``MIN_FUSED_TRIPS`` or more trips that
-    no run covers maps to None (the machine counts it a miss).  Runs of the
-    same instruction objects share one trace.  Counts ``compiled`` /
-    ``rejected`` into ``stats`` (mirrored to ``obs``)."""
-    facts: dict[int, _Word] = {}
-    words = [facts.get(id(ins)) or facts.setdefault(id(ins), _Word(ins)) for ins in program]
-    traces: dict[tuple[int, ...], FusedTrace] = {}
-    table: dict[int, FusedTrace | None] = {}
-    runs: list[list[int]] = []
+    no run covers maps to None (the machine counts it a miss).  Counts
+    ``compiled`` / ``rejected`` into ``stats`` (mirrored to ``obs``)."""
+    if sum(ins.repeat for ins in program) < MIN_FUSED_TRIPS:
+        return {}  # no run reaches the floor
+    index: dict[int, int] = {}
+    words: list[_Word] = []  # one per distinct instruction object
+    numbers: list[int] = []
+    for ins in program:
+        number = index.get(id(ins))
+        if number is None:
+            number = index[id(ins)] = len(words)
+            words.append(_Word(ins))
+        numbers.append(number)
+    runs: list[tuple[int, int]] = []  # [first pc, past the last)
+    first: int | None = None
     forms: dict[int, _Form] = {}
+    npu: NPUOp | None = None  # the run's accumulating issue
     members: set[int] = set()  # a run's words, which join it again as they are
-    for pc, word in enumerate(words):
-        if runs and runs[-1] and (id(word) in members
-                                  or word.joins(forms, words[runs[-1][0]].npu, False)):
-            runs[-1].append(pc)
-            members.add(id(word))
+    for pc, number in enumerate(numbers):
+        word = words[number]
+        if first is not None and (number in members or word.joins(forms, npu)):
+            members.add(number)
         else:
-            forms, members = {}, {id(word)}
-            runs.append([pc] if word.joins(forms, word.npu, True) else [])
-    for run in runs:
-        if sum(words[pc].repeat for pc in run) >= MIN_FUSED_TRIPS:
-            key = tuple(id(words[pc]) for pc in run)
-            if key not in traces:
-                traces[key] = FusedTrace([words[pc] for pc in run], config.row_bytes)
-            table[run[0]] = traces[key]
-    covered = {pc for run in runs if run and run[0] in table for pc in run}
-    rejected = [pc for pc, word in enumerate(words)
-                if word.repeat >= MIN_FUSED_TRIPS and pc not in covered]
+            if first is not None:
+                runs.append((first, pc))
+            forms, members, npu = {}, {number}, None
+            first = pc if word.joins(forms, None) else None
+        npu = npu or word.npu
+    if first is not None:
+        runs.append((first, len(numbers)))
+    repeats = np.array([word.repeat for word in words], dtype=np.int64)[numbers]
+    ends = np.concatenate(([0], np.cumsum(repeats)))
+    covered = np.zeros(len(numbers), bool)
+    table: dict[int, FusedTrace | None] = {}
+    for start, stop in runs:
+        if ends[stop] - ends[start] >= MIN_FUSED_TRIPS:
+            table[start] = FusedTrace(words, numbers[start:stop], config.row_bytes)
+            covered[start:stop] = True
+    rejected = np.flatnonzero((repeats >= MIN_FUSED_TRIPS) & ~covered).tolist()
     note_stat(obs, "ncore.fastpath", stats, "compiled", len(table))
     note_stat(obs, "ncore.fastpath", stats, "rejected", len(rejected))
     table.update(dict.fromkeys(rejected))

@@ -448,12 +448,13 @@ class Ncore:
         check of ``budget_cycles`` would stop; returns whether any trip
         was committed."""
         stats = self.fastpath_stats
-        if trace.preflight(self) is not None:
+        addr = trace.addresses(self.addr_regs)
+        if trace.preflight(self, addr) is not None:
             note_stat(self.obs, "ncore.fastpath", stats, "fallbacks")
             return False
         words = np.searchsorted(trace.word_cycles[:-1], budget_cycles)
         limit = int(trace.word_ends[words])
-        done = trace.run(self, limit)
+        done = trace.run(self, limit, addr)
         note_stat(self.obs, "ncore.fastpath", stats, "hits")
         note_stat(self.obs, "ncore.fastpath", stats, "fused_trips", done)
         if done < limit:  # saturation: interpret the rest
@@ -471,15 +472,19 @@ class Ncore:
                 self.acc_float, self.float_scale, op.activation
             )
         else:
-            requantizer = self._requantizers.get(op.dtype)
-            if requantizer is None:
-                requantizer = self._requantizers[op.dtype] = out_unit.lane_requantizer(
-                    self.requant_multiplier, self.requant_shift, self.requant_offset, op.dtype)
-            values = requantizer(self.acc_int)
-            values = out_unit.apply_integer_activation(
-                values, op.activation, self.requant_offset, self.act_qmax, self.act_lut, op.dtype
-            )
-            self.out_low, self.out_high = out_unit.narrow_to_rows(values, op.dtype)
+            self.out_low, self.out_high = self._requant_rows(op, self.acc_int)
+
+    def _requant_rows(self, op: OutOp, acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (low, high) OUT rows an integer ``requant`` makes of ``acc``
+        (one accumulator, or a stack of them: the fast path's snapshots)."""
+        requantizer = self._requantizers.get(op.dtype)
+        if requantizer is None:
+            requantizer = self._requantizers[op.dtype] = out_unit.lane_requantizer(
+                self.requant_multiplier, self.requant_shift, self.requant_offset, op.dtype)
+        values = out_unit.apply_integer_activation(
+            requantizer(acc), op.activation, self.requant_offset, self.act_qmax, self.act_lut,
+            op.dtype)
+        return out_unit.narrow_to_rows(values, op.dtype)
 
     def _store(self, op: OutOp, dlast_snapshot: np.ndarray, increments: _Increments) -> None:
         row = self.addr_regs[op.dst_addr_reg]

@@ -173,14 +173,17 @@ def fold_int8(op: NPUOp, data: Array, weight: Array, data_zero: int, weight_zero
     rows, or None when :func:`proven_bound` fails for that many issues.
     The operands broadcast against each other and their issue slices
     against ``acc`` (a ``(issues, groups, 1)`` operand is one byte per
-    broadcast group, never widened to the row).
+    broadcast group, an ``(issues, 1, 64)`` one the same lanes for every
+    group; neither is widened to the row).
 
     Under the proof the order-free int32 sum (or min/max reduction)
     equals the sequential saturating fold, so every issue combines at
-    once, in the narrowest dtype holding every value under the bound
-    (SIMD throughput scales with element width), into ``pool``'s buffers:
-    ``data`` less its offset widens once into the combine buffer, a
-    broadcast or offset ``weight`` widens alone, and the combine runs in
+    once.  A MAC against a broadcast operand runs as float32 matrix
+    products (:func:`_broadcast_gemv`) where they are exact; otherwise the
+    combine runs in the narrowest dtype holding every value under the
+    bound (SIMD throughput scales with element width), into ``pool``'s
+    buffers: ``data`` less its offset widens once into the combine buffer,
+    a broadcast or offset ``weight`` widens alone, and the combine runs in
     one dtype, in place.
     """
     signed = op.dtype is NcoreDType.INT8
@@ -189,6 +192,11 @@ def fold_int8(op: NPUOp, data: Array, weight: Array, data_zero: int, weight_zero
         return None
     if signed:
         data, weight = data.view(np.int8), weight.view(np.int8)
+    if op.opcode is NPUOpcode.MAC and weight.shape[-1] == 1 < data.shape[-1]:
+        sums = _broadcast_gemv(data, weight, data_zero, weight_zero, signed, pool)
+        if sums is not None:
+            gemv: Array = acc + sums
+            return gemv
     cdtype: type
     offsets = bool(data_zero or weight_zero)
     if not (signed or offsets) and op.opcode is not NPUOpcode.SUB and bound <= 65535:
@@ -209,6 +217,34 @@ def fold_int8(op: NPUOp, data: Array, weight: Array, data_zero: int, weight_zero
         return total
     folded: Array = combine(acc, combine.reduce(combined, axis=0))
     return folded.astype(np.int32, copy=False)
+
+
+def _broadcast_gemv(data: Array, weight: Array, data_zero: int, weight_zero: int,
+                    signed: bool, pool: dict[object, Array]) -> Array | None:
+    """The MAC sum of :func:`fold_int8` for (issues, groups | 1, 64) ``data``
+    against a (issues, groups, 1) broadcast ``weight``, as float32 matrix
+    products: per group, the offset weight bytes ``w'`` (1 x issues) times
+    the raw data (issues x 64), less ``data_zero * sum(w')``; data shared
+    by every group is one product.  Every partial sum is an integer of
+    magnitude at most issues * max|d| * max|w'|, so the float32 sums are
+    exact while that stays below 2**24; None when it does not (the caller
+    combines in integers instead).  The float32 data (4 bytes per lane and
+    issue) is ``pool``'s."""
+    lo, hi = (-128, 127) if signed else (0, 255)
+    issues, groups = weight.shape[:2]
+    if issues * max(-lo, hi) * max(abs(lo - weight_zero), abs(hi - weight_zero)) >= 1 << 24:
+        return None
+    offset = np.subtract(weight.reshape(issues, groups).T, weight_zero, dtype=np.float32)
+    rows = scratch(pool, "gemv", data.shape, np.float32)
+    np.copyto(rows, data)
+    if data.shape[1] == 1:  # one tile for every group: a single product
+        product = offset @ rows[:, 0]
+    else:
+        product = np.matmul(offset[:, None], rows.transpose(1, 0, 2))[:, 0]
+    sums: Array = product.astype(np.int32)
+    if data_zero:
+        sums -= data_zero * offset.sum(axis=1).astype(np.int32)[:, None]
+    return sums
 
 
 def execute_float(

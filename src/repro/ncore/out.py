@@ -142,15 +142,15 @@ def narrow_to_rows(values: np.ndarray, dtype: NcoreDType) -> tuple[np.ndarray, n
 
     8-bit outputs fill only the low row; 16-bit outputs split into low and
     high byte rows, matching the RAM layout of 16-bit data (section
-    IV-C.2).
+    IV-C.2).  Leading axes (a stack of rows) are kept.
     """
     info = dtype_info(dtype)
     narrowed = values.astype(info.numpy_dtype)
     if info.bytes_per_element == 1:
         low = narrowed.view(np.uint8)
-        return low.copy(), np.zeros_like(low)
-    raw = narrowed.view(np.uint8).reshape(-1, 2)
-    return raw[:, 0].copy(), raw[:, 1].copy()
+        return low, np.zeros_like(low)
+    raw = narrowed.view(np.uint8).reshape(*values.shape, 2)
+    return raw[..., 0].copy(), raw[..., 1].copy()
 
 
 def float_output_rows(

@@ -107,6 +107,16 @@ class RowMemory:
         for row in range(first_row, last_row + 1):
             self._injected.pop(row, None)
 
+    def write_tiled(self, first_row: int, tiles: np.ndarray) -> None:
+        """Bus-side write of the rows from ``first_row``, row i being
+        ``tiles[i]`` repeated across it: one broadcast assignment."""
+        count, width = tiles.shape
+        if first_row < 0 or first_row + count > self.rows:
+            raise IndexError(f"{self.name} row range out of bounds")
+        self.data[first_row : first_row + count].reshape(count, -1, width)[...] = tiles[:, None]
+        for row in range(first_row, first_row + count) if self._injected else ():
+            self._injected.pop(row, None)
+
     def inject_bit_error(self, row: int, byte: int, bit: int) -> None:
         """Flip one stored bit (fault injection for ECC tests)."""
         self._check_row(row)

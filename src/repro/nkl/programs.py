@@ -19,8 +19,8 @@ Layout convention (the "internal data layout optimized for Ncore"):
   output channel g at reduction index idx; ``broadcast64`` walks idx.
 
 Each emitter stages RAM through the bus interface with numpy-built blocks,
-one write per :data:`STAGE_ROWS` rows, programs the OUT unit's
-configuration registers, and emits its program as assembly text for
+one broadcast assignment per block, programs the OUT unit's configuration
+registers, and emits its program as assembly text for
 :func:`repro.isa.assemble`.
 """
 
@@ -115,19 +115,16 @@ def pack_weight_row(weights: np.ndarray, row_bytes: int = ROW_BYTES) -> np.ndarr
     return row.reshape(row_bytes)
 
 
-#: Rows per bus write when an emitter stages a block of RAM: bounds the
-#: host-side temporaries to 64 rows (256 KB in CHA) at any problem size.
-STAGE_ROWS = 64
-
-
-def _stage_rows(write, first_row: int, tiles: np.ndarray, row_bytes: int) -> None:
+def _stage_rows(machine: Ncore, ram: str, first_row: int, tiles: np.ndarray) -> None:
     """Write ``tiles`` (n, w), each tile repeated across a whole row, to the
-    consecutive RAM rows from ``first_row``: one ``write(offset, payload)``
-    bus write per :data:`STAGE_ROWS` rows."""
-    reps = row_bytes // tiles.shape[1]
-    for start in range(0, len(tiles), STAGE_ROWS):
-        block = np.tile(tiles[start : start + STAGE_ROWS], (1, reps))
-        write((first_row + start) * row_bytes, block.tobytes())
+    consecutive rows of the ``ram`` ("data" or "weight") from
+    ``first_row``: one bus write, with its effects (the sanitizer's note
+    of a host write, each written row's ECC re-encoded)."""
+    memory = machine.data_ram if ram == "data" else machine.weight_ram
+    if machine.sanitizer is not None:
+        machine.sanitizer.on_host_write(
+            ram, first_row * memory.row_bytes, len(tiles) * memory.row_bytes)
+    memory.write_tiled(first_row, tiles)
 
 
 def _data_tiles(data: np.ndarray) -> np.ndarray:
@@ -266,15 +263,12 @@ def emit_tiled_matmul_program(
     # Stage data: per m-tile, one row per reduction index.
     for mt in range(m_tiles):
         chunk = data[mt * BROADCAST_GROUP : (mt + 1) * BROADCAST_GROUP]
-        _stage_rows(machine.write_data_ram, mt * c, _data_tiles(chunk), row_bytes)
+        _stage_rows(machine, "data", mt * c, _data_tiles(chunk))
     # Stage weights: per n-tile, packed reduction slices.
     for nt in range(n_tiles):
         cols = weights[:, nt * groups : (nt + 1) * groups]
         _stage_rows(
-            machine.write_weight_ram,
-            nt * weight_rows_per_tile,
-            _pack_reduction_rows(cols, row_bytes),
-            row_bytes,
+            machine, "weight", nt * weight_rows_per_tile, _pack_reduction_rows(cols, row_bytes)
         )
     act = _configure_out(machine, input_qp, weight_qp, output_qp, activation, n)
     lines: list[str] = []
@@ -323,7 +317,7 @@ def _fold_rows_program(
     if width != row_bytes:
         raise ProgramShapeError(f"pooling rows must be full {row_bytes}-byte rows")
     output_row = count + 1
-    _stage_rows(machine.write_data_ram, 0, rows, row_bytes)
+    _stage_rows(machine, "data", 0, rows)
     machine.set_requant(multiplier, shift, 0)
     source = f"""
     setaddr a0, 0
@@ -457,9 +451,12 @@ def _window_program(
         lines = ["mac.uint8 zero, zero, noacc", "setaddr a5, 0", *words]
         return "\n".join(lines + [f"requant.uint8{act}", "store a6, inc"])
 
-    prologue = f"setaddr a0, 0\nsetaddr a3, 0\nsetaddr a6, {output_base}\n{_LATCH}"
-    body = [prologue] + [pass_text(False)] * (plan.passes - 1) + [pass_text(True), "halt"]
-    return assemble("\n".join(body)), Conv2dResult(output_base, channels, plan)
+    # Every pass but the last is the same text: assemble it once, and repeat
+    # its instructions.
+    prologue = assemble(f"setaddr a0, 0\nsetaddr a3, 0\nsetaddr a6, {output_base}\n{_LATCH}")
+    program = [*prologue, *assemble(pass_text(False)) * (plan.passes - 1),
+               *assemble(f"{pass_text(True)}\nhalt")]
+    return program, Conv2dResult(output_base, channels, plan)
 
 
 def emit_conv2d_program(
@@ -526,9 +523,7 @@ def emit_conv2d_program(
     # Latch rows in walk order (pass, filter_y, in_channel, phase); the
     # slots of one latch fill its 64-byte tile.
     latches = tiles[in_rows].transpose(0, 1, 3, 4, 2, 5)
-    _stage_rows(
-        machine.write_data_ram, 0, latches.reshape(-1, BROADCAST_GROUP), row_bytes
-    )
+    _stage_rows(machine, "data", 0, latches.reshape(-1, BROADCAST_GROUP))
     # Stage weights in the exact order the broadcast index walks them:
     # (filter_y, in_channel, phase, taps within the phase ascending).
     tap_order = [
@@ -642,7 +637,7 @@ def emit_depthwise_program(
     padded = np.full((max(h_pad, in_rows.max() + 1), groups, tile_w), zp, dtype=np.uint8)
     padded[pt : pt + h, :c, pl : pl + w] = x[0].transpose(0, 2, 1)
     latches = padded[in_rows].transpose(0, 1, 3, 2, 4)  # (pass, r, group, slot, lane)
-    _stage_rows(machine.write_data_ram, 0, latches.reshape(-1, row_bytes), row_bytes)
+    _stage_rows(machine, "data", 0, latches.reshape(-1, row_bytes))
     # Weight row: byte [g*64 + (r*kw + s)] holds weight[r, s, g].
     taps = weights.reshape(kh * kw, c)
     machine.write_weight_ram(0, pack_weight_row(taps.T, row_bytes).tobytes())

@@ -52,7 +52,8 @@ def _assert_invisible(source: str) -> list:
 
 
 def _emitted_source(monkeypatch, name: str) -> str:
-    """The text the named emitter case hands to ``assemble``."""
+    """The text the named emitter case hands to ``assemble``, joined over
+    its calls (the window emitters assemble each distinct pass once)."""
     sources: list[str] = []
 
     def recording(source):
@@ -62,8 +63,7 @@ def _emitted_source(monkeypatch, name: str) -> str:
     monkeypatch.setattr(programs, "assemble", recording)
     emit, _ = CASES[name]
     emit(Ncore(), np.random.default_rng(0))
-    (source,) = sources
-    return source
+    return "\n".join(sources)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

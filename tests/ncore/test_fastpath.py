@@ -137,7 +137,8 @@ class TestIsaSuiteDifferential:
     def test_conv1d_rotate(self):
         rng = np.random.default_rng(13)
         data = rng.integers(0, 255, size=(40,)).astype(np.uint8)
-        weights = rng.integers(0, 255, size=(16, 5)).astype(np.uint8)
+        # 24 taps: the program's one run clears MIN_FUSED_TRIPS.
+        weights = rng.integers(0, 255, size=(16, 24)).astype(np.uint8)
 
         def emit(machine):
             program, _ = emit_conv1d_rotate_program(
@@ -246,7 +247,9 @@ class TestFig6Loop:
         assert fast.cycles == interp.cycles == 517
         _assert_same_state(fast_m, interp_m)
         assert fast_m.fastpath_stats["hits"] == 1
-        assert fast_m.fastpath_stats["fused_trips"] == 512
+        # The three setaddr words and the latch join the loop's run: every
+        # issue but the halt.
+        assert fast_m.fastpath_stats["fused_trips"] == 516
         _assert_every_repeat_fused(fast_m)
         assert interp_m.fastpath_stats["hits"] == 0
 
@@ -265,10 +268,11 @@ class TestFig6Loop:
         assert not hasattr(fastpath_mod, "set_fastpath_default")
 
     @pytest.mark.parametrize(
-        "trips, fused", [(MIN_FUSED_TRIPS - 1, 0), (MIN_FUSED_TRIPS, 1)]
+        "trips, fused", [(MIN_FUSED_TRIPS - 5, 0), (MIN_FUSED_TRIPS - 4, 1)]
     )
     def test_fusion_floor(self, trips, fused):
-        # Below the measured crossover a repeat is not compiled and not
+        # The floor counts the whole run (the four prologue words and the
+        # loop): below the measured crossover it is not compiled and not
         # looked up (neither a hit nor a miss); at it, it fuses.
         fast_m, program = fig6_machine(trips, fastpath=True)
         interp_m, _ = fig6_machine(trips, fastpath=False)
@@ -287,18 +291,18 @@ class TestFig6Loop:
             return assemble(
                 "setaddr a0, 0\nsetaddr a1, 0\n"
                 "loopn 3\n"
-                "  loop 8 {\n    mac.uint8 dram[a0], wtram[a1]\n  }\n"
+                "  loop 24 {\n    mac.uint8 dram[a0], wtram[a1]\n  }\n"
                 "  rotl n0, n0, 1\n"
                 "endloop\nhalt"
             )
 
         fast, _ = _differential(emit)
-        # Only the repeated body instruction compiles; the loop runs on
-        # the interpreter and takes the fused repeat once per trip.
+        # Only the loop body, a run of two words, compiles; the loop runs on
+        # the interpreter and takes the fused run once per trip.
         assert fast.fastpath_stats["compiled"] == 1
         assert fast.fastpath_stats["rejected"] == 0
         assert fast.fastpath_stats["hits"] == 3
-        assert fast.fastpath_stats["fused_trips"] == 24
+        assert fast.fastpath_stats["fused_trips"] == 3 * 25
 
 
 def test_nkl_emitters_emit_no_hardware_loop():
@@ -323,7 +327,7 @@ def test_nkl_emitters_emit_no_hardware_loop():
     ("mac.uint8 dram[a0], wtram[a1], pred2", ("npu.predicate",)),
     ("mac.uint8 dram[a0]>>1, wtram[a1]", ("npu.data-shift",)),
     ("mac.uint8 dram[a0], wtram[a1], neighbor", ("npu.from-neighbor",)),
-    ("mac.uint8 dram[a0], wtram[a1] | requant.uint8", ("out.requant",)),
+    ("mac.uint8 dram[a0], wtram[a1] | requant.uint8", ()),
     # An NDU op streams a RAM row or rotates its own register; the NPU
     # reads RAM, zero, a register after commit or dlast.
     ("rotl n0, n0, 1 | rotr n2, wtram[a1], 3 | mac.int8 dlast, n2", ()),
@@ -337,11 +341,22 @@ def test_nkl_emitters_emit_no_hardware_loop():
     ("bypass n1, out_lo", ("ndu.source.OUT_LOW",)),
     ("add.uint8 dram[a0], #3", ("npu.source.IMMEDIATE",)),
     ("max.uint8 out_hi, zero", ("npu.source.OUT_HIGH",)),
+    # The accumulator clear joins a run; with offsets it is no clear.
+    ("mac.uint8 zero, zero, noacc", ()),
+    ("max.int8 zero, zero, noacc", ()),
+    ("mac.uint8 zero, zero, noacc, zoff", ("npu.noacc",)),
+    # The OUT unit's integer requant and its row store join a run; a bf16
+    # requant, a LUT activation and the accumulator spill do not.
+    ("mac.uint8 dram[a0], wtram[a1] | requant.int16 relu6", ()),
+    ("store a6, inc", ()),
+    ("mac.uint8 dram[a0], wtram[a1] | requant.bf16", ("out.requant",)),
+    ("requant.uint8 tanh", ("out.requant",)),
+    ("storeacc a6", ("out.storeacc",)),
 ])
 def test_fusion_blockers_name_every_unfused_form(body, blockers):
     # The one legality rule: only the 8-bit accumulating trip over
-    # streamed or self-rotating rows fuses, and each reject names what
-    # keeps the repeat on the interpreter.
+    # streamed or self-rotating rows, the clear and the integer OUT unit
+    # fuse, and each reject names what keeps the repeat on the interpreter.
     (instruction,) = assemble(f"loop 8 {{\n  {body}\n}}")
     assert fastpath_mod.fusion_blockers(instruction) == blockers
 
@@ -370,7 +385,8 @@ def test_both_register_forms_fuse_identically(body):
     # way, read by the NPU directly, after commit and through dlast.
     fast, _ = _differential(_repeat_program(body, 70))
     stats = fast.fastpath_stats
-    assert (stats["compiled"], stats["hits"], stats["fused_trips"]) == (1, 1, 70), stats
+    # The repeat's run starts at the prologue: three setaddr words and a latch.
+    assert (stats["compiled"], stats["hits"], stats["fused_trips"]) == (1, 1, 4 + 70), stats
 
 
 @pytest.mark.parametrize("body", [
@@ -380,8 +396,9 @@ def test_both_register_forms_fuse_identically(body):
 ])
 def test_rejected_forms_run_identically_on_the_interpreter(body):
     # A form the source rule rejects is compiled to nothing, counts as
-    # rejected, and leaves the state the interpreter's.
-    fast, _ = _differential(_repeat_program(body, 12))
+    # rejected, and leaves the state the interpreter's (the four prologue
+    # words before it are too short a run to compile).
+    fast, _ = _differential(_repeat_program(body, MIN_FUSED_TRIPS + 4))
     stats = fast.fastpath_stats
     assert (stats["compiled"], stats["rejected"], stats["hits"]) == (0, 1, 0), stats
     assert stats["misses"] == 1, stats
@@ -406,7 +423,7 @@ class TestBf16NonFinite:
                 write(0, low.tobytes() + high.tobytes())
             return assemble(
                 "setaddr a0, 0\nsetaddr a3, 0\n"
-                "loop 4 {\n  mac.bf16 dram[a0]>>1, wtram[a3]\n}\nhalt"
+                "loop 24 {\n  mac.bf16 dram[a0]>>1, wtram[a3]\n}\nhalt"
             )
 
         fast, interp = _differential(emit)
@@ -416,7 +433,7 @@ class TestBf16NonFinite:
         acc = interp.acc_float
         assert np.isnan(acc[0]) and np.isnan(acc[1])
         assert acc[2] == np.inf and acc[3] == -np.inf
-        assert (acc[4:] == 3.0).all()  # 4 trips of (1.5 >> 1) * 1.0
+        assert (acc[4:] == 18.0).all()  # 24 trips of (1.5 >> 1) * 1.0
 
 
 #: One Fig. 6 tap: broadcast the next weight byte, MAC the latch as it was.
@@ -452,47 +469,66 @@ def _run_program(words, sat=None):
     return emit
 
 
+#: The four setaddr words and the latch ``_run_program`` puts before its words.
+_PROLOGUE = 5
+
+
 def _trips(words):
     return sum(i.repeat for i in assemble("\n".join(words)))
 
 
 class TestFusedRuns:
-    """A run is every straight-line word of one NPU issue form: it fuses
-    whole, and ends at each word that blocks it."""
+    """A run is every straight-line word but sequencer control flow and
+    unsupported ops: it fuses whole, and ends at each word that blocks it."""
 
     def test_mixed_latch_pass_is_one_run(self):
         fast, _ = _differential(_run_program(_PASS))
         stats = fast.fastpath_stats
-        assert (stats["compiled"], stats["hits"], stats["fused_trips"]) == (1, 1, _trips(_PASS))
+        assert (stats["compiled"], stats["hits"], stats["fused_trips"]) == (
+            1, 1, _PROLOGUE + _trips(_PASS))
         assert stats["misses"] == stats["fallbacks"] == stats["rejected"] == 0
 
+    @pytest.mark.parametrize("joiner", [
+        "requant.uint8",                # reads the accumulator mid-epoch
+        "store a6, inc",                # writes data row 0, read before only
+        "setaddr a5, 2",                # moves the broadcast index
+        "addaddr a0, 3",                # skips latch rows
+        "mac.uint8 zero, zero, noacc",  # clears: a new epoch
+        "requant.uint8 relu | setaddr a6, 150",
+    ])
+    def test_each_joiner_joins_the_run(self, joiner):
+        half = len(_PASS) // 2
+        words = [*_PASS[:half], joiner, *_PASS[half:], "requant.uint8 relu6", "store a6"]
+        fast, _ = _differential(_run_program(words))
+        stats = fast.fastpath_stats
+        assert (stats["compiled"], stats["hits"]) == (1, 1), stats
+        assert stats["fused_trips"] == _PROLOGUE + _trips(words), stats
+        assert stats["misses"] == stats["fallbacks"] == stats["rejected"] == 0, stats
+
     @pytest.mark.parametrize("breaker", [
-        "requant.uint8",                              # out.requant
-        "store a6, inc",                              # out.store
-        "setaddr a5, 2",                              # seq.setaddr
-        "mac.uint8 zero, zero, noacc",                # npu.noacc
         "bypass n2, n0 | mac.uint8 dlast, n1, zoff",  # ndu.source.NDU_REG
         "add.int16 dram[a0], zero",                   # npu.int16
+        "storeacc a6",                                # out.storeacc
+        "event 3",                                    # seq.event
         "mac.uint8 dlast, n1",                        # another NPU issue form
         "rotl n1, n1, 1 | mac.uint8 dlast, n1, zoff",  # rotates the broadcast register
         "broadcast64 n0, wtram[a3], a5 | mac.uint8 dlast, n1, zoff",  # a broadcast dlast
     ])
     def test_each_breaker_ends_the_run(self, breaker):
-        half = len(_PASS) // 2
-        fast, _ = _differential(_run_program([*_PASS[:half], breaker, *_PASS[half:]]))
+        fast, _ = _differential(_run_program([*_PASS, breaker, *_PASS]))
         stats = fast.fastpath_stats
         assert (stats["compiled"], stats["hits"]) == (2, 2), stats
-        assert stats["fused_trips"] == _trips(_PASS), stats
+        assert stats["fused_trips"] == _PROLOGUE + 2 * _trips(_PASS), stats
         assert stats["misses"] == stats["fallbacks"] == stats["rejected"] == 0, stats
 
     def test_unevenly_advancing_stream_reads_each_row(self):
         # The NPU's RAM row advances on one word in four trips: no stride
         # describes it, so each trip's row is gathered.
         words = ["loop 3 {\n  mac.uint8 dram[a0], wtram[a1++]\n}",
-                 "bypass n2, dram[a0++] | mac.uint8 dram[a0], wtram[a1++]"] * 3
+                 "bypass n2, dram[a0++] | mac.uint8 dram[a0], wtram[a1++]"] * 9
         fast, _ = _differential(_run_program(words))
         stats = fast.fastpath_stats
-        assert (stats["hits"], stats["fused_trips"]) == (1, _trips(words)), stats
+        assert (stats["hits"], stats["fused_trips"]) == (1, _PROLOGUE + _trips(words)), stats
 
     def test_an_iram_chunk_splits_a_run(self):
         # 300 words: the bank chunk ends inside the run, which fuses as
@@ -501,12 +537,32 @@ class TestFusedRuns:
         fast, _ = _differential(_run_program(words), streamed=True)
         stats = fast.fastpath_stats
         assert (stats["compiled"], stats["hits"]) == (2, 2), stats
-        assert stats["fused_trips"] == _trips(words), stats
+        assert stats["fused_trips"] == _PROLOGUE + _trips(words), stats
+
+    def test_an_iram_chunk_cut_inside_an_epoch_carries_its_accumulator(self):
+        # run_streamed cuts chunks regardless of runs: here the cut falls
+        # between the taps of one epoch (after its clear, before its
+        # requant), so the first chunk's run commits a partial accumulator
+        # and the second's folds on from it across the halt.
+        words = ["mac.uint8 zero, zero, noacc", *_PASS * 14,
+                 "requant.uint8 relu", "store a6, inc", "mac.uint8 zero, zero, noacc",
+                 *_PASS, "requant.uint8", "store a6, inc"]
+        fast, interp = _differential(_run_program(words), streamed=True)
+        cut = fast.iram.bank_instructions - 1  # where run_streamed's first chunk ends
+        program = _run_program(words)(Ncore())
+        clear, requant = _PROLOGUE, _PROLOGUE + 1 + 14 * len(_PASS)
+        assert not program[clear].npu.accumulate and program[requant].out is not None
+        assert clear < cut < requant
+        stats = fast.fastpath_stats
+        assert (stats["compiled"], stats["hits"], stats["fallbacks"]) == (2, 2, 0), stats
+        assert stats["fused_trips"] == _PROLOGUE + _trips(words), stats
+        assert interp.data_ram.data[:2].any()
 
     def test_saturating_block_commits_the_blocks_before_it(self):
-        # 1 400 trips of 255 x 255 in two words: the first 1 024-trip block
-        # is proven, the second could saturate, so the interpreter resumes
-        # inside the second word and saturates the preloaded half.
+        # 1 400 trips of 255 x 255 in two words: the blocks of trips that
+        # keep the preloaded half below ACC_MAX are proven, the next could
+        # saturate, so the interpreter resumes inside the second word and
+        # saturates the preloaded half.
         words = ["loop 700 {\n  rotl n0, n0, 1 | mac.uint8 dram[a4], wtram[a4]\n}",
                  "loop 700 {\n  rotr n0, n0, 3 | mac.uint8 dram[a4], wtram[a4]\n}"]
 
@@ -519,7 +575,11 @@ class TestFusedRuns:
 
         fast, interp = _differential(emit)
         stats = fast.fastpath_stats
-        assert (stats["hits"], stats["fallbacks"], stats["fused_trips"]) == (1, 1, 1024), stats
+        block = fastpath_mod._BLOCK_TARGET_BYTES // (4 * fast.config.row_bytes)
+        proven = 80_000_000 // (255 * 255) // block * block
+        assert 700 < proven < 1400
+        assert (stats["hits"], stats["fallbacks"], stats["fused_trips"]) == (
+            1, 1, _PROLOGUE + proven), stats
         half = fast.config.row_bytes // 2
         assert (interp.acc_int[:half] == ACC_MAX).all()
 
@@ -574,16 +634,17 @@ class TestSaturationFallback:
             machine.acc_int[: row // 2] = ACC_MAX - 100_000
             return assemble(
                 "setaddr a0, 0\nsetaddr a1, 0\n"
-                "loop 8 {\n  mac.uint8 dram[a0], wtram[a1]\n}\nhalt"
+                "loop 24 {\n  mac.uint8 dram[a0], wtram[a1]\n}\nhalt"
             )
 
         fast, interp = _differential(emit)
         stats = fast.fastpath_stats
         assert (stats["compiled"], stats["hits"]) == (1, 1)
-        assert stats["fallbacks"] == 1 and stats["fused_trips"] == 0
+        # The two setaddr words before the first block commit fused.
+        assert stats["fallbacks"] == 1 and stats["fused_trips"] == 2
         half = fast.config.row_bytes // 2
         assert (interp.acc_int[:half] == ACC_MAX).all()
-        assert (interp.acc_int[half:] == 8 * 255 * 255).all()
+        assert (interp.acc_int[half:] == 24 * 255 * 255).all()
 
 
 class TestMidTraceStops:

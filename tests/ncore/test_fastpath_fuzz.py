@@ -4,11 +4,13 @@ Hundreds of seeded random — but legal — programs built from the
 single-instruction vocabulary (rotates, broadcasts, bypasses, every NPU
 op over 8- and 16-bit lanes, pre-shifts, neighbour slides, requant/store,
 fused loops, hardware repeats, straight-line runs of words sharing one
-NPU issue), run on both execution tiers from
-identical random RAM images and configuration registers.  Everything
-observable must match bit-for-bit; traces the fast path rejects (all but
-the 8-bit accumulating form) simply run on the interpreter and still
-must agree.
+NPU issue with clears, ``setaddr`` / ``addaddr``, requants and stores
+among them), run on both execution tiers from identical random RAM images
+and configuration registers.  Everything observable must match
+bit-for-bit; words the fast path rejects simply run on the interpreter
+and still must agree.  Half the RAM images repeat a 64-byte tile across
+each row, as the NKL stages them.  The fusion floor is lowered to 4 trips here, so
+that short random runs fuse too.
 """
 
 import numpy as np
@@ -22,6 +24,11 @@ from repro.ncore import fastpath as fastpath_mod
 from tests.ncore.test_fastpath import _assert_same_state
 
 PROGRAMS = 200
+
+
+@pytest.fixture(autouse=True)
+def _short_runs_fuse(monkeypatch):
+    monkeypatch.setattr(fastpath_mod, "MIN_FUSED_TRIPS", 4)
 
 _NPU_OPS = ["mac", "add", "sub", "min", "max", "and", "or", "xor"]
 _DTYPES = ["", ".uint8", ".int8", ".int16"]
@@ -76,10 +83,18 @@ def _random_instruction(rng) -> str:
     return " | ".join(statements)
 
 
+#: Words a run takes besides its accumulating issue: the accumulator
+#: clear, address writes, the OUT unit's integer requant and its store.
+_RUN_WORDS = ["mac.uint8 zero, zero, noacc", "max.int8 zero, zero, noacc", "setaddr a5, 3",
+              "addaddr a1, 2", "setaddr a0, 1", "requant.uint8", "requant.uint8 relu",
+              "requant.int8 relu6", "store a6, inc", "store a6", "store a6, high"]
+
+
 def _random_run(rng) -> list[str]:
     """A straight-line run: 2-6 words carrying one 8-bit accumulating NPU
     issue, each with its own NDU ops (RAM streams, self-rotations and
-    broadcasts) and repeat count."""
+    broadcasts) and repeat count, with clears, address writes, requants
+    and stores between them."""
     flags = ", zoff" if rng.random() < 0.5 else ""
     npu = (f"{rng.choice(['mac', 'add', 'sub', 'min', 'max'])}{rng.choice(['.uint8', '.int8'])} "
            f"{rng.choice(_DATA_SOURCES)}, {rng.choice(_WEIGHT_SOURCES)}{flags}")
@@ -99,6 +114,8 @@ def _random_run(rng) -> list[str]:
         line = " | ".join([*ops, npu])
         trips = int(rng.integers(1, 4))
         words.append(f"loop {trips} {{\n  {line}\n}}" if trips > 1 else line)
+        if rng.random() < 0.5:
+            words.append(str(rng.choice(_RUN_WORDS)))
     return words
 
 
@@ -136,8 +153,10 @@ def _random_program(rng) -> str:
 def _configured_machine(seed: int, fastpath: bool) -> Ncore:
     rng = np.random.default_rng(seed)
     machine = Ncore(fastpath=fastpath)
-    machine.write_data_ram(0, rng.integers(0, 256, size=16 * 4096, dtype=np.uint8).tobytes())
-    machine.write_weight_ram(0, rng.integers(0, 256, size=16 * 4096, dtype=np.uint8).tobytes())
+    for write in (machine.write_data_ram, machine.write_weight_ram):
+        # Odd seeds repeat a 64-byte tile across each row, the NKL's layout.
+        rows = rng.integers(0, 256, size=(16, 64 if seed % 2 else 4096), dtype=np.uint8)
+        write(0, np.tile(rows, (1, 4096 // rows.shape[1])).tobytes())
     machine.set_zero_offsets(int(rng.integers(0, 256)), int(rng.integers(0, 256)))
     machine.set_requant(
         int(rng.integers(1 << 29, 1 << 31)),
@@ -173,18 +192,23 @@ def test_fuzz_exercises_both_fusion_kinds(monkeypatch):
     # Sanity: across the corpus the fast path actually fuses a meaningful
     # share of traces, and each fold it keeps — the accumulating sum
     # (MAC / ADD / SUB) and the min/max fold — commits at least one fused
-    # trip, as does a run of several words (the differential above would
-    # pass trivially if the generator only ever produced rejected traces).
-    folds = {"sum": 0, "minmax": 0, "words": 0}
+    # trip, as do a run of several words, one with requants and stores and
+    # one with clears (the differential above would pass trivially if the
+    # generator only ever produced rejected traces).
+    folds = {"sum": 0, "minmax": 0, "words": 0, "out": 0, "epochs": 0}
     run = fastpath_mod.FusedTrace.run
 
-    def counting_run(trace, machine, count):
-        done = run(trace, machine, count)
+    def counting_run(trace, machine, count, addr):
+        done = run(trace, machine, count, addr)
         if done and trace.npu is not None:
             minmax = trace.npu.opcode in (NPUOpcode.MIN, NPUOpcode.MAX)
             folds["minmax" if minmax else "sum"] += 1
         if done and len(trace.word_ends) > 1:
             folds["words"] += 1
+        if done and len(trace.store_trips) and len(trace.requant_trips):
+            folds["out"] += 1
+        if done and sum(clear for _, clear, _ in trace.events) and len(trace.acc_trips):
+            folds["epochs"] += 1
         return done
 
     monkeypatch.setattr(fastpath_mod.FusedTrace, "run", counting_run)
@@ -196,3 +220,4 @@ def test_fuzz_exercises_both_fusion_kinds(monkeypatch):
         hits += machine.fastpath_stats["hits"]
     assert hits > 10
     assert folds["sum"] > 0 and folds["minmax"] > 0 and folds["words"] > 0, folds
+    assert folds["out"] > 0 and folds["epochs"] > 0, folds
