@@ -9,9 +9,9 @@ op ends a run, so one spans whole Fig. 7 passes: ``setaddr`` / ``addaddr``,
 the accumulator clear (a non-accumulating issue over ``zero, zero``), the
 Fig. 6 taps and latch words of one accumulating NPU issue form (§IV-B),
 and the OUT unit's integer ``requant`` and ``store`` (§IV-D.5).  Each
-catalog program runs as one run per IRAM chunk.  Trips are evaluated as
-(trips, row_bytes) matrices, producing **bit-identical, cycle-exact**
-machine state.
+catalog program over the floor runs as one run per IRAM chunk.  Trips are
+evaluated as (trips, row_bytes) matrices, producing **bit-identical,
+cycle-exact** machine state.
 
 The model is a few tables built at ``load_program``.  After each trip,
 each address register is its entry or last ``setaddr`` value plus the

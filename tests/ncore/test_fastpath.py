@@ -558,6 +558,28 @@ class TestFusedRuns:
         assert stats["fused_trips"] == _PROLOGUE + _trips(words), stats
         assert interp.data_ram.data[:2].any()
 
+    @pytest.mark.parametrize("ram, fused", [("data", True), ("weight", False)])
+    def test_ecc_injection_under_a_run(self, ram, fused):
+        # A run that stores over a row with an injected bit flip re-encodes
+        # its ECC as write_row does; one reading a RAM with a pending
+        # correction falls back, and the interpreter corrects it.
+        def emit(machine):
+            row = machine.config.row_bytes
+            machine.write_weight_ram(0, bytes(np.arange(30 * row, dtype=np.uint8)))
+            getattr(machine, f"{ram}_ram").inject_bit_error(7, 5, 3)
+            return assemble("setaddr a1, 0\nsetaddr a6, 7\n"
+                            "loop 24 {\n  add.uint8 wtram[a1++], zero\n}\n"
+                            "requant.uint8\nstore a6\nhalt")
+
+        fast, interp = _differential(emit)
+        stats = fast.fastpath_stats
+        assert (stats["hits"], stats["fallbacks"]) == ((1, 0) if fused else (0, 1)), stats
+        for name in ("data_ram", "weight_ram"):
+            a, b = getattr(fast, name), getattr(interp, name)
+            assert (a._injected, a.corrected_errors, a.writes) == (
+                b._injected, b.corrected_errors, b.writes), name
+        assert not fast.data_ram._injected
+
     def test_saturating_block_commits_the_blocks_before_it(self):
         # 1 400 trips of 255 x 255 in two words: the blocks of trips that
         # keep the preloaded half below ACC_MAX are proven, the next could
