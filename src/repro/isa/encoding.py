@@ -11,8 +11,9 @@ resolved the way dense VLIW encodings usually are, with one union:
 
 A handful of encodings are intentionally impossible and raise
 :class:`EncodingError` (three NDU ops together with an OUT op, rotate
-amounts outside 1..64, predicate register 7, repeat counts above 2048);
-the kernel library never emits them.
+amounts outside 1..64, predicate register 7); the kernel library never
+emits them.  The repeat field's width is ``MAX_REPEAT``, which
+:class:`~repro.isa.instruction.Instruction` already enforces.
 
 Layout (bit 0 = LSB of the 128-bit little-endian word)::
 
@@ -71,7 +72,6 @@ _OUT_OPCODES = tuple(OutOpcode)
 _ACTIVATIONS = tuple(Activation)
 _DTYPES = (NcoreDType.INT8, NcoreDType.UINT8, NcoreDType.INT16, NcoreDType.BF16)
 
-MAX_ENCODABLE_REPEAT = 1 << 11       # repeat stored as (repeat - 1) in 11 bits
 MAX_SEQ_ARG = (1 << 4) - 1
 MAX_SEQ_ARG2 = (1 << 11) - 1         # arg2 is a 12-bit signed field
 MIN_SEQ_ARG2 = -(1 << 11)
@@ -290,11 +290,7 @@ def encode(instruction: Instruction) -> bytes:
     w.write(_SEQ_OPCODES.index(seq.opcode), 4, "seq opcode")
     w.write(seq.arg, 4, "seq arg")
     w.write_signed(seq.arg2, 12, "seq arg2")
-    if not 1 <= instruction.repeat <= MAX_ENCODABLE_REPEAT:
-        raise EncodingError(
-            f"repeat {instruction.repeat} not encodable (1..{MAX_ENCODABLE_REPEAT})"
-        )
-    w.write(instruction.repeat - 1, 11, "repeat")
+    w.write(instruction.repeat - 1, 11, "repeat")  # 1..MAX_REPEAT
     _encode_npu(w, instruction.npu)
     assert w.position == 60
     ndu_ops = instruction.ndu_ops

@@ -28,8 +28,9 @@ from repro.isa.operands import (
 # these operations in parallel" (section IV-D.3).
 MAX_NDU_OPS = 3
 
-# Hardware repeat counts are held in a 16-bit field.
-MAX_REPEAT = (1 << 16) - 1
+# Hardware repeat counts are held as (repeat - 1) in the instruction
+# word's 11-bit field (repro.isa.encoding).
+MAX_REPEAT = 1 << 11
 
 # NDU rotation moves at most 64 bytes per clock (section IV-D.3).
 MAX_ROTATE_PER_CLOCK = 64

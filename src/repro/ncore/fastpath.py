@@ -25,11 +25,13 @@ where its rows advance evenly (a broadcast register a ``(trips, groups,
 the block.  Each clear starts an *epoch*: its accumulating trips fold into
 its own accumulator (the first epoch's is the live one), each ``requant``
 reads it as it stands, all of a run's requants are one call of the
-machine's per-lane requantizer, and its stores are one assignment.  Any
-trip the model cannot prove exact (RAM bounds, a stored row read back,
-pending ECC corrections, perf-counter wraparound breakpoints, n-step
-windows, a block whose accumulation could saturate) is interpreted, from
-a trip where the state equals the interpreter's.
+machine's per-lane requantizer, and its stores are one assignment.
+
+A run commits whole or not at all.  When the interpreter would stop or
+deviate inside it (a RAM bounds fault, a stored row read back, a pending
+ECC correction, a perf-counter wraparound breakpoint, an n-step window,
+the end of ``step()``'s cycle budget) or a block's accumulation could
+saturate, nothing is committed and the interpreter runs the whole run.
 """
 
 from __future__ import annotations
@@ -297,8 +299,7 @@ class FusedTrace:
         distinct = [words[number] for number in used]
         self.npu = next((word.npu for word in distinct if word.npu is not None), None)
         repeats = np.array([word.repeat for word in distinct])[kinds]
-        self.word_ends = np.cumsum(repeats)  # trips through each word
-        self.trips = int(self.word_ends[-1])
+        self.words, self.trips = len(kinds), int(repeats.sum())
         per_trip = np.repeat(kinds, repeats)  # each trip's word
         dsts = sorted({dst for word in distinct for dst in word.forms})
         accesses = [word.instruction.row_accesses() for word in distinct]
@@ -341,9 +342,8 @@ class FusedTrace:
         last = np.zeros((self.trips + 1, r + d), np.intp)  # trips through the last one
         np.maximum.accumulate(np.where(table[:, summed:latest] > 0, trips[1:, None], 0),
                               axis=0, out=last[1:])
-        self.cycles, self.reads, self.macs, self.writes = (
-            sums[:, 0], sums[:, 1:3].T, sums[:, 3], sums[:, 4])
-        self.word_cycles = self.cycles[self.word_ends]
+        self.cycles, self.data_reads, self.weight_reads, self.macs, self.writes = (
+            sums[-1, :5].tolist())
         # Each address register after t trips: ``offsets`` plus, unless a
         # setaddr ``fixed`` it, its entry value.
         stepped, setv = sums[:, 5 : 5 + r], table[:, latest : latest + r]
@@ -420,13 +420,13 @@ class FusedTrace:
         """Every address register after each trip, from ``regs`` at entry."""
         return self.offsets + np.where(self.fixed, 0, np.asarray(regs, dtype=np.int64))
 
-    def preflight(self, machine: "Ncore", addr: Array) -> str | None:
+    def preflight(self, machine: "Ncore", addr: Array, budget_cycles: int) -> str | None:
         """Why the run cannot be fused from the current state (None =
-        safe).  Every check mirrors a condition under which the
-        interpreter would deviate from the static model: pending ECC
+        safe).  Every check names a stop or a deviation from the static
+        model that the interpreter would meet inside the run: pending ECC
         corrections, RAM bounds faults, a stored row read back later in the
-        run, perf-counter wraparound breakpoints and n-step windows landing
-        inside the run."""
+        run, a perf-counter wraparound breakpoint, an n-step window, or the
+        end of ``step()``'s remaining ``budget_cycles``."""
         for (name, reg), (trips, rows) in self.streams.items():
             ram = machine.data_ram if name == "data" else machine.weight_ram
             if ram._injected:
@@ -442,33 +442,29 @@ class FusedTrace:
             if any(not rows_stored.isdisjoint(addr[trips, reg].tolist())
                    for reg, trips in self.reread.items()):
                 return "store"
-        cycles = int(self.cycles[-1])
-        deltas = (("cycles", cycles), ("macs", int(self.macs[-1])),
-                  ("instructions", len(self.word_ends)))
+        deltas = (("cycles", self.cycles), ("macs", self.macs), ("instructions", self.words))
         for name, delta in deltas:
             counter = machine.perf_counters[name]
             if counter.break_on_wrap and counter.value + delta >= (1 << counter.bits):
                 return "perf_counter"
         if machine.n_step is not None:
             next_break = machine._next_step_break
-            if next_break is None or machine.total_cycles + cycles >= next_break:
+            if next_break is None or machine.total_cycles + self.cycles >= next_break:
                 return "n_step"
+        if self.cycles > budget_cycles:
+            return "budget"
         return None
 
-    def run(self, machine: "Ncore", limit: int, addr: Array) -> int:
-        """Execute up to ``limit`` fused trips and commit them; returns
-        the trips committed.  ``addr`` is :meth:`addresses` at entry.
-
-        A short return means a block's accumulation could saturate: that
-        block is not committed, so the machine state is exactly the
-        interpreter's at that trip, and the interpreter runs the rest.
-        """
+    def run(self, machine: "Ncore", addr: Array) -> bool:
+        """Execute the whole run and commit it; ``addr`` is
+        :meth:`addresses` at entry.  Returns False, committing nothing,
+        when a block's accumulation could saturate: the interpreter then
+        runs the whole run."""
         m, npu = machine, self.npu
         groups = self.row_bytes // BROADCAST_GROUP
         acc = m.acc_int.reshape(groups, BROADCAST_GROUP)
-        done, ev = limit, 0
+        ev, events = 0, self.events
         snapshots: list[Array] = []
-        events = [event for event in self.events if event[0] < limit]
 
         def settle(folded: int) -> None:
             """Apply the clears and requants whose trips are all folded."""
@@ -481,7 +477,7 @@ class FusedTrace:
                 ev += 1
 
         settle(0)
-        k, stop = 0, int(np.searchsorted(self.acc_trips, limit))
+        k, stop = 0, len(self.acc_trips)
         per_block = max(1, _BLOCK_TARGET_BYTES // (4 * self.row_bytes))
         zeros = (m.data_zero_offset, m.weight_zero_offset) if npu and npu.zero_offset else (0, 0)
         cache: dict[int, Any] = {}
@@ -491,65 +487,53 @@ class FusedTrace:
             folded = fold_int8(npu, *(self._rows(m, plan, k, end, addr, cache)
                                       for plan in self.operands),
                                *zeros, acc, m._fastpath_scratch)
-            if folded is None:  # the block could saturate: stop before its first trip
-                done = int(self.acc_trips[k])
-                break
+            if folded is None:  # the block could saturate
+                return False
             acc, k = folded, end
             settle(k)
-        if not done:
-            return 0
         m.acc_int = acc.reshape(-1)
-        # Commit the state after ``done`` trips (mid-word: the interpreter
-        # resumes the repeat): registers, addresses, the OUT registers and
-        # the stored rows, the last after every RAM read.
+        # Commit the state after the run: registers, addresses, the OUT
+        # registers and the stored rows, the last after every RAM read.
         for register in self.registers.values():
-            src, shift = int(register.src[done]), int(register.shift[done])
+            src, shift = int(register.src[-1]), int(register.shift[-1])
             if src == 0 and (shift == 0 or register.broadcast):
-                continue  # not yet written, or back where it started
+                continue  # not written, or back where it started
             row, shift = register.rows(m, addr, src), shift % self.row_bytes
             m.ndu_regs[register.dst] = (
-                broadcast64(row, int(addr[register.at[done], register.index_reg]))
+                broadcast64(row, int(addr[register.at[-1], register.index_reg]))
                 if register.broadcast else np.concatenate((row[shift:], row[:shift])))
-        self._requant_and_store(m, snapshots, done, addr)
-        m.addr_regs[:] = addr[done].tolist()
-        cycles, macs = int(self.cycles[done]), int(self.macs[done])
-        m.total_cycles += cycles
-        m.total_issues += done
-        m.total_macs += macs
-        m.data_ram.reads += int(self.reads[0, done])
-        m.weight_ram.reads += int(self.reads[1, done])
-        m.data_ram.writes += int(self.writes[done])
+        self._requant_and_store(m, snapshots, addr)
+        m.addr_regs[:] = addr[-1].tolist()
+        m.total_cycles += self.cycles
+        m.total_issues += self.trips
+        m.total_macs += self.macs
+        m.total_instructions += self.words
+        m.data_ram.reads += self.data_reads
+        m.weight_ram.reads += self.weight_reads
+        m.data_ram.writes += self.writes
         # preflight ruled out a wraparound breakpoint inside the run.
-        m.perf_counters["cycles"].add(cycles)
-        m.perf_counters["macs"].add(macs)
-        words = int(np.searchsorted(self.word_ends, done, side="right"))
-        m.total_instructions += words
-        m.perf_counters["instructions"].add(words)
-        m.pc += words  # dispatched at the run's first word
-        into = done - (int(self.word_ends[words - 1]) if words else 0)
-        m._resume_repeat = (m.pc, into) if into else None
-        return done
+        m.perf_counters["cycles"].add(self.cycles)
+        m.perf_counters["macs"].add(self.macs)
+        m.perf_counters["instructions"].add(self.words)
+        m.pc += self.words  # dispatched at the run's first word
+        return True
 
-    def _requant_and_store(self, m: "Ncore", snapshots: list[Array], done: int,
-                           addr: Array) -> None:
+    def _requant_and_store(self, m: "Ncore", snapshots: list[Array], addr: Array) -> None:
         """Requantize every snapshot of the accumulator at once, leave the
-        last in the OUT registers and write each store before trip
-        ``done`` (a store writes what the last ``requant`` before it left)."""
-        count, ops = len(snapshots), self.requant_ops[: len(snapshots)]
-        out = np.empty((count + 1, 2, self.row_bytes), np.uint8)
+        last in the OUT registers and write each store (a store writes
+        what the last ``requant`` before it left)."""
+        out = np.empty((len(snapshots) + 1, 2, self.row_bytes), np.uint8)
         out[0] = m.out_low, m.out_high  # the OUT registers at entry
-        for op in dict.fromkeys(ops):
-            chosen = [i for i, each in enumerate(ops) if each == op]
+        for op in dict.fromkeys(self.requant_ops):
+            chosen = [i for i, each in enumerate(self.requant_ops) if each == op]
             low_high = m._requant_rows(op, np.stack([snapshots[i].reshape(-1) for i in chosen]))
             out[[i + 1 for i in chosen]] = np.stack(low_high, axis=1)
-        if count:
-            m.out_low, m.out_high = out[count, 0].copy(), out[count, 1].copy()
-        stores = int(np.searchsorted(self.store_trips, done))
-        if not stores:
+        if snapshots:
+            m.out_low, m.out_high = out[-1, 0].copy(), out[-1, 1].copy()
+        if not len(self.store_trips):
             return
-        trips = self.store_trips[:stores]
-        rows = addr[trips, self.store_regs[:stores]].tolist()
-        source = np.searchsorted(self.requant_trips[:count], trips)
+        rows = addr[self.store_trips, self.store_regs].tolist()
+        source = np.searchsorted(self.requant_trips, self.store_trips)
         keep = list({row: i for i, row in enumerate(rows)}.values())  # the last store to a row wins
         m.data_ram.data[[rows[i] for i in keep]] = out[source[keep], self.store_high[keep]]
         for i in keep if m.data_ram._injected else ():

@@ -28,7 +28,7 @@ calls them in pipeline order.  An 8-bit arithmetic or pooling issue runs in
 int32 when the NPU's saturation proof clears it (``npu.execute_int8``),
 otherwise by the saturating int64 spec (``npu.execute_int``).  The fast
 path (:mod:`repro.ncore.fastpath`) takes over at the first pc of each run
-it compiled, for the whole run.
+it compiled, for the whole run or not at all.
 """
 
 from __future__ import annotations
@@ -443,23 +443,17 @@ class Ncore:
             self._count_macs()
 
     def _run_fused(self, trace: fastpath_mod.FusedTrace, budget_cycles: int) -> bool:
-        """Run ``trace`` fused from its first word, if preflight proves it
-        exact, through the word after which ``step()``'s between-word
-        check of ``budget_cycles`` would stop; returns whether any trip
-        was committed."""
+        """Run ``trace`` whole from its first word if preflight proves it
+        exact within ``budget_cycles`` and no block could saturate; returns
+        whether it ran (else nothing was committed)."""
         stats = self.fastpath_stats
         addr = trace.addresses(self.addr_regs)
-        if trace.preflight(self, addr) is not None:
+        if trace.preflight(self, addr, budget_cycles) is not None or not trace.run(self, addr):
             note_stat(self.obs, "ncore.fastpath", stats, "fallbacks")
             return False
-        words = np.searchsorted(trace.word_cycles[:-1], budget_cycles)
-        limit = int(trace.word_ends[words])
-        done = trace.run(self, limit, addr)
         note_stat(self.obs, "ncore.fastpath", stats, "hits")
-        note_stat(self.obs, "ncore.fastpath", stats, "fused_trips", done)
-        if done < limit:  # saturation: interpret the rest
-            note_stat(self.obs, "ncore.fastpath", stats, "fallbacks")
-        return done > 0
+        note_stat(self.obs, "ncore.fastpath", stats, "fused_trips", trace.trips)
+        return True
 
     def _count_macs(self) -> None:
         self.total_macs += self.config.lanes
@@ -629,10 +623,8 @@ class Ncore:
         The resumable core of the sequencer: all state (pc, loop stack,
         mid-repeat position, debug breakpoints) lives on the machine, so
         calling ``step`` again continues exactly where the previous call
-        stopped — whether it stopped on the cycle budget, a breakpoint,
-        an n-step window or a halt.  This is what lets a discrete-event
-        engine interleave many Ncore instances under one clock: each
-        gets a slice of cycles per turn instead of a blocking loop.
+        stopped — whether it stopped on the cycle budget (checked between
+        words), a breakpoint, an n-step window or a halt.
         """
         start_cycles = self.total_cycles
         start_instructions = self.total_instructions

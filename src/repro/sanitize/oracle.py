@@ -7,8 +7,7 @@ Two cheap whole-machine checks that complement the shadow-SRAM sanitizer:
   nondeterminism (``san.divergence``),
 - :func:`oracle_compare` runs the same program through the pure
   interpreter and through the Tier-1 fast path and compares digests plus
-  the cycle/issue/MAC counters (``san.oracle-mismatch``) — the
-  verification oracle the Tier-3 AOT codegen will be validated against.
+  the cycle/issue/MAC counters (``san.oracle-mismatch``).
 
 Both return :class:`~repro.analyze.diagnostics.AnalysisReport` so the
 findings compose with the static and shadow-memory reports.

@@ -209,7 +209,7 @@ class TestRangeChecks:
             assemble("mac n0, n1, pred9")
 
     def test_fused_repeat_count(self):
-        with pytest.raises(AssemblyError, match="70000 outside 1..65535"):
+        with pytest.raises(AssemblyError, match="70000 outside 1..2048"):
             assemble("loop 70000 {\nmac n0, n1\n}")
 
     def test_loopn_trip_count(self):

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.analyze import analyze_program
 from repro.dtypes import NcoreDType
 from repro.isa import (
+    AssemblyError,
     EncodingError,
     Instruction,
     NDUOp,
@@ -18,12 +20,14 @@ from repro.isa import (
     OutOpcode,
     SeqOp,
     SeqOpcode,
+    assemble,
     decode,
     encode,
 )
 from repro.isa.encoding import INSTRUCTION_BYTES
-from repro.isa.instruction import Activation, RotateDirection
-from tests.helpers import data_ram, ndu_reg, weight_ram
+from repro.isa.instruction import MAX_REPEAT, Activation, RotateDirection
+from repro.ncore import Ncore
+from tests.helpers import by_rule, catalog_kinds, data_ram, ndu_reg, weight_ram
 
 
 def test_word_is_exactly_128_bits():
@@ -103,8 +107,23 @@ def test_rotate_zero_unencodable():
 
 
 def test_repeat_overflow_unencodable():
+    inst = Instruction()
+    object.__setattr__(inst, "repeat", MAX_REPEAT + 1)  # past Instruction's own check
     with pytest.raises(EncodingError):
-        encode(Instruction(repeat=2049))
+        encode(inst)
+
+
+def test_one_repeat_limit_is_the_encoded_field():
+    # Whatever the Instruction check, the assembler and the isa.repeat
+    # rule accept, the 128-bit word holds.
+    encode(Instruction(repeat=MAX_REPEAT))
+    with pytest.raises(ValueError, match="outside 1..2048"):
+        Instruction(repeat=MAX_REPEAT + 1)
+    with pytest.raises(AssemblyError, match="4000 outside 1..2048"):
+        assemble("loop 4000 {\n mac.uint8 dram[a0], wtram[a1]\n}\nhalt")
+    forged = Instruction()
+    object.__setattr__(forged, "repeat", 4000)
+    assert by_rule(analyze_program([forged]), "isa.repeat")
 
 
 def test_predicate_seven_unencodable():
@@ -245,3 +264,11 @@ def test_encode_decode_round_trip(instruction):
 @given(_instructions())
 def test_encoding_is_deterministic(instruction):
     assert encode(instruction) == encode(instruction)
+
+
+@pytest.mark.parametrize("kind", catalog_kinds(), ids=lambda kind: kind.name)
+def test_catalog_programs_round_trip(kind):
+    # Every word the NKL catalog emits fits the 128-bit word.
+    program, _ = kind.emit(Ncore())
+    for pc, inst in enumerate(program):
+        assert decode(encode(inst)) == inst, (kind.name, pc)

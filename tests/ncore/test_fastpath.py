@@ -580,11 +580,11 @@ class TestFusedRuns:
                 b._injected, b.corrected_errors, b.writes), name
         assert not fast.data_ram._injected
 
-    def test_saturating_block_commits_the_blocks_before_it(self):
+    def test_saturating_block_commits_nothing(self):
         # 1 400 trips of 255 x 255 in two words: the blocks of trips that
         # keep the preloaded half below ACC_MAX are proven, the next could
-        # saturate, so the interpreter resumes inside the second word and
-        # saturates the preloaded half.
+        # saturate, so the run commits none of them and the interpreter
+        # runs it whole, saturating the preloaded half.
         words = ["loop 700 {\n  rotl n0, n0, 1 | mac.uint8 dram[a4], wtram[a4]\n}",
                  "loop 700 {\n  rotr n0, n0, 3 | mac.uint8 dram[a4], wtram[a4]\n}"]
 
@@ -600,8 +600,7 @@ class TestFusedRuns:
         block = fastpath_mod._BLOCK_TARGET_BYTES // (4 * fast.config.row_bytes)
         proven = 80_000_000 // (255 * 255) // block * block
         assert 700 < proven < 1400
-        assert (stats["hits"], stats["fallbacks"], stats["fused_trips"]) == (
-            1, 1, _PROLOGUE + proven), stats
+        assert (stats["hits"], stats["fallbacks"], stats["fused_trips"]) == (0, 1, 0), stats
         half = fast.config.row_bytes // 2
         assert (interp.acc_int[:half] == ACC_MAX).all()
 
@@ -634,21 +633,22 @@ class TestFusedRuns:
         assert fast_m.fastpath_stats["fallbacks"] >= 1
 
     def test_budget_slices_inside_a_run_match(self):
-        # step() checks its budget between words, so a run fuses up to the
-        # word the interpreter would stop after, and no further.
+        # step() checks its budget between words: a run that does not fit
+        # the budget is interpreted whole, stopping where the interpreter does.
         fast_m, fast_trail = self._stepped(True, lambda m: None, budget=10)
         interp_m, interp_trail = self._stepped(False, lambda m: None, budget=10)
         assert fast_trail == interp_trail
         assert fast_trail[0][0] == "cycle_budget" and 5 < fast_trail[0][2] < 5 + len(_PASS)
         _assert_same_state(fast_m, interp_m)
-        assert fast_m.fastpath_stats["hits"] == 1
+        stats = fast_m.fastpath_stats
+        assert (stats["hits"], stats["fallbacks"], stats["fused_trips"]) == (0, 1, 0), stats
 
 
 class TestSaturationFallback:
     def test_block_that_could_saturate_is_interpreted(self):
         # The fused sum is exact only under its static no-overflow bound.
-        # Accumulators preloaded near ACC_MAX fail it: the block commits
-        # nothing and the interpreter runs the whole repeat, saturating.
+        # Accumulators preloaded near ACC_MAX fail it: the run commits
+        # nothing and the interpreter runs it whole, saturating.
         def emit(machine):
             row = machine.config.row_bytes
             machine.write_data_ram(0, bytes([255]) * row)
@@ -661,9 +661,8 @@ class TestSaturationFallback:
 
         fast, interp = _differential(emit)
         stats = fast.fastpath_stats
-        assert (stats["compiled"], stats["hits"]) == (1, 1)
-        # The two setaddr words before the first block commit fused.
-        assert stats["fallbacks"] == 1 and stats["fused_trips"] == 2
+        assert (stats["compiled"], stats["hits"]) == (1, 0)
+        assert stats["fallbacks"] == 1 and stats["fused_trips"] == 0
         half = fast.config.row_bytes // 2
         assert (interp.acc_int[:half] == ACC_MAX).all()
         assert (interp.acc_int[half:] == 24 * 255 * 255).all()
@@ -713,10 +712,10 @@ class TestMidTraceStops:
     def test_budget_sliced_stepping_matches(self):
         fast_m, fast_trail = self._stepped(True, lambda m: None, budget=64)
         interp_m, interp_trail = self._stepped(False, lambda m: None, budget=64)
-        # The fused tier may legally run a whole repeat block past the
-        # slice boundary, so the trails differ — but the end state and the
-        # total cycle count cannot.
-        assert fast_trail[-1][1] == interp_trail[-1][1] == 517
+        # A run that does not fit the slice is interpreted, so every stop
+        # lands where the interpreter's does.
+        assert fast_trail == interp_trail
+        assert fast_trail[-1][1] == 517
         _assert_same_state(fast_m, interp_m)
 
     def test_resume_after_mid_trace_break_completes_identically(self):

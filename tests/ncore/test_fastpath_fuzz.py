@@ -198,12 +198,12 @@ def test_fuzz_exercises_both_fusion_kinds(monkeypatch):
     folds = {"sum": 0, "minmax": 0, "words": 0, "out": 0, "epochs": 0}
     run = fastpath_mod.FusedTrace.run
 
-    def counting_run(trace, machine, count, addr):
-        done = run(trace, machine, count, addr)
+    def counting_run(trace, machine, addr):
+        done = run(trace, machine, addr)
         if done and trace.npu is not None:
             minmax = trace.npu.opcode in (NPUOpcode.MIN, NPUOpcode.MAX)
             folds["minmax" if minmax else "sum"] += 1
-        if done and len(trace.word_ends) > 1:
+        if done and trace.words > 1:
             folds["words"] += 1
         if done and len(trace.store_trips) and len(trace.requant_trips):
             folds["out"] += 1

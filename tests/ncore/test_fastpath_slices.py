@@ -1,11 +1,11 @@
 """Every catalog kind, stopped by ``step(budget)`` at each word boundary of
-its first two passes, equals the interpreter stopped there.
+its first two passes and at the end of each run, equals the interpreter
+stopped there.
 
-A fused run commits through the word after which ``step()``'s between-word
-budget check would stop, so each boundary ends a fused run at another
-word: inside a pass's taps, after its clear, after its ``requant`` and
-after its ``store``.  The machine stepped with the fast path, fresh for
-each boundary, must hold the interpreter's RAM, registers, OUT registers,
+A fused run commits whole or not at all: a budget that ends inside a run
+leaves it to the interpreter (no fused trip), and one that covers it fuses
+it whole.  The machine stepped with the fast path, fresh for each
+boundary, must hold the interpreter's RAM, registers, OUT registers,
 counters and RAM traffic there, and its ``state_digest`` at each clear,
 requant and store.
 """
@@ -16,7 +16,8 @@ import pytest
 from repro.isa import Instruction, SeqOp, SeqOpcode
 from repro.isa.instruction import OutOpcode
 from repro.ncore import Ncore
-from repro.ncore.fastpath import MIN_FUSED_TRIPS
+from repro.ncore.fastpath import MIN_FUSED_TRIPS, compile_program
+from repro.obs import NULL_OBSERVATION
 from repro.sanitize.oracle import state_digest
 from tests.helpers import catalog_kinds
 
@@ -56,17 +57,22 @@ def test_each_word_boundary_of_two_passes_matches_the_interpreter(kind):
     stores = [pc for pc, ins in enumerate(chunk)
               if ins.out is not None and ins.out.opcode is OutOpcode.STORE]
     last = stores[1] if len(stores) > 1 else len(chunk) - 1
-    fused = 0
-    for word in range(last + 1):
+    runs = [(pc, trace) for pc, trace in
+            compile_program(chunk, interp.config, {}, NULL_OBSERVATION).items() if trace]
+    # Kinds too short to fuse compile no run.
+    assert bool(runs) == (sum(ins.repeat for ins in chunk) >= MIN_FUSED_TRIPS)
+    ends = [pc + trace.words - 1 for pc, trace in runs]  # each run's last word
+    for word in sorted({*range(last + 1), *ends}):
         interp.step(int(cycles[word]) - interp.total_cycles)
         fast = Ncore()
         fast.load_program(_first_chunk(fast, kind))
         fast.step(int(cycles[word]))
         assert fast.pc == interp.pc == word + 1, (kind.name, word)
         _assert_same(fast, interp)
-        fused += fast.fastpath_stats["fused_trips"] > 0
+        # The runs the budget covers fuse whole; the one it ends inside not at all.
+        covered = sum(trace.trips for (_, trace), end in zip(runs, ends, strict=True)
+                      if end <= word)
+        assert fast.fastpath_stats["fused_trips"] == covered, (kind.name, word)
         ins = chunk[word]
         if ins.out is not None or (ins.npu is not None and not ins.npu.accumulate):
             assert state_digest(fast) == state_digest(interp), (kind.name, word)
-    # Kinds too short to fuse stop on the interpreter on both machines.
-    assert fused == (last + 1 if sum(ins.repeat for ins in chunk) >= MIN_FUSED_TRIPS else 0)
