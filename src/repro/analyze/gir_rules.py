@@ -1,8 +1,10 @@
 """GIR verifier: structural, shape/dtype, quantization and layout rules.
 
-Extends :meth:`repro.graph.gir.Graph.validate` (which stays a cheap
-raise-on-first-violation structural check) with full re-checking of every
-declared tensor type, quantization-parameter sanity, layout consistency at
+Each rule has one owner this module only reports: the structural walk is
+:meth:`repro.graph.gir.Graph.structure_errors` (whose first finding
+:meth:`~repro.graph.gir.Graph.validate` raises), the shape rules are
+:mod:`repro.analyze.shapes` (window geometry from :mod:`repro.graph.window`).
+On top it adds quantization-parameter sanity, layout consistency at
 partition-segment edges, and dead/duplicate-node detection — reporting
 *all* findings as diagnostics instead of raising on the first.
 """
@@ -16,6 +18,7 @@ from repro.graph.gir import Graph, Node, Tensor
 from repro.graph.partitioner import NCORE_TARGET, Segment, partition
 
 from repro.analyze.diagnostics import (
+    RULES,
     AnalysisReport,
     Diagnostic,
     Severity,
@@ -51,7 +54,8 @@ DANGLING_OUTPUT = register_rule(
 BAD_SIGNATURE = register_rule(
     "gir.bad-op-signature", Severity.ERROR, "inconsistent op inputs",
     "A node's declared input types violate its operator's contract "
-    "(wrong rank, channel mismatch, missing inputs or attributes).",
+    "(wrong rank, channel mismatch, missing inputs or attributes, a window "
+    "that does not fit its padded input or a stride below 1).",
 )
 SHAPE_MISMATCH = register_rule(
     "gir.shape-mismatch", Severity.ERROR, "declared shape disagrees with propagation",
@@ -111,59 +115,20 @@ LAYOUT_RANK = register_rule(
 )
 
 
+_STRUCTURE_HINTS = {
+    DUPLICATE_NODE.id: "rename one of the nodes; passes look nodes up by name",
+    TOPOLOGY.id: "the node list must be topologically ordered",
+}
+
+
 def check_structure(graph: Graph) -> list[Diagnostic]:
-    """Structural rules: the diagnostics-collecting superset of
-    :meth:`Graph.validate`."""
-    findings: list[Diagnostic] = []
-    name = graph.name
-    seen_nodes: set[str] = set()
-    produced: set[str] = set(graph.inputs)
-    produced.update(n for n, t in graph.tensors.items() if t.is_constant)
-    for node in graph.nodes:
-        if node.name in seen_nodes:
-            findings.append(diag(
-                DUPLICATE_NODE, f"node name {node.name!r} appears more than once",
-                artifact=name, element=node.name,
-                hint="rename one of the nodes; passes look nodes up by name",
-            ))
-        seen_nodes.add(node.name)
-        for tensor_name in node.inputs:
-            if tensor_name not in graph.tensors:
-                findings.append(diag(
-                    UNKNOWN_TENSOR,
-                    f"node {node.name!r} reads unknown tensor {tensor_name!r}",
-                    artifact=name, element=node.name,
-                ))
-            elif tensor_name not in produced:
-                findings.append(diag(
-                    TOPOLOGY,
-                    f"node {node.name!r} reads {tensor_name!r} before it is produced",
-                    artifact=name, element=node.name,
-                    hint="the node list must be topologically ordered",
-                ))
-        for tensor_name in node.outputs:
-            if tensor_name not in graph.tensors:
-                findings.append(diag(
-                    UNKNOWN_TENSOR,
-                    f"node {node.name!r} writes unknown tensor {tensor_name!r}",
-                    artifact=name, element=node.name,
-                ))
-            elif tensor_name in produced and tensor_name not in graph.inputs:
-                findings.append(diag(
-                    MULTI_PRODUCER,
-                    f"tensor {tensor_name!r} is produced more than once "
-                    f"(again by node {node.name!r})",
-                    artifact=name, element=tensor_name,
-                ))
-            produced.add(tensor_name)
-    for tensor_name in graph.outputs:
-        if tensor_name not in produced:
-            findings.append(diag(
-                DANGLING_OUTPUT,
-                f"graph output {tensor_name!r} is never produced",
-                artifact=name, element=tensor_name,
-            ))
-    return findings
+    """Structural rules: every finding of :meth:`Graph.structure_errors`
+    (whose first one :meth:`Graph.validate` raises) as a diagnostic."""
+    return [
+        diag(RULES[rule], message, artifact=graph.name, element=element,
+             hint=_STRUCTURE_HINTS.get(rule, ""))
+        for rule, element, message in graph.structure_errors()
+    ]
 
 
 def check_types(graph: Graph) -> list[Diagnostic]:

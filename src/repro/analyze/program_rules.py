@@ -52,7 +52,8 @@ NDU_OPS = register_rule(
     "parallel NDU ops write the same output register.",
 )
 REPEAT = register_rule(
-    "isa.repeat", Severity.ERROR, "repeat count outside the 16-bit field",
+    "isa.repeat", Severity.ERROR,
+    f"repeat count outside the {(MAX_REPEAT - 1).bit_length()}-bit field",
     f"The hardware repeat count must be in 1..{MAX_REPEAT}.",
 )
 ROTATE = register_rule(

@@ -15,14 +15,20 @@ import numpy as np
 
 from repro.dtypes import NcoreDType
 from repro.graph.gir import Graph, Node, TensorType
+from repro.graph.window import NO_PADDING, out_size
 
 
 class ShapeInferenceError(ValueError):
     """A node's declared input types are inconsistent with its op."""
 
 
-def _out_dim(size: int, k: int, stride: int, pad: tuple[int, int]) -> int:
-    return (size + pad[0] + pad[1] - k) // stride + 1
+def _window_hw(node: Node, x: TensorType, ksize, stride) -> tuple[int, int]:
+    """Output height and width of a conv / depthwise / pool node; a window
+    that does not fit its padded input is an inconsistent signature."""
+    try:
+        return out_size(x.shape[1:3], ksize, stride, node.attr("padding", NO_PADDING))
+    except ValueError as exc:
+        raise ShapeInferenceError(str(exc)) from None
 
 
 def _require_rank(shape: tuple[int, ...], rank: int, what: str) -> None:
@@ -48,15 +54,8 @@ def _conv2d(node: Node, ins: list[TensorType]) -> list[TensorType]:
         raise ShapeInferenceError(
             f"conv2d channel mismatch: input has {x.shape[3]}, weights expect {w.shape[2]}"
         )
-    stride = node.attr("stride", (1, 1))
-    padding = node.attr("padding", ((0, 0), (0, 0)))
-    out = (
-        x.shape[0],
-        _out_dim(x.shape[1], w.shape[0], stride[0], padding[0]),
-        _out_dim(x.shape[2], w.shape[1], stride[1], padding[1]),
-        w.shape[3],
-    )
-    return [TensorType(out, x.dtype)]
+    oh, ow = _window_hw(node, x, w.shape[:2], node.attr("stride", (1, 1)))
+    return [TensorType((x.shape[0], oh, ow, w.shape[3]), x.dtype)]
 
 
 def _depthwise(node: Node, ins: list[TensorType]) -> list[TensorType]:
@@ -67,15 +66,8 @@ def _depthwise(node: Node, ins: list[TensorType]) -> list[TensorType]:
         raise ShapeInferenceError(
             f"depthwise channel mismatch: input has {x.shape[3]}, weights expect {w.shape[2]}"
         )
-    stride = node.attr("stride", (1, 1))
-    padding = node.attr("padding", ((0, 0), (0, 0)))
-    out = (
-        x.shape[0],
-        _out_dim(x.shape[1], w.shape[0], stride[0], padding[0]),
-        _out_dim(x.shape[2], w.shape[1], stride[1], padding[1]),
-        w.shape[2],
-    )
-    return [TensorType(out, x.dtype)]
+    oh, ow = _window_hw(node, x, w.shape[:2], node.attr("stride", (1, 1)))
+    return [TensorType((x.shape[0], oh, ow, w.shape[2]), x.dtype)]
 
 
 def _fully_connected(node: Node, ins: list[TensorType]) -> list[TensorType]:
@@ -146,16 +138,8 @@ def _pad(node: Node, ins: list[TensorType]) -> list[TensorType]:
 def _pool(node: Node, ins: list[TensorType]) -> list[TensorType]:
     x = ins[0]
     _require_rank(x.shape, 4, f"{node.op} input")
-    kh, kw = node.attrs["ksize"]
-    stride = node.attrs["stride"]
-    padding = node.attr("padding", ((0, 0), (0, 0)))
-    out = (
-        x.shape[0],
-        _out_dim(x.shape[1], kh, stride[0], padding[0]),
-        _out_dim(x.shape[2], kw, stride[1], padding[1]),
-        x.shape[3],
-    )
-    return [TensorType(out, x.dtype)]
+    oh, ow = _window_hw(node, x, node.attrs["ksize"], node.attrs["stride"])
+    return [TensorType((x.shape[0], oh, ow, x.shape[3]), x.dtype)]
 
 
 def _mean(node: Node, ins: list[TensorType]) -> list[TensorType]:

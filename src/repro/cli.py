@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -205,20 +206,19 @@ def _cmd_reproduce(args) -> int:
 def _resolve_target(target: str, seed: int):
     """Resolve a ``compile`` / ``run`` / ``lint`` target into (name, graph).
 
-    A zoo model key (or unique prefix) gives the submission-precision
-    graph, ``info.convert(info.build(), seed=seed)`` (uint8 PTQ; bf16 for
-    GNMT) — the graph every zoo compile starts from; anything else is
-    loaded as a serialized GIR.  Raises ``FileNotFoundError`` when the
-    target is neither.
+    A target whose ``.json`` exists is that serialized GIR.  Otherwise a
+    zoo model key (or unique prefix) gives the submission-precision graph,
+    ``info.convert(info.build(), seed=seed)`` (uint8 PTQ; bf16 for GNMT) —
+    the graph every zoo compile starts from.  Raises ``FileNotFoundError``
+    when the target is neither.
     """
+    from repro.graph.frontends import load_graph
     from repro.models import PAPER_CHARACTERISTICS
 
     key = _resolve_model_key(target)
-    if key is not None:
+    if key is not None and not Path(target).with_suffix(".json").exists():
         info = PAPER_CHARACTERISTICS[key]
         return key, info.convert(info.build(), seed=seed)
-    from repro.graph.frontends import load_graph
-
     return target, load_graph(target)
 
 
@@ -708,6 +708,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.analyze import AnalysisError
     from repro.graph.gir import GraphError
 
     args = build_parser().parse_args(argv)
@@ -716,6 +717,9 @@ def main(argv: list[str] | None = None) -> int:
     except GraphError as error:  # a malformed GIR file: a usage error
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except AnalysisError as error:  # the verifier rejects the target: findings
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -3,9 +3,9 @@
 The input format is a plain dict (the shape a flatbuffer/protobuf parser
 would hand over): ``{"inputs": [...], "outputs": [...], "operators":
 [...], "tensors": {...}}`` — close in spirit to a parsed TensorFlow-Lite
-model.  TF's "SAME" places the *extra* padding pixel at the bottom/right,
-which is one of the subtle cross-framework differences the GCL has to
-normalize (section V-B).
+model.  "SAME" / "VALID" resolve through :mod:`repro.graph.window`, the
+one owner of the window geometry (``same_padding`` there carries TF's rule
+for where the extra padding pixel goes).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Any
 import numpy as np
 
 from repro.graph.gir import Graph, GraphError, Node, Tensor, TensorType
+from repro.graph.window import resolve_padding
 
 # Framework op name -> GIR op name.
 _OP_MAP = {
@@ -39,24 +40,6 @@ _OP_MAP = {
 }
 
 _ACTIVATIONS = {"NONE": "none", "RELU": "relu", "RELU6": "relu6"}
-
-
-def same_padding(size: int, k: int, stride: int) -> tuple[int, int]:
-    """TF 'SAME' for one dimension: total padding split with the extra
-    pixel after."""
-    out = -(-size // stride)
-    total = max((out - 1) * stride + k - size, 0)
-    return total // 2, total - total // 2
-
-
-def _resolve_padding(spec: str | list, in_h: int, in_w: int, kh: int, kw: int, stride):
-    if spec == "VALID":
-        return ((0, 0), (0, 0))
-    if spec == "SAME":
-        return (same_padding(in_h, kh, stride[0]), same_padding(in_w, kw, stride[1]))
-    # Explicit [[t, b], [l, r]] padding.
-    (t, b), (l, r) = spec
-    return ((int(t), int(b)), (int(l), int(r)))
 
 
 def import_tf_like(model: dict[str, Any], name: str = "tf_import") -> Graph:
@@ -84,13 +67,10 @@ def import_tf_like(model: dict[str, Any], name: str = "tf_import") -> Graph:
         node_name = op.get("name", f"{gir_op}_{index}")
         inputs = list(op["inputs"])
         if gir_op in ("conv2d", "depthwise_conv2d"):
-            stride = tuple(op.get("stride", (1, 1)))
-            weights = graph.tensor(inputs[1])
-            kh, kw = weights.shape[0], weights.shape[1]
-            in_shape = graph.tensor(inputs[0]).shape
-            attrs["stride"] = stride
-            attrs["padding"] = _resolve_padding(
-                op.get("padding", "VALID"), in_shape[1], in_shape[2], kh, kw, stride
+            attrs["stride"] = tuple(op.get("stride", (1, 1)))
+            attrs["padding"] = resolve_padding(
+                op.get("padding", "VALID"), graph.tensor(inputs[0]).shape[1:3],
+                graph.tensor(inputs[1]).shape[:2], attrs["stride"],
             )
             act = _ACTIVATIONS.get(op.get("fused_activation", "NONE"))
             if act is None:
@@ -100,10 +80,9 @@ def import_tf_like(model: dict[str, Any], name: str = "tf_import") -> Graph:
         elif gir_op in ("max_pool", "avg_pool"):
             attrs["ksize"] = tuple(op["ksize"])
             attrs["stride"] = tuple(op.get("stride", attrs["ksize"]))
-            in_shape = graph.tensor(inputs[0]).shape
-            attrs["padding"] = _resolve_padding(
-                op.get("padding", "VALID"),
-                in_shape[1], in_shape[2], *attrs["ksize"], attrs["stride"],
+            attrs["padding"] = resolve_padding(
+                op.get("padding", "VALID"), graph.tensor(inputs[0]).shape[1:3],
+                attrs["ksize"], attrs["stride"],
             )
         elif gir_op == "reshape":
             attrs["shape"] = tuple(op["shape"])

@@ -319,34 +319,38 @@ class Graph:
     # Validation
     # ------------------------------------------------------------------
 
-    def validate(self) -> None:
-        """Check structural invariants; raises GraphError on violation."""
-        seen_names: set[str] = set()
+    def structure_errors(self) -> Iterator[tuple[str, str, str]]:
+        """Each structural violation in walk order as ``(rule id, element,
+        message)``: the one statement of these rules, which :meth:`validate`
+        and the GIR verifier (``repro.analyze.gir_rules``) both read."""
+        seen_nodes: set[str] = set()
+        produced = set(self.inputs) | {n for n, t in self.tensors.items() if t.is_constant}
         for node in self.nodes:
-            if node.name in seen_names:
-                raise GraphError(f"duplicate node name {node.name!r}")
-            seen_names.add(node.name)
-            for name in (*node.inputs, *node.outputs):
-                if name not in self.tensors:
-                    raise GraphError(
-                        f"node {node.name!r} references unknown tensor {name!r}"
-                    )
-        produced: set[str] = set(self.inputs)
-        produced.update(name for name, t in self.tensors.items() if t.is_constant)
-        for node in self.nodes:
+            who = f"node {node.name!r}"
+            if node.name in seen_nodes:
+                yield "gir.duplicate-node", node.name, f"duplicate node name {node.name!r}"
+            seen_nodes.add(node.name)
             for name in node.inputs:
-                if name not in produced:
-                    raise GraphError(
-                        f"node {node.name!r} reads {name!r} before it is produced "
-                        "(graph is not topologically ordered)"
-                    )
+                if name not in self.tensors:
+                    yield "gir.unknown-tensor", node.name, f"{who} reads unknown tensor {name!r}"
+                elif name not in produced:
+                    yield ("gir.topology", node.name, f"{who} reads {name!r} before it is "
+                           "produced (graph is not topologically ordered)")
             for name in node.outputs:
-                if name in produced and name not in self.inputs:
-                    raise GraphError(f"tensor {name!r} produced more than once")
+                if name not in self.tensors:
+                    yield "gir.unknown-tensor", node.name, f"{who} writes unknown tensor {name!r}"
+                elif name in produced and name not in self.inputs:
+                    yield ("gir.multi-producer", name,
+                           f"tensor {name!r} is produced more than once (again by {who})")
                 produced.add(name)
         for name in self.outputs:
             if name not in produced:
-                raise GraphError(f"graph output {name!r} is never produced")
+                yield "gir.dangling-output", name, f"graph output {name!r} is never produced"
+
+    def validate(self) -> None:
+        """Raise :class:`GraphError` on the first structural violation."""
+        for _, _, message in self.structure_errors():
+            raise GraphError(message)
 
     # ------------------------------------------------------------------
     # Statistics (Table V: MACs, weights)

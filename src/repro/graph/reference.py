@@ -9,6 +9,8 @@ These numpy implementations serve three roles:
 3. shape checking for graph construction and optimization passes.
 
 Activations are NHWC; convolution weights HWIO; depthwise weights HWC.
+The window geometry of the conv, depthwise and pool ops (padding, output
+size, the view each filter tap reads) is :mod:`repro.graph.window`'s.
 """
 
 from __future__ import annotations
@@ -21,22 +23,14 @@ import numpy as np
 from repro.dtypes import quantize as quantize_array
 from repro.dtypes import dequantize as dequantize_array
 from repro.graph.gir import Graph, GraphError, Node
-
-Padding = tuple[tuple[int, int], tuple[int, int]]
-
-
-def _pad_nhwc(x: np.ndarray, padding: Padding, value: float = 0.0) -> np.ndarray:
-    (top, bottom), (left, right) = padding
-    return np.pad(
-        x, ((0, 0), (top, bottom), (left, right), (0, 0)), constant_values=value
-    )
+from repro.graph.window import NO_PADDING, Padding, out_size, pad_nhwc, taps
 
 
 def conv2d(
     x: np.ndarray,
     weights: np.ndarray,
     stride: tuple[int, int] = (1, 1),
-    padding: Padding = ((0, 0), (0, 0)),
+    padding: Padding = NO_PADDING,
     bias: np.ndarray | None = None,
     activation: str = "none",
 ) -> np.ndarray:
@@ -44,16 +38,13 @@ def conv2d(
     kh, kw, cin, cout = weights.shape
     if x.shape[3] != cin:
         raise GraphError(f"conv2d channel mismatch: input {x.shape[3]} vs weights {cin}")
-    x = _pad_nhwc(x, padding)
-    n, h, w, _ = x.shape
-    sh, sw = stride
-    oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
+    x = pad_nhwc(x, padding)
+    n = x.shape[0]
+    oh, ow = out_size(x.shape[1:3], (kh, kw), stride)
     # im2col: gather all receptive fields, then one big matmul.
     cols = np.empty((n, oh, ow, kh * kw * cin), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            patch = x[:, i : i + oh * sh : sh, j : j + ow * sw : sw, :]
-            cols[..., (i * kw + j) * cin : (i * kw + j + 1) * cin] = patch
+    for i, j, view in taps(x, (kh, kw), stride):
+        cols[..., (i * kw + j) * cin : (i * kw + j + 1) * cin] = view
     flat_w = weights.reshape(kh * kw * cin, cout)
     out = cols.reshape(-1, kh * kw * cin) @ flat_w
     out = out.reshape(n, oh, ow, cout)
@@ -66,7 +57,7 @@ def depthwise_conv2d(
     x: np.ndarray,
     weights: np.ndarray,
     stride: tuple[int, int] = (1, 1),
-    padding: Padding = ((0, 0), (0, 0)),
+    padding: Padding = NO_PADDING,
     bias: np.ndarray | None = None,
     activation: str = "none",
 ) -> np.ndarray:
@@ -74,15 +65,10 @@ def depthwise_conv2d(
     kh, kw, c = weights.shape
     if x.shape[3] != c:
         raise GraphError(f"depthwise channel mismatch: {x.shape[3]} vs {c}")
-    x = _pad_nhwc(x, padding)
-    n, h, w, _ = x.shape
-    sh, sw = stride
-    oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
-    out = np.zeros((n, oh, ow, c), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            patch = x[:, i : i + oh * sh : sh, j : j + ow * sw : sw, :]
-            out += patch.astype(np.float64) * weights[i, j]
+    x = pad_nhwc(x, padding)
+    out = np.zeros((x.shape[0], *out_size(x.shape[1:3], (kh, kw), stride), c), dtype=np.float64)
+    for i, j, view in taps(x, (kh, kw), stride):
+        out += view.astype(np.float64) * weights[i, j]
     out = out.astype(np.float32)
     if bias is not None:
         out = out + bias
@@ -137,18 +123,13 @@ def max_pool(
     x: np.ndarray,
     ksize: tuple[int, int],
     stride: tuple[int, int],
-    padding: Padding = ((0, 0), (0, 0)),
+    padding: Padding = NO_PADDING,
 ) -> np.ndarray:
-    x = _pad_nhwc(x, padding, value=-np.inf)
-    n, h, w, c = x.shape
-    kh, kw = ksize
-    sh, sw = stride
-    oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
-    out = np.full((n, oh, ow, c), -np.inf, dtype=np.float32)
-    for i in range(kh):
-        for j in range(kw):
-            patch = x[:, i : i + oh * sh : sh, j : j + ow * sw : sw, :]
-            out = np.maximum(out, patch)
+    x = pad_nhwc(x, padding, value=-np.inf)
+    n, _, _, c = x.shape
+    out = np.full((n, *out_size(x.shape[1:3], ksize, stride), c), -np.inf, dtype=np.float32)
+    for _, _, view in taps(x, ksize, stride):
+        out = np.maximum(out, view)
     return out
 
 
@@ -156,18 +137,14 @@ def avg_pool(
     x: np.ndarray,
     ksize: tuple[int, int],
     stride: tuple[int, int],
-    padding: Padding = ((0, 0), (0, 0)),
+    padding: Padding = NO_PADDING,
 ) -> np.ndarray:
-    x = _pad_nhwc(x, padding)
-    n, h, w, c = x.shape
-    kh, kw = ksize
-    sh, sw = stride
-    oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
-    out = np.zeros((n, oh, ow, c), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            out += x[:, i : i + oh * sh : sh, j : j + ow * sw : sw, :]
-    return (out / (kh * kw)).astype(np.float32)
+    x = pad_nhwc(x, padding)
+    n, _, _, c = x.shape
+    out = np.zeros((n, *out_size(x.shape[1:3], ksize, stride), c), dtype=np.float64)
+    for _, _, view in taps(x, ksize, stride):
+        out += view
+    return (out / (ksize[0] * ksize[1])).astype(np.float32)
 
 
 def lstm_cell(
@@ -406,7 +383,7 @@ def execute_op(op: str, attrs: dict[str, Any], ins: list[np.ndarray]) -> list[np
             conv2d(
                 ins[0], ins[1],
                 stride=attrs.get("stride", (1, 1)),
-                padding=attrs.get("padding", ((0, 0), (0, 0))),
+                padding=attrs.get("padding", NO_PADDING),
                 bias=bias, activation=act,
             )
         ]
@@ -416,7 +393,7 @@ def execute_op(op: str, attrs: dict[str, Any], ins: list[np.ndarray]) -> list[np
             depthwise_conv2d(
                 ins[0], ins[1],
                 stride=attrs.get("stride", (1, 1)),
-                padding=attrs.get("padding", ((0, 0), (0, 0))),
+                padding=attrs.get("padding", NO_PADDING),
                 bias=bias, activation=act,
             )
         ]
@@ -440,14 +417,14 @@ def execute_op(op: str, attrs: dict[str, Any], ins: list[np.ndarray]) -> list[np
     if op == "concat":
         return [np.concatenate(ins, axis=attrs.get("axis", -1))]
     if op == "pad":
-        return [_pad_nhwc(ins[0], attrs["padding"], attrs.get("value", 0.0))]
+        return [pad_nhwc(ins[0], attrs["padding"], attrs.get("value", 0.0))]
     if op == "max_pool":
         return [
-            max_pool(ins[0], attrs["ksize"], attrs["stride"], attrs.get("padding", ((0, 0), (0, 0))))
+            max_pool(ins[0], attrs["ksize"], attrs["stride"], attrs.get("padding", NO_PADDING))
         ]
     if op == "avg_pool":
         return [
-            avg_pool(ins[0], attrs["ksize"], attrs["stride"], attrs.get("padding", ((0, 0), (0, 0))))
+            avg_pool(ins[0], attrs["ksize"], attrs["stride"], attrs.get("padding", NO_PADDING))
         ]
     if op == "mean":
         return [np.mean(ins[0], axis=attrs.get("axis", (1, 2))).astype(np.float32)]

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.frontends.tf_like import same_padding
 from repro.graph.gir import Graph, Node, Tensor, TensorType
+from repro.graph.window import out_size, resolve_padding
 
 
 class GraphBuilder:
@@ -63,9 +63,8 @@ class GraphBuilder:
     ) -> str:
         kh, kw = (kernel, kernel) if isinstance(kernel, int) else kernel
         n, h, w, cin = self.shape(x)
-        pad = self._resolve_padding(padding, h, w, kh, kw, stride)
-        oh = (h + pad[0][0] + pad[0][1] - kh) // stride + 1
-        ow = (w + pad[1][0] + pad[1][1] - kw) // stride + 1
+        pad = resolve_padding(padding, (h, w), (kh, kw), (stride, stride))
+        oh, ow = out_size((h, w), (kh, kw), (stride, stride), pad)
         weights = self.constant("w", self._weights((kh, kw, cin, out_channels), kh * kw * cin))
         inputs = [x, weights]
         if bias and not batch_norm:
@@ -89,9 +88,8 @@ class GraphBuilder:
     ) -> str:
         """A depthwise conv, then batch norm and ``activation``."""
         n, h, w, c = self.shape(x)
-        pad = self._resolve_padding("same", h, w, kernel, kernel, stride)
-        oh = (h + pad[0][0] + pad[0][1] - kernel) // stride + 1
-        ow = (w + pad[1][0] + pad[1][1] - kernel) // stride + 1
+        pad = resolve_padding("same", (h, w), (kernel, kernel), (stride, stride))
+        oh, ow = out_size((h, w), (kernel, kernel), (stride, stride), pad)
         weights = self.constant("dw", self._weights((kernel, kernel, c), kernel * kernel))
         out = self._act(self._name("dwconv"), (n, oh, ow, c))
         attrs = {"stride": (stride, stride), "padding": pad}
@@ -128,9 +126,8 @@ class GraphBuilder:
 
     def max_pool(self, x: str, ksize: int, stride: int) -> str:
         n, h, w, c = self.shape(x)
-        pad = self._resolve_padding("same", h, w, ksize, ksize, stride)
-        oh = (h + pad[0][0] + pad[0][1] - ksize) // stride + 1
-        ow = (w + pad[1][0] + pad[1][1] - ksize) // stride + 1
+        pad = resolve_padding("same", (h, w), (ksize, ksize), (stride, stride))
+        oh, ow = out_size((h, w), (ksize, ksize), (stride, stride), pad)
         out = self._act(self._name("max_pool"), (n, oh, ow, c))
         attrs = {"ksize": (ksize, ksize), "stride": (stride, stride), "padding": pad}
         self.g.add_node(Node(self._name("max_pool_op"), "max_pool", [x], [out], attrs))
@@ -176,14 +173,6 @@ class GraphBuilder:
         return out
 
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _resolve_padding(padding, h, w, kh, kw, stride):
-        if padding == "same":
-            return (same_padding(h, kh, stride), same_padding(w, kw, stride))
-        if padding == "valid":
-            return ((0, 0), (0, 0))
-        return padding
 
     def finish(self, outputs: list[str]) -> Graph:
         for name in outputs:

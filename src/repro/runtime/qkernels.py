@@ -5,7 +5,9 @@ accumulation of zero-offset uint8 operands, gemmlowp-style requantization,
 activation clamps in the quantized domain — vectorised with numpy.  They
 serve as (a) the fast-model execution path for full networks and (b) the
 x86 reference kernels the instruction-level simulator is validated against
-(tests cross-check the two on small shapes).
+(tests cross-check the two on small shapes).  The window geometry of the
+conv, depthwise and pool kernels is :mod:`repro.graph.window`'s, the same
+walk the float reference takes.
 
 The conv2d and fully-connected accumulations run on float64 BLAS whenever
 a proof from the operand *dtypes* alone shows every partial sum is an
@@ -46,6 +48,7 @@ from repro.dtypes import (
 )
 from repro.graph.gir import Graph, GraphError, Node
 from repro.graph.reference import Projections, execute_op, seed_values, walk_lstm_step
+from repro.graph.window import NO_PADDING, out_size, pad_nhwc, taps
 from repro.ncore.out import RequantSpec
 
 _ADD_SHIFT = 20  # fixed-point headroom for elementwise rescaling
@@ -129,27 +132,20 @@ def qconv2d(
     w_qp: QuantParams,
     out_qp: QuantParams,
     stride=(1, 1),
-    padding=((0, 0), (0, 0)),
+    padding=NO_PADDING,
     activation: str = "none",
 ) -> np.ndarray:
     """Quantized conv2d: NHWC uint8 x HWIO uint8 -> uint8."""
     kh, kw, cin, cout = weights.shape
     dtype = _accumulator_dtype(kh * kw * cin, x_qp, w_qp)
     # Padding inserts the input zero point (real value 0.0).
-    (pt, pb), (pl, pr) = padding
-    xq = np.pad(
-        x.astype(dtype) - x_qp.zero_point,
-        ((0, 0), (pt, pb), (pl, pr), (0, 0)),
-    )
+    xq = pad_nhwc(x.astype(dtype) - x_qp.zero_point, padding)
     wq = _weight_offsets(weights, w_qp, dtype)
-    n, h, w, _ = xq.shape
-    sh, sw = stride
-    oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
+    n = xq.shape[0]
+    oh, ow = out_size(xq.shape[1:3], (kh, kw), stride)
     cols = np.empty((n, oh, ow, kh * kw * cin), dtype=dtype)
-    for i in range(kh):
-        for j in range(kw):
-            patch = xq[:, i : i + oh * sh : sh, j : j + ow * sw : sw, :]
-            cols[..., (i * kw + j) * cin : (i * kw + j + 1) * cin] = patch
+    for i, j, view in taps(xq, (kh, kw), stride):
+        cols[..., (i * kw + j) * cin : (i * kw + j + 1) * cin] = view
     acc = cols.reshape(-1, kh * kw * cin) @ wq.reshape(kh * kw * cin, cout)
     acc = acc.reshape(n, oh, ow, cout)
     return _requantize(acc, bias, x_qp, w_qp, out_qp, activation)
@@ -163,23 +159,15 @@ def qdepthwise(
     w_qp: QuantParams,
     out_qp: QuantParams,
     stride=(1, 1),
-    padding=((0, 0), (0, 0)),
+    padding=NO_PADDING,
     activation: str = "none",
 ) -> np.ndarray:
     kh, kw, c = weights.shape
-    (pt, pb), (pl, pr) = padding
-    xq = np.pad(
-        x.astype(np.int64) - x_qp.zero_point,
-        ((0, 0), (pt, pb), (pl, pr), (0, 0)),
-    )
+    xq = pad_nhwc(x.astype(np.int64) - x_qp.zero_point, padding)
     wq = _weight_offsets(weights, w_qp)
-    n, h, w, _ = xq.shape
-    sh, sw = stride
-    oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
-    acc = np.zeros((n, oh, ow, c), dtype=np.int64)
-    for i in range(kh):
-        for j in range(kw):
-            acc += xq[:, i : i + oh * sh : sh, j : j + ow * sw : sw, :] * wq[i, j]
+    acc = np.zeros((xq.shape[0], *out_size(xq.shape[1:3], (kh, kw), stride), c), dtype=np.int64)
+    for i, j, view in taps(xq, (kh, kw), stride):
+        acc += view * wq[i, j]
     return _requantize(acc, bias, x_qp, w_qp, out_qp, activation)
 
 
@@ -226,50 +214,35 @@ def qrequant(values: np.ndarray, qp: QuantParams, out_qp: QuantParams) -> np.nda
     return saturate(out, out_qp.dtype)
 
 
-def qavg_pool(
-    x: np.ndarray, ksize, stride, padding=((0, 0), (0, 0))
-) -> np.ndarray:
+def qavg_pool(x: np.ndarray, ksize, stride, padding=NO_PADDING) -> np.ndarray:
     """Average pool on quantized values (input and output share params)."""
-    kh, kw = ksize
-    (pt, pb), (pl, pr) = padding
     # Average in the quantized domain with round-half-up.
-    xq = np.pad(x.astype(np.int64), ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    n, h, w, c = xq.shape
-    sh, sw = stride
-    oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
-    acc = np.zeros((n, oh, ow, c), dtype=np.int64)
-    for i in range(kh):
-        for j in range(kw):
-            acc += xq[:, i : i + oh * sh : sh, j : j + ow * sw : sw, :]
-    count = kh * kw
+    xq = pad_nhwc(x.astype(np.int64), padding)
+    n, _, _, c = xq.shape
+    acc = np.zeros((n, *out_size(xq.shape[1:3], ksize, stride), c), dtype=np.int64)
+    for _, _, view in taps(xq, ksize, stride):
+        acc += view
+    count = ksize[0] * ksize[1]
     out = (acc + count // 2) // count
     return out.astype(x.dtype)
 
 
-def qmax_pool(x: np.ndarray, ksize, stride, padding=((0, 0), (0, 0))) -> np.ndarray:
-    kh, kw = ksize
-    (pt, pb), (pl, pr) = padding
+def qmax_pool(x: np.ndarray, ksize, stride, padding=NO_PADDING) -> np.ndarray:
     # Max pooling must not let padding or the fold's initial value clamp
     # real codes: both start at the type's minimum (matters for int16,
     # whose quantized codes go negative).
     floor = np.iinfo(x.dtype).min
-    xq = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)), constant_values=floor)
-    n, h, w, c = xq.shape
-    sh, sw = stride
-    oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
-    out = np.full((n, oh, ow, c), floor, dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            out = np.maximum(out, xq[:, i : i + oh * sh : sh, j : j + ow * sw : sw, :])
+    xq = pad_nhwc(x, padding, value=floor)
+    n, _, _, c = xq.shape
+    out = np.full((n, *out_size(xq.shape[1:3], ksize, stride), c), floor, dtype=x.dtype)
+    for _, _, view in taps(xq, ksize, stride):
+        out = np.maximum(out, view)
     return out
 
 
 # ----------------------------------------------------------------------
 # The bound node and the op tables
 # ----------------------------------------------------------------------
-
-_NO_PADDING = ((0, 0), (0, 0))
-
 
 @dataclass(frozen=True)
 class BoundNode:
@@ -363,7 +336,7 @@ def _conv_kernel(conv: Callable[..., np.ndarray]) -> Kernel:
         attrs = b.attrs
         return [conv(
             *_matmul_args(b, ins), attrs.get("stride", (1, 1)),
-            attrs.get("padding", _NO_PADDING), attrs.get("activation", "none"),
+            attrs.get("padding", NO_PADDING), attrs.get("activation", "none"),
         )]
 
     return kernel
@@ -373,7 +346,7 @@ def _pool_kernel(pool: Callable[..., np.ndarray]) -> Kernel:
     def kernel(b: BoundNode, ins: list[np.ndarray]) -> list[np.ndarray]:
         attrs = b.attrs
         return [pool(
-            ins[0], attrs["ksize"], attrs["stride"], attrs.get("padding", _NO_PADDING)
+            ins[0], attrs["ksize"], attrs["stride"], attrs.get("padding", NO_PADDING)
         )]
 
     return kernel

@@ -93,6 +93,29 @@ class TestTypeRules:
         finding = _find(analyze_graph(graph), "gir.bad-op-signature")
         assert finding.location.element == "c0"
 
+    def test_window_larger_than_padded_input(self):
+        # A 5x5 window over an unpadded 2x2 input has no output: a bad
+        # signature, reported, not a crash of the verifier.
+        graph = Graph("fixture")
+        graph.add_input("x", TensorType((1, 2, 2, 1)))
+        graph.add_constant("w", np.ones((5, 5, 1, 1), np.float32))
+        graph.add_tensor(Tensor("y", TensorType((1, 1, 1, 1))))
+        graph.add_node(Node("c0", "conv2d", ["x", "w"], ["y"], {"padding": ((1, 0), (0, 1))}))
+        graph.mark_output("y")
+        finding = _find(analyze_graph(graph), "gir.bad-op-signature")
+        assert finding.location.element == "c0"
+        assert "5x5 window does not fit the padded 3x3 input" in finding.message
+
+    def test_stride_not_positive(self):
+        graph = Graph("fixture")
+        graph.add_input("x", TensorType((1, 4, 4, 1)))
+        graph.add_tensor(Tensor("y", TensorType((1, 3, 3, 1))))
+        graph.add_node(Node("m0", "max_pool", ["x"], ["y"], {"ksize": (2, 2), "stride": (0, 1)}))
+        graph.mark_output("y")
+        finding = _find(analyze_graph(graph), "gir.bad-op-signature")
+        assert finding.location.element == "m0"
+        assert "stride (0, 1) is not positive" in finding.message
+
     def test_shape_mismatch(self):
         graph = _relu_graph(out_shape=(1, 9))
         finding = _find(analyze_graph(graph), "gir.shape-mismatch")

@@ -134,6 +134,27 @@ class TestLintTargets:
             ["lint", path, "--graph-only", "--suppress", "gir.shape-mismatch"]
         ) == 0
 
+    def test_window_that_does_not_fit_exits_1(self, tmp_path, capsys):
+        import numpy as np
+
+        graph = Graph("big_window")
+        graph.add_input("x", TensorType((1, 2, 2, 1)))
+        graph.add_constant("w", np.ones((5, 5, 1, 1), np.float32))
+        graph.add_tensor(Tensor("y", TensorType((1, 1, 1, 1))))
+        graph.add_node(Node("c", "conv2d", ["x", "w"], ["y"]))
+        graph.mark_output("y")
+        save_graph(graph, tmp_path / "case")
+        assert main(["lint", str(tmp_path / "case")]) == 1
+        out = capsys.readouterr().out
+        assert "gir.bad-op-signature" in out and "5x5 window" in out
+
+    def test_file_target_beats_zoo_prefix(self, tmp_path, monkeypatch, capsys):
+        # ``m`` is a prefix of mobilenet_v1, but m.json is the target.
+        save_graph(Graph("m_file"), tmp_path / "m")  # empty: lints clean
+        monkeypatch.chdir(tmp_path)
+        assert main(["lint", "m", "--graph-only"]) == 0
+        assert capsys.readouterr().out.startswith("lint m: ")
+
     def test_clean_gir_file_full_stack(self, tmp_path, capsys):
         path = self._save_clean_graph(tmp_path)
         assert main(["lint", path]) == 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analyze import analyze_program
+from repro.analyze import RULES, analyze_program
 from repro.dtypes import NcoreDType
 from repro.isa import (
     AssemblyError,
@@ -124,6 +124,9 @@ def test_one_repeat_limit_is_the_encoded_field():
     forged = Instruction()
     object.__setattr__(forged, "repeat", 4000)
     assert by_rule(analyze_program([forged]), "isa.repeat")
+    # The rule's title names the width of that field: repeat - 1 in 11 bits.
+    assert MAX_REPEAT == 1 << 11
+    assert RULES["isa.repeat"].title == "repeat count outside the 11-bit field"
 
 
 def test_predicate_seven_unencodable():

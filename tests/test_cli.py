@@ -185,6 +185,26 @@ class TestCompileAndRun:
         assert {e["args"].get("pipeline") for e in records} >= {"O0"}
 
 
+class TestRejectedGraphFile:
+    """A GIR the verifier rejects ends in its findings on stderr and exit 1,
+    as ``lint`` reports them, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["run", "compile"])
+    def test_exits_1_with_the_findings(self, command, tmp_path, capsys):
+        from repro.graph.frontends import save_graph
+        from repro.graph.gir import Graph, Node, Tensor, TensorType
+
+        graph = Graph("lie")
+        graph.add_input("x", TensorType((1, 8)))
+        graph.add_tensor(Tensor("y", TensorType((1, 9))))  # declared shape lie
+        graph.add_node(Node("r0", "relu", ["x"], ["y"]))
+        graph.mark_output("y")
+        save_graph(graph, tmp_path / "lie")
+        assert main([command, str(tmp_path / "lie")]) == 1
+        err = capsys.readouterr().err
+        assert "error[gir.shape-mismatch]" in err and "Traceback" not in err
+
+
 class TestTrace:
     def test_writes_valid_chrome_trace(self, tmp_path, capsys):
         import json

@@ -251,6 +251,26 @@ def test_one_program_catalog():
         assert len(found) == 1 and found[0].startswith("src/repro/nkl/catalog.py"), found
 
 
+def test_one_window_walk():
+    # ``repro.graph.window`` owns the window geometry of conv / depthwise /
+    # pool.  Codegen's ``ConvStep`` nests and the NKL emitters keep their
+    # own index arithmetic: they are the independent implementations the
+    # codegen oracle and the catalog differential hold the walk against.
+    window = SRC / "graph" / "window.py"
+    independent = {SRC / "ncore" / "codegen.py", SRC / "nkl" / "programs.py"}
+    formulas = re.compile(
+        r"-\s*k[\w\[\]]*\)\s*//\s*s[\w\[\]]*\s*\+\s*1"  # (size - k) // stride + 1
+        r"|\w\s*:\s*\w+\s*\+\s*o\w*\s*\*\s*s\w*\s*:\s*s\w*"  # i : i + oh * sh : sh
+    )
+    sources = _source_files()
+    found = _grep(formulas, sources)
+    owners = {str(path.relative_to(ROOT)) for path in (window, *independent)}
+    assert {hit.split(":")[0] for hit in found} == owners, found
+    offenders = _grep(re.compile(r"_pad_nhwc|_out_dim|\b_resolve_padding"), sources)
+    offenders += _grep(re.compile(r"graph\.window|graph import window"), sorted(independent))
+    assert not offenders, "a second window walk resurfaced:\n" + "\n".join(offenders)
+
+
 @pytest.mark.parametrize("owner, name", [
     ("repro.engine.core:Event", "fail"),
     ("repro.engine.core:Engine", "pending"),
